@@ -19,22 +19,24 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .charts import FPModule, ideal_block, span_contains, span_gb
+from .charts import FPModule, span_contains
 from .exactpoly import (
     Field,
     Poly,
     PolyRing,
     PresIdeal,
+    field_nullspace,
     ideal_contains_one,
-    module_kernel,
     vec_is_zero,
 )
 from .sheafrep import (
     QCReport,
     SheafMap,
     SheafRep,
+    SubRep,
     fmt_vertex,
     graded_sheaf,
+    induced_rep,
     is_quasi_coherent,
     kernel,
     make_sheaf_map,
@@ -45,7 +47,7 @@ from .sheafrep import (
     mat_identity,
     mat_mul,
 )
-from .closure import SubRep, induced_rep, verify_subrep
+from .closure import verify_subrep
 
 V0 = frozenset({0})
 V1 = frozenset({1})
@@ -205,26 +207,6 @@ def is_vector_bundle(rep: SheafRep, check_qc: bool = True) -> BundleReport:
     return BundleReport(ok, rank, certs, tuple(findings))
 
 
-@dataclass(frozen=True)
-class FlatReport:
-    flat: bool
-    certificates: dict
-    findings: tuple
-
-
-def is_flat(rep: SheafRep) -> FlatReport:
-    """Every vertex module projective (finitely presented flat means
-    projective over these coordinate rings)."""
-    certs = {}
-    findings = []
-    for v in rep.quiver.vertices:
-        cert = is_projective_fp(rep.modules[v])
-        certs[v] = cert
-        if not cert.projective:
-            findings.append("module at " + fmt_vertex(v) + " is " + cert.verdict)
-    return FlatReport(all(c.projective for c in certs.values()), certs, tuple(findings))
-
-
 # ---------------------------------------------------------------------------
 # Serre covers and two-term resolutions
 
@@ -300,16 +282,8 @@ def vdim_le_one_witness(rep: SheafRep, cover: SheafMap) -> VdimWitness:
                 composite_zero = False
                 findings.append("composite not zero at " + fmt_vertex(v))
                 break
-        mid = cover.source.modules[v]
-        ker_rows = module_kernel(
-            list(cover.rows[v]),
-            list(tgt.relations) + ideal_block(chart, tgt.gens),
-            chart.ring,
-            tgt.gens,
-        )
-        span = span_gb(
-            chart, list(incl.rows[v]) + list(mid.relations), mid.gens
-        )
+        ker_rows = tgt.row_relations(cover.rows[v])
+        span = cover.source.modules[v].span_gb(incl.rows[v])
         for row in ker_rows:
             if not span_contains(chart, span, row):
                 kernel_covered = False
@@ -962,35 +936,6 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
     return SheafRep(quiver, mods, maps, None)
 
 
-def _field_nullity(field: Field, rows, ncols: int) -> int:
-    """Kernel dimension of a matrix over the coefficient field."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        pivot = None
-        for i in range(rank, nrows):
-            if mat[i][col] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(x, inv) for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col] != field.zero:
-                c = mat[i][col]
-                mat[i] = [
-                    field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])
-                ]
-        rank += 1
-        col += 1
-    return ncols - rank
-
-
 def global_sections_dim(t_matrix) -> int:
     """Dimension of the space of global sections of the bundle glued by the
     matrix, by degree-window linear algebra: a section is a pair of
@@ -1032,7 +977,7 @@ def global_sections_dim(t_matrix) -> int:
                         hit = True
             if hit:
                 rows.append(row)
-    return _field_nullity(field, rows, ncols)
+    return len(field_nullspace(field, rows, ncols))
 
 
 # ---------------------------------------------------------------------------

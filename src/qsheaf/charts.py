@@ -21,11 +21,14 @@ from .exactpoly import (
     PolyRing,
     PresIdeal,
     RingMismatchError,
+    TrackedBasis,
     groebner_basis,
     ideal_contains_one,
+    module_kernel,
     normal_form,
     poly_to_str,
     vec_is_zero,
+    vec_unit,
 )
 
 
@@ -252,7 +255,10 @@ class FPModule:
 
     gens counts the generators; relations is a tuple of rows of that length.
     The module is the cokernel of the relation rows, always considered
-    together with the chart ring's own defining relations.
+    together with the chart ring's own defining relations.  A list of rows
+    of the same length names the submodule those rows generate; the methods
+    taking `rows` give its span, the relations among the rows, and lifts
+    over them.
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = ()):
@@ -274,8 +280,26 @@ class FPModule:
 
     def relation_gb(self) -> list:
         if self._gb is None:
-            self._gb = span_gb(self.chart, self.relations, self.gens)
+            self._gb = self.span_gb(())
         return self._gb
+
+    def span_gb(self, rows) -> list:
+        """Groebner basis of the submodule generated by the rows, taken
+        together with the relations."""
+        return span_gb(self.chart, list(rows) + list(self.relations), self.gens)
+
+    def _all_relations(self) -> list:
+        return list(self.relations) + ideal_block(self.chart, self.gens)
+
+    def row_relations(self, rows) -> list:
+        """Generators of the relations among the rows: the coefficient
+        vectors c with sum(c[i] * rows[i]) zero in the module."""
+        return module_kernel(list(rows), self._all_relations(), self.chart.ring, self.gens)
+
+    def lifter(self, rows) -> TrackedBasis:
+        """Membership with a witness in the submodule generated by the rows:
+        lift(x)[:len(rows)] expresses x over the rows, or lift(x) is None."""
+        return TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens)
 
     def nf(self, vec) -> tuple:
         if len(vec) != self.gens:
@@ -287,11 +311,9 @@ class FPModule:
 
     def is_zero_module(self) -> bool:
         ring = self.chart.ring
-        for pos in range(self.gens):
-            e = tuple(ring.one() if k == pos else ring.zero() for k in range(self.gens))
-            if not vec_is_zero(self.nf(e)):
-                return False
-        return True
+        return all(
+            self.contains_in_relations(vec_unit(ring, self.gens, pos)) for pos in range(self.gens)
+        )
 
     def __repr__(self):
         return f"FPModule(chart={self.chart!r}, gens={self.gens}, rels={len(self.relations)})"

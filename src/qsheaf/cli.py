@@ -60,6 +60,7 @@ from .exactpoly import (
     Field,
     Poly,
     PolyRing,
+    field_nullspace,
     groebner_basis,
     module_kernel,
     poly_to_str,
@@ -417,40 +418,6 @@ def _cmd_hill_verify(job: JobSpec):
 # selftest
 
 
-def _nullspace_basis(field: Field, rows, ncols: int):
-    """Canonical nullspace basis of the column space map, by elimination."""
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if mat[i][col] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col] != field.zero:
-                c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(mat[r][f])
-        basis.append(tuple(vec))
-    return basis
-
-
 def _random_poly(rng: random.Random, ring: PolyRing, max_terms: int, max_deg: int) -> Poly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -529,7 +496,7 @@ def _selftest_syzygies(rng: random.Random):
         for j, column in enumerate(columns):
             for key, coeff in column.items():
                 matrix[eq_index[key]][j] = coeff
-        for vec in _nullspace_basis(field, matrix, len(unknowns)):
+        for vec in field_nullspace(field, matrix, len(unknowns)):
             syz = []
             for i in range(nrows):
                 terms = {}

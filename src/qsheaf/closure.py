@@ -16,34 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .charts import FPModule, ideal_block, span_contains, span_gb
-from .exactpoly import (
-    Poly,
-    TrackedBasis,
-    module_kernel,
-    vec_add,
-    vec_is_zero,
-    vec_mul_poly,
-)
-from .sheafrep import (
+from .charts import span_contains
+from .exactpoly import Poly, vec_add, vec_mul_poly
+from .sheafrep import (  # SectionSet, SubRep and induced_rep are re-exported
     QCReport,
-    SheafMap,
+    SectionSet,
     SheafRep,
+    SubRep,
     fmt_edge,
     fmt_vertex,
+    induced_rep,
     is_quasi_coherent,
-    mat_apply,
+    push,
 )
-
-
-@dataclass(frozen=True)
-class SectionSet:
-    """Finite lists of module elements, keyed by vertex."""
-
-    entries: dict
-
-    def at(self, v):
-        return self.entries.get(frozenset(v), ())
 
 
 def make_section_set(rep: SheafRep, mapping) -> SectionSet:
@@ -90,47 +75,6 @@ class ClosureWitness:
     parts: tuple
 
 
-class SubRep:
-    """Generator lists for a sub-representation of an ambient sheaf.
-
-    Spans are always taken modulo the ambient relations, so membership means
-    membership in the generated submodule of the ambient vertex module.
-    """
-
-    def __init__(self, ambient: SheafRep, seed: Optional[SectionSet] = None):
-        self.ambient = ambient
-        self.seed = seed if seed is not None else SectionSet({})
-        self.sections = {v: [] for v in ambient.quiver.vertices}
-        self._gb = {}
-
-    def span(self, v):
-        v = frozenset(v)
-        if v not in self._gb:
-            chart = self.ambient.quiver.chart(v)
-            mod = self.ambient.modules[v]
-            rows = list(self.sections[v]) + list(mod.relations)
-            self._gb[v] = span_gb(chart, rows, mod.gens)
-        return self._gb[v]
-
-    def contains(self, v, vec) -> bool:
-        v = frozenset(v)
-        chart = self.ambient.quiver.chart(v)
-        return span_contains(chart, self.span(v), vec)
-
-    def add(self, v, vec) -> bool:
-        """Append a generator unless it is already in the span; reports
-        whether the span grew."""
-        v = frozenset(v)
-        if vec_is_zero(vec) or self.contains(v, vec):
-            return False
-        self.sections[v].append(tuple(vec))
-        self._gb.pop(v, None)
-        return True
-
-    def generator_lists(self) -> dict:
-        return {v: tuple(rows) for v, rows in self.sections.items()}
-
-
 def denominator_vector(v, w, pivot: int, n: int) -> tuple:
     """Laurent exponent of the product of x_k / x_pivot over k in w - v."""
     vec = [0] * (n + 1)
@@ -138,18 +82,6 @@ def denominator_vector(v, w, pivot: int, n: int) -> tuple:
         vec[k] += 1
         vec[pivot] -= 1
     return tuple(vec)
-
-
-def _edge_lifter(rep: SheafRep, edge) -> TrackedBasis:
-    v, w = edge
-    chart = rep.quiver.chart(w)
-    tgt = rep.modules[w]
-    rows = (
-        list(rep.edge_maps[edge])
-        + list(tgt.relations)
-        + ideal_block(chart, tgt.gens)
-    )
-    return TrackedBasis(rows, chart.ring, tgt.gens)
 
 
 def pullback_witness(rep: SheafRep, edge, element, lifter=None) -> ClosureWitness:
@@ -165,7 +97,7 @@ def pullback_witness(rep: SheafRep, edge, element, lifter=None) -> ClosureWitnes
     chart_w = rep.quiver.chart(w)
     src = rep.modules[v]
     if lifter is None:
-        lifter = _edge_lifter(rep, edge)
+        lifter = rep.modules[w].lifter(rep.edge_maps[edge])
     coeffs = lifter.lift(tuple(element))
     if coeffs is None:
         raise RuntimeError(
@@ -213,13 +145,11 @@ def verify_witness(rep: SheafRep, witness: ClosureWitness) -> bool:
     v, w = witness.edge
     chart_v = rep.quiver.chart(v)
     chart_w = rep.quiver.chart(w)
-    hom = rep.quiver.hom(v, w)
     tgt = rep.modules[w]
-    rows = rep.edge_maps[witness.edge]
     svec = denominator_vector(v, w, chart_v.pivot, rep.quiver.n)
     total = tuple(chart_w.ring.zero() for _ in range(tgt.gens))
     for part in witness.parts:
-        pushed = mat_apply(hom.apply_vec(part.preimage), rows, chart_w.ring, tgt.gens)
+        pushed = push(rep, witness.edge, part.preimage)
         inv = chart_w.monomial_from_laurent(
             tuple(-part.power * s for s in svec)
         )
@@ -227,29 +157,6 @@ def verify_witness(rep: SheafRep, witness: ClosureWitness) -> bool:
         total = vec_add(total, vec_mul_poly(pushed, scale))
     diff = tuple(a - b for a, b in zip(witness.element, total))
     return span_contains(chart_w, tgt.relation_gb(), diff)
-
-
-def edge_closure(rep: SheafRep, edge, xv, xw):
-    """Single-edge closure: returns generator lists (gv, gw) and the pullback
-    witnesses, with span(gw) equal to the localized span of the image of gv
-    and both input lists contained in the respective outputs."""
-    v, w = edge
-    hom = rep.quiver.hom(v, w)
-    chart_w = rep.quiver.chart(w)
-    tgt = rep.modules[w]
-    rows = rep.edge_maps[(frozenset(v), frozenset(w))]
-    lifter = _edge_lifter(rep, (frozenset(v), frozenset(w)))
-    gv = [tuple(x) for x in xv]
-    witnesses = []
-    for t in xw:
-        wit = pullback_witness(rep, (frozenset(v), frozenset(w)), t, lifter)
-        witnesses.append(wit)
-        for part in wit.parts:
-            gv.append(part.preimage)
-    gw = [tuple(t) for t in xw]
-    for y in gv:
-        gw.append(mat_apply(hom.apply_vec(y), rows, chart_w.ring, tgt.gens))
-    return gv, gw, witnesses
 
 
 @dataclass(frozen=True)
@@ -302,7 +209,7 @@ def qc_closure(
                 t = sub.sections[w][pulled[edge]]
                 pulled[edge] += 1
                 if edge not in lifters:
-                    lifters[edge] = _edge_lifter(ambient, edge)
+                    lifters[edge] = ambient.modules[w].lifter(ambient.edge_maps[edge])
                 wit = pullback_witness(ambient, edge, t, lifters[edge])
                 grew = False
                 for part in wit.parts:
@@ -314,15 +221,10 @@ def qc_closure(
             # push every unpushed generator along every edge, in order
             for e2 in quiver.edges:
                 v2, w2 = e2
-                hom = quiver.hom(v2, w2)
-                chart = quiver.chart(w2)
-                width = ambient.modules[w2].gens
-                rows = ambient.edge_maps[e2]
                 while pushed[e2] < len(sub.sections[v2]):
                     x = sub.sections[v2][pushed[e2]]
                     pushed[e2] += 1
-                    img = mat_apply(hom.apply_vec(x), rows, chart.ring, width)
-                    if sub.add(w2, img):
+                    if sub.add(w2, push(ambient, e2, x)):
                         added[w2] = added.get(w2, 0) + 1
         trace.append(
             tuple(sorted((fmt_vertex(v), k) for v, k in added.items()))
@@ -342,54 +244,6 @@ def qc_closure(
     return ClosureResult(
         sub, tuple(witnesses), cycles, stabilized, tuple(trace), report
     )
-
-
-def induced_rep(sub: SubRep):
-    """Presentation of the sub-representation by its generator lists, with
-    the inclusion back into the ambient."""
-    ambient = sub.ambient
-    quiver = ambient.quiver
-    mods = {}
-    for v in quiver.vertices:
-        chart = quiver.chart(v)
-        amb = ambient.modules[v]
-        rows = tuple(sub.sections[v])
-        rel = tuple(
-            module_kernel(
-                list(rows),
-                list(amb.relations) + ideal_block(chart, amb.gens),
-                chart.ring,
-                amb.gens,
-            )
-        )
-        mods[v] = FPModule(chart, len(rows), rel)
-    edge_maps = {}
-    for edge in quiver.edges:
-        v, w = edge
-        hom = quiver.hom(v, w)
-        chart = quiver.chart(w)
-        amb_w = ambient.modules[w]
-        basis = (
-            list(sub.sections[w])
-            + list(amb_w.relations)
-            + ideal_block(chart, amb_w.gens)
-        )
-        tracked = TrackedBasis(basis, chart.ring, amb_w.gens)
-        rows_vw = []
-        for x in sub.sections[v]:
-            img = mat_apply(
-                hom.apply_vec(x), ambient.edge_maps[edge], chart.ring, amb_w.gens
-            )
-            coeffs = tracked.lift(img)
-            if coeffs is None:
-                raise ValueError(
-                    "generators not closed under edge " + fmt_edge(edge)
-                )
-            rows_vw.append(tuple(coeffs[: len(sub.sections[w])]))
-        edge_maps[edge] = tuple(rows_vw)
-    rep = SheafRep(quiver, mods, edge_maps, None)
-    incl = SheafMap(rep, ambient, {v: tuple(sub.sections[v]) for v in quiver.vertices})
-    return rep, incl
 
 
 @dataclass(frozen=True)
@@ -416,13 +270,8 @@ def verify_subrep(sub: SubRep) -> SubRepReport:
     closed = True
     for edge in quiver.edges:
         v, w = edge
-        hom = quiver.hom(v, w)
-        chart = quiver.chart(w)
-        width = ambient.modules[w].gens
-        rows = ambient.edge_maps[edge]
         for x in sub.sections[v]:
-            img = mat_apply(hom.apply_vec(x), rows, chart.ring, width)
-            if not sub.contains(w, img):
+            if not sub.contains(w, push(ambient, edge, x)):
                 closed = False
                 findings.append(
                     "image of a generator not in span along " + fmt_edge(edge)

@@ -104,7 +104,10 @@ class Field:
         s = s.strip()
         if "/" in s:
             num, den = s.split("/", 1)
-            return self.of_fraction(int(num), int(den))
+            num, den = int(num), int(den)
+            if self.of_int(den) == self.zero:
+                raise ValueError(f"zero denominator in coefficient {s!r}")
+            return self.of_fraction(num, den)
         return self.of_int(int(s))
 
 
@@ -376,6 +379,35 @@ def _term_from_str(ring: PolyRing, sign: int, chunk: str, context: str) -> Poly:
     if sign < 0:
         coeff = field.neg(coeff)
     return ring.monomial(tuple(exp), coeff)
+
+
+def field_nullspace(field: Field, rows, ncols: int) -> list:
+    """Canonical nullspace basis of a matrix over the coefficient field, by
+    reduction to row echelon form: one vector per non-pivot column."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, nrows) if mat[i][col] != field.zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = field.inv(mat[rank][col])
+        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+        for i in range(nrows):
+            if i != rank and mat[i][col] != field.zero:
+                c = mat[i][col]
+                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(mat[r][free])
+        basis.append(tuple(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ whenever w = v + {k}.  A representation assigns a finitely presented module
 over the chart ring to each vertex and a generator-image matrix to each
 generating edge.  The representation presents a quasi-coherent sheaf exactly
 when every edge map becomes an isomorphism after extending scalars, which is
-decided here by exact Groebner spans.
+decided here by exact Groebner spans.  Sub-representations given by
+per-vertex generator lists, and their presentations (kernels among them),
+live here as well.
 
 Matrix convention throughout: row i of a map is the image of source
 generator i, so vectors act on the left and composition is the usual
@@ -15,7 +17,7 @@ matrix product taken left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .charts import (
@@ -23,23 +25,21 @@ from .charts import (
     ChartRing,
     FPModule,
     chart_hom,
-    ideal_block,
     is_homogeneous,
+    localize_module,
     make_chart_ring,
     span_contains,
-    span_gb,
     x_ring,
 )
 from .exactpoly import (
     Field,
-    Poly,
     PolyRing,
-    TrackedBasis,
-    module_kernel,
+    module_kernel,  # noqa: F401  (re-exported; perfbench patches it here)
     vec_add,
     vec_is_zero,
     vec_mul_poly,
     vec_sub,
+    vec_unit,
     vec_zero,
 )
 
@@ -79,6 +79,14 @@ def mat_identity(ring: PolyRing, size: int):
         row[i] = ring.one()
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def push(rep, edge, x):
+    """Image of an element of the near module along a generating edge:
+    base change to the far chart, then the edge matrix."""
+    v, w = edge
+    image = rep.quiver.hom(v, w).apply_vec(x)
+    return mat_apply(image, rep.edge_maps[(v, w)], rep.quiver.chart(w).ring, rep.modules[w].gens)
 
 
 class ProjQuiver:
@@ -274,38 +282,41 @@ class QCReport:
         raise KeyError(fmt_edge(key))
 
 
+def _relations_preserved(src: FPModule, rows, tgt: FPModule) -> bool:
+    """Every relation of src, sent through the matrix, is a relation of tgt."""
+    gb = tgt.relation_gb()
+    ring = tgt.chart.ring
+    return all(span_contains(tgt.chart, gb, mat_apply(r, rows, ring, tgt.gens)) for r in src.relations)
+
+
+def _onto(rows, tgt: FPModule) -> bool:
+    """The matrix rows generate tgt."""
+    gb = tgt.span_gb(rows)
+    ring = tgt.chart.ring
+    return all(span_contains(tgt.chart, gb, vec_unit(ring, tgt.gens, j)) for j in range(tgt.gens))
+
+
+def _injective(src: FPModule, rows, tgt: FPModule) -> bool:
+    """Every relation among the matrix rows in tgt is a relation of src."""
+    ker = tgt.row_relations(rows)
+    gb = src.relation_gb()
+    return all(span_contains(src.chart, gb, k) for k in ker)
+
+
+def _rows_agree(tgt: FPModule, left, right) -> bool:
+    """Two matrices into tgt agree row by row modulo its relations."""
+    gb = tgt.relation_gb()
+    return all(span_contains(tgt.chart, gb, vec_sub(r1, r2)) for r1, r2 in zip(left, right))
+
+
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
+    """Base change of the near module to the far chart, compared with the
+    far module through the edge matrix."""
     v, w = e
-    hom = rep.quiver.hom(v, w)
-    src, tgt = rep.modules[v], rep.modules[w]
-    chart = rep.quiver.chart(w)
-    rows = rep.edge_maps[e]
-    loc_rel = tuple(hom.apply_vec(r) for r in src.relations)
-    tgt_gb = tgt.relation_gb()
-    well = all(
-        span_contains(chart, tgt_gb, mat_apply(r, rows, chart.ring, tgt.gens))
-        for r in loc_rel
-    )
-    image_gb = span_gb(chart, list(rows) + list(tgt.relations), tgt.gens)
-    surj = all(
-        span_contains(chart, image_gb, _unit(chart.ring, tgt.gens, j))
-        for j in range(tgt.gens)
-    )
-    ker = module_kernel(
-        list(rows),
-        list(tgt.relations) + ideal_block(chart, tgt.gens),
-        chart.ring,
-        tgt.gens,
-    )
-    src_gb = span_gb(chart, loc_rel, src.gens)
-    inj = all(span_contains(chart, src_gb, k) for k in ker)
-    return EdgeVerdict(e, well, surj, inj)
-
-
-def _unit(ring: PolyRing, width: int, j: int):
-    row = [ring.zero()] * width
-    row[j] = ring.one()
-    return tuple(row)
+    loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
+    rows, tgt = rep.edge_maps[e], rep.modules[w]
+    well = _relations_preserved(loc, rows, tgt)
+    return EdgeVerdict(e, well, _onto(rows, tgt), _injective(loc, rows, tgt))
 
 
 def _squares_agree(rep: SheafRep) -> tuple:
@@ -319,28 +330,20 @@ def _squares_agree(rep: SheafRep) -> tuple:
             for b_i in range(a_i + 1, len(extra)):
                 k, l = extra[a_i], extra[b_i]
                 w = v | {k, l}
-                chart = rep.quiver.chart(w)
-                tgt = rep.modules[w]
-                gb = tgt.relation_gb()
-                comps = []
-                for mid in (v | {k}, v | {l}):
-                    a_rows = rep.edge_maps[(v, mid)]
-                    hom = rep.quiver.hom(mid, w)
-                    a_loc = tuple(hom.apply_vec(r) for r in a_rows)
-                    b_rows = rep.edge_maps[(mid, w)]
-                    comps.append(mat_mul(a_loc, b_rows, chart.ring, tgt.gens))
-                for r1, r2 in zip(comps[0], comps[1]):
-                    if not span_contains(chart, gb, vec_sub(r1, r2)):
-                        findings.append(
-                            "square at "
-                            + fmt_vertex(v)
-                            + " adding {"
-                            + str(k)
-                            + ","
-                            + str(l)
-                            + "}: path composites disagree"
-                        )
-                        break
+                comps = [
+                    [push(rep, (mid, w), r) for r in rep.edge_maps[(v, mid)]]
+                    for mid in (v | {k}, v | {l})
+                ]
+                if not _rows_agree(rep.modules[w], *comps):
+                    findings.append(
+                        "square at "
+                        + fmt_vertex(v)
+                        + " adding {"
+                        + str(k)
+                        + ","
+                        + str(l)
+                        + "}: path composites disagree"
+                    )
     return tuple(findings)
 
 
@@ -401,62 +404,30 @@ def map_commutes(f: SheafMap) -> tuple:
     """Edges where the map fails to intertwine the two representations."""
     bad = []
     for (v, w) in f.source.quiver.edges:
-        hom = f.source.quiver.hom(v, w)
-        chart = f.source.quiver.chart(w)
         tgt = f.target.modules[w]
-        gb = tgt.relation_gb()
-        left = mat_mul(
-            tuple(hom.apply_vec(r) for r in f.rows[v]),
-            f.target.edge_maps[(v, w)],
-            chart.ring,
-            tgt.gens,
-        )
-        right = mat_mul(f.source.edge_maps[(v, w)], f.rows[w], chart.ring, tgt.gens)
-        for r1, r2 in zip(left, right):
-            if not span_contains(chart, gb, vec_sub(r1, r2)):
-                bad.append((v, w))
-                break
+        left = [push(f.target, (v, w), r) for r in f.rows[v]]
+        right = mat_mul(f.source.edge_maps[(v, w)], f.rows[w], tgt.chart.ring, tgt.gens)
+        if not _rows_agree(tgt, left, right):
+            bad.append((v, w))
     return tuple(bad)
 
 
 def map_is_well_defined(f: SheafMap) -> bool:
-    for v in f.source.quiver.vertices:
-        chart = f.source.quiver.chart(v)
-        tgt = f.target.modules[v]
-        gb = tgt.relation_gb()
-        for rel in f.source.modules[v].relations:
-            img = mat_apply(rel, f.rows[v], chart.ring, tgt.gens)
-            if not span_contains(chart, gb, img):
-                return False
-    return True
+    return all(
+        _relations_preserved(f.source.modules[v], f.rows[v], f.target.modules[v])
+        for v in f.source.quiver.vertices
+    )
 
 
 def map_is_surjective(f: SheafMap) -> bool:
-    for v in f.source.quiver.vertices:
-        chart = f.source.quiver.chart(v)
-        tgt = f.target.modules[v]
-        gb = span_gb(chart, list(f.rows[v]) + list(tgt.relations), tgt.gens)
-        for j in range(tgt.gens):
-            if not span_contains(chart, gb, _unit(chart.ring, tgt.gens, j)):
-                return False
-    return True
+    return all(_onto(f.rows[v], f.target.modules[v]) for v in f.source.quiver.vertices)
 
 
 def map_is_injective(f: SheafMap) -> bool:
-    for v in f.source.quiver.vertices:
-        chart = f.source.quiver.chart(v)
-        src, tgt = f.source.modules[v], f.target.modules[v]
-        ker = module_kernel(
-            list(f.rows[v]),
-            list(tgt.relations) + ideal_block(chart, tgt.gens),
-            chart.ring,
-            tgt.gens,
-        )
-        gb = src.relation_gb()
-        for k in ker:
-            if not span_contains(chart, gb, k):
-                return False
-    return True
+    return all(
+        _injective(f.source.modules[v], f.rows[v], f.target.modules[v])
+        for v in f.source.quiver.vertices
+    )
 
 
 def map_is_iso(f: SheafMap) -> bool:
@@ -479,83 +450,117 @@ def _chart_nonzero_rows(chart, rows):
     return tuple(out)
 
 
-def _prune_generators(chart, rows, ambient_rel, width):
+def _prune_generators(module: FPModule, rows):
     """Drop generators lying in the span of the remaining ones (modulo the
-    ambient relations), keeping the earliest representatives."""
+    module relations), keeping the earliest representatives."""
     rows = list(rows)
     changed = True
     while changed:
         changed = False
         for i in range(len(rows) - 1, -1, -1):
-            others = rows[:i] + rows[i + 1 :]
-            gb = span_gb(chart, others + list(ambient_rel), width)
-            if span_contains(chart, gb, rows[i]):
+            gb = module.span_gb(rows[:i] + rows[i + 1 :])
+            if span_contains(module.chart, gb, rows[i]):
                 rows.pop(i)
                 changed = True
                 break
     return tuple(rows)
 
 
+@dataclass(frozen=True)
+class SectionSet:
+    """Finite lists of module elements, keyed by vertex."""
+
+    entries: dict
+
+    def at(self, v):
+        return self.entries.get(frozenset(v), ())
+
+
+class SubRep:
+    """Generator lists for a sub-representation of an ambient sheaf.
+
+    Spans are always taken modulo the ambient relations, so membership means
+    membership in the generated submodule of the ambient vertex module.
+    """
+
+    def __init__(self, ambient: SheafRep, seed: Optional[SectionSet] = None):
+        self.ambient = ambient
+        self.seed = seed if seed is not None else SectionSet({})
+        self.sections = {v: [] for v in ambient.quiver.vertices}
+        self._gb = {}
+
+    def span(self, v):
+        v = frozenset(v)
+        if v not in self._gb:
+            self._gb[v] = self.ambient.modules[v].span_gb(self.sections[v])
+        return self._gb[v]
+
+    def contains(self, v, vec) -> bool:
+        v = frozenset(v)
+        chart = self.ambient.quiver.chart(v)
+        return span_contains(chart, self.span(v), vec)
+
+    def add(self, v, vec) -> bool:
+        """Append a generator unless it is already in the span; reports
+        whether the span grew."""
+        v = frozenset(v)
+        if vec_is_zero(vec) or self.contains(v, vec):
+            return False
+        self.sections[v].append(tuple(vec))
+        self._gb.pop(v, None)
+        return True
+
+    def generator_lists(self) -> dict:
+        return {v: tuple(rows) for v, rows in self.sections.items()}
+
+
+def _present(ambient: SheafRep, gens: dict):
+    """Representation generated by the per-vertex element lists `gens` of
+    the ambient, with its inclusion: the relations at each vertex are those
+    among the generators, and each edge matrix lifts the pushed generators
+    over the far generators."""
+    quiver = ambient.quiver
+    mods = {}
+    for v in quiver.vertices:
+        chart = quiver.chart(v)
+        rel = _chart_nonzero_rows(chart, ambient.modules[v].row_relations(gens[v]))
+        mods[v] = FPModule(chart, len(gens[v]), rel)
+    edge_maps = {}
+    for edge in quiver.edges:
+        v, w = edge
+        lifter = ambient.modules[w].lifter(gens[w])
+        rows_vw = []
+        for x in gens[v]:
+            coeffs = lifter.lift(push(ambient, edge, x))
+            if coeffs is None:
+                raise ValueError("generators not closed under edge " + fmt_edge(edge))
+            rows_vw.append(tuple(coeffs[: len(gens[w])]))
+        edge_maps[edge] = tuple(rows_vw)
+    rep = SheafRep(quiver, mods, edge_maps, None)
+    return rep, SheafMap(rep, ambient, {v: tuple(gens[v]) for v in quiver.vertices})
+
+
+def induced_rep(sub: SubRep):
+    """Presentation of the sub-representation by its generator lists, with
+    the inclusion back into the ambient."""
+    return _present(sub.ambient, sub.sections)
+
+
 def kernel(f: SheafMap):
     """Kernel representation with its inclusion into the source.
 
     Vertexwise the kernel generators are a generating set of solutions of
-    c . f = 0 modulo target relations; edge maps are produced by lifting
-    pushed-forward kernel generators over the kernel generators at the far
-    vertex, which succeeds whenever the map intertwines the edges."""
+    c . f = 0 modulo target relations, pruned of redundant ones; edge maps
+    are produced by lifting pushed-forward kernel generators over the kernel
+    generators at the far vertex, which succeeds whenever the map
+    intertwines the edges."""
     quiver = f.source.quiver
-    ker_rows = {}
-    ker_mods = {}
+    gens = {}
     for v in quiver.vertices:
         chart = quiver.chart(v)
-        src, tgt = f.source.modules[v], f.target.modules[v]
-        rows = _chart_nonzero_rows(
-            chart,
-            module_kernel(
-                list(f.rows[v]),
-                list(tgt.relations) + ideal_block(chart, tgt.gens),
-                chart.ring,
-                tgt.gens,
-            ),
-        )
-        rows = _prune_generators(chart, rows, src.relations, src.gens)
-        rel = _chart_nonzero_rows(
-            chart,
-            module_kernel(
-                list(rows),
-                list(src.relations) + ideal_block(chart, src.gens),
-                chart.ring,
-                src.gens,
-            ),
-        )
-        ker_rows[v] = rows
-        ker_mods[v] = FPModule(chart, len(rows), rel)
-    edge_maps = {}
-    for (v, w) in quiver.edges:
-        hom = quiver.hom(v, w)
-        chart = quiver.chart(w)
-        src_w = f.source.modules[w]
-        basis_rows = (
-            list(ker_rows[w])
-            + list(src_w.relations)
-            + ideal_block(chart, src_w.gens)
-        )
-        tracked = TrackedBasis(basis_rows, chart.ring, src_w.gens)
-        rows_vw = []
-        for kv in ker_rows[v]:
-            pushed = mat_apply(
-                hom.apply_vec(kv), f.source.edge_maps[(v, w)], chart.ring, src_w.gens
-            )
-            coeffs = tracked.lift(pushed)
-            if coeffs is None:
-                raise ValueError(
-                    "kernel not closed under edge " + fmt_edge((v, w))
-                )
-            rows_vw.append(tuple(coeffs[: len(ker_rows[w])]))
-        edge_maps[(v, w)] = tuple(rows_vw)
-    ker_rep = SheafRep(quiver, ker_mods, edge_maps, None)
-    incl = SheafMap(ker_rep, f.source, {v: ker_rows[v] for v in quiver.vertices})
-    return ker_rep, incl
+        rows = _chart_nonzero_rows(chart, f.target.modules[v].row_relations(f.rows[v]))
+        gens[v] = _prune_generators(f.source.modules[v], rows)
+    return _present(f.source, gens)
 
 
 def cokernel(f: SheafMap) -> SheafRep:

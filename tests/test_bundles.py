@@ -22,7 +22,6 @@ from qsheaf.bundles import (
     fitting_ideals,
     global_sections_dim,
     h0_of_type,
-    is_flat,
     is_projective_fp,
     is_vector_bundle,
     laurent_from_str,
@@ -247,14 +246,6 @@ def test_bundle_check_requires_quasi_coherence():
     broken = rep.replaced_edge((V0, V01), ((chart01.ring.zero(),),))
     with pytest.raises(ValueError):
         is_vector_bundle(broken)
-
-
-def test_flat_report():
-    quiver = p1()
-    assert is_flat(structure_sheaf(quiver)).flat
-    report = is_flat(skyscraper_rep(quiver))
-    assert not report.flat
-    assert any("{1}" in f for f in report.findings)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,24 @@ def test_parse_error_becomes_exit_two(tmp_path):
     assert report.certificates["line"] == 5
 
 
+@pytest.mark.parametrize(
+    "command,text,line",
+    [
+        ("check-qc", "kind graded\nfield Q\nn 1\ndegrees 0\nrelation 1/0*x0\n", 5),
+        ("check-qc", "kind graded\nfield Fp:7\nn 1\ndegrees 0\nrelation 3/7*x0\n", 5),
+        ("split-p1", "kind transition\nfield Q\nrows 1\ntrow 2/0*s\n", 4),
+    ],
+    ids=["graded-Q", "graded-F7", "transition-Q"],
+)
+def test_zero_denominator_is_a_parse_error(tmp_path, command, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    report = run(JobSpec(command=command, inputs=(str(path),)))
+    assert report.exit_status == EXIT_USAGE
+    assert report.certificates["line"] == line
+    assert "zero denominator" in report.verdicts[0][1]
+
+
 def test_machine_reports_are_deterministic(fixture_dir):
     job = JobSpec(command="split-p1", inputs=(fixture(fixture_dir, "trans_diag"),))
     first = run(job).machine_text()

@@ -12,7 +12,6 @@ import pytest
 from qsheaf.closure import (
     ClosureResult,
     SubRep,
-    edge_closure,
     induced_rep,
     make_section_set,
     pullback_witness,
@@ -26,6 +25,7 @@ from qsheaf.sheafrep import (
     direct_sum,
     is_quasi_coherent,
     map_is_injective,
+    push,
     structure_sheaf,
     twist,
 )
@@ -47,23 +47,29 @@ def span_equal(sub, v, vectors):
 
 
 def test_edge_closure_empty():
+    # nothing to pull back or push: no witnesses, no generators anywhere
     q = build_proj_quiver(Q, 1)
     rep = structure_sheaf(q)
-    gv, gw, wits = edge_closure(rep, (V0, V01), [], [])
-    assert gv == [] and gw == [] and wits == []
+    res = qc_closure(rep, make_section_set(rep, {}), max_cycles=2)
+    assert res.witnesses == () and res.trace == ((),)
+    assert all(not rows for rows in res.sub.sections.values())
 
 
 def test_edge_closure_structure_sheaf():
     q = build_proj_quiver(Q, 1)
     rep = structure_sheaf(q)
     one_w = (q.chart(V01).ring.one(),)
-    gv, gw, wits = edge_closure(rep, (V0, V01), [], [one_w])
-    assert len(wits) == 1
-    (part,) = wits[0].parts
+    wit = pullback_witness(rep, (V0, V01), one_w)
+    (part,) = wit.parts
     assert part.preimage == (q.chart(V0).ring.one(),)
     assert part.power == 0
     assert part.unit == q.chart(V01).ring.one()
-    assert one_w in gw and part.preimage in gv
+    assert verify_witness(rep, wit)
+    assert push(rep, (V0, V01), part.preimage) == one_w
+    res = qc_closure(rep, make_section_set(rep, {V01: [one_w]}), max_cycles=4)
+    assert res.stabilized
+    assert res.sub.contains(V0, part.preimage) and res.sub.contains(V01, one_w)
+    assert all(verify_witness(rep, w) for w in res.witnesses)
 
 
 def test_edge_closure_twist_unit_coefficient():
@@ -78,6 +84,8 @@ def test_edge_closure_twist_unit_coefficient():
     assert part.unit == chart.u(1)
     assert part.power == 0
     assert verify_witness(rep, wit)
+    res = qc_closure(rep, make_section_set(rep, {V01: [(chart.ring.one(),)]}), max_cycles=4)
+    assert res.stabilized and res.sub.contains(V1, part.preimage)
 
 
 def test_qc_closure_empty_seed():

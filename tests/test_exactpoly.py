@@ -23,6 +23,7 @@ from qsheaf.exactpoly import (
     PresIdeal,
     RingMismatchError,
     TrackedBasis,
+    field_nullspace,
     grevlex_key,
     groebner_basis,
     ideal_contains_one,
@@ -168,6 +169,24 @@ def test_field_validation():
     f5 = Field(5)
     assert f5.inv(2) == 3
     assert f5.of_fraction(1, 2) == 3
+
+
+def test_zero_denominator_is_a_value_error():
+    assert Field(0).coeff_from_str("3/6") == Fraction(1, 2)
+    assert Field(7).coeff_from_str("3/8") == 3
+    for fld, text in ((Field(0), "1/0"), (Field(7), "3/7"), (Field(7), "1/14")):
+        with pytest.raises(ValueError, match="zero denominator"):
+            fld.coeff_from_str(text)
+
+
+def test_field_nullspace_is_the_canonical_kernel():
+    q = Field.rationals()
+    rows = [[q.of_int(a) for a in row] for row in ((1, 2, 3), (2, 4, 6), (0, 0, 1))]
+    (vec,) = field_nullspace(q, rows, 3)
+    assert vec == (q.of_int(-2), q.one, q.zero)
+    f2 = Field(2)
+    assert field_nullspace(f2, [[1, 1]], 2) == [(1, 1)]
+    assert field_nullspace(f2, [], 2) == [(1, 0), (0, 1)]
 
 
 def test_poly_arithmetic_fp():
