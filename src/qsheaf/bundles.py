@@ -3,9 +3,11 @@ splitting machinery on the projective line.
 
 Projectivity of a finitely presented chart module is decided by Fitting
 ideals: the module is projective of rank r exactly when the r-th Fitting
-ideal is the unit ideal and the (r-1)-st vanishes, granted the chart
-spectrum is connected (the certificate records that assumption).  Vector
-bundles restrict the test to the singleton charts, which cover the space.
+ideal is the unit ideal and the (r-1)-st vanishes.  The test assumes the
+chart spectrum is connected and does not check it; on a disconnected one a
+projective module whose rank varies between components reads as not
+projective.  Vector bundles restrict the test to the singleton charts,
+which cover the space.
 
 On P^1 an invertible transition matrix over k[s, 1/s] factors as
 L * T * Rm = diag(s^a1, ..., s^ar) with L over k[1/s] and Rm over k[s], both
@@ -23,7 +25,6 @@ from .charts import FPModule, span_contains
 from .exactpoly import (
     Field,
     Poly,
-    PolyRing,
     PresIdeal,
     field_nullspace,
     ideal_contains_one,
@@ -58,20 +59,18 @@ V01 = frozenset({0, 1})
 # Fitting ideals and projectivity certificates
 
 
-def _poly_det(rows, ring: PolyRing) -> Poly:
+def det(rows):
+    """Determinant of a nonempty square matrix of Poly or LaurentPoly
+    entries, by Laplace expansion along the first row."""
     n = len(rows)
-    if n == 0:
-        return ring.one()
     if n == 1:
         return rows[0][0]
-    total = ring.zero()
+    total = rows[0][0].scale(0)  # the zero of the entries' ring
     for j in range(n):
         if rows[0][j].is_zero():
             continue
-        minor = [
-            [row[jj] for jj in range(n) if jj != j] for row in rows[1:]
-        ]
-        term = rows[0][j] * _poly_det(minor, ring)
+        minor = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
+        term = rows[0][j] * det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -87,8 +86,7 @@ def _minors(module: FPModule, size: int) -> list:
     out = []
     for ri in combinations(range(len(rows)), size):
         for ci in combinations(range(module.gens), size):
-            block = [[rows[i][j] for j in ci] for i in ri]
-            d = chart.nf(_poly_det(block, chart.ring))
+            d = chart.nf(det([[rows[i][j] for j in ci] for i in ri]))
             if not d.is_zero():
                 out.append(d)
     return out
@@ -105,65 +103,47 @@ def fitting_ideals(module: FPModule) -> list:
     return out
 
 
-def _fitting_is_unit(module: FPModule, index: int) -> bool:
-    chart = module.chart
-    minors = _minors(module, module.gens - index)
-    return ideal_contains_one(
-        PresIdeal(chart.ring, tuple(minors) + chart.relations)
-    )
-
-
-def _fitting_is_zero(module: FPModule, index: int) -> bool:
-    minors = _minors(module, module.gens - index)
-    return not minors  # minors are already chart normal forms
-
-
 @dataclass(frozen=True)
 class ProjectivityCertificate:
+    """Fitting-chain verdict, read under the assumption that the chart
+    spectrum is connected."""
+
     projective: bool
     rank: Optional[int]
     violating_index: Optional[int]
-    inconclusive: bool
-    assume_connected: bool
     checked: tuple  # (index, "unit" | "zero" | "proper") pairs examined
 
     @property
     def verdict(self) -> str:
         if self.projective:
             return "projective(%d)" % self.rank
-        if self.inconclusive:
-            return "inconclusive"
         return "not-projective(F_%d)" % self.violating_index
 
 
-def is_projective_fp(module: FPModule, assume_connected: bool = True) -> ProjectivityCertificate:
-    """Fitting-ideal projectivity test.
+def is_projective_fp(module: FPModule) -> ProjectivityCertificate:
+    """Fitting-ideal projectivity test on a chart with connected spectrum.
 
     Walks the Fitting chain downward from F_g (always the unit ideal) to the
-    smallest unit index r, then requires F_{r-1} = 0.  A failure is reported
-    as not-projective under the connectedness assumption, or inconclusive
-    when that assumption is explicitly dropped.
+    smallest unit index r, then requires F_{r-1} = 0.  On a connected
+    spectrum a failure means the module is not projective; the test does
+    not check connectedness itself.
     """
+    chart = module.chart
     g = module.gens
-    checked = []
     r = g
-    while r > 0 and _fitting_is_unit(module, r - 1):
+    while r > 0:
+        minors = _minors(module, g - (r - 1))
+        if not ideal_contains_one(PresIdeal(chart.ring, tuple(minors) + chart.relations)):
+            break
         r -= 1
-    for i in range(r, g + 1):
-        checked.append((i, "unit"))
+    checked = [(i, "unit") for i in range(r, g + 1)]
     if r == 0:
-        return ProjectivityCertificate(True, 0, None, False, assume_connected, tuple(checked))
-    if _fitting_is_zero(module, r - 1):
+        return ProjectivityCertificate(True, 0, None, tuple(checked))
+    if not minors:  # minors are already chart normal forms
         checked.append((r - 1, "zero"))
-        return ProjectivityCertificate(True, r, None, False, assume_connected, tuple(checked))
+        return ProjectivityCertificate(True, r, None, tuple(checked))
     checked.append((r - 1, "proper"))
-    if assume_connected:
-        return ProjectivityCertificate(
-            False, None, r - 1, False, assume_connected, tuple(checked)
-        )
-    return ProjectivityCertificate(
-        False, None, r - 1, True, assume_connected, tuple(checked)
-    )
+    return ProjectivityCertificate(False, None, r - 1, tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -542,50 +522,22 @@ def laurent_from_str(field: Field, text: str) -> LaurentPoly:
 
 
 def chart_to_laurent(chart, p: Poly) -> LaurentPoly:
-    """Overlap-chart element as a Laurent polynomial in s = x1/x0."""
-    f = chart.field
-    out: dict = {}
-    for e, c in chart.nf(p).terms.items():
-        vec = chart.laurent_of_exp(e)
-        deg = vec[1]
-        s = f.add(out.get(deg, f.zero), c)
-        if s == f.zero:
-            out.pop(deg, None)
-        else:
-            out[deg] = s
-    return LaurentPoly.build(f, out)
+    """Element of a chart of P^1 as a Laurent polynomial in s = x1/x0: the
+    chart monomial with Laurent exponent (-e, e) is s^e."""
+    terms = chart.to_laurent(chart.nf(p))
+    return LaurentPoly.build(chart.field, {vec[1]: c for vec, c in terms.items()})
 
 
 def laurent_to_chart(chart, p: LaurentPoly) -> Poly:
-    out = chart.ring.zero()
-    for e, c in p.coeffs:
-        vec = [0, 0]
-        vec[1] = e
-        vec[0] = -e
-        out = out + chart.monomial_from_laurent(tuple(vec)).scale(c)
-    return out
+    """Laurent polynomial in s as an element of a chart of P^1; raises
+    ValueError when a power of s needs an inverse the chart lacks."""
+    return chart.from_laurent({(-e, e): c for e, c in p.coeffs})
 
 
-def laurent_to_poly_chart0(chart, p: LaurentPoly) -> Poly:
-    """Nonnegative-degree Laurent polynomial as an element of the chart at
-    {0}, where s is the coordinate z1."""
-    out = chart.ring.zero()
-    for e, c in p.coeffs:
-        if e < 0:
-            raise ValueError("negative degree cannot descend to the chart at {0}")
-        out = out + (chart.z(1) ** e).scale(c)
-    return out
-
-
-def laurent_to_poly_chart1(chart, p: LaurentPoly) -> Poly:
-    """Nonpositive-degree Laurent polynomial as an element of the chart at
-    {1}, where 1/s is the coordinate z0."""
-    out = chart.ring.zero()
-    for e, c in p.coeffs:
-        if e > 0:
-            raise ValueError("positive degree cannot descend to the chart at {1}")
-        out = out + (chart.z(0) ** (-e)).scale(c)
-    return out
+def edge_laurent(rep: SheafRep, v) -> tuple:
+    """Matrix of the edge v -> {0,1} of a P^1 representation over k[s, 1/s]."""
+    chart = rep.quiver.chart(V01)
+    return tuple(tuple(chart_to_laurent(chart, e) for e in row) for row in rep.edge(v, V01))
 
 
 # -- Laurent matrices -------------------------------------------------------
@@ -616,33 +568,14 @@ def lmat_mul(a, b):
     return tuple(out)
 
 
-def lmat_det(m) -> LaurentPoly:
-    field = m[0][0].field
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = LaurentPoly.zero(field)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = tuple(
-            tuple(row[jj] for jj in range(n) if jj != j) for row in m[1:]
-        )
-        term = m[0][j] * lmat_det(minor)
-        if j % 2:
-            term = term.scale(field.of_int(-1))
-        acc = acc + term
-    return acc
-
-
 def lmat_inv(m):
     """Inverse of a Laurent matrix whose determinant is a unit monomial."""
     field = m[0][0].field
     n = len(m)
-    det = lmat_det(m)
-    if det.is_zero() or not det.is_monomial():
+    d = det(m)
+    if d.is_zero() or not d.is_monomial():
         raise ValueError("matrix is not invertible over the Laurent ring")
-    dexp, dcoeff = det.coeffs[0]
+    dexp, dcoeff = d.coeffs[0]
     inv_scale = field.inv(dcoeff)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -652,7 +585,7 @@ def lmat_inv(m):
                 for ii in range(n)
                 if ii != i
             )
-            cof = lmat_det(minor) if n > 1 else LaurentPoly.monomial(field, 0)
+            cof = det(minor) if n > 1 else LaurentPoly.monomial(field, 0)
             if (i + j) % 2:
                 cof = cof.scale(field.of_int(-1))
             out[j][i] = cof.scale(inv_scale).shift(-dexp)
@@ -688,12 +621,12 @@ def verify_birkhoff(t_matrix, split: BirkhoffSplit) -> bool:
         for e in row:
             if not e.is_zero() and e.min_deg() < 0:
                 return False
-    detl, detr = lmat_det(split.left), lmat_det(split.right)
+    detl, detr = det(split.left), det(split.right)
     if detl.is_zero() or not detl.is_constant():
         return False
     if detr.is_zero() or not detr.is_constant():
         return False
-    dett = lmat_det(t_matrix)
+    dett = det(t_matrix)
     if dett.is_zero() or not dett.is_monomial():
         return False
     if sum(split.splitting_type) != dett.coeffs[0][0]:
@@ -719,8 +652,8 @@ class _Splitter:
     def __init__(self, t_matrix):
         self.field = t_matrix[0][0].field
         self.r = len(t_matrix)
-        det = lmat_det(t_matrix)
-        if det.is_zero() or not det.is_monomial():
+        d = det(t_matrix)
+        if d.is_zero() or not d.is_monomial():
             raise ValueError("transition matrix is not invertible over the Laurent ring")
         shift = 0
         for row in t_matrix:
@@ -902,14 +835,7 @@ def transition_matrix(rep: SheafRep):
         raise ValueError("chart ranks disagree")
     if r == 0:
         return ()
-    chart = rep.quiver.chart(V01)
-    f0 = tuple(
-        tuple(chart_to_laurent(chart, e) for e in row) for row in rep.edge(V0, V01)
-    )
-    f1 = tuple(
-        tuple(chart_to_laurent(chart, e) for e in row) for row in rep.edge(V1, V01)
-    )
-    return lmat_mul(f1, lmat_inv(f0))
+    return lmat_mul(edge_laurent(rep, V1), lmat_inv(edge_laurent(rep, V0)))
 
 
 def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
@@ -920,8 +846,8 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
 
     t_matrix = tuple(tuple(row) for row in t_matrix)
     r = len(t_matrix)
-    det = lmat_det(t_matrix) if r else None
-    if r and (det.is_zero() or not det.is_monomial()):
+    d = det(t_matrix) if r else None
+    if r and (d.is_zero() or not d.is_monomial()):
         raise ValueError("transition matrix is not invertible over the Laurent ring")
     quiver = build_proj_quiver(field, 1)
     chart01 = quiver.chart(V01)
@@ -996,19 +922,16 @@ class Filtration:
         return all(r.ok for r in self.reports)
 
 
-def line_bundle_filtration(rep: SheafRep, check_bundle: bool = True) -> Filtration:
+def line_bundle_filtration(rep: SheafRep) -> Filtration:
     """Flag of sub-representations with line-bundle quotients, built from the
     Birkhoff factorization of the transition matrix: the new chart bases are
     the rows of Rm^{-1} (at {0}) and of L (at {1}), and the i-th quotient
     has the pure 1x1 transition s^{a_i}."""
     if rep.quiver.n != 1:
         raise ValueError("filtration works on the projective line only")
-    if check_bundle:
-        report = is_vector_bundle(rep)
-        if not report.is_bundle:
-            raise ValueError(
-                "not a vector bundle: " + "; ".join(report.findings)
-            )
+    report = is_vector_bundle(rep)
+    if not report.is_bundle:
+        raise ValueError("not a vector bundle: " + "; ".join(report.findings))
     t = transition_matrix(rep)
     r = len(t)
     split = birkhoff_split(t)
@@ -1016,22 +939,13 @@ def line_bundle_filtration(rep: SheafRep, check_bundle: bool = True) -> Filtrati
         sub = SubRep(rep)
         return Filtration((sub,), (), split, (verify_subrep(sub),))
     quiver = rep.quiver
-    chart0, chart1, chart01 = quiver.chart(V0), quiver.chart(V1), quiver.chart(V01)
     b0 = lmat_inv(split.right)
     b1 = split.left
-    f0 = tuple(
-        tuple(chart_to_laurent(chart01, e) for e in row) for row in rep.edge(V0, V01)
+    b01 = lmat_mul(b0, edge_laurent(rep, V0))
+    rows0, rows1, rows01 = (
+        [tuple(laurent_to_chart(quiver.chart(v), e) for e in row) for row in b]
+        for v, b in ((V0, b0), (V1, b1), (V01, b01))
     )
-    b01 = lmat_mul(b0, f0)
-    rows0 = [
-        tuple(laurent_to_poly_chart0(chart0, e) for e in row) for row in b0
-    ]
-    rows1 = [
-        tuple(laurent_to_poly_chart1(chart1, e) for e in row) for row in b1
-    ]
-    rows01 = [
-        tuple(laurent_to_chart(chart01, e) for e in row) for row in b01
-    ]
     steps = []
     reports = []
     for k in range(r + 1):
@@ -1046,10 +960,7 @@ def line_bundle_filtration(rep: SheafRep, check_bundle: bool = True) -> Filtrati
         reports.append(verify_subrep(sub))
     # pure-twist certificate for the quotients: row i of B1 * f1 equals
     # s^{a_i} times row i of B0 * f0
-    f1 = tuple(
-        tuple(chart_to_laurent(chart01, e) for e in row) for row in rep.edge(V1, V01)
-    )
-    lhs = lmat_mul(b1, f1)
+    lhs = lmat_mul(b1, edge_laurent(rep, V1))
     for i in range(r):
         mono = LaurentPoly.monomial(t[0][0].field, split.splitting_type[i])
         for j in range(r):

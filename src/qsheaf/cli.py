@@ -79,7 +79,6 @@ from .sheaffile import (
     rep_equal,
     sheafrep_text,
     transition_text,
-    filtered_text,
 )
 from .sheafrep import (
     SheafRep,

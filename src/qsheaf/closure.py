@@ -173,7 +173,6 @@ def qc_closure(
     ambient: SheafRep,
     seed: SectionSet,
     max_cycles: int = 12,
-    check_ambient: bool = True,
 ) -> ClosureResult:
     """Round-robin closure over the generating edges with a cycle budget.
 
@@ -185,7 +184,7 @@ def qc_closure(
     """
     if max_cycles <= 0:
         raise ValueError("max_cycles must be positive")
-    if check_ambient and not is_quasi_coherent(ambient).ok:
+    if not is_quasi_coherent(ambient).ok:
         raise ValueError("ambient representation is not quasi-coherent")
     quiver = ambient.quiver
     sub = SubRep(ambient, seed)

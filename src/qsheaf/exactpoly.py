@@ -145,9 +145,6 @@ class PolyRing:
         exp[i] = 1
         return Poly(self, {tuple(exp): self.field.one})
 
-    def var_named(self, name: str) -> "Poly":
-        return self.var(self.names.index(name))
-
     def monomial(self, exp: Sequence[int], coeff=None) -> "Poly":
         c = self.field.one if coeff is None else coeff
         if c == self.field.zero:
@@ -426,9 +423,6 @@ def vec_add(a, b):
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
-def vec_neg(a):
-    return tuple(-x for x in a)
-
 def vec_scale(a, c):
     return tuple(x.scale(c) for x in a)
 
@@ -512,7 +506,7 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False):
     return remainder
 
 
-def _buchberger(gens, ring: PolyRing, rank: int, use_criteria: bool, track: bool):
+def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     """Shared Buchberger core.
 
     Returns (basis, combos, syzygy_rows):
@@ -521,8 +515,8 @@ def _buchberger(gens, ring: PolyRing, rank: int, use_criteria: bool, track: bool
       combos - basis[k] = sum(combos[k][i] * gens[i]) when track, else None;
       syzygy_rows - rows over the original gens from zero reductions (track).
 
-    S-pairs only form between elements whose leads share a position.  With
-    use_criteria the coprimality skip applies in rank one and the chain
+    S-pairs only form between elements whose leads share a position.
+    Untracked runs apply the coprimality skip in rank one and the chain
     criterion in any rank; tracked runs process every pair so that the
     recorded zero reductions generate the full syzygy module.
     """
@@ -563,7 +557,7 @@ def _buchberger(gens, ring: PolyRing, rank: int, use_criteria: bool, track: bool
         _, i, j, lcm = heappop(pairs)
         pending.discard((i, j))
         li, lj = vec_lead(basis[i]), vec_lead(basis[j])
-        if use_criteria:
+        if not track:
             if rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
                 continue  # coprime leads; only valid for ideals
             skip = False
@@ -649,7 +643,7 @@ def groebner_basis(gens: Sequence, ring: PolyRing) -> list:
     if not gens:
         return []
     rank = len(gens[0])
-    basis, _, _ = _buchberger(gens, ring, rank, use_criteria=True, track=False)
+    basis, _, _ = _buchberger(gens, ring, rank, track=False)
     return _reduced_basis(basis, ring)
 
 
@@ -676,7 +670,7 @@ class TrackedBasis:
         self.ring = ring
         self.rank = rank
         self.gens = list(gens)
-        basis, combos, syz = _buchberger(self.gens, ring, rank, use_criteria=False, track=True)
+        basis, combos, syz = _buchberger(self.gens, ring, rank, track=True)
         self.basis = basis
         self.combos = combos
         self.syzygy_rows = syz
@@ -695,11 +689,6 @@ class TrackedBasis:
                 if not c.is_zero():
                     coeffs[i] = coeffs[i] + q * c
         return coeffs
-
-    def contains(self, vec) -> bool:
-        if not self.basis:
-            return vec_is_zero(vec)
-        return vec_is_zero(reduce_vec(vec, self.basis, self.ring))
 
 
 def syzygies(gens: Sequence, ring: PolyRing) -> list:

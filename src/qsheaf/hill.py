@@ -304,12 +304,6 @@ class HillLattice:
     module: FilteredModule
     members: tuple
 
-    def find(self, space) -> Optional[HillMember]:
-        for m in self.members:
-            if m.space == space:
-                return m
-        return None
-
 
 def _down_closure(deps, support) -> frozenset:
     out = set(support)

@@ -30,13 +30,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .bundles import LaurentPoly, laurent_from_str, laurent_to_str
+from .bundles import laurent_from_str, laurent_to_str
 from .charts import FPModule, is_homogeneous
 from .closure import SectionSet, SubRep, make_section_set
-from .exactpoly import Field, Poly, poly_from_str, poly_to_str
+from .exactpoly import Field, poly_from_str, poly_to_str
 from .hill import FilteredModule, HillLattice, HillMember, closed_span, fp_rref, make_filtered_module
 from .sheafrep import (
-    GradedData,
     ProjQuiver,
     SheafRep,
     _squares_agree,
@@ -98,11 +97,6 @@ def _take_kind(path, lines, expected=None):
             SEMANTIC,
         )
     return kind, lines[1:]
-
-
-def file_kind(path: str) -> str:
-    kind, _ = _take_kind(path, _read_lines(path))
-    return kind
 
 
 def parse_field_token(text: str) -> Field:

@@ -164,11 +164,6 @@ class SheafRep:
         new_maps[key] = tuple(tuple(r) for r in rows)
         return SheafRep(self.quiver, self.modules, new_maps, None)
 
-    def replaced_module(self, v, module: FPModule) -> "SheafRep":
-        new_mods = dict(self.modules)
-        new_mods[frozenset(v)] = module
-        return SheafRep(self.quiver, new_mods, self.edge_maps, None)
-
 
 def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps, graded=None) -> SheafRep:
     """Assemble a representation, validating shapes and ring membership."""
@@ -204,7 +199,6 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     generator twists: generator j of degree d_j corresponds on a chart with
     pivot p to the section e_j / x_p^{d_j}."""
     degrees = tuple(int(d) for d in degrees)
-    xr = quiver.xring
     frozen_rows = []
     for row in rows:
         row = tuple(row)
@@ -233,14 +227,12 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
         p, q = min(v), min(w)
         rows_vw = []
         for j, d in enumerate(degrees):
+            # e_j / x_p^d = (x_q / x_p)^d * e_j / x_q^d
+            ratio = [0] * (quiver.n + 1)
+            ratio[q] += d
+            ratio[p] -= d
             row = [chart.ring.zero()] * len(degrees)
-            if p == q or d == 0:
-                entry = chart.ring.one()
-            elif d > 0:
-                entry = chart.u(p) ** d
-            else:
-                entry = chart.z(p) ** (-d)
-            row[j] = entry
+            row[j] = chart.monomial_from_laurent(ratio)
             rows_vw.append(tuple(row))
         edge_maps[(v, w)] = tuple(rows_vw)
     return SheafRep(quiver, modules, edge_maps, GradedData(degrees, tuple(frozen_rows)))
@@ -370,9 +362,6 @@ class SheafMap:
     source: SheafRep
     target: SheafRep
     rows: dict
-
-    def vertex_rows(self, v):
-        return self.rows[frozenset(v)]
 
 
 def make_sheaf_map(source: SheafRep, target: SheafRep, rows) -> SheafMap:

@@ -29,10 +29,10 @@ from fractions import Fraction
 from qsheaf.bundles import (
     LaurentPoly,
     birkhoff_split,
+    det,
     is_projective_fp,
     kernel,
     lazard_approximation,
-    lmat_det,
     lmat_identity,
     lmat_mul,
     serre_cover,
@@ -293,9 +293,9 @@ def _unit_factor(rng, r, side):
 
 
 def _det_degree(matrix):
-    det = lmat_det(matrix)
-    assert len(det.coeffs) == 1, "determinant of the fixture is not a monomial"
-    return det.coeffs[0][0]
+    d = det(matrix)
+    assert len(d.coeffs) == 1, "determinant of the fixture is not a monomial"
+    return d.coeffs[0][0]
 
 
 def test_criterion_4_splitting_and_filtration(fixture_dir):

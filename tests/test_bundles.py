@@ -9,6 +9,7 @@ That count never looks at the factorization.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,16 +20,17 @@ from qsheaf.bundles import (
     birkhoff_split,
     bundle_from_transition,
     chart_to_laurent,
+    det,
     fitting_ideals,
     global_sections_dim,
     h0_of_type,
     is_projective_fp,
     is_vector_bundle,
     laurent_from_str,
+    laurent_to_chart,
     laurent_to_str,
     lazard_approximation,
     line_bundle_filtration,
-    lmat_det,
     lmat_identity,
     lmat_inv,
     lmat_mul,
@@ -195,23 +197,12 @@ def test_plane_ideal_module_is_not_projective():
     cert = is_projective_fp(FPModule(chart, 2, ((y, x.scale(Fraction(-1))),)))
     assert not cert.projective
     assert cert.violating_index == 1
-    assert not cert.inconclusive
 
 
 def test_unit_relation_gives_zero_module():
     chart = make_chart_ring(Q, 1, {0, 1})
     cert = is_projective_fp(FPModule(chart, 1, ((chart.z(1),),)))
     assert cert.projective and cert.rank == 0
-
-
-def test_dropping_connectedness_reports_inconclusive():
-    chart = make_chart_ring(Q, 2, {0})
-    x, y = chart.z(1), chart.z(2)
-    m = FPModule(chart, 2, ((y, x.scale(Fraction(-1))),))
-    cert = is_projective_fp(m, assume_connected=False)
-    assert not cert.projective
-    assert cert.inconclusive
-    assert cert.verdict == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +414,15 @@ def test_lazard_rejects_sub_outside_kernel():
 # Laurent helpers
 
 
-@given(
-    st.dictionaries(
-        st.integers(min_value=-5, max_value=5),
-        st.fractions(min_value=-9, max_value=9),
-        max_size=5,
-    )
-)
-def test_laurent_text_round_trip(mapping):
-    p = LaurentPoly.build(Q, mapping)
+laurent_polys = st.dictionaries(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-9, max_value=9),
+    max_size=5,
+).map(lambda mapping: LaurentPoly.build(Q, mapping))
+
+
+@given(laurent_polys)
+def test_laurent_text_round_trip(p):
     assert laurent_from_str(Q, laurent_to_str(p)) == p
 
 
@@ -634,4 +625,46 @@ def test_chart_laurent_round_trip():
     p = poly_from_str(chart.ring, "z1^2 + 3*u1 - 2")
     lpq = chart_to_laurent(chart, p)
     assert lpq == lp("s^2 - 2 + 3*s^-1")
-    assert lmat_det(((lpq,),)) == lpq
+    assert det(((lpq,),)) == lpq
+
+
+@given(laurent_polys)
+def test_laurent_chart_bridge_round_trip(p):
+    q = p1()
+    assert chart_to_laurent(q.chart(V01), laurent_to_chart(q.chart(V01), p)) == p
+    for v, bad in ((V0, lambda e: e < 0), (V1, lambda e: e > 0)):
+        if any(bad(e) for e, _ in p.coeffs):
+            with pytest.raises(ValueError):
+                laurent_to_chart(q.chart(v), p)
+        else:
+            laurent_to_chart(q.chart(v), p)
+
+
+def _leibniz(rows, zero):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = zero
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@given(st.integers(min_value=1, max_value=4), st.lists(laurent_polys, min_size=16, max_size=16))
+def test_det_matches_leibniz_on_laurent_matrices(n, entries):
+    rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
+    assert det(rows) == _leibniz(rows, LaurentPoly.zero(Q))
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.sampled_from(["0", "1", "-2", "z1", "z2 - 1", "3*z1*z2", "z1^2 + z2"]), min_size=16, max_size=16),
+)
+def test_det_matches_leibniz_on_poly_matrices(n, texts):
+    ring = make_chart_ring(Q, 2, {0}).ring
+    entries = [poly_from_str(ring, t) for t in texts]
+    rows = [[entries[i * n + j] for j in range(n)] for i in range(n)]
+    assert det(rows) == _leibniz(rows, ring.zero())

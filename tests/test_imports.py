@@ -1,0 +1,111 @@
+"""No `qsheaf` module imports a name it does not need.
+
+A name a module imports must be used in that module, or be imported from
+that module by another `qsheaf` module, a test or `perfbench` (a
+re-export), or sit on an import line marked `# noqa: F401`.  Standard
+library only, so it runs where no linter is installed.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qsheaf"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+IMPORTERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py")) + sorted(
+    (ROOT / "perfbench").rglob("*.py")
+)
+
+
+def _module_name(path: pathlib.Path) -> str:
+    return "qsheaf" if path.stem == "__init__" else "qsheaf." + path.stem
+
+
+def _source_module(path: pathlib.Path, node: ast.ImportFrom):
+    """Dotted module an ImportFrom reads from, resolving package-relative
+    imports inside `qsheaf`."""
+    if not node.level:
+        return node.module
+    if path.parent != PACKAGE:
+        return None
+    return "qsheaf" + ("." + node.module if node.module else "")
+
+
+@functools.lru_cache(maxsize=None)
+def _reexported() -> frozenset:
+    """(module, name) pairs some other file imports by name."""
+    out = set()
+    for path in IMPORTERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                source = _source_module(path, node)
+                for alias in node.names:
+                    if source and source != _module_name(path):
+                        out.add((source, alias.name))
+    return frozenset(out)
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Names read anywhere in the module, string annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(path: pathlib.Path, reexported: set) -> list:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = ast.parse("\n".join(lines))
+    used = _used_names(tree)
+    module = _module_name(path)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound in used or (module, bound) in reexported:
+                continue
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            out.append("%s:%d %s" % (path.name, alias.lineno, bound))
+    return out
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_import_is_used_or_reexported(stem):
+    assert unused_imports(PACKAGE / (stem + ".py"), _reexported()) == []
+
+
+def test_guard_flags_an_unused_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .exactpoly import Field, Poly\n"
+        "from .charts import span_gb  # noqa: F401\n"
+        "def f(x: 'Poly'):\n"
+        "    return x\n"
+    )
+    assert unused_imports(path, set()) == ["sample.py:1 Field"]

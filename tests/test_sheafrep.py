@@ -97,6 +97,30 @@ def test_twist_edge_matrix_entries():
     assert rep_neg.edge(v, w) == ((chart.u(1) ** 2,),)
 
 
+def _twist_entry_oracle(chart, p, q, d):
+    """The edge entry for a generator of degree d when the pivot moves
+    from p to q, written out as powers of the chart variables."""
+    if p == q or d == 0:
+        return chart.ring.one()
+    if d > 0:
+        return chart.u(p) ** d
+    return chart.z(p) ** (-d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twist_entries_match_variable_powers(n):
+    q = build_proj_quiver(Q, n)
+    degrees = tuple(range(-3, 4))
+    rep = graded_sheaf(q, degrees)
+    for (v, w) in q.edges:
+        chart = q.chart(w)
+        rows = rep.edge(v, w)
+        for j, d in enumerate(degrees):
+            for k, entry in enumerate(rows[j]):
+                want = _twist_entry_oracle(chart, min(v), min(w), d) if k == j else chart.ring.zero()
+                assert entry == want, (v, w, d)
+
+
 def test_graded_line_bundle_presentation_is_qc():
     # two generators, one linear relation: the twisting sheaf O(1) on P^1
     q = build_proj_quiver(Q, 1)
