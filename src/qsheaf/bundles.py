@@ -111,7 +111,6 @@ class ProjectivityCertificate:
     projective: bool
     rank: Optional[int]
     violating_index: Optional[int]
-    checked: tuple  # (index, "unit" | "zero" | "proper") pairs examined
 
     @property
     def verdict(self) -> str:
@@ -136,14 +135,11 @@ def is_projective_fp(module: FPModule) -> ProjectivityCertificate:
         if not ideal_contains_one(PresIdeal(chart.ring, tuple(minors) + chart.relations)):
             break
         r -= 1
-    checked = [(i, "unit") for i in range(r, g + 1)]
     if r == 0:
-        return ProjectivityCertificate(True, 0, None, tuple(checked))
+        return ProjectivityCertificate(True, 0, None)
     if not minors:  # minors are already chart normal forms
-        checked.append((r - 1, "zero"))
-        return ProjectivityCertificate(True, r, None, tuple(checked))
-    checked.append((r - 1, "proper"))
-    return ProjectivityCertificate(False, None, r - 1, tuple(checked))
+        return ProjectivityCertificate(True, r, None)
+    return ProjectivityCertificate(False, None, r - 1)
 
 
 @dataclass(frozen=True)

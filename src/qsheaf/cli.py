@@ -20,7 +20,8 @@ Commands
 
 Exit status: 0 all verdicts positive; 1 a check failed (the report carries
 witnesses); 2 usage or parse error; 3 cycle budget exhausted before the
-closure stabilized.
+closure stabilized; 4 internal error (a self-check of the engine failed; the
+report names the exception).
 
 Reports are deterministic for identical inputs: the machine form (--machine)
 is canonical JSON that excludes timing; the human form appends timing.
@@ -109,6 +110,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -400,7 +402,7 @@ def _cmd_hill_verify(job: JobSpec):
         "members": len(lattice.members),
         "member_supports": [list(m.support) for m in lattice.members],
         "chains": len(report.chains),
-        "extension_failures": len(report.extension_failures),
+        "extension_failures": report.failed_extensions,
         "findings": list(report.findings),
     }
     if report.lattice_witness is not None:
@@ -628,7 +630,8 @@ _HANDLERS = {
 
 def run(job: JobSpec) -> Report:
     """Execute one job and package the outcome; never raises for input
-    problems (they become exit-status-2 reports)."""
+    problems (they become exit-status-2 reports) or for a failed self-check
+    of the engine (exit status 4)."""
     start = time.perf_counter()
 
     def finish(ok, exit_status, verdicts, certificates, inputs):
@@ -670,6 +673,10 @@ def run(job: JobSpec) -> Report:
         )
     except ValueError as err:
         return finish(False, EXIT_USAGE, [("error", str(err))], {}, hashes)
+    except (AssertionError, RuntimeError) as err:
+        # the engine's own self-checks: a defect, not a failed check
+        verdict = "%s: %s" % (type(err).__name__, err)
+        return finish(False, EXIT_INTERNAL, [("internal-error", verdict)], {}, hashes)
     return finish(ok, exit_status, verdicts, certificates, hashes)
 
 

@@ -4,8 +4,8 @@ A finite-dimensional module over F_p (optionally an F_p[x]/(x^k)-module via
 a nilpotent operator) filtered by stages with chosen generator blocks gives
 rise to a family of submodules: one for every support set of blocks closed
 under the dependency relation "a block's relations reach back into an
-earlier block".  At this scale the family can be enumerated outright and
-its lattice properties checked exhaustively:
+earlier block".  The family is enumerated outright, and its lattice
+properties are checked member by member:
 
   (1) every filtration stage belongs to the family;
   (2) the family is closed under pairwise sums and intersections, which in
@@ -15,6 +15,14 @@ its lattice properties checked exhaustively:
       and, in the operator case, nilpotent partition type);
   (4) any member extended by a single element embeds into a member that is
       larger by a controlled dimension bound.
+
+Property (4) is checked by class, not by element.  The member an element x
+extends into is built from the blocks that x's canonical combination of
+orbit generators uses.  That combination is linear in x, so the elements
+using exactly the blocks N form the difference of the subspace V_N (no
+block outside N used) and the smaller V_N' inside it.  One check per
+(member, nonempty class) is exact, and inclusion-exclusion over the V_N'
+counts the elements of each class, so the cost does not grow with p^dim.
 
 Everything is exact arithmetic over F_p with canonical reduced bases, so
 subspaces compare by equality.
@@ -373,13 +381,15 @@ def quotient_partition(p: int, big, small, op) -> tuple:
     q = len(comp)
     if q == 0:
         return ()
+    # comp is reduced echelon, so a vector of its span has the coefficients
+    # it carries at the pivot columns (what fp_solve returns on comp)
+    pivots = [_pivot(c) for c in comp]
     rows = []
     for c in comp:
         img = fp_reduce(p, small, fp_mat_vec(p, c, op))
-        coeffs = fp_solve(p, comp, img)
-        if coeffs is None:
+        if any(fp_reduce(p, comp, img)):
             raise AssertionError("operator does not preserve the quotient")
-        rows.append(coeffs)
+        rows.append(tuple(img[j] for j in pivots))
     ranks = [q]
     power = rows
     while ranks[-1] > 0:
@@ -427,7 +437,14 @@ class ChainWitness:
 
 @dataclass(frozen=True)
 class ExtensionWitness:
+    """A failing class of one-element extensions of one member: the `count`
+    nonzero elements whose canonical combination of orbit generators uses
+    exactly the blocks `blocks`, `element` being one of them.  The rest is
+    what property (4) derives for every element of the class."""
+
     member_support: tuple
+    blocks: tuple
+    count: int
     element: tuple
     found_support: tuple
     added_dim: int
@@ -450,16 +467,117 @@ class HillReport:
     extension_failures: tuple
     findings: tuple
 
+    @property
+    def failed_extensions(self) -> int:
+        """Number of (member, element) extensions that failed."""
+        return sum(w.count for w in self.extension_failures)
+
+
+@dataclass(frozen=True)
+class _ExtensionClass:
+    blocks: frozenset
+    count: int
+    coords: tuple  # basis of V_blocks, in coordinates over the top stage
+    basis: tuple  # the same basis as vectors of the module
+
+
+class _BlockPatterns:
+    """The blocks each element of the top stage needs.  fp_solve writes a
+    vector over the orbit generators by a reduction that is linear in the
+    vector, so with rows[k] = fp_solve(top[k]) the element a.top uses the
+    blocks owning the nonzero entries of a.rows.  Elements are handled by
+    their coordinates a over the top-stage basis."""
+
+    def __init__(self, module: FilteredModule):
+        p = module.p
+        op = module.op_matrix()
+        gens = []
+        self.owner = []
+        for beta, block in enumerate(module.blocks):
+            for b in block:
+                for r in _orbit(p, b, op):
+                    gens.append(r)
+                    self.owner.append(beta)
+        self.p = p
+        self.top = module.top()
+        self.rows = []
+        for t in self.top:
+            coeffs = fp_solve(p, gens, t)
+            if coeffs is None:
+                raise AssertionError("element of the module escapes the blocks")
+            self.rows.append(coeffs)
+
+    def of(self, coords) -> frozenset:
+        comb = fp_mat_vec(self.p, coords, self.rows)
+        return frozenset(self.owner[j] for j, c in enumerate(comb) if c)
+
+    def classes(self) -> list:
+        """Every nonempty class of nonzero elements, by its exact pattern.
+        V_N is the nullspace of the columns of blocks outside N; the class
+        of N has sum over N' in N of (-1)^|N - N'| p^dim V_N' elements."""
+        p = self.p
+        active = sorted({self.owner[j] for row in self.rows for j, c in enumerate(row) if c})
+        spans = []
+        for mask in range(1 << len(active)):
+            inside = {beta for i, beta in enumerate(active) if mask >> i & 1}
+            cols = [j for j, beta in enumerate(self.owner) if beta not in inside]
+            spans.append(fp_nullspace(p, [tuple(row[j] for j in cols) for row in self.rows]))
+        counts = [p ** len(s) for s in spans]
+        for i in range(len(active)):
+            for mask in range(len(counts)):
+                if mask >> i & 1:
+                    counts[mask] -= counts[mask ^ (1 << i)]
+        out = []
+        for mask in range(1, len(counts)):
+            if counts[mask]:
+                coords = spans[mask]
+                out.append(_ExtensionClass(
+                    frozenset(beta for i, beta in enumerate(active) if mask >> i & 1),
+                    counts[mask],
+                    coords,
+                    tuple(fp_mat_vec(p, a, self.top) for a in coords),
+                ))
+        out.sort(key=lambda c: (len(c.blocks), sorted(c.blocks)))
+        return out
+
+    def example(self, cls: _ExtensionClass) -> tuple:
+        """One element of the class.  Walk the line a + t*b through each
+        basis vector b of V_N in turn, keeping the first point that uses
+        every block a or b uses: at most |N| + 1 points of a line miss, so
+        the walk ends on the class unless p is as small as that; then the
+        whole of V_N is searched."""
+        p = self.p
+        a = tuple(0 for _ in self.top)
+        for b in cls.coords:
+            want = self.of(a) | self.of(b)
+            for y in enumerate_space(p, (b,)):
+                cand = tuple((u + v) % p for u, v in zip(a, y))
+                if self.of(cand) == want:
+                    a = cand
+                    break
+        if self.of(a) != cls.blocks:
+            a = next(c for c in enumerate_space(p, cls.coords) if self.of(c) == cls.blocks)
+        return fp_mat_vec(p, a, self.top)
+
 
 def verify_hill_properties(lattice: HillLattice) -> HillReport:
-    """Exhaustive check of the four lattice properties.  Everything is
-    recomputed from the module data; the report carries explicit witnesses
-    (chains for property three, extension members for property four)."""
+    """Check of the four lattice properties.  Everything is recomputed from
+    the module data; the report carries explicit witnesses (chains for
+    property three, failing classes of extensions for property four)."""
     module = lattice.module
     p = module.p
     op = module.op_matrix()
     findings = []
     spaces = {m.space: m for m in lattice.members}
+    spans: dict = {}
+
+    def span_of(support: frozenset) -> tuple:
+        if support not in spans:
+            vectors = []
+            for alpha in sorted(support):
+                vectors.extend(module.blocks[alpha])
+            spans[support] = closed_span(p, vectors, op) if vectors else ()
+        return spans[support]
 
     # (1) the filtration stages belong to the family
     stages_present = True
@@ -504,9 +622,11 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
         )
         block_data.append((bdim, bpart))
 
-    # (3) chains with block-matching quotients between nested members
+    # (3) chains with block-matching quotients between nested members; a
+    # step depends only on the space it starts from and the block it adds
     chains = []
     chains_ok = True
+    steps_from: dict = {}
     for low in mem:
         for high in mem:
             if low is high:
@@ -525,16 +645,16 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
                 continue
             steps = []
             cur = low.space
-            cur_supp = set(sset)
             for gamma in sorted(tset - sset):
-                cur_supp.add(gamma)
-                nxt_vectors = list(module.blocks[gamma])
-                nxt = fp_sum(p, cur, closed_span(p, nxt_vectors, op))
-                qdim = len(nxt) - len(cur)
-                qpart = quotient_partition(p, nxt, cur, op)
-                bdim, bpart = block_data[gamma]
-                steps.append(ChainStep(gamma, qdim, qpart, bdim, bpart))
-                cur = nxt
+                if (cur, gamma) not in steps_from:
+                    nxt = fp_sum(p, cur, span_of(frozenset((gamma,))))
+                    qpart = quotient_partition(p, nxt, cur, op)
+                    bdim, bpart = block_data[gamma]
+                    steps_from[cur, gamma] = (
+                        nxt, ChainStep(gamma, len(nxt) - len(cur), qpart, bdim, bpart)
+                    )
+                cur, step = steps_from[cur, gamma]
+                steps.append(step)
             witness = ChainWitness(low.support, high.support, tuple(steps))
             if cur != high.space:
                 chains_ok = False
@@ -551,55 +671,53 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
                 )
             chains.append(witness)
 
-    # (4) one-element extensions inside the family, with a dimension bound
+    # (4) one-element extensions inside the family, with a dimension bound,
+    # once per (member, class of elements needing the same blocks)
     max_block = max(
-        (len(closed_span(p, b, op)) for b in module.blocks), default=0
+        (len(span_of(frozenset((beta,)))) for beta in range(module.sigma)), default=0
     )
-    all_orbit_gens = []
-    for beta in range(module.sigma):
-        for b in module.blocks[beta]:
-            for r in _orbit(p, b, op):
-                all_orbit_gens.append((beta, r))
+    patterns = _BlockPatterns(module)
+    classes = patterns.classes()
+    examples: dict = {}
+    within: dict = {}
+
+    def inside(basis, tspace) -> bool:
+        if (basis, tspace) not in within:
+            within[basis, tspace] = all(fp_in_span(p, tspace, v) for v in basis)
+        return within[basis, tspace]
+
     extensions_ok = True
     extension_failures = []
     for member in mem:
-        for x in enumerate_space(p, module.top()):
-            if module.dim and not any(x):
-                continue
-            if not x:
-                continue
-            coeffs = fp_solve(p, [g for _, g in all_orbit_gens], x)
-            if coeffs is None:
-                raise AssertionError("element of the module escapes the blocks")
-            needed = {
-                beta for (beta, _), c in zip(all_orbit_gens, coeffs) if c
-            }
-            tsupp = _down_closure(module.deps, needed | set(member.support))
-            target_vectors = []
-            for alpha in tsupp:
-                target_vectors.extend(module.blocks[alpha])
-            tspace = closed_span(p, target_vectors, op) if target_vectors else ()
+        msupp = set(member.support)
+        for cls in classes:
+            tsupp = _down_closure(module.deps, cls.blocks | msupp)
+            tspace = span_of(tsupp)
             found = spaces.get(tspace)
             added = len(tspace) - member.dim
-            bound = max_block * len(tsupp - set(member.support))
-            witness = ExtensionWitness(
-                member.support,
-                x,
-                found.support if found else (),
-                added,
-                bound,
-            )
+            bound = max_block * len(tsupp - msupp)
             if (
                 found is None
-                or not fp_in_span(p, tspace, x)
-                or not all(fp_in_span(p, tspace, v) for v in member.space)
-                or not witness.ok
+                or not inside(cls.basis, tspace)
+                or not inside(member.space, tspace)
+                or added > bound
             ):
+                if cls.blocks not in examples:
+                    examples[cls.blocks] = patterns.example(cls)
                 extensions_ok = False
-                extension_failures.append(witness)
+                extension_failures.append(ExtensionWitness(
+                    member.support,
+                    tuple(sorted(cls.blocks)),
+                    cls.count,
+                    examples[cls.blocks],
+                    found.support if found is not None else (),
+                    added,
+                    bound,
+                ))
     if extension_failures:
         findings.append(
-            "%d one-element extensions failed" % len(extension_failures)
+            "%d one-element extensions failed"
+            % sum(w.count for w in extension_failures)
         )
 
     ok = stages_present and lattice_closed and chains_ok and extensions_ok

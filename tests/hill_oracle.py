@@ -1,0 +1,216 @@
+"""The element-by-element Hill verifier, kept as a test oracle.
+
+This is the verifier `qsheaf.hill.verify_hill_properties` replaced: it
+checks property (4) by walking every vector of the top stage once per
+member, so its cost grows with p^dim.  It is only run on small families,
+where it gives the reference report for the class-wise verifier.  Its
+extension witnesses have the old per-element shape, defined here.
+`needed_blocks` is the block set it derives for one element.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from qsheaf.hill import (
+    ChainStep,
+    ChainWitness,
+    HillLattice,
+    HillReport,
+    _down_closure,
+    _orbit,
+    closed_span,
+    enumerate_space,
+    fp_in_span,
+    fp_intersect,
+    fp_solve,
+    fp_sum,
+    quotient_partition,
+)
+
+
+def needed_blocks(module, x) -> tuple:
+    """The blocks whose orbit generators fp_solve's combination of x uses."""
+    op = module.op_matrix()
+    gens = [(beta, r) for beta, block in enumerate(module.blocks) for b in block
+            for r in _orbit(module.p, b, op)]
+    coeffs = fp_solve(module.p, [g for _, g in gens], x)
+    return tuple(sorted({beta for (beta, _), c in zip(gens, coeffs) if c}))
+
+
+@dataclass(frozen=True)
+class ExtensionWitness:
+    member_support: tuple
+    element: tuple
+    found_support: tuple
+    added_dim: int
+    bound: int
+
+    @property
+    def ok(self) -> bool:
+        return self.added_dim <= self.bound
+
+
+def verify_hill_properties(lattice: HillLattice) -> HillReport:
+    """Exhaustive check of the four lattice properties.  Everything is
+    recomputed from the module data; the report carries explicit witnesses
+    (chains for property three, extension members for property four)."""
+    module = lattice.module
+    p = module.p
+    op = module.op_matrix()
+    findings = []
+    spaces = {m.space: m for m in lattice.members}
+
+    # (1) the filtration stages belong to the family
+    stages_present = True
+    for alpha, stage in enumerate(module.stages):
+        if stage not in spaces:
+            stages_present = False
+            findings.append("stage %d is missing from the family" % alpha)
+
+    # (2) pairwise sums and intersections stay inside
+    lattice_closed = True
+    lattice_witness = None
+    mem = lattice.members
+    for i in range(len(mem)):
+        for j in range(i, len(mem)):
+            s = fp_sum(p, mem[i].space, mem[j].space)
+            if s not in spaces:
+                lattice_closed = False
+                lattice_witness = ("sum", mem[i].support, mem[j].support)
+                findings.append(
+                    "sum of members %s and %s escapes the family"
+                    % (mem[i].support, mem[j].support)
+                )
+                break
+            t = fp_intersect(p, mem[i].space, mem[j].space)
+            if t not in spaces:
+                lattice_closed = False
+                lattice_witness = ("intersection", mem[i].support, mem[j].support)
+                findings.append(
+                    "intersection of members %s and %s escapes the family"
+                    % (mem[i].support, mem[j].support)
+                )
+                break
+        if not lattice_closed:
+            break
+
+    # block invariants, computed once
+    block_data = []
+    for beta in range(module.sigma):
+        bdim = len(module.stages[beta + 1]) - len(module.stages[beta])
+        bpart = quotient_partition(
+            p, module.stages[beta + 1], module.stages[beta], op
+        )
+        block_data.append((bdim, bpart))
+
+    # (3) chains with block-matching quotients between nested members
+    chains = []
+    chains_ok = True
+    for low in mem:
+        for high in mem:
+            if low is high:
+                continue
+            if not all(fp_in_span(p, high.space, v) for v in low.space):
+                continue
+            sset = set(low.support)
+            tset = set(high.support)
+            if not sset <= tset:
+                # supports are maximal, so nesting implies support nesting;
+                # anything else is a genuine failure
+                chains_ok = False
+                findings.append(
+                    "no support chain from %s to %s" % (low.support, high.support)
+                )
+                continue
+            steps = []
+            cur = low.space
+            cur_supp = set(sset)
+            for gamma in sorted(tset - sset):
+                cur_supp.add(gamma)
+                nxt_vectors = list(module.blocks[gamma])
+                nxt = fp_sum(p, cur, closed_span(p, nxt_vectors, op))
+                qdim = len(nxt) - len(cur)
+                qpart = quotient_partition(p, nxt, cur, op)
+                bdim, bpart = block_data[gamma]
+                steps.append(ChainStep(gamma, qdim, qpart, bdim, bpart))
+                cur = nxt
+            witness = ChainWitness(low.support, high.support, tuple(steps))
+            if cur != high.space:
+                chains_ok = False
+                findings.append(
+                    "chain from %s does not land on %s"
+                    % (low.support, high.support)
+                )
+            if not witness.ok:
+                chains_ok = False
+                bad = [s.block for s in witness.steps if not s.ok]
+                findings.append(
+                    "chain %s -> %s has mismatched quotients at blocks %s"
+                    % (low.support, high.support, bad)
+                )
+            chains.append(witness)
+
+    # (4) one-element extensions inside the family, with a dimension bound
+    max_block = max(
+        (len(closed_span(p, b, op)) for b in module.blocks), default=0
+    )
+    all_orbit_gens = []
+    for beta in range(module.sigma):
+        for b in module.blocks[beta]:
+            for r in _orbit(p, b, op):
+                all_orbit_gens.append((beta, r))
+    extensions_ok = True
+    extension_failures = []
+    for member in mem:
+        for x in enumerate_space(p, module.top()):
+            if module.dim and not any(x):
+                continue
+            if not x:
+                continue
+            coeffs = fp_solve(p, [g for _, g in all_orbit_gens], x)
+            if coeffs is None:
+                raise AssertionError("element of the module escapes the blocks")
+            needed = {
+                beta for (beta, _), c in zip(all_orbit_gens, coeffs) if c
+            }
+            tsupp = _down_closure(module.deps, needed | set(member.support))
+            target_vectors = []
+            for alpha in tsupp:
+                target_vectors.extend(module.blocks[alpha])
+            tspace = closed_span(p, target_vectors, op) if target_vectors else ()
+            found = spaces.get(tspace)
+            added = len(tspace) - member.dim
+            bound = max_block * len(tsupp - set(member.support))
+            witness = ExtensionWitness(
+                member.support,
+                x,
+                found.support if found else (),
+                added,
+                bound,
+            )
+            if (
+                found is None
+                or not fp_in_span(p, tspace, x)
+                or not all(fp_in_span(p, tspace, v) for v in member.space)
+                or not witness.ok
+            ):
+                extensions_ok = False
+                extension_failures.append(witness)
+    if extension_failures:
+        findings.append(
+            "%d one-element extensions failed" % len(extension_failures)
+        )
+
+    ok = stages_present and lattice_closed and chains_ok and extensions_ok
+    return HillReport(
+        ok,
+        stages_present,
+        lattice_closed,
+        lattice_witness,
+        chains_ok,
+        tuple(chains),
+        extensions_ok,
+        tuple(extension_failures),
+        tuple(findings),
+    )

@@ -42,6 +42,7 @@ from qsheaf.charts import FPModule, span_contains, span_gb
 from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, poly_from_str
+from qsheaf.hill import build_hill_family, make_filtered_module, verify_hill_properties
 from qsheaf.sheaffile import (
     parse_filtered_file,
     parse_section_file,
@@ -418,6 +419,18 @@ def test_criterion_6_hill_families(fixture_dir):
                 assert verdict == "pass", (name, verdict_name)
         assert seen_p == {2, 3}
         assert seen_deps == {True, False}
+
+        # the largest size build_hill_family accepts in dim: F_2^12 in six
+        # blocks, the last reaching back into the first
+        units = [tuple(int(j == i) for j in range(12)) for i in range(12)]
+        blocks = [(units[2 * k], units[2 * k + 1]) for k in range(6)]
+        reach = tuple((x + y) % 2 for x, y in zip(units[10], units[0]))
+        blocks[5] = blocks[5] + (reach,)
+        module = make_filtered_module(2, 12, blocks)
+        assert module.deps[5] == frozenset({0})
+        family = build_hill_family(module)
+        assert len(family.members) == 48
+        assert verify_hill_properties(family).ok
 
         report = run(
             JobSpec("hill-verify", (fixture(fixture_dir, "hill_broken_f2"),))

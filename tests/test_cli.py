@@ -9,9 +9,19 @@ import json
 
 import pytest
 
-from qsheaf.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, JobSpec, main, run
+from qsheaf import cli
+from qsheaf.cli import (
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    JobSpec,
+    main,
+    run,
+)
 from qsheaf.exactpoly import Field
-from qsheaf.hill import make_filtered_module
+from qsheaf.hill import build_hill_family, make_filtered_module
 from qsheaf.sheaffile import (
     ParseError,
     field_token,
@@ -255,6 +265,47 @@ def test_hill_verify_broken_fixture(fixture_dir):
     assert dict(report.verdicts)["pairwise-closure"] == "fail"
     witness = report.certificates["closure_witness"]
     assert witness["operation"] in ("sum", "intersection")
+
+
+def test_hill_verify_large_field(tmp_path):
+    # p^dim = 65537^6 elements: only a class-wise check of one-element
+    # extensions finishes
+    p = 65537
+    units = [tuple(1 if j == i else 0 for j in range(6)) for i in range(6)]
+    blocks = ((units[0], units[1]), ((1, 0, 5, 0, 0, 0), units[3]), (units[4], units[5]))
+    module = make_filtered_module(p, 6, blocks)
+    good = tmp_path / "good.txt"
+    good.write_text(filtered_text(module))
+    report = run(JobSpec(command="hill-verify", inputs=(str(good),)))
+    assert report.exit_status == EXIT_OK
+    assert report.certificates["extension_failures"] == 0
+    kept = [m.support for m in build_hill_family(module).members if m.support != (0, 2)]
+    pruned = tmp_path / "pruned.txt"
+    pruned.write_text(filtered_text(module, kept))
+    assert main(["hill-verify", str(pruned), "--out", str(tmp_path / "r.json"), "--machine"]) == (
+        EXIT_CHECK_FAILED
+    )
+    body = json.loads((tmp_path / "r.json").read_text())
+    assert dict(map(tuple, body["verdicts"]))["one-element-extensions"] == "fail"
+    # members {} and {0} and {2} reach {0, 2} through the classes {0, 2},
+    # {2} and {0}, each piece holding p^2 - 1 nonzero vectors
+    q = p * p - 1
+    assert body["certificates"]["extension_failures"] == q * q + (q + q * q) * 2
+
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_internal_error_has_its_own_exit_status(fixture_dir, monkeypatch, error, tmp_path):
+    def broken(job):
+        raise error("element of the module escapes the blocks")
+
+    monkeypatch.setitem(cli._HANDLERS, "hill-verify", broken)
+    path = fixture(fixture_dir, "hill_dep_f2")
+    report = run(JobSpec(command="hill-verify", inputs=(path,)))
+    assert report.exit_status == EXIT_INTERNAL and not report.ok
+    assert report.verdicts == (
+        ("internal-error", error.__name__ + ": element of the module escapes the blocks"),
+    )
+    assert main(["hill-verify", path, "--out", str(tmp_path / "r.txt")]) == EXIT_INTERNAL
 
 
 def test_lazard_rejects_sections_outside_kernel(fixture_dir, tmp_path):

@@ -7,14 +7,18 @@ and the example families are frozen from a hand enumeration of the closed
 support sets.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsheaf.hill as hill
+from hill_oracle import needed_blocks
+from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 from qsheaf.hill import (
     FilteredModule,
     HillLattice,
+    _BlockPatterns,
     build_hill_family,
     closed_span,
     enumerate_space,
@@ -358,3 +362,77 @@ def test_filtered_module_rejects_bad_shapes():
         make_filtered_module(2, 2, ((),))
     with pytest.raises(ValueError, match="matrix"):
         make_filtered_module(2, 2, (((1, 0),),), operator=((0,),))
+
+
+# ---------------------------------------------------------------------------
+# property (4) by class: exact counts without walking p^dim vectors
+
+
+def _direct_sum(p, dim, sigma):
+    """sigma blocks, each a run of unit vectors, the first one mixed with
+    the last so every block spans its run through a non-echelon basis."""
+    size = dim // sigma
+    units = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    blocks = []
+    for k in range(sigma):
+        run_ = units[k * size:(k + 1) * size]
+        first = tuple((x + 2 * y) % p for x, y in zip(run_[0], run_[-1]))
+        blocks.append((first,) + tuple(run_[1:]))
+    return make_filtered_module(p, dim, blocks)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537])
+def test_extension_classes_count_every_nonzero_element(p):
+    module = make_filtered_module(
+        p, 4, (((1, 0, 0, 0),), ((0, 1, 0, 0), (1, 1, 0, 0)), ((0, 0, 1, 1), (0, 0, 0, 1)))
+    )
+    patterns = _BlockPatterns(module)
+    classes = patterns.classes()
+    assert sum(c.count for c in classes) == p ** len(module.top()) - 1
+    for cls in classes:
+        assert needed_blocks(module, patterns.example(cls)) == tuple(sorted(cls.blocks))
+
+
+def test_passing_families_enumerate_no_vector(fixture_dir, monkeypatch):
+    yielded = []
+    original = hill.enumerate_space
+
+    def counting(p, basis):
+        for v in original(p, basis):
+            yielded.append(v)
+            yield v
+
+    monkeypatch.setattr(hill, "enumerate_space", counting)
+    for name in ("hill_indep_f2", "hill_dep_f2", "hill_op_f2", "hill_dep_f3", "hill_big_f2"):
+        report = run(JobSpec("hill-verify", (str(fixture_dir / (name + ".txt")),)))
+        assert report.exit_status == EXIT_OK, name
+    assert verify_hill_properties(build_hill_family(_direct_sum(65537, 6, 3))).ok
+    assert yielded == []
+    # a failing class is named by one concrete element, found by enumeration
+    report = run(JobSpec("hill-verify", (str(fixture_dir / "hill_broken_f2.txt"),)))
+    assert report.exit_status == EXIT_CHECK_FAILED
+    assert yielded
+
+
+def test_large_field_pruned_family_names_exact_examples():
+    p = 65537
+    module = _direct_sum(p, 8, 4)
+    family = build_hill_family(module)
+    kept = tuple(m for m in family.members if m.support != (0, 1, 3))
+    report = verify_hill_properties(HillLattice(module, kept))
+    assert not report.extensions_ok
+    for w in report.extension_failures:
+        assert needed_blocks(module, w.element) == w.blocks
+        assert w.found_support == ()
+    # x extends member M onto the dropped support D exactly when M is inside
+    # D and x is nonzero on the pieces of N, where D - M <= N <= D; there
+    # are (p^2 - 1)^|N| such x
+    dropped = {0, 1, 3}
+    subsets = [set(c) for k in range(4) for c in combinations(sorted(dropped), k)]
+    expected = sum(
+        (p * p - 1) ** len(n)
+        for m in subsets if m != dropped
+        for n in subsets if n and dropped - m <= n
+    )
+    assert report.failed_extensions == expected
+    assert report.findings[-1] == "%d one-element extensions failed" % expected
