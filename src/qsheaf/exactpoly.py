@@ -7,13 +7,23 @@ position-over-term, position 0 largest.  Module elements are tuples of Poly
 of a common rank.  All computations are deterministic for a fixed input
 order: pair selection, reducer selection and output ordering use explicit
 sort keys and no hashing-dependent iteration.
+
+Division (reduce_vec) works on one term heap: the vector being reduced is a
+dict from (position, exponent) to coefficient, and a min-heap keyed by
+_heap_key yields its largest term next (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", 2007).
+Cancelled terms are dropped lazily when they reach the top.  Leads are
+computed once: Buchberger keeps a list of them beside its basis and hands
+it to every reduction, and each reducer's other terms are flattened once
+per reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
+from operator import add as _add, le as _le, neg as _neg, sub as _sub
 from typing import Iterable, Sequence
 
 
@@ -48,6 +58,10 @@ class Field:
                 raise ValueError("prime field characteristic must be < 2**31")
             if not _is_prime(self.char):
                 raise ValueError(f"{self.char} is not prime")
+        # the constants, made once per field; not dataclass fields, so they
+        # take no part in equality, hashing or repr
+        object.__setattr__(self, "zero", Fraction(0) if self.char == 0 else 0)
+        object.__setattr__(self, "one", Fraction(1) if self.char == 0 else 1)
 
     @staticmethod
     def rationals() -> "Field":
@@ -56,14 +70,6 @@ class Field:
     @staticmethod
     def prime(p: int) -> "Field":
         return Field(p)
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.char == 0 else n % self.char
@@ -160,7 +166,7 @@ class PolyRing:
 
 def grevlex_key(exp: tuple[int, ...]):
     """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(_neg, reversed(exp))))
 
 
 def term_key(pos: int, exp: tuple[int, ...]):
@@ -210,7 +216,16 @@ class Poly:
         return Poly(self.ring, {e: f.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        f = self.ring.field
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = f.sub(out.get(e, f.zero), c)
+            if s == f.zero:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        return Poly(self.ring, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -440,16 +455,13 @@ def vec_key(a):
 
 
 def vec_lead(a):
-    """(pos, exponent, coeff) of the POT-largest term, or None if zero."""
-    best = None
+    """(pos, exponent, coeff) of the POT-largest term, or None if zero: the
+    lead of the first nonzero entry, since position 0 is largest."""
     for pos, p in enumerate(a):
-        lt = p.lead()
-        if lt is None:
-            continue
-        cand = (pos, lt[0], lt[1])
-        if best is None or term_key(pos, lt[0]) > term_key(best[0], best[1]):
-            best = cand
-    return best
+        if p.terms:
+            exp, coeff = p.lead()
+            return pos, exp, coeff
+    return None
 
 
 def _divides(e1, e2) -> bool:
@@ -464,45 +476,89 @@ def _exp_sub(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
 
-def reduce_vec(vec, basis, ring: PolyRing, track: bool = False):
+def _heap_key(pos: int, exp: tuple[int, ...]):
+    """Min-heap key of a free-module term: ascending order of this key is
+    descending term_key order (smaller position first, then higher degree,
+    then the grevlex tie-break read off the reversed exponents)."""
+    return (pos, -sum(exp), exp[::-1])
+
+
+def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
     """Full normal form of vec against basis (list of nonzero vecs).
 
-    Every term is reduced, scanning reducers in list order.  With track=True
-    also returns the quotient list q with vec = sum(q[i]*basis[i]) + remainder.
-    The caller is responsible for basis being a Groebner basis when a
-    canonical remainder is required.
+    Every term is reduced: the largest remaining term goes to the first
+    element of basis, in list order, whose lead has its position and divides
+    it, and to the remainder if no lead does.  With track=True also returns
+    the quotient list q with vec = sum(q[i]*basis[i]) + remainder.  The
+    caller is responsible for basis being a Groebner basis when a canonical
+    remainder is required.
+
+    The work vector is one dict {(pos, exp): coeff} beside a min-heap of its
+    terms under _heap_key (heap division after Monagan & Pearce, 2007).  A
+    term that cancels stays in both, with coefficient zero, until it reaches
+    the top of the heap and is dropped; over F_p coefficients are reduced
+    mod p only there.  _leads, internal to this module, is
+    [vec_lead(b) for b in basis] when the caller keeps it.
     """
     field = ring.field
-    leads = [vec_lead(b) for b in basis]
-    rank = len(vec)
-    remainder = vec_zero(ring, rank)
-    work = vec
-    quotients = [ring.zero() for _ in basis] if track else None
-    while True:
-        lt = vec_lead(work)
-        if lt is None:
-            break
-        pos, exp, coeff = lt
-        hit = -1
-        for i, bl in enumerate(leads):
-            if bl is not None and bl[0] == pos and _divides(bl[1], exp):
-                hit = i
-                break
-        if hit < 0:
-            move = tuple(
-                ring.monomial(exp, coeff) if i == pos else ring.zero() for i in range(rank)
-            )
-            remainder = vec_add(remainder, move)
-            work = vec_sub(work, move)
+    char = field.char
+    leads = [vec_lead(b) for b in basis] if _leads is None else _leads
+    # the reducers of each position, in list order: (index, lead exp, degree)
+    by_pos: dict = {}
+    for i, lt in enumerate(leads):
+        if lt is not None:
+            by_pos.setdefault(lt[0], []).append((i, lt[1], sum(lt[1])))
+    work: dict = {}
+    heap = []
+    for pos, p in enumerate(vec):
+        for e, c in p.terms.items():
+            work[pos, e] = c
+            heap.append(_heap_key(pos, e) + (e,))
+    heapify(heap)
+    rem = [{} for _ in vec]
+    quot = [{} for _ in basis] if track else None
+    # reducer index -> (inverse lead coeff, [(pos, exp, coeff)] of its other
+    # terms), flattened on first use
+    tails: dict = {}
+    while heap:
+        pos, negdeg, _, exp = heappop(heap)
+        c = work.pop((pos, exp))
+        if char:
+            c %= char
+        if not c:
             continue
-        bl = leads[hit]
-        mult_exp = _exp_sub(exp, bl[1])
-        mult_coeff = field.div(coeff, bl[2])
-        work = vec_sub(work, vec_mul_term(basis[hit], mult_exp, mult_coeff))
+        deg = -negdeg
+        for i, lexp, ldeg in by_pos.get(pos, ()):
+            if ldeg <= deg and all(map(_le, lexp, exp)):
+                break
+        else:
+            rem[pos][exp] = c
+            continue
+        if i not in tails:
+            _, _, lc = leads[i]
+            tails[i] = (field.inv(lc), [
+                (tpos, e, tc)
+                for tpos, p in enumerate(basis[i]) for e, tc in p.terms.items()
+                if tpos != pos or e != lexp
+            ])
+        inv, tail = tails[i]
+        m = c * inv % char if char else c * inv
+        mult = tuple(map(_sub, exp, lexp))
         if track:
-            quotients[hit] = quotients[hit] + ring.monomial(mult_exp, mult_coeff)
+            quot[i][mult] = m
+        # subtract m * mult * basis[i]; its lead cancels the popped term
+        for tpos, te, tc in tail:
+            ne = tuple(map(_add, te, mult))
+            key = (tpos, ne)
+            old = work.get(key)
+            if old is None:
+                work[key] = -m * tc
+                heappush(heap, _heap_key(tpos, ne) + (ne,))
+            else:
+                work[key] = old - m * tc
+    remainder = tuple(Poly(ring, d) for d in rem)
     if track:
-        return remainder, quotients
+        return remainder, [Poly(ring, d) for d in quot]
     return remainder
 
 
@@ -518,10 +574,12 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     S-pairs only form between elements whose leads share a position.
     Untracked runs apply the coprimality skip in rank one and the chain
     criterion in any rank; tracked runs process every pair so that the
-    recorded zero reductions generate the full syzygy module.
+    recorded zero reductions generate the full syzygy module.  The lead of
+    each basis element is computed once, when it joins the basis.
     """
     field = ring.field
     basis: list = []
+    leads: list = []
     combos: list = [] if track else None
     syzygies: list = [] if track else None
     ngens = len(gens)
@@ -534,6 +592,7 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
                 syzygies.append(vec_unit(ring, ngens, i))
             continue
         basis.append(g)
+        leads.append(vec_lead(g))
         if track:
             combos.append(vec_unit(ring, ngens, i))
 
@@ -541,12 +600,12 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     pending: set = set()
 
     def push_pairs(k: int):
-        lk = vec_lead(basis[k])
+        pk, ek, _ = leads[k]
         for i in range(k):
-            li = vec_lead(basis[i])
-            if li[0] != lk[0]:
+            pi, ei, _ = leads[i]
+            if pi != pk:
                 continue
-            lcm = _exp_lcm(li[1], lk[1])
+            lcm = _exp_lcm(ei, ek)
             heappush(pairs, (sum(lcm), i, k, lcm))
             pending.add((i, k))
 
@@ -556,15 +615,14 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     while pairs:
         _, i, j, lcm = heappop(pairs)
         pending.discard((i, j))
-        li, lj = vec_lead(basis[i]), vec_lead(basis[j])
+        li, lj = leads[i], leads[j]
         if not track:
             if rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
                 continue  # coprime leads; only valid for ideals
             skip = False
-            for k in range(len(basis)):
+            for k, lk in enumerate(leads):
                 if k in (i, j):
                     continue
-                lk = vec_lead(basis[k])
                 if lk[0] != li[0] or not _divides(lk[1], lcm):
                     continue
                 a, b = (i, k) if i < k else (k, i)
@@ -574,16 +632,12 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
                     break
             if skip:
                 continue
-        s = vec_sub(
-            vec_mul_term(basis[i], _exp_sub(lcm, li[1]), field.inv(li[2])),
-            vec_mul_term(basis[j], _exp_sub(lcm, lj[1]), field.inv(lj[2])),
-        )
+        ui, ci = _exp_sub(lcm, li[1]), field.inv(li[2])
+        uj, cj = _exp_sub(lcm, lj[1]), field.inv(lj[2])
+        s = vec_sub(vec_mul_term(basis[i], ui, ci), vec_mul_term(basis[j], uj, cj))
         if track:
-            rem, quot = reduce_vec(s, basis, ring, track=True)
-            combo = vec_sub(
-                vec_mul_term(combos[i], _exp_sub(lcm, li[1]), field.inv(li[2])),
-                vec_mul_term(combos[j], _exp_sub(lcm, lj[1]), field.inv(lj[2])),
-            )
+            rem, quot = reduce_vec(s, basis, ring, True, _leads=leads)
+            combo = vec_sub(vec_mul_term(combos[i], ui, ci), vec_mul_term(combos[j], uj, cj))
             for k, q in enumerate(quot):
                 if not q.is_zero():
                     combo = vec_sub(combo, vec_mul_poly(combos[k], q))
@@ -591,13 +645,13 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
                 if not vec_is_zero(combo):
                     syzygies.append(combo)
                 continue
-            basis.append(rem)
             combos.append(combo)
         else:
-            rem = reduce_vec(s, basis, ring)
+            rem = reduce_vec(s, basis, ring, False, _leads=leads)
             if vec_is_zero(rem):
                 continue
-            basis.append(rem)
+        basis.append(rem)
+        leads.append(vec_lead(rem))
         push_pairs(len(basis) - 1)
 
     return basis, combos, syzygies
@@ -606,30 +660,30 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
 def _reduced_basis(basis, ring: PolyRing):
     """Minimalize, interreduce, normalize monic, sort by decreasing lead."""
     field = ring.field
-    kept = []
-    for i, g in enumerate(basis):
-        li = vec_lead(g)
+    leads = [vec_lead(g) for g in basis]
+    kept, kept_leads = [], []
+    for i, li in enumerate(leads):
         redundant = False
-        for j, h in enumerate(basis):
+        for j, lj in enumerate(leads):
             if i == j:
                 continue
-            lj = vec_lead(h)
             if lj[0] == li[0] and _divides(lj[1], li[1]):
-                if term_key(lj[0], lj[1]) != term_key(li[0], li[1]) or j < i:
+                if lj[1] != li[1] or j < i:
                     redundant = True
                     break
         if not redundant:
-            kept.append(g)
+            kept.append(basis[i])
+            kept_leads.append(li)
+    # No kept lead divides another, so interreduction moves each element's
+    # lead term to its remainder unchanged: the remainder is nonzero and
+    # its lead is the element's.
     out = []
-    for i, g in enumerate(kept):
+    for i, (g, (pos, exp, coeff)) in enumerate(zip(kept, kept_leads)):
         others = kept[:i] + kept[i + 1 :]
-        r = reduce_vec(g, others, ring) if others else g
-        if vec_is_zero(r):
-            continue
-        lt = vec_lead(r)
-        out.append(vec_scale(r, field.inv(lt[2])))
-    out.sort(key=lambda v: term_key(vec_lead(v)[0], vec_lead(v)[1]), reverse=True)
-    return out
+        r = reduce_vec(g, others, ring, False, _leads=kept_leads[:i] + kept_leads[i + 1 :]) if others else g
+        out.append((term_key(pos, exp), vec_scale(r, field.inv(coeff))))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return [v for _, v in out]
 
 
 def groebner_basis(gens: Sequence, ring: PolyRing) -> list:
@@ -674,11 +728,12 @@ class TrackedBasis:
         self.basis = basis
         self.combos = combos
         self.syzygy_rows = syz
+        self._leads = [vec_lead(b) for b in basis]
 
     def lift(self, vec):
         if not self.basis:
             return None if not vec_is_zero(vec) else [self.ring.zero()] * len(self.gens)
-        rem, quot = reduce_vec(vec, self.basis, self.ring, track=True)
+        rem, quot = reduce_vec(vec, self.basis, self.ring, True, _leads=self._leads)
         if not vec_is_zero(rem):
             return None
         coeffs = [self.ring.zero()] * len(self.gens)

@@ -1,0 +1,199 @@
+"""The element-by-element reduction and Buchberger core, kept as a test oracle.
+
+These are the routines `qsheaf.exactpoly.reduce_vec`, `_buchberger` and
+`_reduced_basis` replaced: `reduce_vec` rebuilds the whole work vector and
+finds its lead again with `vec_lead` after every step, and `_buchberger`
+recomputes the lead of every basis element for every pair.  They are only
+run on small inputs, where they give the reference remainders, quotients,
+bases, combinations and syzygy rows for the heap-based routines.
+"""
+
+from __future__ import annotations
+
+from heapq import heappop, heappush
+
+from qsheaf.exactpoly import (
+    DimensionMismatchError,
+    PolyRing,
+    _divides,
+    _exp_lcm,
+    _exp_sub,
+    term_key,
+    vec_add,
+    vec_is_zero,
+    vec_lead,
+    vec_mul_poly,
+    vec_mul_term,
+    vec_scale,
+    vec_sub,
+    vec_unit,
+    vec_zero,
+)
+
+
+def reduce_vec(vec, basis, ring: PolyRing, track: bool = False):
+    """Full normal form of vec against basis (list of nonzero vecs).
+
+    Every term is reduced, scanning reducers in list order.  With track=True
+    also returns the quotient list q with vec = sum(q[i]*basis[i]) + remainder.
+    The caller is responsible for basis being a Groebner basis when a
+    canonical remainder is required.
+    """
+    field = ring.field
+    leads = [vec_lead(b) for b in basis]
+    rank = len(vec)
+    remainder = vec_zero(ring, rank)
+    work = vec
+    quotients = [ring.zero() for _ in basis] if track else None
+    while True:
+        lt = vec_lead(work)
+        if lt is None:
+            break
+        pos, exp, coeff = lt
+        hit = -1
+        for i, bl in enumerate(leads):
+            if bl is not None and bl[0] == pos and _divides(bl[1], exp):
+                hit = i
+                break
+        if hit < 0:
+            move = tuple(
+                ring.monomial(exp, coeff) if i == pos else ring.zero() for i in range(rank)
+            )
+            remainder = vec_add(remainder, move)
+            work = vec_sub(work, move)
+            continue
+        bl = leads[hit]
+        mult_exp = _exp_sub(exp, bl[1])
+        mult_coeff = field.div(coeff, bl[2])
+        work = vec_sub(work, vec_mul_term(basis[hit], mult_exp, mult_coeff))
+        if track:
+            quotients[hit] = quotients[hit] + ring.monomial(mult_exp, mult_coeff)
+    if track:
+        return remainder, quotients
+    return remainder
+
+
+def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
+    """Shared Buchberger core.
+
+    Returns (basis, combos, syzygy_rows):
+      basis  - list of nonzero vecs whose leads generate the lead module,
+               starting with the nonzero input generators in order;
+      combos - basis[k] = sum(combos[k][i] * gens[i]) when track, else None;
+      syzygy_rows - rows over the original gens from zero reductions (track).
+
+    S-pairs only form between elements whose leads share a position.
+    Untracked runs apply the coprimality skip in rank one and the chain
+    criterion in any rank; tracked runs process every pair so that the
+    recorded zero reductions generate the full syzygy module.
+    """
+    field = ring.field
+    basis: list = []
+    combos: list = [] if track else None
+    syzygies: list = [] if track else None
+    ngens = len(gens)
+
+    for i, g in enumerate(gens):
+        if len(g) != rank:
+            raise DimensionMismatchError("generators of unequal rank")
+        if vec_is_zero(g):
+            if track:
+                syzygies.append(vec_unit(ring, ngens, i))
+            continue
+        basis.append(g)
+        if track:
+            combos.append(vec_unit(ring, ngens, i))
+
+    pairs: list = []
+    pending: set = set()
+
+    def push_pairs(k: int):
+        lk = vec_lead(basis[k])
+        for i in range(k):
+            li = vec_lead(basis[i])
+            if li[0] != lk[0]:
+                continue
+            lcm = _exp_lcm(li[1], lk[1])
+            heappush(pairs, (sum(lcm), i, k, lcm))
+            pending.add((i, k))
+
+    for k in range(len(basis)):
+        push_pairs(k)
+
+    while pairs:
+        _, i, j, lcm = heappop(pairs)
+        pending.discard((i, j))
+        li, lj = vec_lead(basis[i]), vec_lead(basis[j])
+        if not track:
+            if rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
+                continue  # coprime leads; only valid for ideals
+            skip = False
+            for k in range(len(basis)):
+                if k in (i, j):
+                    continue
+                lk = vec_lead(basis[k])
+                if lk[0] != li[0] or not _divides(lk[1], lcm):
+                    continue
+                a, b = (i, k) if i < k else (k, i)
+                c, d = (j, k) if j < k else (k, j)
+                if (a, b) not in pending and (c, d) not in pending:
+                    skip = True
+                    break
+            if skip:
+                continue
+        s = vec_sub(
+            vec_mul_term(basis[i], _exp_sub(lcm, li[1]), field.inv(li[2])),
+            vec_mul_term(basis[j], _exp_sub(lcm, lj[1]), field.inv(lj[2])),
+        )
+        if track:
+            rem, quot = reduce_vec(s, basis, ring, track=True)
+            combo = vec_sub(
+                vec_mul_term(combos[i], _exp_sub(lcm, li[1]), field.inv(li[2])),
+                vec_mul_term(combos[j], _exp_sub(lcm, lj[1]), field.inv(lj[2])),
+            )
+            for k, q in enumerate(quot):
+                if not q.is_zero():
+                    combo = vec_sub(combo, vec_mul_poly(combos[k], q))
+            if vec_is_zero(rem):
+                if not vec_is_zero(combo):
+                    syzygies.append(combo)
+                continue
+            basis.append(rem)
+            combos.append(combo)
+        else:
+            rem = reduce_vec(s, basis, ring)
+            if vec_is_zero(rem):
+                continue
+            basis.append(rem)
+        push_pairs(len(basis) - 1)
+
+    return basis, combos, syzygies
+
+
+def _reduced_basis(basis, ring: PolyRing):
+    """Minimalize, interreduce, normalize monic, sort by decreasing lead."""
+    field = ring.field
+    kept = []
+    for i, g in enumerate(basis):
+        li = vec_lead(g)
+        redundant = False
+        for j, h in enumerate(basis):
+            if i == j:
+                continue
+            lj = vec_lead(h)
+            if lj[0] == li[0] and _divides(lj[1], li[1]):
+                if term_key(lj[0], lj[1]) != term_key(li[0], li[1]) or j < i:
+                    redundant = True
+                    break
+        if not redundant:
+            kept.append(g)
+    out = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        r = reduce_vec(g, others, ring) if others else g
+        if vec_is_zero(r):
+            continue
+        lt = vec_lead(r)
+        out.append(vec_scale(r, field.inv(lt[2])))
+    out.sort(key=lambda v: term_key(vec_lead(v)[0], vec_lead(v)[1]), reverse=True)
+    return out

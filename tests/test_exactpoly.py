@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qsheaf.charts import ideal_block
 from qsheaf.exactpoly import (
     DimensionMismatchError,
     Field,
@@ -23,6 +24,7 @@ from qsheaf.exactpoly import (
     PresIdeal,
     RingMismatchError,
     TrackedBasis,
+    _heap_key,
     field_nullspace,
     grevlex_key,
     groebner_basis,
@@ -32,6 +34,7 @@ from qsheaf.exactpoly import (
     poly_from_str,
     poly_to_str,
     syzygies,
+    term_key,
     vec_is_zero,
     vec_lead,
     vec_sub,
@@ -459,3 +462,90 @@ def test_gb_membership_random(data):
     for m, g in zip(mults, gens):
         combo = combo + m * g[0]
     assert vec_is_zero(normal_form((combo,), gb, r))
+
+
+# --- heap order, tracked bases, pinned work -------------------------------
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=3, max_size=3).map(tuple)),
+    max_size=12, unique=True,
+))
+def test_heap_key_is_descending_term_order(terms):
+    # reduce_vec's heap pops the term_key-largest term first
+    by_heap = sorted(terms, key=lambda t: _heap_key(*t))
+    assert by_heap == sorted(terms, key=lambda t: term_key(*t), reverse=True)
+
+
+@st.composite
+def _generator_lists(draw):
+    fld = draw(st.sampled_from((Q, Field(2), Field(5), Field(7))))
+    r = ring("x", "y", field=fld)
+    rank = draw(st.integers(1, 2))
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exp = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            terms[exp] = fld.add(terms.get(exp, fld.zero), fld.of_int(draw(st.integers(-3, 3))))
+        return r.from_terms(terms)
+
+    gens = [tuple(poly() for _ in range(rank)) for _ in range(draw(st.integers(1, 3)))]
+    mults = [poly() for _ in gens]
+    return r, rank, gens, mults
+
+
+def _combine(r, rank, coeffs, gens):
+    acc = [r.zero()] * rank
+    for c, g in zip(coeffs, gens):
+        acc = [a + c * x for a, x in zip(acc, g)]
+    return tuple(acc)
+
+
+@given(_generator_lists())
+def test_tracked_basis_agrees_and_certifies(case):
+    r, rank, gens, mults = case
+    tb = TrackedBasis(gens, r, rank)
+    assert groebner_basis(tb.basis, r) == groebner_basis(gens, r)
+    for b, combo in zip(tb.basis, tb.combos):
+        assert _combine(r, rank, combo, gens) == b
+    for row in tb.syzygy_rows:
+        assert vec_is_zero(_combine(r, rank, row, gens))
+    member = _combine(r, rank, mults, gens)
+    coeffs = tb.lift(member)
+    assert coeffs is not None
+    assert _combine(r, rank, coeffs, gens) == member
+
+
+def test_reduction_count_on_euler_relations(monkeypatch, fixture_dir):
+    # reduce_vec calls per chart of the Euler quotient on P^2, for the
+    # reduced basis and the tracked basis of its relation rows: they move
+    # only if the pair criteria or the pair order change
+    from qsheaf import exactpoly
+    from qsheaf.sheaffile import parse_sheaf_file
+    from qsheaf.sheafrep import vertex_key
+
+    calls = []
+    real = exactpoly.reduce_vec
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactpoly, "reduce_vec", counting)
+    rep = parse_sheaf_file(str(fixture_dir / "euler_q_p2.txt"))
+    counts = {}
+    for v in sorted(rep.quiver.vertices, key=vertex_key):
+        module = rep.module(v)
+        rows = module.relations + tuple(ideal_block(module.chart, module.gens))
+        calls.clear()
+        groebner_basis(rows, module.chart.ring)
+        untracked = len(calls)
+        calls.clear()
+        TrackedBasis(rows, module.chart.ring, module.gens)
+        counts[tuple(sorted(v))] = (untracked, len(calls))
+    assert counts == {
+        (0,): (0, 0), (1,): (0, 0), (2,): (0, 0),
+        (0, 1): (4, 1), (0, 2): (4, 1), (1, 2): (5, 1),
+        (0, 1, 2): (9, 5),
+    }
