@@ -28,6 +28,7 @@ from .exactpoly import (
     PresIdeal,
     field_nullspace,
     ideal_contains_one,
+    terms_from_str,
     vec_is_zero,
 )
 from .sheafrep import (
@@ -473,48 +474,9 @@ def laurent_to_str(p: LaurentPoly) -> str:
 
 
 def laurent_from_str(field: Field, text: str) -> LaurentPoly:
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty laurent polynomial")
-    if s == "0":
-        return LaurentPoly.zero(field)
-    chunks = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*^":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    chunks.append(cur)
-    total = LaurentPoly.zero(field)
-    for chunk in chunks:
-        body = chunk
-        sign = 1
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        if not body:
-            raise ValueError("malformed term in " + repr(text))
-        coeff = field.one
-        exp = 0
-        for factor in body.split("*"):
-            if not factor:
-                raise ValueError("malformed term in " + repr(text))
-            if factor[0] == "s":
-                if factor == "s":
-                    exp += 1
-                elif factor[1] == "^":
-                    exp += int(factor[2:])
-                else:
-                    raise ValueError("malformed power in " + repr(text))
-            else:
-                coeff = field.mul(coeff, field.coeff_from_str(factor))
-        if sign < 0:
-            coeff = field.neg(coeff)
-        total = total + LaurentPoly.monomial(field, exp, coeff)
-    return total
+    """Parse a Laurent polynomial in s; exponents may be negative."""
+    terms = terms_from_str(field, ("s",), text)
+    return LaurentPoly.build(field, {e: c for (e,), c in terms.items()})
 
 
 def chart_to_laurent(chart, p: Poly) -> LaurentPoly:

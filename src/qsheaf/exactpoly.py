@@ -69,6 +69,8 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
+        if p == 0:  # Field(0) would be the rationals
+            raise ValueError("0 is not prime")
         return Field(p)
 
     def of_int(self, n: int):
@@ -333,64 +335,65 @@ def poly_to_str(p: Poly) -> str:
     return " ".join(chunks)
 
 
-def poly_from_str(ring: PolyRing, text: str) -> Poly:
-    """Parse a sum of terms like '3*z1^2*u1 - 1/2*z1 + 2'.
+def terms_from_str(field: Field, names: Sequence[str], text: str) -> dict:
+    """Read a sum of terms like '3*z1^2*u1 - 1/2*z1 + 2' into a map from
+    exponent tuple (one entry per name) to nonzero coefficient.
 
-    Accepts optional '*' between coefficient and variables and whitespace
-    anywhere; raises ValueError with a short reason on malformed input.
+    A term is an optional sign and factors joined by '*'; a factor is a
+    coefficient (a or a/b) or a variable with an optional '^' and signed
+    integer exponent.  A sign starts a new term unless it follows '^'.
+    Spaces are ignored; raises ValueError with a short reason on malformed
+    input.
     """
     s = text.replace(" ", "")
-    if not s or s == "0":
-        if s == "0":
-            return ring.zero()
+    if not s:
         raise ValueError("empty polynomial")
-    terms: list[tuple[int, str]] = []
+    chunks: list[tuple[int, str]] = []
     sign, start = 1, 0
     if s[0] in "+-":
         sign = -1 if s[0] == "-" else 1
         start = 1
-    cur = start
-    while cur <= len(s):
-        if cur == len(s) or s[cur] in "+-":
+    for cur in range(start, len(s) + 1):
+        if cur == len(s) or (s[cur] in "+-" and s[cur - 1] != "^"):
             chunk = s[start:cur]
             if not chunk:
                 raise ValueError(f"empty term in {text!r}")
-            terms.append((sign, chunk))
+            chunks.append((sign, chunk))
             if cur < len(s):
                 sign = -1 if s[cur] == "-" else 1
                 start = cur + 1
-        cur += 1
-    out = ring.zero()
-    for sign, chunk in terms:
-        out = out + _term_from_str(ring, sign, chunk, text)
-    return out
+    terms: dict = {}
+    for sign, chunk in chunks:
+        coeff = field.one
+        exp = [0] * len(names)
+        for factor in chunk.split("*"):
+            if not factor:
+                raise ValueError(f"empty factor in {text!r}")
+            if factor[0].isdigit():
+                coeff = field.mul(coeff, field.coeff_from_str(factor))
+                continue
+            name, power = factor, 1
+            if "^" in factor:
+                name, ptext = factor.split("^", 1)
+                try:
+                    power = int(ptext)
+                except ValueError as exc:
+                    raise ValueError(f"bad exponent {ptext!r} in {text!r}") from exc
+            if name not in names:
+                raise ValueError(f"unknown variable {name!r} in {text!r}")
+            exp[names.index(name)] += power
+        key = tuple(exp)
+        terms[key] = field.add(terms.get(key, field.zero), coeff if sign > 0 else field.neg(coeff))
+    return {e: c for e, c in terms.items() if c != field.zero}
 
 
-def _term_from_str(ring: PolyRing, sign: int, chunk: str, context: str) -> Poly:
-    field = ring.field
-    coeff = field.one
-    exp = [0] * ring.nvars
-    for factor in chunk.split("*"):
-        if not factor:
-            raise ValueError(f"empty factor in {context!r}")
-        if factor[0].isdigit():
-            coeff = field.mul(coeff, field.coeff_from_str(factor))
-            continue
-        name, power = factor, 1
-        if "^" in factor:
-            name, ptext = factor.split("^", 1)
-            try:
-                power = int(ptext)
-            except ValueError as exc:
-                raise ValueError(f"bad exponent {ptext!r} in {context!r}") from exc
-            if power < 0:
-                raise ValueError(f"negative exponent in {context!r}")
-        if name not in ring.names:
-            raise ValueError(f"unknown variable {name!r} in {context!r}")
-        exp[ring.names.index(name)] += power
-    if sign < 0:
-        coeff = field.neg(coeff)
-    return ring.monomial(tuple(exp), coeff)
+def poly_from_str(ring: PolyRing, text: str) -> Poly:
+    """Parse an element of the ring with terms_from_str; exponents must be
+    nonnegative."""
+    terms = terms_from_str(ring.field, ring.names, text)
+    if any(e < 0 for exp in terms for e in exp):
+        raise ValueError(f"negative exponent in {text!r}")
+    return Poly(ring, terms)
 
 
 def field_nullspace(field: Field, rows, ncols: int) -> list:

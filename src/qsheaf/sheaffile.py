@@ -18,16 +18,18 @@ one of
 
 Matrix rows put entries between '|' separators; polynomial entries use
 the canonical textual form (x0..xn upstairs, z<j>/u<i> on charts, s for
-Laurent entries).  Parse errors carry the offending line number and are
-either syntax errors (bad tokens) or semantic errors (well-formed lines
-that violate an invariant: wrong widths, foreign rings, non-commuting
-squares, mismatched stages).
+Laurent entries), all read by exactpoly.terms_from_str, with negative
+exponents only in Laurent entries.  Parse errors carry the offending line
+number and are either syntax errors (bad tokens) or semantic errors
+(well-formed lines that violate an invariant: wrong widths, foreign rings,
+non-commuting squares, mismatched stages).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .bundles import laurent_from_str, laurent_to_str
@@ -40,6 +42,7 @@ from .sheafrep import (
     SheafRep,
     _squares_agree,
     build_proj_quiver,
+    check_graded_row,
     fmt_vertex,
     graded_sheaf,
     make_sheaf_rep,
@@ -120,20 +123,36 @@ def _parse_int(path, line, text, what):
         raise ParseError(path, line.number, "%s must be an integer, got %r" % (what, text))
 
 
-def _parse_poly(path, line, ring, text):
+def _parse_value(path, line, placeholder, what):
+    """The integer of a one-value header line such as 'n 2'."""
+    if len(line.tokens) != 2:
+        raise ParseError(path, line.number, "expected '%s <%s>'" % (line.tokens[0], placeholder))
+    return _parse_int(path, line, line.tokens[1], what)
+
+
+def _parse_entry(path, line, parse, text):
     try:
-        return poly_from_str(ring, text)
+        return parse(text)
     except ValueError as err:
         raise ParseError(path, line.number, str(err))
 
 
-def _split_entries(line: _Line, skip: int):
-    """Entries of a matrix row line: everything after the first `skip`
-    tokens, split on '|'."""
+def _parse_field_line(path, line) -> Field:
+    if len(line.tokens) != 2:
+        raise ParseError(path, line.number, "expected 'field Q' or 'field Fp:<p>'")
+    return _parse_entry(path, line, parse_field_token, line.tokens[1])
+
+
+def _parse_row(path, line, skip, width, what, parse):
+    """A matrix row line: everything after the first `skip` tokens, split
+    on '|' into `width` entries, each read with `parse`."""
     rest = line.text.split(None, skip)[skip] if len(line.tokens) > skip else ""
-    if not rest:
-        return []
-    return [chunk.strip() for chunk in rest.split("|")]
+    entries = [chunk.strip() for chunk in rest.split("|")] if rest else []
+    if len(entries) != width:
+        raise ParseError(
+            path, line.number, "%s has %d entries, expected %d" % (what, len(entries), width), SEMANTIC
+        )
+    return tuple(_parse_entry(path, line, parse, e) for e in entries)
 
 
 def _parse_vertex(path, line, token, quiver: Optional[ProjQuiver]):
@@ -158,16 +177,9 @@ def _parse_header(path, lines, kind):
     for line in lines:
         key = line.tokens[0]
         if key == "field":
-            if len(line.tokens) != 2:
-                raise ParseError(path, line.number, "expected 'field Q' or 'field Fp:<p>'")
-            try:
-                field = parse_field_token(line.tokens[1])
-            except ValueError as err:
-                raise ParseError(path, line.number, str(err))
+            field = _parse_field_line(path, line)
         elif key == "n":
-            if len(line.tokens) != 2:
-                raise ParseError(path, line.number, "expected 'n <int>'")
-            n = _parse_int(path, line, line.tokens[1], "ambient dimension")
+            n = _parse_value(path, line, "int", "ambient dimension")
         elif key == "ideal":
             ideal_texts.append((line, line.text.split(None, 1)[1] if len(line.tokens) > 1 else ""))
         else:
@@ -182,7 +194,7 @@ def _parse_header(path, lines, kind):
         raise ParseError(path, lines[0].number, str(err), SEMANTIC)
     gens = []
     for line, text in ideal_texts:
-        g = _parse_poly(path, line, quiver.xring, text)
+        g = _parse_entry(path, line, partial(poly_from_str, quiver.xring), text)
         if not is_homogeneous(g):
             raise ParseError(path, line.number, "subscheme generator is not homogeneous", SEMANTIC)
         gens.append(g)
@@ -219,30 +231,14 @@ def _parse_graded(path, quiver, body) -> SheafRep:
             "a graded file needs a nonempty 'degrees' line",
             SEMANTIC,
         )
+    parse = partial(poly_from_str, quiver.xring)
     parsed_rows = []
     for line in rows:
-        entries = _split_entries(line, 1)
-        if len(entries) != len(degrees):
-            raise ParseError(
-                path,
-                line.number,
-                "relation row has %d entries, expected %d" % (len(entries), len(degrees)),
-                SEMANTIC,
-            )
-        row = tuple(_parse_poly(path, line, quiver.xring, e) for e in entries)
-        total = None
-        for g, d in zip(row, degrees):
-            if g.is_zero():
-                continue
-            if not is_homogeneous(g):
-                raise ParseError(path, line.number, "relation entry is not homogeneous", SEMANTIC)
-            here = g.degree() + d
-            if total is None:
-                total = here
-            elif total != here:
-                raise ParseError(
-                    path, line.number, "relation row is not homogeneous for the degrees", SEMANTIC
-                )
+        row = _parse_row(path, line, 1, len(degrees), "relation row", parse)
+        try:
+            check_graded_row(row, degrees)
+        except ValueError as err:
+            raise ParseError(path, line.number, str(err), SEMANTIC)
         parsed_rows.append(row)
     return graded_sheaf(quiver, degrees, tuple(parsed_rows))
 
@@ -275,16 +271,9 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
                 raise ParseError(
                     path, line.number, "vrel before 'vertex' line for %s" % fmt_vertex(v), SEMANTIC
                 )
-            entries = _split_entries(line, 2)
-            if len(entries) != gens[v]:
-                raise ParseError(
-                    path,
-                    line.number,
-                    "relation at %s has %d entries, expected %d" % (fmt_vertex(v), len(entries), gens[v]),
-                    SEMANTIC,
-                )
-            ring = quiver.chart(v).ring
-            rels[v].append(tuple(_parse_poly(path, line, ring, e) for e in entries))
+            what = "relation at %s" % fmt_vertex(v)
+            parse = partial(poly_from_str, quiver.chart(v).ring)
+            rels[v].append(_parse_row(path, line, 2, gens[v], what, parse))
         elif key == "edge":
             if len(line.tokens) != 3:
                 raise ParseError(path, line.number, "expected 'edge {v} {w}'")
@@ -310,16 +299,8 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
                 raise ParseError(path, line.number, "erow before its 'edge' line", SEMANTIC)
             if w not in gens:
                 raise ParseError(path, line.number, "erow before 'vertex' line for the target", SEMANTIC)
-            entries = _split_entries(line, 3)
-            if len(entries) != gens[w]:
-                raise ParseError(
-                    path,
-                    line.number,
-                    "edge row has %d entries, expected %d" % (len(entries), gens[w]),
-                    SEMANTIC,
-                )
-            ring = quiver.chart(w).ring
-            edge_rows[(v, w)].append(tuple(_parse_poly(path, line, ring, e) for e in entries))
+            parse = partial(poly_from_str, quiver.chart(w).ring)
+            edge_rows[(v, w)].append(_parse_row(path, line, 3, gens[w], "edge row", parse))
         else:
             raise ParseError(path, line.number, "unexpected %r in a sheafrep file" % key)
     last = body[-1].number if body else 1
@@ -374,18 +355,9 @@ def parse_section_file(path: str, rep: SheafRep) -> SectionSet:
         if len(line.tokens) < 2:
             raise ParseError(path, line.number, "section line needs a vertex")
         v = _parse_vertex(path, line, line.tokens[1], rep.quiver)
-        mod = rep.modules[v]
-        entries = _split_entries(line, 2)
-        if len(entries) != mod.gens:
-            raise ParseError(
-                path,
-                line.number,
-                "section at %s has %d entries, expected %d" % (fmt_vertex(v), len(entries), mod.gens),
-                SEMANTIC,
-            )
-        ring = rep.quiver.chart(v).ring
-        vec = tuple(_parse_poly(path, line, ring, e) for e in entries)
-        mapping.setdefault(v, []).append(vec)
+        what = "section at %s" % fmt_vertex(v)
+        parse = partial(poly_from_str, rep.quiver.chart(v).ring)
+        mapping.setdefault(v, []).append(_parse_row(path, line, 2, rep.modules[v].gens, what, parse))
     try:
         return make_section_set(rep, mapping)
     except ValueError as err:
@@ -405,33 +377,17 @@ def parse_transition_file(path: str, default_field: Optional[Field] = None):
     for line in rest:
         key = line.tokens[0]
         if key == "field":
-            if len(line.tokens) != 2:
-                raise ParseError(path, line.number, "expected 'field Q' or 'field Fp:<p>'")
-            try:
-                field = parse_field_token(line.tokens[1])
-            except ValueError as err:
-                raise ParseError(path, line.number, str(err))
+            if rows:
+                raise ParseError(path, line.number, "'field' line after a trow", SEMANTIC)
+            field = _parse_field_line(path, line)
         elif key == "rows":
-            if len(line.tokens) != 2:
-                raise ParseError(path, line.number, "expected 'rows <count>'")
-            size = _parse_int(path, line, line.tokens[1], "row count")
+            size = _parse_value(path, line, "count", "row count")
         elif key == "trow":
             if field is None:
                 field = Field.rationals()
             if size is None:
                 raise ParseError(path, line.number, "trow before the 'rows' line", SEMANTIC)
-            entries = _split_entries(line, 1)
-            if len(entries) != size:
-                raise ParseError(
-                    path, line.number, "row has %d entries, expected %d" % (len(entries), size), SEMANTIC
-                )
-            row = []
-            for chunk in entries:
-                try:
-                    row.append(laurent_from_str(field, chunk))
-                except ValueError as err:
-                    raise ParseError(path, line.number, str(err))
-            rows.append(tuple(row))
+            rows.append(_parse_row(path, line, 1, size, "row", partial(laurent_from_str, field)))
         else:
             raise ParseError(path, line.number, "unexpected %r in a transition file" % key)
     if field is None:
@@ -462,35 +418,35 @@ def parse_filtered_file(path: str):
     oprows = []
     blocks = []
     stages = {}
+    vectors = []  # (line, what, row) for every row checked against dim
     members = None
     for line in rest:
         key = line.tokens[0]
         if key == "p":
-            p = _parse_int(path, line, line.tokens[1] if len(line.tokens) > 1 else "", "characteristic")
+            p = _parse_value(path, line, "prime", "characteristic")
             p_line = line
         elif key == "dim":
-            dim = _parse_int(path, line, line.tokens[1] if len(line.tokens) > 1 else "", "dimension")
+            dim = _parse_value(path, line, "int", "dimension")
         elif key == "oprow":
-            oprows.append((line, [_parse_int(path, line, t, "operator entry") for t in line.tokens[1:]]))
-        elif key == "block":
+            row = tuple(_parse_int(path, line, t, "operator entry") for t in line.tokens[1:])
+            oprows.append((line, row))
+            vectors.append((line, "operator", row))
+        elif key in ("block", "stage"):
             if len(line.tokens) < 2:
-                raise ParseError(path, line.number, "expected 'block <index> <entries>'")
-            idx = _parse_int(path, line, line.tokens[1], "block index")
-            vec = [_parse_int(path, line, t, "block entry") for t in line.tokens[2:]]
-            if idx == len(blocks):
-                blocks.append([])
-            elif idx != len(blocks) - 1:
+                raise ParseError(path, line.number, "expected '%s <index> <entries>'" % key)
+            idx = _parse_int(path, line, line.tokens[1], key + " index")
+            vec = tuple(_parse_int(path, line, t, key + " entry") for t in line.tokens[2:])
+            vectors.append((line, key, vec))
+            if key == "stage":
+                stages.setdefault(idx, (line, []))[1].append(vec)
+            elif idx == len(blocks):
+                blocks.append([vec])
+            elif idx < 0 or idx != len(blocks) - 1:
                 raise ParseError(
                     path, line.number, "block indices must be contiguous from 0", SEMANTIC
                 )
-            blocks[idx].append(tuple(vec))
-        elif key == "stage":
-            if len(line.tokens) < 2:
-                raise ParseError(path, line.number, "expected 'stage <index> <entries>'")
-            idx = _parse_int(path, line, line.tokens[1], "stage index")
-            stages.setdefault(idx, (line, []))[1].append(
-                tuple(_parse_int(path, line, t, "stage entry") for t in line.tokens[2:])
-            )
+            else:
+                blocks[idx].append(vec)
         elif key == "member":
             if members is None:
                 members = []
@@ -507,16 +463,14 @@ def parse_filtered_file(path: str):
         raise ParseError(path, first, "missing 'p' line", SEMANTIC)
     if dim is None:
         raise ParseError(path, first, "missing 'dim' line", SEMANTIC)
-    operator = None
-    if oprows:
-        if len(oprows) != dim:
-            raise ParseError(
-                path, oprows[-1][0].number, "operator has %d rows, expected %d" % (len(oprows), dim), SEMANTIC
-            )
-        for line, row in oprows:
-            if len(row) != dim:
-                raise ParseError(path, line.number, "operator row has wrong width", SEMANTIC)
-        operator = tuple(tuple(row) for _, row in oprows)
+    if oprows and len(oprows) != dim:
+        raise ParseError(
+            path, oprows[-1][0].number, "operator has %d rows, expected %d" % (len(oprows), dim), SEMANTIC
+        )
+    for line, what, row in vectors:
+        if len(row) != dim:
+            raise ParseError(path, line.number, "%s row has wrong width" % what, SEMANTIC)
+    operator = tuple(row for _, row in oprows) if oprows else None
     try:
         module = make_filtered_module(p, dim, tuple(tuple(b) for b in blocks), operator)
     except ValueError as err:

@@ -194,28 +194,33 @@ def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps, graded=None) -> Sheaf
     return SheafRep(quiver, mods, maps, graded)
 
 
+def check_graded_row(row, degrees) -> None:
+    """Raise ValueError unless the relation row has one entry per generator
+    degree, every nonzero entry is homogeneous, and deg(entry) + degree is
+    the same across the row."""
+    if len(row) != len(degrees):
+        raise ValueError("relation row has %d entries, expected %d" % (len(row), len(degrees)))
+    total = None
+    for g, d in zip(row, degrees):
+        if g.is_zero():
+            continue
+        if not is_homogeneous(g):
+            raise ValueError("relation entry is not homogeneous")
+        here = g.degree() + d
+        if total is None:
+            total = here
+        elif total != here:
+            raise ValueError("relation row is not homogeneous for the degrees")
+
+
 def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     """Sheafify coker(relations) of a free graded module with the given
     generator twists: generator j of degree d_j corresponds on a chart with
     pivot p to the section e_j / x_p^{d_j}."""
     degrees = tuple(int(d) for d in degrees)
-    frozen_rows = []
-    for row in rows:
-        row = tuple(row)
-        if len(row) != len(degrees):
-            raise ValueError("relation row width does not match generator count")
-        total = None
-        for g, d in zip(row, degrees):
-            if g.is_zero():
-                continue
-            if not is_homogeneous(g):
-                raise ValueError("relation entries must be homogeneous")
-            here = g.degree() + d
-            if total is None:
-                total = here
-            elif total != here:
-                raise ValueError("relation row is not homogeneous for the given degrees")
-        frozen_rows.append(row)
+    frozen_rows = tuple(tuple(row) for row in rows)
+    for row in frozen_rows:
+        check_graded_row(row, degrees)
     modules = {}
     for v in quiver.vertices:
         chart = quiver.chart(v)
@@ -235,7 +240,7 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
             row[j] = chart.monomial_from_laurent(ratio)
             rows_vw.append(tuple(row))
         edge_maps[(v, w)] = tuple(rows_vw)
-    return SheafRep(quiver, modules, edge_maps, GradedData(degrees, tuple(frozen_rows)))
+    return SheafRep(quiver, modules, edge_maps, GradedData(degrees, frozen_rows))
 
 
 def structure_sheaf(quiver: ProjQuiver) -> SheafRep:

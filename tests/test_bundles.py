@@ -40,7 +40,7 @@ from qsheaf.bundles import (
 )
 from qsheaf.charts import FPModule, chart_hom, localize_module, make_chart_ring
 from qsheaf.closure import SubRep
-from qsheaf.exactpoly import Field, poly_from_str
+from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str
 from qsheaf.sheafrep import (
     build_proj_quiver,
     cokernel,
@@ -424,6 +424,29 @@ laurent_polys = st.dictionaries(
 @given(laurent_polys)
 def test_laurent_text_round_trip(p):
     assert laurent_from_str(Q, laurent_to_str(p)) == p
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "F7"])
+@given(data=st.data())
+def test_polynomial_and_laurent_readers_agree(field, data):
+    if field.char == 0:
+        coeffs = st.fractions(min_value=-9, max_value=9)
+    else:
+        coeffs = st.integers(1, field.char - 1)
+    mapping = data.draw(st.dictionaries(st.integers(min_value=0, max_value=6), coeffs, max_size=5))
+    ring = PolyRing(field, ("s",))
+    poly = ring.from_terms({(e,): c for e, c in mapping.items()})
+    laurent = LaurentPoly.build(field, mapping)
+    for text in (poly_to_str(poly), laurent_to_str(laurent)):
+        assert poly_from_str(ring, text) == poly
+        assert laurent_from_str(field, text) == laurent
+    # a negative exponent is a Laurent term, never a polynomial one
+    low = data.draw(st.integers(min_value=-6, max_value=-1))
+    with_negative = laurent + LaurentPoly.monomial(field, low, field.one)
+    text = laurent_to_str(with_negative)
+    assert laurent_from_str(field, text) == with_negative
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_from_str(ring, text)
 
 
 def test_laurent_inverse_of_unit_matrix():

@@ -352,6 +352,493 @@ def test_zero_denominator_is_a_parse_error(tmp_path, command, text, line):
     assert "zero denominator" in report.verdicts[0][1]
 
 
+_G = "kind graded\nfield Q\nn 1\ndegrees 0\n"
+_G2 = "kind graded\nfield Q\nn 1\ndegrees 0 0\n"
+_T = "kind transition\nfield Q\nrows 1\n"
+_S = "kind sheafrep\nfield Q\nn 1\n"
+_F = "kind filtered\np 2\ndim 2\n"
+
+# One malformed input per distinct exit-2 text of the parsers, with the
+# verdict it gets after "<path>:"; sections files are read as the seed of a
+# closure on structure_p1.
+EXIT_TWO_TEXTS = [
+    # entries: the term grammar
+    ("poly-empty", "check-qc", _G2 + "relation x0 |\n", "5: syntax error: empty polynomial"),
+    (
+        "poly-empty-term",
+        "check-qc",
+        _G + "relation x0 + + x1\n",
+        "5: syntax error: empty term in 'x0 + + x1'",
+    ),
+    ("poly-empty-factor", "check-qc", _G + "relation x0**x1\n", "5: syntax error: empty factor in 'x0**x1'"),
+    ("poly-bad-exponent", "check-qc", _G + "relation x0^a\n", "5: syntax error: bad exponent 'a' in 'x0^a'"),
+    (
+        "poly-negative-exponent",
+        "check-qc",
+        _G + "relation x0^-1\n",
+        "5: syntax error: negative exponent in 'x0^-1'",
+    ),
+    (
+        "poly-unknown-variable",
+        "check-qc",
+        _G + "relation y\n",
+        "5: syntax error: unknown variable 'y' in 'y'",
+    ),
+    (
+        "poly-bad-coefficient",
+        "check-qc",
+        _G + "relation 2x0\n",
+        "5: syntax error: invalid literal for int() with base 10: '2x0'",
+    ),
+    (
+        "poly-zero-denominator",
+        "check-qc",
+        _G + "relation 1/0*x0\n",
+        "5: syntax error: zero denominator in coefficient '1/0'",
+    ),
+    (
+        "laurent-empty",
+        "split-p1",
+        "kind transition\nfield Q\nrows 2\ntrow s |\ntrow 0 | 1\n",
+        "4: syntax error: empty polynomial",
+    ),
+    ("laurent-empty-term", "split-p1", _T + "trow s+\n", "4: syntax error: empty term in 's+'"),
+    ("laurent-empty-factor", "split-p1", _T + "trow s**2\n", "4: syntax error: empty factor in 's**2'"),
+    ("laurent-bad-power", "split-p1", _T + "trow sx\n", "4: syntax error: unknown variable 'sx' in 'sx'"),
+    ("laurent-bad-exponent", "split-p1", _T + "trow s^x\n", "4: syntax error: bad exponent 'x' in 's^x'"),
+    ("laurent-unknown-variable", "split-p1", _T + "trow t\n", "4: syntax error: unknown variable 't' in 't'"),
+    (
+        "laurent-bad-coefficient",
+        "split-p1",
+        _T + "trow 2s\n",
+        "4: syntax error: invalid literal for int() with base 10: '2s'",
+    ),
+    (
+        "laurent-zero-denominator",
+        "split-p1",
+        _T + "trow 2/0*s\n",
+        "4: syntax error: zero denominator in coefficient '2/0'",
+    ),
+    # doubled signs were read as one sign
+    ("laurent-double-minus", "split-p1", _T + "trow --s\n", "4: syntax error: empty term in '--s'"),
+    ("laurent-double-plus", "split-p1", _T + "trow s + +1\n", "4: syntax error: empty term in 's + +1'"),
+    ("laurent-minus-minus", "split-p1", _T + "trow s--2\n", "4: syntax error: empty term in 's--2'"),
+    # the kind line
+    ("empty-file", "check-qc", "# nothing\n", "1: syntax error: empty file, expected a kind line"),
+    ("bad-kind-line", "check-qc", "kind\n", "1: syntax error: expected 'kind <name>'"),
+    ("unknown-kind", "check-qc", "kind frob\n", "1: syntax error: unknown kind 'frob'"),
+    (
+        "wrong-kind",
+        "check-qc",
+        "kind transition\nrows 1\ntrow 1\n",
+        "1: semantic error: expected a file of kind graded/sheafrep, got 'transition'",
+    ),
+    # header lines
+    (
+        "field-arity",
+        "check-qc",
+        "kind graded\nfield\nn 1\ndegrees 0\n",
+        "2: syntax error: expected 'field Q' or 'field Fp:<p>'",
+    ),
+    (
+        "field-token",
+        "check-qc",
+        "kind graded\nfield GF4\nn 1\ndegrees 0\n",
+        "2: syntax error: field must be Q or Fp:<p>, got 'GF4'",
+    ),
+    (
+        "field-not-prime",
+        "check-qc",
+        "kind graded\nfield Fp:4\nn 1\ndegrees 0\n",
+        "2: syntax error: 4 is not prime",
+    ),
+    (
+        "field-zero",
+        "check-qc",
+        "kind graded\nfield Fp:0\nn 1\ndegrees 0\n",
+        "2: syntax error: 0 is not prime",
+    ),
+    (
+        "field-too-large",
+        "check-qc",
+        "kind graded\nfield Fp:2147483659\nn 1\ndegrees 0\n",
+        "2: syntax error: prime field characteristic must be < 2**31",
+    ),
+    (
+        "transition-field-arity",
+        "split-p1",
+        "kind transition\nfield Q Q\nrows 1\ntrow 1\n",
+        "2: syntax error: expected 'field Q' or 'field Fp:<p>'",
+    ),
+    (
+        "n-arity",
+        "check-qc",
+        "kind graded\nfield Q\nn 1 2\ndegrees 0\n",
+        "3: syntax error: expected 'n <int>'",
+    ),
+    (
+        "n-integer",
+        "check-qc",
+        "kind graded\nfield Q\nn x\ndegrees 0\n",
+        "3: syntax error: ambient dimension must be an integer, got 'x'",
+    ),
+    (
+        "n-range",
+        "check-qc",
+        "kind graded\nfield Q\nn 5\ndegrees 0\n",
+        "2: semantic error: ambient dimension must be between 1 and 4",
+    ),
+    (
+        "missing-field",
+        "check-qc",
+        "kind graded\nn 1\ndegrees 0\n",
+        "2: semantic error: missing 'field' line in graded file",
+    ),
+    (
+        "missing-n",
+        "check-qc",
+        "kind graded\nfield Q\ndegrees 0\n",
+        "2: semantic error: missing 'n' line in graded file",
+    ),
+    (
+        "ideal-inhomogeneous",
+        "check-qc",
+        "kind graded\nfield Q\nn 1\nideal x0 + 1\ndegrees 0\n",
+        "4: semantic error: subscheme generator is not homogeneous",
+    ),
+    # graded files
+    ("duplicate-degrees", "check-qc", _G + "degrees 0\n", "5: semantic error: duplicate 'degrees' line"),
+    (
+        "degree-integer",
+        "check-qc",
+        "kind graded\nfield Q\nn 1\ndegrees a\n",
+        "4: syntax error: degree must be an integer, got 'a'",
+    ),
+    (
+        "graded-unexpected",
+        "check-qc",
+        _G + "vrel {0} 1\n",
+        "5: syntax error: unexpected 'vrel' in a graded file",
+    ),
+    (
+        "no-degrees",
+        "check-qc",
+        "kind graded\nfield Q\nn 1\nrelation x0\n",
+        "1: semantic error: a graded file needs a nonempty 'degrees' line",
+    ),
+    (
+        "relation-width",
+        "check-qc",
+        _G2 + "relation x0\n",
+        "5: semantic error: relation row has 1 entries, expected 2",
+    ),
+    (
+        "relation-entry-inhomogeneous",
+        "check-qc",
+        _G + "relation x0 + 1\n",
+        "5: semantic error: relation entry is not homogeneous",
+    ),
+    (
+        "relation-row-inhomogeneous",
+        "check-qc",
+        _G2 + "relation x0 | x0^2\n",
+        "5: semantic error: relation row is not homogeneous for the degrees",
+    ),
+    # sheafrep files
+    (
+        "vertex-syntax",
+        "check-qc",
+        _S + "vertex {0} 1\n",
+        "4: syntax error: expected 'vertex {v} gens <count>'",
+    ),
+    ("vertex-malformed", "check-qc", _S + "vertex {a} gens 1\n", "4: syntax error: malformed vertex '{a}'"),
+    (
+        "vertex-absent",
+        "check-qc",
+        _S + "vertex {2} gens 1\n",
+        "4: semantic error: no vertex {2} in this quiver",
+    ),
+    (
+        "vertex-twice",
+        "check-qc",
+        _S + "vertex {0} gens 1\nvertex {0} gens 1\n",
+        "5: semantic error: vertex {0} declared twice",
+    ),
+    (
+        "gens-integer",
+        "check-qc",
+        _S + "vertex {0} gens x\n",
+        "4: syntax error: generator count must be an integer, got 'x'",
+    ),
+    ("vrel-syntax", "check-qc", _S + "vrel\n", "4: syntax error: expected 'vrel {v} <entries>'"),
+    ("vrel-early", "check-qc", _S + "vrel {0} 1\n", "4: semantic error: vrel before 'vertex' line for {0}"),
+    (
+        "vrel-width",
+        "check-qc",
+        _S + "vertex {0} gens 2\nvrel {0} 1\n",
+        "5: semantic error: relation at {0} has 1 entries, expected 2",
+    ),
+    ("edge-syntax", "check-qc", _S + "edge {0}\n", "4: syntax error: expected 'edge {v} {w}'"),
+    (
+        "edge-not-generating",
+        "check-qc",
+        _S + "edge {0,1} {0}\n",
+        "4: semantic error: {0,1}->{0} is not a generating edge",
+    ),
+    (
+        "edge-twice",
+        "check-qc",
+        _S + "edge {0} {0,1}\nedge {0} {0,1}\n",
+        "5: semantic error: edge declared twice",
+    ),
+    ("erow-syntax", "check-qc", _S + "erow {0}\n", "4: syntax error: expected 'erow {v} {w} <entries>'"),
+    (
+        "erow-early-edge",
+        "check-qc",
+        _S + "erow {0} {0,1} 1\n",
+        "4: semantic error: erow before its 'edge' line",
+    ),
+    (
+        "erow-early-vertex",
+        "check-qc",
+        _S + "edge {0} {0,1}\nerow {0} {0,1} 1\n",
+        "5: semantic error: erow before 'vertex' line for the target",
+    ),
+    (
+        "erow-width",
+        "check-qc",
+        _S + "vertex {0,1} gens 1\nedge {0} {0,1}\nerow {0} {0,1} 1 | 0\n",
+        "6: semantic error: edge row has 2 entries, expected 1",
+    ),
+    (
+        "sheafrep-unexpected",
+        "check-qc",
+        _S + "degrees 0\n",
+        "4: syntax error: unexpected 'degrees' in a sheafrep file",
+    ),
+    ("missing-vertex", "check-qc", _S + "vertex {0} gens 1\n", "4: semantic error: missing vertex {1}"),
+    (
+        "missing-edge",
+        "check-qc",
+        _S + "vertex {0} gens 1\nvertex {1} gens 1\nvertex {0,1} gens 1\n",
+        "6: semantic error: missing edge {0}->{0,1}",
+    ),
+    (
+        "edge-rows",
+        "check-qc",
+        _S + "vertex {0} gens 1\nvertex {1} gens 1\nvertex {0,1} gens 1\n"
+        "edge {0} {0,1}\nedge {1} {0,1}\nerow {1} {0,1} 1\n",
+        "7: semantic error: edge {0}->{0,1} has 0 rows, expected 1",
+    ),
+    # sections files
+    (
+        "section-keyword",
+        "closure",
+        "kind sections\nsect {0} 1\n",
+        "2: syntax error: expected 'section {v} <entries>'",
+    ),
+    ("section-vertex", "closure", "kind sections\nsection\n", "2: syntax error: section line needs a vertex"),
+    (
+        "section-width",
+        "closure",
+        "kind sections\nsection {0} 1 | 0\n",
+        "2: semantic error: section at {0} has 2 entries, expected 1",
+    ),
+    # transition files
+    ("rows-arity", "split-p1", "kind transition\nrows\n", "2: syntax error: expected 'rows <count>'"),
+    (
+        "rows-integer",
+        "split-p1",
+        "kind transition\nrows x\n",
+        "2: syntax error: row count must be an integer, got 'x'",
+    ),
+    ("trow-early", "split-p1", "kind transition\ntrow 1\n", "2: semantic error: trow before the 'rows' line"),
+    ("trow-width", "split-p1", _T + "trow 1 | 0\n", "4: semantic error: row has 2 entries, expected 1"),
+    (
+        "transition-unexpected",
+        "split-p1",
+        _T + "row 1\n",
+        "4: syntax error: unexpected 'row' in a transition file",
+    ),
+    ("missing-rows", "split-p1", "kind transition\nfield Q\n", "2: semantic error: missing 'rows' line"),
+    (
+        "field-after-trow",
+        "split-p1",
+        "kind transition\nrows 2\ntrow s | 0\nfield Fp:5\ntrow 0 | 1\n",
+        "4: semantic error: 'field' line after a trow",
+    ),
+    (
+        "matrix-rows",
+        "split-p1",
+        "kind transition\nfield Q\nrows 2\ntrow 1 | 0\n",
+        "4: semantic error: matrix has 1 rows, expected 2",
+    ),
+    # filtered files
+    (
+        "p-integer",
+        "hill-verify",
+        "kind filtered\np x\ndim 2\n",
+        "2: syntax error: characteristic must be an integer, got 'x'",
+    ),
+    ("p-bare", "hill-verify", "kind filtered\np\ndim 2\n", "2: syntax error: expected 'p <prime>'"),
+    (
+        "p-trailing",
+        "hill-verify",
+        "kind filtered\np 2 3\ndim 1\nblock 0 1\n",
+        "2: syntax error: expected 'p <prime>'",
+    ),
+    ("dim-bare", "hill-verify", "kind filtered\np 2\ndim\n", "3: syntax error: expected 'dim <int>'"),
+    (
+        "dim-trailing",
+        "hill-verify",
+        "kind filtered\np 2\ndim 1 5\nblock 0 1\n",
+        "3: syntax error: expected 'dim <int>'",
+    ),
+    (
+        "oprow-entry",
+        "hill-verify",
+        _F + "oprow 0 x\n",
+        "4: syntax error: operator entry must be an integer, got 'x'",
+    ),
+    ("block-syntax", "hill-verify", _F + "block\n", "4: syntax error: expected 'block <index> <entries>'"),
+    (
+        "block-index",
+        "hill-verify",
+        _F + "block x 1 0\n",
+        "4: syntax error: block index must be an integer, got 'x'",
+    ),
+    (
+        "block-entry",
+        "hill-verify",
+        _F + "block 0 1 x\n",
+        "4: syntax error: block entry must be an integer, got 'x'",
+    ),
+    (
+        "block-contiguous",
+        "hill-verify",
+        _F + "block 0 1 0\nblock 2 0 1\n",
+        "5: semantic error: block indices must be contiguous from 0",
+    ),
+    ("stage-syntax", "hill-verify", _F + "stage\n", "4: syntax error: expected 'stage <index> <entries>'"),
+    (
+        "stage-index",
+        "hill-verify",
+        _F + "stage x 1 0\n",
+        "4: syntax error: stage index must be an integer, got 'x'",
+    ),
+    (
+        "stage-entry",
+        "hill-verify",
+        _F + "stage 0 1 x\n",
+        "4: syntax error: stage entry must be an integer, got 'x'",
+    ),
+    (
+        "member-index",
+        "hill-verify",
+        _F + "block 0 1 0\nmember x\n",
+        "5: syntax error: member index must be an integer, got 'x'",
+    ),
+    (
+        "filtered-unexpected",
+        "hill-verify",
+        _F + "blocks 0 1 0\n",
+        "4: syntax error: unexpected 'blocks' in a filtered file",
+    ),
+    ("missing-p", "hill-verify", "kind filtered\ndim 2\n", "2: semantic error: missing 'p' line"),
+    ("missing-dim", "hill-verify", "kind filtered\np 2\n", "2: semantic error: missing 'dim' line"),
+    (
+        "operator-rows",
+        "hill-verify",
+        _F + "oprow 0 1\nblock 0 1 0\n",
+        "4: semantic error: operator has 1 rows, expected 2",
+    ),
+    (
+        "operator-width",
+        "hill-verify",
+        _F + "oprow 0 1\noprow 0\nblock 0 1 0\n",
+        "5: semantic error: operator row has wrong width",
+    ),
+    ("block-width", "hill-verify", _F + "block 0 1\n", "4: semantic error: block row has wrong width"),
+    (
+        "block-empty",
+        "hill-verify",
+        _F + "block 0 1 0\nblock 1\n",
+        "5: semantic error: block row has wrong width",
+    ),
+    (
+        "block-negative-index",
+        "hill-verify",
+        _F + "block -1 1 0\n",
+        "4: semantic error: block indices must be contiguous from 0",
+    ),
+    (
+        "stage-width",
+        "hill-verify",
+        _F + "block 0 1 0\nblock 1 0 1\nstage 1 1 0\nstage 2 1 0\nstage 2 1\n",
+        "8: semantic error: stage row has wrong width",
+    ),
+    (
+        "p-not-prime",
+        "hill-verify",
+        "kind filtered\np 4\ndim 1\nblock 0 1\n",
+        "2: semantic error: 4 is not prime",
+    ),
+    ("p-zero", "hill-verify", "kind filtered\np 0\ndim 1\nblock 0 1\n", "2: semantic error: 0 is not prime"),
+    (
+        "negative-dim",
+        "hill-verify",
+        "kind filtered\np 2\ndim -1\n",
+        "2: semantic error: negative ambient dimension",
+    ),
+    (
+        "operator-nilpotent",
+        "hill-verify",
+        _F + "oprow 0 1\noprow 1 0\nblock 0 1 0\n",
+        "2: semantic error: operator is not nilpotent",
+    ),
+    (
+        "block-adds-nothing",
+        "hill-verify",
+        _F + "block 0 1 0\nblock 1 1 0\n",
+        "2: semantic error: block 1 adds nothing to the filtration",
+    ),
+    (
+        "stage-index-range",
+        "hill-verify",
+        _F + "block 0 1 0\nstage 3 1 0\n",
+        "5: semantic error: no stage 3 in this filtration",
+    ),
+    (
+        "stage-mismatch",
+        "hill-verify",
+        _F + "block 0 1 0\nstage 1 0 1\n",
+        "5: semantic error: stage 1 does not match the filtration",
+    ),
+    (
+        "member-range",
+        "hill-verify",
+        _F + "block 0 1 0\nmember 3\n",
+        "5: semantic error: member support out of range",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,text,expected", [case[1:] for case in EXIT_TWO_TEXTS], ids=[case[0] for case in EXIT_TWO_TEXTS]
+)
+def test_exit_two_texts(fixture_dir, tmp_path, command, text, expected):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    if command == "closure":
+        job = JobSpec(command=command, inputs=(fixture(fixture_dir, "structure_p1"),), seed_file=str(path))
+    else:
+        job = JobSpec(command=command, inputs=(str(path),))
+    report = run(job)
+    code = expected.split(": ", 1)[1].split(" ", 1)[0]
+    assert report.exit_status == EXIT_USAGE
+    assert report.verdicts == ((code + "-error", "%s:%s" % (path, expected)),)
+
+
 def test_machine_reports_are_deterministic(fixture_dir):
     job = JobSpec(command="split-p1", inputs=(fixture(fixture_dir, "trans_diag"),))
     first = run(job).machine_text()
