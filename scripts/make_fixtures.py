@@ -73,6 +73,11 @@ def main() -> None:
     euler_row = tuple(poly_from_str(xr2, name) for name in ("x0", "x1", "x2"))
     reps["euler_q_p2"] = graded_sheaf(q2, (0, 0, 0), (euler_row,))
 
+    q3 = build_proj_quiver(field, 3)
+    xr3 = q3.xring
+    euler_row3 = tuple(poly_from_str(xr3, "x%d" % i) for i in range(4))
+    reps["euler_q_p3"] = graded_sheaf(q3, (0, 0, 0, 0), (euler_row3,))
+
     reps["sum_o1_o0_p1"] = graded_sheaf(q1, (-1, 0))
     reps["sum_o1_o1_p1"] = graded_sheaf(q1, (-1, -1))
     reps["sum_o0_o2_p1"] = graded_sheaf(q1, (0, -2))
