@@ -293,12 +293,16 @@ class FPModule:
 
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
-        vectors c with sum(c[i] * rows[i]) zero in the module."""
+        vectors c with sum(c[i] * rows[i]) zero in the module.  The same
+        list as lifter(rows).kernel(len(rows))."""
         return module_kernel(list(rows), self._all_relations(), self.chart.ring, self.gens)
 
     def lifter(self, rows) -> TrackedBasis:
         """Membership with a witness in the submodule generated by the rows:
-        lift(x)[:len(rows)] expresses x over the rows, or lift(x) is None."""
+        lift(x)[:len(rows)] expresses x over the rows, or lift(x) is None.
+        Its basis is a Groebner basis of span_gb(rows)'s span, and
+        kernel(len(rows)) is row_relations(rows), so one tracked run
+        answers membership, witnesses and relations for the same rows."""
         return TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens)
 
     def nf(self, vec) -> tuple:

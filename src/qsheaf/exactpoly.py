@@ -14,8 +14,15 @@ _heap_key yields its largest term next (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007).
 Cancelled terms are dropped lazily when they reach the top.  Leads are
 computed once: Buchberger keeps a list of them beside its basis and hands
-it to every reduction, and each reducer's other terms are flattened once
-per reduction.
+it to every reduction, a reduced basis (GroebnerBasis) carries its leads to
+every normal form taken against it, and each reducer's other terms are
+flattened once per reduction.
+
+Tracked runs (TrackedBasis, syzygies, module_kernel) skip S-pairs by the
+chain criterion as untracked runs do, and still record a generating set of
+the syzygy module.  They keep each combination over the input generators
+sparse, as a dict from generator index to nonzero Poly, and update only its
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -342,10 +349,10 @@ def terms_from_str(field: Field, names: Sequence[str], text: str) -> dict:
     A term is an optional sign and factors joined by '*'; a factor is a
     coefficient (a or a/b) or a variable with an optional '^' and signed
     integer exponent.  A sign starts a new term unless it follows '^'.
-    Spaces are ignored; raises ValueError with a short reason on malformed
-    input.
+    Whitespace (spaces, tabs) is ignored; raises ValueError with a short
+    reason on malformed input.
     """
-    s = text.replace(" ", "")
+    s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
     chunks: list[tuple[int, str]] = []
@@ -565,39 +572,80 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
     return remainder
 
 
+def _combination(ring: PolyRing, parts) -> dict:
+    """Sparse sum of combinations: parts yields (combo, terms) pairs, a combo
+    being a dict from generator index to nonzero Poly and terms the
+    (exponent, coefficient) pairs of the polynomial it is multiplied by.
+    Only the entries present in some combo are touched; the result is again
+    a dict from generator index to nonzero Poly."""
+    char = ring.field.char
+    acc: dict = {}
+    for combo, terms in parts:
+        for idx, p in combo.items():
+            out = acc.setdefault(idx, {})
+            for me, mc in terms:
+                for e, c in p.terms.items():
+                    ne = tuple(map(_add, e, me))
+                    old = out.get(ne)
+                    out[ne] = mc * c if old is None else old + mc * c
+    result = {}
+    for idx, d in acc.items():
+        if char:
+            d = {e: c % char for e, c in d.items() if c % char}
+        else:
+            d = {e: c for e, c in d.items() if c}
+        if d:
+            result[idx] = Poly(ring, d)
+    return result
+
+
+def _dense(ring: PolyRing, combo: dict, size: int) -> tuple:
+    """The sparse combination as a tuple of `size` Poly."""
+    return tuple(combo[i] if i in combo else ring.zero() for i in range(size))
+
+
 def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     """Shared Buchberger core.
 
     Returns (basis, combos, syzygy_rows):
       basis  - list of nonzero vecs whose leads generate the lead module,
                starting with the nonzero input generators in order;
-      combos - basis[k] = sum(combos[k][i] * gens[i]) when track, else None;
-      syzygy_rows - rows over the original gens from zero reductions (track).
+      combos - basis[k] = sum(c * gens[i] for i, c in combos[k].items())
+               when track, else None;
+      syzygy_rows - combinations of the original gens that vanish, from zero
+               reductions (track).
+    A combination is sparse: a dict from generator index to nonzero Poly.
 
-    S-pairs only form between elements whose leads share a position.
-    Untracked runs apply the coprimality skip in rank one and the chain
-    criterion in any rank; tracked runs process every pair so that the
-    recorded zero reductions generate the full syzygy module.  The lead of
-    each basis element is computed once, when it joins the basis.
+    S-pairs only form between elements whose leads share a position.  Every
+    run applies the chain criterion (Buchberger's second criterion): the
+    pair (i, j) is skipped when another lead of that position divides its
+    lcm and the pairs it forms with i and with j are both done.  In a
+    tracked run the skipped pair's syzygy is a monomial combination of
+    those two, so the recorded zero reductions still generate the syzygy
+    module (Gebauer & Moeller 1988; Moeller, Mora & Traverso, ISSAC 1992).
+    Untracked runs in rank one also skip pairs with coprime leads; the
+    Koszul syzygy of such a pair is not recorded anywhere, so tracked runs
+    reduce it.  The lead of each basis element is computed once, when it
+    joins the basis.
     """
     field = ring.field
     basis: list = []
     leads: list = []
     combos: list = [] if track else None
     syzygies: list = [] if track else None
-    ngens = len(gens)
+    one = ring.one()
 
     for i, g in enumerate(gens):
         if len(g) != rank:
             raise DimensionMismatchError("generators of unequal rank")
         if vec_is_zero(g):
             if track:
-                syzygies.append(vec_unit(ring, ngens, i))
+                syzygies.append({i: one})
             continue
         basis.append(g)
         leads.append(vec_lead(g))
         if track:
-            combos.append(vec_unit(ring, ngens, i))
+            combos.append({i: one})
 
     pairs: list = []
     pending: set = set()
@@ -619,33 +667,34 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
         _, i, j, lcm = heappop(pairs)
         pending.discard((i, j))
         li, lj = leads[i], leads[j]
-        if not track:
-            if rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
-                continue  # coprime leads; only valid for ideals
-            skip = False
-            for k, lk in enumerate(leads):
-                if k in (i, j):
-                    continue
-                if lk[0] != li[0] or not _divides(lk[1], lcm):
-                    continue
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (a, b) not in pending and (c, d) not in pending:
-                    skip = True
-                    break
-            if skip:
+        if not track and rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
+            continue  # coprime leads; only valid for ideals
+        skip = False
+        for k, lk in enumerate(leads):
+            if k in (i, j):
                 continue
+            if lk[0] != li[0] or not _divides(lk[1], lcm):
+                continue
+            a, b = (i, k) if i < k else (k, i)
+            c, d = (j, k) if j < k else (k, j)
+            if (a, b) not in pending and (c, d) not in pending:
+                skip = True
+                break
+        if skip:
+            continue
         ui, ci = _exp_sub(lcm, li[1]), field.inv(li[2])
         uj, cj = _exp_sub(lcm, lj[1]), field.inv(lj[2])
         s = vec_sub(vec_mul_term(basis[i], ui, ci), vec_mul_term(basis[j], uj, cj))
         if track:
             rem, quot = reduce_vec(s, basis, ring, True, _leads=leads)
-            combo = vec_sub(vec_mul_term(combos[i], ui, ci), vec_mul_term(combos[j], uj, cj))
-            for k, q in enumerate(quot):
-                if not q.is_zero():
-                    combo = vec_sub(combo, vec_mul_poly(combos[k], q))
+            parts = [(combos[i], ((ui, ci),)), (combos[j], ((uj, -cj),))]
+            parts += [
+                (combos[k], [(e, -c) for e, c in q.terms.items()])
+                for k, q in enumerate(quot) if q.terms
+            ]
+            combo = _combination(ring, parts)
             if vec_is_zero(rem):
-                if not vec_is_zero(combo):
+                if combo:
                     syzygies.append(combo)
                 continue
             combos.append(combo)
@@ -684,9 +733,20 @@ def _reduced_basis(basis, ring: PolyRing):
     for i, (g, (pos, exp, coeff)) in enumerate(zip(kept, kept_leads)):
         others = kept[:i] + kept[i + 1 :]
         r = reduce_vec(g, others, ring, False, _leads=kept_leads[:i] + kept_leads[i + 1 :]) if others else g
-        out.append((term_key(pos, exp), vec_scale(r, field.inv(coeff))))
+        out.append((term_key(pos, exp), vec_scale(r, field.inv(coeff)), (pos, exp, field.one)))
     out.sort(key=lambda t: t[0], reverse=True)
-    return [v for _, v in out]
+    return GroebnerBasis([v for _, v, _ in out], [lt for _, _, lt in out])
+
+
+class GroebnerBasis(list):
+    """A reduced Groebner basis as groebner_basis returns it: the list of
+    its vecs, carrying their leads, which normal_form hands to reduce_vec
+    instead of recomputing them.  Whoever caches the basis keeps the leads
+    with it."""
+
+    def __init__(self, vecs, leads):
+        super().__init__(vecs)
+        self.leads = leads
 
 
 def groebner_basis(gens: Sequence, ring: PolyRing) -> list:
@@ -712,7 +772,7 @@ def normal_form(vec, basis, ring: PolyRing):
     """
     if not basis:
         return vec
-    return reduce_vec(vec, basis, ring)
+    return reduce_vec(vec, basis, ring, _leads=basis.leads if isinstance(basis, GroebnerBasis) else None)
 
 
 class TrackedBasis:
@@ -720,7 +780,9 @@ class TrackedBasis:
 
     Supports membership with an explicit witness: lift(v) returns coefficient
     rows c over the inputs with v = sum(c[i] * gens[i]) whenever v lies in the
-    span, else None.
+    span, else None.  The run is the chain-criterion Buchberger of
+    _buchberger, whose zero reductions generate every relation among the
+    gens; kernel(count) reads off the relations among the first count gens.
     """
 
     def __init__(self, gens: Sequence, ring: PolyRing, rank: int):
@@ -729,9 +791,26 @@ class TrackedBasis:
         self.gens = list(gens)
         basis, combos, syz = _buchberger(self.gens, ring, rank, track=True)
         self.basis = basis
-        self.combos = combos
-        self.syzygy_rows = syz
+        self._combos = combos
+        self._syzygies = syz
         self._leads = [vec_lead(b) for b in basis]
+
+    @property
+    def combos(self) -> list:
+        """basis[k] = sum(combos[k][i] * gens[i]), one tuple per basis element."""
+        return [_dense(self.ring, c, len(self.gens)) for c in self._combos]
+
+    @property
+    def syzygy_rows(self) -> list:
+        """Rows r over the gens with sum(r[i] * gens[i]) = 0 that generate
+        all such rows; zero gens contribute unit rows."""
+        return [_dense(self.ring, r, len(self.gens)) for r in self._syzygies]
+
+    def kernel(self, count: int) -> list:
+        """Generators of the relations among the first count gens modulo
+        the others: the first count entries of each syzygy row, without
+        zero or repeated rows, in the order found."""
+        return _distinct_nonzero(_dense(self.ring, row, count) for row in self._syzygies)
 
     def lift(self, vec):
         if not self.basis:
@@ -739,38 +818,35 @@ class TrackedBasis:
         rem, quot = reduce_vec(vec, self.basis, self.ring, True, _leads=self._leads)
         if not vec_is_zero(rem):
             return None
-        coeffs = [self.ring.zero()] * len(self.gens)
-        for k, q in enumerate(quot):
-            if q.is_zero():
-                continue
-            for i, c in enumerate(self.combos[k]):
-                if not c.is_zero():
-                    coeffs[i] = coeffs[i] + q * c
-        return coeffs
+        coeffs = _combination(
+            self.ring, ((self._combos[k], q.terms.items()) for k, q in enumerate(quot) if q.terms)
+        )
+        return list(_dense(self.ring, coeffs, len(self.gens)))
 
 
 def syzygies(gens: Sequence, ring: PolyRing) -> list:
     """Generators of the syzygy module of gens (rows over the gens).
 
-    Every S-pair of the tracked Buchberger run is processed, so the recorded
-    zero reductions generate all relations; zero input generators contribute
-    unit rows.  Each returned row r satisfies sum(r[i]*gens[i]) = 0.
+    The chain-criterion run of TrackedBasis records zero reductions that
+    generate all relations; zero input generators contribute unit rows.
+    Each returned row r satisfies sum(r[i]*gens[i]) = 0.
     """
     if not gens:
         return []
-    rank = len(gens[0])
-    for g in gens:
-        if len(g) != rank:
-            raise DimensionMismatchError("generators of unequal rank")
-    tb = TrackedBasis(gens, ring, rank)
-    seen = set()
-    rows = []
-    for r in tb.syzygy_rows:
-        k = vec_key(r)
+    return TrackedBasis(gens, ring, len(gens[0])).kernel(len(gens))
+
+
+def _distinct_nonzero(rows) -> list:
+    """The nonzero rows, each once, in order."""
+    out, seen = [], set()
+    for row in rows:
+        if vec_is_zero(row):
+            continue
+        k = vec_key(row)
         if k not in seen:
             seen.add(k)
-            rows.append(r)
-    return rows
+            out.append(row)
+    return out
 
 
 def module_kernel(map_rows: Sequence, target_relations: Sequence, ring: PolyRing, target_rank: int) -> list:
@@ -785,18 +861,7 @@ def module_kernel(map_rows: Sequence, target_relations: Sequence, ring: PolyRing
     for r in rows + rels:
         if len(r) != target_rank:
             raise DimensionMismatchError("row rank mismatch")
-    syz = syzygies(rows + rels, ring)
-    out, seen = [], set()
-    r = len(rows)
-    for row in syz:
-        head = tuple(row[:r])
-        if vec_is_zero(head):
-            continue
-        k = vec_key(head)
-        if k not in seen:
-            seen.add(k)
-            out.append(head)
-    return out
+    return _distinct_nonzero(tuple(row[: len(rows)]) for row in syzygies(rows + rels, ring))
 
 
 class PresIdeal:

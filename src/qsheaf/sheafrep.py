@@ -286,18 +286,27 @@ def _relations_preserved(src: FPModule, rows, tgt: FPModule) -> bool:
     return all(span_contains(tgt.chart, gb, mat_apply(r, rows, ring, tgt.gens)) for r in src.relations)
 
 
-def _onto(rows, tgt: FPModule) -> bool:
-    """The matrix rows generate tgt."""
-    gb = tgt.span_gb(rows)
+def _onto(gb, tgt: FPModule) -> bool:
+    """The matrix rows generate tgt, given gb, a Groebner basis of their
+    span together with tgt's relations: any Groebner basis of that span
+    gives the same zero test."""
     ring = tgt.chart.ring
     return all(span_contains(tgt.chart, gb, vec_unit(ring, tgt.gens, j)) for j in range(tgt.gens))
 
 
-def _injective(src: FPModule, rows, tgt: FPModule) -> bool:
-    """Every relation among the matrix rows in tgt is a relation of src."""
-    ker = tgt.row_relations(rows)
+def _injective(src: FPModule, ker) -> bool:
+    """Every relation among the matrix rows in tgt, given by the
+    generators ker, is a relation of src."""
     gb = src.relation_gb()
     return all(span_contains(src.chart, gb, k) for k in ker)
+
+
+def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
+    """(onto, injective) for the matrix rows from src to tgt, from one
+    tracked run over the rows: its basis decides onto, and its syzygies
+    give the relations among the rows."""
+    lifter = tgt.lifter(rows)
+    return _onto(lifter.basis, tgt), _injective(src, lifter.kernel(len(rows)))
 
 
 def _rows_agree(tgt: FPModule, left, right) -> bool:
@@ -313,7 +322,7 @@ def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     rows, tgt = rep.edge_maps[e], rep.modules[w]
     well = _relations_preserved(loc, rows, tgt)
-    return EdgeVerdict(e, well, _onto(rows, tgt), _injective(loc, rows, tgt))
+    return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
 
 
 def _squares_agree(rep: SheafRep) -> tuple:
@@ -414,18 +423,24 @@ def map_is_well_defined(f: SheafMap) -> bool:
 
 
 def map_is_surjective(f: SheafMap) -> bool:
-    return all(_onto(f.rows[v], f.target.modules[v]) for v in f.source.quiver.vertices)
+    return all(
+        _onto(f.target.modules[v].span_gb(f.rows[v]), f.target.modules[v])
+        for v in f.source.quiver.vertices
+    )
 
 
 def map_is_injective(f: SheafMap) -> bool:
     return all(
-        _injective(f.source.modules[v], f.rows[v], f.target.modules[v])
+        _injective(f.source.modules[v], f.target.modules[v].row_relations(f.rows[v]))
         for v in f.source.quiver.vertices
     )
 
 
 def map_is_iso(f: SheafMap) -> bool:
-    return map_is_surjective(f) and map_is_injective(f)
+    return all(
+        all(_onto_and_injective(f.source.modules[v], f.rows[v], f.target.modules[v]))
+        for v in f.source.quiver.vertices
+    )
 
 
 def rep_is_zero(rep: SheafRep) -> bool:
@@ -512,20 +527,20 @@ def _present(ambient: SheafRep, gens: dict):
     """Representation generated by the per-vertex element lists `gens` of
     the ambient, with its inclusion: the relations at each vertex are those
     among the generators, and each edge matrix lifts the pushed generators
-    over the far generators."""
+    over the far generators.  One tracked run per vertex gives both."""
     quiver = ambient.quiver
+    lifters = {v: ambient.modules[v].lifter(gens[v]) for v in quiver.vertices}
     mods = {}
     for v in quiver.vertices:
         chart = quiver.chart(v)
-        rel = _chart_nonzero_rows(chart, ambient.modules[v].row_relations(gens[v]))
+        rel = _chart_nonzero_rows(chart, lifters[v].kernel(len(gens[v])))
         mods[v] = FPModule(chart, len(gens[v]), rel)
     edge_maps = {}
     for edge in quiver.edges:
         v, w = edge
-        lifter = ambient.modules[w].lifter(gens[w])
         rows_vw = []
         for x in gens[v]:
-            coeffs = lifter.lift(push(ambient, edge, x))
+            coeffs = lifters[w].lift(push(ambient, edge, x))
             if coeffs is None:
                 raise ValueError("generators not closed under edge " + fmt_edge(edge))
             rows_vw.append(tuple(coeffs[: len(gens[w])]))

@@ -1,0 +1,117 @@
+"""The edge verdicts and presentations that ran one Groebner basis per
+question, kept as a test oracle.
+
+These are the routines `qsheaf.sheafrep` replaced with one tracked run per
+(module, rows): `_onto` built an untracked basis of the rows, `_injective` a
+second, tracked basis for the relations among them, and `_present` one
+tracked basis per vertex for its relations and another per edge for the
+lifts over the far generators.  The tracked bases here are those of
+`exactpoly_oracle`, whose Buchberger processes every S-pair and keeps dense
+combinations, so the relations and lifts do not go through the chain
+criterion or the sparse combinations either.
+"""
+
+from __future__ import annotations
+
+import exactpoly_oracle as oracle
+from qsheaf.charts import FPModule, localize_module, span_contains
+from qsheaf.exactpoly import vec_is_zero, vec_key, vec_unit
+from qsheaf.sheafrep import (
+    EdgeVerdict,
+    SheafMap,
+    SheafRep,
+    _chart_nonzero_rows,
+    _relations_preserved,
+    fmt_edge,
+    push,
+)
+
+
+class TrackedBasis:
+    """Membership with a witness over gens, on the oracle's Buchberger."""
+
+    def __init__(self, gens, ring, rank):
+        self.ring = ring
+        self.gens = list(gens)
+        self.basis, self.combos, self.syzygy_rows = oracle._buchberger(self.gens, ring, rank, True)
+
+    def lift(self, vec):
+        zero = self.ring.zero()
+        if not self.basis:
+            return None if not vec_is_zero(vec) else [zero] * len(self.gens)
+        rem, quot = oracle.reduce_vec(vec, self.basis, self.ring, True)
+        if not vec_is_zero(rem):
+            return None
+        coeffs = [zero] * len(self.gens)
+        for k, q in enumerate(quot):
+            if q.is_zero():
+                continue
+            for i, c in enumerate(self.combos[k]):
+                if not c.is_zero():
+                    coeffs[i] = coeffs[i] + q * c
+        return coeffs
+
+
+def lifter(module: FPModule, rows) -> TrackedBasis:
+    return TrackedBasis(list(rows) + module._all_relations(), module.chart.ring, module.gens)
+
+
+def row_relations(module: FPModule, rows) -> list:
+    """The heads of the deduplicated syzygy rows of rows + relations, as
+    the old module_kernel read them."""
+    rows = list(rows)
+    seen_rows, syz = set(), []
+    for r in lifter(module, rows).syzygy_rows:
+        if vec_key(r) not in seen_rows:
+            seen_rows.add(vec_key(r))
+            syz.append(r)
+    out, seen = [], set()
+    for row in syz:
+        head = tuple(row[: len(rows)])
+        if vec_is_zero(head) or vec_key(head) in seen:
+            continue
+        seen.add(vec_key(head))
+        out.append(head)
+    return out
+
+
+def onto(rows, tgt: FPModule) -> bool:
+    gb = tgt.span_gb(rows)
+    ring = tgt.chart.ring
+    return all(span_contains(tgt.chart, gb, vec_unit(ring, tgt.gens, j)) for j in range(tgt.gens))
+
+
+def injective(src: FPModule, rows, tgt: FPModule) -> bool:
+    ker = row_relations(tgt, rows)
+    gb = src.relation_gb()
+    return all(span_contains(src.chart, gb, k) for k in ker)
+
+
+def edge_verdict(rep: SheafRep, e) -> EdgeVerdict:
+    v, w = e
+    loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
+    rows, tgt = rep.edge_maps[e], rep.modules[w]
+    well = _relations_preserved(loc, rows, tgt)
+    return EdgeVerdict(e, well, onto(rows, tgt), injective(loc, rows, tgt))
+
+
+def present(ambient: SheafRep, gens: dict):
+    quiver = ambient.quiver
+    mods = {}
+    for v in quiver.vertices:
+        chart = quiver.chart(v)
+        rel = _chart_nonzero_rows(chart, row_relations(ambient.modules[v], gens[v]))
+        mods[v] = FPModule(chart, len(gens[v]), rel)
+    edge_maps = {}
+    for edge in quiver.edges:
+        v, w = edge
+        lift = lifter(ambient.modules[w], gens[w])
+        rows_vw = []
+        for x in gens[v]:
+            coeffs = lift.lift(push(ambient, edge, x))
+            if coeffs is None:
+                raise ValueError("generators not closed under edge " + fmt_edge(edge))
+            rows_vw.append(tuple(coeffs[: len(gens[w])]))
+        edge_maps[edge] = tuple(rows_vw)
+    rep = SheafRep(quiver, mods, edge_maps, None)
+    return rep, SheafMap(rep, ambient, {v: tuple(gens[v]) for v in quiver.vertices})

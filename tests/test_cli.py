@@ -68,6 +68,18 @@ def test_explicit_sheafrep_round_trip(tmp_path):
     assert sheafrep_text(back) == text
 
 
+def test_tabs_in_entries_read_like_spaces(fixture_dir, tmp_path):
+    # a tab inside a relation entry is whitespace like a space
+    spaced = (fixture_dir / "euler_q_p2.txt").read_text()
+    assert "relation x0 | x1 | x2" in spaced
+    tabbed = tmp_path / "tabbed.txt"
+    tabbed.write_text(spaced.replace("relation x0 | x1 | x2", "relation x0\t+ x1 | x1\t| 2\t*\tx2"))
+    rep = parse_sheaf_file(str(tabbed))
+    want = parse_sheaf_file(fixture(fixture_dir, "euler_q_p2"))
+    x0, x1, x2 = want.graded.rows[0]
+    assert rep.graded.rows == ((x0 + x1, x1, x2 + x2),)
+
+
 def test_subscheme_fixture_parses_with_ideal(fixture_dir):
     rep = parse_sheaf_file(fixture(fixture_dir, "subscheme_p1"))
     assert len(rep.quiver.ideal_gens) == 1

@@ -4,8 +4,9 @@
 `_reduced_basis` that rebuilt the work vector and recomputed leads at every
 step.  On random small inputs over Q and F_p, p in {2, 5, 7}, in ranks 1-3
 with 1-3 variables, the new routines must give the same remainders and
-quotients, the same bases, combinations and syzygy rows, and the same
-reduced bases.  Reducer lists come in arbitrary order: they need not be
+quotients, the same untracked and reduced bases, and tracked runs whose
+basis is the untracked one, whose combinations rebuild it and whose
+syzygy rows generate the oracle's syzygy module.  Reducer lists come in arbitrary order: they need not be
 Groebner bases and may repeat a lead or hold a zero vector, since
 `normal_form` promises a well-defined remainder for any list.
 """
@@ -19,11 +20,14 @@ from qsheaf.exactpoly import (
     Field,
     PolyRing,
     _buchberger,
+    _dense,
     groebner_basis,
     reduce_vec,
     term_key,
     vec_add,
+    vec_is_zero,
     vec_lead,
+    vec_mul_poly,
     vec_mul_term,
     vec_zero,
 )
@@ -98,15 +102,33 @@ def test_reduce_vec_matches_oracle(data):
     assert quot == old_quot
 
 
+def _combine(ring, rank, coeffs, gens):
+    acc = vec_zero(ring, rank)
+    for c, g in zip(coeffs, gens):
+        acc = vec_add(acc, vec_mul_poly(g, c))
+    return acc
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_buchberger_matches_oracle(data):
     ring, rank = data.draw(setups())
-    # two terms of degree <= 3 per entry: a tracked run processes every
-    # pair, and larger inputs can make it run for minutes
+    # two terms of degree <= 3 per entry: the oracle's tracked run processes
+    # every pair, and larger inputs can make it run for minutes
     gens = [vecs(data.draw, ring, rank, 2, 3) for _ in range(data.draw(st.integers(1, 3)))]
-    for track in (False, True):
-        assert _buchberger(gens, ring, rank, track) == oracle._buchberger(gens, ring, rank, track)
+    basis, combos, syz = _buchberger(gens, ring, rank, False)
+    assert (basis, combos, syz) == oracle._buchberger(gens, ring, rank, False)
+    # a tracked run skips pairs by the chain criterion, which the oracle's
+    # does not: its syzygy list differs, the module it generates does not
+    tracked, combos, syz = _buchberger(gens, ring, rank, True)
+    assert tracked == basis
+    for b, combo in zip(tracked, combos):
+        assert _combine(ring, rank, _dense(ring, combo, len(gens)), gens) == b
+    rows = [_dense(ring, row, len(gens)) for row in syz]
+    for row in rows:
+        assert vec_is_zero(_combine(ring, rank, row, gens))
+    _, _, old_rows = oracle._buchberger(gens, ring, rank, True)
+    assert groebner_basis(rows, ring) == groebner_basis(old_rows, ring)
     old_basis, _, _ = oracle._buchberger(gens, ring, rank, False)
     nonzero = [g for g in gens if any(g)]
     expected = oracle._reduced_basis(old_basis, ring) if nonzero else []
