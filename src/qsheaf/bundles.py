@@ -151,15 +151,10 @@ class BundleReport:
     findings: tuple
 
 
-def is_vector_bundle(rep: SheafRep, check_qc: bool = True) -> BundleReport:
+def is_vector_bundle(rep: SheafRep) -> BundleReport:
     """Projectivity at the singleton charts, which cover the space; the
-    remaining vertices are localizations and follow."""
-    if check_qc:
-        report = is_quasi_coherent(rep)
-        if not report.ok:
-            raise ValueError(
-                "representation is not quasi-coherent: " + "; ".join(report.findings)
-            )
+    remaining vertices are localizations and follow.  The representation
+    is taken to be quasi-coherent: callers check that first."""
     certs = {}
     findings = []
     ranks = set()
@@ -272,8 +267,8 @@ def vdim_le_one_witness(rep: SheafRep, cover: SheafMap) -> VdimWitness:
     if not inj:
         findings.append("kernel inclusion fails injectivity")
     exact = ExactnessReport(surj, composite_zero, kernel_covered, inj)
-    kernel_bundle = is_vector_bundle(ker_rep, check_qc=False)
-    middle_bundle = is_vector_bundle(cover.source, check_qc=False)
+    kernel_bundle = is_vector_bundle(ker_rep)
+    middle_bundle = is_vector_bundle(cover.source)
     findings.extend(kernel_bundle.findings)
     findings.extend(middle_bundle.findings)
     ok = exact.ok and kernel_bundle.is_bundle and middle_bundle.is_bundle
@@ -331,7 +326,7 @@ def lazard_approximation(
                     + fmt_vertex(v)
                 )
     sub_ind, _incl = induced_rep(sub)
-    sub_bundle = is_vector_bundle(sub_ind, check_qc=False)
+    sub_bundle = is_vector_bundle(sub_ind)
     block_degrees = tuple(degrees[j] for j in block)
     small = graded_sheaf(quiver, block_degrees)
     mods = {}
@@ -887,6 +882,9 @@ def line_bundle_filtration(rep: SheafRep) -> Filtration:
     has the pure 1x1 transition s^{a_i}."""
     if rep.quiver.n != 1:
         raise ValueError("filtration works on the projective line only")
+    qc = is_quasi_coherent(rep)
+    if not qc.ok:
+        raise ValueError("representation is not quasi-coherent: " + "; ".join(qc.findings))
     report = is_vector_bundle(rep)
     if not report.is_bundle:
         raise ValueError("not a vector bundle: " + "; ".join(report.findings))

@@ -8,6 +8,10 @@ subject to u_i*z_i - 1 and the dehomogenized subscheme ideal.  Every chart
 monomial therefore corresponds to a Laurent monomial in x_0..x_n of total
 degree zero; that correspondence drives pivot changes and denominator
 clearing elsewhere in the package.
+
+Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
+FPModule.lifter and FPModule.row_relations), keyed on rank and rows, not on
+the asking object, and never mutated.  It lives as long as its quiver.
 """
 
 from __future__ import annotations
@@ -19,11 +23,9 @@ from .exactpoly import (
     Field,
     Poly,
     PolyRing,
-    PresIdeal,
     RingMismatchError,
     TrackedBasis,
     groebner_basis,
-    ideal_contains_one,
     module_kernel,
     normal_form,
     poly_to_str,
@@ -68,8 +70,7 @@ class ChartRing:
         self.inversions = tuple(inversions)
         self.jays = tuple(self.dehomogenize(g) for g in self.ideal_gens)
         self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
-        self._rel_gb = None
-        self._zero_ring = None
+        self._runs = {}
         # Laurent exponent of each ring variable, length n+1, total degree 0
         lv = []
         for j in zs:
@@ -103,19 +104,21 @@ class ChartRing:
 
     # -- presentation ------------------------------------------------------
 
+    def memo(self, key, build):
+        """The run stored under key, made by build() on the first call."""
+        if key not in self._runs:
+            self._runs[key] = build()
+        return self._runs[key]
+
     def relation_gb(self) -> list:
-        if self._rel_gb is None:
-            self._rel_gb = groebner_basis([(q,) for q in self.relations], self.ring)
-        return self._rel_gb
+        return span_gb(self, (), 1)
 
     def nf(self, p: Poly) -> Poly:
         """Canonical representative modulo the chart relations."""
         return normal_form((p,), self.relation_gb(), self.ring)[0]
 
     def is_zero_ring(self) -> bool:
-        if self._zero_ring is None:
-            self._zero_ring = ideal_contains_one(PresIdeal(self.ring, self.relations))
-        return self._zero_ring
+        return self.nf(self.ring.one()).is_zero()
 
     def dehomogenize(self, g: Poly) -> Poly:
         """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial."""
@@ -242,8 +245,13 @@ def ideal_block(chart: ChartRing, rank: int) -> list:
 
 
 def span_gb(chart: ChartRing, rows: Sequence, rank: int) -> list:
-    """Groebner basis of span(rows) + I*F_rank over the chart's ring."""
-    return groebner_basis(list(rows) + ideal_block(chart, rank), chart.ring)
+    """Groebner basis of span(rows) + I*F_rank over the chart's ring, made
+    once per chart for each (rank, rows)."""
+    rows = tuple(tuple(r) for r in rows)
+    return chart.memo(
+        ("span", rank, rows),
+        lambda: groebner_basis(list(rows) + ideal_block(chart, rank), chart.ring),
+    )
 
 
 def span_contains(chart: ChartRing, gb: list, vec) -> bool:
@@ -258,7 +266,8 @@ class FPModule:
     together with the chart ring's own defining relations.  A list of rows
     of the same length names the submodule those rows generate; the methods
     taking `rows` give its span, the relations among the rows, and lifts
-    over them.
+    over them.  Each is a run in the chart's memo, keyed on the generator
+    count, rows and relations; the module itself caches nothing.
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = ()):
@@ -276,17 +285,14 @@ class FPModule:
                     raise RingMismatchError("relation entry from the wrong chart")
             rel.append(row)
         self.relations = tuple(rel)
-        self._gb = None
 
     def relation_gb(self) -> list:
-        if self._gb is None:
-            self._gb = self.span_gb(())
-        return self._gb
+        return self.span_gb(())
 
     def span_gb(self, rows) -> list:
         """Groebner basis of the submodule generated by the rows, taken
         together with the relations."""
-        return span_gb(self.chart, list(rows) + list(self.relations), self.gens)
+        return span_gb(self.chart, tuple(rows) + self.relations, self.gens)
 
     def _all_relations(self) -> list:
         return list(self.relations) + ideal_block(self.chart, self.gens)
@@ -295,7 +301,11 @@ class FPModule:
         """Generators of the relations among the rows: the coefficient
         vectors c with sum(c[i] * rows[i]) zero in the module.  The same
         list as lifter(rows).kernel(len(rows))."""
-        return module_kernel(list(rows), self._all_relations(), self.chart.ring, self.gens)
+        rows = tuple(tuple(r) for r in rows)
+        return list(self.chart.memo(
+            ("relations", self.gens, rows, self.relations),
+            lambda: tuple(module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)),
+        ))
 
     def lifter(self, rows) -> TrackedBasis:
         """Membership with a witness in the submodule generated by the rows:
@@ -303,7 +313,11 @@ class FPModule:
         Its basis is a Groebner basis of span_gb(rows)'s span, and
         kernel(len(rows)) is row_relations(rows), so one tracked run
         answers membership, witnesses and relations for the same rows."""
-        return TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens)
+        rows = tuple(tuple(r) for r in rows)
+        return self.chart.memo(
+            ("lift", self.gens, rows + self.relations),
+            lambda: TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens),
+        )
 
     def nf(self, vec) -> tuple:
         if len(vec) != self.gens:
@@ -332,8 +346,3 @@ def localize_module(module: FPModule, hom: ChartHom) -> FPModule:
     if module.chart is not hom.source and module.chart.ring != hom.source.ring:
         raise RingMismatchError("module not over the hom's source chart")
     return FPModule(hom.target, module.gens, hom.apply_rows(module.relations))
-
-
-def localize_map(rows: Sequence[Sequence[Poly]], hom: ChartHom) -> list:
-    """Entrywise image of a matrix under a chart hom."""
-    return hom.apply_rows(rows)

@@ -55,8 +55,8 @@ from .bundles import (
     vdim_le_one_witness,
     lazard_approximation,
 )
-from .charts import ideal_block, localize_map, span_contains, span_gb
-from .closure import SubRep, qc_closure, verify_subrep
+from .charts import ideal_block, span_contains, span_gb
+from .closure import SubRep, qc_closure
 from .exactpoly import (
     Field,
     Poly,
@@ -245,13 +245,12 @@ def _cmd_closure(job: JobSpec):
     if not result.stabilized:
         verdicts = [("stabilized", "fail (budget %d exhausted)" % job.max_cycles)]
         return False, verdicts, certificates, EXIT_BUDGET
-    sub_report = verify_subrep(result.sub)
-    ok = sub_report.ok
+    ok = result.report.ok
     verdicts = [
         ("stabilized", "pass (cycle %d)" % result.cycles),
         ("sub-representation", _passfail(ok)),
     ]
-    certificates["subrep_findings"] = list(sub_report.findings)
+    certificates["subrep_findings"] = list(result.report.findings)
     generators = {}
     for v, rows in result.sub.generator_lists().items():
         generators[fmt_vertex(v)] = [" | ".join(poly_to_str(e) for e in row) for row in rows]
@@ -265,7 +264,7 @@ def _cmd_is_bundle(job: JobSpec):
     if not qc.ok:
         verdicts = [("precondition quasi-coherent", "fail")]
         return False, verdicts, {"findings": list(qc.findings)}, EXIT_CHECK_FAILED
-    report = is_vector_bundle(rep, check_qc=False)
+    report = is_vector_bundle(rep)
     verdicts = [
         ("vector-bundle", _passfail(report.is_bundle)),
         ("rank", str(report.rank) if report.rank is not None else "-"),
@@ -524,7 +523,7 @@ def _selftest_localization(rng: random.Random):
         for _ in range(nrows):
             rows.append(tuple(_random_poly(rng, chart0.ring, 2, 2) for _ in range(width)))
         kernel = module_kernel(list(rows), [], chart0.ring, width)
-        rows_loc = localize_map(rows, hom)
+        rows_loc = hom.apply_rows(rows)
         kernel_loc = [hom.apply_vec(v) for v in kernel]
         kernel_afterwards = module_kernel(
             list(rows_loc), ideal_block(chart01, width), chart01.ring, width

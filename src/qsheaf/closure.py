@@ -84,7 +84,7 @@ def denominator_vector(v, w, pivot: int, n: int) -> tuple:
     return tuple(vec)
 
 
-def pullback_witness(rep: SheafRep, edge, element, lifter=None) -> ClosureWitness:
+def pullback_witness(rep: SheafRep, edge, element) -> ClosureWitness:
     """Express `element` of M(w) over the image of M(v) along the edge.
 
     The membership solution has coefficients in the localized chart; each
@@ -96,9 +96,7 @@ def pullback_witness(rep: SheafRep, edge, element, lifter=None) -> ClosureWitnes
     chart_v = rep.quiver.chart(v)
     chart_w = rep.quiver.chart(w)
     src = rep.modules[v]
-    if lifter is None:
-        lifter = rep.modules[w].lifter(rep.edge_maps[edge])
-    coeffs = lifter.lift(tuple(element))
+    coeffs = rep.modules[w].lifter(rep.edge_maps[edge]).lift(tuple(element))
     if coeffs is None:
         raise RuntimeError(
             "ambient representation is inconsistent along edge "
@@ -166,7 +164,7 @@ class ClosureResult:
     cycles: int
     stabilized: bool
     trace: tuple
-    report: Optional[QCReport]
+    report: Optional[SubRepReport]
 
 
 def qc_closure(
@@ -179,8 +177,8 @@ def qc_closure(
     Each cycle pulls back every not-yet-processed generator along every edge
     and pushes every generator forward along every edge (in ascending vertex
     order, so one sweep propagates fully).  A cycle that adds nothing means
-    the spans are stable; the induced sub-representation is then re-verified
-    before the result is returned as stabilized.
+    the spans are stable; the result is then re-verified by verify_subrep,
+    whose report it carries, before it is returned as stabilized.
     """
     if max_cycles <= 0:
         raise ValueError("max_cycles must be positive")
@@ -191,7 +189,6 @@ def qc_closure(
     for v in quiver.vertices:
         for x in seed.at(v):
             sub.add(v, x)
-    lifters = {}
     pulled = {e: 0 for e in quiver.edges}
     pushed = {e: 0 for e in quiver.edges}
     witnesses = []
@@ -207,9 +204,7 @@ def qc_closure(
             while pulled[edge] < len(sub.sections[w]):
                 t = sub.sections[w][pulled[edge]]
                 pulled[edge] += 1
-                if edge not in lifters:
-                    lifters[edge] = ambient.modules[w].lifter(ambient.edge_maps[edge])
-                wit = pullback_witness(ambient, edge, t, lifters[edge])
+                wit = pullback_witness(ambient, edge, t)
                 grew = False
                 for part in wit.parts:
                     if sub.add(v, part.preimage):
@@ -233,8 +228,7 @@ def qc_closure(
             break
     report = None
     if stabilized:
-        rep, _incl = induced_rep(sub)
-        report = is_quasi_coherent(rep)
+        report = verify_subrep(sub)
         if not report.ok:
             raise RuntimeError(
                 "stable spans failed coherence verification: "

@@ -741,8 +741,9 @@ def _reduced_basis(basis, ring: PolyRing):
 class GroebnerBasis(list):
     """A reduced Groebner basis as groebner_basis returns it: the list of
     its vecs, carrying their leads, which normal_form hands to reduce_vec
-    instead of recomputing them.  Whoever caches the basis keeps the leads
-    with it."""
+    instead of recomputing them.  The chart memo behind charts.span_gb,
+    and PresIdeal for its own ideal, keep bases and so their leads; a kept
+    basis is never mutated."""
 
     def __init__(self, vecs, leads):
         super().__init__(vecs)

@@ -496,13 +496,10 @@ class SubRep:
         self.ambient = ambient
         self.seed = seed if seed is not None else SectionSet({})
         self.sections = {v: [] for v in ambient.quiver.vertices}
-        self._gb = {}
 
     def span(self, v):
         v = frozenset(v)
-        if v not in self._gb:
-            self._gb[v] = self.ambient.modules[v].span_gb(self.sections[v])
-        return self._gb[v]
+        return self.ambient.modules[v].span_gb(self.sections[v])
 
     def contains(self, v, vec) -> bool:
         v = frozenset(v)
@@ -516,7 +513,6 @@ class SubRep:
         if vec_is_zero(vec) or self.contains(v, vec):
             return False
         self.sections[v].append(tuple(vec))
-        self._gb.pop(v, None)
         return True
 
     def generator_lists(self) -> dict:

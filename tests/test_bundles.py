@@ -235,8 +235,8 @@ def test_bundle_check_requires_quasi_coherence():
     rep = twist(quiver, 1)
     chart01 = quiver.chart(V01)
     broken = rep.replaced_edge((V0, V01), ((chart01.ring.zero(),),))
-    with pytest.raises(ValueError):
-        is_vector_bundle(broken)
+    with pytest.raises(ValueError, match="not quasi-coherent"):
+        line_bundle_filtration(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_lazard_block_restriction():
     rep = graded_sheaf(p1(), (0, 0))
     cover = serre_cover(rep)
     approx = lazard_approximation(rep, cover, SubRep(cover.source), block=(0,))
-    assert is_vector_bundle(approx.f_sub, check_qc=False).rank == 1
+    assert is_vector_bundle(approx.f_sub).rank == 1
     assert map_is_injective(approx.to_f)
     assert not approx.is_iso
 

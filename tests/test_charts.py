@@ -16,7 +16,6 @@ from qsheaf.charts import (
     FPModule,
     chart_hom,
     ideal_block,
-    localize_map,
     localize_module,
     make_chart_ring,
     span_contains,
@@ -173,12 +172,12 @@ def test_localize_map_functorial_on_products():
         [m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j] for j in range(2)]
         for i in range(2)
     ]
-    lm1, lm2 = localize_map(m1, h), localize_map(m2, h)
+    lm1, lm2 = h.apply_rows(m1), h.apply_rows(m2)
     lprod = [
         [lm1[i][0] * lm2[0][j] + lm1[i][1] * lm2[1][j] for j in range(2)]
         for i in range(2)
     ]
-    expect = localize_map(prod, h)
+    expect = h.apply_rows(prod)
     for i in range(2):
         for j in range(2):
             assert b.nf(lprod[i][j]) == b.nf(expect[i][j])
@@ -202,7 +201,7 @@ def test_localization_exactness_randomized():
             rows.append(tuple(row))
         ker_src = module_kernel(rows, ideal_block(a, 2), a.ring, 2)
         ker_src_loc = [h.apply_vec(k) for k in ker_src]
-        ker_tgt = module_kernel(localize_map(rows, h), ideal_block(b, 2), b.ring, 2)
+        ker_tgt = module_kernel(h.apply_rows(rows), ideal_block(b, 2), b.ring, 2)
         gb_loc = span_gb(b, ker_src_loc, 2)
         gb_tgt = span_gb(b, ker_tgt, 2)
         for k in ker_tgt:
