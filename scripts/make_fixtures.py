@@ -41,7 +41,7 @@ OUT = ROOT / "fixtures"
 def write(name: str, text: str) -> pathlib.Path:
     path = OUT / name
     path.write_text(text, encoding="utf-8")
-    print("wrote", path.relative_to(ROOT))
+    print("wrote", path.relative_to(OUT.parent))
     return path
 
 

@@ -26,8 +26,8 @@ from .exactpoly import (
     Field,
     Poly,
     PresIdeal,
-    field_nullspace,
     ideal_contains_one,
+    rref,
     terms_from_str,
     vec_is_zero,
 )
@@ -133,7 +133,11 @@ def is_projective_fp(module: FPModule) -> ProjectivityCertificate:
     r = g
     while r > 0:
         minors = _minors(module, g - (r - 1))
-        if not ideal_contains_one(PresIdeal(chart.ring, tuple(minors) + chart.relations)):
+        if minors:
+            unit = ideal_contains_one(PresIdeal(chart.ring, tuple(minors) + chart.relations))
+        else:  # the ideal of the chart relations alone: reuse the chart's basis
+            unit = chart.is_zero_ring()
+        if not unit:
             break
         r -= 1
     if r == 0:
@@ -217,8 +221,6 @@ class ExactnessReport:
 class VdimWitness:
     ok: bool
     kernel_rep: SheafRep
-    inclusion: SheafMap
-    cover: SheafMap
     exactness: ExactnessReport
     kernel_bundle: BundleReport
     middle_bundle: BundleReport
@@ -272,16 +274,13 @@ def vdim_le_one_witness(rep: SheafRep, cover: SheafMap) -> VdimWitness:
     findings.extend(kernel_bundle.findings)
     findings.extend(middle_bundle.findings)
     ok = exact.ok and kernel_bundle.is_bundle and middle_bundle.is_bundle
-    return VdimWitness(
-        ok, ker_rep, incl, cover, exact, kernel_bundle, middle_bundle, tuple(findings)
-    )
+    return VdimWitness(ok, ker_rep, exact, kernel_bundle, middle_bundle, tuple(findings))
 
 
 @dataclass(frozen=True)
 class LazardApproximation:
     f_sub: SheafRep
     to_f: SheafMap
-    quotient_cover: SheafMap
     sub_bundle: BundleReport
     qc: QCReport
     vdim: VdimWitness
@@ -345,12 +344,9 @@ def lazard_approximation(
         v: mat_identity(quiver.chart(v).ring, len(block))
         for v in quiver.vertices
     }
-    quotient_cover = make_sheaf_map(small, f_sub, qrows)
-    vdim = vdim_le_one_witness(f_sub, quotient_cover)
+    vdim = vdim_le_one_witness(f_sub, make_sheaf_map(small, f_sub, qrows))
     iso = map_is_iso(to_f)
-    return LazardApproximation(
-        f_sub, to_f, quotient_cover, sub_bundle, qc, vdim, iso
-    )
+    return LazardApproximation(f_sub, to_f, sub_bundle, qc, vdim, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +852,7 @@ def global_sections_dim(t_matrix) -> int:
                         hit = True
             if hit:
                 rows.append(row)
-    return len(field_nullspace(field, rows, ncols))
+    return ncols - len(rref(field.char, rows, ncols))
 
 
 # ---------------------------------------------------------------------------

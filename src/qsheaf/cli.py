@@ -93,19 +93,6 @@ from .sheafrep import (
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "check-qc",
-    "closure",
-    "is-bundle",
-    "serre-cover",
-    "vdim-witness",
-    "lazard",
-    "split-p1",
-    "filter-p1",
-    "hill-verify",
-    "selftest",
-)
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -625,6 +612,7 @@ _HANDLERS = {
     "hill-verify": _cmd_hill_verify,
     "selftest": _cmd_selftest,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(job: JobSpec) -> Report:

@@ -403,25 +403,47 @@ def poly_from_str(ring: PolyRing, text: str) -> Poly:
     return Poly(ring, terms)
 
 
-def field_nullspace(field: Field, rows, ncols: int) -> list:
-    """Canonical nullspace basis of a matrix over the coefficient field, by
-    reduction to row echelon form: one vector per non-pivot column."""
-    mat = [list(row) for row in rows]
+def rref(char: int, mat: list, ncols: int) -> list:
+    """Bring the matrix mat (a list of row lists) to reduced row echelon
+    form in place, over Q when char is 0 and over F_char otherwise, and
+    return its pivot columns: mat[:len(pivots)] is then the canonical basis
+    of the row span, and the rows after it are zero.  Over F_p the entries
+    must be reduced mod p; over Q the inverse is 1 / Fraction(a), as in
+    Field.inv, so int entries never become floats."""
     nrows = len(mat)
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((i for i in range(rank, nrows) if mat[i][col] != field.zero), None)
+        pivot = None
+        for i in range(rank, nrows):
+            if mat[i][col]:
+                pivot = i
+                break
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+        if char:
+            inv = pow(mat[rank][col], char - 2, char)
+            row = mat[rank] = [(x * inv) % char for x in mat[rank]]
+        else:
+            inv = 1 / Fraction(mat[rank][col])
+            row = mat[rank] = [x * inv for x in mat[rank]]
         for i in range(nrows):
-            if i != rank and mat[i][col] != field.zero:
+            if i != rank and mat[i][col]:
                 c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+                if char:
+                    mat[i] = [(x - c * y) % char for x, y in zip(mat[i], row)]
+                else:
+                    mat[i] = [x - c * y for x, y in zip(mat[i], row)]
         pivots.append(col)
+    return pivots
+
+
+def field_nullspace(field: Field, rows, ncols: int) -> list:
+    """Canonical nullspace basis of a matrix over the coefficient field, read
+    off its reduced echelon form: one vector per non-pivot column."""
+    mat = [list(row) for row in rows]
+    pivots = rref(field.char, mat, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [field.zero] * ncols

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .exactpoly import Field
+from .exactpoly import Field, rref
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +58,7 @@ def fp_rref(p: int, rows) -> tuple:
     mat = [r for r in mat if any(r)]
     if not mat:
         return ()
-    ncols = len(mat[0])
-    out = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[rank])]
-        rank += 1
+    rank = len(rref(p, mat, len(mat[0])))
     return tuple(tuple(r) for r in mat[:rank])
 
 
@@ -173,14 +155,8 @@ def enumerate_space(p: int, basis):
     if not basis:
         yield ()
         return
-    width = len(basis[0])
     for coeffs in product(range(p), repeat=len(basis)):
-        out = [0] * width
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(width):
-                    out[j] = (out[j] + c * row[j]) % p
-        yield tuple(out)
+        yield fp_mat_vec(p, coeffs, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +210,11 @@ class FilteredModule:
     def top(self) -> tuple:
         return self.stages[-1]
 
+    def member_space(self, support) -> tuple:
+        """The member of a support: the operator-closed span of its blocks."""
+        vectors = [v for alpha in sorted(support) for v in self.blocks[alpha]]
+        return closed_span(self.p, vectors, self.op_matrix())
+
 
 def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredModule:
     Field.prime(p)  # validates primality
@@ -270,12 +251,7 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
         reduced = [fp_reduce(p, mbeta, r) for r in orows]
         support = set()
         for c in fp_nullspace(p, reduced):
-            y = [0] * dim
-            for ci, row in zip(c, orows):
-                if ci:
-                    for j in range(dim):
-                        y[j] = (y[j] + ci * row[j]) % p
-            coeffs = fp_solve(p, [g for _, g in orbit_gens], tuple(y))
+            coeffs = fp_solve(p, [g for _, g in orbit_gens], fp_mat_vec(p, c, orows))
             if coeffs is None:
                 raise AssertionError("relation element escapes the earlier stages")
             for (alpha, _), ci in zip(orbit_gens, coeffs):
@@ -330,15 +306,30 @@ def _is_closed(deps, support) -> bool:
     return all(deps[beta] <= support for beta in support)
 
 
+def assemble_family(module: FilteredModule, supports, union: bool) -> HillLattice:
+    """The family of the distinct member spaces of the supports, ordered by
+    (dim, space).  Supports naming one space merge into their union when
+    union is set, and otherwise the first of them is kept."""
+    spaces: dict = {}
+    for s in supports:
+        space = module.member_space(s)
+        if space not in spaces:
+            spaces[space] = frozenset(s)
+        elif union:
+            spaces[space] |= frozenset(s)
+    members = [
+        HillMember(space, tuple(sorted(supp))) for space, supp in spaces.items()
+    ]
+    members.sort(key=lambda m: (m.dim, m.space))
+    return HillLattice(module, tuple(members))
+
+
 def build_hill_family(module: FilteredModule) -> HillLattice:
     """Enumerate the dependency-closed supports and collect the distinct
     submodules they span; equal spaces merge, keeping the union of their
     supports (the union of closed sets is closed and spans the same)."""
     if module.sigma > 12 or module.dim > 12:
         raise ValueError("size bound exceeded: need sigma <= 12 and dim <= 12")
-    p = module.p
-    op = module.op_matrix()
-    spaces: dict = {}
     supports = sorted(
         (
             s
@@ -352,20 +343,7 @@ def build_hill_family(module: FilteredModule) -> HillLattice:
         ),
         key=lambda s: (len(s), tuple(sorted(s))),
     )
-    for s in supports:
-        vectors = []
-        for alpha in s:
-            vectors.extend(module.blocks[alpha])
-        space = closed_span(p, vectors, op) if vectors else ()
-        if space in spaces:
-            spaces[space] = spaces[space] | s
-        else:
-            spaces[space] = s
-    members = [
-        HillMember(space, tuple(sorted(supp))) for space, supp in spaces.items()
-    ]
-    members.sort(key=lambda m: (m.dim, m.space))
-    return HillLattice(module, tuple(members))
+    return assemble_family(module, supports, union=True)
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +551,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
 
     def span_of(support: frozenset) -> tuple:
         if support not in spans:
-            vectors = []
-            for alpha in sorted(support):
-                vectors.extend(module.blocks[alpha])
-            spans[support] = closed_span(p, vectors, op) if vectors else ()
+            spans[support] = module.member_space(support)
         return spans[support]
 
     # (1) the filtration stages belong to the family

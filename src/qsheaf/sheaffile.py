@@ -36,7 +36,7 @@ from .bundles import laurent_from_str, laurent_to_str
 from .charts import FPModule, is_homogeneous
 from .closure import SectionSet, SubRep, make_section_set
 from .exactpoly import Field, poly_from_str, poly_to_str
-from .hill import FilteredModule, HillLattice, HillMember, closed_span, fp_rref, make_filtered_module
+from .hill import FilteredModule, HillLattice, assemble_family, fp_rref, make_filtered_module
 from .sheafrep import (
     ProjQuiver,
     SheafRep,
@@ -495,19 +495,9 @@ def parse_filtered_file(path: str):
 
 def family_from_supports(module: FilteredModule, supports) -> HillLattice:
     """Assemble an explicitly listed family (no closedness filtering); used
-    for shipped fixtures, including deliberately broken ones."""
-    op = module.op_matrix()
-    seen = {}
-    for supp in supports:
-        vectors = []
-        for alpha in supp:
-            vectors.extend(module.blocks[alpha])
-        space = closed_span(module.p, vectors, op) if vectors else ()
-        if space not in seen:
-            seen[space] = supp
-    members = [HillMember(space, supp) for space, supp in seen.items()]
-    members.sort(key=lambda m: (m.dim, m.space))
-    return HillLattice(module, tuple(members))
+    for shipped fixtures, including deliberately broken ones.  A space
+    listed under several supports keeps the first."""
+    return assemble_family(module, supports, union=False)
 
 
 # ---------------------------------------------------------------------------

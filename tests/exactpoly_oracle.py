@@ -6,6 +6,10 @@ finds its lead again with `vec_lead` after every step, and `_buchberger`
 recomputes the lead of every basis element for every pair.  They are only
 run on small inputs, where they give the reference remainders, quotients,
 bases, combinations and syzygy rows for the heap-based routines.
+
+`field_nullspace` is the Gauss-Jordan loop over `Field` methods that
+`qsheaf.exactpoly.field_nullspace` ran before it read the nullspace off
+`qsheaf.exactpoly.rref`, the one elimination routine over Q and F_p.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from heapq import heappop, heappush
 
 from qsheaf.exactpoly import (
     DimensionMismatchError,
+    Field,
     PolyRing,
     _divides,
     _exp_lcm,
@@ -197,3 +202,32 @@ def _reduced_basis(basis, ring: PolyRing):
         out.append(vec_scale(r, field.inv(lt[2])))
     out.sort(key=lambda v: term_key(vec_lead(v)[0], vec_lead(v)[1]), reverse=True)
     return out
+
+
+def field_nullspace(field: Field, rows, ncols: int) -> list:
+    """Canonical nullspace basis of a matrix over the coefficient field, by
+    reduction to row echelon form: one vector per non-pivot column."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, nrows) if mat[i][col] != field.zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = field.inv(mat[rank][col])
+        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+        for i in range(nrows):
+            if i != rank and mat[i][col] != field.zero:
+                c = mat[i][col]
+                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(mat[r][free])
+        basis.append(tuple(vec))
+    return basis

@@ -6,6 +6,10 @@ member, so its cost grows with p^dim.  It is only run on small families,
 where it gives the reference report for the class-wise verifier.  Its
 extension witnesses have the old per-element shape, defined here.
 `needed_blocks` is the block set it derives for one element.
+
+`fp_rref` is the F_p Gauss-Jordan loop `qsheaf.hill.fp_rref` ran before it
+read its echelon form off `qsheaf.exactpoly.rref`, the one elimination
+routine over Q and F_p.
 """
 
 from __future__ import annotations
@@ -25,9 +29,37 @@ from qsheaf.hill import (
     fp_intersect,
     fp_solve,
     fp_sum,
+    fp_vec,
     quotient_partition,
 )
 
+
+def fp_rref(p: int, rows) -> tuple:
+    """Canonical reduced-echelon basis of the row span (unique per space)."""
+    mat = [list(fp_vec(p, r)) for r in rows]
+    mat = [r for r in mat if any(r)]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    out = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(mat)):
+            if mat[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [(x * inv) % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in mat[:rank])
 
 def needed_blocks(module, x) -> tuple:
     """The blocks whose orbit generators fp_solve's combination of x uses."""

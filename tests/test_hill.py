@@ -32,6 +32,7 @@ from qsheaf.hill import (
     quotient_partition,
     verify_hill_properties,
 )
+from qsheaf.sheaffile import family_from_supports, parse_filtered_file
 
 
 def naive_span(p, gens, width):
@@ -278,6 +279,29 @@ def test_tampered_family_fails_pairwise_closure():
     assert kind == "intersection"
     assert left != right
 
+
+
+@pytest.mark.parametrize(
+    "name", ["hill_indep_f2", "hill_dep_f2", "hill_op_f2", "hill_dep_f3", "hill_big_f2"]
+)
+def test_listing_the_computed_supports_gives_the_same_family(fixture_dir, name):
+    module, override = parse_filtered_file(str(fixture_dir / (name + ".txt")))
+    assert override is None
+    fam = build_hill_family(module)
+    supports = [m.support for m in fam.members]
+    for listed in (supports, supports[::-1]):
+        assert family_from_supports(module, listed).members == fam.members
+
+
+def test_listed_family_keeps_the_first_support_of_a_space():
+    mod = dependent_pair()
+    # block 1 alone already spans the whole module, as do blocks 0 and 1
+    whole = ((1, 0), (0, 1))
+    for listed in ([(1,), (0, 1)], [(0, 1), (1,)]):
+        fam = family_from_supports(mod, [()] + listed)
+        assert [(m.space, m.support) for m in fam.members] == [((), ()), (whole, listed[0])]
+    computed = build_hill_family(mod)
+    assert computed.members[-1].space == whole and computed.members[-1].support == (0, 1)
 
 def test_report_is_deterministic():
     first = build_hill_family(dependent_pair())

@@ -21,6 +21,7 @@ JOBS = [
     ("check-qc", "euler_q_p3.txt", None),
     ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
     ("vdim-witness", "euler_q_p2.txt", None),
+    ("is-bundle", "subscheme_p1.txt", None),
 ]
 
 
