@@ -29,13 +29,13 @@ from .exactpoly import (
     ideal_contains_one,
     rref,
     terms_from_str,
-    vec_is_zero,
 )
 from .sheafrep import (
     QCReport,
     SheafMap,
     SheafRep,
     SubRep,
+    cokernel,
     fmt_vertex,
     graded_sheaf,
     induced_rep,
@@ -328,13 +328,11 @@ def lazard_approximation(
     sub_bundle = is_vector_bundle(sub_ind)
     block_degrees = tuple(degrees[j] for j in block)
     small = graded_sheaf(quiver, block_degrees)
-    mods = {}
-    for v in quiver.vertices:
-        chart = quiver.chart(v)
-        rel = [tuple(x[j] for j in block) for x in sub.sections[v]]
-        rel = [r for r in rel if not vec_is_zero(r)]
-        mods[v] = FPModule(chart, len(block), tuple(rel))
-    f_sub = SheafRep(quiver, mods, dict(small.edge_maps), None)
+    block_rows = {
+        v: tuple(tuple(x[j] for j in block) for x in sub.sections[v])
+        for v in quiver.vertices
+    }
+    f_sub = cokernel(make_sheaf_map(sub_ind, small, block_rows))
     qc = is_quasi_coherent(f_sub)
     to_f_rows = {
         v: tuple(cover.rows[v][j] for j in block) for v in quiver.vertices
@@ -541,10 +539,6 @@ def lmat_inv(m):
     return tuple(tuple(row) for row in out)
 
 
-def lmat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 # ---------------------------------------------------------------------------
 # Birkhoff factorization
 
@@ -590,7 +584,7 @@ def verify_birkhoff(t_matrix, split: BirkhoffSplit) -> bool:
         )
         for i in range(r)
     )
-    return lmat_eq(prod, want)
+    return prod == want
 
 
 class _Splitter:

@@ -536,10 +536,7 @@ def _selftest_roundtrip(rng: random.Random):
     with tempfile.TemporaryDirectory() as tmp:
         for i, rep in enumerate(cases):
             text = sheafrep_text(rep)
-            path = os.path.join(tmp, "case%d.txt" % i)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            back = parse_sheaf_file(path)
+            back = parse_sheaf_file(_write(tmp, "case%d.txt" % i, text))
             if not rep_equal(rep, back):
                 return False, "graded round trip changed case %d" % i
             if sheafrep_text(back) != text:
@@ -547,11 +544,7 @@ def _selftest_roundtrip(rng: random.Random):
         # explicit (non-graded) grammar, exercising the square check
         rep = structure_sheaf(quiver1)
         bare = SheafRep(rep.quiver, rep.modules, rep.edge_maps, None)
-        text = sheafrep_text(bare)
-        path = os.path.join(tmp, "bare.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        back = parse_sheaf_file(path)
+        back = parse_sheaf_file(_write(tmp, "bare.txt", sheafrep_text(bare)))
         if not rep_equal(bare, back):
             return False, "explicit round trip changed the representation"
         # transition grammar and report determinism

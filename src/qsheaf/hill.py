@@ -82,15 +82,24 @@ def fp_sum(p: int, a, b) -> tuple:
 
 def _paired_rref(p: int, pairs):
     """Echelon form of (left | right) rows, eliminating by left columns
-    first; rows whose left half vanished are re-echeloned by the right."""
+    first.  The rows whose left half vanished pivot right of the left
+    block, so their right halves are already a reduced echelon basis."""
     if not pairs:
         return [], ()
     lw = len(pairs[0][0])
-    joined = [list(l) + list(r) for l, r in pairs]
-    red = fp_rref(p, joined)
-    with_left = [(row[:lw], row[lw:]) for row in red if any(row[:lw])]
-    zero_left = [row[lw:] for row in red if not any(row[:lw])]
-    return with_left, fp_rref(p, zero_left)
+    red = fp_rref(p, [tuple(l) + tuple(r) for l, r in pairs])
+    with_left = [row for row in red if any(row[:lw])]
+    zero_left = tuple(row[lw:] for row in red if not any(row[:lw]))
+    return with_left, zero_left
+
+
+def _with_units(p: int, rows):
+    """_paired_rref of the rows each beside its unit vector, so the right
+    half of an echelon row is the combination of rows giving its left."""
+    n = len(rows)
+    return _paired_rref(
+        p, [(tuple(r), tuple(int(i == j) for j in range(n))) for i, r in enumerate(rows)]
+    )
 
 
 def fp_intersect(p: int, a, b) -> tuple:
@@ -102,41 +111,20 @@ def fp_intersect(p: int, a, b) -> tuple:
 
 def fp_nullspace(p: int, rows) -> tuple:
     """Canonical basis of {c : sum c_i rows_i = 0}."""
-    if not rows:
-        return ()
-    n = len(rows)
-    pairs = []
-    for i, r in enumerate(rows):
-        unit = [0] * n
-        unit[i] = 1
-        pairs.append((tuple(r), tuple(unit)))
-    _, zero_left = _paired_rref(p, pairs)
+    _, zero_left = _with_units(p, rows)
     return zero_left
 
 
 def fp_solve(p: int, gens, target) -> Optional[tuple]:
     """One coefficient vector with sum c_i gens_i = target, chosen
-    canonically from the echelon form; None when target is outside."""
-    if not gens:
-        return () if not any(fp_vec(p, target)) else None
-    n = len(gens)
-    pairs = []
-    for i, r in enumerate(gens):
-        unit = [0] * n
-        unit[i] = 1
-        pairs.append((tuple(fp_vec(p, r)), tuple(unit)))
-    with_left, _ = _paired_rref(p, pairs)
-    res = list(fp_vec(p, target))
-    comb = [0] * n
-    for left, right in with_left:
-        piv = _pivot(left)
-        c = res[piv]
-        if c:
-            res = [(x - c * y) % p for x, y in zip(res, left)]
-            comb = [(x + c * y) % p for x, y in zip(comb, right)]
-    if any(res):
+    canonically from the echelon form; None when target is outside.
+    Reducing (target | 0) by the rows (g | c) with g = c.gens leaves
+    (0 | -c) exactly when c.gens = target."""
+    with_left, _ = _with_units(p, gens)
+    res = fp_reduce(p, with_left, tuple(target) + (0,) * len(gens))
+    if any(res[: len(target)]):
         return None
-    return tuple(comb)
+    return tuple(-x % p for x in res[len(target):])
 
 
 def fp_mat_vec(p: int, vec, mat) -> tuple:
@@ -163,17 +151,16 @@ def enumerate_space(p: int, basis):
 # Filtered modules
 
 
-def _zero_matrix(dim: int) -> tuple:
-    return tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
-
-
 def _orbit(p: int, vec, op) -> list:
     """The vector and its images under repeated application of the
-    operator, until it dies (operators here are nilpotent)."""
+    operator, until it dies (operators here are nilpotent, and None is the
+    zero operator)."""
     out = []
     cur = fp_vec(p, vec)
     while any(cur):
         out.append(cur)
+        if op is None:
+            break
         cur = fp_mat_vec(p, cur, op)
     return out
 
@@ -188,32 +175,38 @@ def closed_span(p: int, vectors, op) -> tuple:
 @dataclass(frozen=True)
 class FilteredModule:
     """Filtration data: stage alpha+1 is stage alpha plus the span of block
-    alpha (operator-closed).  All derived data is canonical and recomputed
-    at construction; the dependency relation deps[beta] lists the earlier
-    blocks whose generators appear when the relations of block beta over
-    stage beta are written out."""
+    alpha (operator-closed; operator None is the zero operator).  All
+    derived data is canonical and computed at construction: orbits[beta]
+    holds the orbit rows of block beta's generators, and the dependency
+    relation deps[beta] lists the earlier blocks whose orbit rows appear
+    when the relations of block beta over stage beta are written out.
+    Member spaces are kept per support once built."""
 
     p: int
     dim: int
     blocks: tuple
     operator: Optional[tuple]
+    orbits: tuple
     stages: tuple
     deps: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_spaces", {})
 
     @property
     def sigma(self) -> int:
         return len(self.blocks)
-
-    def op_matrix(self) -> tuple:
-        return self.operator if self.operator is not None else _zero_matrix(self.dim)
 
     def top(self) -> tuple:
         return self.stages[-1]
 
     def member_space(self, support) -> tuple:
         """The member of a support: the operator-closed span of its blocks."""
-        vectors = [v for alpha in sorted(support) for v in self.blocks[alpha]]
-        return closed_span(self.p, vectors, self.op_matrix())
+        key = frozenset(support)
+        if key not in self._spaces:
+            vectors = [v for alpha in sorted(key) for v in self.blocks[alpha]]
+            self._spaces[key] = closed_span(self.p, vectors, self.operator)
+        return self._spaces[key]
 
 
 def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredModule:
@@ -236,36 +229,31 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
             power = tuple(fp_mat_vec(p, row, operator) for row in power)
         if any(any(row) for row in power):
             raise ValueError("operator is not nilpotent")
-    op = operator if operator is not None else _zero_matrix(dim)
     stages = [()]
-    orbit_gens = []  # (stage index, raw orbit vector), in construction order
+    orbits = []
     deps = []
-    acc = []
     for beta, block in enumerate(blocks):
         mbeta = stages[-1]
-        orows = []
-        for b in block:
-            orows.extend(_orbit(p, b, op))
+        orows = [r for b in block for r in _orbit(p, b, operator)]
         if not orows:
             raise ValueError("block %d adds nothing to the filtration" % beta)
+        gens = [g for orbit in orbits for g in orbit]
+        owner = [alpha for alpha, orbit in enumerate(orbits) for _ in orbit]
         reduced = [fp_reduce(p, mbeta, r) for r in orows]
         support = set()
         for c in fp_nullspace(p, reduced):
-            coeffs = fp_solve(p, [g for _, g in orbit_gens], fp_mat_vec(p, c, orows))
+            coeffs = fp_solve(p, gens, fp_mat_vec(p, c, orows))
             if coeffs is None:
                 raise AssertionError("relation element escapes the earlier stages")
-            for (alpha, _), ci in zip(orbit_gens, coeffs):
-                if ci:
-                    support.add(alpha)
+            support.update(owner[j] for j, cj in enumerate(coeffs) if cj)
         deps.append(frozenset(support))
-        acc.extend(orows)
-        nxt = fp_rref(p, acc)
+        nxt = fp_rref(p, gens + orows)
         if len(nxt) <= len(mbeta):
             raise ValueError("block %d adds nothing to the filtration" % beta)
         stages.append(nxt)
-        orbit_gens.extend((beta, r) for r in orows)
+        orbits.append(tuple(orows))
     return FilteredModule(
-        p, dim, blocks, operator, tuple(stages), tuple(deps)
+        p, dim, blocks, operator, tuple(orbits), tuple(stages), tuple(deps)
     )
 
 
@@ -353,10 +341,12 @@ def build_hill_family(module: FilteredModule) -> HillLattice:
 def quotient_partition(p: int, big, small, op) -> tuple:
     """Partition type of the induced nilpotent operator on big/small,
     reported as block sizes in nonincreasing order; for the zero operator
-    this is all ones, so it carries exactly the dimension."""
+    (op None) this is all ones, so it carries exactly the dimension."""
     residues = [fp_reduce(p, small, r) for r in big]
     comp = fp_rref(p, residues)
     q = len(comp)
+    if op is None:
+        return (1,) * q
     if q == 0:
         return ()
     # comp is reduced echelon, so a vector of its span has the coefficients
@@ -368,11 +358,11 @@ def quotient_partition(p: int, big, small, op) -> tuple:
         if any(fp_reduce(p, comp, img)):
             raise AssertionError("operator does not preserve the quotient")
         rows.append(tuple(img[j] for j in pivots))
-    ranks = [q]
+    ranks = [q, len(fp_rref(p, rows))]
     power = rows
     while ranks[-1] > 0:
-        ranks.append(len(fp_rref(p, power)))
         power = [fp_mat_vec(p, r, rows) for r in power]
+        ranks.append(len(fp_rref(p, power)))
     counts = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
     out = []
     for j, nblocks in enumerate(
@@ -468,14 +458,8 @@ class _BlockPatterns:
 
     def __init__(self, module: FilteredModule):
         p = module.p
-        op = module.op_matrix()
-        gens = []
-        self.owner = []
-        for beta, block in enumerate(module.blocks):
-            for b in block:
-                for r in _orbit(p, b, op):
-                    gens.append(r)
-                    self.owner.append(beta)
+        gens = [g for orbit in module.orbits for g in orbit]
+        self.owner = [beta for beta, orbit in enumerate(module.orbits) for _ in orbit]
         self.p = p
         self.top = module.top()
         self.rows = []
@@ -544,15 +528,9 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
     property three, failing classes of extensions for property four)."""
     module = lattice.module
     p = module.p
-    op = module.op_matrix()
+    op = module.operator
     findings = []
     spaces = {m.space: m for m in lattice.members}
-    spans: dict = {}
-
-    def span_of(support: frozenset) -> tuple:
-        if support not in spans:
-            spans[support] = module.member_space(support)
-        return spans[support]
 
     # (1) the filtration stages belong to the family
     stages_present = True
@@ -622,7 +600,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
             cur = low.space
             for gamma in sorted(tset - sset):
                 if (cur, gamma) not in steps_from:
-                    nxt = fp_sum(p, cur, span_of(frozenset((gamma,))))
+                    nxt = fp_sum(p, cur, module.member_space((gamma,)))
                     qpart = quotient_partition(p, nxt, cur, op)
                     bdim, bpart = block_data[gamma]
                     steps_from[cur, gamma] = (
@@ -649,7 +627,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
     # (4) one-element extensions inside the family, with a dimension bound,
     # once per (member, class of elements needing the same blocks)
     max_block = max(
-        (len(span_of(frozenset((beta,)))) for beta in range(module.sigma)), default=0
+        (len(module.member_space((beta,))) for beta in range(module.sigma)), default=0
     )
     patterns = _BlockPatterns(module)
     classes = patterns.classes()
@@ -667,7 +645,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
         msupp = set(member.support)
         for cls in classes:
             tsupp = _down_closure(module.deps, cls.blocks | msupp)
-            tspace = span_of(tsupp)
+            tspace = module.member_space(tsupp)
             found = spaces.get(tspace)
             added = len(tspace) - member.dim
             bound = max_block * len(tsupp - msupp)

@@ -10,11 +10,18 @@ extension witnesses have the old per-element shape, defined here.
 `fp_rref` is the F_p Gauss-Jordan loop `qsheaf.hill.fp_rref` ran before it
 read its echelon form off `qsheaf.exactpoly.rref`, the one elimination
 routine over Q and F_p.
+
+`_paired_rref`, `fp_intersect`, `fp_nullspace` and `fp_solve` are the
+bodies `qsheaf.hill` had before `_paired_rref` read the right halves off
+its one elimination and `fp_solve` reduced through `fp_reduce`: they
+re-echelon the right halves, and `fp_solve` runs a loop of its own.  The
+oracle verifier intersects and solves with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from qsheaf.hill import (
     ChainStep,
@@ -23,11 +30,10 @@ from qsheaf.hill import (
     HillReport,
     _down_closure,
     _orbit,
+    _pivot,
     closed_span,
     enumerate_space,
     fp_in_span,
-    fp_intersect,
-    fp_solve,
     fp_sum,
     fp_vec,
     quotient_partition,
@@ -61,9 +67,69 @@ def fp_rref(p: int, rows) -> tuple:
         rank += 1
     return tuple(tuple(r) for r in mat[:rank])
 
+
+def _paired_rref(p: int, pairs):
+    """Echelon form of (left | right) rows, eliminating by left columns
+    first; rows whose left half vanished are re-echeloned by the right."""
+    if not pairs:
+        return [], ()
+    lw = len(pairs[0][0])
+    joined = [list(l) + list(r) for l, r in pairs]
+    red = fp_rref(p, joined)
+    with_left = [(row[:lw], row[lw:]) for row in red if any(row[:lw])]
+    zero_left = [row[lw:] for row in red if not any(row[:lw])]
+    return with_left, fp_rref(p, zero_left)
+
+
+def fp_nullspace(p: int, rows) -> tuple:
+    """Canonical basis of {c : sum c_i rows_i = 0}."""
+    if not rows:
+        return ()
+    n = len(rows)
+    pairs = []
+    for i, r in enumerate(rows):
+        unit = [0] * n
+        unit[i] = 1
+        pairs.append((tuple(r), tuple(unit)))
+    _, zero_left = _paired_rref(p, pairs)
+    return zero_left
+
+
+def fp_solve(p: int, gens, target) -> Optional[tuple]:
+    """One coefficient vector with sum c_i gens_i = target, chosen
+    canonically from the echelon form; None when target is outside."""
+    if not gens:
+        return () if not any(fp_vec(p, target)) else None
+    n = len(gens)
+    pairs = []
+    for i, r in enumerate(gens):
+        unit = [0] * n
+        unit[i] = 1
+        pairs.append((tuple(fp_vec(p, r)), tuple(unit)))
+    with_left, _ = _paired_rref(p, pairs)
+    res = list(fp_vec(p, target))
+    comb = [0] * n
+    for left, right in with_left:
+        piv = _pivot(left)
+        c = res[piv]
+        if c:
+            res = [(x - c * y) % p for x, y in zip(res, left)]
+            comb = [(x + c * y) % p for x, y in zip(comb, right)]
+    if any(res):
+        return None
+    return tuple(comb)
+
+
+def fp_intersect(p: int, a, b) -> tuple:
+    """Intersection of two spans by the double-block echelon method."""
+    pairs = [(v, v) for v in a] + [(w, tuple(0 for _ in w)) for w in b]
+    _, zero_left = _paired_rref(p, pairs)
+    return zero_left
+
+
 def needed_blocks(module, x) -> tuple:
     """The blocks whose orbit generators fp_solve's combination of x uses."""
-    op = module.op_matrix()
+    op = module.operator
     gens = [(beta, r) for beta, block in enumerate(module.blocks) for b in block
             for r in _orbit(module.p, b, op)]
     coeffs = fp_solve(module.p, [g for _, g in gens], x)
@@ -89,7 +155,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
     (chains for property three, extension members for property four)."""
     module = lattice.module
     p = module.p
-    op = module.op_matrix()
+    op = module.operator
     findings = []
     spaces = {m.space: m for m in lattice.members}
 

@@ -1,9 +1,13 @@
-"""No `qsheaf` module imports a name it does not need.
+"""No `qsheaf` module imports a name it does not need, or keeps a private
+helper nothing calls.
 
 A name a module imports must be used in that module, or be imported from
 that module by another `qsheaf` module, a test or `perfbench` (a
-re-export), or sit on an import line marked `# noqa: F401`.  Standard
-library only, so it runs where no linter is installed.
+re-export), or sit on an import line marked `# noqa: F401`.  A module-level
+function or class whose name starts with one underscore must be read
+somewhere in `src/`: a helper left behind by a fold fails here even when a
+test still imports it.  Standard library only, so it runs where no linter
+is installed.
 """
 
 from __future__ import annotations
@@ -109,3 +113,41 @@ def test_guard_flags_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(path, set()) == ["sample.py:1 Field"]
+
+
+def unreferenced_private_defs(paths) -> list:
+    """Module-level private functions and classes defined in the files
+    `paths` that none of those files reads, by name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = set()
+    for tree in trees.values():
+        used |= _used_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__") and name not in used:
+                out.append("%s:%d %s" % (path.name, node.lineno, name))
+    return out
+
+
+def test_every_private_helper_is_referenced_in_src():
+    assert unreferenced_private_defs(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_guard_flags_an_unreferenced_private_helper(tmp_path):
+    one = tmp_path / "one.py"
+    one.write_text(
+        "def _kept():\n"
+        "    return 0\n"
+        "def _dropped():\n"
+        "    return _kept()\n"
+        "class _Table:\n"
+        "    pass\n"
+    )
+    two = tmp_path / "two.py"
+    two.write_text("from .one import _Table\nTABLE = _Table()\n")
+    assert unreferenced_private_defs([one, two]) == ["one.py:3 _dropped"]
