@@ -16,6 +16,16 @@ properties are checked member by member:
   (4) any member extended by a single element embeds into a member that is
       larger by a controlled dimension bound.
 
+Properties (2) and (3) are read off the supports.  Write A_S for the
+member space of a support S; it is the sum of the A_beta, beta in S, so
+A_S + A_T = A_{S|T}, and A_{S&T} lies in A_S & A_T, equal to it exactly when
+dim A_{S&T} = dim A_S + dim A_T - dim A_{S|T}.  A sum is a lookup, and an
+intersection is eliminated only when those dimensions disagree; the first
+escaping pair is eliminated again as a check.  A member A holds exactly the
+blocks beta with A_beta inside A, and A is the member space of those
+blocks, so one member lies in another exactly when its set of held blocks
+does.
+
 Property (4) is checked by class, not by element.  The member an element x
 extends into is built from the blocks that x's canonical combination of
 orbit generators uses.  That combination is linear in x, so the elements
@@ -224,10 +234,11 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
         operator = tuple(tuple(int(e) % p for e in row) for row in operator)
         if len(operator) != dim or any(len(r) != dim for r in operator):
             raise ValueError("operator must be a dim x dim matrix")
-        power = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+        # rows of the powers of the operator, dropped as they die
+        power = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
         for _ in range(dim):
-            power = tuple(fp_mat_vec(p, row, operator) for row in power)
-        if any(any(row) for row in power):
+            power = [r for r in (fp_mat_vec(p, row, operator) for row in power) if any(r)]
+        if power:
             raise ValueError("operator is not nilpotent")
     stages = [()]
     orbits = []
@@ -264,7 +275,10 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
 @dataclass(frozen=True)
 class HillMember:
     space: tuple  # canonical basis
-    support: tuple  # the largest closed support realizing the space
+    # a support whose member space is the space: in a built family the
+    # union of the closed supports spanning it, in a listed family the
+    # first one listed (which need be neither closed nor largest)
+    support: tuple
 
     @property
     def dim(self) -> int:
@@ -359,9 +373,10 @@ def quotient_partition(p: int, big, small, op) -> tuple:
             raise AssertionError("operator does not preserve the quotient")
         rows.append(tuple(img[j] for j in pivots))
     ranks = [q, len(fp_rref(p, rows))]
-    power = rows
-    while ranks[-1] > 0:
-        power = [fp_mat_vec(p, r, rows) for r in power]
+    # rows of the powers, dropped as they die; none are left at rank 0
+    power = [r for r in rows if any(r)]
+    while power:
+        power = [r for r in (fp_mat_vec(p, row, rows) for row in power) if any(r)]
         ranks.append(len(fp_rref(p, power)))
     counts = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
     out = []
@@ -522,6 +537,14 @@ class _BlockPatterns:
         return fp_mat_vec(p, a, self.top)
 
 
+def _mask(support) -> int:
+    """The bitmask of a support: bit beta is set when block beta is in it."""
+    out = 0
+    for beta in support:
+        out |= 1 << beta
+    return out
+
+
 def verify_hill_properties(lattice: HillLattice) -> HillReport:
     """Check of the four lattice properties.  Everything is recomputed from
     the module data; the report carries explicit witnesses (chains for
@@ -530,7 +553,26 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
     p = module.p
     op = module.operator
     findings = []
-    spaces = {m.space: m for m in lattice.members}
+    mem = lattice.members
+    spaces = {m.space: m for m in mem}
+
+    # the support algebra below reads each member as A_S for its support S
+    for m in mem:
+        if module.member_space(m.support) != m.space:
+            raise AssertionError("member %s is not the span of its support" % (m.support,))
+    supps = [_mask(m.support) for m in mem]
+    dims = [m.dim for m in mem]
+    at_mask: dict = {}
+
+    def at(mask):
+        """A_S for the support S with this bitmask, and the member whose
+        space it is (None when it is no member's)."""
+        if mask not in at_mask:
+            space = module.member_space(
+                beta for beta in range(module.sigma) if mask >> beta & 1
+            )
+            at_mask[mask] = (space, spaces.get(space))
+        return at_mask[mask]
 
     # (1) the filtration stages belong to the family
     stages_present = True
@@ -539,32 +581,43 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
             stages_present = False
             findings.append("stage %d is missing from the family" % alpha)
 
-    # (2) pairwise sums and intersections stay inside
-    lattice_closed = True
+    # (2) pairwise sums and intersections stay inside: A_S + A_T = A_{S|T},
+    # and A_{S&T} lies in A_S & A_T, equal to it when the dimensions agree
+    def escapes(i, j):
+        a, b = supps[i], supps[j]
+        join, joined = at(a | b)
+        if joined is None:
+            return "sum"
+        meet, met = at(a & b)
+        if len(meet) != dims[i] + dims[j] - len(join):
+            met = spaces.get(fp_intersect(p, mem[i].space, mem[j].space))
+        return None if met is not None else "intersection"
+
     lattice_witness = None
-    mem = lattice.members
     for i in range(len(mem)):
         for j in range(i, len(mem)):
-            s = fp_sum(p, mem[i].space, mem[j].space)
-            if s not in spaces:
-                lattice_closed = False
-                lattice_witness = ("sum", mem[i].support, mem[j].support)
-                findings.append(
-                    "sum of members %s and %s escapes the family"
+            kind = escapes(i, j)
+            if kind is None:
+                continue
+            # the failing pair again by elimination, both results computed
+            # and the sum read first
+            sum_in = fp_sum(p, mem[i].space, mem[j].space) in spaces
+            meet_in = fp_intersect(p, mem[i].space, mem[j].space) in spaces
+            eliminated = "sum" if not sum_in else None if meet_in else "intersection"
+            if eliminated != kind:
+                raise AssertionError(
+                    "support algebra and elimination disagree on %s and %s"
                     % (mem[i].support, mem[j].support)
                 )
-                break
-            t = fp_intersect(p, mem[i].space, mem[j].space)
-            if t not in spaces:
-                lattice_closed = False
-                lattice_witness = ("intersection", mem[i].support, mem[j].support)
-                findings.append(
-                    "intersection of members %s and %s escapes the family"
-                    % (mem[i].support, mem[j].support)
-                )
-                break
-        if not lattice_closed:
+            lattice_witness = (kind, mem[i].support, mem[j].support)
+            findings.append(
+                "%s of members %s and %s escapes the family"
+                % (kind, mem[i].support, mem[j].support)
+            )
             break
+        if lattice_witness is not None:
+            break
+    lattice_closed = lattice_witness is None
 
     # block invariants, computed once
     block_data = []
@@ -576,21 +629,30 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
         block_data.append((bdim, bpart))
 
     # (3) chains with block-matching quotients between nested members; a
-    # step depends only on the space it starts from and the block it adds
+    # step depends only on the space it starts from and the block it adds.
+    # A member A with support S holds the blocks of nest(A) = {beta : A_beta
+    # in A}; S lies in nest(A), so A = A_S = A_nest(A), and one member lies
+    # in another exactly when its nest lies in the other's.
+    singles = [module.member_space((beta,)) for beta in range(module.sigma)]
+    nests = []
+    for m, nest in zip(mem, supps):
+        for beta, single in enumerate(singles):
+            if not nest >> beta & 1 and all(fp_in_span(p, m.space, v) for v in single):
+                nest |= 1 << beta
+        nests.append(nest)
     chains = []
     chains_ok = True
     steps_from: dict = {}
-    for low in mem:
-        for high in mem:
-            if low is high:
-                continue
-            if not all(fp_in_span(p, high.space, v) for v in low.space):
+    for low, low_nest in zip(mem, nests):
+        for high, high_nest in zip(mem, nests):
+            if low is high or low_nest & ~high_nest:
                 continue
             sset = set(low.support)
             tset = set(high.support)
             if not sset <= tset:
-                # supports are maximal, so nesting implies support nesting;
-                # anything else is a genuine failure
+                # a built family lists maximal supports, so nesting implies
+                # support nesting there; a listed family may name a smaller
+                # support, and then no chain of its blocks runs between them
                 chains_ok = False
                 findings.append(
                     "no support chain from %s to %s" % (low.support, high.support)
@@ -600,7 +662,7 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
             cur = low.space
             for gamma in sorted(tset - sset):
                 if (cur, gamma) not in steps_from:
-                    nxt = fp_sum(p, cur, module.member_space((gamma,)))
+                    nxt = fp_sum(p, cur, singles[gamma])
                     qpart = quotient_partition(p, nxt, cur, op)
                     bdim, bpart = block_data[gamma]
                     steps_from[cur, gamma] = (
@@ -625,36 +687,44 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
             chains.append(witness)
 
     # (4) one-element extensions inside the family, with a dimension bound,
-    # once per (member, class of elements needing the same blocks)
-    max_block = max(
-        (len(module.member_space((beta,))) for beta in range(module.sigma)), default=0
-    )
+    # once per (member, class of elements needing the same blocks).  The
+    # target support T is the down-closure of the class's blocks and the
+    # member's support S, the OR of per-block closures; S lies in T, so the
+    # member lies in A_T.
+    max_block = max((len(single) for single in singles), default=0)
+    reach = [_mask(_down_closure(module.deps, (beta,))) for beta in range(module.sigma)]
+
+    def closure(mask) -> int:
+        out = 0
+        for beta, r in enumerate(reach):
+            if mask >> beta & 1:
+                out |= r
+        return out
+
     patterns = _BlockPatterns(module)
     classes = patterns.classes()
-    examples: dict = {}
+    class_reach = [closure(_mask(cls.blocks)) for cls in classes]
     within: dict = {}
 
-    def inside(basis, tspace) -> bool:
-        if (basis, tspace) not in within:
-            within[basis, tspace] = all(fp_in_span(p, tspace, v) for v in basis)
-        return within[basis, tspace]
+    def inside(k, tmask) -> bool:
+        if (k, tmask) not in within:
+            within[k, tmask] = all(fp_in_span(p, at(tmask)[0], v) for v in classes[k].basis)
+        return within[k, tmask]
 
+    # A_T grows with T, and every target T holds the class's own reach R,
+    # so a class inside A_R is inside every target
+    home = [inside(k, r) for k, r in enumerate(class_reach)]
+    examples: dict = {}
     extensions_ok = True
     extension_failures = []
-    for member in mem:
-        msupp = set(member.support)
-        for cls in classes:
-            tsupp = _down_closure(module.deps, cls.blocks | msupp)
-            tspace = module.member_space(tsupp)
-            found = spaces.get(tspace)
-            added = len(tspace) - member.dim
-            bound = max_block * len(tsupp - msupp)
-            if (
-                found is None
-                or not inside(cls.basis, tspace)
-                or not inside(member.space, tspace)
-                or added > bound
-            ):
+    for member, smask, mdim in zip(mem, supps, dims):
+        member_reach = closure(smask)
+        for k, cls in enumerate(classes):
+            tmask = member_reach | class_reach[k]
+            tspace, found = at(tmask)
+            added = len(tspace) - mdim
+            bound = max_block * (tmask & ~smask).bit_count()
+            if found is None or not (home[k] or inside(k, tmask)) or added > bound:
                 if cls.blocks not in examples:
                     examples[cls.blocks] = patterns.example(cls)
                 extensions_ok = False

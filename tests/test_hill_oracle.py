@@ -6,20 +6,31 @@ with planted dependencies, and with one member left out of the family, both
 verifiers must agree on every verdict, witness, chain and finding, and the
 failing extensions the oracle lists one by one must be exactly the classes
 the new verifier reports, with their counts.
+
+Listed families (`family_from_supports` on random support lists, closed or
+not, maximal or not) reach the paths a built family never takes: the
+elimination fallback for an intersection the supports do not give, nested
+members whose listed supports are not nested, and the re-check of the first
+escaping pair.
 """
 
+import pathlib
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 import hill_oracle
 from hill_oracle import needed_blocks
+from qsheaf import hill
 from qsheaf.hill import (
     HillLattice,
     build_hill_family,
     make_filtered_module,
     verify_hill_properties,
 )
+from qsheaf.sheaffile import family_from_supports, parse_filtered_file
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # p^dim stays small enough for the oracle's walk over the top stage
 MAX_DIM = {2: 5, 3: 4, 5: 3}
@@ -88,3 +99,44 @@ def test_class_verifier_matches_oracle_on_pruned_families(module, data):
     members = build_hill_family(module).members
     drop = data.draw(st.integers(0, len(members) - 1))
     _assert_agree(HillLattice(module, members[:drop] + members[drop + 1:]))
+
+
+@st.composite
+def listed_families(draw):
+    """A listed family over at least two blocks: random supports, kept in
+    the order drawn, and half the time closed under unions, so that only
+    an intersection can escape."""
+    module = draw(modules().filter(lambda m: m.sigma >= 2))
+    masks = draw(st.lists(st.integers(0, (1 << module.sigma) - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        joined = set(masks)
+        for _ in range(module.sigma):
+            joined |= {a | b for a in joined for b in joined}
+        masks += sorted(joined - set(masks))
+    supports = [tuple(b for b in range(module.sigma) if mask >> b & 1) for mask in masks]
+    return family_from_supports(module, supports)
+
+
+@given(listed_families())
+@settings(max_examples=80)
+def test_class_verifier_matches_oracle_on_listed_families(lattice):
+    _assert_agree(lattice)
+
+
+def test_listed_supports_whose_meet_is_too_small_intersect_once(monkeypatch):
+    # A_0 lies in A_1, so A_0 & A_1 = A_0, but the supports {0} and {1}
+    # meet in the empty support, whose space is 0
+    module, _ = parse_filtered_file(str(FIXTURES / "hill_dep_f2.txt"))
+    lattice = family_from_supports(module, [(0,), (1,)])
+    calls = []
+    fp_intersect = hill.fp_intersect
+
+    def counting(p, a, b):
+        calls.append((a, b))
+        return fp_intersect(p, a, b)
+
+    monkeypatch.setattr(hill, "fp_intersect", counting)
+    report = _assert_agree(lattice)
+    assert len(calls) == 1
+    assert report.lattice_closed
+    assert "no support chain from (0,) to (1,)" in report.findings

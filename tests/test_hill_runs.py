@@ -1,6 +1,9 @@
 """F_p work per Hill job: a module builds each member space once, however
 many of the family builder and the verifier ask for it, and a module with
-no operator is never multiplied by a zero matrix.
+no operator is never multiplied by a zero matrix.  The verifier reads sums,
+intersections and nesting off the supports: a passing family makes no
+hill.fp_intersect call, a failing one eliminates only its escaping pair,
+and no row that has died is multiplied again.
 
 A member space is one hill.closed_span call, made by
 FilteredModule.member_space for one support (a set of block indices).
@@ -17,6 +20,7 @@ from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 HILL = sorted(path.name for path in FIXTURES.glob("hill_*.txt"))
+PASSING = [name for name in HILL if name != "hill_broken_f2.txt"]
 
 
 def test_every_hill_fixture_is_covered():
@@ -53,3 +57,48 @@ def test_hill_job_builds_each_member_space_once(monkeypatch, fixture):
     assert supports
     assert len(spans) == len(set(supports))
     assert zero_products == []
+
+
+def _counted_job(monkeypatch, fixture):
+    """Run hill-verify on a fixture; return its exit status, the number of
+    calls of the elimination routines and the zero vectors fp_mat_vec got."""
+    calls = {"fp_intersect": 0, "fp_sum": 0}
+    zero_vectors = []
+    for name in calls:
+        original = getattr(hill, name)
+
+        def counting(p, a, b, name=name, original=original):
+            calls[name] += 1
+            return original(p, a, b)
+
+        monkeypatch.setattr(hill, name, counting)
+    fp_mat_vec = hill.fp_mat_vec
+
+    def checking_fp_mat_vec(p, vec, mat):
+        if not any(vec):
+            zero_vectors.append(vec)
+        return fp_mat_vec(p, vec, mat)
+
+    monkeypatch.setattr(hill, "fp_mat_vec", checking_fp_mat_vec)
+    report = run(JobSpec("hill-verify", inputs=(str(FIXTURES / fixture),), machine=True))
+    return report.exit_status, calls, zero_vectors
+
+
+@pytest.mark.parametrize("fixture", PASSING)
+def test_passing_family_never_intersects_or_multiplies_a_dead_row(monkeypatch, fixture):
+    status, calls, zero_vectors = _counted_job(monkeypatch, fixture)
+    assert status == EXIT_OK
+    assert calls["fp_intersect"] == 0
+    assert zero_vectors == []
+
+
+def test_failing_family_eliminates_only_its_escaping_pair(monkeypatch):
+    status, calls, _ = _counted_job(monkeypatch, "hill_broken_f2.txt")
+    assert status == EXIT_CHECK_FAILED
+    assert calls["fp_intersect"] == 1
+
+
+def test_big_family_sums_only_along_its_chains(monkeypatch):
+    status, calls, _ = _counted_job(monkeypatch, "hill_big_f2.txt")
+    assert status == EXIT_OK
+    assert calls["fp_sum"] <= 84
