@@ -112,7 +112,7 @@ def main() -> None:
                 chart = ambient.quiver.chart(v)
                 ring = chart.ring
                 unit = (ring.one(), ring.zero())
-                gens = result.sub.generator_lists().get(v, ())
+                gens = result.sub.sections[v]
                 gb_sub = span_gb(chart, list(gens), 2)
                 gb_unit = span_gb(chart, [unit], 2)
                 check(

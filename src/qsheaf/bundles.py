@@ -38,6 +38,7 @@ from .sheafrep import (
     cokernel,
     fmt_vertex,
     graded_sheaf,
+    identity_map,
     induced_rep,
     is_quasi_coherent,
     kernel,
@@ -287,62 +288,38 @@ class LazardApproximation:
     is_iso: bool
 
 
-def lazard_approximation(
-    rep: SheafRep, cover: SheafMap, sub: SubRep, block=None
-) -> LazardApproximation:
-    """Finite flat approximation: divide a bundle sub of the kernel out of a
-    finite generator block of the cover and map the quotient into the sheaf.
+def lazard_approximation(rep: SheafRep, cover: SheafMap, sub: SubRep) -> LazardApproximation:
+    """Finite flat approximation: divide a bundle sub of the kernel out of
+    the cover source, a finite sum of twists, and map the quotient into the
+    sheaf.
 
     `sub` holds elements of the cover source; they must be killed by the
-    cover and supported inside `block` (generator indices, default all)."""
+    cover."""
     if cover.target is not rep:
         raise ValueError("cover does not land in the given representation")
     if sub.ambient is not cover.source:
         raise ValueError("sub-representation must live in the cover source")
     if cover.source.graded is None:
         raise ValueError("cover source must be a sum of twists")
-    degrees = cover.source.graded.degrees
-    if block is None:
-        block = tuple(range(len(degrees)))
-    block = tuple(sorted(set(block)))
     quiver = rep.quiver
-    outside = [j for j in range(len(degrees)) if j not in block]
     for v in quiver.vertices:
         chart = quiver.chart(v)
         tgt = rep.modules[v]
         gb = tgt.relation_gb()
         for x in sub.sections[v]:
-            for j in outside:
-                if not chart.nf(x[j]).is_zero():
-                    raise ValueError(
-                        "sub-representation leaves the stated generator block at "
-                        + fmt_vertex(v)
-                    )
             img = mat_apply(x, cover.rows[v], chart.ring, tgt.gens)
             if not span_contains(chart, gb, img):
                 raise ValueError(
                     "sub-representation is not contained in the cover kernel at "
                     + fmt_vertex(v)
                 )
-    sub_ind, _incl = induced_rep(sub)
+    sub_ind, incl = induced_rep(sub)
     sub_bundle = is_vector_bundle(sub_ind)
-    block_degrees = tuple(degrees[j] for j in block)
-    small = graded_sheaf(quiver, block_degrees)
-    block_rows = {
-        v: tuple(tuple(x[j] for j in block) for x in sub.sections[v])
-        for v in quiver.vertices
-    }
-    f_sub = cokernel(make_sheaf_map(sub_ind, small, block_rows))
+    f_sub = cokernel(incl)
     qc = is_quasi_coherent(f_sub)
-    to_f_rows = {
-        v: tuple(cover.rows[v][j] for j in block) for v in quiver.vertices
-    }
-    to_f = make_sheaf_map(f_sub, rep, to_f_rows)
-    qrows = {
-        v: mat_identity(quiver.chart(v).ring, len(block))
-        for v in quiver.vertices
-    }
-    vdim = vdim_le_one_witness(f_sub, make_sheaf_map(small, f_sub, qrows))
+    to_f = make_sheaf_map(f_sub, rep, cover.rows)
+    quotient = make_sheaf_map(cover.source, f_sub, identity_map(cover.source).rows)
+    vdim = vdim_le_one_witness(f_sub, quotient)
     iso = map_is_iso(to_f)
     return LazardApproximation(f_sub, to_f, sub_bundle, qc, vdim, iso)
 

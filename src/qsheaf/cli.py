@@ -56,7 +56,7 @@ from .bundles import (
     lazard_approximation,
 )
 from .charts import ideal_block, span_contains, span_gb
-from .closure import SubRep, qc_closure
+from .closure import MAX_CYCLES, SubRep, qc_closure
 from .exactpoly import (
     Field,
     Poly,
@@ -112,7 +112,7 @@ class JobSpec:
     command: str
     inputs: tuple = ()
     field: Optional[Field] = None
-    max_cycles: int = 12
+    max_cycles: int = MAX_CYCLES
     seed_file: Optional[str] = None
     out: Optional[str] = None
     machine: bool = False
@@ -221,7 +221,7 @@ def _cmd_closure(job: JobSpec):
     seed = parse_section_file(job.seed_file, ambient)
     result = qc_closure(ambient, seed, max_cycles=job.max_cycles)
     counts = {
-        fmt_vertex(v): len(rows) for v, rows in result.sub.generator_lists().items()
+        fmt_vertex(v): len(rows) for v, rows in result.sub.sections.items()
     }
     certificates = {
         "cycles": result.cycles,
@@ -239,7 +239,7 @@ def _cmd_closure(job: JobSpec):
     ]
     certificates["subrep_findings"] = list(result.report.findings)
     generators = {}
-    for v, rows in result.sub.generator_lists().items():
+    for v, rows in result.sub.sections.items():
         generators[fmt_vertex(v)] = [" | ".join(poly_to_str(e) for e in row) for row in rows]
     certificates["generators"] = generators
     return ok, verdicts, certificates, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -301,13 +301,8 @@ def _cmd_vdim_witness(job: JobSpec):
 def _cmd_lazard(job: JobSpec):
     rep = parse_sheaf_file(job.inputs[0])
     cover = serre_cover(rep)
-    sub = SubRep(cover.source)
-    if job.seed_file:
-        sections = parse_section_file(job.seed_file, cover.source)
-        for v in cover.source.quiver.vertices:
-            for vec in sections.at(v):
-                sub.add(v, vec)
-    approx = lazard_approximation(rep, cover, sub)
+    seed = parse_section_file(job.seed_file, cover.source) if job.seed_file else None
+    approx = lazard_approximation(rep, cover, SubRep(cover.source, seed))
     ok = (
         approx.qc.ok
         and approx.vdim.ok
@@ -673,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="coefficient field for files that omit one: Q or Fp:<p>",
     )
-    parser.add_argument("--max-cycles", type=int, default=12, help="closure cycle budget")
+    parser.add_argument("--max-cycles", type=int, default=MAX_CYCLES, help="closure cycle budget")
     parser.add_argument("--seed-file", default=None, help="sections file for closure/lazard")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--machine", action="store_true", help="canonical JSON report body")

@@ -18,9 +18,9 @@ from typing import Optional
 
 from .charts import span_contains
 from .exactpoly import Poly, vec_add, vec_mul_poly
-from .sheafrep import (  # SectionSet, SubRep and induced_rep are re-exported
+from .sheafrep import (  # SubRep and induced_rep are re-exported
+    NotClosed,
     QCReport,
-    SectionSet,
     SheafRep,
     SubRep,
     fmt_edge,
@@ -31,7 +31,12 @@ from .sheafrep import (  # SectionSet, SubRep and induced_rep are re-exported
 )
 
 
-def make_section_set(rep: SheafRep, mapping) -> SectionSet:
+MAX_CYCLES = 12
+
+
+def make_section_set(rep: SheafRep, mapping) -> dict:
+    """Element lists of rep keyed by vertex, {vertex: tuple of elements},
+    checked for known vertices, widths and chart rings."""
     entries = {}
     for v, vecs in mapping.items():
         key = frozenset(v)
@@ -53,7 +58,7 @@ def make_section_set(rep: SheafRep, mapping) -> SectionSet:
                     )
             fixed.append(vec)
         entries[key] = tuple(fixed)
-    return SectionSet(entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -162,15 +167,18 @@ class ClosureResult:
     sub: SubRep
     witnesses: tuple
     cycles: int
-    stabilized: bool
     trace: tuple
     report: Optional[SubRepReport]
+
+    @property
+    def stabilized(self) -> bool:
+        return self.report is not None
 
 
 def qc_closure(
     ambient: SheafRep,
-    seed: SectionSet,
-    max_cycles: int = 12,
+    seed: dict,
+    max_cycles: int = MAX_CYCLES,
 ) -> ClosureResult:
     """Round-robin closure over the generating edges with a cycle budget.
 
@@ -186,14 +194,11 @@ def qc_closure(
         raise ValueError("ambient representation is not quasi-coherent")
     quiver = ambient.quiver
     sub = SubRep(ambient, seed)
-    for v in quiver.vertices:
-        for x in seed.at(v):
-            sub.add(v, x)
     pulled = {e: 0 for e in quiver.edges}
     pushed = {e: 0 for e in quiver.edges}
     witnesses = []
     trace = []
-    stabilized = False
+    report = None
     cycles = 0
     for _cycle in range(max_cycles):
         cycles += 1
@@ -224,19 +229,14 @@ def qc_closure(
             tuple(sorted((fmt_vertex(v), k) for v, k in added.items()))
         )
         if not added:
-            stabilized = True
+            report = verify_subrep(sub)
+            if not report.ok:
+                raise RuntimeError(
+                    "stable spans failed coherence verification: "
+                    + "; ".join(report.findings)
+                )
             break
-    report = None
-    if stabilized:
-        report = verify_subrep(sub)
-        if not report.ok:
-            raise RuntimeError(
-                "stable spans failed coherence verification: "
-                + "; ".join(report.findings)
-            )
-    return ClosureResult(
-        sub, tuple(witnesses), cycles, stabilized, tuple(trace), report
-    )
+    return ClosureResult(sub, tuple(witnesses), cycles, tuple(trace), report)
 
 
 @dataclass(frozen=True)
@@ -250,30 +250,26 @@ class SubRepReport:
 
 def verify_subrep(sub: SubRep) -> SubRepReport:
     """Re-check a sub-representation from scratch: seed containment, closure
-    under the ambient edge maps, and coherence of the induced presentation."""
-    ambient = sub.ambient
-    quiver = ambient.quiver
+    under the ambient edge maps, and coherence of the induced presentation.
+    Closure is read off the presentation: a pushed generator lifts over the
+    far generators exactly when it lies in their span."""
     findings = []
     seed_ok = True
-    for v in quiver.vertices:
-        for x in sub.seed.at(v):
+    for v in sub.ambient.quiver.vertices:
+        for x in sub.seed.get(v, ()):
             if not sub.contains(v, x):
                 seed_ok = False
                 findings.append("seed element at " + fmt_vertex(v) + " not in span")
-    closed = True
-    for edge in quiver.edges:
-        v, w = edge
-        for x in sub.sections[v]:
-            if not sub.contains(w, push(ambient, edge, x)):
-                closed = False
-                findings.append(
-                    "image of a generator not in span along " + fmt_edge(edge)
-                )
-                break
     qc = None
-    if closed:
+    try:
         rep, _incl = induced_rep(sub)
+    except NotClosed as err:
+        findings.extend(
+            "image of a generator not in span along " + fmt_edge(edge) for edge in err.edges
+        )
+    else:
         qc = is_quasi_coherent(rep)
         findings.extend(qc.findings)
-    ok = seed_ok and closed and qc is not None and qc.ok
+    closed = qc is not None
+    ok = seed_ok and closed and qc.ok
     return SubRepReport(ok, seed_ok, closed, qc, tuple(findings))

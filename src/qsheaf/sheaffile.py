@@ -34,7 +34,7 @@ from typing import Optional
 
 from .bundles import laurent_from_str, laurent_to_str
 from .charts import FPModule, is_homogeneous
-from .closure import SectionSet, SubRep, make_section_set
+from .closure import make_section_set
 from .exactpoly import Field, poly_from_str, poly_to_str
 from .hill import FilteredModule, HillLattice, assemble_family, fp_rref, make_filtered_module
 from .sheafrep import (
@@ -345,8 +345,9 @@ def parse_sheaf_file(path: str) -> SheafRep:
 # sections files
 
 
-def parse_section_file(path: str, rep: SheafRep) -> SectionSet:
-    """Parse sections against the representation they are sections of."""
+def parse_section_file(path: str, rep: SheafRep) -> dict:
+    """Parse sections against the representation they are sections of:
+    {vertex: tuple of elements}, as make_section_set returns them."""
     kind, rest = _take_kind(path, _read_lines(path), expected=("sections",))
     mapping = {}
     for line in rest:
@@ -543,16 +544,10 @@ def sheafrep_text(rep: SheafRep) -> str:
 
 
 def sections_text(sections) -> str:
-    """Text for a SectionSet or the generator lists of a SubRep."""
-    if isinstance(sections, SubRep):
-        entries = sections.generator_lists()
-    elif isinstance(sections, SectionSet):
-        entries = sections.entries
-    else:
-        entries = dict(sections)
+    """Text for element lists keyed by vertex."""
     lines = ["kind sections"]
-    for v in sorted(entries, key=lambda s: (len(s), tuple(sorted(s)))):
-        for vec in entries[v]:
+    for v in sorted(sections, key=lambda s: (len(s), tuple(sorted(s)))):
+        for vec in sections[v]:
             lines.append("section %s %s" % (fmt_vertex(v), " | ".join(poly_to_str(e) for e in vec)))
     return "\n".join(lines) + "\n"
 

@@ -475,27 +475,22 @@ def _prune_generators(module: FPModule, rows):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SectionSet:
-    """Finite lists of module elements, keyed by vertex."""
-
-    entries: dict
-
-    def at(self, v):
-        return self.entries.get(frozenset(v), ())
-
-
 class SubRep:
     """Generator lists for a sub-representation of an ambient sheaf.
 
-    Spans are always taken modulo the ambient relations, so membership means
-    membership in the generated submodule of the ambient vertex module.
+    `seed` maps vertices to element lists of the ambient, which are added
+    in vertex order.  Spans are always taken modulo the ambient relations,
+    so membership means membership in the generated submodule of the
+    ambient vertex module.
     """
 
-    def __init__(self, ambient: SheafRep, seed: Optional[SectionSet] = None):
+    def __init__(self, ambient: SheafRep, seed: Optional[dict] = None):
         self.ambient = ambient
-        self.seed = seed if seed is not None else SectionSet({})
+        self.seed = seed or {}
         self.sections = {v: [] for v in ambient.quiver.vertices}
+        for v in ambient.quiver.vertices:
+            for x in self.seed.get(v, ()):
+                self.add(v, x)
 
     def span(self, v):
         v = frozenset(v)
@@ -515,15 +510,23 @@ class SubRep:
         self.sections[v].append(tuple(vec))
         return True
 
-    def generator_lists(self) -> dict:
-        return {v: tuple(rows) for v, rows in self.sections.items()}
+
+class NotClosed(ValueError):
+    """Pushed generators that do not lift over the far generators, on the
+    edges `edges`, in edge order."""
+
+    def __init__(self, edges):
+        super().__init__("generators not closed under edge " + fmt_edge(edges[0]))
+        self.edges = tuple(edges)
 
 
 def _present(ambient: SheafRep, gens: dict):
     """Representation generated by the per-vertex element lists `gens` of
     the ambient, with its inclusion: the relations at each vertex are those
     among the generators, and each edge matrix lifts the pushed generators
-    over the far generators.  One tracked run per vertex gives both."""
+    over the far generators.  One tracked run per vertex gives both.  Every
+    edge is tried, each up to its first generator that does not lift; then
+    NotClosed names the edges that failed."""
     quiver = ambient.quiver
     lifters = {v: ambient.modules[v].lifter(gens[v]) for v in quiver.vertices}
     mods = {}
@@ -532,15 +535,19 @@ def _present(ambient: SheafRep, gens: dict):
         rel = _chart_nonzero_rows(chart, lifters[v].kernel(len(gens[v])))
         mods[v] = FPModule(chart, len(gens[v]), rel)
     edge_maps = {}
+    open_edges = []
     for edge in quiver.edges:
         v, w = edge
         rows_vw = []
         for x in gens[v]:
             coeffs = lifters[w].lift(push(ambient, edge, x))
             if coeffs is None:
-                raise ValueError("generators not closed under edge " + fmt_edge(edge))
+                open_edges.append(edge)
+                break
             rows_vw.append(tuple(coeffs[: len(gens[w])]))
         edge_maps[edge] = tuple(rows_vw)
+    if open_edges:
+        raise NotClosed(open_edges)
     rep = SheafRep(quiver, mods, edge_maps, None)
     return rep, SheafMap(rep, ambient, {v: tuple(gens[v]) for v in quiver.vertices})
 

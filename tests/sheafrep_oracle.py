@@ -9,12 +9,17 @@ lifts over the far generators.  The tracked bases here are those of
 `exactpoly_oracle`, whose Buchberger processes every S-pair and keeps dense
 combinations, so the relations and lifts do not go through the chain
 criterion or the sparse combinations either.
+
+`verify_subrep` is the sub-representation check that scanned the edges
+itself: it pushed every generator and tested span membership at the far
+vertex before `induced_rep` pushed and lifted them all again.
 """
 
 from __future__ import annotations
 
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
+from qsheaf.closure import SubRep, SubRepReport, induced_rep
 from qsheaf.exactpoly import vec_is_zero, vec_key, vec_unit
 from qsheaf.sheafrep import (
     EdgeVerdict,
@@ -23,6 +28,8 @@ from qsheaf.sheafrep import (
     _chart_nonzero_rows,
     _relations_preserved,
     fmt_edge,
+    fmt_vertex,
+    is_quasi_coherent,
     push,
 )
 
@@ -115,3 +122,32 @@ def present(ambient: SheafRep, gens: dict):
         edge_maps[edge] = tuple(rows_vw)
     rep = SheafRep(quiver, mods, edge_maps, None)
     return rep, SheafMap(rep, ambient, {v: tuple(gens[v]) for v in quiver.vertices})
+
+
+def verify_subrep(sub: SubRep) -> SubRepReport:
+    ambient = sub.ambient
+    quiver = ambient.quiver
+    findings = []
+    seed_ok = True
+    for v in quiver.vertices:
+        for x in sub.seed.get(v, ()):
+            if not sub.contains(v, x):
+                seed_ok = False
+                findings.append("seed element at " + fmt_vertex(v) + " not in span")
+    closed = True
+    for edge in quiver.edges:
+        v, w = edge
+        for x in sub.sections[v]:
+            if not sub.contains(w, push(ambient, edge, x)):
+                closed = False
+                findings.append(
+                    "image of a generator not in span along " + fmt_edge(edge)
+                )
+                break
+    qc = None
+    if closed:
+        rep, _incl = induced_rep(sub)
+        qc = is_quasi_coherent(rep)
+        findings.extend(qc.findings)
+    ok = seed_ok and closed and qc is not None and qc.ok
+    return SubRepReport(ok, seed_ok, closed, qc, tuple(findings))

@@ -38,10 +38,11 @@ from qsheaf.bundles import (
     transition_matrix,
     vdim_le_one_witness,
 )
-from qsheaf.charts import FPModule, chart_hom, localize_module, make_chart_ring
+from qsheaf.charts import FPModule, chart_hom, localize_module, make_chart_ring, span_contains
 from qsheaf.closure import SubRep
 from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str
 from qsheaf.sheafrep import (
+    _chart_nonzero_rows,
     build_proj_quiver,
     cokernel,
     direct_sum,
@@ -316,6 +317,30 @@ def test_vdim_witness_for_skyscraper():
     assert birkhoff_split(t).splitting_type == (-1,)
 
 
+def test_cover_kernel_prunes_a_redundant_generator():
+    # the second relation is x1 times the first, so the relations among the
+    # cover rows repeat themselves on most charts
+    quiver = build_proj_quiver(Q, 2)
+    rows = [
+        tuple(poly_from_str(quiver.xring, e) for e in row)
+        for row in (("x0", "x1", "0"), ("x0*x1", "x1^2", "0"))
+    ]
+    rep = graded_sheaf(quiver, (0, 0, 0), rows)
+    cover = serre_cover(rep)
+    _ker_rep, incl = kernel(cover)
+    pruned = 0
+    for v in quiver.vertices:
+        chart = quiver.chart(v)
+        candidates = _chart_nonzero_rows(chart, rep.modules[v].row_relations(cover.rows[v]))
+        kept = incl.rows[v]
+        pruned += len(candidates) - len(kept)
+        module = cover.source.modules[v]
+        for i, row in enumerate(kept):
+            assert not span_contains(chart, module.span_gb(kept[:i] + kept[i + 1 :]), row)
+    assert pruned >= 1
+    assert vdim_le_one_witness(rep, cover).ok
+
+
 def test_vdim_witness_rejects_non_surjective_cover():
     quiver = p1()
     rep = graded_sheaf(quiver, (0, -2))
@@ -377,27 +402,6 @@ def test_lazard_chain_reconstruction():
             sub.add(v, row)
     second = lazard_approximation(rep, cover, sub)
     assert second.is_iso
-
-
-def test_lazard_block_restriction():
-    rep = graded_sheaf(p1(), (0, 0))
-    cover = serre_cover(rep)
-    approx = lazard_approximation(rep, cover, SubRep(cover.source), block=(0,))
-    assert is_vector_bundle(approx.f_sub).rank == 1
-    assert map_is_injective(approx.to_f)
-    assert not approx.is_iso
-
-
-def test_lazard_rejects_sub_outside_block():
-    quiver = p1()
-    cover = euler_cover_p1(quiver)
-    ker_rep, incl = kernel(cover)
-    sub = SubRep(cover.source)
-    for v in quiver.vertices:
-        for row in incl.rows[v]:
-            sub.add(v, row)
-    with pytest.raises(ValueError):
-        lazard_approximation(cover.target, cover, sub, block=(0,))
 
 
 def test_lazard_rejects_sub_outside_kernel():

@@ -7,6 +7,8 @@ generator of the near module, and spans stabilize within two cycles.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from qsheaf.closure import (
@@ -44,6 +46,27 @@ def span_equal(sub, v, vectors):
     fwd = all(span_contains(chart, other, g) for g in sub.sections[frozenset(v)])
     bwd = all(sub.contains(v, x) for x in vectors)
     return fwd and bwd
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("unknown-vertex", "no vertex {2}"),
+        ("wrong-width", "section at {0} has wrong width"),
+        ("foreign-ring", "section at {0} lives in a foreign ring"),
+    ],
+)
+def test_make_section_set_rejects(case, message):
+    q = build_proj_quiver(Q, 1)
+    rep = structure_sheaf(q)
+    one = q.chart(V0).ring.one()
+    mapping = {
+        "unknown-vertex": {frozenset({2}): [(one,)]},
+        "wrong-width": {V0: [(one, one)]},
+        "foreign-ring": {V0: [(q.chart(V1).ring.one(),)]},
+    }[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_section_set(rep, mapping)
 
 
 def test_edge_closure_empty():

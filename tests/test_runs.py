@@ -3,16 +3,20 @@ ring, so a job makes no untracked run twice, and no memo outlives its job.
 
 A run is one exactpoly._buchberger call, keyed on its ring, rank, whether
 it is tracked, and its generator rows.
+
+Pushes per sub-representation check: verify_subrep pushes each generator
+along each edge out of its vertex once, to lift it over the far generators.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
 
-from qsheaf import exactpoly
+from qsheaf import bundles, closure, exactpoly, sheafrep
 from qsheaf.cli import JobSpec, run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,3 +68,45 @@ def test_a_second_run_of_a_job_repeats_the_first(monkeypatch, command, fixture, 
     second, second_runs = _counted_run(monkeypatch, command, fixture, seed)
     assert second.machine_text() == first.machine_text()
     assert second_runs == first_runs
+
+
+PUSH_JOBS = [
+    ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
+    ("filter-p1", "trans_coupled.txt", None),
+]
+
+
+@pytest.mark.parametrize("command,fixture,seed", PUSH_JOBS, ids=[c for c, _, _ in PUSH_JOBS])
+def test_verify_subrep_pushes_each_generator_once_per_edge(monkeypatch, command, fixture, seed):
+    # both fixtures live on P^1, which has no squares, so every push inside
+    # verify_subrep is a generator pushed along an edge
+    real_push, real_verify = sheafrep.push, closure.verify_subrep
+    open_checks, done = [], []
+
+    def counting_push(*args):
+        if open_checks:
+            open_checks[-1][0] += 1
+        return real_push(*args)
+
+    def watched_verify(sub):
+        edges = sub.ambient.quiver.edges
+        open_checks.append([0, sum(len(sub.sections[v]) for v, _w in edges)])
+        try:
+            return real_verify(sub)
+        finally:
+            done.append(tuple(open_checks.pop()))
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("qsheaf.") and getattr(module, "push", None) is real_push:
+            monkeypatch.setattr(module, "push", counting_push)
+    for module in (closure, bundles):
+        monkeypatch.setattr(module, "verify_subrep", watched_verify)
+    job = JobSpec(
+        command=command,
+        inputs=(str(FIXTURES / fixture),),
+        seed_file=str(FIXTURES / seed) if seed else None,
+        machine=True,
+    )
+    assert run(job).exit_status == 0
+    assert done
+    assert all(pushes == expected for pushes, expected in done)

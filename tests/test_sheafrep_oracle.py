@@ -9,15 +9,27 @@ every edge verdict must be the same.  Presentations of generator lists must
 present the same modules: equal relation spans at every vertex, and edge
 matrices that agree modulo the far relations, since a lift is only defined
 up to a relation among the far generators.
+
+`verify_subrep` reads closure off the presentation's lifts; the oracle keeps
+its old scan, which pushed every generator and tested span membership.  On
+the shipped seed fixtures, truncated closures must give the same report.
 """
 
+import pathlib
+from itertools import combinations, product
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafrep_oracle as oracle
+from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, vec_sub, vec_unit
+from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
 from qsheaf.sheafrep import _edge_verdict, _present, build_proj_quiver, graded_sheaf
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SEEDS = sorted(FIXTURES.glob("seed_*.txt"))
 
 
 @st.composite
@@ -92,3 +104,29 @@ def test_presentations_match_oracle(data):
         assert len(new_rep.edge_maps[e]) == len(old_rep.edge_maps[e])
         for r_new, r_old in zip(new_rep.edge_maps[e], old_rep.edge_maps[e]):
             assert far.contains_in_relations(vec_sub(r_new, r_old))
+
+
+def _truncations(sections):
+    """Every choice of kept generators at every vertex, the full lists too."""
+    choices = [
+        [list(kept) for k in range(len(rows) + 1) for kept in combinations(rows, k)]
+        for rows in sections.values()
+    ]
+    for picks in product(*choices):
+        yield dict(zip(sections, picks))
+
+
+@pytest.mark.parametrize("seed_path", SEEDS, ids=[p.stem for p in SEEDS])
+def test_verify_subrep_matches_the_scanning_oracle(seed_path):
+    ambient = parse_sheaf_file(str(FIXTURES / seed_path.name[len("seed_"):]))
+    seed = parse_section_file(str(seed_path), ambient)
+    closure = qc_closure(ambient, seed).sub.sections
+    open_counts = set()
+    for kept in _truncations(closure):
+        # the fixture's seed stays, so dropped seeds show as findings too
+        sub = SubRep(ambient, seed)
+        sub.sections = kept
+        report = verify_subrep(sub)
+        assert report == oracle.verify_subrep(sub)
+        open_counts.add(sum(f.startswith("image of a generator") for f in report.findings))
+    assert {0, 1, 2} <= open_counts

@@ -1,6 +1,7 @@
 """Every boundary the perfbench tracer wraps still resolves in its home
-module, and every traced `hill` name is reached by `hill-verify` on the
-shipped Hill fixtures.  The perfbench self-tests check both, but they run
+module, every traced `hill` name is reached by `hill-verify` on the
+shipped Hill fixtures, and every traced `closure` name by `closure` on the
+shipped seed fixtures.  The perfbench self-tests check the same, but they run
 the whole benchmark corpus; these guards catch a renamed, moved or no
 longer called name in a second.
 """
@@ -18,6 +19,7 @@ from qsheaf import cli
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 HILL_FIXTURES = sorted((ROOT / "fixtures").glob("hill_*.txt"))
+SEED_FIXTURES = sorted((ROOT / "fixtures").glob("seed_*.txt"))
 
 
 def _load_tracer():
@@ -46,20 +48,40 @@ def test_traced_name_resolves_in_its_home_module(layer, attr):
         assert callable(getattr(home, attr))
 
 
-def test_hill_verify_reaches_every_traced_hill_name():
-    assert len(HILL_FIXTURES) == 6
+def _unreached(layer, jobs) -> set:
+    """Traced names of `layer` that none of the jobs reaches."""
     rec = _tracer.Tracer()
     rec.install()
     try:
-        for path in HILL_FIXTURES:
-            cli.run(cli.JobSpec("hill-verify", inputs=(str(path),), machine=True))
+        for job in jobs:
+            cli.run(job)
     finally:
         rec.uninstall()
     reached = set(rec.span_counts())
     reached |= {k.rsplit(".", 1)[0] for k in rec.counts if k.endswith(".calls")}
     wanted = {
-        "hill." + attr
+        layer + "." + attr
         for table in (_tracer.TARGETS, _tracer.COUNTED_GENERATORS)
-        for attr in table["hill"]
+        for attr in table.get(layer, ())
     }
-    assert wanted - reached == set()
+    return wanted - reached
+
+
+def test_hill_verify_reaches_every_traced_hill_name():
+    assert len(HILL_FIXTURES) == 6
+    jobs = [cli.JobSpec("hill-verify", inputs=(str(path),), machine=True) for path in HILL_FIXTURES]
+    assert _unreached("hill", jobs) == set()
+
+
+def test_closure_reaches_every_traced_closure_name():
+    assert len(SEED_FIXTURES) == 6
+    jobs = [
+        cli.JobSpec(
+            "closure",
+            inputs=(str(path.with_name(path.name[len("seed_"):])),),
+            seed_file=str(path),
+            machine=True,
+        )
+        for path in SEED_FIXTURES
+    ]
+    assert _unreached("closure", jobs) == set()
