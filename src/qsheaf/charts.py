@@ -121,15 +121,13 @@ class ChartRing:
         return self.nf(self.ring.one()).is_zero()
 
     def dehomogenize(self, g: Poly) -> Poly:
-        """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial."""
-        out = self.ring.zero()
-        for e, c in g.terms.items():
-            exp = [0] * self.ring.nvars
-            for j, ej in enumerate(e):
-                if j != self.pivot and ej:
-                    exp[self._z_index[j]] = ej
-            out = out + self.ring.monomial(tuple(exp), c)
-        return out
+        """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial:
+        x^e of degree d is the chart monomial of Laurent exponent
+        e - d*e_pivot."""
+        p = self.pivot
+        return self.from_laurent(_collect(self.field, (
+            (e[:p] + (e[p] - sum(e),) + e[p + 1:], c) for e, c in g.terms.items()
+        )))
 
     # -- Laurent bridge ------------------------------------------------------
 
@@ -144,16 +142,7 @@ class ChartRing:
 
     def to_laurent(self, p: Poly) -> dict:
         """Laurent expansion {degree-0 x-exponent vector: coefficient}."""
-        out: dict = {}
-        f = self.field
-        for e, c in p.terms.items():
-            vec = self.laurent_of_exp(e)
-            s = f.add(out.get(vec, f.zero), c)
-            if s == f.zero:
-                out.pop(vec, None)
-            else:
-                out[vec] = s
-        return out
+        return _collect(self.field, ((self.laurent_of_exp(e), c) for e, c in p.terms.items()))
 
     def monomial_from_laurent(self, vec: Sequence[int]) -> Poly:
         """Chart monomial with the given degree-0 Laurent exponent vector.
@@ -187,6 +176,19 @@ class ChartRing:
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"
 
 
+def _collect(f: Field, pairs) -> dict:
+    """{exponent: coefficient} summing the coefficients of equal exponents,
+    without zero entries."""
+    out: dict = {}
+    for vec, c in pairs:
+        s = f.add(out.get(vec, f.zero), c)
+        if s == f.zero:
+            out.pop(vec, None)
+        else:
+            out[vec] = s
+    return out
+
+
 def make_chart_ring(field: Field, n: int, vertex: Iterable[int], ideal_gens: Sequence[Poly] = ()) -> ChartRing:
     """Chart ring for a vertex of the subset quiver on P^n (or a subscheme)."""
     return ChartRing(field, n, frozenset(vertex), ideal_gens)
@@ -195,9 +197,9 @@ def make_chart_ring(field: Field, n: int, vertex: Iterable[int], ideal_gens: Seq
 class ChartHom:
     """Ring map between charts with source vertex contained in target vertex.
 
-    Each source variable is a degree-0 ratio of homogeneous coordinates; its
-    image is the unique chart monomial of the target with the same Laurent
-    exponent.  Images are kept in normal form.
+    Every source monomial is a degree-0 ratio of homogeneous coordinates;
+    its image is the target chart monomial with the same Laurent exponent.
+    Images are kept in normal form.
     """
 
     def __init__(self, source: ChartRing, target: ChartRing):
@@ -209,15 +211,11 @@ class ChartHom:
             raise RingMismatchError("charts of different subschemes")
         self.source = source
         self.target = target
-        images = []
-        for lv in source._var_laurent:
-            images.append(target.nf(target.monomial_from_laurent(lv)))
-        self.images = tuple(images)
 
     def apply(self, p: Poly) -> Poly:
         if p.ring != self.source.ring:
             raise RingMismatchError("polynomial not from the source chart")
-        return self.target.nf(p.substitute(self.images))
+        return self.target.nf(self.target.from_laurent(self.source.to_laurent(p)))
 
     def apply_vec(self, vec: Sequence[Poly]) -> tuple:
         return tuple(self.apply(p) for p in vec)
@@ -319,19 +317,27 @@ class FPModule:
             lambda: TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens),
         )
 
-    def nf(self, vec) -> tuple:
-        if len(vec) != self.gens:
-            raise DimensionMismatchError("element of wrong rank")
-        return normal_form(tuple(vec), self.relation_gb(), self.chart.ring)
+    def are_zero(self, vecs) -> bool:
+        """Every vector is zero in the module."""
+        return self._all_in(self.relation_gb, vecs)
 
-    def contains_in_relations(self, vec) -> bool:
-        return vec_is_zero(self.nf(vec))
+    def in_span(self, rows, vecs) -> bool:
+        """Every vector lies in the submodule the rows generate."""
+        return self._all_in(lambda: self.span_gb(rows), vecs)
+
+    def _all_in(self, basis, vecs) -> bool:
+        """Every vector reduces to zero over basis(), which is fetched once,
+        and not at all when there is no vector."""
+        vecs = tuple(vecs)
+        if any(len(vec) != self.gens for vec in vecs):
+            raise DimensionMismatchError("element of wrong rank")
+        if not vecs:
+            return True
+        gb = basis()
+        return all(span_contains(self.chart, gb, vec) for vec in vecs)
 
     def is_zero_module(self) -> bool:
-        ring = self.chart.ring
-        return all(
-            self.contains_in_relations(vec_unit(ring, self.gens, pos)) for pos in range(self.gens)
-        )
+        return self.are_zero([vec_unit(self.chart.ring, self.gens, pos) for pos in range(self.gens)])
 
     def __repr__(self):
         return f"FPModule(chart={self.chart!r}, gens={self.gens}, rels={len(self.relations)})"

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .charts import span_contains
 from .exactpoly import Poly, vec_add, vec_mul_poly
 from .sheafrep import (  # SubRep and induced_rep are re-exported
     NotClosed,
@@ -159,7 +158,7 @@ def verify_witness(rep: SheafRep, witness: ClosureWitness) -> bool:
         scale = chart_w.nf(part.unit * inv)
         total = vec_add(total, vec_mul_poly(pushed, scale))
     diff = tuple(a - b for a, b in zip(witness.element, total))
-    return span_contains(chart_w, tgt.relation_gb(), diff)
+    return tgt.are_zero((diff,))
 
 
 @dataclass(frozen=True)

@@ -290,20 +290,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Evaluate at images[i] for variable i; images share one target ring."""
-        if len(images) != self.ring.nvars:
-            raise DimensionMismatchError("one image per variable required")
-        target = images[0].ring if images else self.ring
-        out = target.zero()
-        for e, c in self.terms.items():
-            term = target.constant(c)
-            for i, ei in enumerate(e):
-                if ei:
-                    term = term * images[i] ** ei
-            out = out + term
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 

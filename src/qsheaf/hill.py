@@ -518,14 +518,14 @@ class _BlockPatterns:
         return out
 
     def example(self, cls: _ExtensionClass) -> tuple:
-        """One element of the class.  Walk the line a + t*b through each
-        basis vector b of V_N in turn, keeping the first point that uses
-        every block a or b uses: at most |N| + 1 points of a line miss, so
-        the walk ends on the class unless p is as small as that; then the
-        whole of V_N is searched."""
+        """One element of the class.  Start at the first basis vector of V_N
+        and walk the line a + t*b through each further basis vector b in
+        turn, keeping the first point that uses every block a or b uses: at
+        most |N| + 1 points of a line miss, so the walk ends on the class
+        unless p is as small as that; then the whole of V_N is searched."""
         p = self.p
-        a = tuple(0 for _ in self.top)
-        for b in cls.coords:
+        a = cls.coords[0]
+        for b in cls.coords[1:]:
             want = self.of(a) | self.of(b)
             for y in enumerate_space(p, (b,)):
                 cand = tuple((u + v) % p for u, v in zip(a, y))

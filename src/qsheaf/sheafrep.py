@@ -100,7 +100,7 @@ class ProjQuiver:
         self.xring = x_ring(fld, n)
         gens = tuple(g for g in ideal_gens if not g.is_zero())
         for g in gens:
-            if g.ring is not self.xring and g.ring.names != self.xring.names:
+            if g.ring != self.xring:
                 raise ValueError("subscheme generators must live in the x ring")
             if not is_homogeneous(g):
                 raise ValueError("subscheme generators must be homogeneous")
@@ -281,9 +281,7 @@ class QCReport:
 
 def _relations_preserved(src: FPModule, rows, tgt: FPModule) -> bool:
     """Every relation of src, sent through the matrix, is a relation of tgt."""
-    gb = tgt.relation_gb()
-    ring = tgt.chart.ring
-    return all(span_contains(tgt.chart, gb, mat_apply(r, rows, ring, tgt.gens)) for r in src.relations)
+    return tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in src.relations])
 
 
 def _onto(gb, tgt: FPModule) -> bool:
@@ -294,25 +292,18 @@ def _onto(gb, tgt: FPModule) -> bool:
     return all(span_contains(tgt.chart, gb, vec_unit(ring, tgt.gens, j)) for j in range(tgt.gens))
 
 
-def _injective(src: FPModule, ker) -> bool:
-    """Every relation among the matrix rows in tgt, given by the
-    generators ker, is a relation of src."""
-    gb = src.relation_gb()
-    return all(span_contains(src.chart, gb, k) for k in ker)
-
-
 def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     """(onto, injective) for the matrix rows from src to tgt, from one
     tracked run over the rows: its basis decides onto, and its syzygies
-    give the relations among the rows."""
+    give the relations among the rows; the map is injective when each of
+    them is a relation of src."""
     lifter = tgt.lifter(rows)
-    return _onto(lifter.basis, tgt), _injective(src, lifter.kernel(len(rows)))
+    return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
 
 
 def _rows_agree(tgt: FPModule, left, right) -> bool:
     """Two matrices into tgt agree row by row modulo its relations."""
-    gb = tgt.relation_gb()
-    return all(span_contains(tgt.chart, gb, vec_sub(r1, r2)) for r1, r2 in zip(left, right))
+    return tgt.are_zero([vec_sub(r1, r2) for r1, r2 in zip(left, right)])
 
 
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
@@ -431,7 +422,7 @@ def map_is_surjective(f: SheafMap) -> bool:
 
 def map_is_injective(f: SheafMap) -> bool:
     return all(
-        _injective(f.source.modules[v], f.target.modules[v].row_relations(f.rows[v]))
+        f.source.modules[v].are_zero(f.target.modules[v].row_relations(f.rows[v]))
         for v in f.source.quiver.vertices
     )
 
@@ -467,8 +458,7 @@ def _prune_generators(module: FPModule, rows):
     while changed:
         changed = False
         for i in range(len(rows) - 1, -1, -1):
-            gb = module.span_gb(rows[:i] + rows[i + 1 :])
-            if span_contains(module.chart, gb, rows[i]):
+            if module.in_span(rows[:i] + rows[i + 1 :], (rows[i],)):
                 rows.pop(i)
                 changed = True
                 break

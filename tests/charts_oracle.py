@@ -1,0 +1,53 @@
+"""The coordinate change between charts before it went through the Laurent
+bridge, kept as a test oracle.
+
+`apply` evaluates a source polynomial at the images of the source
+variables, each the target chart monomial with the variable's Laurent
+exponent in normal form, and reduces the result; that was `ChartHom.apply`
+over the `images` its constructor reduced one by one, with
+`Poly.substitute`.  `dehomogenize` is `ChartRing.dehomogenize`'s index loop.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from qsheaf.exactpoly import DimensionMismatchError, Poly
+
+
+def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
+    """Evaluate at images[i] for variable i; images share one target ring."""
+    if len(images) != p.ring.nvars:
+        raise DimensionMismatchError("one image per variable required")
+    target = images[0].ring if images else p.ring
+    out = target.zero()
+    for e, c in p.terms.items():
+        term = target.constant(c)
+        for i, ei in enumerate(e):
+            if ei:
+                term = term * images[i] ** ei
+        out = out + term
+    return out
+
+
+def images(source, target) -> tuple:
+    images = []
+    for lv in source._var_laurent:
+        images.append(target.nf(target.monomial_from_laurent(lv)))
+    return tuple(images)
+
+
+def apply(source, target, p: Poly) -> Poly:
+    return target.nf(substitute(p, images(source, target)))
+
+
+def dehomogenize(chart, g: Poly) -> Poly:
+    """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial."""
+    out = chart.ring.zero()
+    for e, c in g.terms.items():
+        exp = [0] * chart.ring.nvars
+        for j, ej in enumerate(e):
+            if j != chart.pivot and ej:
+                exp[chart._z_index[j]] = ej
+        out = out + chart.ring.monomial(tuple(exp), c)
+    return out

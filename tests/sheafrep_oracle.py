@@ -8,7 +8,9 @@ tracked basis per vertex for its relations and another per edge for the
 lifts over the far generators.  The tracked bases here are those of
 `exactpoly_oracle`, whose Buchberger processes every S-pair and keeps dense
 combinations, so the relations and lifts do not go through the chain
-criterion or the sparse combinations either.
+criterion or the sparse combinations either.  `relations_preserved` is the
+well-definedness test that fetched the target's relation basis and tested
+each relation image by hand.
 
 `verify_subrep` is the sub-representation check that scanned the edges
 itself: it pushed every generator and tested span membership at the far
@@ -26,10 +28,10 @@ from qsheaf.sheafrep import (
     SheafMap,
     SheafRep,
     _chart_nonzero_rows,
-    _relations_preserved,
     fmt_edge,
     fmt_vertex,
     is_quasi_coherent,
+    mat_apply,
     push,
 )
 
@@ -82,6 +84,12 @@ def row_relations(module: FPModule, rows) -> list:
     return out
 
 
+def relations_preserved(src: FPModule, rows, tgt: FPModule) -> bool:
+    gb = tgt.relation_gb()
+    ring = tgt.chart.ring
+    return all(span_contains(tgt.chart, gb, mat_apply(r, rows, ring, tgt.gens)) for r in src.relations)
+
+
 def onto(rows, tgt: FPModule) -> bool:
     gb = tgt.span_gb(rows)
     ring = tgt.chart.ring
@@ -98,7 +106,7 @@ def edge_verdict(rep: SheafRep, e) -> EdgeVerdict:
     v, w = e
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     rows, tgt = rep.edge_maps[e], rep.modules[w]
-    well = _relations_preserved(loc, rows, tgt)
+    well = relations_preserved(loc, rows, tgt)
     return EdgeVerdict(e, well, onto(rows, tgt), injective(loc, rows, tgt))
 
 

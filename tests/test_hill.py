@@ -432,9 +432,15 @@ def test_passing_families_enumerate_no_vector(fixture_dir, monkeypatch):
         assert report.exit_status == EXIT_OK, name
     assert verify_hill_properties(build_hill_family(_direct_sum(65537, 6, 3))).ok
     assert yielded == []
-    # a failing class is named by one concrete element, found by enumeration
+    # a failing class is named by one concrete element; hill_broken_f2's has a
+    # one-vector V_N, which the walk takes without enumerating
     report = run(JobSpec("hill-verify", (str(fixture_dir / "hill_broken_f2.txt"),)))
     assert report.exit_status == EXIT_CHECK_FAILED
+    # the count is live: an example of a class with a two-vector V_N walks a line
+    patterns = _BlockPatterns(
+        make_filtered_module(2, 4, (((1, 0, 0, 0),), ((0, 1, 0, 0), (1, 1, 0, 0)), ((0, 0, 1, 1), (0, 0, 0, 1))))
+    )
+    patterns.example(next(c for c in patterns.classes() if len(c.coords) > 1))
     assert yielded
 
 

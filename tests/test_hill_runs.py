@@ -2,8 +2,9 @@
 many of the family builder and the verifier ask for it, and a module with
 no operator is never multiplied by a zero matrix.  The verifier reads sums,
 intersections and nesting off the supports: a passing family makes no
-hill.fp_intersect call, a failing one eliminates only its escaping pair,
-and no row that has died is multiplied again.
+hill.fp_intersect call, a failing one eliminates only its escaping pair
+and names its failing class without trying the zero element, and no row
+that has died is multiplied again.
 
 A member space is one hill.closed_span call, made by
 FilteredModule.member_space for one support (a set of block indices).
@@ -102,3 +103,19 @@ def test_big_family_sums_only_along_its_chains(monkeypatch):
     status, calls, _ = _counted_job(monkeypatch, "hill_big_f2.txt")
     assert status == EXIT_OK
     assert calls["fp_sum"] <= 84
+
+
+def test_failing_family_names_its_class_without_the_zero_element(monkeypatch):
+    zero_coords = []
+    of = hill._BlockPatterns.of
+
+    def checking_of(patterns, coords):
+        if not any(coords):
+            zero_coords.append(coords)
+        return of(patterns, coords)
+
+    monkeypatch.setattr(hill._BlockPatterns, "of", checking_of)
+    status, _, zero_vectors = _counted_job(monkeypatch, "hill_broken_f2.txt")
+    assert status == EXIT_CHECK_FAILED
+    assert zero_coords == []
+    assert zero_vectors == []

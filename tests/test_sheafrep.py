@@ -198,6 +198,14 @@ def test_subscheme_structure_sheaf():
     assert not rep.module({0}).is_zero_module()
 
 
+def test_subscheme_generators_over_another_field_are_rejected():
+    # same variable names, but Q coefficients cannot enter F_5 chart relations
+    gen = poly_from_str(x_ring_of(Q, 2), "x0*x1 - 1/2*x2^2")
+    with pytest.raises(ValueError, match="must live in the x ring"):
+        build_proj_quiver(Field.prime(5), 2, [gen])
+    assert build_proj_quiver(Q, 2, [gen]).ideal_gens == (gen,)
+
+
 def x_ring_of(fld, n):
     from qsheaf.charts import x_ring
 

@@ -1,6 +1,7 @@
 """Every boundary the perfbench tracer wraps still resolves in its home
 module, every traced `hill` name is reached by `hill-verify` on the
-shipped Hill fixtures, and every traced `closure` name by `closure` on the
+shipped Hill fixtures and one failing family with a two-vector extension
+class, and every traced `closure` name by `closure` on the
 shipped seed fixtures.  The perfbench self-tests check the same, but they run
 the whole benchmark corpus; these guards catch a renamed, moved or no
 longer called name in a second.
@@ -15,6 +16,8 @@ import pathlib
 import pytest
 
 from qsheaf import cli
+from qsheaf.hill import make_filtered_module
+from qsheaf.sheaffile import filtered_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -67,9 +70,16 @@ def _unreached(layer, jobs) -> set:
     return wanted - reached
 
 
-def test_hill_verify_reaches_every_traced_hill_name():
+def test_hill_verify_reaches_every_traced_hill_name(tmp_path):
     assert len(HILL_FIXTURES) == 6
-    jobs = [cli.JobSpec("hill-verify", inputs=(str(path),), machine=True) for path in HILL_FIXTURES]
+    # every class of the shipped failing family has a one-vector V_N, whose
+    # example needs no enumerate_space; block 1 here makes a two-vector one
+    module = make_filtered_module(2, 4, (((1, 0, 0, 0),), ((0, 1, 0, 0), (0, 0, 1, 0)), ((0, 0, 0, 1),)))
+    wide = tmp_path / "hill_wide_class_f2.txt"
+    wide.write_text(filtered_text(module, [(), (2,), (0,), (1, 2), (0, 2), (0, 1), (0, 1, 2)]))
+    jobs = [
+        cli.JobSpec("hill-verify", inputs=(str(path),), machine=True) for path in HILL_FIXTURES + [wide]
+    ]
     assert _unreached("hill", jobs) == set()
 
 
