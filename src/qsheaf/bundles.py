@@ -78,11 +78,10 @@ def det(rows):
 
 
 def _minors(module: FPModule, size: int) -> list:
-    """All size x size minors of the relation matrix, in chart normal form."""
+    """All nonzero size x size minors of the relation matrix (size >= 1),
+    in chart normal form."""
     chart = module.chart
     rows = module.relations
-    if size <= 0:
-        return [chart.ring.one()]
     if size > len(rows) or size > module.gens:
         return []
     out = []
@@ -91,17 +90,6 @@ def _minors(module: FPModule, size: int) -> list:
             d = chart.nf(det([[rows[i][j] for j in ci] for i in ri]))
             if not d.is_zero():
                 out.append(d)
-    return out
-
-
-def fitting_ideals(module: FPModule) -> list:
-    """F_0 .. F_g as ideals of the chart ring (chart relations included in
-    each presentation, so membership is membership in the quotient)."""
-    chart = module.chart
-    out = []
-    for i in range(module.gens + 1):
-        minors = _minors(module, module.gens - i)
-        out.append(PresIdeal(chart.ring, tuple(minors) + chart.relations))
     return out
 
 

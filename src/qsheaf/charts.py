@@ -30,7 +30,6 @@ from .exactpoly import (
     normal_form,
     poly_to_str,
     vec_is_zero,
-    vec_unit,
 )
 
 
@@ -335,9 +334,6 @@ class FPModule:
             return True
         gb = basis()
         return all(span_contains(self.chart, gb, vec) for vec in vecs)
-
-    def is_zero_module(self) -> bool:
-        return self.are_zero([vec_unit(self.chart.ring, self.gens, pos) for pos in range(self.gens)])
 
     def __repr__(self):
         return f"FPModule(chart={self.chart!r}, gens={self.gens}, rels={len(self.relations)})"

@@ -20,8 +20,8 @@ Commands
 
 Exit status: 0 all verdicts positive; 1 a check failed (the report carries
 witnesses); 2 usage or parse error; 3 cycle budget exhausted before the
-closure stabilized; 4 internal error (a self-check of the engine failed; the
-report names the exception).
+closure stabilized; 4 internal error (a self-check of the engine failed, or
+any other exception escaped the command; the report names the exception).
 
 Reports are deterministic for identical inputs: the machine form (--machine)
 is canonical JSON that excludes timing; the human form appends timing.
@@ -55,7 +55,7 @@ from .bundles import (
     vdim_le_one_witness,
     lazard_approximation,
 )
-from .charts import ideal_block, span_contains, span_gb
+from .charts import FPModule, ideal_block
 from .closure import MAX_CYCLES, SubRep, qc_closure
 from .exactpoly import (
     Field,
@@ -457,7 +457,7 @@ def _selftest_syzygies(rng: random.Random):
         if all(vec_is_zero(r) for r in rows):
             continue
         kernel = module_kernel(list(rows), [], ring, width)
-        gb = span_gb(chart, kernel, nrows)
+        coefficients = FPModule(chart, nrows)
         coeff_monos = _monomials_up_to(ring, 3)
         unknowns = []
         for i in range(nrows):
@@ -486,7 +486,7 @@ def _selftest_syzygies(rng: random.Random):
                     if owner == i and vec[j] != field.zero:
                         terms[m] = vec[j]
                 syz.append(Poly(ring, terms))
-            if not span_contains(chart, gb, tuple(syz)):
+            if not coefficients.in_span(kernel, (tuple(syz),)):
                 return False, "missed a degree-3 syzygy on trial %d" % trial
     return True, "degree-3 syzygy spaces covered"
 
@@ -510,14 +510,11 @@ def _selftest_localization(rng: random.Random):
         kernel_afterwards = module_kernel(
             list(rows_loc), ideal_block(chart01, width), chart01.ring, width
         )
-        gb_before = span_gb(chart01, kernel_loc, nrows)
-        gb_after = span_gb(chart01, kernel_afterwards, nrows)
-        for vec in kernel_afterwards:
-            if not span_contains(chart01, gb_before, vec):
-                return False, "localized kernel misses a syzygy on trial %d" % trial
-        for vec in kernel_loc:
-            if not span_contains(chart01, gb_after, vec):
-                return False, "kernel shrank under localization on trial %d" % trial
+        coefficients = FPModule(chart01, nrows)
+        if not coefficients.in_span(kernel_loc, kernel_afterwards):
+            return False, "localized kernel misses a syzygy on trial %d" % trial
+        if not coefficients.in_span(kernel_afterwards, kernel_loc):
+            return False, "kernel shrank under localization on trial %d" % trial
     return True, "kernel localization exact"
 
 
@@ -606,7 +603,7 @@ COMMANDS = tuple(_HANDLERS)
 def run(job: JobSpec) -> Report:
     """Execute one job and package the outcome; never raises for input
     problems (they become exit-status-2 reports) or for a failed self-check
-    of the engine (exit status 4)."""
+    of the engine or any other exception (exit status 4)."""
     start = time.perf_counter()
 
     def finish(ok, exit_status, verdicts, certificates, inputs):
@@ -648,8 +645,9 @@ def run(job: JobSpec) -> Report:
         )
     except ValueError as err:
         return finish(False, EXIT_USAGE, [("error", str(err))], {}, hashes)
-    except (AssertionError, RuntimeError) as err:
-        # the engine's own self-checks: a defect, not a failed check
+    except Exception as err:
+        # a failed self-check of the engine, or any other defect: not a
+        # failed check, and never a traceback
         verdict = "%s: %s" % (type(err).__name__, err)
         return finish(False, EXIT_INTERNAL, [("internal-error", verdict)], {}, hashes)
     return finish(ok, exit_status, verdicts, certificates, hashes)

@@ -183,7 +183,9 @@ def qc_closure(
 
     Each cycle pulls back every not-yet-processed generator along every edge
     and pushes every generator forward along every edge (in ascending vertex
-    order, so one sweep propagates fully).  A cycle that adds nothing means
+    order, so one sweep propagates fully).  Every pullback witness that grew
+    the sub-representation is re-checked by verify_witness before it is
+    kept; one that fails raises RuntimeError.  A cycle that adds nothing means
     the spans are stable; the result is then re-verified by verify_subrep,
     whose report it carries, before it is returned as stabilized.
     """
@@ -215,6 +217,10 @@ def qc_closure(
                         grew = True
                         added[v] = added.get(v, 0) + 1
                 if grew:
+                    if not verify_witness(ambient, wit):
+                        raise RuntimeError(
+                            "pullback witness along edge " + fmt_edge(edge) + " does not verify"
+                        )
                     witnesses.append(wit)
             # push every unpushed generator along every edge, in order
             for e2 in quiver.edges:

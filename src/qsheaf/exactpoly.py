@@ -893,9 +893,6 @@ class PresIdeal:
     def contains(self, p: Poly) -> bool:
         return vec_is_zero(normal_form((p,), self.groebner(), self.ring))
 
-    def is_zero(self) -> bool:
-        return not self.groebner()
-
     def __repr__(self):
         return f"PresIdeal({[poly_to_str(g) for g in self.gens]})"
 

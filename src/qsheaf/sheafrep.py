@@ -279,11 +279,6 @@ class QCReport:
         raise KeyError(fmt_edge(key))
 
 
-def _relations_preserved(src: FPModule, rows, tgt: FPModule) -> bool:
-    """Every relation of src, sent through the matrix, is a relation of tgt."""
-    return tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in src.relations])
-
-
 def _onto(gb, tgt: FPModule) -> bool:
     """The matrix rows generate tgt, given gb, a Groebner basis of their
     span together with tgt's relations: any Groebner basis of that span
@@ -301,18 +296,15 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
 
 
-def _rows_agree(tgt: FPModule, left, right) -> bool:
-    """Two matrices into tgt agree row by row modulo its relations."""
-    return tgt.are_zero([vec_sub(r1, r2) for r1, r2 in zip(left, right)])
-
-
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     """Base change of the near module to the far chart, compared with the
-    far module through the edge matrix."""
+    far module through the edge matrix; it is well defined when every
+    relation of the near module, sent through the matrix, is a relation of
+    the far one."""
     v, w = e
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     rows, tgt = rep.edge_maps[e], rep.modules[w]
-    well = _relations_preserved(loc, rows, tgt)
+    well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
     return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
 
 
@@ -327,11 +319,11 @@ def _squares_agree(rep: SheafRep) -> tuple:
             for b_i in range(a_i + 1, len(extra)):
                 k, l = extra[a_i], extra[b_i]
                 w = v | {k, l}
-                comps = [
+                left, right = (
                     [push(rep, (mid, w), r) for r in rep.edge_maps[(v, mid)]]
                     for mid in (v | {k}, v | {l})
-                ]
-                if not _rows_agree(rep.modules[w], *comps):
+                )
+                if not rep.modules[w].are_zero(map(vec_sub, left, right)):
                     findings.append(
                         "square at "
                         + fmt_vertex(v)
@@ -394,25 +386,6 @@ def identity_map(rep: SheafRep) -> SheafMap:
     return SheafMap(rep, rep, rows)
 
 
-def map_commutes(f: SheafMap) -> tuple:
-    """Edges where the map fails to intertwine the two representations."""
-    bad = []
-    for (v, w) in f.source.quiver.edges:
-        tgt = f.target.modules[w]
-        left = [push(f.target, (v, w), r) for r in f.rows[v]]
-        right = mat_mul(f.source.edge_maps[(v, w)], f.rows[w], tgt.chart.ring, tgt.gens)
-        if not _rows_agree(tgt, left, right):
-            bad.append((v, w))
-    return tuple(bad)
-
-
-def map_is_well_defined(f: SheafMap) -> bool:
-    return all(
-        _relations_preserved(f.source.modules[v], f.rows[v], f.target.modules[v])
-        for v in f.source.quiver.vertices
-    )
-
-
 def map_is_surjective(f: SheafMap) -> bool:
     return all(
         _onto(f.target.modules[v].span_gb(f.rows[v]), f.target.modules[v])
@@ -421,8 +394,10 @@ def map_is_surjective(f: SheafMap) -> bool:
 
 
 def map_is_injective(f: SheafMap) -> bool:
+    """The relations among each vertex's rows, read off the rows' tracked
+    run, are relations of the source."""
     return all(
-        f.source.modules[v].are_zero(f.target.modules[v].row_relations(f.rows[v]))
+        f.source.modules[v].are_zero(f.target.modules[v].lifter(f.rows[v]).kernel(len(f.rows[v])))
         for v in f.source.quiver.vertices
     )
 
@@ -432,10 +407,6 @@ def map_is_iso(f: SheafMap) -> bool:
         all(_onto_and_injective(f.source.modules[v], f.rows[v], f.target.modules[v]))
         for v in f.source.quiver.vertices
     )
-
-
-def rep_is_zero(rep: SheafRep) -> bool:
-    return all(rep.modules[v].is_zero_module() for v in rep.quiver.vertices)
 
 
 def _chart_nonzero_rows(chart, rows):

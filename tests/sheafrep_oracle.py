@@ -15,6 +15,10 @@ each relation image by hand.
 `verify_subrep` is the sub-representation check that scanned the edges
 itself: it pushed every generator and tested span membership at the far
 vertex before `induced_rep` pushed and lifted them all again.
+
+`map_commutes`, `map_is_well_defined`, `is_zero_module` and `rep_is_zero`
+are checks that only tests ever called; tests use them to check maps and
+quotients built by `qsheaf.sheafrep` and `qsheaf.bundles`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
 from qsheaf.closure import SubRep, SubRepReport, induced_rep
-from qsheaf.exactpoly import vec_is_zero, vec_key, vec_unit
+from qsheaf.exactpoly import vec_is_zero, vec_key, vec_sub, vec_unit
 from qsheaf.sheafrep import (
     EdgeVerdict,
     SheafMap,
@@ -32,6 +36,7 @@ from qsheaf.sheafrep import (
     fmt_vertex,
     is_quasi_coherent,
     mat_apply,
+    mat_mul,
     push,
 )
 
@@ -100,6 +105,36 @@ def injective(src: FPModule, rows, tgt: FPModule) -> bool:
     ker = row_relations(tgt, rows)
     gb = src.relation_gb()
     return all(span_contains(src.chart, gb, k) for k in ker)
+
+
+def map_commutes(f: SheafMap) -> tuple:
+    """Edges where the map fails to intertwine the two representations."""
+    bad = []
+    for (v, w) in f.source.quiver.edges:
+        tgt = f.target.modules[w]
+        left = [push(f.target, (v, w), r) for r in f.rows[v]]
+        right = mat_mul(f.source.edge_maps[(v, w)], f.rows[w], tgt.chart.ring, tgt.gens)
+        if not tgt.are_zero([vec_sub(r1, r2) for r1, r2 in zip(left, right)]):
+            bad.append((v, w))
+    return tuple(bad)
+
+
+def map_is_well_defined(f: SheafMap) -> bool:
+    """Every source relation at every vertex maps to a target relation."""
+    return all(
+        relations_preserved(f.source.modules[v], f.rows[v], f.target.modules[v])
+        for v in f.source.quiver.vertices
+    )
+
+
+def is_zero_module(module: FPModule) -> bool:
+    """Every unit vector is zero in the module."""
+    ring = module.chart.ring
+    return module.are_zero([vec_unit(ring, module.gens, pos) for pos in range(module.gens)])
+
+
+def rep_is_zero(rep: SheafRep) -> bool:
+    return all(is_zero_module(rep.modules[v]) for v in rep.quiver.vertices)
 
 
 def edge_verdict(rep: SheafRep, e) -> EdgeVerdict:

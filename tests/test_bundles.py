@@ -13,6 +13,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
+from sheafrep_oracle import map_commutes, rep_is_zero
 
 from qsheaf.bundles import (
     BirkhoffSplit,
@@ -21,7 +22,6 @@ from qsheaf.bundles import (
     bundle_from_transition,
     chart_to_laurent,
     det,
-    fitting_ideals,
     global_sections_dim,
     h0_of_type,
     is_projective_fp,
@@ -38,7 +38,7 @@ from qsheaf.bundles import (
     transition_matrix,
     vdim_le_one_witness,
 )
-from qsheaf.charts import FPModule, chart_hom, localize_module, make_chart_ring, span_contains
+from qsheaf.charts import FPModule, make_chart_ring, span_contains
 from qsheaf.closure import SubRep
 from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str
 from qsheaf.sheafrep import (
@@ -50,11 +50,9 @@ from qsheaf.sheafrep import (
     is_quasi_coherent,
     kernel,
     make_sheaf_map,
-    map_commutes,
     map_is_injective,
     map_is_iso,
     map_is_surjective,
-    rep_is_zero,
     structure_sheaf,
     twist,
 )
@@ -98,87 +96,6 @@ def skyscraper_rep(quiver):
     degree zero killed by x0."""
     x0 = poly_from_str(quiver.xring, "x0")
     return graded_sheaf(quiver, (0,), ((x0,),))
-
-
-# ---------------------------------------------------------------------------
-# Fitting ideals
-
-
-def test_fitting_of_free_module():
-    chart = make_chart_ring(Q, 2, {0})
-    m = FPModule(chart, 2)
-    fits = fitting_ideals(m)
-    assert len(fits) == 3
-    assert not fits[2].is_zero()
-    assert fits[2].contains(chart.ring.one())
-    assert fits[0].is_zero() and fits[1].is_zero()
-
-
-def test_fitting_of_plane_ideal_module():
-    # the module (x, y) in Q[x, y], presented by one relation (y, -x)
-    chart = make_chart_ring(Q, 2, {0})
-    x = chart.z(1)
-    y = chart.z(2)
-    m = FPModule(chart, 2, ((y, x.scale(Fraction(-1))),))
-    fits = fitting_ideals(m)
-    assert fits[0].is_zero()
-    assert fits[1].contains(x) and fits[1].contains(y)
-    for g in fits[1].gens:
-        assert poly_in_ideal(g, (x, y), chart)
-    assert fits[2].contains(chart.ring.one())
-
-
-def poly_in_ideal(g, gens, chart):
-    from qsheaf.exactpoly import PresIdeal
-
-    return PresIdeal(chart.ring, tuple(gens) + chart.relations).contains(g)
-
-
-def test_fitting_of_coordinate_quotient():
-    # Q[z1]/(z1) as a module over the affine line chart
-    chart = make_chart_ring(Q, 1, {0})
-    z = chart.z(1)
-    m = FPModule(chart, 1, ((z,),))
-    fits = fitting_ideals(m)
-    assert fits[0].contains(z) and not fits[0].contains(chart.ring.one())
-    assert fits[1].contains(chart.ring.one())
-
-
-def test_fitting_chain_is_increasing():
-    chart = make_chart_ring(Q, 2, {0})
-    x, y = chart.z(1), chart.z(2)
-    mods = [
-        FPModule(chart, 2, ((y, x.scale(Fraction(-1))),)),
-        FPModule(chart, 2, ((x, y), (y, x))),
-        FPModule(chart, 1, ((x * y,),)),
-    ]
-    for m in mods:
-        fits = fitting_ideals(m)
-        for i in range(len(fits) - 1):
-            for g in fits[i].gens:
-                assert fits[i + 1].contains(g)
-
-
-def test_fitting_commutes_with_localization():
-    quiver = p1()
-    chart0 = quiver.chart(V0)
-    chart01 = quiver.chart(V01)
-    hom = chart_hom(chart0, chart01)
-    z = chart0.z(1)
-    rng = random.Random(20260819)
-    samples = [
-        FPModule(chart0, 1, ((z,),)),
-        FPModule(chart0, 2, ((z, z * z),)),
-        FPModule(chart0, 2),
-    ]
-    for m in samples:
-        far = fitting_ideals(localize_module(m, hom))
-        near = fitting_ideals(m)
-        assert len(far) == len(near)
-        for fn, ff in zip(near, far):
-            for g in fn.gens:
-                assert ff.contains(hom.apply(g))
-    del rng
 
 
 # ---------------------------------------------------------------------------

@@ -305,18 +305,19 @@ def test_hill_verify_large_field(tmp_path):
     assert body["certificates"]["extension_failures"] == q * q + (q + q * q) * 2
 
 
-@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError, KeyError])
 def test_internal_error_has_its_own_exit_status(fixture_dir, monkeypatch, error, tmp_path):
+    # a self-check of the engine, or any other exception: never a traceback
+    message = "element of the module escapes the blocks"
+
     def broken(job):
-        raise error("element of the module escapes the blocks")
+        raise error(message)
 
     monkeypatch.setitem(cli._HANDLERS, "hill-verify", broken)
     path = fixture(fixture_dir, "hill_dep_f2")
     report = run(JobSpec(command="hill-verify", inputs=(path,)))
     assert report.exit_status == EXIT_INTERNAL and not report.ok
-    assert report.verdicts == (
-        ("internal-error", error.__name__ + ": element of the module escapes the blocks"),
-    )
+    assert report.verdicts == (("internal-error", "%s: %s" % (error.__name__, error(message))),)
     assert main(["hill-verify", path, "--out", str(tmp_path / "r.txt")]) == EXIT_INTERNAL
 
 

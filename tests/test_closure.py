@@ -8,9 +8,12 @@ generator of the near module, and spans stabilize within two cycles.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
+from qsheaf import closure
+from qsheaf.cli import EXIT_INTERNAL, JobSpec, run
 from qsheaf.closure import (
     ClosureResult,
     SubRep,
@@ -109,6 +112,51 @@ def test_edge_closure_twist_unit_coefficient():
     assert verify_witness(rep, wit)
     res = qc_closure(rep, make_section_set(rep, {V01: [(chart.ring.one(),)]}), max_cycles=4)
     assert res.stabilized and res.sub.contains(V1, part.preimage)
+
+
+# Changes to one field of a witness part after which the identity the
+# witness claims no longer holds.
+TAMPERS = {
+    "power": lambda part: replace(part, power=part.power + 1),
+    "unit": lambda part: replace(part, unit=part.unit.scale(2)),
+}
+
+
+def _tampered(field):
+    """pullback_witness with TAMPERS[field] applied to every part."""
+    real = closure.pullback_witness
+
+    def tampered(rep, edge, element):
+        wit = real(rep, edge, element)
+        return replace(wit, parts=tuple(map(TAMPERS[field], wit.parts)))
+
+    return tampered
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+def test_qc_closure_rejects_a_witness_that_does_not_verify(monkeypatch, field):
+    q = build_proj_quiver(Q, 1)
+    rep = structure_sheaf(q)
+    seed = make_section_set(rep, {V01: [(q.chart(V01).ring.one(),)]})
+    monkeypatch.setattr(closure, "pullback_witness", _tampered(field))
+    with pytest.raises(RuntimeError, match=re.escape("pullback witness along edge {0}->{0,1}")):
+        qc_closure(rep, seed, max_cycles=4)
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+def test_closure_job_with_a_bad_witness_exits_four(monkeypatch, fixture_dir, field):
+    monkeypatch.setattr(closure, "pullback_witness", _tampered(field))
+    job = JobSpec(
+        command="closure",
+        inputs=(str(fixture_dir / "twist_p1_k1.txt"),),
+        seed_file=str(fixture_dir / "seed_twist_p1_k1.txt"),
+        max_cycles=3,
+    )
+    report = run(job)
+    assert report.exit_status == EXIT_INTERNAL and not report.ok
+    ((name, verdict),) = report.verdicts
+    assert name == "internal-error"
+    assert verdict.startswith("RuntimeError: pullback witness along edge ")
 
 
 def test_qc_closure_empty_seed():

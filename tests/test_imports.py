@@ -1,13 +1,15 @@
-"""No `qsheaf` module imports a name it does not need, or keeps a private
-helper nothing calls.
+"""No `qsheaf` module imports a name it does not need, or keeps a helper
+or check nothing in the program calls.
 
 A name a module imports must be used in that module, or be imported from
 that module by another `qsheaf` module, a test or `perfbench` (a
 re-export), or sit on an import line marked `# noqa: F401`.  A module-level
 function or class whose name starts with one underscore must be read
 somewhere in `src/`: a helper left behind by a fold fails here even when a
-test still imports it.  Standard library only, so it runs where no linter
-is installed.
+test still imports it.  A public module-level function, or a public method
+of a module-level class, must be read somewhere in `src/`, `scripts/` or
+`perfbench/`: a check only tests call is not part of the program.  Standard
+library only, so it runs where no linter is installed.
 """
 
 from __future__ import annotations
@@ -151,3 +153,78 @@ def test_guard_flags_an_unreferenced_private_helper(tmp_path):
     two = tmp_path / "two.py"
     two.write_text("from .one import _Table\nTABLE = _Table()\n")
     assert unreferenced_private_defs([one, two]) == ["one.py:3 _dropped"]
+
+
+# Public names only tests read, kept on purpose: builders and accessors that
+# tests use to make inputs and read results.
+TEST_FACING = (
+    "direct_sum",  # sums of sheaves, the inputs of closure and kernel tests
+    "QCReport.edge_verdict",  # one edge's verdict out of a coherence report
+    "PolyRing.from_int",  # integer constants in ring tests
+    "TrackedBasis.syzygy_rows",  # the raw syzygies the oracles compare
+)
+PROGRAM = (
+    sorted(PACKAGE.glob("*.py"))
+    + sorted((ROOT / "scripts").rglob("*.py"))
+    + sorted((ROOT / "perfbench").rglob("*.py"))
+)
+
+
+def unread_public_defs(defining, reading, exempt=()) -> list:
+    """Public module-level functions and public methods of module-level
+    classes, defined in the files `defining`, that none of the files
+    `reading` reads by name or as an attribute, except the `exempt` names
+    (`name` or `Class.method`)."""
+    used = set()
+    for path in reading:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _used_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for path in defining:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, functions):
+                defs = [(node, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(m, node.name + "." + m.name) for m in node.body if isinstance(m, functions)]
+            else:
+                continue
+            for item, qualname in defs:
+                if item.name.startswith("_") or item.name in used or qualname in exempt:
+                    continue
+                out.append("%s:%d %s" % (path.name, item.lineno, qualname))
+    return out
+
+
+def test_every_public_check_is_read_by_the_program():
+    assert unread_public_defs(sorted(PACKAGE.glob("*.py")), PROGRAM, TEST_FACING) == []
+
+
+def test_guard_flags_a_public_check_only_tests_read(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def build():\n"
+        "    return Table().rows()\n"
+        "def check_only_tests_call():\n"
+        "    return True\n"
+        "def builder_for_tests():\n"
+        "    return 0\n"
+        "def _private():\n"
+        "    return 1\n"
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def rows(self):\n"
+        "        return ()\n"
+        "    def is_empty(self):\n"
+        "        return True\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text("from lib import build\nprint(build())\n")
+    test = tmp_path / "test_lib.py"
+    test.write_text("from lib import check_only_tests_call, Table\nassert Table().is_empty()\n")
+    assert unread_public_defs([lib], [lib, script], ("builder_for_tests",)) == [
+        "lib.py:3 check_only_tests_call",
+        "lib.py:14 Table.is_empty",
+    ]

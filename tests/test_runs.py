@@ -1,5 +1,6 @@
 """Groebner runs per job: each chart keeps one memo of the runs over its
-ring, so a job makes no untracked run twice, and no memo outlives its job.
+ring, so a job makes no run twice, tracked or not, and no memo outlives
+its job.
 
 A run is one exactpoly._buchberger call, keyed on its ring, rank, whether
 it is tracked, and its generator rows.
@@ -54,12 +55,9 @@ def _counted_run(monkeypatch, command, fixture, seed):
 def test_no_untracked_run_repeats_within_a_job(monkeypatch, command, fixture, seed):
     report, runs = _counted_run(monkeypatch, command, fixture, seed)
     assert report.exit_status == 0
-    repeated = {key: n for key, n in runs.items() if n > 1}
-    assert not [key for key in repeated if not key[2]]
-    if command != "vdim-witness":
-        # row_relations keeps its own module_kernel run beside the lifter of
-        # the same rows, so only vdim-witness may repeat a tracked run
-        assert not repeated
+    # tracked runs do not repeat either: map_is_injective reads the
+    # relations among the rows off the rows' own tracked run
+    assert {key: n for key, n in runs.items() if n > 1} == {}
 
 
 @pytest.mark.parametrize("command,fixture,seed", JOBS, ids=[c for c, _, _ in JOBS])
