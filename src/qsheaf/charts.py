@@ -214,6 +214,8 @@ class ChartHom:
     def apply(self, p: Poly) -> Poly:
         if p.ring != self.source.ring:
             raise RingMismatchError("polynomial not from the source chart")
+        if not p.terms:
+            return self.target.ring.zero()
         return self.target.nf(self.target.from_laurent(self.source.to_laurent(p)))
 
     def apply_vec(self, vec: Sequence[Poly]) -> tuple:

@@ -1,12 +1,18 @@
 """Exact sparse polynomial arithmetic and Groebner machinery for free modules.
 
-Coefficients are either rationals (fractions.Fraction) or a prime field F_p
-with p < 2**31.  Monomials are exponent tuples ordered by graded reverse
-lexicographic order; free-module terms are (position, monomial) pairs ordered
-position-over-term, position 0 largest.  Module elements are tuples of Poly
-of a common rank.  All computations are deterministic for a fixed input
-order: pair selection, reducer selection and output ordering use explicit
-sort keys and no hashing-dependent iteration.
+Coefficients are either rationals or a prime field F_p with p < 2**31.  A
+rational is an int when it is integral and a fractions.Fraction with
+denominator > 1 otherwise.  Field makes only such values, and the loops
+below that work on raw coefficients (reduce_vec, _combination, rref) turn
+an integral Fraction back into an int where one leaves them, so most
+arithmetic stays on machine ints; every true division has a Fraction
+operand, so no coefficient becomes a float.  Monomials are exponent tuples
+ordered by graded reverse lexicographic order; free-module terms are
+(position, monomial) pairs ordered position-over-term, position 0 largest.
+Module elements are tuples of Poly of a common rank.  All computations are
+deterministic for a fixed input order: pair selection, reducer selection
+and output ordering use explicit sort keys and no hashing-dependent
+iteration.
 
 Division (reduce_vec) works on one term heap: the vector being reduced is a
 dict from (position, exponent) to coefficient, and a min-heap keyed by
@@ -42,6 +48,14 @@ class DimensionMismatchError(ValueError):
     """Module elements or matrix rows have inconsistent rank."""
 
 
+def _q(x):
+    """A rational in its one representation: an int when integral, else a
+    Fraction with denominator > 1."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -55,7 +69,11 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Exact coefficient field: char 0 means the rationals, else F_char."""
+    """Exact coefficient field: char 0 means the rationals, else F_char.
+
+    Over Q every value it makes is an int when integral and a Fraction
+    otherwise, so equal coefficients are equal objects of one type up to
+    that rule; over F_p a value is an int in range(char)."""
 
     char: int = 0
 
@@ -67,8 +85,8 @@ class Field:
                 raise ValueError(f"{self.char} is not prime")
         # the constants, made once per field; not dataclass fields, so they
         # take no part in equality, hashing or repr
-        object.__setattr__(self, "zero", Fraction(0) if self.char == 0 else 0)
-        object.__setattr__(self, "one", Fraction(1) if self.char == 0 else 1)
+        object.__setattr__(self, "zero", 0)
+        object.__setattr__(self, "one", 1)
 
     @staticmethod
     def rationals() -> "Field":
@@ -81,21 +99,21 @@ class Field:
         return Field(p)
 
     def of_int(self, n: int):
-        return Fraction(n) if self.char == 0 else n % self.char
+        return n % self.char if self.char else n
 
     def of_fraction(self, num: int, den: int):
         if self.char == 0:
-            return Fraction(num, den)
+            return _q(Fraction(num, den))
         return (num % self.char) * self.inv(den % self.char) % self.char
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return (a + b) % self.char if self.char else _q(a + b)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return (a - b) % self.char if self.char else _q(a - b)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return (a * b) % self.char if self.char else _q(a * b)
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -104,7 +122,9 @@ class Field:
         if self.char == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            if a == 1 or a == -1:
+                return _q(a)
+            return _q(1 / Fraction(a))
         if a % self.char == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.char - 2, self.char)
@@ -394,8 +414,10 @@ def rref(char: int, mat: list, ncols: int) -> list:
     form in place, over Q when char is 0 and over F_char otherwise, and
     return its pivot columns: mat[:len(pivots)] is then the canonical basis
     of the row span, and the rows after it are zero.  Over F_p the entries
-    must be reduced mod p; over Q the inverse is 1 / Fraction(a), as in
-    Field.inv, so int entries never become floats."""
+    must be reduced mod p.  Over Q the entries are ints or Fractions; the
+    inverse is 1 / Fraction(a), as in Field.inv, so an int never becomes a
+    float, and every entry the elimination writes is an int when integral
+    and a Fraction with denominator > 1 otherwise."""
     nrows = len(mat)
     pivots = []
     for col in range(ncols):
@@ -412,15 +434,15 @@ def rref(char: int, mat: list, ncols: int) -> list:
             inv = pow(mat[rank][col], char - 2, char)
             row = mat[rank] = [(x * inv) % char for x in mat[rank]]
         else:
-            inv = 1 / Fraction(mat[rank][col])
-            row = mat[rank] = [x * inv for x in mat[rank]]
+            inv = _q(1 / Fraction(mat[rank][col]))
+            row = mat[rank] = [_q(x * inv) for x in mat[rank]]
         for i in range(nrows):
             if i != rank and mat[i][col]:
                 c = mat[i][col]
                 if char:
                     mat[i] = [(x - c * y) % char for x, y in zip(mat[i], row)]
                 else:
-                    mat[i] = [x - c * y for x, y in zip(mat[i], row)]
+                    mat[i] = [_q(x - c * y) for x, y in zip(mat[i], row)]
         pivots.append(col)
     return pivots
 
@@ -515,8 +537,10 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
     terms under _heap_key (heap division after Monagan & Pearce, 2007).  A
     term that cancels stays in both, with coefficient zero, until it reaches
     the top of the heap and is dropped; over F_p coefficients are reduced
-    mod p only there.  _leads, internal to this module, is
-    [vec_lead(b) for b in basis] when the caller keeps it.
+    mod p only there.  Over Q an integral Fraction becomes an int where it
+    leaves: in the multiplier of a reduction step and in the remainder.
+    _leads, internal to this module, is [vec_lead(b) for b in basis] when
+    the caller keeps it.
     """
     field = ring.field
     char = field.char
@@ -550,7 +574,7 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
             if ldeg <= deg and all(map(_le, lexp, exp)):
                 break
         else:
-            rem[pos][exp] = c
+            rem[pos][exp] = _q(c)
             continue
         if i not in tails:
             _, _, lc = leads[i]
@@ -560,7 +584,7 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
                 if tpos != pos or e != lexp
             ])
         inv, tail = tails[i]
-        m = c * inv % char if char else c * inv
+        m = c * inv % char if char else _q(c * inv)
         mult = tuple(map(_sub, exp, lexp))
         if track:
             quot[i][mult] = m
@@ -601,7 +625,7 @@ def _combination(ring: PolyRing, parts) -> dict:
         if char:
             d = {e: c % char for e, c in d.items() if c % char}
         else:
-            d = {e: c for e, c in d.items() if c}
+            d = {e: _q(c) for e, c in d.items() if c}
         if d:
             result[idx] = Poly(ring, d)
     return result

@@ -10,10 +10,14 @@ bases, combinations and syzygy rows for the heap-based routines.
 `field_nullspace` is the Gauss-Jordan loop over `Field` methods that
 `qsheaf.exactpoly.field_nullspace` ran before it read the nullspace off
 `qsheaf.exactpoly.rref`, the one elimination routine over Q and F_p.
+
+`is_q_coefficient` is the one representation of a rational coefficient:
+an int when integral, else a Fraction with denominator > 1, never a float.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from qsheaf.exactpoly import (
@@ -34,6 +38,11 @@ from qsheaf.exactpoly import (
     vec_unit,
     vec_zero,
 )
+
+
+def is_q_coefficient(c) -> bool:
+    """c is an int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def reduce_vec(vec, basis, ring: PolyRing, track: bool = False):

@@ -5,7 +5,8 @@
 `hill_oracle.fp_rref` and `exactpoly_oracle.field_nullspace` keep the old
 loops.  On random matrices up to 5x5 over Q and F_p, p in {2, 3, 5, 7},
 with zero rows, repeated rows and the empty matrix among them, the kernel
-must give the oracles' echelon bases and nullspaces, and exact entries.
+must give the oracles' echelon bases and nullspaces, and exact entries
+over Q: an int when integral, else a Fraction with denominator > 1.
 """
 
 from fractions import Fraction
@@ -88,14 +89,14 @@ def test_kernel_over_q_matches_the_field_nullspace_oracle(matrix):
     expected = exactpoly_oracle.field_nullspace(field, rows, ncols)
     got = field_nullspace(field, rows, ncols)
     assert got == expected
-    assert all(type(e) is Fraction for vec in got for e in vec)
+    assert all(exactpoly_oracle.is_q_coefficient(e) for vec in got for e in vec)
     mat = [list(row) for row in rows]
     pivots = rref(0, mat, ncols)
     assert _is_reduced_echelon(mat, pivots)
     assert len(pivots) == ncols - len(expected)
     # the echelon rows span the row space, so each is orthogonal to the kernel
     for row in mat[: len(pivots)]:
-        assert all(type(e) is Fraction for e in row)
+        assert all(exactpoly_oracle.is_q_coefficient(e) for e in row)
         for vec in expected:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 

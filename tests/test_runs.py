@@ -7,6 +7,10 @@ it is tracked, and its generator rows.
 
 Pushes per sub-representation check: verify_subrep pushes each generator
 along each edge out of its vertex once, to lift it over the far generators.
+
+Coefficients over Q: every run a chart memo keeps (bases, tracked bases
+with their combinations and syzygy rows, relation rows) and every lift
+holds ints where the value is integral, never a Fraction of denominator 1.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from __future__ import annotations
 import pathlib
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from qsheaf import bundles, closure, exactpoly, sheafrep
+from qsheaf import bundles, charts, closure, exactpoly, sheafrep
 from qsheaf.cli import JobSpec, run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -108,3 +113,47 @@ def test_verify_subrep_pushes_each_generator_once_per_edge(monkeypatch, command,
     assert run(job).exit_status == 0
     assert done
     assert all(pushes == expected for pushes, expected in done)
+
+
+Q_JOBS = [
+    ("check-qc", "euler_q_p3.txt", None),
+    ("vdim-witness", "euler_q_p2.txt", None),
+    ("lazard", "euler_q_p2.txt", None),
+    ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
+]
+
+
+@pytest.mark.parametrize("command,fixture,seed", Q_JOBS, ids=[c for c, _, _ in Q_JOBS])
+def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, command, fixture, seed):
+    stored, lifts = [], []
+    real_memo, real_lift = charts.ChartRing.memo, exactpoly.TrackedBasis.lift
+
+    def watched_memo(self, key, build):
+        found = real_memo(self, key, build)
+        stored.append(found)
+        return found
+
+    def watched_lift(self, vec):
+        rows = real_lift(self, vec)
+        if rows is not None:
+            lifts.append(rows)
+        return rows
+
+    monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
+    monkeypatch.setattr(exactpoly.TrackedBasis, "lift", watched_lift)
+    job = JobSpec(
+        command=command,
+        inputs=(str(FIXTURES / fixture),),
+        seed_file=str(FIXTURES / seed) if seed else None,
+        machine=True,
+    )
+    assert run(job).exit_status == 0
+    rows = list(lifts)
+    for found in stored:
+        if isinstance(found, exactpoly.TrackedBasis):
+            rows += found.basis + found.combos + found.syzygy_rows
+        else:
+            rows += list(found)
+    coefficients = [c for row in rows for p in row for c in p.terms.values()]
+    assert stored and coefficients
+    assert [c for c in coefficients if type(c) is Fraction and c.denominator == 1] == []
