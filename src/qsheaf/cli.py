@@ -382,7 +382,7 @@ def _cmd_hill_verify(job: JobSpec):
     certificates = {
         "members": len(lattice.members),
         "member_supports": [list(m.support) for m in lattice.members],
-        "chains": len(report.chains),
+        "chains": report.chains,
         "extension_failures": report.failed_extensions,
         "findings": list(report.findings),
     }

@@ -765,7 +765,8 @@ def _reduced_basis(basis, ring: PolyRing):
     for i, (g, (pos, exp, coeff)) in enumerate(zip(kept, kept_leads)):
         others = kept[:i] + kept[i + 1 :]
         r = reduce_vec(g, others, ring, False, _leads=kept_leads[:i] + kept_leads[i + 1 :]) if others else g
-        out.append((term_key(pos, exp), vec_scale(r, field.inv(coeff)), (pos, exp, field.one)))
+        r = r if coeff == field.one else vec_scale(r, field.inv(coeff))
+        out.append((term_key(pos, exp), r, (pos, exp, field.one)))
     out.sort(key=lambda t: t[0], reverse=True)
     return GroebnerBasis([v for _, v, _ in out], [lt for _, _, lt in out])
 

@@ -170,7 +170,7 @@ def test_zero_module_family():
     assert fam.members[0].space == ()
     report = verify_hill_properties(fam)
     assert report.ok
-    assert report.chains == ()
+    assert report.chains == 0
 
 
 def test_no_blocks_positive_ambient():
@@ -188,18 +188,13 @@ def test_verify_independent_family_passes():
     assert report.lattice_closed and report.lattice_witness is None
     assert report.chains_ok
     assert report.extensions_ok and report.extension_failures == ()
-    # the chain from the bottom to the top walks both blocks
-    full = [
-        c
-        for c in report.chains
-        if c.lower_support == () and c.upper_support == (0, 1)
-    ]
-    assert len(full) == 1
-    assert [s.block for s in full[0].steps] == [0, 1]
-    assert all(
-        s.quotient_dim == 1 and s.quotient_partition == (1,)
-        for s in full[0].steps
-    )
+    # five nested pairs: () below the other three, (0,) and (1,) below (0, 1)
+    assert report.chains == 5
+    # the chain from the bottom to the top walks both blocks, one
+    # dimension at a time
+    space = {m.support: m.space for m in fam.members}
+    assert quotient_partition(2, space[(0,)], space[()], None) == (1,)
+    assert quotient_partition(2, space[(0, 1)], space[(0,)], None) == (1,)
 
 
 def test_verify_dependent_family_passes():
@@ -217,9 +212,9 @@ def test_operator_module_partition_type():
     assert {m.space for m in fam.members} == {(), ((1, 0), (0, 1))}
     report = verify_hill_properties(fam)
     assert report.ok
-    chain = report.chains[0]
-    assert chain.steps[0].quotient_partition == (2,)
-    assert chain.steps[0].block_partition == (2,)
+    assert report.chains == 1
+    bottom, top = fam.members
+    assert quotient_partition(2, top.space, bottom.space, op) == (2,)
 
 
 def test_operator_orbits_enter_dependency_spans():

@@ -4,7 +4,9 @@ no operator is never multiplied by a zero matrix.  The verifier reads sums,
 intersections and nesting off the supports: a passing family makes no
 hill.fp_intersect call, a failing one eliminates only its escaping pair
 and names its failing class without trying the zero element, and no row
-that has died is multiplied again.
+that has died is multiplied again.  A built family that meets (H1) and
+(H2) passes by the lattice theorem: its check makes no elimination of
+pairs and builds no table of extension classes.
 
 A member space is one hill.closed_span call, made by
 FilteredModule.member_space for one support (a set of block indices).
@@ -18,6 +20,7 @@ import pytest
 
 from qsheaf import hill
 from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
+from qsheaf.sheaffile import family_from_supports, parse_filtered_file
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 HILL = sorted(path.name for path in FIXTURES.glob("hill_*.txt"))
@@ -119,3 +122,64 @@ def test_failing_family_names_its_class_without_the_zero_element(monkeypatch):
     assert status == EXIT_CHECK_FAILED
     assert zero_coords == []
     assert zero_vectors == []
+
+
+def _unit_family(sigma):
+    """The F_2 module of dimension sigma with block beta the unit vector
+    e_beta, and its built family: every support is closed."""
+    units = [tuple(int(i == j) for j in range(sigma)) for i in range(sigma)]
+    return hill.build_hill_family(hill.make_filtered_module(2, sigma, [[u] for u in units]))
+
+
+def _verify_counted(monkeypatch, lattice):
+    """verify_hill_properties on a family; returns the report, the calls of
+    the pair eliminations and the number of _BlockPatterns built."""
+    calls = {"fp_sum": 0, "fp_intersect": 0, "fp_nullspace": 0, "_BlockPatterns": 0}
+    for name in calls:
+        original = getattr(hill, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(hill, name, counting)
+    report = hill.verify_hill_properties(lattice)
+    monkeypatch.undo()
+    return report, calls
+
+
+def _fixture_family(fixture):
+    module, override = parse_filtered_file(str(FIXTURES / fixture))
+    if override is not None:
+        return family_from_supports(module, override)
+    return hill.build_hill_family(module)
+
+
+@pytest.mark.parametrize("fixture", PASSING)
+def test_passing_built_family_passes_by_the_theorem(monkeypatch, fixture):
+    report, calls = _verify_counted(monkeypatch, _fixture_family(fixture))
+    assert report.ok
+    assert calls == {"fp_sum": 0, "fp_intersect": 0, "fp_nullspace": 0, "_BlockPatterns": 0}
+
+
+def test_unit_vector_family_at_sigma_10_passes_by_the_theorem(monkeypatch):
+    report, calls = _verify_counted(monkeypatch, _unit_family(10))
+    assert report.ok
+    assert report.chains == 3 ** 10 - 2 ** 10
+    assert calls == {"fp_sum": 0, "fp_intersect": 0, "fp_nullspace": 0, "_BlockPatterns": 0}
+
+
+def test_family_failing_h1_is_checked_pair_by_pair(monkeypatch):
+    # hill_broken_f2 lists every closed support of its three blocks but {1}
+    report, calls = _verify_counted(monkeypatch, _fixture_family("hill_broken_f2.txt"))
+    assert not report.ok
+    assert calls["fp_intersect"] == 1
+    assert calls["_BlockPatterns"] == 1
+    assert calls["fp_nullspace"] > 0
+
+
+@pytest.mark.parametrize("sigma", range(8))
+def test_unit_vector_family_counts_its_nested_pairs(sigma):
+    # a pair S < T of subsets of sigma blocks puts each block in neither,
+    # T only or both, less the 2^sigma pairs with S = T
+    assert hill.verify_hill_properties(_unit_family(sigma)).chains == 3 ** sigma - 2 ** sigma
