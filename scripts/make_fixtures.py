@@ -78,6 +78,11 @@ def main() -> None:
     euler_row3 = tuple(poly_from_str(xr3, "x%d" % i) for i in range(4))
     reps["euler_q_p3"] = graded_sheaf(q3, (0, 0, 0, 0), (euler_row3,))
 
+    q4 = build_proj_quiver(field, 4)
+    xr4 = q4.xring
+    euler_row4 = tuple(poly_from_str(xr4, "x%d" % i) for i in range(5))
+    reps["euler_q_p4"] = graded_sheaf(q4, (0,) * 5, (euler_row4,))
+
     reps["sum_o1_o0_p1"] = graded_sheaf(q1, (-1, 0))
     reps["sum_o1_o1_p1"] = graded_sheaf(q1, (-1, -1))
     reps["sum_o0_o2_p1"] = graded_sheaf(q1, (0, -2))

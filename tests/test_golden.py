@@ -51,7 +51,7 @@ JOBS = _jobs()
 
 
 def test_every_applicable_job_is_covered():
-    assert len(JOBS) == 118
+    assert len(JOBS) == 123
     stored = {p.name for p in GOLDEN.glob("*.json")}
     assert stored == {"%s__%s.json" % (c, stem) for c, stem, _, _ in JOBS}
 
