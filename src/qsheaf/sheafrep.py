@@ -271,13 +271,6 @@ class QCReport:
     squares_ok: bool
     findings: tuple
 
-    def edge_verdict(self, edge) -> EdgeVerdict:
-        key = (frozenset(edge[0]), frozenset(edge[1]))
-        for ev in self.edges:
-            if ev.edge == key:
-                return ev
-        raise KeyError(fmt_edge(key))
-
 
 def _onto(gb, tgt: FPModule) -> bool:
     """The matrix rows generate tgt, given gb, a Groebner basis of their
@@ -296,16 +289,48 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
 
 
+def _unit_diagonal_inverse(rows, tgt: FPModule):
+    """Diagonal of B = A^-1 when the matrix A is square and diagonal with
+    each diagonal entry c*m, m a unit of the far chart, and nf(a_jj*b_jj)
+    is exactly 1; None for any other matrix."""
+    chart = tgt.chart
+    if len(rows) != tgt.gens:
+        return None
+    inverse = []
+    for j, row in enumerate(rows):
+        if any(not p.is_zero() for k, p in enumerate(row) if k != j):
+            return None
+        b = chart.term_inverse(row[j])
+        if b is None or chart.nf(row[j] * b) != chart.ring.one():
+            return None
+        inverse.append(b)
+    return inverse
+
+
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     """Base change of the near module to the far chart, compared with the
-    far module through the edge matrix; it is well defined when every
+    far module through the edge matrix A; it is well defined when every
     relation of the near module, sent through the matrix, is a relation of
-    the far one."""
+    the far one.
+
+    When A is a diagonal of unit monomials, as graded inputs write every
+    edge, its inverse B is read off the entries and A*B = 1 is checked
+    exactly.  Lemma: with I the chart relations times the free module, if
+    A*B = 1 modulo I then the map x -> xA is onto, since e_j = (e_j B) A,
+    and xA lies in R_tgt + I exactly when x lies in R_tgt*B + I, so it is
+    injective iff R_tgt*B lies in R_loc + I: the target relations times B
+    are zero in the localized module.  Any other matrix is decided from
+    one tracked run over its rows."""
     v, w = e
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     rows, tgt = rep.edge_maps[e], rep.modules[w]
     well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
-    return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
+    inverse = _unit_diagonal_inverse(rows, tgt)
+    if inverse is None:
+        return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
+    return EdgeVerdict(e, well, True, loc.are_zero(
+        tuple(a * b for a, b in zip(r, inverse)) for r in tgt.relations
+    ))
 
 
 def _squares_agree(rep: SheafRep) -> tuple:

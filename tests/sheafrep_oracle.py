@@ -18,7 +18,8 @@ vertex before `induced_rep` pushed and lifted them all again.
 
 `map_commutes`, `map_is_well_defined`, `is_zero_module` and `rep_is_zero`
 are checks that only tests ever called; tests use them to check maps and
-quotients built by `qsheaf.sheafrep` and `qsheaf.bundles`.
+quotients built by `qsheaf.sheafrep` and `qsheaf.bundles`.  So is
+`report_verdict`, which reads one edge's verdict out of a coherence report.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from qsheaf.closure import SubRep, SubRepReport, induced_rep
 from qsheaf.exactpoly import vec_is_zero, vec_key, vec_sub, vec_unit
 from qsheaf.sheafrep import (
     EdgeVerdict,
+    QCReport,
     SheafMap,
     SheafRep,
     _chart_nonzero_rows,
@@ -135,6 +137,14 @@ def is_zero_module(module: FPModule) -> bool:
 
 def rep_is_zero(rep: SheafRep) -> bool:
     return all(is_zero_module(rep.modules[v]) for v in rep.quiver.vertices)
+
+
+def report_verdict(report: QCReport, edge) -> EdgeVerdict:
+    key = (frozenset(edge[0]), frozenset(edge[1]))
+    for ev in report.edges:
+        if ev.edge == key:
+            return ev
+    raise KeyError(fmt_edge(key))
 
 
 def edge_verdict(rep: SheafRep, e) -> EdgeVerdict:

@@ -26,6 +26,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from sheafrep_oracle import report_verdict
+
 from qsheaf.bundles import (
     LaurentPoly,
     birkhoff_split,
@@ -142,7 +144,7 @@ def test_criterion_1_quasi_coherence_suite(fixture_dir):
             report = is_quasi_coherent(rep)
             key = (V(edge[0]), V(edge[1]))
             assert not report.ok
-            assert not report.edge_verdict(key).ok
+            assert not report_verdict(report, key).ok
             for other in report.edges:
                 if other.edge != key:
                     assert other.ok, "mutation leaked to " + fmt_edge(other.edge)

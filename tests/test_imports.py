@@ -159,7 +159,6 @@ def test_guard_flags_an_unreferenced_private_helper(tmp_path):
 # tests use to make inputs and read results.
 TEST_FACING = (
     "direct_sum",  # sums of sheaves, the inputs of closure and kernel tests
-    "QCReport.edge_verdict",  # one edge's verdict out of a coherence report
     "PolyRing.from_int",  # integer constants in ring tests
     "TrackedBasis.syzygy_rows",  # the raw syzygies the oracles compare
 )

@@ -11,6 +11,12 @@ along each edge out of its vertex once, to lift it over the far generators.
 Coefficients over Q: every run a chart memo keeps (bases, tracked bases
 with their combinations and syzygy rows, relation rows) and every lift
 holds ints where the value is integral, never a Fraction of denominator 1.
+
+Edge verdicts: a graded edge map is a diagonal of unit monomials, which
+sheafrep inverts by inspection, so check-qc and is-bundle on a graded
+fixture build no ("lift", ...) run except over a chart that is the zero
+ring, where the inverse is refused; a P^1 mutant builds lift runs only for
+its bad edge.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ import pytest
 
 from qsheaf import bundles, charts, closure, exactpoly, sheafrep
 from qsheaf.cli import JobSpec, run
+from qsheaf.exactpoly import Field
+from qsheaf.sheaffile import sheafrep_text
+from qsheaf.sheafrep import build_proj_quiver, graded_sheaf
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -157,3 +166,52 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
     coefficients = [c for row in rows for p in row for c in p.terms.values()]
     assert stored and coefficients
     assert [c for c in coefficients if type(c) is Fraction and c.denominator == 1] == []
+
+
+GRADED = sorted(
+    path.name for path in FIXTURES.glob("*.txt") if path.read_text(encoding="utf-8").startswith("kind graded")
+)
+
+
+def _lift_runs(monkeypatch, command, path):
+    """Exit status of one job and the (chart, rows) of every lift run its
+    chart memos build."""
+    built = []
+    real_memo = charts.ChartRing.memo
+
+    def watched_memo(self, key, build):
+        if key[0] == "lift" and key not in self._runs:
+            built.append((self, key[2]))
+        return real_memo(self, key, build)
+
+    monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
+    report = run(JobSpec(command=command, inputs=(str(path),), machine=True))
+    monkeypatch.setattr(charts.ChartRing, "memo", real_memo)
+    return report.exit_status, built
+
+
+@pytest.mark.parametrize("command", ("check-qc", "is-bundle"))
+@pytest.mark.parametrize("fixture", GRADED)
+def test_graded_edges_build_no_lift_run(monkeypatch, command, fixture):
+    status, built = _lift_runs(monkeypatch, command, FIXTURES / fixture)
+    assert status == 0
+    # subscheme_p1 (x0*x1 = 0) is the one fixture with a zero-ring chart
+    assert [chart for chart, _rows in built if not chart.is_zero_ring()] == []
+    assert len(built) == (fixture == "subscheme_p1.txt")
+
+
+@pytest.mark.parametrize("degrees,relations", [((0, 0), True), ((1, 0, -2), False)], ids=["euler", "sum"])
+def test_p1_mutant_builds_lift_runs_only_on_its_bad_edge(monkeypatch, tmp_path, degrees, relations):
+    quiver = build_proj_quiver(Field(0), 1)
+    rows = ((quiver.xring.var(0), quiver.xring.var(1)),) if relations else ()
+    rep = graded_sheaf(quiver, degrees, rows)
+    edge = quiver.edges[-1]
+    chart = quiver.chart(edge[1])
+    bad_rows = [list(r) for r in rep.edge_maps[edge]]
+    bad_rows[0][0] = bad_rows[0][0] * (chart.z(1) + chart.ring.constant(2))
+    bad_rows = tuple(tuple(r) for r in bad_rows)
+    path = tmp_path / "mutant.txt"
+    path.write_text(sheafrep_text(rep.replaced_edge(edge, bad_rows)), encoding="utf-8")
+    status, built = _lift_runs(monkeypatch, "check-qc", path)
+    assert status == 1
+    assert built and all(rows[: len(bad_rows)] == bad_rows for _chart, rows in built)

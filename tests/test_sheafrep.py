@@ -8,7 +8,13 @@ change acting by the k-th power of the coordinate ratio.
 from __future__ import annotations
 
 import pytest
-from sheafrep_oracle import is_zero_module, map_commutes, map_is_well_defined, rep_is_zero
+from sheafrep_oracle import (
+    is_zero_module,
+    map_commutes,
+    map_is_well_defined,
+    rep_is_zero,
+    report_verdict,
+)
 
 from qsheaf.charts import FPModule
 from qsheaf.exactpoly import Field, poly_from_str
@@ -147,12 +153,12 @@ def test_mutated_edge_is_named():
     bad = rep.replaced_edge((v, w), ((chart.z(1) + chart.ring.one(),),))
     report = is_quasi_coherent(bad)
     assert not report.ok
-    ev = report.edge_verdict((v, w))
+    ev = report_verdict(report, (v, w))
     assert not ev.surjective
     assert ev.injective  # multiplication by a nonzerodivisor
     assert any("{1}->{0,1}" in msg for msg in report.findings)
     # the untouched edge still passes
-    assert report.edge_verdict((frozenset({0}), w)).ok
+    assert report_verdict(report, (frozenset({0}), w)).ok
 
 
 def test_zero_edge_fails_both_directions():
@@ -161,7 +167,7 @@ def test_zero_edge_fails_both_directions():
     v, w = frozenset({0}), frozenset({0, 1})
     chart = q.chart(w)
     bad = rep.replaced_edge((v, w), ((chart.ring.zero(),),))
-    ev = is_quasi_coherent(bad).edge_verdict((v, w))
+    ev = report_verdict(is_quasi_coherent(bad), (v, w))
     assert not ev.surjective and not ev.injective
 
 

@@ -3,9 +3,14 @@ against the routines that ran one Groebner basis per question.
 
 `sheafrep_oracle` keeps the old `_onto`, `_injective` and `_present` on the
 oracle Buchberger of `exactpoly_oracle`.  On generated twists, sums of
-twists and Euler-type quotients on P^1 and P^2, over Q and F_p, with now and
-then one edge matrix spoiled so that it is no longer onto or injective,
-every edge verdict must be the same.  Presentations of generator lists must
+twists and Euler-type quotients on P^1 to P^3 and on subschemes, over Q and
+F_p, with now and then one edge matrix or one vertex module spoiled, every
+edge verdict must be the same.  Graded edge maps are diagonals of unit
+monomials, which `_edge_verdict` inverts by inspection; a spoil either keeps
+that shape (a row scaled by a constant or a unit), so the fast path runs
+with an inverse other than the identity, or breaks it (a zero, two-term,
+non-unit or off-diagonal entry), and the test pins which edges take the
+fast path: never one into a chart that is the zero ring.  Presentations of generator lists must
 present the same modules: equal relation spans at every vertex, and edge
 matrices that agree modulo the far relations, since a lift is only defined
 up to a relation among the far generators.
@@ -22,55 +27,191 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafrep_oracle as oracle
+from qsheaf.charts import FPModule
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
-from qsheaf.sheafrep import _edge_verdict, _present, build_proj_quiver, graded_sheaf
+from qsheaf.sheafrep import (
+    SheafRep,
+    _edge_verdict,
+    _present,
+    _unit_diagonal_inverse,
+    build_proj_quiver,
+    graded_sheaf,
+)
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SEEDS = sorted(FIXTURES.glob("seed_*.txt"))
 
 
+def _linear_form(draw, xr):
+    form = xr.zero()
+    for i in range(xr.nvars):
+        form = form + xr.var(i).scale(xr.field.of_int(draw(st.integers(-2, 2))))
+    return form
+
+
+def _ideal(draw, field, n):
+    """No subscheme, a monomial one (its charts that invert every factor are
+    the zero ring) or a hyperplane."""
+    kind = draw(st.sampled_from(("none", "none", "monomial", "linear")))
+    xr = build_proj_quiver(field, n).xring
+    if kind == "monomial":
+        gen = xr.one()
+        for i in draw(st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True)):
+            gen = gen * xr.var(i)
+        return (gen,)
+    if kind == "linear":
+        return (_linear_form(draw, xr),)
+    return ()
+
+
+# spoils of one edge map that keep it a diagonal of unit monomials, so
+# that it takes the fast path with an inverse other than the identity
+KEPT = ("constant", "unit")
+# spoils it must refuse: a zero diagonal entry, a two-term entry, a
+# non-unit z_j, an off-diagonal entry
+REFUSED = ("zero-row", "two-term", "non-unit", "off-diagonal")
+
+
+def _spoil_edge(draw, rep, spoil):
+    quiver = rep.quiver
+    edges = quiver.edges
+    constants = [c for c in (-1, 2, 3) if quiver.field.of_int(c) not in (0, 1)]
+    if spoil == "constant" and not constants:
+        spoil = "unit"
+    if spoil == "non-unit":
+        edges = [e for e in edges if len(e[1]) <= quiver.n]
+    if not edges or (spoil == "off-diagonal" and rep.modules[edges[0][0]].gens < 2):
+        spoil = "two-term"
+        edges = quiver.edges
+    edge = draw(st.sampled_from(edges))
+    chart = quiver.chart(edge[1])
+    ring = chart.ring
+    rows = [list(r) for r in rep.edge_maps[edge]]
+    j = draw(st.integers(0, len(rows) - 1))
+    if spoil == "zero-row":
+        rows[j] = [ring.zero()] * len(rows[j])
+    elif spoil == "two-term":
+        rows = [[x * (ring.var(0) + ring.one()) for x in r] for r in rows]
+    elif spoil == "non-unit":
+        k = draw(st.sampled_from(sorted(set(range(quiver.n + 1)) - edge[1])))
+        rows[j] = [x * chart.z(k) for x in rows[j]]
+    elif spoil == "off-diagonal":
+        rows[j][(j + 1) % len(rows)] = ring.one()
+    elif spoil == "constant":
+        c = quiver.field.of_int(draw(st.sampled_from(constants)))
+        rows[j] = [x.scale(c) for x in rows[j]]
+    else:
+        unit = ring.var(draw(st.sampled_from(chart.unit_variable_columns())))
+        rows[j] = [x * unit for x in rows[j]]
+    return rep.replaced_edge(edge, rows)
+
+
+def _spoil_module(draw, rep):
+    """Kill generator 0 at one vertex: edges into it stay unit diagonals
+    but are no longer injective, unless the near module kills it too."""
+    v = draw(st.sampled_from(rep.quiver.vertices))
+    old = rep.modules[v]
+    ring = old.chart.ring
+    modules = dict(rep.modules)
+    modules[v] = FPModule(old.chart, old.gens, old.relations + (vec_unit(ring, old.gens, 0),))
+    return SheafRep(rep.quiver, modules, rep.edge_maps, None)
+
+
 @st.composite
 def reps(draw):
     field = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 2))
-    quiver = build_proj_quiver(field, n)
-    xr = quiver.xring
-    if draw(st.booleans()):
+    n = draw(st.integers(1, 3))
+    quiver = build_proj_quiver(field, n, _ideal(draw, field, n))
+    if n == 3 or draw(st.booleans()):
         degrees = tuple(draw(st.integers(-2, 2)) for _ in range(draw(st.integers(1, 2))))
         rep = graded_sheaf(quiver, degrees)
     else:
         # a row of linear forms on n+1 generators of degree 0, as in the
         # Euler sequence quotient O^{n+1} / O(-1)
-        row = []
-        for _ in range(n + 1):
-            coeffs = [draw(st.integers(-2, 2)) for _ in range(n + 1)]
-            form = xr.zero()
-            for i, c in enumerate(coeffs):
-                form = form + xr.var(i).scale(field.of_int(c))
-            row.append(form)
-        rep = graded_sheaf(quiver, (0,) * (n + 1), (tuple(row),))
-    spoil = draw(st.sampled_from(("none", "none", "zero-row", "scale")))
+        row = tuple(_linear_form(draw, quiver.xring) for _ in range(n + 1))
+        rep = graded_sheaf(quiver, (0,) * (n + 1), (row,))
+    spoil = draw(st.sampled_from(("none", "none", "module") + KEPT + REFUSED))
+    if spoil == "module":
+        return _spoil_module(draw, rep)
     if spoil != "none":
-        edge = draw(st.sampled_from(quiver.edges))
-        ring = quiver.chart(edge[1]).ring
-        rows = list(rep.edge_maps[edge])
-        if spoil == "zero-row":
-            rows[0] = tuple(ring.zero() for _ in rows[0])
-        else:
-            factor = ring.var(0) + ring.one()
-            rows = [tuple(x * factor for x in r) for r in rows]
-        rep = rep.replaced_edge(edge, rows)
+        return _spoil_edge(draw, rep, spoil)
     return rep
 
 
-@settings(max_examples=40, deadline=None)
+def _unit_diagonal(rep, e) -> bool:
+    """The edge matrix is square and diagonal, each diagonal entry one term
+    in the unit variables of a far chart that is not the zero ring."""
+    rows, tgt = rep.edge_maps[e], rep.modules[e[1]]
+    units = set(tgt.chart.unit_variable_columns())
+    if len(rows) != tgt.gens or tgt.chart.is_zero_ring():
+        return False
+    for j, row in enumerate(rows):
+        if any(not p.is_zero() for k, p in enumerate(row) if k != j) or len(row[j].terms) != 1:
+            return False
+        ((exp, _c),) = row[j].terms.items()
+        if any(d and col not in units for col, d in enumerate(exp)):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
 @given(reps())
 def test_edge_verdicts_match_oracle(rep):
     for e in rep.quiver.edges:
+        inverse = _unit_diagonal_inverse(rep.edge_maps[e], rep.modules[e[1]])
+        assert (inverse is not None) == _unit_diagonal(rep, e)
         assert _edge_verdict(rep, e) == oracle.edge_verdict(rep, e)
+
+
+def _pinned_cases():
+    """(name, rep, edge, fast): one case of each kind the strategy draws
+    at random, so that every run sees a non-trivial inverse, a fast edge
+    that is not injective and each refusal."""
+    q = build_proj_quiver(Field(0), 2)
+    xr = q.xring
+    euler = graded_sheaf(q, (0, 0, 0), (tuple(xr.var(i) for i in range(3)),))
+    edge = (frozenset({0}), frozenset({0, 1}))
+    chart = q.chart(edge[1])
+    rows = [list(r) for r in euler.edge_maps[edge]]
+
+    def spoiled(i, j, entry):
+        new = [list(r) for r in rows]
+        new[i][j] = entry
+        return euler.replaced_edge(edge, new)
+
+    three = chart.ring.constant(Field(0).of_int(3))
+    twist3 = graded_sheaf(build_proj_quiver(Field(3), 3), (2,))
+    edge3 = (frozenset({1, 2}), frozenset({1, 2, 3}))
+    chart3 = twist3.quiver.chart(edge3[1])
+    unit = chart3.u(3) * chart3.u(2)
+    by_unit = twist3.replaced_edge(edge3, [[e * unit for e in r] for r in twist3.edge_maps[edge3]])
+    killed = dict(euler.modules)
+    killed[edge[1]] = FPModule(chart, 3, euler.modules[edge[1]].relations + (vec_unit(chart.ring, 3, 1),))
+    x1 = build_proj_quiver(Field(0), 1).xring
+    p1 = build_proj_quiver(Field(0), 1, (x1.var(0) * x1.var(1),))  # the chart {0,1} is the zero ring
+    return [
+        ("scaled-by-constant", spoiled(0, 0, three), edge, True),
+        ("scaled-by-unit", by_unit, edge3, True),
+        ("not-injective", SheafRep(q, killed, euler.edge_maps, None), edge, True),
+        ("zero-ring", graded_sheaf(p1, (1,)), (frozenset({0}), frozenset({0, 1})), False),
+        ("non-unit", spoiled(2, 2, chart.z(2)), edge, False),
+        ("two-term", spoiled(1, 1, chart.z(1) + three), edge, False),
+        ("off-diagonal", spoiled(0, 2, chart.z(1)), edge, False),
+        ("zero-entry", spoiled(1, 1, chart.ring.zero()), edge, False),
+    ]
+
+
+@pytest.mark.parametrize("name,rep,edge,fast", _pinned_cases(), ids=[c[0] for c in _pinned_cases()])
+def test_pinned_edges_take_the_expected_path(name, rep, edge, fast):
+    inverse = _unit_diagonal_inverse(rep.edge_maps[edge], rep.modules[edge[1]])
+    assert (inverse is not None) == fast == _unit_diagonal(rep, edge)
+    verdict = _edge_verdict(rep, edge)
+    assert verdict == oracle.edge_verdict(rep, edge)
+    if name == "not-injective":
+        assert verdict.surjective and not verdict.injective
 
 
 @settings(max_examples=30, deadline=None)
