@@ -11,7 +11,12 @@ clearing elsewhere in the package.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
 FPModule.lifter and FPModule.row_relations), keyed on rank and rows, not on
-the asking object, and never mutated.  It lives as long as its quiver.
+the asking object, and never mutated.  It lives as long as its quiver.  A
+tracked run also serves span requests: FPModule.lifter files its basis
+under the span key of the same generator list, unless a span basis is
+there already, so span_gb then builds nothing.  A span basis is therefore
+a Groebner basis, not always the reduced one, and is read only through
+normal forms, which any Groebner basis gives alike.
 """
 
 from __future__ import annotations
@@ -257,8 +262,9 @@ def ideal_block(chart: ChartRing, rank: int) -> list:
 
 
 def span_gb(chart: ChartRing, rows: Sequence, rank: int) -> list:
-    """Groebner basis of span(rows) + I*F_rank over the chart's ring, made
-    once per chart for each (rank, rows)."""
+    """A Groebner basis of span(rows) + I*F_rank over the chart's ring, made
+    once per chart for each (rank, rows), or the basis of a tracked run
+    that FPModule.lifter made over the same generators."""
     rows = tuple(tuple(r) for r in rows)
     return chart.memo(
         ("span", rank, rows),
@@ -322,14 +328,19 @@ class FPModule:
     def lifter(self, rows) -> TrackedBasis:
         """Membership with a witness in the submodule generated by the rows:
         lift(x)[:len(rows)] expresses x over the rows, or lift(x) is None.
-        Its basis is a Groebner basis of span_gb(rows)'s span, and
-        kernel(len(rows)) is row_relations(rows), so one tracked run
-        answers membership, witnesses and relations for the same rows."""
+        Its basis is a Groebner basis of span_gb(rows)'s span, filed as
+        span_gb(rows) unless one is filed already, and kernel(len(rows)) is
+        row_relations(rows), so one tracked run answers span membership,
+        witnesses and relations for the same rows."""
         rows = tuple(tuple(r) for r in rows)
-        return self.chart.memo(
-            ("lift", self.gens, rows + self.relations),
-            lambda: TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens),
-        )
+        key = rows + self.relations
+
+        def build():
+            tracked = TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens)
+            self.chart.memo(("span", self.gens, key), lambda: tracked.basis)
+            return tracked
+
+        return self.chart.memo(("lift", self.gens, key), build)
 
     def are_zero(self, vecs) -> bool:
         """Every vector is zero in the module."""

@@ -772,11 +772,12 @@ def _reduced_basis(basis, ring: PolyRing):
 
 
 class GroebnerBasis(list):
-    """A reduced Groebner basis as groebner_basis returns it: the list of
-    its vecs, carrying their leads, which normal_form hands to reduce_vec
-    instead of recomputing them.  The chart memo behind charts.span_gb,
-    and PresIdeal for its own ideal, keep bases and so their leads; a kept
-    basis is never mutated."""
+    """A Groebner basis: the list of its vecs, carrying their leads, which
+    normal_form hands to reduce_vec instead of recomputing them.
+    groebner_basis returns the reduced one, and a TrackedBasis keeps its
+    basis as one.  The chart memo behind charts.span_gb, and PresIdeal for
+    its own ideal, keep bases and so their leads; a kept basis is never
+    mutated."""
 
     def __init__(self, vecs, leads):
         super().__init__(vecs)
@@ -824,10 +825,9 @@ class TrackedBasis:
         self.rank = rank
         self.gens = list(gens)
         basis, combos, syz = _buchberger(self.gens, ring, rank, track=True)
-        self.basis = basis
+        self.basis = GroebnerBasis(basis, [vec_lead(b) for b in basis])
         self._combos = combos
         self._syzygies = syz
-        self._leads = [vec_lead(b) for b in basis]
 
     @property
     def combos(self) -> list:
@@ -849,7 +849,7 @@ class TrackedBasis:
     def lift(self, vec):
         if not self.basis:
             return None if not vec_is_zero(vec) else [self.ring.zero()] * len(self.gens)
-        rem, quot = reduce_vec(vec, self.basis, self.ring, True, _leads=self._leads)
+        rem, quot = reduce_vec(vec, self.basis, self.ring, True, _leads=self.basis.leads)
         if not vec_is_zero(rem):
             return None
         coeffs = _combination(

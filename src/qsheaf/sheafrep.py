@@ -18,6 +18,7 @@ matrix product taken left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .charts import (
@@ -281,12 +282,26 @@ def _onto(gb, tgt: FPModule) -> bool:
 
 
 def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
-    """(onto, injective) for the matrix rows from src to tgt, from one
-    tracked run over the rows: its basis decides onto, and its syzygies
-    give the relations among the rows; the map is injective when each of
-    them is a relation of src."""
-    lifter = tgt.lifter(rows)
-    return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
+    """(onto, injective) for the matrix A = rows from src to tgt, two
+    modules over one chart.
+
+    When A is a diagonal of unit monomials, as graded inputs write every
+    edge and as the identity maps of serre_cover and lazard_approximation
+    are, its inverse B is read off the entries and A*B = 1 is checked
+    exactly.  Lemma: with I the chart relations times the free module, if
+    A*B = 1 modulo I then the map x -> xA is onto, since e_j = (e_j B) A,
+    and xA lies in R_tgt + I exactly when x lies in R_tgt*B + I (A and B
+    are diagonal, so B*A = 1 modulo I too).  So the target relations times
+    B generate the relations among the rows, which is how kernel reads
+    them, and the map is injective iff R_tgt*B lies in R_src + I: they are
+    zero in src.  Any other matrix is decided from one tracked run over its
+    rows: its basis decides onto, and its syzygies give the relations among
+    the rows; the map is injective when each of them is a relation of src."""
+    relations = _unit_diagonal_relations(rows, tgt)
+    if relations is None:
+        lifter = tgt.lifter(rows)
+        return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
+    return True, src.are_zero(relations)
 
 
 def _unit_diagonal_inverse(rows, tgt: FPModule):
@@ -307,30 +322,26 @@ def _unit_diagonal_inverse(rows, tgt: FPModule):
     return inverse
 
 
+def _unit_diagonal_relations(rows, tgt: FPModule):
+    """The relations among the rows of A by the lemma of
+    _onto_and_injective: the target relations times B = A^-1 when A is a
+    diagonal of unit monomials; None for any other matrix."""
+    inverse = _unit_diagonal_inverse(rows, tgt)
+    if inverse is None:
+        return None
+    return [tuple(map(mul, r, inverse)) for r in tgt.relations]
+
+
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     """Base change of the near module to the far chart, compared with the
-    far module through the edge matrix A; it is well defined when every
+    far module through the edge matrix; it is well defined when every
     relation of the near module, sent through the matrix, is a relation of
-    the far one.
-
-    When A is a diagonal of unit monomials, as graded inputs write every
-    edge, its inverse B is read off the entries and A*B = 1 is checked
-    exactly.  Lemma: with I the chart relations times the free module, if
-    A*B = 1 modulo I then the map x -> xA is onto, since e_j = (e_j B) A,
-    and xA lies in R_tgt + I exactly when x lies in R_tgt*B + I, so it is
-    injective iff R_tgt*B lies in R_loc + I: the target relations times B
-    are zero in the localized module.  Any other matrix is decided from
-    one tracked run over its rows."""
+    the far one, and onto and injective as _onto_and_injective decides."""
     v, w = e
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     rows, tgt = rep.edge_maps[e], rep.modules[w]
     well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
-    inverse = _unit_diagonal_inverse(rows, tgt)
-    if inverse is None:
-        return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
-    return EdgeVerdict(e, well, True, loc.are_zero(
-        tuple(a * b for a, b in zip(r, inverse)) for r in tgt.relations
-    ))
+    return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
 
 
 def _squares_agree(rep: SheafRep) -> tuple:
@@ -412,6 +423,9 @@ def identity_map(rep: SheafRep) -> SheafMap:
 
 
 def map_is_surjective(f: SheafMap) -> bool:
+    """Each vertex's rows span the target, by one untracked span run.  Not
+    by the lemma of _onto_and_injective: its nf(a*b) = 1 check builds chart
+    relation bases that serre-cover on a subscheme never needs otherwise."""
     return all(
         _onto(f.target.modules[v].span_gb(f.rows[v]), f.target.modules[v])
         for v in f.source.quiver.vertices
@@ -551,13 +565,16 @@ def kernel(f: SheafMap):
     c . f = 0 modulo target relations, pruned of redundant ones; edge maps
     are produced by lifting pushed-forward kernel generators over the kernel
     generators at the far vertex, which succeeds whenever the map
-    intertwines the edges."""
+    intertwines the edges.  Where the map is a diagonal of unit monomials,
+    the solutions are the target relations times its inverse (the lemma of
+    _onto_and_injective); any other matrix reads them off a tracked run."""
     quiver = f.source.quiver
     gens = {}
     for v in quiver.vertices:
-        chart = quiver.chart(v)
-        rows = _chart_nonzero_rows(chart, f.target.modules[v].row_relations(f.rows[v]))
-        gens[v] = _prune_generators(f.source.modules[v], rows)
+        found = _unit_diagonal_relations(f.rows[v], f.target.modules[v])
+        if found is None:
+            found = f.target.modules[v].row_relations(f.rows[v])
+        gens[v] = _prune_generators(f.source.modules[v], _chart_nonzero_rows(quiver.chart(v), found))
     return _present(f.source, gens)
 
 

@@ -1,6 +1,7 @@
 """Groebner runs per job: each chart keeps one memo of the runs over its
 ring, so a job makes no run twice, tracked or not, and no memo outlives
-its job.
+its job.  A tracked run also serves span requests over its generators, so
+no untracked run follows a tracked one over the same generator rows.
 
 A run is one exactpoly._buchberger call, keyed on its ring, rank, whether
 it is tracked, and its generator rows.
@@ -40,17 +41,18 @@ JOBS = [
     ("check-qc", "euler_q_p3.txt", None),
     ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
     ("vdim-witness", "euler_q_p2.txt", None),
+    ("lazard", "euler_q_p2.txt", None),
     ("is-bundle", "subscheme_p1.txt", None),
 ]
 
 
-def _counted_run(monkeypatch, command, fixture, seed):
-    """Report of one job and the Counter of its runs by key."""
-    runs = Counter()
+def _run_keys(monkeypatch, command, fixture, seed):
+    """Report of one job and the keys of its runs, in the order made."""
+    runs = []
     real = exactpoly._buchberger
 
     def counting(gens, ring, rank, track):
-        runs[(ring, rank, track, tuple(tuple(g) for g in gens))] += 1
+        runs.append((ring, rank, track, tuple(tuple(g) for g in gens)))
         return real(gens, ring, rank, track)
 
     monkeypatch.setattr(exactpoly, "_buchberger", counting)
@@ -63,6 +65,12 @@ def _counted_run(monkeypatch, command, fixture, seed):
     report = run(job)
     monkeypatch.setattr(exactpoly, "_buchberger", real)
     return report, runs
+
+
+def _counted_run(monkeypatch, command, fixture, seed):
+    """Report of one job and the Counter of its runs by key."""
+    report, runs = _run_keys(monkeypatch, command, fixture, seed)
+    return report, Counter(runs)
 
 
 @pytest.mark.parametrize("command,fixture,seed", JOBS, ids=[c for c, _, _ in JOBS])
@@ -80,6 +88,29 @@ def test_a_second_run_of_a_job_repeats_the_first(monkeypatch, command, fixture, 
     second, second_runs = _counted_run(monkeypatch, command, fixture, seed)
     assert second.machine_text() == first.machine_text()
     assert second_runs == first_runs
+
+
+CROSS_JOBS = JOBS + [
+    ("vdim-witness", "euler_q_p3.txt", None),
+    ("lazard", "euler_q_p3.txt", None),
+]
+
+
+@pytest.mark.parametrize("command,fixture,seed", CROSS_JOBS, ids=[c + "-" + f[:-4] for c, f, _ in CROSS_JOBS])
+def test_no_untracked_run_follows_a_tracked_run_of_its_generators(monkeypatch, command, fixture, seed):
+    # FPModule.lifter files its tracked basis as the span basis of the same
+    # generators, so in_span, SubRep.contains and _onto reuse it; before,
+    # vdim-witness on euler_q_p2/p3 made 7 and 15 such untracked runs, and
+    # lazard 4 and 11
+    report, runs = _run_keys(monkeypatch, command, fixture, seed)
+    assert report.exit_status == 0
+    tracked, repeats = set(), []
+    for ring, rank, track, gens in runs:
+        if track:
+            tracked.add((ring, rank, gens))
+        elif (ring, rank, gens) in tracked:
+            repeats.append((ring, rank, gens))
+    assert repeats == []
 
 
 PUSH_JOBS = [

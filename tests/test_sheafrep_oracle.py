@@ -10,8 +10,17 @@ monomials, which `_edge_verdict` inverts by inspection; a spoil either keeps
 that shape (a row scaled by a constant or a unit), so the fast path runs
 with an inverse other than the identity, or breaks it (a zero, two-term,
 non-unit or off-diagonal entry), and the test pins which edges take the
-fast path: never one into a chart that is the zero ring.  Presentations of generator lists must
-present the same modules: equal relation spans at every vertex, and edge
+fast path: never one into a chart that is the zero ring.
+
+The same lemma decides `map_is_iso` and gives `kernel` its generators.  On
+the Serre covers of shipped fixtures, at every vertex, and on spoiled
+copies of one vertex's matrix, the lemma's kernel rows and the relations
+among the rows from a tracked run span the same submodule, and
+`_onto_and_injective` agrees with the tracked path and with the oracle.
+The `vdim-witness` and `lazard` bodies are the same with the lemma turned
+off.
+
+Presentations of generator lists must present the same modules: equal relation spans at every vertex, and edge
 matrices that agree modulo the far relations, since a lift is only defined
 up to a relation among the far generators.
 
@@ -27,15 +36,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafrep_oracle as oracle
+from qsheaf import sheafrep
+from qsheaf.bundles import serre_cover
 from qsheaf.charts import FPModule
+from qsheaf.cli import JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
 from qsheaf.sheafrep import (
     SheafRep,
     _edge_verdict,
+    _onto_and_injective,
     _present,
     _unit_diagonal_inverse,
+    _unit_diagonal_relations,
     build_proj_quiver,
     graded_sheaf,
 )
@@ -212,6 +226,73 @@ def test_pinned_edges_take_the_expected_path(name, rep, edge, fast):
     assert verdict == oracle.edge_verdict(rep, edge)
     if name == "not-injective":
         assert verdict.surjective and not verdict.injective
+
+
+COVERED = ("euler_q_p2.txt", "euler_q_p3.txt", "twist_p1_k2.txt", "twist_p2_k-1.txt", "subscheme_p1.txt")
+
+
+def _cover_cases():
+    """(name, src, rows, tgt, fast): the matrix of a Serre cover at every
+    vertex of the covered fixtures, and one vertex's matrix spoiled."""
+    cases = []
+    for fixture in COVERED:
+        cover = serre_cover(parse_sheaf_file(str(FIXTURES / fixture)))
+        for v in cover.source.quiver.vertices:
+            src, tgt = cover.source.modules[v], cover.target.modules[v]
+            name = fixture[:-4] + "-" + "".join(map(str, sorted(v)))
+            # subscheme_p1 (x0*x1 = 0) has the zero ring at {0,1}
+            cases.append((name, src, cover.rows[v], tgt, not tgt.chart.is_zero_ring()))
+    cover = serre_cover(parse_sheaf_file(str(FIXTURES / "euler_q_p2.txt")))
+    v, w = frozenset({0}), frozenset({0, 1})
+    chart, chart_w = cover.target.quiver.chart(v), cover.target.quiver.chart(w)
+
+    def spoiled(at, i, j, entry):
+        rows = [list(r) for r in cover.rows[at]]
+        rows[i][j] = entry
+        return (cover.source.modules[at], tuple(map(tuple, rows)), cover.target.modules[at])
+
+    three = chart.ring.constant(Field(0).of_int(3))
+    twists, scaled, euler = spoiled(v, 0, 0, three)
+    cases += [
+        ("scaled-by-constant", twists, scaled, euler, True),
+        # from the Euler module to itself: R_tgt*B does not lie in R_src
+        # although R_tgt does, so the lemma must multiply by B
+        ("scaled-endomorphism", euler, scaled, euler, True),
+        ("scaled-by-unit", *spoiled(w, 1, 1, chart_w.u(1)), True),
+        ("non-unit", *spoiled(v, 1, 1, chart.z(1)), False),
+        ("off-diagonal", *spoiled(v, 0, 2, chart.z(1)), False),
+    ]
+    return cases
+
+
+COVER_CASES = _cover_cases()
+
+
+@pytest.mark.parametrize("name,src,rows,tgt,fast", COVER_CASES, ids=[c[0] for c in COVER_CASES])
+def test_lemma_rows_span_the_relations_among_the_rows(name, src, rows, tgt, fast):
+    lemma, tracked = _unit_diagonal_relations(rows, tgt), tgt.row_relations(rows)
+    assert (lemma is not None) == fast
+    if fast:
+        free = FPModule(tgt.chart, len(rows))
+        assert free.in_span(lemma, tracked) and free.in_span(tracked, lemma)
+
+
+@pytest.mark.parametrize("name,src,rows,tgt,fast", COVER_CASES, ids=[c[0] for c in COVER_CASES])
+def test_onto_and_injective_match_the_tracked_path(monkeypatch, name, src, rows, tgt, fast):
+    verdict = _onto_and_injective(src, rows, tgt)
+    assert verdict == (oracle.onto(rows, tgt), oracle.injective(src, rows, tgt))
+    monkeypatch.setattr(sheafrep, "_unit_diagonal_inverse", lambda rows, tgt: None)
+    assert _onto_and_injective(src, rows, tgt) == verdict
+
+
+@pytest.mark.parametrize("command", ("vdim-witness", "lazard"))
+@pytest.mark.parametrize("fixture", ("euler_q_p2.txt", "euler_q_p3.txt"))
+def test_bodies_are_the_same_without_the_lemma(monkeypatch, command, fixture):
+    job = JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True)
+    report = run(job)
+    assert report.exit_status == 0
+    monkeypatch.setattr(sheafrep, "_unit_diagonal_inverse", lambda rows, tgt: None)
+    assert run(job).machine_text() == report.machine_text()
 
 
 @settings(max_examples=30, deadline=None)
