@@ -172,9 +172,6 @@ class PolyRing:
             return self.zero()
         return Poly(self, {(0,) * self.nvars: c})
 
-    def from_int(self, n: int) -> "Poly":
-        return self.constant(self.field.of_int(n))
-
     def var(self, i: int) -> "Poly":
         exp = [0] * self.nvars
         exp[i] = 1
@@ -833,12 +830,6 @@ class TrackedBasis:
     def combos(self) -> list:
         """basis[k] = sum(combos[k][i] * gens[i]), one tuple per basis element."""
         return [_dense(self.ring, c, len(self.gens)) for c in self._combos]
-
-    @property
-    def syzygy_rows(self) -> list:
-        """Rows r over the gens with sum(r[i] * gens[i]) = 0 that generate
-        all such rows; zero gens contribute unit rows."""
-        return [_dense(self.ring, r, len(self.gens)) for r in self._syzygies]
 
     def kernel(self, count: int) -> list:
         """Generators of the relations among the first count gens modulo

@@ -33,7 +33,13 @@ so inclusion-exclusion counts each class and the cost does not grow with
 p^dim.
 
 Everything is exact arithmetic over F_p with canonical reduced bases, so
-subspaces compare by equality.
+subspaces compare by equality.  Vectors are reduced mod p once, where they
+enter: make_filtered_module reduces the blocks and the operator, and each
+public fp_* function reduces its arguments.  From there on every row is
+canonical (entries in range(p)), fp_mat_vec returns reduced vectors, and
+the module's own eliminations (closed_span, quotient_partition and the
+stages of make_filtered_module) call _rref and _reduce, which take
+canonical rows as they are.
 """
 
 from __future__ import annotations
@@ -60,24 +66,35 @@ def _pivot(row) -> int:
     return -1
 
 
-def fp_rref(p: int, rows) -> tuple:
-    """Canonical reduced-echelon basis of the row span (unique per space)."""
-    mat = [list(fp_vec(p, r)) for r in rows]
-    mat = [r for r in mat if any(r)]
+def _rref(p: int, rows) -> tuple:
+    """Canonical reduced-echelon basis of the span of canonical rows
+    (entries in range(p)): unique per space."""
+    mat = [list(r) for r in rows if any(r)]
     if not mat:
         return ()
     rank = len(rref(p, mat, len(mat[0])))
     return tuple(tuple(r) for r in mat[:rank])
 
 
-def fp_reduce(p: int, basis, vec) -> tuple:
-    res = list(fp_vec(p, vec))
+def _reduce(p: int, basis, vec) -> tuple:
+    """A canonical vector reduced by a canonical reduced-echelon basis."""
+    res = vec
     for row in basis:
-        piv = _pivot(row)
-        c = res[piv]
+        c = res[_pivot(row)]
         if c:
             res = [(x - c * y) % p for x, y in zip(res, row)]
     return tuple(res)
+
+
+def fp_rref(p: int, rows) -> tuple:
+    """_rref of rows with any integer entries."""
+    return _rref(p, [fp_vec(p, r) for r in rows])
+
+
+def fp_reduce(p: int, basis, vec) -> tuple:
+    """_reduce by a canonical basis (as fp_rref returns) of a vector with
+    any integer entries."""
+    return _reduce(p, basis, fp_vec(p, vec))
 
 
 def fp_in_span(p: int, basis, vec) -> bool:
@@ -89,21 +106,22 @@ def fp_sum(p: int, a, b) -> tuple:
 
 
 def _paired_rref(p: int, pairs):
-    """Echelon form of (left | right) rows, eliminating by left columns
-    first.  The rows whose left half vanished pivot right of the left
-    block, so their right halves are already a reduced echelon basis."""
+    """Echelon form of canonical (left | right) rows, eliminating by left
+    columns first.  The rows whose left half vanished pivot right of the
+    left block, so their right halves are already a reduced echelon basis."""
     if not pairs:
         return [], ()
     lw = len(pairs[0][0])
-    red = fp_rref(p, [tuple(l) + tuple(r) for l, r in pairs])
+    red = _rref(p, [tuple(l) + tuple(r) for l, r in pairs])
     with_left = [row for row in red if any(row[:lw])]
     zero_left = tuple(row[lw:] for row in red if not any(row[:lw]))
     return with_left, zero_left
 
 
 def _with_units(p: int, rows):
-    """_paired_rref of the rows each beside its unit vector, so the right
-    half of an echelon row is the combination of rows giving its left."""
+    """_paired_rref of the canonical rows each beside its unit vector, so
+    the right half of an echelon row is the combination of rows giving its
+    left."""
     n = len(rows)
     return _paired_rref(
         p, [(tuple(r), tuple(int(i == j) for j in range(n))) for i, r in enumerate(rows)]
@@ -112,6 +130,8 @@ def _with_units(p: int, rows):
 
 def fp_intersect(p: int, a, b) -> tuple:
     """Intersection of two spans by the double-block echelon method."""
+    a = [fp_vec(p, v) for v in a]
+    b = [fp_vec(p, w) for w in b]
     pairs = [(v, v) for v in a] + [(w, tuple(0 for _ in w)) for w in b]
     _, zero_left = _paired_rref(p, pairs)
     return zero_left
@@ -119,7 +139,7 @@ def fp_intersect(p: int, a, b) -> tuple:
 
 def fp_nullspace(p: int, rows) -> tuple:
     """Canonical basis of {c : sum c_i rows_i = 0}."""
-    _, zero_left = _with_units(p, rows)
+    _, zero_left = _with_units(p, [fp_vec(p, r) for r in rows])
     return zero_left
 
 
@@ -128,15 +148,15 @@ def fp_solve(p: int, gens, target) -> Optional[tuple]:
     canonically from the echelon form; None when target is outside.
     Reducing (target | 0) by the rows (g | c) with g = c.gens leaves
     (0 | -c) exactly when c.gens = target."""
-    with_left, _ = _with_units(p, gens)
-    res = fp_reduce(p, with_left, tuple(target) + (0,) * len(gens))
+    with_left, _ = _with_units(p, [fp_vec(p, g) for g in gens])
+    res = _reduce(p, with_left, fp_vec(p, target) + (0,) * len(gens))
     if any(res[: len(target)]):
         return None
     return tuple(-x % p for x in res[len(target):])
 
 
 def fp_mat_vec(p: int, vec, mat) -> tuple:
-    """Row vector times matrix."""
+    """Row vector times matrix, reduced mod p."""
     n = len(mat[0]) if mat else 0
     out = [0] * n
     for c, row in zip(vec, mat):
@@ -160,11 +180,11 @@ def enumerate_space(p: int, basis):
 
 
 def _orbit(p: int, vec, op) -> list:
-    """The vector and its images under repeated application of the
-    operator, until it dies (operators here are nilpotent, and None is the
-    zero operator)."""
+    """The canonical vector and its images under repeated application of
+    the canonical operator, until it dies (operators here are nilpotent, and
+    None is the zero operator)."""
     out = []
-    cur = fp_vec(p, vec)
+    cur = vec
     while any(cur):
         out.append(cur)
         if op is None:
@@ -174,10 +194,12 @@ def _orbit(p: int, vec, op) -> list:
 
 
 def closed_span(p: int, vectors, op) -> tuple:
+    """The operator-closed span of canonical vectors under a canonical
+    operator, as the module data is."""
     rows = []
     for v in vectors:
         rows.extend(_orbit(p, v, op))
-    return fp_rref(p, rows)
+    return _rref(p, rows)
 
 
 @dataclass(frozen=True)
@@ -248,7 +270,7 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
             raise ValueError("block %d adds nothing to the filtration" % beta)
         gens = [g for orbit in orbits for g in orbit]
         owner = [alpha for alpha, orbit in enumerate(orbits) for _ in orbit]
-        reduced = [fp_reduce(p, mbeta, r) for r in orows]
+        reduced = [_reduce(p, mbeta, r) for r in orows]
         support = set()
         for c in fp_nullspace(p, reduced):
             coeffs = fp_solve(p, gens, fp_mat_vec(p, c, orows))
@@ -256,7 +278,7 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
                 raise AssertionError("relation element escapes the earlier stages")
             support.update(owner[j] for j, cj in enumerate(coeffs) if cj)
         deps.append(frozenset(support))
-        nxt = fp_rref(p, gens + orows)
+        nxt = _rref(p, gens + orows)
         if len(nxt) <= len(mbeta):
             raise ValueError("block %d adds nothing to the filtration" % beta)
         stages.append(nxt)
@@ -349,9 +371,10 @@ def build_hill_family(module: FilteredModule) -> HillLattice:
 def quotient_partition(p: int, big, small, op) -> tuple:
     """Partition type of the induced nilpotent operator on big/small,
     reported as block sizes in nonincreasing order; for the zero operator
-    (op None) this is all ones, so it carries exactly the dimension."""
-    residues = [fp_reduce(p, small, r) for r in big]
-    comp = fp_rref(p, residues)
+    (op None) this is all ones, so it carries exactly the dimension.  The
+    spaces and the operator are canonical, as the module data is."""
+    residues = [_reduce(p, small, r) for r in big]
+    comp = _rref(p, residues)
     q = len(comp)
     if op is None:
         return (1,) * q
@@ -362,16 +385,16 @@ def quotient_partition(p: int, big, small, op) -> tuple:
     pivots = [_pivot(c) for c in comp]
     rows = []
     for c in comp:
-        img = fp_reduce(p, small, fp_mat_vec(p, c, op))
-        if any(fp_reduce(p, comp, img)):
+        img = _reduce(p, small, fp_mat_vec(p, c, op))
+        if any(_reduce(p, comp, img)):
             raise AssertionError("operator does not preserve the quotient")
         rows.append(tuple(img[j] for j in pivots))
-    ranks = [q, len(fp_rref(p, rows))]
+    ranks = [q, len(_rref(p, rows))]
     # rows of the powers, dropped as they die; none are left at rank 0
     power = [r for r in rows if any(r)]
     while power:
         power = [r for r in (fp_mat_vec(p, row, rows) for row in power) if any(r)]
-        ranks.append(len(fp_rref(p, power)))
+        ranks.append(len(_rref(p, power)))
     counts = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
     out = []
     for j, nblocks in enumerate(

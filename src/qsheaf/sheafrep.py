@@ -590,33 +590,3 @@ def cokernel(f: SheafMap) -> SheafRep:
         )
         mods[v] = FPModule(tgt.chart, tgt.gens, rel)
     return SheafRep(quiver, mods, dict(f.target.edge_maps), None)
-
-
-def direct_sum(a: SheafRep, b: SheafRep) -> SheafRep:
-    if a.quiver is not b.quiver:
-        raise ValueError("summands live on different quivers")
-    quiver = a.quiver
-    mods = {}
-    maps = {}
-    for v in quiver.vertices:
-        chart = quiver.chart(v)
-        ma, mb = a.modules[v], b.modules[v]
-        rel = [r + vec_zero(chart.ring, mb.gens) for r in ma.relations]
-        rel += [vec_zero(chart.ring, ma.gens) + r for r in mb.relations]
-        mods[v] = FPModule(chart, ma.gens + mb.gens, tuple(rel))
-    for e in quiver.edges:
-        chart = quiver.chart(e[1])
-        ra, rb = a.edge_maps[e], b.edge_maps[e]
-        wa = a.modules[e[1]].gens
-        wb = b.modules[e[1]].gens
-        rows = [row + vec_zero(chart.ring, wb) for row in ra]
-        rows += [vec_zero(chart.ring, wa) + row for row in rb]
-        maps[e] = tuple(rows)
-    graded = None
-    if a.graded is not None and b.graded is not None:
-        xr = quiver.xring
-        wa, wb = len(a.graded.degrees), len(b.graded.degrees)
-        rows = [row + vec_zero(xr, wb) for row in a.graded.rows]
-        rows += [vec_zero(xr, wa) + row for row in b.graded.rows]
-        graded = GradedData(a.graded.degrees + b.graded.degrees, tuple(rows))
-    return SheafRep(quiver, mods, maps, graded)

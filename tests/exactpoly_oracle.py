@@ -13,6 +13,10 @@ bases, combinations and syzygy rows for the heap-based routines.
 
 `is_q_coefficient` is the one representation of a rational coefficient:
 an int when integral, else a Fraction with denominator > 1, never a float.
+
+`from_int` and `syzygy_rows` read what only tests ask of the program's
+types: the constant polynomial of an integer, and the raw syzygy rows of a
+`qsheaf.exactpoly.TrackedBasis` as dense rows over its generators.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from qsheaf.exactpoly import (
     DimensionMismatchError,
     Field,
     PolyRing,
+    TrackedBasis,
+    _dense,
     _divides,
     _exp_lcm,
     _exp_sub,
@@ -38,6 +44,18 @@ from qsheaf.exactpoly import (
     vec_unit,
     vec_zero,
 )
+
+
+def from_int(ring: PolyRing, n: int):
+    """The constant polynomial n of the ring."""
+    return ring.constant(ring.field.of_int(n))
+
+
+def syzygy_rows(tb: TrackedBasis) -> list:
+    """Rows r over the gens with sum(r[i] * gens[i]) = 0 that generate all
+    such rows, as the tracked run recorded them; zero gens contribute unit
+    rows."""
+    return [_dense(tb.ring, r, len(tb.gens)) for r in tb._syzygies]
 
 
 def is_q_coefficient(c) -> bool:

@@ -9,7 +9,8 @@ extension witnesses have the old per-element shape, defined here.
 
 `fp_rref` is the F_p Gauss-Jordan loop `qsheaf.hill.fp_rref` ran before it
 read its echelon form off `qsheaf.exactpoly.rref`, the one elimination
-routine over Q and F_p.
+routine over Q and F_p.  `fp_reduce` reduces a vector by a reduced-echelon
+basis in one step, where `qsheaf.hill` reduces row by row.
 
 `_paired_rref`, `fp_intersect`, `fp_nullspace` and `fp_solve` are the
 bodies `qsheaf.hill` had before `_paired_rref` read the right halves off
@@ -66,6 +67,18 @@ def fp_rref(p: int, rows) -> tuple:
                 mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[rank])]
         rank += 1
     return tuple(tuple(r) for r in mat[:rank])
+
+
+def fp_reduce(p: int, basis, vec) -> tuple:
+    """The residue of vec by a reduced-echelon basis: vec less the basis
+    rows, each taken as often as vec's entry at its pivot says (every other
+    row is zero there)."""
+    vec = fp_vec(p, vec)
+    out = list(vec)
+    for row in basis:
+        c = vec[_pivot(row)]
+        out = [(x - c * y) % p for x, y in zip(out, row)]
+    return tuple(out)
 
 
 def _paired_rref(p: int, pairs):

@@ -19,7 +19,9 @@ vertex before `induced_rep` pushed and lifted them all again.
 `map_commutes`, `map_is_well_defined`, `is_zero_module` and `rep_is_zero`
 are checks that only tests ever called; tests use them to check maps and
 quotients built by `qsheaf.sheafrep` and `qsheaf.bundles`.  So is
-`report_verdict`, which reads one edge's verdict out of a coherence report.
+`report_verdict`, which reads one edge's verdict out of a coherence report,
+and `direct_sum`, which builds the decomposable sheaves some tests start
+from.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from __future__ import annotations
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
 from qsheaf.closure import SubRep, SubRepReport, induced_rep
-from qsheaf.exactpoly import vec_is_zero, vec_key, vec_sub, vec_unit
+from qsheaf.exactpoly import vec_is_zero, vec_key, vec_sub, vec_unit, vec_zero
 from qsheaf.sheafrep import (
     EdgeVerdict,
+    GradedData,
     QCReport,
     SheafMap,
     SheafRep,
@@ -204,3 +207,35 @@ def verify_subrep(sub: SubRep) -> SubRepReport:
         findings.extend(qc.findings)
     ok = seed_ok and closed and qc is not None and qc.ok
     return SubRepReport(ok, seed_ok, closed, qc, tuple(findings))
+
+
+def direct_sum(a: SheafRep, b: SheafRep) -> SheafRep:
+    """The sum of two sheaves on one quiver, blockwise: the input of the
+    closure, kernel and splitting tests that need a decomposable sheaf."""
+    if a.quiver is not b.quiver:
+        raise ValueError("summands live on different quivers")
+    quiver = a.quiver
+    mods = {}
+    maps = {}
+    for v in quiver.vertices:
+        chart = quiver.chart(v)
+        ma, mb = a.modules[v], b.modules[v]
+        rel = [r + vec_zero(chart.ring, mb.gens) for r in ma.relations]
+        rel += [vec_zero(chart.ring, ma.gens) + r for r in mb.relations]
+        mods[v] = FPModule(chart, ma.gens + mb.gens, tuple(rel))
+    for e in quiver.edges:
+        chart = quiver.chart(e[1])
+        ra, rb = a.edge_maps[e], b.edge_maps[e]
+        wa = a.modules[e[1]].gens
+        wb = b.modules[e[1]].gens
+        rows = [row + vec_zero(chart.ring, wb) for row in ra]
+        rows += [vec_zero(chart.ring, wa) + row for row in rb]
+        maps[e] = tuple(rows)
+    graded = None
+    if a.graded is not None and b.graded is not None:
+        xr = quiver.xring
+        wa, wb = len(a.graded.degrees), len(b.graded.degrees)
+        rows = [row + vec_zero(xr, wb) for row in a.graded.rows]
+        rows += [vec_zero(xr, wa) + row for row in b.graded.rows]
+        graded = GradedData(a.graded.degrees + b.graded.degrees, tuple(rows))
+    return SheafRep(quiver, mods, maps, graded)

@@ -1,5 +1,11 @@
 """`scripts/body_digest.py` names the machine reports of a generated corpus
-by one digest, whatever directory the corpus is written to."""
+by one digest, whatever directory the corpus is written to.
+
+The `hill-lattice` digests are pinned: they are the reports the Hill
+verifier gave on that corpus before its elimination took canonical rows.  A
+change that alters any of those reports, or the corpus
+`perfbench/workloads.py` generates, fails here.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,13 @@ import os
 import pathlib
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "body_digest.py"
+
+# seed: digest of the hill-lattice corpus of that seed, two rounds
+HILL_LATTICE = {
+    0: "53dca3714921d20353eaf249b71cccf188a04200e0e93bb7e10e12702330379f",
+    1: "ef91d28a0e9314d093f3ae784b6787a8f38250340a93e9107cfd56bcd90700f4",
+    2: "5130968efcda81dc83b5bb25acb9c50ebc1feb2109f518ae29340b36b6efdf50",
+}
 
 
 def _load_script():
@@ -25,3 +38,9 @@ def test_digest_does_not_depend_on_the_corpus_directory(tmp_path):
     assert os.getcwd() == here
     assert len(first) == 64
     assert first == second
+
+
+def test_hill_lattice_bodies_keep_their_pinned_digests(tmp_path):
+    body_digest = _load_script()
+    got = {seed: body_digest.digest("hill-lattice", seed, 2, tmp_path / str(seed)) for seed in HILL_LATTICE}
+    assert got == HILL_LATTICE

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
-from sheafrep_oracle import map_commutes, rep_is_zero
+from sheafrep_oracle import direct_sum, map_commutes, rep_is_zero
 
 from qsheaf.bundles import (
     BirkhoffSplit,
@@ -45,7 +45,6 @@ from qsheaf.sheafrep import (
     _chart_nonzero_rows,
     build_proj_quiver,
     cokernel,
-    direct_sum,
     graded_sheaf,
     is_quasi_coherent,
     kernel,

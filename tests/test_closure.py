@@ -11,6 +11,7 @@ import re
 from dataclasses import replace
 
 import pytest
+from sheafrep_oracle import direct_sum
 
 from qsheaf import closure
 from qsheaf.cli import EXIT_INTERNAL, JobSpec, run
@@ -27,7 +28,6 @@ from qsheaf.closure import (
 from qsheaf.exactpoly import Field, poly_from_str
 from qsheaf.sheafrep import (
     build_proj_quiver,
-    direct_sum,
     is_quasi_coherent,
     map_is_injective,
     push,

@@ -6,7 +6,10 @@ hill.fp_intersect call, a failing one eliminates only its escaping pair
 and names its failing class without trying the zero element, and no row
 that has died is multiplied again.  A built family that meets (H1) and
 (H2) passes by the lattice theorem: its check makes no elimination of
-pairs and builds no table of extension classes.
+pairs and builds no table of extension classes.  Vectors are reduced mod p
+once, where they enter the module: building and verifying a family reduce
+none again (hill.fp_vec), and only a family checked pair by pair goes
+through the public fp_* wrappers.
 
 A member space is one hill.closed_span call, made by
 FilteredModule.member_space for one support (a set of block indices).
@@ -124,11 +127,15 @@ def test_failing_family_names_its_class_without_the_zero_element(monkeypatch):
     assert zero_vectors == []
 
 
-def _unit_family(sigma):
+def _unit_module(sigma):
     """The F_2 module of dimension sigma with block beta the unit vector
-    e_beta, and its built family: every support is closed."""
+    e_beta: every support is closed."""
     units = [tuple(int(i == j) for j in range(sigma)) for i in range(sigma)]
-    return hill.build_hill_family(hill.make_filtered_module(2, sigma, [[u] for u in units]))
+    return hill.make_filtered_module(2, sigma, [[u] for u in units])
+
+
+def _unit_family(sigma):
+    return hill.build_hill_family(_unit_module(sigma))
 
 
 def _verify_counted(monkeypatch, lattice):
@@ -148,11 +155,14 @@ def _verify_counted(monkeypatch, lattice):
     return report, calls
 
 
-def _fixture_family(fixture):
-    module, override = parse_filtered_file(str(FIXTURES / fixture))
+def _family(module, override):
     if override is not None:
         return family_from_supports(module, override)
     return hill.build_hill_family(module)
+
+
+def _fixture_family(fixture):
+    return _family(*parse_filtered_file(str(FIXTURES / fixture)))
 
 
 @pytest.mark.parametrize("fixture", PASSING)
@@ -183,3 +193,38 @@ def test_unit_vector_family_counts_its_nested_pairs(sigma):
     # a pair S < T of subsets of sigma blocks puts each block in neither,
     # T only or both, less the 2^sigma pairs with S = T
     assert hill.verify_hill_properties(_unit_family(sigma)).chains == 3 ** sigma - 2 ** sigma
+
+
+def _reductions(monkeypatch, module, override=None):
+    """The hill.fp_vec calls made by building the family of a module (or
+    listing it, when override names its supports) and verifying it."""
+    calls = []
+    fp_vec = hill.fp_vec
+
+    def counting_fp_vec(p, entries):
+        calls.append(entries)
+        return fp_vec(p, entries)
+
+    monkeypatch.setattr(hill, "fp_vec", counting_fp_vec)
+    report = hill.verify_hill_properties(_family(module, override))
+    monkeypatch.undo()
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("fixture", PASSING)
+def test_passing_family_reduces_no_vector_again(monkeypatch, fixture):
+    report, calls = _reductions(monkeypatch, *parse_filtered_file(str(FIXTURES / fixture)))
+    assert report.ok
+    assert calls == 0
+
+
+def test_unit_vector_family_at_sigma_10_reduces_no_vector_again(monkeypatch):
+    report, calls = _reductions(monkeypatch, _unit_module(10))
+    assert report.ok
+    assert calls == 0
+
+
+def test_family_checked_pair_by_pair_goes_through_the_public_wrappers(monkeypatch):
+    report, calls = _reductions(monkeypatch, *parse_filtered_file(str(FIXTURES / "hill_broken_f2.txt")))
+    assert not report.ok
+    assert calls > 0

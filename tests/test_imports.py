@@ -155,13 +155,9 @@ def test_guard_flags_an_unreferenced_private_helper(tmp_path):
     assert unreferenced_private_defs([one, two]) == ["one.py:3 _dropped"]
 
 
-# Public names only tests read, kept on purpose: builders and accessors that
-# tests use to make inputs and read results.
-TEST_FACING = (
-    "direct_sum",  # sums of sheaves, the inputs of closure and kernel tests
-    "PolyRing.from_int",  # integer constants in ring tests
-    "TrackedBasis.syzygy_rows",  # the raw syzygies the oracles compare
-)
+# Public names only tests read, kept on purpose.  None: a builder or an
+# accessor that only tests use lives in a test oracle.
+TEST_FACING = ()
 PROGRAM = (
     sorted(PACKAGE.glob("*.py"))
     + sorted((ROOT / "scripts").rglob("*.py"))

@@ -1,7 +1,7 @@
 """The F_p intersection, nullspace and solve against the bodies they replaced.
 
 `qsheaf.hill._paired_rref` reads the right halves of the zero-left rows off
-its one elimination, and `fp_solve` reduces (target | 0) with `fp_reduce`.
+its one elimination, and `fp_solve` reduces (target | 0) with `_reduce`.
 `hill_oracle` keeps the old bodies, which re-echelon the right halves and
 solve with a loop of their own.  On random row lists up to 5x5 over F_p,
 p in {2, 3, 5, 7}, with zero rows, repeated rows, unreduced entries, the

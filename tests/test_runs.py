@@ -28,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from exactpoly_oracle import syzygy_rows
 
 from qsheaf import bundles, charts, closure, exactpoly, sheafrep
 from qsheaf.cli import JobSpec, run
@@ -191,7 +192,7 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
     rows = list(lifts)
     for found in stored:
         if isinstance(found, exactpoly.TrackedBasis):
-            rows += found.basis + found.combos + found.syzygy_rows
+            rows += found.basis + found.combos + syzygy_rows(found)
         else:
             rows += list(found)
     coefficients = [c for row in rows for p in row for c in p.terms.values()]

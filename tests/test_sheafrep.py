@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 from sheafrep_oracle import (
+    direct_sum,
     is_zero_module,
     map_commutes,
     map_is_well_defined,
@@ -21,7 +22,6 @@ from qsheaf.exactpoly import Field, poly_from_str
 from qsheaf.sheafrep import (
     build_proj_quiver,
     cokernel,
-    direct_sum,
     graded_sheaf,
     identity_map,
     is_quasi_coherent,
