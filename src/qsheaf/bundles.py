@@ -13,6 +13,8 @@ On P^1 an invertible transition matrix over k[s, 1/s] factors as
 L * T * Rm = diag(s^a1, ..., s^ar) with L over k[1/s] and Rm over k[s], both
 of constant nonzero determinant.  The factorization drives the line-bundle
 filtration; every claimed identity is re-verified by exact arithmetic.
+Laurent polynomials are plain Polys of laurent_ring(field), the ring in the
+one variable s, whose exponents may be negative.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .charts import FPModule
 from .exactpoly import (
     Field,
     Poly,
+    PolyRing,
     PresIdeal,
     ideal_contains_one,
     rref,
@@ -62,8 +65,8 @@ V01 = frozenset({0, 1})
 
 
 def det(rows):
-    """Determinant of a nonempty square matrix of Poly or LaurentPoly
-    entries, by Laplace expansion along the first row."""
+    """Determinant of a nonempty square matrix of Poly entries, Laurent ones
+    included, by Laplace expansion along the first row."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -290,107 +293,61 @@ def lazard_approximation(rep: SheafRep, cover: SheafMap, sub: SubRep) -> LazardA
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in the gluing parameter s = x1/x0 on P^1
+#
+# A Laurent polynomial is a Poly of laurent_ring(field), the one-variable
+# ring in s, with exponent tuples (e,) that may be negative.  Poly arithmetic
+# only adds exponent tuples, so it serves as it is; PolyRing.monomial and
+# poly_from_str refuse negative exponents, and nothing here calls them.  No
+# Laurent polynomial reaches Groebner code.
+
+_LAURENT_RINGS: dict = {}
 
 
-@dataclass(frozen=True)
+def laurent_ring(field: Field) -> PolyRing:
+    """The ring of Laurent polynomials in s over the field: one PolyRing
+    object per field, so Laurent operands share their ring by identity."""
+    ring = _LAURENT_RINGS.get(field)
+    if ring is None:
+        ring = _LAURENT_RINGS[field] = PolyRing(field, ("s",))
+    return ring
+
+
 class LaurentPoly:
-    field: Field
-    coeffs: tuple  # ((exponent, coefficient), ...) sorted by exponent
+    """Constructors of Laurent polynomials, which are Polys of laurent_ring."""
 
     @staticmethod
-    def build(field: Field, mapping) -> "LaurentPoly":
-        items = [(e, c) for e, c in mapping.items() if c != field.zero]
-        return LaurentPoly(field, tuple(sorted(items)))
+    def zero(field: Field) -> Poly:
+        return laurent_ring(field).zero()
 
     @staticmethod
-    def zero(field: Field) -> "LaurentPoly":
-        return LaurentPoly(field, ())
-
-    @staticmethod
-    def monomial(field: Field, exp: int, coeff=None) -> "LaurentPoly":
-        coeff = field.one if coeff is None else coeff
-        if coeff == field.zero:
-            return LaurentPoly(field, ())
-        return LaurentPoly(field, ((exp, coeff),))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def is_constant(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and self.coeffs[0][0] == 0)
-
-    def coeff(self, exp: int):
-        for e, c in self.coeffs:
-            if e == exp:
-                return c
-        return self.field.zero
-
-    def min_deg(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero has no degree")
-        return self.coeffs[0][0]
-
-    def max_deg(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero has no degree")
-        return self.coeffs[-1][0]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        f = self.field
-        for e, c in other.coeffs:
-            s = f.add(out.get(e, f.zero), c)
-            if s == f.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(f, tuple(sorted(out.items())))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(self.field.of_int(-1))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        f = self.field
-        out: dict = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(f, tuple(sorted(out.items())))
-
-    def scale(self, c) -> "LaurentPoly":
-        f = self.field
-        if c == f.zero:
-            return LaurentPoly(f, ())
-        return LaurentPoly(f, tuple((e, f.mul(cc, c)) for e, cc in self.coeffs))
-
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.field, tuple((e + k, c) for e, c in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
+    def monomial(field: Field, exp: int, coeff=None) -> Poly:
+        return laurent_ring(field).from_terms({(exp,): field.one if coeff is None else coeff})
 
 
-def laurent_to_str(p: LaurentPoly) -> str:
+def min_deg(p: Poly) -> int:
+    if not p.terms:
+        raise ValueError("zero has no degree")
+    return min(p.terms)[0]
+
+
+def max_deg(p: Poly) -> int:
+    if not p.terms:
+        raise ValueError("zero has no degree")
+    return max(p.terms)[0]
+
+
+def _only_term(p: Poly) -> tuple:
+    """(exponent, coefficient) of a Laurent monomial."""
+    ((e,), c), = p.terms.items()
+    return e, c
+
+
+def laurent_to_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e, c in reversed(p.coeffs):
-        cs = p.field.coeff_str(c)
+    for (e,), c in sorted(p.terms.items(), reverse=True):
+        cs = p.ring.field.coeff_str(c)
         if e == 0:
             term = cs
         else:
@@ -403,23 +360,22 @@ def laurent_to_str(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
-def laurent_from_str(field: Field, text: str) -> LaurentPoly:
+def laurent_from_str(field: Field, text: str) -> Poly:
     """Parse a Laurent polynomial in s; exponents may be negative."""
-    terms = terms_from_str(field, ("s",), text)
-    return LaurentPoly.build(field, {e: c for (e,), c in terms.items()})
+    return Poly(laurent_ring(field), terms_from_str(field, ("s",), text))
 
 
-def chart_to_laurent(chart, p: Poly) -> LaurentPoly:
+def chart_to_laurent(chart, p: Poly) -> Poly:
     """Element of a chart of P^1 as a Laurent polynomial in s = x1/x0: the
     chart monomial with Laurent exponent (-e, e) is s^e."""
     terms = chart.to_laurent(chart.nf(p))
-    return LaurentPoly.build(chart.field, {vec[1]: c for vec, c in terms.items()})
+    return laurent_ring(chart.field).from_terms({(vec[1],): c for vec, c in terms.items()})
 
 
-def laurent_to_chart(chart, p: LaurentPoly) -> Poly:
+def laurent_to_chart(chart, p: Poly) -> Poly:
     """Laurent polynomial in s as an element of a chart of P^1; raises
     ValueError when a power of s needs an inverse the chart lacks."""
-    return chart.from_laurent({(-e, e): c for e, c in p.coeffs})
+    return chart.from_laurent({(-e, e): c for (e,), c in sorted(p.terms.items())})
 
 
 def edge_laurent(rep: SheafRep, v) -> tuple:
@@ -432,38 +388,22 @@ def edge_laurent(rep: SheafRep, v) -> tuple:
 
 
 def lmat_identity(field: Field, r: int):
-    return tuple(
-        tuple(
-            LaurentPoly.monomial(field, 0) if i == j else LaurentPoly.zero(field)
-            for j in range(r)
-        )
-        for i in range(r)
-    )
+    return mat_identity(laurent_ring(field), r)
 
 
 def lmat_mul(a, b):
-    field = a[0][0].field
-    r, mid, c = len(a), len(b), len(b[0])
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            acc = LaurentPoly.zero(field)
-            for t in range(mid):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return mat_mul(a, b, a[0][0].ring, len(b[0]))
 
 
 def lmat_inv(m):
     """Inverse of a Laurent matrix whose determinant is a unit monomial."""
-    field = m[0][0].field
+    ring = m[0][0].ring
+    field = ring.field
     n = len(m)
     d = det(m)
-    if d.is_zero() or not d.is_monomial():
+    if len(d.terms) != 1:
         raise ValueError("matrix is not invertible over the Laurent ring")
-    dexp, dcoeff = d.coeffs[0]
+    dexp, dcoeff = _only_term(d)
     inv_scale = field.inv(dcoeff)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -473,10 +413,9 @@ def lmat_inv(m):
                 for ii in range(n)
                 if ii != i
             )
-            cof = det(minor) if n > 1 else LaurentPoly.monomial(field, 0)
-            if (i + j) % 2:
-                cof = cof.scale(field.of_int(-1))
-            out[j][i] = cof.scale(inv_scale).shift(-dexp)
+            cof = det(minor) if n > 1 else ring.one()
+            c = field.neg(inv_scale) if (i + j) % 2 else inv_scale
+            out[j][i] = cof.mul_term((-dexp,), c)
     return tuple(tuple(row) for row in out)
 
 
@@ -493,37 +432,24 @@ class BirkhoffSplit:
 
 def verify_birkhoff(t_matrix, split: BirkhoffSplit) -> bool:
     """Exact re-check of every claim in a factorization."""
-    field = t_matrix[0][0].field
+    ring = t_matrix[0][0].ring
     r = len(t_matrix)
     if any(split.splitting_type[i] < split.splitting_type[i + 1] for i in range(r - 1)):
         return False
-    for row in split.left:
-        for e in row:
-            if not e.is_zero() and e.max_deg() > 0:
-                return False
-    for row in split.right:
-        for e in row:
-            if not e.is_zero() and e.min_deg() < 0:
-                return False
-    detl, detr = det(split.left), det(split.right)
-    if detl.is_zero() or not detl.is_constant():
+    if any(e > 0 for row in split.left for p in row for (e,) in p.terms):
         return False
-    if detr.is_zero() or not detr.is_constant():
+    if any(e < 0 for row in split.right for p in row for (e,) in p.terms):
+        return False
+    # nonzero constant determinants
+    if set(det(split.left).terms) != {(0,)} or set(det(split.right).terms) != {(0,)}:
         return False
     dett = det(t_matrix)
-    if dett.is_zero() or not dett.is_monomial():
-        return False
-    if sum(split.splitting_type) != dett.coeffs[0][0]:
+    if len(dett.terms) != 1 or sum(split.splitting_type) != _only_term(dett)[0]:
         return False
     prod = lmat_mul(lmat_mul(split.left, t_matrix), split.right)
     want = tuple(
-        tuple(
-            LaurentPoly.monomial(field, split.splitting_type[i])
-            if i == j
-            else LaurentPoly.zero(field)
-            for j in range(r)
-        )
-        for i in range(r)
+        tuple(ring.from_terms({(a,): ring.field.one}) if i == j else ring.zero() for j in range(r))
+        for i, a in enumerate(split.splitting_type)
     )
     return prod == want
 
@@ -534,28 +460,21 @@ class _Splitter:
     (accumulated in L) and column operations over k[s] (accumulated in R)."""
 
     def __init__(self, t_matrix):
-        self.field = t_matrix[0][0].field
+        self.field = t_matrix[0][0].ring.field
         self.r = len(t_matrix)
-        d = det(t_matrix)
-        if d.is_zero() or not d.is_monomial():
+        if len(det(t_matrix).terms) != 1:
             raise ValueError("transition matrix is not invertible over the Laurent ring")
-        shift = 0
-        for row in t_matrix:
-            for e in row:
-                if not e.is_zero():
-                    shift = max(shift, -e.min_deg())
-        self.shift = shift
-        self.m = [[e.shift(shift) for e in row] for row in t_matrix]
+        self.shift = max([0] + [-e for row in t_matrix for p in row for (e,) in p.terms])
+        self.m = [[p.mul_term((self.shift,), self.field.one) for p in row] for row in t_matrix]
         self.left = [list(row) for row in lmat_identity(self.field, self.r)]
         self.right = [list(row) for row in lmat_identity(self.field, self.r)]
 
     # row operations act on the left factor, so exponents must be <= 0
     def row_axpy(self, dst, src, c, k):
         assert k <= 0
-        mono = LaurentPoly.monomial(self.field, k, c)
         for t in range(self.r):
-            self.m[dst][t] = self.m[dst][t] + mono * self.m[src][t]
-            self.left[dst][t] = self.left[dst][t] + mono * self.left[src][t]
+            self.m[dst][t] = self.m[dst][t] + self.m[src][t].mul_term((k,), c)
+            self.left[dst][t] = self.left[dst][t] + self.left[src][t].mul_term((k,), c)
 
     def row_swap(self, a, b):
         self.m[a], self.m[b] = self.m[b], self.m[a]
@@ -569,10 +488,9 @@ class _Splitter:
     # column operations act on the right factor, so exponents must be >= 0
     def col_axpy(self, dst, src, c, k):
         assert k >= 0
-        mono = LaurentPoly.monomial(self.field, k, c)
         for t in range(self.r):
-            self.m[t][dst] = self.m[t][dst] + mono * self.m[t][src]
-            self.right[t][dst] = self.right[t][dst] + mono * self.right[t][src]
+            self.m[t][dst] = self.m[t][dst] + self.m[t][src].mul_term((k,), c)
+            self.right[t][dst] = self.right[t][dst] + self.right[t][src].mul_term((k,), c)
 
     def col_swap(self, a, b):
         for t in range(self.r):
@@ -580,7 +498,7 @@ class _Splitter:
             self.right[t][a], self.right[t][b] = self.right[t][b], self.right[t][a]
 
     def diag_degree(self, i) -> int:
-        return self.m[i][i].coeffs[0][0]
+        return min_deg(self.m[i][i])
 
     def hermite(self):
         """Column reduction over k[s] to lower triangular form."""
@@ -588,25 +506,23 @@ class _Splitter:
         for i in range(self.r):
             while True:
                 nz = [j for j in range(i, self.r) if not self.m[i][j].is_zero()]
-                pivot = min(nz, key=lambda j: self.m[i][j].max_deg())
+                pivot = min(nz, key=lambda j: max_deg(self.m[i][j]))
                 done = True
                 for j in nz:
                     if j == pivot:
                         continue
                     a, b = self.m[i][j], self.m[i][pivot]
-                    k = a.max_deg() - b.max_deg()
-                    c = f.neg(f.div(a.coeff(a.max_deg()), b.coeff(b.max_deg())))
-                    self.col_axpy(j, pivot, c, k)
+                    ka, kb = max_deg(a), max_deg(b)
+                    self.col_axpy(j, pivot, f.neg(f.div(a.terms[(ka,)], b.terms[(kb,)])), ka - kb)
                     done = False
                 if done:
                     if pivot != i:
                         self.col_swap(i, pivot)
                     break
         for i in range(self.r):
-            d = self.m[i][i]
-            if not d.is_monomial():
+            if len(self.m[i][i].terms) != 1:
                 raise AssertionError("triangular diagonal entry is not a monomial")
-            self.row_scale(i, f.inv(d.coeffs[0][1]))
+            self.row_scale(i, f.inv(_only_term(self.m[i][i])[1]))
 
     def sweep(self):
         """Clear every below-diagonal degree outside the open window between
@@ -616,7 +532,8 @@ class _Splitter:
             for i in range(j - 1, -1, -1):
                 dj = self.diag_degree(j)
                 di = self.diag_degree(i)
-                for e, c in list(self.m[j][i].coeffs):
+                # ascending exponents: the order fixes the factors L and Rm
+                for (e,), c in sorted(self.m[j][i].terms.items()):
                     if e <= di:
                         self.row_axpy(j, i, f.neg(c), e - di)
                     elif e >= dj:
@@ -630,17 +547,15 @@ class _Splitter:
         # euclid over k[s] on the row-i pair at columns (i, j)
         while not self.m[i][j].is_zero():
             a, b = self.m[i][i], self.m[i][j]
-            if a.is_zero() or (not b.is_zero() and a.max_deg() > b.max_deg()):
+            if a.is_zero() or max_deg(a) > max_deg(b):
                 self.col_swap(i, j)
                 continue
-            k = b.max_deg() - a.max_deg()
-            c = f.neg(f.div(b.coeff(b.max_deg()), a.coeff(a.max_deg())))
-            self.col_axpy(j, i, c, k)
+            ka, kb = max_deg(a), max_deg(b)
+            self.col_axpy(j, i, f.neg(f.div(b.terms[(kb,)], a.terms[(ka,)])), kb - ka)
         for t in (i, j):
-            d = self.m[t][t]
-            if not d.is_monomial():
+            if len(self.m[t][t].terms) != 1:
                 raise AssertionError("degree exchange lost the monomial diagonal")
-            self.row_scale(t, f.inv(d.coeffs[0][1]))
+            self.row_scale(t, f.inv(_only_term(self.m[t][t])[1]))
 
     def off_diagonal(self):
         best = None
@@ -730,8 +645,7 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
 
     t_matrix = tuple(tuple(row) for row in t_matrix)
     r = len(t_matrix)
-    d = det(t_matrix) if r else None
-    if r and (d.is_zero() or not d.is_monomial()):
+    if r and len(det(t_matrix).terms) != 1:
         raise ValueError("transition matrix is not invertible over the Laurent ring")
     quiver = build_proj_quiver(field, 1)
     chart01 = quiver.chart(V01)
@@ -757,20 +671,13 @@ def global_sections_dim(t_matrix) -> int:
     r = len(t_matrix)
     if r == 0:
         return 0
-    field = t_matrix[0][0].field
+    field = t_matrix[0][0].ring.field
     inv = lmat_inv(t_matrix)
-    depth = 0
-    for row in inv:
-        for e in row:
-            if not e.is_zero():
-                depth = max(depth, -e.min_deg())
+    depth = max([0] + [-e for row in inv for p in row for (e,) in p.terms])
     # unknowns: coefficients of sigma_1[i] at degrees -depth .. 0
     width = depth + 1
     ncols = r * width
-    lo = min(
-        (e.min_deg() for row in t_matrix for e in row if not e.is_zero()),
-        default=0,
-    )
+    lo = min((e for row in t_matrix for p in row for (e,) in p.terms), default=0)
     rows = []
     for j in range(r):
         for deg in range(-depth + lo, 0):
@@ -778,7 +685,7 @@ def global_sections_dim(t_matrix) -> int:
             hit = False
             for i in range(r):
                 entry = t_matrix[i][j]
-                for e, c in entry.coeffs:
+                for (e,), c in entry.terms.items():
                     k = deg - e  # sigma_1[i] exponent contributing here
                     if -depth <= k <= 0:
                         row[i * width + (k + depth)] = field.add(
@@ -848,9 +755,9 @@ def line_bundle_filtration(rep: SheafRep) -> Filtration:
     # pure-twist certificate for the quotients: row i of B1 * f1 equals
     # s^{a_i} times row i of B0 * f0
     lhs = lmat_mul(b1, edge_laurent(rep, V1))
-    for i in range(r):
-        mono = LaurentPoly.monomial(t[0][0].field, split.splitting_type[i])
+    one = rep.quiver.field.one
+    for i, a in enumerate(split.splitting_type):
         for j in range(r):
-            if lhs[i][j] != mono * b01[i][j]:
+            if lhs[i][j] != b01[i][j].mul_term((a,), one):
                 raise AssertionError("quotient transition is not the pure twist")
     return Filtration(tuple(steps), split.splitting_type, split, tuple(reports))

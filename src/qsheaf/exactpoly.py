@@ -328,7 +328,7 @@ def poly_to_str(p: Poly) -> str:
     field = p.ring.field
     chunks = []
     for e, c in p.sorted_terms():
-        factors = [f"{p.ring.names[i]}^{ei}" if ei > 1 else p.ring.names[i] for i, ei in enumerate(e) if ei]
+        factors = [f"{p.ring.names[i]}^{ei}" if ei != 1 else p.ring.names[i] for i, ei in enumerate(e) if ei]
         cs = field.coeff_str(c)
         neg = cs.startswith("-")
         body = cs.lstrip("-")

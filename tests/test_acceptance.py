@@ -297,8 +297,9 @@ def _unit_factor(rng, r, side):
 
 def _det_degree(matrix):
     d = det(matrix)
-    assert len(d.coeffs) == 1, "determinant of the fixture is not a monomial"
-    return d.coeffs[0][0]
+    assert len(d.terms) == 1, "determinant of the fixture is not a monomial"
+    ((exp,),) = d.terms
+    return exp
 
 
 def test_criterion_4_splitting_and_filtration(fixture_dir):

@@ -2,7 +2,9 @@
 by one digest, whatever directory the corpus is written to.
 
 The `hill-lattice` digests are pinned: they are the reports the Hill
-verifier gave on that corpus before its elimination took canonical rows.  A
+verifier gave on that corpus before its elimination took canonical rows.  So
+are the `closure-lift` digests, taken before Laurent entries on P^1 became
+Polys; they cover every `split-p1` `left` and `right` certificate.  A
 change that alters any of those reports, or the corpus
 `perfbench/workloads.py` generates, fails here.
 """
@@ -20,6 +22,13 @@ HILL_LATTICE = {
     0: "53dca3714921d20353eaf249b71cccf188a04200e0e93bb7e10e12702330379f",
     1: "ef91d28a0e9314d093f3ae784b6787a8f38250340a93e9107cfd56bcd90700f4",
     2: "5130968efcda81dc83b5bb25acb9c50ebc1feb2109f518ae29340b36b6efdf50",
+}
+
+# seed: digest of the closure-lift corpus of that seed, two rounds
+CLOSURE_LIFT = {
+    0: "cff91b2c5eb9bf79ddbc3472850a63bc5a5afc144126a22c747c5a6ce863aeb7",
+    1: "87bdc5099c427bfcece03e0d54616716c4b44e810bf0af60776ff0c4ca1ae2ea",
+    2: "6ebd0a0b7bf00cea6c10910fd3d3a2962ac17572ecf1f209286841b96f1dc2b9",
 }
 
 
@@ -44,3 +53,9 @@ def test_hill_lattice_bodies_keep_their_pinned_digests(tmp_path):
     body_digest = _load_script()
     got = {seed: body_digest.digest("hill-lattice", seed, 2, tmp_path / str(seed)) for seed in HILL_LATTICE}
     assert got == HILL_LATTICE
+
+
+def test_closure_lift_bodies_keep_their_pinned_digests(tmp_path):
+    body_digest = _load_script()
+    got = {seed: body_digest.digest("closure-lift", seed, 2, tmp_path / str(seed)) for seed in CLOSURE_LIFT}
+    assert got == CLOSURE_LIFT

@@ -27,6 +27,7 @@ from qsheaf.bundles import (
     is_projective_fp,
     is_vector_bundle,
     laurent_from_str,
+    laurent_ring,
     laurent_to_chart,
     laurent_to_str,
     lazard_approximation,
@@ -40,7 +41,7 @@ from qsheaf.bundles import (
 )
 from qsheaf.charts import FPModule, make_chart_ring, span_contains
 from qsheaf.closure import SubRep
-from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str
+from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str, terms_from_str
 from qsheaf.sheafrep import (
     _chart_nonzero_rows,
     build_proj_quiver,
@@ -338,12 +339,21 @@ laurent_polys = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
     st.fractions(min_value=-9, max_value=9),
     max_size=5,
-).map(lambda mapping: LaurentPoly.build(Q, mapping))
+).map(lambda mapping: laurent_ring(Q).from_terms({(e,): c for e, c in mapping.items()}))
 
 
 @given(laurent_polys)
 def test_laurent_text_round_trip(p):
     assert laurent_from_str(Q, laurent_to_str(p)) == p
+
+
+@given(laurent_polys)
+def test_poly_text_keeps_negative_exponents(p):
+    assert terms_from_str(Q, ("s",), poly_to_str(p)) == p.terms
+
+
+def test_poly_text_of_a_laurent_polynomial():
+    assert poly_to_str(lp("s^-1 - 2*s^-3 + s^2")) == "s^2 + s^-1 - 2*s^-3"
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "F7"])
@@ -356,7 +366,7 @@ def test_polynomial_and_laurent_readers_agree(field, data):
     mapping = data.draw(st.dictionaries(st.integers(min_value=0, max_value=6), coeffs, max_size=5))
     ring = PolyRing(field, ("s",))
     poly = ring.from_terms({(e,): c for e, c in mapping.items()})
-    laurent = LaurentPoly.build(field, mapping)
+    laurent = laurent_ring(field).from_terms({(e,): c for e, c in mapping.items()})
     for text in (poly_to_str(poly), laurent_to_str(laurent)):
         assert poly_from_str(ring, text) == poly
         assert laurent_from_str(field, text) == laurent
@@ -576,7 +586,7 @@ def test_laurent_chart_bridge_round_trip(p):
     q = p1()
     assert chart_to_laurent(q.chart(V01), laurent_to_chart(q.chart(V01), p)) == p
     for v, bad in ((V0, lambda e: e < 0), (V1, lambda e: e > 0)):
-        if any(bad(e) for e, _ in p.coeffs):
+        if any(bad(e) for (e,) in p.terms):
             with pytest.raises(ValueError):
                 laurent_to_chart(q.chart(v), p)
         else:
