@@ -154,6 +154,10 @@ class ChartRing:
         Requires vec[j] >= 0 for every j outside the chart's vertex; raises
         ValueError when the monomial needs an inverse the chart lacks.
         """
+        return self.ring.monomial(self._exp_of_laurent(vec))
+
+    def _exp_of_laurent(self, vec: Sequence[int]) -> tuple:
+        """Exponent of the chart monomial of monomial_from_laurent."""
         if len(vec) != self.n + 1 or sum(vec) != 0:
             raise ValueError("laurent exponent must have length n+1 and total degree 0")
         exp = [0] * self.ring.nvars
@@ -168,7 +172,7 @@ class ChartRing:
                         f"x{j}^{m} not representable in chart {sorted(self.vertex)}"
                     )
                 exp[self._u_index[j]] = -m
-        return self.ring.monomial(tuple(exp))
+        return tuple(exp)
 
     def term_inverse(self, p: Poly):
         """For a single term p = c*m, c^-1 times the chart monomial of the
@@ -184,10 +188,10 @@ class ChartRing:
         return self.monomial_from_laurent(vec).scale(self.field.inv(c))
 
     def from_laurent(self, terms: dict) -> Poly:
-        out = self.ring.zero()
-        for vec, c in terms.items():
-            out = out + self.monomial_from_laurent(vec).scale(c)
-        return out
+        """Chart polynomial of a Laurent expansion without zero coefficients,
+        such as _collect makes.  Distinct Laurent exponents give distinct
+        chart exponents, so the terms are written into one dict."""
+        return Poly(self.ring, {self._exp_of_laurent(vec): c for vec, c in terms.items()})
 
     def __repr__(self):
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"

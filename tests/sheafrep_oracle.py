@@ -12,6 +12,11 @@ criterion or the sparse combinations either.  `relations_preserved` is the
 well-definedness test that fetched the target's relation basis and tested
 each relation image by hand.
 
+`squares_agree` is the square check that pushed both composites of every
+square and reduced their difference modulo the far relations, before
+squares whose edge matrices are diagonals of single terms were compared as
+Laurent terms.
+
 `verify_subrep` is the sub-representation check that scanned the edges
 itself: it pushed every generator and tested span membership at the far
 vertex before `induced_rep` pushed and lifted them all again.
@@ -25,6 +30,8 @@ from.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
@@ -156,6 +163,23 @@ def edge_verdict(rep: SheafRep, e) -> EdgeVerdict:
     rows, tgt = rep.edge_maps[e], rep.modules[w]
     well = relations_preserved(loc, rows, tgt)
     return EdgeVerdict(e, well, onto(rows, tgt), injective(loc, rows, tgt))
+
+
+def squares_agree(rep: SheafRep) -> tuple:
+    findings = []
+    points = set(range(rep.quiver.n + 1))
+    for v in rep.quiver.vertices:
+        for k, l in combinations(sorted(points - v), 2):
+            w = v | {k, l}
+            left, right = (
+                [push(rep, (mid, w), r) for r in rep.edge_maps[(v, mid)]]
+                for mid in (v | {k}, v | {l})
+            )
+            if not rep.modules[w].are_zero([vec_sub(a, b) for a, b in zip(left, right)]):
+                findings.append(
+                    "square at " + fmt_vertex(v) + " adding {%d,%d}: path composites disagree" % (k, l)
+                )
+    return tuple(findings)
 
 
 def present(ambient: SheafRep, gens: dict):

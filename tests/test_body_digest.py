@@ -4,7 +4,9 @@ by one digest, whatever directory the corpus is written to.
 The `hill-lattice` digests are pinned: they are the reports the Hill
 verifier gave on that corpus before its elimination took canonical rows.  So
 are the `closure-lift` digests, taken before Laurent entries on P^1 became
-Polys; they cover every `split-p1` `left` and `right` certificate.  A
+Polys; they cover every `split-p1` `left` and `right` certificate.  So are
+the `sheaf-qc` digests, taken before graded edges and squares were decided
+by comparing Laurent terms.  A
 change that alters any of those reports, or the corpus
 `perfbench/workloads.py` generates, fails here.
 """
@@ -29,6 +31,13 @@ CLOSURE_LIFT = {
     0: "cff91b2c5eb9bf79ddbc3472850a63bc5a5afc144126a22c747c5a6ce863aeb7",
     1: "87bdc5099c427bfcece03e0d54616716c4b44e810bf0af60776ff0c4ca1ae2ea",
     2: "6ebd0a0b7bf00cea6c10910fd3d3a2962ac17572ecf1f209286841b96f1dc2b9",
+}
+
+# seed: digest of the sheaf-qc corpus of that seed, two rounds
+SHEAF_QC = {
+    0: "d70278a3dc00f5e494aaa60b7dcbec2c2b8e6b22ede80809c4b7800da19e8200",
+    1: "2bdb46b28d0ba088eaad12b0a8c54d17a417fcaaaf56d5e63474277e83cde6a1",
+    2: "a7a0e615b2210e3c468a3473770727d9b411e35578610e066c31c753d125d502",
 }
 
 
@@ -59,3 +68,9 @@ def test_closure_lift_bodies_keep_their_pinned_digests(tmp_path):
     body_digest = _load_script()
     got = {seed: body_digest.digest("closure-lift", seed, 2, tmp_path / str(seed)) for seed in CLOSURE_LIFT}
     assert got == CLOSURE_LIFT
+
+
+def test_sheaf_qc_bodies_keep_their_pinned_digests(tmp_path):
+    body_digest = _load_script()
+    got = {seed: body_digest.digest("sheaf-qc", seed, 2, tmp_path / str(seed)) for seed in SHEAF_QC}
+    assert got == SHEAF_QC

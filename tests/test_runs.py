@@ -17,7 +17,10 @@ Edge verdicts: a graded edge map is a diagonal of unit monomials, which
 sheafrep inverts by inspection, so check-qc and is-bundle on a graded
 fixture build no ("lift", ...) run except over a chart that is the zero
 ring, where the inverse is refused; a P^1 mutant builds lift runs only for
-its bad edge.
+its bad edge.  Graded relations match along every edge as Laurent terms
+and graded squares commute term by term, so check-qc on an Euler quotient
+builds only chart ideals (runs of rank 1) and pushes nothing along a chart
+hom.
 """
 
 from __future__ import annotations
@@ -247,3 +250,19 @@ def test_p1_mutant_builds_lift_runs_only_on_its_bad_edge(monkeypatch, tmp_path, 
     status, built = _lift_runs(monkeypatch, "check-qc", path)
     assert status == 1
     assert built and all(rows[: len(bad_rows)] == bad_rows for _chart, rows in built)
+
+
+@pytest.mark.parametrize("fixture", ("euler_q_p3.txt", "euler_q_p4.txt"))
+def test_euler_check_qc_builds_only_chart_ideals(monkeypatch, fixture):
+    applied = []
+    real_apply = charts.ChartHom.apply
+
+    def watched_apply(self, p):
+        applied.append(p)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(charts.ChartHom, "apply", watched_apply)
+    report, runs = _run_keys(monkeypatch, "check-qc", fixture, None)
+    assert report.exit_status == 0
+    assert runs and [key for key in runs if key[1] != 1 or key[2]] == []
+    assert applied == []

@@ -12,6 +12,20 @@ with an inverse other than the identity, or breaks it (a zero, two-term,
 non-unit or off-diagonal entry), and the test pins which edges take the
 fast path: never one into a chart that is the zero ring.
 
+Two further lemmas decide graded inputs with no Groebner run.  An edge
+whose matrix A is a diagonal of unit monomials is an isomorphism when the
+near relation rows times A are the far rows up to a constant and a unit
+monomial, read as Laurent terms (`_edge_by_terms`); a square whose four
+matrices are diagonals of single terms agrees when both composites have
+the same terms (`_square_by_terms`).  Spoils of one relation entry at one
+vertex (times a non-unit, or plus a term) keep every edge matrix a unit
+diagonal but break the match, and the edge spoils above break squares;
+every edge verdict and every square finding must still be the oracle's.
+The tests pin which edges and squares take the term path: every edge and
+square of an unspoiled graded representation, but no edge into a chart
+that is the zero ring.  The `check-qc` and `is-bundle` bodies of every
+golden fixture are the same with both lemmas turned off.
+
 The same lemma decides `map_is_iso` and gives `kernel` its generators.  On
 the Serre covers of shipped fixtures, at every vertex, and on spoiled
 copies of one vertex's matrix, the lemma's kernel rows and the relations
@@ -45,7 +59,11 @@ from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
 from qsheaf.sheafrep import (
     SheafRep,
+    _edge_by_terms,
     _edge_verdict,
+    _square_by_terms,
+    _squares_agree,
+    _Terms,
     _onto_and_injective,
     _present,
     _unit_diagonal_inverse,
@@ -55,7 +73,8 @@ from qsheaf.sheafrep import (
 )
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 SEEDS = sorted(FIXTURES.glob("seed_*.txt"))
 
 
@@ -134,22 +153,61 @@ def _spoil_module(draw, rep):
     return SheafRep(rep.quiver, modules, rep.edge_maps, None)
 
 
+# spoils of one relation entry at one vertex: times a non-unit z_k, or
+# plus a term; every edge matrix stays a diagonal of unit monomials
+RELATION = ("relation-non-unit", "relation-term")
+
+
+def _spoil_relation(draw, rep, spoil):
+    """Spoil one entry of one relation row at one vertex, or the whole row
+    times a non-unit, which is then a monomial multiple of the unspoiled
+    rows; a representation without relations gets the module spoil
+    instead."""
+    n = rep.quiver.n
+    vertices = [v for v in rep.quiver.vertices if rep.modules[v].relations]
+    if spoil == "relation-non-unit":
+        vertices = [v for v in vertices if len(v) <= n]
+    if not vertices:
+        return _spoil_module(draw, rep)
+    v = draw(st.sampled_from(vertices))
+    old = rep.modules[v]
+    ring = old.chart.ring
+    rows = [list(r) for r in old.relations]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, old.gens - 1))
+    if spoil == "relation-non-unit":
+        z = old.chart.z(draw(st.sampled_from(sorted(set(range(n + 1)) - v))))
+        for k in range(old.gens) if draw(st.booleans()) else (j,):
+            rows[i][k] = rows[i][k] * z
+    else:
+        rows[i][j] = rows[i][j] + ring.var(draw(st.integers(0, ring.nvars - 1)))
+    modules = dict(rep.modules)
+    modules[v] = FPModule(old.chart, old.gens, rows)
+    return SheafRep(rep.quiver, modules, rep.edge_maps, None)
+
+
 @st.composite
-def reps(draw):
+def graded_reps(draw):
     field = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 3))
     quiver = build_proj_quiver(field, n, _ideal(draw, field, n))
     if n == 3 or draw(st.booleans()):
         degrees = tuple(draw(st.integers(-2, 2)) for _ in range(draw(st.integers(1, 2))))
-        rep = graded_sheaf(quiver, degrees)
-    else:
-        # a row of linear forms on n+1 generators of degree 0, as in the
-        # Euler sequence quotient O^{n+1} / O(-1)
-        row = tuple(_linear_form(draw, quiver.xring) for _ in range(n + 1))
-        rep = graded_sheaf(quiver, (0,) * (n + 1), (row,))
-    spoil = draw(st.sampled_from(("none", "none", "module") + KEPT + REFUSED))
+        return graded_sheaf(quiver, degrees)
+    # a row of linear forms on n+1 generators of degree 0, as in the
+    # Euler sequence quotient O^{n+1} / O(-1)
+    row = tuple(_linear_form(draw, quiver.xring) for _ in range(n + 1))
+    return graded_sheaf(quiver, (0,) * (n + 1), (row,))
+
+
+@st.composite
+def reps(draw):
+    rep = draw(graded_reps())
+    spoil = draw(st.sampled_from(("none", "none", "module") + KEPT + REFUSED + RELATION))
     if spoil == "module":
         return _spoil_module(draw, rep)
+    if spoil in RELATION:
+        return _spoil_relation(draw, rep, spoil)
     if spoil != "none":
         return _spoil_edge(draw, rep, spoil)
     return rep
@@ -171,19 +229,43 @@ def _unit_diagonal(rep, e) -> bool:
     return True
 
 
+def _squares(quiver):
+    """The two paths, each a pair of edges, around every square."""
+    for v in quiver.vertices:
+        for k, l in combinations(sorted(set(range(quiver.n + 1)) - v), 2):
+            w = v | {k, l}
+            yield tuple(((v, mid), (mid, w)) for mid in (v | {k}, v | {l}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(reps())
 def test_edge_verdicts_match_oracle(rep):
+    terms = _Terms(rep)
     for e in rep.quiver.edges:
         inverse = _unit_diagonal_inverse(rep.edge_maps[e], rep.modules[e[1]])
         assert (inverse is not None) == _unit_diagonal(rep, e)
+        # the term path takes only matrices the lemma of
+        # _onto_and_injective inverts
+        assert not _edge_by_terms(terms, e) or inverse is not None
         assert _edge_verdict(rep, e) == oracle.edge_verdict(rep, e)
+    assert _squares_agree(rep) == oracle.squares_agree(rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_reps())
+def test_unspoiled_graded_reps_take_the_term_path(rep):
+    terms = _Terms(rep)
+    for e in rep.quiver.edges:
+        assert _edge_by_terms(terms, e) == (not rep.quiver.chart(e[1]).is_zero_ring())
+    assert all(_square_by_terms(terms, *paths) for paths in _squares(rep.quiver))
 
 
 def _pinned_cases():
-    """(name, rep, edge, fast): one case of each kind the strategy draws
-    at random, so that every run sees a non-trivial inverse, a fast edge
-    that is not injective and each refusal."""
+    """(name, rep, edge, fast, by_terms): one case of each kind the
+    strategy draws at random, so that every run sees a non-trivial
+    inverse, a fast edge that is not injective, each refusal, and unit
+    diagonals whose relations do not match as Laurent terms.  fast is the
+    lemma of _onto_and_injective, by_terms the term path of _edge_verdict."""
     q = build_proj_quiver(Field(0), 2)
     xr = q.xring
     euler = graded_sheaf(q, (0, 0, 0), (tuple(xr.var(i) for i in range(3)),))
@@ -196,6 +278,16 @@ def _pinned_cases():
         new[i][j] = entry
         return euler.replaced_edge(edge, new)
 
+    def relation_spoiled(v, j, entry):
+        """The Euler row at v with entry j (every entry for None) replaced."""
+        old = euler.modules[v]
+        row = list(old.relations[0])
+        for k in range(len(row)) if j is None else (j,):
+            row[k] = entry(row[k], old.chart)
+        modules = dict(euler.modules)
+        modules[v] = FPModule(old.chart, old.gens, (tuple(row),))
+        return SheafRep(q, modules, euler.edge_maps, None)
+
     three = chart.ring.constant(Field(0).of_int(3))
     twist3 = graded_sheaf(build_proj_quiver(Field(3), 3), (2,))
     edge3 = (frozenset({1, 2}), frozenset({1, 2, 3}))
@@ -206,26 +298,103 @@ def _pinned_cases():
     killed[edge[1]] = FPModule(chart, 3, euler.modules[edge[1]].relations + (vec_unit(chart.ring, 3, 1),))
     x1 = build_proj_quiver(Field(0), 1).xring
     p1 = build_proj_quiver(Field(0), 1, (x1.var(0) * x1.var(1),))  # the chart {0,1} is the zero ring
+    near, far = edge
     return [
-        ("scaled-by-constant", spoiled(0, 0, three), edge, True),
-        ("scaled-by-unit", by_unit, edge3, True),
-        ("not-injective", SheafRep(q, killed, euler.edge_maps, None), edge, True),
-        ("zero-ring", graded_sheaf(p1, (1,)), (frozenset({0}), frozenset({0, 1})), False),
-        ("non-unit", spoiled(2, 2, chart.z(2)), edge, False),
-        ("two-term", spoiled(1, 1, chart.z(1) + three), edge, False),
-        ("off-diagonal", spoiled(0, 2, chart.z(1)), edge, False),
-        ("zero-entry", spoiled(1, 1, chart.ring.zero()), edge, False),
+        ("unspoiled", euler, edge, True, True),
+        ("scaled-by-constant", spoiled(0, 0, three), edge, True, False),
+        # no relations on either end: nothing to match
+        ("scaled-by-unit", by_unit, edge3, True, True),
+        ("not-injective", SheafRep(q, killed, euler.edge_maps, None), edge, True, False),
+        # z2 is not a unit of {0,1}, at either end
+        ("relation-times-non-unit", relation_spoiled(near, 1, lambda p, c: p * c.z(2)), edge, True, False),
+        ("far-relation-times-non-unit", relation_spoiled(far, 1, lambda p, c: p * c.z(2)), edge, True, False),
+        ("relation-plus-term", relation_spoiled(far, 2, lambda p, c: p + c.ring.one()), edge, True, False),
+        # the whole row times the unit u1 of {0,1}: it still matches; times
+        # z2, it is a monomial multiple that is no unit
+        ("row-times-unit", relation_spoiled(far, None, lambda p, c: p * c.u(1)), edge, True, True),
+        ("row-times-non-unit", relation_spoiled(far, None, lambda p, c: p * c.z(2)), edge, True, False),
+        ("zero-ring", graded_sheaf(p1, (1,)), (frozenset({0}), frozenset({0, 1})), False, False),
+        ("non-unit", spoiled(2, 2, chart.z(2)), edge, False, False),
+        ("two-term", spoiled(1, 1, chart.z(1) + three), edge, False, False),
+        ("off-diagonal", spoiled(0, 2, chart.z(1)), edge, False, False),
+        ("zero-entry", spoiled(1, 1, chart.ring.zero()), edge, False, False),
     ]
 
 
-@pytest.mark.parametrize("name,rep,edge,fast", _pinned_cases(), ids=[c[0] for c in _pinned_cases()])
-def test_pinned_edges_take_the_expected_path(name, rep, edge, fast):
+PINNED = _pinned_cases()
+
+
+@pytest.mark.parametrize("name,rep,edge,fast,by_terms", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_edges_take_the_expected_path(name, rep, edge, fast, by_terms):
     inverse = _unit_diagonal_inverse(rep.edge_maps[edge], rep.modules[edge[1]])
     assert (inverse is not None) == fast == _unit_diagonal(rep, edge)
+    assert _edge_by_terms(_Terms(rep), edge) == by_terms
     verdict = _edge_verdict(rep, edge)
     assert verdict == oracle.edge_verdict(rep, edge)
     if name == "not-injective":
         assert verdict.surjective and not verdict.injective
+    if name in ("scaled-by-constant", "relation-times-non-unit", "relation-plus-term", "row-times-non-unit"):
+        assert not verdict.ok
+
+
+def _pinned_squares():
+    """(name, rep, paths, by_terms, agrees): the square at {0} adding
+    {1,2} on P^2, each path a pair of edges, with its first edge spoiled
+    in turn.  On V(x0*x1) the charts {0,1} and {0,1,2} are the zero ring,
+    so a square whose terms differ still agrees there."""
+    ideal = build_proj_quiver(Field(0), 2).xring
+    cases = []
+    for name, gens in (("", ()), ("subscheme-", (ideal.var(0) * ideal.var(1),))):
+        q = build_proj_quiver(Field(0), 2, gens)
+        xr = q.xring
+        euler = graded_sheaf(q, (0, 0, 0), (tuple(xr.var(i) for i in range(3)),))
+        v, w = frozenset({0}), frozenset({0, 1, 2})
+        paths = tuple(((v, mid), (mid, w)) for mid in (frozenset({0, 1}), frozenset({0, 2})))
+        first = paths[0][0]
+        chart = q.chart(first[1])
+
+        def spoiled(j, entry):
+            rows = [list(r) for r in euler.edge_maps[first]]
+            rows[j][j] = entry(rows[j][j])
+            return euler.replaced_edge(first, rows)
+
+        zero_ring = bool(gens)
+        cases += [
+            (name + "unspoiled", euler, paths, True, True),
+            (name + "scaled-by-constant", spoiled(0, lambda p: p.scale(3)), paths, False, zero_ring),
+            (name + "scaled-by-unit", spoiled(1, lambda p: p * chart.u(1)), paths, False, zero_ring),
+            (name + "non-unit", spoiled(2, lambda p: p * chart.z(2)), paths, False, zero_ring),
+            (name + "two-term", spoiled(2, lambda p: p + chart.z(2)), paths, False, zero_ring),
+        ]
+    return cases
+
+
+SQUARES = _pinned_squares()
+
+
+@pytest.mark.parametrize("name,rep,paths,by_terms,agrees", SQUARES, ids=[c[0] for c in SQUARES])
+def test_pinned_squares_take_the_expected_path(name, rep, paths, by_terms, agrees):
+    assert _square_by_terms(_Terms(rep), *paths) == by_terms
+    findings = _squares_agree(rep)
+    assert findings == oracle.squares_agree(rep)
+    assert (findings == ()) == agrees
+
+
+GOLDEN_QC = sorted(
+    (command, path.name[len(command) + 2 : -len(".json")])
+    for command in ("check-qc", "is-bundle")
+    for path in (ROOT / "tests" / "golden").glob(command + "__*.json")
+)
+
+
+@pytest.mark.parametrize("command,stem", GOLDEN_QC, ids=["%s__%s" % c for c in GOLDEN_QC])
+def test_golden_bodies_are_the_same_without_the_term_lemmas(monkeypatch, command, stem):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sheafrep, "_edge_by_terms", lambda terms, e: False)
+    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda terms, left, right: False)
+    job = JobSpec(command=command, inputs=("fixtures/%s.txt" % stem,), machine=True)
+    want = (ROOT / "tests" / "golden" / ("%s__%s.json" % (command, stem))).read_text(encoding="utf-8")
+    assert run(job).machine_text() == want
 
 
 COVERED = ("euler_q_p2.txt", "euler_q_p3.txt", "twist_p1_k2.txt", "twist_p2_k-1.txt", "subscheme_p1.txt")
