@@ -13,6 +13,8 @@ On P^1 an invertible transition matrix over k[s, 1/s] factors as
 L * T * Rm = diag(s^a1, ..., s^ar) with L over k[1/s] and Rm over k[s], both
 of constant nonzero determinant.  The factorization drives the line-bundle
 filtration; every claimed identity is re-verified by exact arithmetic.
+Once verified it is also the only way a Laurent matrix is inverted:
+T^-1 = Rm * diag(s^-a) * L, and Rm^-1 = diag(s^-a) * L * T.
 Laurent polynomials are plain Polys of laurent_ring(field), the ring in the
 one variable s, whose exponents may be negative.
 """
@@ -396,27 +398,18 @@ def lmat_mul(a, b):
 
 
 def lmat_inv(m):
-    """Inverse of a Laurent matrix whose determinant is a unit monomial."""
-    ring = m[0][0].ring
-    field = ring.field
-    n = len(m)
-    d = det(m)
-    if len(d.terms) != 1:
-        raise ValueError("matrix is not invertible over the Laurent ring")
-    dexp, dcoeff = _only_term(d)
-    inv_scale = field.inv(dcoeff)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[ii][jj] for jj in range(n) if jj != j)
-                for ii in range(n)
-                if ii != i
-            )
-            cof = det(minor) if n > 1 else ring.one()
-            c = field.neg(inv_scale) if (i + j) % 2 else inv_scale
-            out[j][i] = cof.mul_term((-dexp,), c)
-    return tuple(tuple(row) for row in out)
+    """Inverse of a Laurent matrix with unit determinant, read off its
+    verified Birkhoff split: L*m*Rm = diag(s^a) gives m^-1 =
+    Rm*diag(s^-a)*L.  Raises the splitter's ValueError for any other
+    square matrix."""
+    split = birkhoff_split(m)
+    return lmat_mul(split.right, _untwist(split.left, split.splitting_type))
+
+
+def _untwist(rows, splitting_type):
+    """diag(s^-a) times the Laurent matrix: row i times s^-a_i."""
+    one = rows[0][0].ring.field.one
+    return tuple(tuple(p.mul_term((-a,), one) for p in row) for row, a in zip(rows, splitting_type))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +447,9 @@ def verify_birkhoff(t_matrix, split: BirkhoffSplit) -> bool:
     return prod == want
 
 
+_NOT_INVERTIBLE = "transition matrix is not invertible over the Laurent ring"
+
+
 class _Splitter:
     """Working state for the factorization: M starts at s^N * T and is
     driven to a sorted monomial diagonal by row operations over k[1/s]
@@ -462,8 +458,6 @@ class _Splitter:
     def __init__(self, t_matrix):
         self.field = t_matrix[0][0].ring.field
         self.r = len(t_matrix)
-        if len(det(t_matrix).terms) != 1:
-            raise ValueError("transition matrix is not invertible over the Laurent ring")
         self.shift = max([0] + [-e for row in t_matrix for p in row for (e,) in p.terms])
         self.m = [[p.mul_term((self.shift,), self.field.one) for p in row] for row in t_matrix]
         self.left = [list(row) for row in lmat_identity(self.field, self.r)]
@@ -501,11 +495,24 @@ class _Splitter:
         return min_deg(self.m[i][i])
 
     def hermite(self):
-        """Column reduction over k[s] to lower triangular form."""
+        """Column reduction over k[s] to lower triangular form, which also
+        decides whether T is invertible over k[s, 1/s].
+
+        Column operations over k[s] have determinant +-1, so det(s^N*T) is
+        +- the determinant of the triangular form.  A row i with no nonzero
+        entry left at or past the diagonal puts rows 0..i in columns
+        0..i-1, so that determinant is 0.  Otherwise it is the product of
+        the diagonal entries, polynomials in s, and a product of nonzero
+        polynomials is a single term exactly when each factor is (least
+        and greatest degrees add).  det(s^N*T) = s^(rN)*det(T) is a unit of
+        k[s, 1/s] exactly when it is a single term, so either failure
+        raises ValueError and any other T goes on to the split."""
         f = self.field
         for i in range(self.r):
             while True:
                 nz = [j for j in range(i, self.r) if not self.m[i][j].is_zero()]
+                if not nz:
+                    raise ValueError(_NOT_INVERTIBLE)
                 pivot = min(nz, key=lambda j: max_deg(self.m[i][j]))
                 done = True
                 for j in nz:
@@ -521,7 +528,7 @@ class _Splitter:
                     break
         for i in range(self.r):
             if len(self.m[i][i].terms) != 1:
-                raise AssertionError("triangular diagonal entry is not a monomial")
+                raise ValueError(_NOT_INVERTIBLE)
             self.row_scale(i, f.inv(_only_term(self.m[i][i])[1]))
 
     def sweep(self):
@@ -646,7 +653,7 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
     t_matrix = tuple(tuple(row) for row in t_matrix)
     r = len(t_matrix)
     if r and len(det(t_matrix).terms) != 1:
-        raise ValueError("transition matrix is not invertible over the Laurent ring")
+        raise ValueError(_NOT_INVERTIBLE)
     quiver = build_proj_quiver(field, 1)
     chart01 = quiver.chart(V01)
     mods = {v: FPModule(quiver.chart(v), r) for v in quiver.vertices}
@@ -666,7 +673,10 @@ def global_sections_dim(t_matrix) -> int:
     polynomial vectors, one in s and one in 1/s, matched by the transition.
 
     The 1/s-degree of the chart-{1} half is bounded by the inverse matrix's
-    lowest degree, so a finite window is exhaustive.
+    lowest degree, so a finite window is exhaustive.  The inverse is read
+    off the Birkhoff split and is exact because the split was verified;
+    the linear algebra never looks at the splitting type, so the count
+    stays a cross-check of it.
     """
     r = len(t_matrix)
     if r == 0:
@@ -733,7 +743,8 @@ def line_bundle_filtration(rep: SheafRep) -> Filtration:
         sub = SubRep(rep)
         return Filtration((sub,), (), split, (verify_subrep(sub),))
     quiver = rep.quiver
-    b0 = lmat_inv(split.right)
+    # Rm^-1 = diag(s^-a) * L * T, by the identity verify_birkhoff checked
+    b0 = _untwist(lmat_mul(split.left, t), split.splitting_type)
     b1 = split.left
     b01 = lmat_mul(b0, edge_laurent(rep, V0))
     rows0, rows1, rows01 = (

@@ -174,19 +174,6 @@ class ChartRing:
                 exp[self._u_index[j]] = -m
         return tuple(exp)
 
-    def term_inverse(self, p: Poly):
-        """For a single term p = c*m, c^-1 times the chart monomial of the
-        negated Laurent exponent of m; None when p is not a single term or
-        the chart lacks that monomial.  The product with p is 1 modulo the
-        inversions, which a caller still checks against nf."""
-        if len(p.terms) != 1:
-            return None
-        ((exp, c),) = p.terms.items()
-        vec = tuple(-e for e in self.laurent_of_exp(exp))
-        if any(e < 0 and j not in self.vertex for j, e in enumerate(vec)):
-            return None
-        return self.monomial_from_laurent(vec).scale(self.field.inv(c))
-
     def from_laurent(self, terms: dict) -> Poly:
         """Chart polynomial of a Laurent expansion without zero coefficients,
         such as _collect makes.  Distinct Laurent exponents give distinct

@@ -310,21 +310,14 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
 
 
 def _unit_diagonal_inverse(rows, tgt: FPModule):
-    """Diagonal of B = A^-1 when the matrix A is square and diagonal with
-    each diagonal entry c*m, m a unit of the far chart, and nf(a_jj*b_jj)
-    is exactly 1; None for any other matrix."""
+    """Diagonal of B = A^-1 when _is_unit_diagonal holds for the matrix A,
+    each b_jj = c^-1 times the chart monomial of the negated exponent;
+    None for any other matrix."""
     chart = tgt.chart
-    if len(rows) != tgt.gens:
+    diagonal = _diagonal_terms(chart, rows)
+    if not _is_unit_diagonal(chart, diagonal, tgt.gens):
         return None
-    inverse = []
-    for j, row in enumerate(rows):
-        if any(not p.is_zero() for k, p in enumerate(row) if k != j):
-            return None
-        b = chart.term_inverse(row[j])
-        if b is None or chart.nf(row[j] * b) != chart.ring.one():
-            return None
-        inverse.append(b)
-    return inverse
+    return [chart.monomial_from_laurent([-x for x in e]).scale(chart.field.inv(c)) for e, c in diagonal]
 
 
 def _unit_diagonal_relations(rows, tgt: FPModule):
@@ -380,6 +373,18 @@ def _diagonal_terms(chart: ChartRing, rows):
     return out
 
 
+def _is_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
+    """The diagonal read by _diagonal_terms is that of a square matrix of
+    size gens whose entries c*m are units of the chart: the Laurent
+    exponent of m is 0 at every index outside the chart's vertex, so m and
+    its inverse are chart monomials and their product is 1 modulo the
+    inversions, and the chart is not the zero ring, where nf(1) = 0."""
+    if diagonal is None or len(diagonal) != gens:
+        return False
+    outside = [i for i in range(chart.n + 1) if i not in chart.vertex]
+    return not any(e[i] for e, _c in diagonal for i in outside) and not chart.is_zero_ring()
+
+
 def _term_multiple(a, b, fmul, outside) -> bool:
     """a = c*m*b for rows of Laurent dicts, a nonzero, with c a nonzero
     constant and m a monomial whose exponent is 0 at every index in
@@ -409,18 +414,14 @@ def _edge_by_terms(terms: _Terms, e: Edge) -> bool:
     correspond through it as Laurent rows: every nonzero near row r has
     r*A = c*m*f for a far row f, a nonzero constant c and a monomial m
     that is a unit of the far chart, and every nonzero far row is such an
-    f.  A chart monomial is a unit when its exponent is 0 at every index
-    outside w.  These are the matrices _unit_diagonal_inverse inverts: for
-    a unit term a and its inverse b, a*b = 1 modulo the inversions, so
-    nf(a*b) = nf(1), which is 1 unless the chart is the zero ring.  The
-    far row with r's index is tried first."""
+    f.  The first condition is _is_unit_diagonal, which also decides the
+    matrices _unit_diagonal_inverse inverts.  The far row with r's index
+    is tried first."""
     v, w = e
     diagonal = terms.diagonal(e)
-    if diagonal is None or len(diagonal) != terms.rep.modules[w].gens:
+    if not _is_unit_diagonal(terms.rep.quiver.chart(w), diagonal, terms.rep.modules[w].gens):
         return False
     outside = [i for i in range(terms.rep.quiver.n + 1) if i not in w]
-    if any(de[i] for de, _c in diagonal for i in outside) or terms.rep.quiver.chart(w).is_zero_ring():
-        return False
     fmul = terms.field.mul
     far = terms.rows(w)
     images = []
@@ -575,7 +576,7 @@ def identity_map(rep: SheafRep) -> SheafMap:
 
 def map_is_surjective(f: SheafMap) -> bool:
     """Each vertex's rows span the target, by one untracked span run.  Not
-    by the lemma of _onto_and_injective: its nf(a*b) = 1 check builds chart
+    by the lemma of _onto_and_injective: its zero-ring test builds chart
     relation bases that serre-cover on a subscheme never needs otherwise."""
     return all(
         _onto(f.target.modules[v].span_gb(f.rows[v]), f.target.modules[v])

@@ -852,6 +852,22 @@ def test_exit_two_texts(fixture_dir, tmp_path, command, text, expected):
     assert report.verdicts == ((code + "-error", "%s:%s" % (path, expected)),)
 
 
+@pytest.mark.parametrize("command", ["split-p1", "filter-p1"])
+@pytest.mark.parametrize(
+    "rows",
+    ["rows 2\ntrow s | 1\ntrow s^2 | s\n", "rows 1\ntrow s + 1\n"],
+    ids=["zero-determinant", "non-unit-determinant"],
+)
+def test_singular_transition_is_refused(tmp_path, command, rows):
+    # filter-p1 is refused by bundle_from_transition's determinant, split-p1
+    # by the splitter's triangular form; both with the same text
+    path = tmp_path / "in.txt"
+    path.write_text("kind transition\nfield Q\n" + rows)
+    report = run(JobSpec(command=command, inputs=(str(path),)))
+    assert report.exit_status == EXIT_USAGE
+    assert report.verdicts == (("error", "transition matrix is not invertible over the Laurent ring"),)
+
+
 def test_machine_reports_are_deterministic(fixture_dir):
     job = JobSpec(command="split-p1", inputs=(fixture(fixture_dir, "trans_diag"),))
     first = run(job).machine_text()

@@ -244,6 +244,12 @@ def test_edge_verdicts_match_oracle(rep):
     for e in rep.quiver.edges:
         inverse = _unit_diagonal_inverse(rep.edge_maps[e], rep.modules[e[1]])
         assert (inverse is not None) == _unit_diagonal(rep, e)
+        if inverse is not None:
+            # the source reads the inverse off the exponents; the products
+            # are checked here, in the chart
+            chart = rep.modules[e[1]].chart
+            for j, (row, b) in enumerate(zip(rep.edge_maps[e], inverse)):
+                assert chart.nf(row[j] * b) == chart.ring.one()
         # the term path takes only matrices the lemma of
         # _onto_and_injective inverts
         assert not _edge_by_terms(terms, e) or inverse is not None
