@@ -399,10 +399,14 @@ def lmat_mul(a, b):
 
 def lmat_inv(m):
     """Inverse of a Laurent matrix with unit determinant, read off its
-    verified Birkhoff split: L*m*Rm = diag(s^a) gives m^-1 =
-    Rm*diag(s^-a)*L.  Raises the splitter's ValueError for any other
-    square matrix."""
-    split = birkhoff_split(m)
+    verified Birkhoff split.  Raises the splitter's ValueError for any
+    other square matrix."""
+    return _split_inverse(birkhoff_split(m))
+
+
+def _split_inverse(split):
+    """The inverse of the matrix m that a verified split factors:
+    L*m*Rm = diag(s^a) gives m^-1 = Rm*diag(s^-a)*L."""
     return lmat_mul(split.right, _untwist(split.left, split.splitting_type))
 
 
@@ -667,22 +671,22 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
     return SheafRep(quiver, mods, maps, None)
 
 
-def global_sections_dim(t_matrix) -> int:
+def global_sections_dim(t_matrix, split: BirkhoffSplit) -> int:
     """Dimension of the space of global sections of the bundle glued by the
     matrix, by degree-window linear algebra: a section is a pair of
     polynomial vectors, one in s and one in 1/s, matched by the transition.
 
     The 1/s-degree of the chart-{1} half is bounded by the inverse matrix's
     lowest degree, so a finite window is exhaustive.  The inverse is read
-    off the Birkhoff split and is exact because the split was verified;
-    the linear algebra never looks at the splitting type, so the count
-    stays a cross-check of it.
+    off split, the matrix's Birkhoff split as birkhoff_split returns it,
+    and is exact because that split was verified; the linear algebra never
+    looks at the splitting type, so the count stays a cross-check of it.
     """
     r = len(t_matrix)
     if r == 0:
         return 0
     field = t_matrix[0][0].ring.field
-    inv = lmat_inv(t_matrix)
+    inv = _split_inverse(split)
     depth = max([0] + [-e for row in inv for p in row for (e,) in p.terms])
     # unknowns: coefficients of sigma_1[i] at degrees -depth .. 0
     width = depth + 1

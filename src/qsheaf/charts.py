@@ -309,7 +309,7 @@ class FPModule:
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
         vectors c with sum(c[i] * rows[i]) zero in the module.  The same
-        list as lifter(rows).kernel(len(rows))."""
+        list as lifter(rows).kernel()."""
         rows = tuple(tuple(r) for r in rows)
         return list(self.chart.memo(
             ("relations", self.gens, rows, self.relations),
@@ -318,16 +318,18 @@ class FPModule:
 
     def lifter(self, rows) -> TrackedBasis:
         """Membership with a witness in the submodule generated by the rows:
-        lift(x)[:len(rows)] expresses x over the rows, or lift(x) is None.
-        Its basis is a Groebner basis of span_gb(rows)'s span, filed as
-        span_gb(rows) unless one is filed already, and kernel(len(rows)) is
+        lift(x) holds one coefficient per row and expresses x over the rows
+        modulo the relations, or lift(x) is None.  The run tracks the rows
+        alone: the relations and the chart's ideal block are only modded
+        out.  Its basis is a Groebner basis of span_gb(rows)'s span, filed
+        as span_gb(rows) unless one is filed already, and kernel() is
         row_relations(rows), so one tracked run answers span membership,
         witnesses and relations for the same rows."""
         rows = tuple(tuple(r) for r in rows)
         key = rows + self.relations
 
         def build():
-            tracked = TrackedBasis(list(rows) + self._all_relations(), self.chart.ring, self.gens)
+            tracked = TrackedBasis(rows, self.chart.ring, self.gens, self._all_relations())
             self.chart.memo(("span", self.gens, key), lambda: tracked.basis)
             return tracked
 

@@ -327,7 +327,7 @@ def _cmd_lazard(job: JobSpec):
 def _cmd_split_p1(job: JobSpec):
     field, rows = parse_transition_file(job.inputs[0], job.field)
     split = birkhoff_split(rows)
-    sections = global_sections_dim(rows)
+    sections = global_sections_dim(rows, split)
     agree = sections == h0_of_type(split.splitting_type)
     verdicts = [
         ("splitting-type", "(" + ",".join(str(a) for a in split.splitting_type) + ")"),

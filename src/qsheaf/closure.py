@@ -110,8 +110,8 @@ def pullback_witness(rep: SheafRep, edge, element) -> ClosureWitness:
     unit_cols = chart_w.unit_variable_columns()
     svec = denominator_vector(v, w, chart_v.pivot, rep.quiver.n)
     parts = []
-    for i in range(src.gens):
-        c = chart_w.nf(coeffs[i])
+    for i, lifted in enumerate(coeffs):
+        c = chart_w.nf(lifted)
         if c.is_zero():
             continue
         exps = list(c.terms.keys())

@@ -3,7 +3,7 @@
 Coefficients are either rationals or a prime field F_p with p < 2**31.  A
 rational is an int when it is integral and a fractions.Fraction with
 denominator > 1 otherwise.  Field makes only such values, and the loops
-below that work on raw coefficients (reduce_vec, _combination, rref) turn
+below that work on raw coefficients (_divide, _combination, rref) turn
 an integral Fraction back into an int where one leaves them, so most
 arithmetic stays on machine ints; every true division has a Fraction
 operand, so no coefficient becomes a float.  Monomials are exponent tuples
@@ -14,21 +14,30 @@ deterministic for a fixed input order: pair selection, reducer selection
 and output ordering use explicit sort keys and no hashing-dependent
 iteration.
 
-Division (reduce_vec) works on one term heap: the vector being reduced is a
-dict from (position, exponent) to coefficient, and a min-heap keyed by
-_heap_key yields its largest term next (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", 2007).
-Cancelled terms are dropped lazily when they reach the top.  Leads are
-computed once: Buchberger keeps a list of them beside its basis and hands
-it to every reduction, a reduced basis (GroebnerBasis) carries its leads to
-every normal form taken against it, and each reducer's other terms are
-flattened once per reduction.
+Division (_divide, which reduce_vec wraps) works on one term heap: the
+vector being reduced is a dict from (position, exponent) to coefficient,
+and a min-heap keyed by _heap_key yields its largest term next (Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", 2007).  Cancelled terms are dropped lazily when they
+reach the top.  Buchberger writes each S-vector m_i*basis[i] -
+m_j*basis[j] straight into such a dict, from the tails alone since the
+leads cancel.  A reducer index (_Reducers: the reducers of each position,
+and each one's inverse lead coefficient and other terms, flattened on
+first use) is built once per list: Buchberger extends its own as elements
+join, and a GroebnerBasis keeps one for every normal form taken against
+it.
 
-Tracked runs (TrackedBasis, syzygies, module_kernel) skip S-pairs by the
-chain criterion as untracked runs do, and still record a generating set of
-the syzygy module.  They keep each combination over the input generators
-sparse, as a dict from generator index to nonzero Poly, and update only its
-nonzero entries.
+Buchberger skips S-pairs by two criteria in every run: the product
+criterion for a pair with coprime leads whose elements are both nonzero
+only at their lead position (ideal-block rows q*e_p, unit rows, every
+rank-one element), and the chain criterion.  Tracked runs (TrackedBasis,
+syzygies, module_kernel) take the rows they track apart from rows that are
+only modded out (module relations and a chart's ideal block): they keep
+each combination over the tracked rows alone, sparse, as a dict from row
+index to nonzero Poly, and record a generating set of the relations among
+the rows modulo the others, with the Koszul syzygy of each pair the
+product criterion skips.  A Poly computes its hash on first use and keeps
+it.
 """
 
 from __future__ import annotations
@@ -203,7 +212,7 @@ def term_key(pos: int, exp: tuple[int, ...]):
 class Poly:
     """Immutable sparse polynomial: map from exponent tuple to coefficient."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -223,7 +232,13 @@ class Poly:
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # computed on first use and kept: chart memos hash whole row tuples
+        # on every lookup, and most Polys are never hashed at all
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            return self._hash
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -481,9 +496,6 @@ def vec_scale(a, c):
 def vec_mul_poly(a, p: Poly):
     return tuple(x * p for x in a)
 
-def vec_mul_term(a, exp, coeff):
-    return tuple(x.mul_term(exp, coeff) for x in a)
-
 def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
 
@@ -509,10 +521,6 @@ def _exp_lcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
-
-
 def _heap_key(pos: int, exp: tuple[int, ...]):
     """Min-heap key of a free-module term: ascending order of this key is
     descending term_key order (smaller position first, then higher degree,
@@ -520,45 +528,72 @@ def _heap_key(pos: int, exp: tuple[int, ...]):
     return (pos, -sum(exp), exp[::-1])
 
 
-def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
-    """Full normal form of vec against basis (list of nonzero vecs).
+class _Reducers:
+    """Division index of a list of vecs (vecs, with their leads), built
+    once per list and extended as elements join it: the reducers of each
+    position in list order, as (index, lead exponent, lead degree), and
+    for each element the inverse of its lead coefficient beside its other
+    terms, flattened to (position, exponent, coefficient) triples on first
+    use (tail).  A zero element takes an index and reduces nothing."""
 
-    Every term is reduced: the largest remaining term goes to the first
-    element of basis, in list order, whose lead has its position and divides
-    it, and to the remainder if no lead does.  With track=True also returns
-    the quotient list q with vec = sum(q[i]*basis[i]) + remainder.  The
-    caller is responsible for basis being a Groebner basis when a canonical
-    remainder is required.
+    __slots__ = ("field", "vecs", "leads", "by_pos", "tails")
 
-    The work vector is one dict {(pos, exp): coeff} beside a min-heap of its
-    terms under _heap_key (heap division after Monagan & Pearce, 2007).  A
-    term that cancels stays in both, with coefficient zero, until it reaches
-    the top of the heap and is dropped; over F_p coefficients are reduced
-    mod p only there.  Over Q an integral Fraction becomes an int where it
-    leaves: in the multiplier of a reduction step and in the remainder.
-    _leads, internal to this module, is [vec_lead(b) for b in basis] when
-    the caller keeps it.
+    def __init__(self, field: Field, vecs=(), leads=()):
+        self.field = field
+        self.vecs: list = []
+        self.leads: list = []
+        self.by_pos: dict = {}
+        self.tails: list = []
+        for vec, lead in zip(vecs, leads):
+            self.add(vec, lead)
+
+    def add(self, vec, lead):
+        if lead is not None:
+            self.by_pos.setdefault(lead[0], []).append((len(self.vecs), lead[1], sum(lead[1])))
+        self.vecs.append(vec)
+        self.leads.append(lead)
+        self.tails.append(None)
+
+    def tail(self, i: int):
+        """(inverse lead coefficient, other terms) of element i."""
+        found = self.tails[i]
+        if found is None:
+            pos, lexp, lc = self.leads[i]
+            found = self.tails[i] = (self.field.inv(lc), [
+                (tpos, e, c)
+                for tpos, p in enumerate(self.vecs[i]) for e, c in p.terms.items()
+                if tpos != pos or e != lexp
+            ])
+        return found
+
+
+def _work(vec) -> dict:
+    """The vec as a division work vector {(pos, exp): coeff}."""
+    return {(pos, e): c for pos, p in enumerate(vec) for e, c in p.terms.items()}
+
+
+def _divide(work: dict, reducers: _Reducers, rank: int, quot=None, skip=None) -> list:
+    """Full normal form of the work vector against the reducers, returned
+    as one {exp: coeff} dict per position; the division consumes work.
+
+    The largest remaining term goes to the first reducer, in list order,
+    whose lead has its position and divides it (never to the reducer
+    numbered skip), and to the remainder if no lead does.  A quot dict
+    receives each step as quot[reducer][multiplier exp] = coefficient.
+
+    Each term of work also sits in a min-heap under _heap_key, which
+    yields the largest term next (heap division after Monagan & Pearce,
+    2007).  A term that cancels stays in both, with coefficient zero,
+    until it reaches the top of the heap and is dropped; over F_p
+    coefficients are reduced mod p only there, so work may hold any int
+    congruent to the coefficient.  Over Q an integral Fraction becomes an
+    int where it leaves: in the multiplier of a step and in the remainder.
     """
-    field = ring.field
-    char = field.char
-    leads = [vec_lead(b) for b in basis] if _leads is None else _leads
-    # the reducers of each position, in list order: (index, lead exp, degree)
-    by_pos: dict = {}
-    for i, lt in enumerate(leads):
-        if lt is not None:
-            by_pos.setdefault(lt[0], []).append((i, lt[1], sum(lt[1])))
-    work: dict = {}
-    heap = []
-    for pos, p in enumerate(vec):
-        for e, c in p.terms.items():
-            work[pos, e] = c
-            heap.append(_heap_key(pos, e) + (e,))
+    char = reducers.field.char
+    by_pos, tails = reducers.by_pos, reducers.tails
+    heap = [_heap_key(pos, e) + (e,) for pos, e in work]
     heapify(heap)
-    rem = [{} for _ in vec]
-    quot = [{} for _ in basis] if track else None
-    # reducer index -> (inverse lead coeff, [(pos, exp, coeff)] of its other
-    # terms), flattened on first use
-    tails: dict = {}
+    rem = [{} for _ in range(rank)]
     while heap:
         pos, negdeg, _, exp = heappop(heap)
         c = work.pop((pos, exp))
@@ -568,24 +603,17 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
             continue
         deg = -negdeg
         for i, lexp, ldeg in by_pos.get(pos, ()):
-            if ldeg <= deg and all(map(_le, lexp, exp)):
+            if ldeg <= deg and i != skip and all(map(_le, lexp, exp)):
                 break
         else:
             rem[pos][exp] = _q(c)
             continue
-        if i not in tails:
-            _, _, lc = leads[i]
-            tails[i] = (field.inv(lc), [
-                (tpos, e, tc)
-                for tpos, p in enumerate(basis[i]) for e, tc in p.terms.items()
-                if tpos != pos or e != lexp
-            ])
-        inv, tail = tails[i]
+        inv, tail = tails[i] or reducers.tail(i)
         m = c * inv % char if char else _q(c * inv)
         mult = tuple(map(_sub, exp, lexp))
-        if track:
-            quot[i][mult] = m
-        # subtract m * mult * basis[i]; its lead cancels the popped term
+        if quot is not None:
+            quot.setdefault(i, {})[mult] = m
+        # subtract m * mult * reducer; its lead cancels the popped term
         for tpos, te, tc in tail:
             ne = tuple(map(_add, te, mult))
             key = (tpos, ne)
@@ -595,9 +623,29 @@ def reduce_vec(vec, basis, ring: PolyRing, track: bool = False, _leads=None):
                 heappush(heap, _heap_key(tpos, ne) + (ne,))
             else:
                 work[key] = old - m * tc
-    remainder = tuple(Poly(ring, d) for d in rem)
+    return rem
+
+
+def reduce_vec(vec, basis, ring: PolyRing, track: bool = False):
+    """Full normal form of vec against basis (list of vecs).
+
+    Every term is reduced: the largest remaining term goes to the first
+    element of basis, in list order, whose lead has its position and divides
+    it, and to the remainder if no lead does; zero elements reduce nothing.
+    With track=True also returns the quotient list q with
+    vec = sum(q[i]*basis[i]) + remainder.  The caller is responsible for
+    basis being a Groebner basis when a canonical remainder is required.
+    This is _divide on the terms of vec, against the reducer index a
+    GroebnerBasis keeps, or one built for a plain list.
+    """
+    if isinstance(basis, GroebnerBasis) and basis:
+        reducers = basis.reducers()
+    else:
+        reducers = _Reducers(ring.field, basis, [vec_lead(b) for b in basis])
+    quot = {} if track else None
+    remainder = tuple(Poly(ring, d) for d in _divide(_work(vec), reducers, len(vec), quot))
     if track:
-        return remainder, [Poly(ring, d) for d in quot]
+        return remainder, [Poly(ring, quot.get(i, {})) for i in range(len(basis))]
     return remainder
 
 
@@ -633,58 +681,85 @@ def _dense(ring: PolyRing, combo: dict, size: int) -> tuple:
     return tuple(combo[i] if i in combo else ring.zero() for i in range(size))
 
 
-def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
-    """Shared Buchberger core.
+def _buchberger(rows, mod, ring: PolyRing, rank: int, track: bool):
+    """Shared Buchberger core over the generators rows + mod, in that order.
 
     Returns (basis, combos, syzygy_rows):
-      basis  - list of nonzero vecs whose leads generate the lead module,
-               starting with the nonzero input generators in order;
-      combos - basis[k] = sum(c * gens[i] for i, c in combos[k].items())
-               when track, else None;
-      syzygy_rows - combinations of the original gens that vanish, from zero
-               reductions (track).
-    A combination is sparse: a dict from generator index to nonzero Poly.
+      basis  - a GroebnerBasis of nonzero vecs whose leads generate the
+               lead module, starting with the nonzero generators in order,
+               with the reducer index the run built;
+      combos - when track, basis[k] - sum(c * rows[i] for i, c in
+               combos[k].items()) lies in span(mod), else None;
+      syzygy_rows - when track, combinations of the rows that lie in
+               span(mod), generating every such combination.
+    A combination is sparse: a dict from row index to nonzero Poly.  The
+    mod generators are modded out and never tracked.
 
-    S-pairs only form between elements whose leads share a position.  Every
-    run applies the chain criterion (Buchberger's second criterion): the
-    pair (i, j) is skipped when another lead of that position divides its
-    lcm and the pairs it forms with i and with j are both done.  In a
-    tracked run the skipped pair's syzygy is a monomial combination of
-    those two, so the recorded zero reductions still generate the syzygy
-    module (Gebauer & Moeller 1988; Moeller, Mora & Traverso, ISSAC 1992).
-    Untracked runs in rank one also skip pairs with coprime leads; the
-    Koszul syzygy of such a pair is not recorded anywhere, so tracked runs
-    reduce it.  The lead of each basis element is computed once, when it
-    joins the basis.
+    S-pairs only form between elements whose leads share a position p, and
+    two criteria skip pairs (Buchberger's; Gebauer & Moeller 1988; Moeller,
+    Mora & Traverso, ISSAC 1992).  The basis is a Groebner basis once every
+    pair's S-vector has a standard representation: a combination
+    sum(h_k * basis[k]) with every lead of h_k * basis[k] below the pair's
+    lcm.  Its syzygy (the pair's two multipliers less the h_k) is then one
+    of a set that generates every syzygy of the basis.
+
+    Product criterion: a pair with coprime leads whose elements are both
+    nonzero only at p, basis[i] = f*e_p and basis[j] = g*e_p, is skipped.
+    With f = lt(f) + f' and g = lt(g) + g', g*f - f*g = 0 gives
+    lt(g)*f - lt(f)*g = f'*g - g'*f.  The left side is lc(f)*lc(g) times
+    the S-vector, since the lcm of coprime leads is their product, and
+    every term on the right lies below lt(f)*lt(g): a standard
+    representation, whose syzygy is the Koszul syzygy g*e_i - f*e_j up to
+    a unit.  This covers ideal-block rows q*e_p, unit rows and all of rank
+    one.
+
+    Chain criterion: the pair (i, j) is skipped when another lead of that
+    position divides its lcm and the pairs it forms with i and with j are
+    both done; the skipped pair's syzygy is a monomial combination of
+    those two.  It is tried first, so a pair it skips records nothing.
+
+    So the syzygies of the pairs reduced here (a zero remainder) and the
+    Koszul syzygies of the product criterion generate the syzygies of the
+    basis.  A relation (r, m) among rows + mod is one among the nonzero
+    generators, which are basis elements, plus unit rows for zero
+    generators; sending e_k to basis[k]'s combination over rows + mod is
+    linear and fixes it, so it is a combination of the images.  A tracked
+    run keeps only the rows' part of each image: r, for any relation
+    (r, m), is then a combination of the recorded rows, which for a
+    Koszul syzygy is g*c_i - f*c_j (recorded when nonzero).
     """
-    field = ring.field
-    basis: list = []
-    leads: list = []
+    one = ring.one()
+    nrows = len(rows)
+    reducers = _Reducers(ring.field)
+    basis, leads = reducers.vecs, reducers.leads  # grown by join alone
+    single: list = []  # nonzero only at the lead position
     combos: list = [] if track else None
     syzygies: list = [] if track else None
-    one = ring.one()
 
-    for i, g in enumerate(gens):
+    def join(vec, lead, combo):
+        reducers.add(vec, lead)
+        single.append(sum(1 for p in vec if p.terms) == 1)
+        if track:
+            combos.append(combo)
+
+    for i, g in enumerate(list(rows) + list(mod)):
         if len(g) != rank:
             raise DimensionMismatchError("generators of unequal rank")
-        if vec_is_zero(g):
-            if track:
+        lead = vec_lead(g)
+        if lead is None:
+            if track and i < nrows:
                 syzygies.append({i: one})
             continue
-        basis.append(g)
-        leads.append(vec_lead(g))
-        if track:
-            combos.append({i: one})
+        join(g, lead, {i: one} if i < nrows else {})
 
     pairs: list = []
     pending: set = set()
 
     def push_pairs(k: int):
         pk, ek, _ = leads[k]
-        for i in range(k):
-            pi, ei, _ = leads[i]
-            if pi != pk:
-                continue
+        for i, ei, _ in reducers.by_pos[pk]:
+            if i >= k:
+                break
             lcm = _exp_lcm(ei, ek)
             heappush(pairs, (sum(lcm), i, k, lcm))
             pending.add((i, k))
@@ -695,53 +770,58 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
     while pairs:
         _, i, j, lcm = heappop(pairs)
         pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        if not track and rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
-            continue  # coprime leads; only valid for ideals
-        skip = False
-        for k, lk in enumerate(leads):
-            if k in (i, j):
+        pos, li, _ = leads[i]
+        ui = tuple(map(_sub, lcm, li))
+        chained = False
+        for k, ek, _ in reducers.by_pos[pos]:
+            if k == i or k == j or not all(map(_le, ek, lcm)):
                 continue
-            if lk[0] != li[0] or not _divides(lk[1], lcm):
-                continue
-            a, b = (i, k) if i < k else (k, i)
-            c, d = (j, k) if j < k else (k, j)
-            if (a, b) not in pending and (c, d) not in pending:
-                skip = True
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+                chained = True
                 break
-        if skip:
+        if chained:
             continue
-        ui, ci = _exp_sub(lcm, li[1]), field.inv(li[2])
-        uj, cj = _exp_sub(lcm, lj[1]), field.inv(lj[2])
-        s = vec_sub(vec_mul_term(basis[i], ui, ci), vec_mul_term(basis[j], uj, cj))
+        if ui == leads[j][1] and single[i] and single[j]:
+            if track:
+                f, g = basis[i][pos].terms, basis[j][pos].terms
+                koszul = _combination(
+                    ring, ((combos[i], g.items()), (combos[j], [(e, -c) for e, c in f.items()]))
+                )
+                if koszul:
+                    syzygies.append(koszul)
+            continue
+        # the S-vector: the scaled leads cancel, so only the tails enter
+        uj = tuple(map(_sub, lcm, leads[j][1]))
+        ci, tail_i = reducers.tail(i)
+        cj, tail_j = reducers.tail(j)
+        work = {(tpos, tuple(map(_add, e, ui))): ci * c for tpos, e, c in tail_i}
+        for tpos, e, c in tail_j:
+            key = (tpos, tuple(map(_add, e, uj)))
+            old = work.get(key)
+            work[key] = -cj * c if old is None else old - cj * c
+        quot = {} if track else None
+        rem = _divide(work, reducers, rank, quot)
+        combo = None
         if track:
-            rem, quot = reduce_vec(s, basis, ring, True, _leads=leads)
             parts = [(combos[i], ((ui, ci),)), (combos[j], ((uj, -cj),))]
-            parts += [
-                (combos[k], [(e, -c) for e, c in q.terms.items()])
-                for k, q in enumerate(quot) if q.terms
-            ]
+            parts += [(combos[k], [(e, -c) for e, c in q.items()]) for k, q in sorted(quot.items())]
             combo = _combination(ring, parts)
-            if vec_is_zero(rem):
-                if combo:
-                    syzygies.append(combo)
-                continue
-            combos.append(combo)
-        else:
-            rem = reduce_vec(s, basis, ring, False, _leads=leads)
-            if vec_is_zero(rem):
-                continue
-        basis.append(rem)
-        leads.append(vec_lead(rem))
+        if not any(rem):
+            if combo:
+                syzygies.append(combo)
+            continue
+        vec = tuple(Poly(ring, d) for d in rem)
+        join(vec, vec_lead(vec), combo)
         push_pairs(len(basis) - 1)
 
-    return basis, combos, syzygies
+    return GroebnerBasis(basis, leads, reducers), combos, syzygies
 
 
 def _reduced_basis(basis, ring: PolyRing):
-    """Minimalize, interreduce, normalize monic, sort by decreasing lead."""
+    """Minimalize, interreduce, normalize monic, sort by decreasing lead;
+    basis is the GroebnerBasis of a run."""
     field = ring.field
-    leads = [vec_lead(g) for g in basis]
+    leads = basis.leads
     kept, kept_leads = [], []
     for i, li in enumerate(leads):
         redundant = False
@@ -758,27 +838,35 @@ def _reduced_basis(basis, ring: PolyRing):
     # No kept lead divides another, so interreduction moves each element's
     # lead term to its remainder unchanged: the remainder is nonzero and
     # its lead is the element's.
+    reducers = _Reducers(field, kept, kept_leads)
     out = []
     for i, (g, (pos, exp, coeff)) in enumerate(zip(kept, kept_leads)):
-        others = kept[:i] + kept[i + 1 :]
-        r = reduce_vec(g, others, ring, False, _leads=kept_leads[:i] + kept_leads[i + 1 :]) if others else g
-        r = r if coeff == field.one else vec_scale(r, field.inv(coeff))
-        out.append((term_key(pos, exp), r, (pos, exp, field.one)))
+        if len(kept) > 1:
+            g = tuple(Poly(ring, d) for d in _divide(_work(g), reducers, len(g), skip=i))
+        g = g if coeff == field.one else vec_scale(g, field.inv(coeff))
+        out.append((term_key(pos, exp), g, (pos, exp, field.one)))
     out.sort(key=lambda t: t[0], reverse=True)
     return GroebnerBasis([v for _, v, _ in out], [lt for _, _, lt in out])
 
 
 class GroebnerBasis(list):
-    """A Groebner basis: the list of its vecs, carrying their leads, which
-    normal_form hands to reduce_vec instead of recomputing them.
+    """A Groebner basis: the list of its vecs, carrying their leads and the
+    reducer index every normal form taken against it uses, built once (on
+    the first normal form, or by the run that made the basis).
     groebner_basis returns the reduced one, and a TrackedBasis keeps its
     basis as one.  The chart memo behind charts.span_gb, and PresIdeal for
-    its own ideal, keep bases and so their leads; a kept basis is never
+    its own ideal, keep bases and so their indexes; a kept basis is never
     mutated."""
 
-    def __init__(self, vecs, leads):
+    def __init__(self, vecs, leads, reducers=None):
         super().__init__(vecs)
         self.leads = leads
+        self._reducers = reducers
+
+    def reducers(self) -> _Reducers:
+        if self._reducers is None:
+            self._reducers = _Reducers(self[0][0].ring.field, self, self.leads)
+        return self._reducers
 
 
 def groebner_basis(gens: Sequence, ring: PolyRing) -> list:
@@ -791,8 +879,7 @@ def groebner_basis(gens: Sequence, ring: PolyRing) -> list:
     gens = [g for g in gens if not vec_is_zero(g)]
     if not gens:
         return []
-    rank = len(gens[0])
-    basis, _, _ = _buchberger(gens, ring, rank, track=False)
+    basis, _, _ = _buchberger(gens, (), ring, len(gens[0]), False)
     return _reduced_basis(basis, ring)
 
 
@@ -804,61 +891,56 @@ def normal_form(vec, basis, ring: PolyRing):
     """
     if not basis:
         return vec
-    return reduce_vec(vec, basis, ring, _leads=basis.leads if isinstance(basis, GroebnerBasis) else None)
+    return reduce_vec(vec, basis, ring)
 
 
 class TrackedBasis:
-    """Groebner basis remembering expressions over the original generators.
+    """Groebner basis of span(rows) + span(mod) remembering expressions
+    over the rows; mod lists rows that are modded out and never tracked.
 
-    Supports membership with an explicit witness: lift(v) returns coefficient
-    rows c over the inputs with v = sum(c[i] * gens[i]) whenever v lies in the
-    span, else None.  The run is the chain-criterion Buchberger of
-    _buchberger, whose zero reductions generate every relation among the
-    gens; kernel(count) reads off the relations among the first count gens.
+    Supports membership with an explicit witness: lift(v) returns
+    coefficients c, one per row, with v - sum(c[i] * rows[i]) in span(mod)
+    whenever v lies in span(rows) + span(mod), else None.  The run is the
+    Buchberger of _buchberger, whose recorded syzygies generate every
+    relation among the rows modulo span(mod); kernel() reads them off.
     """
 
-    def __init__(self, gens: Sequence, ring: PolyRing, rank: int):
+    def __init__(self, rows: Sequence, ring: PolyRing, rank: int, mod: Sequence = ()):
         self.ring = ring
-        self.rank = rank
-        self.gens = list(gens)
-        basis, combos, syz = _buchberger(self.gens, ring, rank, track=True)
-        self.basis = GroebnerBasis(basis, [vec_lead(b) for b in basis])
-        self._combos = combos
-        self._syzygies = syz
+        self.rows = list(rows)
+        self.basis, self._combos, self._syzygies = _buchberger(self.rows, mod, ring, rank, True)
 
     @property
     def combos(self) -> list:
-        """basis[k] = sum(combos[k][i] * gens[i]), one tuple per basis element."""
-        return [_dense(self.ring, c, len(self.gens)) for c in self._combos]
+        """basis[k] - sum(combos[k][i] * rows[i]) lies in span(mod), one
+        tuple per basis element."""
+        return [_dense(self.ring, c, len(self.rows)) for c in self._combos]
 
-    def kernel(self, count: int) -> list:
-        """Generators of the relations among the first count gens modulo
-        the others: the first count entries of each syzygy row, without
-        zero or repeated rows, in the order found."""
-        return _distinct_nonzero(_dense(self.ring, row, count) for row in self._syzygies)
+    def kernel(self) -> list:
+        """Generators of the relations among the rows modulo span(mod),
+        without zero or repeated rows, in the order found."""
+        return _distinct_nonzero(_dense(self.ring, row, len(self.rows)) for row in self._syzygies)
 
     def lift(self, vec):
         if not self.basis:
-            return None if not vec_is_zero(vec) else [self.ring.zero()] * len(self.gens)
-        rem, quot = reduce_vec(vec, self.basis, self.ring, True, _leads=self.basis.leads)
+            return None if not vec_is_zero(vec) else [self.ring.zero()] * len(self.rows)
+        rem, quot = reduce_vec(vec, self.basis, self.ring, True)
         if not vec_is_zero(rem):
             return None
         coeffs = _combination(
             self.ring, ((self._combos[k], q.terms.items()) for k, q in enumerate(quot) if q.terms)
         )
-        return list(_dense(self.ring, coeffs, len(self.gens)))
+        return list(_dense(self.ring, coeffs, len(self.rows)))
 
 
-def syzygies(gens: Sequence, ring: PolyRing) -> list:
-    """Generators of the syzygy module of gens (rows over the gens).
-
-    The chain-criterion run of TrackedBasis records zero reductions that
-    generate all relations; zero input generators contribute unit rows.
-    Each returned row r satisfies sum(r[i]*gens[i]) = 0.
+def syzygies(gens: Sequence, ring: PolyRing, mod: Sequence = ()) -> list:
+    """Generators of the relations among gens modulo span(mod): rows r
+    over the gens with sum(r[i]*gens[i]) in span(mod), read off the
+    tracked run of TrackedBasis; zero gens contribute unit rows.
     """
     if not gens:
         return []
-    return TrackedBasis(gens, ring, len(gens[0])).kernel(len(gens))
+    return TrackedBasis(gens, ring, len(gens[0]), mod).kernel()
 
 
 def _distinct_nonzero(rows) -> list:
@@ -886,7 +968,7 @@ def module_kernel(map_rows: Sequence, target_relations: Sequence, ring: PolyRing
     for r in rows + rels:
         if len(r) != target_rank:
             raise DimensionMismatchError("row rank mismatch")
-    return _distinct_nonzero(tuple(row[: len(rows)]) for row in syzygies(rows + rels, ring))
+    return syzygies(rows, ring, rels)
 
 
 class PresIdeal:

@@ -355,8 +355,8 @@ def build_hill_family(module: FilteredModule) -> HillLattice:
     """Enumerate the dependency-closed supports and collect the distinct
     submodules they span; equal spaces merge, keeping the union of their
     supports (the union of closed sets is closed and spans the same)."""
-    if module.sigma > 12 or module.dim > 12:
-        raise ValueError("size bound exceeded: need sigma <= 12 and dim <= 12")
+    if module.sigma > 14 or module.dim > 14:
+        raise ValueError("size bound exceeded: need sigma <= 14 and dim <= 14")
     supports = [
         [b for b in range(module.sigma) if mask >> b & 1]
         for mask, closed in enumerate(_closed_masks(module.deps)) if closed

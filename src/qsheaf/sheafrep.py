@@ -305,7 +305,7 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     relations = _unit_diagonal_relations(rows, tgt)
     if relations is None:
         lifter = tgt.lifter(rows)
-        return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel(len(rows)))
+        return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel())
     return True, src.are_zero(relations)
 
 
@@ -588,7 +588,7 @@ def map_is_injective(f: SheafMap) -> bool:
     """The relations among each vertex's rows, read off the rows' tracked
     run, are relations of the source."""
     return all(
-        f.source.modules[v].are_zero(f.target.modules[v].lifter(f.rows[v]).kernel(len(f.rows[v])))
+        f.source.modules[v].are_zero(f.target.modules[v].lifter(f.rows[v]).kernel())
         for v in f.source.quiver.vertices
     )
 
@@ -684,7 +684,7 @@ def _present(ambient: SheafRep, gens: dict):
     mods = {}
     for v in quiver.vertices:
         chart = quiver.chart(v)
-        rel = _chart_nonzero_rows(chart, lifters[v].kernel(len(gens[v])))
+        rel = _chart_nonzero_rows(chart, lifters[v].kernel())
         mods[v] = FPModule(chart, len(gens[v]), rel)
     edge_maps = {}
     open_edges = []
@@ -696,7 +696,7 @@ def _present(ambient: SheafRep, gens: dict):
             if coeffs is None:
                 open_edges.append(edge)
                 break
-            rows_vw.append(tuple(coeffs[: len(gens[w])]))
+            rows_vw.append(tuple(coeffs))
         edge_maps[edge] = tuple(rows_vw)
     if open_edges:
         raise NotClosed(open_edges)

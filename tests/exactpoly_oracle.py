@@ -16,7 +16,10 @@ an int when integral, else a Fraction with denominator > 1, never a float.
 
 `from_int` and `syzygy_rows` read what only tests ask of the program's
 types: the constant polynomial of an integer, and the raw syzygy rows of a
-`qsheaf.exactpoly.TrackedBasis` as dense rows over its generators.
+`qsheaf.exactpoly.TrackedBasis` as dense rows over its tracked rows.
+`vec_mul_term` and `_exp_sub`, a vector times a term and the quotient of
+two monomials, are what the oracle's S-vectors and reductions are built
+from; the program writes its S-vectors into the division's work dict.
 """
 
 from __future__ import annotations
@@ -32,13 +35,11 @@ from qsheaf.exactpoly import (
     _dense,
     _divides,
     _exp_lcm,
-    _exp_sub,
     term_key,
     vec_add,
     vec_is_zero,
     vec_lead,
     vec_mul_poly,
-    vec_mul_term,
     vec_scale,
     vec_sub,
     vec_unit,
@@ -52,10 +53,18 @@ def from_int(ring: PolyRing, n: int):
 
 
 def syzygy_rows(tb: TrackedBasis) -> list:
-    """Rows r over the gens with sum(r[i] * gens[i]) = 0 that generate all
-    such rows, as the tracked run recorded them; zero gens contribute unit
-    rows."""
-    return [_dense(tb.ring, r, len(tb.gens)) for r in tb._syzygies]
+    """Rows r over the tracked rows with sum(r[i] * rows[i]) in the span of
+    the rows modded out that generate all such rows, as the tracked run
+    recorded them; zero rows contribute unit rows."""
+    return [_dense(tb.ring, r, len(tb.rows)) for r in tb._syzygies]
+
+
+def vec_mul_term(a, exp, coeff):
+    return tuple(x.mul_term(exp, coeff) for x in a)
+
+
+def _exp_sub(e1, e2):
+    return tuple(a - b for a, b in zip(e1, e2))
 
 
 def is_q_coefficient(c) -> bool:
@@ -115,9 +124,10 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
       syzygy_rows - rows over the original gens from zero reductions (track).
 
     S-pairs only form between elements whose leads share a position.
-    Untracked runs apply the coprimality skip in rank one and the chain
-    criterion in any rank; tracked runs process every pair so that the
-    recorded zero reductions generate the full syzygy module.
+    Untracked runs skip pairs with coprime leads whose elements are both
+    nonzero only at that position, and apply the chain criterion; tracked
+    runs process every pair so that the recorded zero reductions generate
+    the full syzygy module.
     """
     field = ring.field
     basis: list = []
@@ -157,8 +167,8 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
         pending.discard((i, j))
         li, lj = vec_lead(basis[i]), vec_lead(basis[j])
         if not track:
-            if rank == 1 and _exp_sub(lcm, li[1]) == lj[1]:
-                continue  # coprime leads; only valid for ideals
+            if _exp_sub(lcm, li[1]) == lj[1] and _single(basis[i]) and _single(basis[j]):
+                continue  # coprime leads of single-entry elements
             skip = False
             for k in range(len(basis)):
                 if k in (i, j):
@@ -200,6 +210,11 @@ def _buchberger(gens, ring: PolyRing, rank: int, track: bool):
         push_pairs(len(basis) - 1)
 
     return basis, combos, syzygies
+
+
+def _single(vec) -> bool:
+    """The vec is nonzero at one position only."""
+    return sum(1 for p in vec if not p.is_zero()) == 1
 
 
 def _reduced_basis(basis, ring: PolyRing):

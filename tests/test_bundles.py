@@ -392,23 +392,26 @@ def test_laurent_inverse_needs_monomial_determinant():
 
 
 # ---------------------------------------------------------------------------
-# Global sections oracle (independent of the factorization)
+# Global sections oracle (independent of the splitting type)
 
 
 def test_sections_of_single_twists():
     for k in range(-3, 4):
-        assert global_sections_dim(lmat([["s^%d" % k]])) == max(0, k + 1)
+        t = lmat([["s^%d" % k]])
+        assert global_sections_dim(t, birkhoff_split(t)) == max(0, k + 1)
 
 
 def test_sections_of_diagonal_sum():
-    assert global_sections_dim(lmat([["s^2", "0"], ["0", "s^-1"]])) == 3
+    t = lmat([["s^2", "0"], ["0", "s^-1"]])
+    assert global_sections_dim(t, birkhoff_split(t)) == 3
 
 
 def test_sections_of_coupled_matrix():
     # frozen by hand: sections are pairs (p*s^2, p*s + q) with p in the span
     # of 1, 1/s, 1/s^2 and q chosen to cancel the principal part, so the
     # space has dimension four
-    assert global_sections_dim(lmat([["s^2", "s"], ["0", "1"]])) == 4
+    t = lmat([["s^2", "s"], ["0", "1"]])
+    assert global_sections_dim(t, birkhoff_split(t)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,7 @@ def test_split_of_coupled_matrix():
     split = birkhoff_split(t)
     assert split.splitting_type == (1, 1)
     assert h0_of_type(split.splitting_type) == 4
-    assert h0_of_type(split.splitting_type) == global_sections_dim(t)
+    assert h0_of_type(split.splitting_type) == global_sections_dim(t, split)
 
 
 def test_split_of_identity():
@@ -493,7 +496,7 @@ def test_split_type_is_invariant_and_matches_sections():
         t = lmat_mul(lmat_mul(left, diag), right)
         split = birkhoff_split(t)
         assert split.splitting_type == tuple(degrees)
-        assert h0_of_type(split.splitting_type) == global_sections_dim(t)
+        assert h0_of_type(split.splitting_type) == global_sections_dim(t, split)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,17 @@ def test_hill_verify_broken_fixture(fixture_dir):
     assert witness["operation"] in ("sum", "intersection")
 
 
+def test_hill_verify_size_bound(tmp_path):
+    # build_hill_family takes sigma <= 14 and dim <= 14; fifteen unit blocks
+    # are a usage error, named in the report
+    units = tuple((tuple(1 if j == i else 0 for j in range(15)),) for i in range(15))
+    path = tmp_path / "sigma15.txt"
+    path.write_text(filtered_text(make_filtered_module(2, 15, units)))
+    report = run(JobSpec(command="hill-verify", inputs=(str(path),)))
+    assert report.exit_status == EXIT_USAGE
+    assert report.verdicts == (("error", "size bound exceeded: need sigma <= 14 and dim <= 14"),)
+
+
 def test_hill_verify_large_field(tmp_path):
     # p^dim = 65537^6 elements: only a class-wise check of one-element
     # extensions finishes

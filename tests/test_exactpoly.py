@@ -550,35 +550,39 @@ def test_tracked_basis_agrees_and_certifies(case):
 
 
 def test_reduction_count_on_euler_relations(monkeypatch, fixture_dir):
-    # reduce_vec calls per chart of the Euler quotient on P^2, for the
-    # reduced basis and the tracked basis of its relation rows: they move
-    # only if the pair criteria or the pair order change; the tracked run
-    # on (0, 1, 2) skips one pair by the chain criterion
+    # divisions (_divide calls: S-vector reductions and interreduction
+    # steps) per chart of the Euler quotient on P^2, for the reduced basis
+    # and the tracked basis of its relation rows modulo the ideal block:
+    # they move only if the pair criteria or the pair order change.  On
+    # (0, 1, 2) the product criterion skips the pair of ideal-block rows
+    # (u1*z1 - 1)*e_p, (u2*z2 - 1)*e_p at each position p, which both runs
+    # reduced before, leaving two S-vector reductions in each run and five
+    # interreduction steps in the untracked one
     from qsheaf import exactpoly
     from qsheaf.sheaffile import parse_sheaf_file
     from qsheaf.sheafrep import vertex_key
 
     calls = []
-    real = exactpoly.reduce_vec
+    real = exactpoly._divide
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exactpoly, "reduce_vec", counting)
+    monkeypatch.setattr(exactpoly, "_divide", counting)
     rep = parse_sheaf_file(str(fixture_dir / "euler_q_p2.txt"))
     counts = {}
     for v in sorted(rep.quiver.vertices, key=vertex_key):
         module = rep.module(v)
-        rows = module.relations + tuple(ideal_block(module.chart, module.gens))
+        block = ideal_block(module.chart, module.gens)
         calls.clear()
-        groebner_basis(rows, module.chart.ring)
+        groebner_basis(module.relations + tuple(block), module.chart.ring)
         untracked = len(calls)
         calls.clear()
-        TrackedBasis(rows, module.chart.ring, module.gens)
+        TrackedBasis(module.relations, module.chart.ring, module.gens, block)
         counts[tuple(sorted(v))] = (untracked, len(calls))
     assert counts == {
         (0,): (0, 0), (1,): (0, 0), (2,): (0, 0),
         (0, 1): (4, 1), (0, 2): (4, 1), (1, 2): (5, 1),
-        (0, 1, 2): (9, 4),
+        (0, 1, 2): (7, 2),
     }

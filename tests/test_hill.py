@@ -252,13 +252,16 @@ def test_blocks_must_strictly_grow():
         make_filtered_module(2, 2, (((1, 0),), ((1, 0),)))
 
 
+def _unit_blocks(count, dim):
+    return tuple((tuple(1 if j == i else 0 for j in range(dim)),) for i in range(count))
+
+
 def test_family_size_bound():
-    blocks = tuple(
-        (tuple(1 if j == i else 0 for j in range(13)),) for i in range(13)
-    )
-    mod = make_filtered_module(2, 13, blocks)
+    mod = make_filtered_module(2, 15, _unit_blocks(15, 15))
     with pytest.raises(ValueError, match="size bound"):
         build_hill_family(mod)
+    # dim 14 is within the bound: three unit blocks give all 2^3 supports
+    assert len(build_hill_family(make_filtered_module(2, 14, _unit_blocks(3, 14))).members) == 8
 
 
 def test_tampered_family_fails_pairwise_closure():

@@ -85,7 +85,7 @@ def test_groebner_runs_keep_the_representation(data):
 
     tracked = TrackedBasis(gens, ring, rank)
     assert all(map(is_q_coefficient, _coefficients(tracked.basis)))
-    rows = tracked.kernel(len(gens))
+    rows = tracked.kernel()
     assert all(map(is_q_coefficient, _coefficients(rows)))
     lifts = [lift for lift in (tracked.lift(inside), tracked.lift(outside)) if lift is not None]
     assert lifts

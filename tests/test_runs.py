@@ -4,7 +4,12 @@ its job.  A tracked run also serves span requests over its generators, so
 no untracked run follows a tracked one over the same generator rows.
 
 A run is one exactpoly._buchberger call, keyed on its ring, rank, whether
-it is tracked, and its generator rows.
+it is tracked, and its generator rows: the rows it tracks, then the rows it
+only mods out.
+
+S-vectors reduced: vdim-witness and lazard on the Euler quotient on P^3
+divide a pinned number of S-vectors inside their runs, since the product
+criterion skips the pairs of single-entry elements with coprime leads.
 
 Pushes per sub-representation check: verify_subrep pushes each generator
 along each edge out of its vertex once, to lift it over the far generators.
@@ -55,9 +60,9 @@ def _run_keys(monkeypatch, command, fixture, seed):
     runs = []
     real = exactpoly._buchberger
 
-    def counting(gens, ring, rank, track):
-        runs.append((ring, rank, track, tuple(tuple(g) for g in gens)))
-        return real(gens, ring, rank, track)
+    def counting(rows, mod, ring, rank, track):
+        runs.append((ring, rank, track, tuple(tuple(g) for g in list(rows) + list(mod))))
+        return real(rows, mod, ring, rank, track)
 
     monkeypatch.setattr(exactpoly, "_buchberger", counting)
     job = JobSpec(
@@ -115,6 +120,40 @@ def test_no_untracked_run_follows_a_tracked_run_of_its_generators(monkeypatch, c
         elif (ring, rank, gens) in tracked:
             repeats.append((ring, rank, gens))
     assert repeats == []
+
+
+def _reduced_pairs(monkeypatch, command, fixture):
+    """Exit status of one job and the S-vectors its Groebner runs divide:
+    the _divide calls made inside _buchberger."""
+    depth, count = [0], [0]
+    real_run, real_divide = exactpoly._buchberger, exactpoly._divide
+
+    def run_counting(*args):
+        depth[0] += 1
+        try:
+            return real_run(*args)
+        finally:
+            depth[0] -= 1
+
+    def divide_counting(*args, **kwargs):
+        count[0] += bool(depth[0])
+        return real_divide(*args, **kwargs)
+
+    monkeypatch.setattr(exactpoly, "_buchberger", run_counting)
+    monkeypatch.setattr(exactpoly, "_divide", divide_counting)
+    report = run(JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True))
+    monkeypatch.setattr(exactpoly, "_buchberger", real_run)
+    monkeypatch.setattr(exactpoly, "_divide", real_divide)
+    return report.exit_status, count[0]
+
+
+@pytest.mark.parametrize("command,pairs", [("vdim-witness", 47), ("lazard", 0)])
+def test_s_pairs_reduced_on_euler_p3(monkeypatch, command, pairs):
+    # the product criterion skips every pair of single-entry elements with
+    # coprime leads (ideal-block rows, unit rows) in tracked runs too, and
+    # records its Koszul syzygy instead of reducing it: before, these jobs
+    # reduced 233 and 164 S-vectors
+    assert _reduced_pairs(monkeypatch, command, "euler_q_p3.txt") == (0, pairs)
 
 
 PUSH_JOBS = [
