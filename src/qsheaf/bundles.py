@@ -127,8 +127,10 @@ def is_projective_fp(module: FPModule) -> ProjectivityCertificate:
     r = g
     while r > 0:
         minors = _minors(module, g - (r - 1))
-        if minors:
-            unit = ideal_contains_one(PresIdeal(chart.ring, tuple(minors) + chart.relations))
+        if minors:  # a nonzero constant minor is a unit: no run
+            unit = any(d.degree() == 0 for d in minors) or ideal_contains_one(
+                PresIdeal(chart.ring, tuple(minors) + chart.relations)
+            )
         else:  # the ideal of the chart relations alone: reuse the chart's basis
             unit = chart.is_zero_ring()
         if not unit:

@@ -9,6 +9,14 @@ monomial therefore corresponds to a Laurent monomial in x_0..x_n of total
 degree zero; that correspondence drives pivot changes and denominator
 clearing elsewhere in the package.
 
+Without a subscheme a chart is the Laurent ring k[x_j/x_p, (x_i/x_p)^-1],
+in which every element has one Laurent expansion.  Its normal form is
+that expansion written back as chart monomials (ChartRing.nf_of_laurent),
+so nf, is_zero_ring and ChartHom.apply build no Groebner run there; only
+a chart with subscheme relations reduces the Laurent form modulo
+relation_gb() (Pauer and Unterkircher, "Groebner bases for ideals in
+Laurent polynomial rings", AAECC 9, 1999, treat such rings in general).
+
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
 FPModule.lifter and FPModule.row_relations), keyed on rank and rows, not on
 the asking object, and never mutated.  It lives as long as its quiver.  A
@@ -74,6 +82,7 @@ class ChartRing:
         self.inversions = tuple(inversions)
         self.jays = tuple(self.dehomogenize(g) for g in self.ideal_gens)
         self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
+        self._subscheme = len(self.relations) > len(self.inversions)
         self._runs = {}
         # Laurent exponent of each ring variable, length n+1, total degree 0
         lv = []
@@ -119,6 +128,19 @@ class ChartRing:
 
     def nf(self, p: Poly) -> Poly:
         """Canonical representative modulo the chart relations."""
+        return self.nf_of_laurent(self.to_laurent(p))
+
+    def nf_of_laurent(self, terms: dict) -> Poly:
+        """nf of the chart polynomial of a Laurent expansion: its
+        from_laurent form, reduced modulo relation_gb() only when the chart
+        has subscheme relations.  Without them the relations are the
+        inversions u_i*z_i - 1, whose leads are pairwise coprime, so they
+        are a Groebner basis already, and a from_laurent monomial never
+        holds both z_i and u_i, so no lead divides it: the form is the
+        normal form, and nothing is built."""
+        p = self.from_laurent(terms)
+        if not self._subscheme:
+            return p
         return normal_form((p,), self.relation_gb(), self.ring)[0]
 
     def is_zero_ring(self) -> bool:
@@ -225,7 +247,7 @@ class ChartHom:
             raise RingMismatchError("polynomial not from the source chart")
         if not p.terms:
             return self.target.ring.zero()
-        return self.target.nf(self.target.from_laurent(self.source.to_laurent(p)))
+        return self.target.nf_of_laurent(self.source.to_laurent(p))
 
     def apply_vec(self, vec: Sequence[Poly]) -> tuple:
         return tuple(self.apply(p) for p in vec)

@@ -231,11 +231,12 @@ class FilteredModule:
         return self.stages[-1]
 
     def member_space(self, support) -> tuple:
-        """The member of a support: the operator-closed span of its blocks."""
+        """The member of a support: the operator-closed span of its blocks,
+        which is the span of their orbit rows, read off self.orbits."""
         key = frozenset(support)
         if key not in self._spaces:
-            vectors = [v for alpha in sorted(key) for v in self.blocks[alpha]]
-            self._spaces[key] = closed_span(self.p, vectors, self.operator)
+            rows = [r for alpha in sorted(key) for r in self.orbits[alpha]]
+            self._spaces[key] = closed_span(self.p, rows, None)
         return self._spaces[key]
 
 

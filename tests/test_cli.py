@@ -35,7 +35,7 @@ from qsheaf.sheaffile import (
     sheafrep_text,
     transition_text,
 )
-from qsheaf.sheafrep import SheafRep, build_proj_quiver, structure_sheaf, twist
+from qsheaf.sheafrep import SheafRep, build_proj_quiver, graded_sheaf, structure_sheaf, twist
 
 
 def fixture(fixture_dir, name):
@@ -249,6 +249,37 @@ def test_vdim_witness_command(fixture_dir):
     assert report.exit_status == EXIT_OK
     assert report.certificates["kernel_rank"] == 1
     assert report.certificates["middle_rank"] == 3
+
+
+def _euler_p5_reports(tmp_path, char):
+    """Machine bodies, without their inputs, of the Euler quotient
+    O^6/(x0..x5) on P^5 over the field of characteristic char."""
+    quiver = build_proj_quiver(Field(char), 5)
+    rep = graded_sheaf(quiver, (0,) * 6, (tuple(quiver.xring.var(i) for i in range(6)),))
+    path = tmp_path / ("euler_p5_%d.txt" % char)
+    path.write_text(sheafrep_text(rep))
+    bodies = {}
+    for command in ("check-qc", "is-bundle", "serre-cover", "vdim-witness"):
+        report = run(JobSpec(command=command, inputs=(str(path),), machine=True))
+        assert report.exit_status == EXIT_OK, (command, char)
+        body = json.loads(report.machine_text())
+        del body["inputs"]
+        bodies[command] = body
+    return bodies
+
+
+def test_euler_sequence_on_p5_over_q_and_fp(tmp_path):
+    # no golden report exists for P^5 (the bound was n <= 4 before), so the
+    # reports are checked against the Euler sequence
+    # 0 -> O(-1) -> O^6 -> T(-1) -> 0 and against the same verdicts over F_7
+    over_q = _euler_p5_reports(tmp_path, 0)
+    assert len(over_q["check-qc"]["certificates"]["edges"]) == 6 * (2**5 - 1)
+    assert over_q["is-bundle"]["verdicts"] == [["vector-bundle", "pass"], ["rank", "5"]]
+    assert over_q["is-bundle"]["certificates"]["charts"] == {str(i): "projective(5)" for i in range(6)}
+    assert over_q["serre-cover"]["certificates"]["source_degrees"] == [0] * 6
+    assert over_q["vdim-witness"]["certificates"] == {"findings": [], "kernel_rank": 1, "middle_rank": 6}
+    assert all(body["ok"] for body in over_q.values())
+    assert _euler_p5_reports(tmp_path, 7) == over_q
 
 
 def test_split_command_verdict(fixture_dir):
@@ -509,8 +540,8 @@ EXIT_TWO_TEXTS = [
     (
         "n-range",
         "check-qc",
-        "kind graded\nfield Q\nn 5\ndegrees 0\n",
-        "2: semantic error: ambient dimension must be between 1 and 4",
+        "kind graded\nfield Q\nn 7\ndegrees 0\n",
+        "2: semantic error: ambient dimension must be between 1 and 6",
     ),
     (
         "missing-field",

@@ -23,9 +23,10 @@ sheafrep inverts by inspection, so check-qc and is-bundle on a graded
 fixture build no ("lift", ...) run except over a chart that is the zero
 ring, where the inverse is refused; a P^1 mutant builds lift runs only for
 its bad edge.  Graded relations match along every edge as Laurent terms
-and graded squares commute term by term, so check-qc on an Euler quotient
-builds only chart ideals (runs of rank 1) and pushes nothing along a chart
-hom.
+and graded squares commute term by term, and a chart of P^n without a
+subscheme is a Laurent ring whose normal forms are Laurent forms, so
+check-qc, is-bundle and serre-cover on an Euler quotient build no run at
+all, fetch no chart relation basis and push nothing along a chart hom.
 """
 
 from __future__ import annotations
@@ -147,12 +148,14 @@ def _reduced_pairs(monkeypatch, command, fixture):
     return report.exit_status, count[0]
 
 
-@pytest.mark.parametrize("command,pairs", [("vdim-witness", 47), ("lazard", 0)])
+@pytest.mark.parametrize("command,pairs", [("vdim-witness", 32), ("lazard", 0)])
 def test_s_pairs_reduced_on_euler_p3(monkeypatch, command, pairs):
     # the product criterion skips every pair of single-entry elements with
     # coprime leads (ideal-block rows, unit rows) in tracked runs too, and
     # records its Koszul syzygy instead of reducing it: before, these jobs
-    # reduced 233 and 164 S-vectors
+    # reduced 233 and 164 S-vectors; vdim-witness then reduced 47, 15 of
+    # them in the span runs of the identity cover, which map_is_surjective
+    # now decides by the unit-diagonal lemma
     assert _reduced_pairs(monkeypatch, command, "euler_q_p3.txt") == (0, pairs)
 
 
@@ -199,7 +202,9 @@ def test_verify_subrep_pushes_each_generator_once_per_edge(monkeypatch, command,
 
 
 Q_JOBS = [
-    ("check-qc", "euler_q_p3.txt", None),
+    # check-qc on an Euler quotient builds no run; on a subscheme it builds
+    # the chart relation bases
+    ("check-qc", "subscheme_p1.txt", None),
     ("vdim-witness", "euler_q_p2.txt", None),
     ("lazard", "euler_q_p2.txt", None),
     ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
@@ -291,17 +296,35 @@ def test_p1_mutant_builds_lift_runs_only_on_its_bad_edge(monkeypatch, tmp_path, 
     assert built and all(rows[: len(bad_rows)] == bad_rows for _chart, rows in built)
 
 
-@pytest.mark.parametrize("fixture", ("euler_q_p3.txt", "euler_q_p4.txt"))
-def test_euler_check_qc_builds_only_chart_ideals(monkeypatch, fixture):
-    applied = []
-    real_apply = charts.ChartHom.apply
+EULER_JOBS = [
+    (command, fixture)
+    for fixture in ("euler_q_p3.txt", "euler_q_p4.txt")
+    for command in ("check-qc", "is-bundle", "serre-cover")
+]
+
+
+@pytest.mark.parametrize("command,fixture", EULER_JOBS, ids=[c + "-" + f[:-4] for c, f in EULER_JOBS])
+def test_euler_jobs_build_no_groebner_run(monkeypatch, command, fixture):
+    # a chart of P^n is a Laurent ring: nf is the Laurent form and the zero
+    # ring test builds nothing, an identity cover is onto by the unit-diagonal
+    # lemma, and a nonzero constant minor is a unit Fitting ideal; before,
+    # check-qc built every chart ideal (a rank-1 run) and is-bundle and
+    # serre-cover more
+    applied, relation_gbs = [], []
+    real_apply, real_relation_gb = charts.ChartHom.apply, charts.ChartRing.relation_gb
 
     def watched_apply(self, p):
         applied.append(p)
         return real_apply(self, p)
 
+    def watched_relation_gb(self):
+        relation_gbs.append(self)
+        return real_relation_gb(self)
+
     monkeypatch.setattr(charts.ChartHom, "apply", watched_apply)
-    report, runs = _run_keys(monkeypatch, "check-qc", fixture, None)
+    monkeypatch.setattr(charts.ChartRing, "relation_gb", watched_relation_gb)
+    report, runs = _run_keys(monkeypatch, command, fixture, None)
     assert report.exit_status == 0
-    assert runs and [key for key in runs if key[1] != 1 or key[2]] == []
+    assert runs == []
+    assert relation_gbs == []
     assert applied == []

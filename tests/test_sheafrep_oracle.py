@@ -32,7 +32,11 @@ copies of one vertex's matrix, the lemma's kernel rows and the relations
 among the rows from a tracked run span the same submodule, and
 `_onto_and_injective` agrees with the tracked path and with the oracle.
 The `vdim-witness` and `lazard` bodies are the same with the lemma turned
-off.
+off.  Its onto half decides `map_is_surjective` where the rows are a square
+diagonal of unit terms, in any ring: on the Serre covers of generated
+representations, zero-ring charts included, with one vertex's matrix
+spoiled now and then (kept a unit diagonal or not), it must agree with the
+oracle's span run at every vertex.
 
 Presentations of generator lists must present the same modules: equal relation spans at every vertex, and edge
 matrices that agree modulo the far relations, since a lift is only defined
@@ -59,6 +63,8 @@ from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
 from qsheaf.sheafrep import (
     SheafRep,
+    _diagonal_terms,
+    _has_unit_diagonal,
     _edge_by_terms,
     _edge_verdict,
     _square_by_terms,
@@ -70,6 +76,8 @@ from qsheaf.sheafrep import (
     _unit_diagonal_relations,
     build_proj_quiver,
     graded_sheaf,
+    make_sheaf_map,
+    map_is_surjective,
 )
 
 FIELDS = (Field(0), Field(2), Field(3), Field(7))
@@ -108,11 +116,14 @@ KEPT = ("constant", "unit")
 REFUSED = ("zero-row", "two-term", "non-unit", "off-diagonal")
 
 
+def _constants(field) -> list:
+    return [c for c in (-1, 2, 3) if field.of_int(c) not in (0, 1)]
+
+
 def _spoil_edge(draw, rep, spoil):
     quiver = rep.quiver
     edges = quiver.edges
-    constants = [c for c in (-1, 2, 3) if quiver.field.of_int(c) not in (0, 1)]
-    if spoil == "constant" and not constants:
+    if spoil == "constant" and not _constants(quiver.field):
         spoil = "unit"
     if spoil == "non-unit":
         edges = [e for e in edges if len(e[1]) <= quiver.n]
@@ -120,26 +131,32 @@ def _spoil_edge(draw, rep, spoil):
         spoil = "two-term"
         edges = quiver.edges
     edge = draw(st.sampled_from(edges))
-    chart = quiver.chart(edge[1])
+    return rep.replaced_edge(edge, _spoil_rows(draw, quiver, edge[1], rep.edge_maps[edge], spoil))
+
+
+def _spoil_rows(draw, quiver, w, rows, spoil):
+    """One KEPT or REFUSED spoil of a square diagonal matrix of unit
+    monomials over the chart at w."""
+    chart = quiver.chart(w)
     ring = chart.ring
-    rows = [list(r) for r in rep.edge_maps[edge]]
+    rows = [list(r) for r in rows]
     j = draw(st.integers(0, len(rows) - 1))
     if spoil == "zero-row":
         rows[j] = [ring.zero()] * len(rows[j])
     elif spoil == "two-term":
         rows = [[x * (ring.var(0) + ring.one()) for x in r] for r in rows]
     elif spoil == "non-unit":
-        k = draw(st.sampled_from(sorted(set(range(quiver.n + 1)) - edge[1])))
+        k = draw(st.sampled_from(sorted(set(range(quiver.n + 1)) - w)))
         rows[j] = [x * chart.z(k) for x in rows[j]]
     elif spoil == "off-diagonal":
         rows[j][(j + 1) % len(rows)] = ring.one()
     elif spoil == "constant":
-        c = quiver.field.of_int(draw(st.sampled_from(constants)))
+        c = quiver.field.of_int(draw(st.sampled_from(_constants(quiver.field))))
         rows[j] = [x.scale(c) for x in rows[j]]
     else:
         unit = ring.var(draw(st.sampled_from(chart.unit_variable_columns())))
         rows[j] = [x * unit for x in rows[j]]
-    return rep.replaced_edge(edge, rows)
+    return rows
 
 
 def _spoil_module(draw, rep):
@@ -460,14 +477,58 @@ def test_onto_and_injective_match_the_tracked_path(monkeypatch, name, src, rows,
     assert _onto_and_injective(src, rows, tgt) == verdict
 
 
-@pytest.mark.parametrize("command", ("vdim-witness", "lazard"))
-@pytest.mark.parametrize("fixture", ("euler_q_p2.txt", "euler_q_p3.txt"))
+@pytest.mark.parametrize("command", ("vdim-witness", "lazard", "serre-cover"))
+@pytest.mark.parametrize("fixture", ("euler_q_p2.txt", "euler_q_p3.txt", "subscheme_p1.txt"))
 def test_bodies_are_the_same_without_the_lemma(monkeypatch, command, fixture):
     job = JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True)
     report = run(job)
     assert report.exit_status == 0
     monkeypatch.setattr(sheafrep, "_unit_diagonal_inverse", lambda rows, tgt: None)
+    monkeypatch.setattr(sheafrep, "_has_unit_diagonal", lambda chart, diagonal, gens: False)
     assert run(job).machine_text() == report.machine_text()
+
+
+@st.composite
+def covers(draw):
+    """The Serre cover of a generated representation and the spoil made to
+    one vertex's matrix: none, one that keeps it a diagonal of unit terms
+    (KEPT), or one that breaks it (REFUSED); or the map from the zero
+    sheaf, whose empty matrices span only zero-ring charts."""
+    cover = serre_cover(draw(graded_reps()))
+    spoil = draw(st.sampled_from(("none", "none", "zero-source") + KEPT + REFUSED))
+    if spoil == "none":
+        return cover, spoil
+    if spoil == "zero-source":
+        zero = graded_sheaf(cover.target.quiver, ())
+        return make_sheaf_map(zero, cover.target, {v: () for v in zero.quiver.vertices}), spoil
+    quiver = cover.source.quiver
+    v = draw(st.sampled_from(quiver.vertices))
+    if spoil == "unit" and not quiver.chart(v).unit_variable_columns():
+        spoil = "constant"
+    if (
+        (spoil == "constant" and not _constants(quiver.field))
+        or (spoil == "non-unit" and len(v) == quiver.n + 1)
+        or (spoil == "off-diagonal" and len(cover.rows[v]) < 2)
+    ):
+        spoil = "two-term"
+    rows = _spoil_rows(draw, quiver, v, cover.rows[v], spoil)
+    return make_sheaf_map(cover.source, cover.target, {**cover.rows, v: rows}), spoil
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers())
+def test_surjectivity_matches_the_span_oracle(case):
+    f, spoil = case
+    onto = []
+    for v in f.source.quiver.vertices:
+        rows, tgt = f.rows[v], f.target.modules[v]
+        fast = _has_unit_diagonal(tgt.chart, _diagonal_terms(tgt.chart, rows), tgt.gens)
+        # the identity and the KEPT spoils are diagonals of unit terms
+        identity = tuple(map(tuple, sheafrep.mat_identity(tgt.chart.ring, tgt.gens)))
+        assert fast == (spoil in ("none",) + KEPT or rows == identity)
+        onto.append(oracle.onto(rows, tgt))
+        assert not fast or onto[-1]
+    assert map_is_surjective(f) == all(onto)
 
 
 @settings(max_examples=30, deadline=None)
