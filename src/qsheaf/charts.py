@@ -17,6 +17,14 @@ a chart with subscheme relations reduces the Laurent form modulo
 relation_gb() (Pauer and Unterkircher, "Groebner bases for ideals in
 Laurent polynomial rings", AAECC 9, 1999, treat such rings in general).
 
+A chart's ring data (ChartData: its PolyRing, variable indexes, Laurent
+table, inversions and dehomogenized ideal) holds no run and is never
+mutated, so a process shares it between jobs: sheafrep keeps it in its
+bounded table of quiver skeletons (sheafrep.SKELETONS, 16 keys of (field,
+n, ideal), the least recently used going first).  What stays per job is the ChartRing,
+which make_chart_ring builds on that data for each chart a quiver uses, and
+its runs.
+
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
 FPModule.lifter and FPModule.row_relations), keyed on rank and rows, not on
 the asking object, and never mutated.  It lives as long as its quiver.  A
@@ -56,8 +64,11 @@ def is_homogeneous(p: Poly) -> bool:
     return len(degs) <= 1
 
 
-class ChartRing:
-    """Coordinate ring of one chart, presented with explicit inverses."""
+class ChartData:
+    """Ring data of one chart, presented with explicit inverses: its
+    PolyRing, variable indexes, Laurent table, inversions and the
+    dehomogenized ideal.  It holds no run and is never mutated, so one
+    ChartData serves every ChartRing of its chart in a process."""
 
     def __init__(self, field: Field, n: int, vertex: frozenset, ideal_gens: Sequence[Poly]):
         if not vertex or not vertex <= set(range(n + 1)):
@@ -83,7 +94,6 @@ class ChartRing:
         self.jays = tuple(self.dehomogenize(g) for g in self.ideal_gens)
         self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
         self._subscheme = len(self.relations) > len(self.inversions)
-        self._runs = {}
         # Laurent exponent of each ring variable, length n+1, total degree 0
         lv = []
         for j in zs:
@@ -115,45 +125,10 @@ class ChartRing:
             raise ValueError(f"no variable u{i} in chart {sorted(self.vertex)}")
         return self.ring.var(self._u_index[i])
 
-    # -- presentation ------------------------------------------------------
-
-    def memo(self, key, build):
-        """The run stored under key, made by build() on the first call."""
-        if key not in self._runs:
-            self._runs[key] = build()
-        return self._runs[key]
-
-    def relation_gb(self) -> list:
-        return span_gb(self, (), 1)
-
-    def nf(self, p: Poly) -> Poly:
-        """Canonical representative modulo the chart relations."""
-        return self.nf_of_laurent(self.to_laurent(p))
-
-    def nf_of_laurent(self, terms: dict) -> Poly:
-        """nf of the chart polynomial of a Laurent expansion: its
-        from_laurent form, reduced modulo relation_gb() only when the chart
-        has subscheme relations.  Without them the relations are the
-        inversions u_i*z_i - 1, whose leads are pairwise coprime, so they
-        are a Groebner basis already, and a from_laurent monomial never
-        holds both z_i and u_i, so no lead divides it: the form is the
-        normal form, and nothing is built."""
-        p = self.from_laurent(terms)
-        if not self._subscheme:
-            return p
-        return normal_form((p,), self.relation_gb(), self.ring)[0]
-
-    def is_zero_ring(self) -> bool:
-        return self.nf(self.ring.one()).is_zero()
-
     def dehomogenize(self, g: Poly) -> Poly:
         """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial:
-        x^e of degree d is the chart monomial of Laurent exponent
-        e - d*e_pivot."""
-        p = self.pivot
-        return self.from_laurent(_collect(self.field, (
-            (e[:p] + (e[p] - sum(e),) + e[p + 1:], c) for e, c in g.terms.items()
-        )))
+        the chart polynomial of dehomogenized_laurent."""
+        return self.from_laurent(dehomogenized_laurent(self.field, g, self.pivot))
 
     # -- Laurent bridge ------------------------------------------------------
 
@@ -202,6 +177,47 @@ class ChartRing:
         chart exponents, so the terms are written into one dict."""
         return Poly(self.ring, {self._exp_of_laurent(vec): c for vec, c in terms.items()})
 
+
+class ChartRing(ChartData):
+    """Coordinate ring of one chart: the shared ChartData of its chart, taken
+    as it is, and the memo of the Groebner runs over its ring, which is the
+    chart's own.  A quiver makes one per chart and job."""
+
+    def __init__(self, data: ChartData):
+        vars(self).update(vars(data))
+        self._runs = {}
+
+    # -- presentation ------------------------------------------------------
+
+    def memo(self, key, build):
+        """The run stored under key, made by build() on the first call."""
+        if key not in self._runs:
+            self._runs[key] = build()
+        return self._runs[key]
+
+    def relation_gb(self) -> list:
+        return span_gb(self, (), 1)
+
+    def nf(self, p: Poly) -> Poly:
+        """Canonical representative modulo the chart relations."""
+        return self.nf_of_laurent(self.to_laurent(p))
+
+    def nf_of_laurent(self, terms: dict) -> Poly:
+        """nf of the chart polynomial of a Laurent expansion: its
+        from_laurent form, reduced modulo relation_gb() only when the chart
+        has subscheme relations.  Without them the relations are the
+        inversions u_i*z_i - 1, whose leads are pairwise coprime, so they
+        are a Groebner basis already, and a from_laurent monomial never
+        holds both z_i and u_i, so no lead divides it: the form is the
+        normal form, and nothing is built."""
+        p = self.from_laurent(terms)
+        if not self._subscheme:
+            return p
+        return normal_form((p,), self.relation_gb(), self.ring)[0]
+
+    def is_zero_ring(self) -> bool:
+        return self.nf(self.ring.one()).is_zero()
+
     def __repr__(self):
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"
 
@@ -219,9 +235,22 @@ def _collect(f: Field, pairs) -> dict:
     return out
 
 
-def make_chart_ring(field: Field, n: int, vertex: Iterable[int], ideal_gens: Sequence[Poly] = ()) -> ChartRing:
-    """Chart ring for a vertex of the subset quiver on P^n (or a subscheme)."""
-    return ChartRing(field, n, frozenset(vertex), ideal_gens)
+def dehomogenized_laurent(f: Field, g: Poly, pivot: int) -> dict:
+    """Laurent expansion of g on every chart with this pivot: x^e of degree
+    d is the Laurent monomial of exponent e - d*e_pivot."""
+    p = pivot
+    return _collect(f, ((e[:p] + (e[p] - sum(e),) + e[p + 1:], c) for e, c in g.terms.items()))
+
+
+def make_chart_ring(
+    field: Field, n: int, vertex: Iterable[int], ideal_gens: Sequence[Poly] = (), data: ChartData = None
+) -> ChartRing:
+    """Chart ring for a vertex of the subset quiver on P^n (or a subscheme),
+    on data, the ChartData of that chart when the caller keeps one (a
+    quiver's skeleton), else on data built here."""
+    if data is None:
+        data = ChartData(field, n, frozenset(vertex), ideal_gens)
+    return ChartRing(data)
 
 
 class ChartHom:

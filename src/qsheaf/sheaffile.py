@@ -28,7 +28,7 @@ non-commuting squares, mismatched stages).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -41,6 +41,7 @@ from .sheafrep import (
     ProjQuiver,
     SheafRep,
     _squares_agree,
+    _Terms,
     build_proj_quiver,
     check_graded_row,
     fmt_vertex,
@@ -326,10 +327,11 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
         rep = make_sheaf_rep(quiver, modules, edge_rows)
     except ValueError as err:
         raise ParseError(path, last, str(err), SEMANTIC)
-    violations = _squares_agree(rep)
+    terms = _Terms(rep)
+    violations = _squares_agree(rep, terms)
     if violations:
         raise ParseError(path, last, violations[0], SEMANTIC)
-    return rep
+    return replace(rep, terms=terms)
 
 
 def parse_sheaf_file(path: str) -> SheafRep:

@@ -12,6 +12,14 @@ and by Groebner spans otherwise.  Sub-representations given by
 per-vertex generator lists, and their presentations (kernels among them),
 live here as well.
 
+Every quiver on one (field, n, ideal generators) has the same skeleton: the
+x ring, vertices, edges, each chart's ChartData, and per degree tuple the
+graded edge matrices.  A bounded process-level table (_skeleton, SKELETONS
+keys, GRADED_EDGES degree tuples per key, least recently used first out)
+keeps them, so a job on a key seen before builds none of it.  The table
+holds no run: a ProjQuiver, its ChartRings and ChartHoms, and every
+Groebner run are made per job.
+
 Matrix convention throughout: row i of a map is the image of source
 generator i, so vectors act on the left and composition is the usual
 matrix product taken left to right.
@@ -19,15 +27,19 @@ matrix product taken left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import add as _add, mul, sub as _sub
 from typing import Optional
 
 from .charts import (
+    ChartData,
     ChartHom,
     ChartRing,
     FPModule,
     chart_hom,
+    dehomogenized_laurent,
     is_homogeneous,
     localize_module,
     make_chart_ring,
@@ -94,39 +106,132 @@ def push(rep, edge, x):
     return mat_apply(image, rep.edge_maps[(v, w)], rep.quiver.chart(w).ring, rep.modules[w].gens)
 
 
+# Bounds of the process-level table of quiver skeletons: it keeps the
+# skeletons of the SKELETONS (field, n, ideal) keys used last, and each of
+# them the graded edges of the GRADED_EDGES degree tuples used last.  A P^4
+# key with one degree tuple holds about 0.2 MB, about half of it the
+# ChartData of its 31 charts.
+SKELETONS = 16
+GRADED_EDGES = 8
+
+
+class _Skeleton:
+    """The part of the quiver of one (field, n, ideal generators) that every
+    job on that key shares: the x ring, vertices and edges, each chart's
+    ChartData (made on first use), and for each degree tuple the graded edge
+    matrices with their diagonals as Laurent terms (made by graded_edges).
+    None of it holds a run, and nothing in it changes once made."""
+
+    def __init__(self, fld: Field, n: int, ideal_gens: tuple):
+        self.field = fld
+        self.n = n
+        self.ideal_gens = ideal_gens
+        self.xring = x_ring(fld, n)
+        points = range(n + 1)
+        verts = []
+        for mask in range(1, 1 << (n + 1)):
+            verts.append(frozenset(i for i in points if mask >> i & 1))
+        self.vertices = tuple(sorted(verts, key=vertex_key))
+        # the far end of an edge is the vertex object itself, not a copy
+        same = {v: v for v in self.vertices}
+        edges = []
+        for v in self.vertices:
+            for k in sorted(set(points) - v):
+                edges.append((v, same[v | {k}]))
+        self.edges = tuple(sorted(edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))))
+        self._charts = {}
+        self._graded = OrderedDict()
+        self._ratios = {}
+
+    def chart(self, v: Vertex) -> ChartData:
+        data = self._charts.get(v)
+        if data is None:
+            data = self._charts[v] = ChartData(self.field, self.n, v, self.ideal_gens)
+        return data
+
+    def graded_edges(self, degrees: tuple) -> tuple:
+        """(edge matrices, diagonals) of the graded sheaf with these
+        generator twists, each a dict by edge: generator j of degree d is
+        e_j / x_p^d on a chart with pivot p, which is (x_q / x_p)^d times
+        e_j / x_q^d across an edge from pivot p to pivot q.  A diagonal is
+        the (Laurent exponent, coefficient) of each diagonal entry, as
+        _diagonal_terms reads it off the matrix.  The matrix depends on the
+        far chart and p alone, so edges that share both share it."""
+        found = self._graded.get(degrees)
+        if found is not None:
+            self._graded.move_to_end(degrees)
+            return found
+        if len(self._graded) == GRADED_EDGES:
+            # the ratios go too, so that they stay bounded with the tuples
+            self._graded.popitem(last=False)
+            self._ratios.clear()
+        maps, diagonals, shared = {}, {}, {}
+        for v, w in self.edges:
+            key = (w, min(v))
+            if key not in shared:
+                zero = self.chart(w).ring.zero()
+                rows, diagonal = [], []
+                for j, d in enumerate(degrees):
+                    term, monomial = self._ratio(w, key[1], d)
+                    row = [zero] * len(degrees)
+                    row[j] = monomial
+                    rows.append(tuple(row))
+                    diagonal.append(term)
+                shared[key] = (tuple(rows), tuple(diagonal))
+            maps[(v, w)], diagonals[(v, w)] = shared[key]
+        found = self._graded[degrees] = (maps, diagonals)
+        return found
+
+    def _ratio(self, w: Vertex, p: int, d: int) -> tuple:
+        """(Laurent exponent, coefficient) of (x_q / x_p)^d, q the pivot of
+        w, and its monomial in the chart w: one of each per chart and ratio."""
+        key = (w, p, d)
+        found = self._ratios.get(key)
+        if found is None:
+            ratio = [0] * (self.n + 1)
+            ratio[min(w)] += d
+            ratio[p] -= d
+            ratio = tuple(ratio)
+            monomial = self.chart(w).monomial_from_laurent(ratio)
+            found = self._ratios[key] = ((ratio, self.field.one), monomial)
+        return found
+
+
+@lru_cache(maxsize=SKELETONS)
+def _skeleton(fld: Field, n: int, ideal_gens: tuple) -> _Skeleton:
+    return _Skeleton(fld, n, ideal_gens)
+
+
 class ProjQuiver:
-    """Chart poset of P^n (or a closed subscheme) with cached ring data."""
+    """Chart poset of P^n (or a closed subscheme): the skeleton its (field,
+    n, ideal) shares in the process, and the ChartRings and ChartHoms of
+    one job, made on first use."""
 
     def __init__(self, fld: Field, n: int, ideal_gens=()):
         if n < 1 or n > 6:
             raise ValueError("ambient dimension must be between 1 and 6")
         self.field = fld
         self.n = n
-        self.xring = x_ring(fld, n)
+        xring = x_ring(fld, n)
         gens = tuple(g for g in ideal_gens if not g.is_zero())
         for g in gens:
-            if g.ring != self.xring:
+            if g.ring != xring:
                 raise ValueError("subscheme generators must live in the x ring")
             if not is_homogeneous(g):
                 raise ValueError("subscheme generators must be homogeneous")
         self.ideal_gens = gens
-        points = range(n + 1)
-        verts = []
-        for mask in range(1, 1 << (n + 1)):
-            verts.append(frozenset(i for i in points if mask >> i & 1))
-        self.vertices = tuple(sorted(verts, key=vertex_key))
-        edges = []
-        for v in self.vertices:
-            for k in sorted(set(points) - v):
-                edges.append((v, v | {k}))
-        self.edges = tuple(sorted(edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))))
+        self.skeleton = _skeleton(fld, n, gens)
+        self.xring = self.skeleton.xring
+        self.vertices = self.skeleton.vertices
+        self.edges = self.skeleton.edges
         self._charts = {}
         self._homs = {}
 
     def chart(self, v: Vertex) -> ChartRing:
         v = frozenset(v)
         if v not in self._charts:
-            self._charts[v] = make_chart_ring(self.field, self.n, v, self.ideal_gens)
+            data = self.skeleton.chart(v)
+            self._charts[v] = make_chart_ring(self.field, self.n, v, self.ideal_gens, data)
         return self._charts[v]
 
     def hom(self, v: Vertex, w: Vertex) -> ChartHom:
@@ -150,10 +255,15 @@ class GradedData:
 
 @dataclass(frozen=True)
 class SheafRep:
+    """A representation; terms, when set, is the _Terms that reads it, made
+    by whoever built the representation with its Laurent terms in hand
+    (graded_sheaf, the sheafrep parser), and is_quasi_coherent reads it."""
+
     quiver: ProjQuiver
     modules: dict
     edge_maps: dict
     graded: Optional[GradedData] = None
+    terms: Optional["_Terms"] = field(default=None, compare=False, repr=False)
 
     def module(self, v) -> FPModule:
         return self.modules[frozenset(v)]
@@ -162,6 +272,8 @@ class SheafRep:
         return self.edge_maps[(frozenset(v), frozenset(w))]
 
     def replaced_edge(self, edge, rows) -> "SheafRep":
+        """The representation with one edge matrix replaced; it keeps no
+        graded presentation and no terms, which describe the old matrix."""
         key = (frozenset(edge[0]), frozenset(edge[1]))
         if key not in self.edge_maps:
             raise KeyError(fmt_edge(key))
@@ -221,34 +333,29 @@ def check_graded_row(row, degrees) -> None:
 def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     """Sheafify coker(relations) of a free graded module with the given
     generator twists: generator j of degree d_j corresponds on a chart with
-    pivot p to the section e_j / x_p^{d_j}."""
+    pivot p to the section e_j / x_p^{d_j}.  The edge matrices come from the
+    quiver's skeleton; the relation rows are dehomogenized here, as Laurent
+    terms once per pivot, which every chart with that pivot shares, and
+    written as chart polynomials per chart.  The representation carries
+    both kinds of terms."""
     degrees = tuple(int(d) for d in degrees)
     frozen_rows = tuple(tuple(row) for row in rows)
     for row in frozen_rows:
         check_graded_row(row, degrees)
-    modules = {}
+    by_pivot, row_terms, modules = {}, {}, {}
     for v in quiver.vertices:
+        p = min(v)
+        if p not in by_pivot:
+            by_pivot[p] = tuple(
+                tuple(dehomogenized_laurent(quiver.field, g, p) for g in row) for row in frozen_rows
+            )
         chart = quiver.chart(v)
-        rel = tuple(tuple(chart.dehomogenize(g) for g in row) for row in frozen_rows)
+        row_terms[v] = by_pivot[p]
+        rel = tuple(tuple(map(chart.from_laurent, row)) for row in by_pivot[p])
         modules[v] = FPModule(chart, len(degrees), rel)
-    edge_maps = {}
-    for (v, w) in quiver.edges:
-        chart = quiver.chart(w)
-        p, q = min(v), min(w)
-        ratios = {}
-        rows_vw = []
-        for j, d in enumerate(degrees):
-            # e_j / x_p^d = (x_q / x_p)^d * e_j / x_q^d
-            if d not in ratios:
-                ratio = [0] * (quiver.n + 1)
-                ratio[q] += d
-                ratio[p] -= d
-                ratios[d] = chart.monomial_from_laurent(ratio)
-            row = [chart.ring.zero()] * len(degrees)
-            row[j] = ratios[d]
-            rows_vw.append(tuple(row))
-        edge_maps[(v, w)] = tuple(rows_vw)
-    return SheafRep(quiver, modules, edge_maps, GradedData(degrees, frozen_rows))
+    maps, diagonals = quiver.skeleton.graded_edges(degrees)
+    rep = SheafRep(quiver, modules, dict(maps), GradedData(degrees, frozen_rows))
+    return replace(rep, terms=_Terms(rep, row_terms, diagonals))
 
 
 def structure_sheaf(quiver: ProjQuiver) -> SheafRep:
@@ -333,19 +440,22 @@ def _unit_diagonal_relations(rows, tgt: FPModule):
 
 
 class _Terms:
-    """Laurent terms of one representation, each read once per
-    is_quasi_coherent call: the relation rows of every vertex module (one
-    {exponent: coefficient} dict per entry, in its own chart) and the
-    diagonal of every edge matrix whose diagonal entries are single terms
-    and whose other entries are zero ((exponent, coefficient) per entry,
-    None for any other matrix).  Exponents are the degree-0 Laurent
-    exponents in x_0..x_n that every chart shares."""
+    """Laurent terms of one representation, each read once: the relation
+    rows of every vertex module (one {exponent: coefficient} dict per
+    entry, in its own chart) and the diagonal of every edge matrix whose
+    diagonal entries are single terms and whose other entries are zero
+    ((exponent, coefficient) per entry, None for any other matrix).
+    Exponents are the degree-0 Laurent exponents in x_0..x_n that every
+    chart shares.  rows and diagonals, when given, hold such terms already
+    known, which are then not read off the polynomials.  squares keeps the
+    findings of _squares_agree once decided."""
 
-    def __init__(self, rep: SheafRep):
+    def __init__(self, rep: SheafRep, rows=None, diagonals=None):
         self.rep = rep
         self.field = rep.quiver.field
-        self._rows = {}
-        self._diagonals = {}
+        self._rows = dict(rows or {})
+        self._diagonals = dict(diagonals or {})
+        self.squares = None
 
     def rows(self, v: Vertex) -> tuple:
         if v not in self._rows:
@@ -360,6 +470,10 @@ class _Terms:
         return self._diagonals[e]
 
 
+def _terms_of(rep: SheafRep) -> _Terms:
+    return rep.terms or _Terms(rep)
+
+
 def _diagonal_terms(chart: ChartRing, rows):
     """(Laurent exponent, coefficient) of each diagonal entry when the
     matrix is square, each diagonal entry one term and every other entry
@@ -372,7 +486,7 @@ def _diagonal_terms(chart: ChartRing, rows):
             return None
         ((exp, c),) = row[j].terms.items()
         out.append((chart.laurent_of_exp(exp), c))
-    return out
+    return tuple(out)
 
 
 def _has_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
@@ -473,7 +587,7 @@ def _edge_verdict(rep: SheafRep, e: Edge, terms: Optional[_Terms] = None) -> Edg
     _onto_and_injective, which are also the oracle of the lemma."""
     v, w = e
     rows, tgt = rep.edge_maps[e], rep.modules[w]
-    if _edge_by_terms(terms or _Terms(rep), e):
+    if _edge_by_terms(terms or _terms_of(rep), e):
         return EdgeVerdict(e, True, True, True)
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
@@ -504,8 +618,12 @@ def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
     same Laurent exponent and coefficient are the same element of the
     chart ring (see _edge_verdict).  When the terms differ, the composites
     are pushed and compared modulo the far relations, since on a
-    subscheme chart they may still agree."""
-    terms = terms or _Terms(rep)
+    subscheme chart they may still agree.  The findings are kept in terms,
+    so a representation whose terms carry them (a parsed sheafrep file) is
+    not checked again."""
+    terms = terms or _terms_of(rep)
+    if terms.squares is not None:
+        return terms.squares
     findings = []
     points = set(range(rep.quiver.n + 1))
     for v in rep.quiver.vertices:
@@ -530,13 +648,14 @@ def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
                         + str(l)
                         + "}: path composites disagree"
                     )
-    return tuple(findings)
+    terms.squares = tuple(findings)
+    return terms.squares
 
 
 def is_quasi_coherent(rep: SheafRep) -> QCReport:
     verdicts = []
     findings = []
-    terms = _Terms(rep)
+    terms = _terms_of(rep)
     for e in rep.quiver.edges:
         ev = _edge_verdict(rep, e, terms)
         verdicts.append(ev)

@@ -1,6 +1,6 @@
 """Groebner runs per job: each chart keeps one memo of the runs over its
 ring, so a job makes no run twice, tracked or not, and no memo outlives
-its job.  A tracked run also serves span requests over its generators, so
+its job; the skeletons a process shares between jobs hold none.  A tracked run also serves span requests over its generators, so
 no untracked run follows a tracked one over the same generator rows.
 
 A run is one exactpoly._buchberger call, keyed on its ring, rank, whether
@@ -94,7 +94,12 @@ def test_no_untracked_run_repeats_within_a_job(monkeypatch, command, fixture, se
 
 @pytest.mark.parametrize("command,fixture,seed", JOBS, ids=[c for c, _, _ in JOBS])
 def test_a_second_run_of_a_job_repeats_the_first(monkeypatch, command, fixture, seed):
+    # the first run starts from an empty table of quiver skeletons and the
+    # second finds its key there: the skeleton holds no run, so both make
+    # the same runs
+    sheafrep._skeleton.cache_clear()
     first, first_runs = _counted_run(monkeypatch, command, fixture, seed)
+    assert sheafrep._skeleton.cache_info().currsize > 0
     second, second_runs = _counted_run(monkeypatch, command, fixture, seed)
     assert second.machine_text() == first.machine_text()
     assert second_runs == first_runs

@@ -1,0 +1,197 @@
+"""The process-level table of quiver skeletons, and the Laurent terms a
+representation carries.
+
+Every ProjQuiver of one (field, n, ideal) key shares a skeleton
+(sheafrep._skeleton): vertices, edges, each chart's ChartData and, per
+degree tuple, the graded edge matrices with their diagonals as Laurent
+terms.  The table keeps the SKELETONS keys used last, and a skeleton the
+GRADED_EDGES degree tuples used last; an evicted entry is rebuilt equal.
+A job gets the same report from a cold table as from a warm one, and a
+mutant made from a graded sheaf leaves the shared matrices alone.
+
+graded_sheaf records the diagonal terms of its edges, from the degrees, and
+the Laurent terms of its relation rows, once per pivot; both must be what
+_diagonal_terms and ChartRing.to_laurent read off the polynomials, which
+stay as the oracle.  A sheafrep file has its squares checked once: the
+parser's findings travel with the representation to is_quasi_coherent.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+from hypothesis import given, settings, strategies as st
+
+from qsheaf import sheafrep
+from qsheaf.cli import JobSpec, run
+from qsheaf.exactpoly import Field
+from qsheaf.sheaffile import parse_sheaf_file, sheafrep_text
+from qsheaf.sheafrep import (
+    GRADED_EDGES,
+    SKELETONS,
+    SheafRep,
+    _diagonal_terms,
+    _skeleton,
+    build_proj_quiver,
+    graded_sheaf,
+    is_quasi_coherent,
+)
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+Q = Field(0)
+
+
+def _chart_data(data) -> tuple:
+    return (
+        data.ring, data.vertex, data.pivot, data.ideal_gens, data.inversions, data.jays,
+        data.relations, data._z_index, data._u_index, data._var_laurent,
+    )
+
+
+def _snapshot(skeleton, degrees) -> tuple:
+    """Everything a skeleton holds for these degrees, compared by value."""
+    charts = {v: _chart_data(skeleton.chart(v)) for v in skeleton.vertices}
+    return skeleton.vertices, skeleton.edges, skeleton.xring, charts, skeleton.graded_edges(degrees)
+
+
+def test_the_table_keeps_its_bound_and_an_evicted_key_rebuilds_equal_data():
+    _skeleton.cache_clear()
+    degrees = (1, 0, -2)
+    first = build_proj_quiver(Field(5), 2)
+    before = _snapshot(first.skeleton, degrees)
+    xr = first.xring
+    for c in range(1, SKELETONS + 1):
+        build_proj_quiver(Field(5), 2, (xr.var(0) - xr.var(1).scale(c % 5) - xr.var(2).scale(c // 5),))
+        assert _skeleton.cache_info().currsize <= SKELETONS
+    again = build_proj_quiver(Field(5), 2)
+    assert again.skeleton is not first.skeleton
+    assert _snapshot(again.skeleton, degrees) == before
+    assert _skeleton.cache_info().currsize == SKELETONS
+
+
+def test_a_skeleton_keeps_its_bound_of_degree_tuples():
+    skeleton = build_proj_quiver(Q, 2).skeleton
+    first = skeleton.graded_edges((-9, 9))
+    before = _snapshot(skeleton, (-9, 9))
+    for d in range(GRADED_EDGES):
+        skeleton.graded_edges((d, -d, 1))
+        assert len(skeleton._graded) <= GRADED_EDGES
+    assert (-9, 9) not in skeleton._graded
+    assert skeleton.graded_edges((-9, 9)) is not first
+    assert _snapshot(skeleton, (-9, 9)) == before
+
+
+def test_edges_that_share_a_far_chart_and_pivot_share_their_matrix():
+    quiver = build_proj_quiver(Q, 3)
+    maps, diagonals = quiver.skeleton.graded_edges((2, -1))
+    for e in quiver.edges:
+        for f in quiver.edges:
+            if e[1] == f[1] and min(e[0]) == min(f[0]):
+                assert maps[e] is maps[f] and diagonals[e] is diagonals[f]
+    assert len({id(m) for m in maps.values()}) < len(maps)
+
+
+def test_a_job_on_a_cold_table_reports_what_it_reports_on_a_warm_one():
+    job = JobSpec("is-bundle", inputs=(str(FIXTURES / "euler_q_p3.txt"),), machine=True)
+    _skeleton.cache_clear()
+    cold = run(job).machine_text()
+    assert run(job).machine_text() == cold
+
+
+def test_a_p1_mutant_leaves_the_shared_matrices_alone(tmp_path):
+    quiver = build_proj_quiver(Q, 1)
+    degrees = (1, 0, -2)
+    rep = graded_sheaf(quiver, degrees)
+    maps, diagonals = quiver.skeleton.graded_edges(degrees)
+    held = {e: (maps[e], tuple(map(tuple, maps[e])), diagonals[e]) for e in quiver.edges}
+    edge = quiver.edges[-1]
+    chart = quiver.chart(edge[1])
+    bad = [list(r) for r in rep.edge_maps[edge]]
+    bad[0][0] = bad[0][0] * (chart.z(1) + chart.ring.constant(2))
+    mutant = rep.replaced_edge(edge, bad)
+    assert mutant.terms is None and mutant.graded is None
+    assert not is_quasi_coherent(mutant).ok
+    path = tmp_path / "mutant.txt"
+    path.write_text(sheafrep_text(mutant), encoding="utf-8")
+    assert run(JobSpec("check-qc", inputs=(str(path),), machine=True)).exit_status == 1
+    later = graded_sheaf(build_proj_quiver(Q, 1), degrees)
+    assert later.edge_maps == rep.edge_maps
+    assert later.edge_maps[edge] is held[edge][0]
+    for e, (matrix, rows, diagonal) in held.items():
+        assert maps[e] is matrix and tuple(map(tuple, matrix)) == rows and diagonals[e] is diagonal
+    assert is_quasi_coherent(later).ok
+
+
+def test_a_sheafrep_file_has_its_squares_checked_once(monkeypatch, tmp_path):
+    euler = parse_sheaf_file(str(FIXTURES / "euler_q_p3.txt"))
+    path = tmp_path / "euler_p3_sheafrep.txt"
+    path.write_text(sheafrep_text(SheafRep(euler.quiver, euler.modules, euler.edge_maps)), encoding="utf-8")
+    calls = []
+    real = sheafrep._square_by_terms
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(sheafrep, "_square_by_terms", counting)
+    report = run(JobSpec("check-qc", inputs=(str(path),), machine=True))
+    assert report.exit_status == 0
+    # P^3 has 4*3 + 6*1 = 18 squares; parse and check used to make 36
+    assert len(calls) == len(set(calls)) == 18
+    parsed = parse_sheaf_file(str(path))
+    assert parsed.terms is not None and parsed.terms.squares == ()
+    edge = parsed.quiver.edges[0]
+    assert parsed.replaced_edge(edge, parsed.edge_maps[edge]).terms is None
+
+
+def _homogeneous(draw, xr, degree):
+    """Zero, or a sum of up to three terms of this degree."""
+    if degree < 0:
+        return xr.zero()
+    out = xr.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exp = [0] * xr.nvars
+        for _ in range(degree):
+            exp[draw(st.integers(0, xr.nvars - 1))] += 1
+        out = out + xr.monomial(exp, xr.field.of_int(draw(st.integers(-3, 3))))
+    return out
+
+
+@st.composite
+def graded_inputs(draw):
+    """A graded sheaf on P^1..P^4 over Q or F_p, with degrees in -3..3, up
+    to two relation rows and now and then a subscheme: a monomial (whose
+    charts inverting every factor are the zero ring) or a quadric."""
+    field = draw(st.sampled_from((Field(0), Field(2), Field(5))))
+    n = draw(st.integers(1, 4))
+    xr = build_proj_quiver(field, n).xring
+    ideal = ()
+    kind = draw(st.sampled_from(("none", "none", "monomial", "quadric")))
+    if kind == "monomial":
+        ideal = (xr.var(0) * xr.var(draw(st.integers(1, n))),)
+    elif kind == "quadric":
+        ideal = (_homogeneous(draw, xr, 2),)
+    quiver = build_proj_quiver(field, n, ideal)
+    degrees = tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+    rows = []
+    for _ in range(draw(st.integers(0, 2))):
+        total = max(degrees) + draw(st.integers(0, 1))
+        rows.append(tuple(_homogeneous(draw, xr, total - d) for d in degrees))
+    return quiver, degrees, tuple(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_inputs())
+def test_recorded_terms_are_the_terms_read_off_the_polynomials(data):
+    quiver, degrees, rows = data
+    rep = graded_sheaf(quiver, degrees, rows)
+    terms = rep.terms
+    # every term was recorded, so none is read off a polynomial below
+    assert set(terms._rows) == set(quiver.vertices)
+    assert set(terms._diagonals) == set(quiver.edges)
+    for v in quiver.vertices:
+        module = rep.modules[v]
+        assert terms.rows(v) == tuple(tuple(map(module.chart.to_laurent, row)) for row in module.relations)
+    for v, w in quiver.edges:
+        decoded = _diagonal_terms(quiver.chart(w), rep.edge_maps[(v, w)])
+        assert decoded is not None and terms.diagonal((v, w)) == decoded

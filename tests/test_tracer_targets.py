@@ -2,7 +2,12 @@
 module, every traced `hill` name is reached by `hill-verify` on the
 shipped Hill fixtures and one failing family with a two-vector extension
 class, and every traced `closure` name by `closure` on the
-shipped seed fixtures.  The perfbench self-tests check the same, but they run
+shipped seed fixtures.  Every traced `charts` and `sheafrep` name is reached
+by `check-qc`, `is-bundle` and `serre-cover` on a graded subscheme fixture,
+`check-qc` on a P^1 mutant sheafrep file, and `vdim-witness` and `lazard` on
+an Euler quotient, from an empty table of quiver skeletons and again from a
+full one, with the same span counts: what a process shares between jobs
+calls no traced name.  The perfbench self-tests check the same, but they run
 the whole benchmark corpus; these guards catch a renamed, moved or no
 longer called name in a second.
 """
@@ -15,9 +20,10 @@ import pathlib
 
 import pytest
 
-from qsheaf import cli
+from qsheaf import cli, sheafrep
+from qsheaf.exactpoly import Field
 from qsheaf.hill import make_filtered_module
-from qsheaf.sheaffile import filtered_text
+from qsheaf.sheaffile import filtered_text, sheafrep_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -51,20 +57,26 @@ def test_traced_name_resolves_in_its_home_module(layer, attr):
         assert callable(getattr(home, attr))
 
 
-def _unreached(layer, jobs) -> set:
-    """Traced names of `layer` that none of the jobs reaches."""
+def _traced(jobs):
+    """The tracer after running the jobs under it."""
     rec = _tracer.Tracer()
     rec.install()
     try:
         for job in jobs:
-            cli.run(job)
+            cli.run(job).machine_text()
     finally:
         rec.uninstall()
+    return rec
+
+
+def _unreached(layers, rec) -> set:
+    """Traced names of the layers that the traced jobs did not reach."""
     reached = set(rec.span_counts())
     reached |= {k.rsplit(".", 1)[0] for k in rec.counts if k.endswith(".calls")}
     wanted = {
         layer + "." + attr
         for table in (_tracer.TARGETS, _tracer.COUNTED_GENERATORS)
+        for layer in layers
         for attr in table.get(layer, ())
     }
     return wanted - reached
@@ -80,7 +92,7 @@ def test_hill_verify_reaches_every_traced_hill_name(tmp_path):
     jobs = [
         cli.JobSpec("hill-verify", inputs=(str(path),), machine=True) for path in HILL_FIXTURES + [wide]
     ]
-    assert _unreached("hill", jobs) == set()
+    assert _unreached(("hill",), _traced(jobs)) == set()
 
 
 def test_closure_reaches_every_traced_closure_name():
@@ -94,4 +106,31 @@ def test_closure_reaches_every_traced_closure_name():
         )
         for path in SEED_FIXTURES
     ]
-    assert _unreached("closure", jobs) == set()
+    assert _unreached(("closure",), _traced(jobs)) == set()
+
+
+def _p1_mutant(tmp_path) -> str:
+    """A P^1 sum of twists in sheafrep form, one edge entry times z1 + 2."""
+    quiver = sheafrep.build_proj_quiver(Field(0), 1)
+    rep = sheafrep.graded_sheaf(quiver, (1, 0))
+    edge = quiver.edges[-1]
+    chart = quiver.chart(edge[1])
+    rows = [list(r) for r in rep.edge_maps[edge]]
+    rows[0][0] = rows[0][0] * (chart.z(1) + chart.ring.constant(2))
+    path = tmp_path / "mutant_p1.txt"
+    path.write_text(sheafrep_text(rep.replaced_edge(edge, rows)), encoding="utf-8")
+    return str(path)
+
+
+def test_sheaf_jobs_reach_every_traced_chart_and_sheafrep_name_cold_and_warm(tmp_path):
+    graded = str(ROOT / "fixtures" / "subscheme_p1.txt")
+    euler = str(ROOT / "fixtures" / "euler_q_p2.txt")
+    jobs = [cli.JobSpec(c, inputs=(graded,), machine=True) for c in ("check-qc", "is-bundle", "serre-cover")]
+    jobs.append(cli.JobSpec("check-qc", inputs=(_p1_mutant(tmp_path),), machine=True))
+    jobs += [cli.JobSpec(c, inputs=(euler,), machine=True) for c in ("vdim-witness", "lazard")]
+    sheafrep._skeleton.cache_clear()
+    cold = _traced(jobs)
+    warm = _traced(jobs)
+    assert _unreached(("charts", "sheafrep"), cold) == set()
+    assert warm.span_counts() == cold.span_counts()
+    assert warm.counts == cold.counts
