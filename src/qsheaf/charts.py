@@ -26,17 +26,20 @@ which make_chart_ring builds on that data for each chart a quiver uses, and
 its runs.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
-FPModule.lifter and FPModule.row_relations), keyed on rank and rows, not on
-the asking object, and never mutated.  It lives as long as its quiver.  A
-tracked run also serves span requests: FPModule.lifter files its basis
-under the span key of the same generator list, unless a span basis is
-there already, so span_gb then builds nothing.  A span basis is therefore
+FPModule.lifter and FPModule.row_relations) and of the certificates that
+replace them on a chart without subscheme relations (FPModule.certificate:
+a constant right inverse of the rows, or False), keyed on rank and rows,
+not on the asking object, and never mutated.  It lives as long as its
+quiver.  A tracked run also serves span requests: FPModule.lifter files
+its basis under the span key of the same generator list, unless a span
+basis is there already, so span_gb then builds nothing.  A span basis is therefore
 a Groebner basis, not always the reduced one, and is read only through
 normal forms, which any Groebner basis gives alike.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Sequence
 
 from .exactpoly import (
@@ -50,6 +53,7 @@ from .exactpoly import (
     module_kernel,
     normal_form,
     poly_to_str,
+    rref,
     vec_is_zero,
 )
 
@@ -216,7 +220,9 @@ class ChartRing(ChartData):
         return normal_form((p,), self.relation_gb(), self.ring)[0]
 
     def is_zero_ring(self) -> bool:
-        return self.nf(self.ring.one()).is_zero()
+        """1 = 0 in the chart ring.  A chart without subscheme relations is
+        a Laurent ring, never zero, so nothing is built there."""
+        return self._subscheme and self.nf(self.ring.one()).is_zero()
 
     def __repr__(self):
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"
@@ -318,6 +324,118 @@ def span_contains(chart: ChartRing, gb: list, vec) -> bool:
     return vec_is_zero(normal_form(vec, gb, chart.ring))
 
 
+class Certificate:
+    """A constant right inverse C of a matrix S over a chart without
+    subscheme relations: S has m rows of length g, laurent holds their
+    Laurent forms, and matrix holds C, g rows of m field constants, with
+    S*C = I_m.  find_certificate makes one and checks S*C = I_m term by
+    term before handing it out; FPModule's lemma says what it decides."""
+
+    def __init__(self, field: Field, laurent: tuple, matrix: tuple):
+        self.field = field
+        self.laurent = laurent
+        self.matrix = matrix
+        # each column of C as its nonzero entries (j, C[j][k])
+        self._columns = tuple(
+            tuple((j, row[k]) for j, row in enumerate(matrix) if row[k] != field.zero)
+            for k in range(len(laurent))
+        )
+
+    def _times_c(self, vec) -> list:
+        """vec*C for a row of Laurent forms."""
+        f = self.field
+        return [
+            _collect(f, ((e, f.mul(c, cjk)) for j, cjk in column for e, c in vec[j].items()))
+            for column in self._columns
+        ]
+
+    def _times_s(self, coeffs, j: int) -> dict:
+        """Entry j of coeffs*S for a row of Laurent forms coeffs."""
+        f = self.field
+        return _collect(f, (
+            (tuple(map(add, e, d)), f.mul(c, b))
+            for a, row in zip(coeffs, self.laurent) if a and row[j]
+            for e, c in a.items() for d, b in row[j].items()
+        ))
+
+    def coefficients(self, vec):
+        """vec*C when vec = (vec*C)*S, that is when vec lies in the span of
+        S, else None; vec and the result are rows of Laurent forms."""
+        coeffs = self._times_c(vec)
+        if all(self._times_s(coeffs, j) == entry for j, entry in enumerate(vec)):
+            return coeffs
+        return None
+
+    def is_right_inverse(self, zero: tuple) -> bool:
+        """S*C = I_m as Laurent forms, zero being the exponent of 1: row i
+        of S*C is S[i]*C."""
+        one = {zero: self.field.one}
+        m = len(self.laurent)
+        return all(
+            self._times_c(row) == [one if k == i else {} for k in range(m)]
+            for i, row in enumerate(self.laurent)
+        )
+
+
+def find_certificate(chart: ChartRing, rows: tuple, gens: int):
+    """The Certificate of the rows S over a chart without subscheme
+    relations, or False when no constant C gives S*C = I.
+
+    With S[i][j] = sum_e s_ije x^e, entry (i, k) of S*C is
+    sum_e x^e sum_j s_ije C[j][k], and Laurent forms are unique, so
+    S*C = I is the linear system sum_j s_ije C[j][k] = [i = k and e = 0]
+    over the field, one equation per row i and exponent e of that row or
+    e = 0, one right-hand side per column k.  One rref of [A | B] decides
+    it: a pivot in B means no solution, and otherwise the pivot rows give
+    the one whose free unknowns are 0."""
+    f = chart.field
+    m = len(rows)
+    zero = (0,) * (chart.n + 1)
+    laurent = tuple(tuple(map(chart.to_laurent, row)) for row in rows)
+    # entry (i, i) of S*C = I has constant term sum_j s_ij0 C[j][i] = 1,
+    # so every row needs an entry with a constant term; and a square S*C = I
+    # gives C*S = I, so C*S_e = 0 and S_e = 0 for every e != 0
+    if any(all(zero not in entry for entry in row) for row in laurent):
+        return False
+    if m == gens and any(e != zero for row in laurent for entry in row for e in entry):
+        return False
+    mat = []
+    for i, row in enumerate(laurent):
+        for e in {zero}.union(*row):
+            mat.append(
+                [entry.get(e, f.zero) for entry in row]
+                + [f.one if k == i and e == zero else f.zero for k in range(m)]
+            )
+    pivots = rref(f.char, mat, gens + m)
+    if pivots and pivots[-1] >= gens:
+        return False
+    matrix = [(f.zero,) * m] * gens
+    for r, j in enumerate(pivots):
+        matrix[j] = tuple(mat[r][gens:])
+    cert = Certificate(f, laurent, tuple(matrix))
+    return cert if cert.is_right_inverse(zero) else False
+
+
+class CertifiedLift:
+    """FPModule.lifter(rows) read off a Certificate of the rows followed by
+    the relations: lift(x) is the first len(rows) entries of x*C when
+    x = (x*C)*S and None otherwise, and kernel() is empty."""
+
+    def __init__(self, chart: ChartRing, nrows: int, cert: Certificate):
+        self.chart = chart
+        self.nrows = nrows
+        self.cert = cert
+
+    def lift(self, vec):
+        coeffs = self.cert.coefficients(tuple(map(self.chart.to_laurent, vec)))
+        if coeffs is None:
+            return None
+        return [self.chart.from_laurent(a) for a in coeffs[: self.nrows]]
+
+    def kernel(self) -> list:
+        return []
+
+
 class FPModule:
     """Finitely presented module over a chart ring.
 
@@ -328,6 +446,28 @@ class FPModule:
     taking `rows` give its span, the relations among the rows, and lifts
     over them.  Each is a run in the chart's memo, keyed on the generator
     count, rows and relations; the module itself caches nothing.
+
+    On a chart without subscheme relations the ring R is the Laurent ring
+    k[x_j/x_p, (x_i/x_p)^-1], where every element has one Laurent form, and
+    are_zero, in_span, lifter and row_relations first ask for a
+    certificate (certificate(rows)): a constant matrix C over the field
+    with S*C = I_m, S being the m rows followed by the relations.
+
+    Lemma.  If S*C = I_m, then x in R^gens lies in span(S) iff
+    x = (x*C)*S, and then x*C is the only a with x = a*S; in particular
+    a*S = 0 only for a = 0.  Proof: if x = a*S, then x*C = a*S*C = a, so a
+    is determined and x = (x*C)*S; conversely x = (x*C)*S writes x over S.
+    Take x = 0 for the last claim.
+
+    So x lies in the submodule the rows generate modulo the relations iff
+    x = (x*C)*S, compared as Laurent forms; the first len(rows) entries of
+    x*C lift x over the rows; and the relations among the rows are 0, as
+    (c, d)*S = 0 forces (c, d) = 0.  No run is made.  Such a C exists only
+    for m <= gens.  This is the constant-coefficient case of unimodular
+    row completion (Logar and Sturmfels, J. Algebra 145, 1992): on an
+    Euler quotient every chart presents the kernel of the Serre cover by
+    a row r = (l_0/x_p, ..., l_n/x_p) with sum c_i r_i = 1 for a constant
+    c.  Without a certificate each method makes its run below.
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = ()):
@@ -357,26 +497,48 @@ class FPModule:
     def _all_relations(self) -> list:
         return list(self.relations) + ideal_block(self.chart, self.gens)
 
+    def certificate(self, rows) -> Certificate | None:
+        """The Certificate of the rows (tuples) followed by the relations,
+        found once per chart for each (gens, rows), or None: at once on a
+        chart with subscheme relations or for more rows than generators."""
+        if any(len(row) != self.gens for row in rows):
+            raise DimensionMismatchError("row of wrong length")
+        matrix = rows + self.relations
+        if self.chart._subscheme or len(matrix) > self.gens:
+            return None
+        found = self.chart.memo(
+            ("certificate", self.gens, matrix), lambda: find_certificate(self.chart, matrix, self.gens)
+        )
+        return found or None
+
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
         vectors c with sum(c[i] * rows[i]) zero in the module.  The same
-        list as lifter(rows).kernel()."""
+        list as lifter(rows).kernel(): empty when the rows have a
+        certificate."""
         rows = tuple(tuple(r) for r in rows)
+        if self.certificate(rows) is not None:
+            return []
         return list(self.chart.memo(
             ("relations", self.gens, rows, self.relations),
             lambda: tuple(module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)),
         ))
 
-    def lifter(self, rows) -> TrackedBasis:
+    def lifter(self, rows):
         """Membership with a witness in the submodule generated by the rows:
         lift(x) holds one coefficient per row and expresses x over the rows
-        modulo the relations, or lift(x) is None.  The run tracks the rows
-        alone: the relations and the chart's ideal block are only modded
-        out.  Its basis is a Groebner basis of span_gb(rows)'s span, filed
-        as span_gb(rows) unless one is filed already, and kernel() is
-        row_relations(rows), so one tracked run answers span membership,
-        witnesses and relations for the same rows."""
+        modulo the relations, or lift(x) is None; kernel() is
+        row_relations(rows).  With a certificate of the rows this is a
+        CertifiedLift, and no run is made.  Otherwise it is a tracked run
+        over the rows alone: the relations and the chart's ideal block are
+        only modded out.  Its basis is a Groebner basis of span_gb(rows)'s
+        span, filed as span_gb(rows) unless one is filed already, so one
+        tracked run answers span membership, witnesses and relations for
+        the same rows."""
         rows = tuple(tuple(r) for r in rows)
+        cert = self.certificate(rows)
+        if cert is not None:
+            return CertifiedLift(self.chart, len(rows), cert)
         key = rows + self.relations
 
         def build():
@@ -388,21 +550,27 @@ class FPModule:
 
     def are_zero(self, vecs) -> bool:
         """Every vector is zero in the module."""
-        return self._all_in(self.relation_gb, vecs)
+        return self._all_in((), vecs)
 
     def in_span(self, rows, vecs) -> bool:
         """Every vector lies in the submodule the rows generate."""
-        return self._all_in(lambda: self.span_gb(rows), vecs)
+        return self._all_in(tuple(tuple(r) for r in rows), vecs)
 
-    def _all_in(self, basis, vecs) -> bool:
-        """Every vector reduces to zero over basis(), which is fetched once,
-        and not at all when there is no vector."""
+    def _all_in(self, rows, vecs) -> bool:
+        """Every vector lies in the span of the rows and the relations: by
+        the certificate of the rows when there is one, else by reduction
+        over span_gb(rows), which is relation_gb() for no rows.  Neither is
+        looked up when there is no vector."""
         vecs = tuple(vecs)
         if any(len(vec) != self.gens for vec in vecs):
             raise DimensionMismatchError("element of wrong rank")
         if not vecs:
             return True
-        gb = basis()
+        cert = self.certificate(rows)
+        if cert is not None:
+            to_laurent = self.chart.to_laurent
+            return all(cert.coefficients(tuple(map(to_laurent, vec))) is not None for vec in vecs)
+        gb = self.span_gb(rows) if rows else self.relation_gb()
         return all(span_contains(self.chart, gb, vec) for vec in vecs)
 
     def __repr__(self):

@@ -387,12 +387,10 @@ class QCReport:
     findings: tuple
 
 
-def _onto(gb, tgt: FPModule) -> bool:
-    """The matrix rows generate tgt, given gb, a Groebner basis of their
-    span together with tgt's relations: any Groebner basis of that span
-    gives the same zero test."""
+def _onto(rows, tgt: FPModule) -> bool:
+    """The matrix rows generate tgt: every unit vector lies in their span."""
     ring = tgt.chart.ring
-    return all(span_contains(tgt.chart, gb, vec_unit(ring, tgt.gens, j)) for j in range(tgt.gens))
+    return tgt.in_span(rows, (vec_unit(ring, tgt.gens, j) for j in range(tgt.gens)))
 
 
 def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
@@ -408,13 +406,15 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     are diagonal, so B*A = 1 modulo I too).  So the target relations times
     B generate the relations among the rows, which is how kernel reads
     them, and the map is injective iff R_tgt*B lies in R_src + I: they are
-    zero in src.  Any other matrix is decided from one tracked run over its
-    rows: its basis decides onto, and its syzygies give the relations among
-    the rows; the map is injective when each of them is a relation of src."""
+    zero in src.  Any other matrix is decided by FPModule.lifter over its
+    rows, a certificate or else one tracked run: its kernel gives the
+    relations among the rows, and the map is injective when each of them
+    is a relation of src; a run files its basis as the span basis of the
+    rows, and in_span then decides onto from it."""
     relations = _unit_diagonal_relations(rows, tgt)
     if relations is None:
-        lifter = tgt.lifter(rows)
-        return _onto(lifter.basis, tgt), src.are_zero(lifter.kernel())
+        injective = src.are_zero(tgt.lifter(rows).kernel())
+        return _onto(rows, tgt), injective
     return True, src.are_zero(relations)
 
 
@@ -708,11 +708,12 @@ def map_is_surjective(f: SheafMap) -> bool:
     diagonal of unit terms c*m span it by the onto half of the lemma of
     _onto_and_injective, e_j = (c*m)^-1 * row_j, which holds in any ring
     (_has_unit_diagonal), so no zero-ring test and no run is made.  Any
-    other matrix is decided by one untracked span run."""
+    other matrix is decided by in_span: a certificate of the rows, or one
+    untracked span run."""
     for v in f.source.quiver.vertices:
         rows, tgt = f.rows[v], f.target.modules[v]
         if not _has_unit_diagonal(tgt.chart, _diagonal_terms(tgt.chart, rows), tgt.gens):
-            if not _onto(tgt.span_gb(rows), tgt):
+            if not _onto(rows, tgt):
                 return False
     return True
 

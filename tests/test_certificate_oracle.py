@@ -1,0 +1,185 @@
+"""Module membership by a constant certificate against a direct tracked run.
+
+`charts.FPModule` decides `are_zero`, `in_span`, `lifter(rows)` (`lift` and
+`kernel`) and `row_relations` by a certificate whenever S, the rows
+followed by the relations, has a constant right inverse C (S*C = I) over
+a chart without subscheme relations, and by Groebner runs otherwise.
+Every answer here is compared with a `TrackedBasis` run made directly over
+the same rows, modding out the relations and the chart's ideal block.
+
+Presentations are drawn on charts of P^1 to P^3 over Q and F_p with a
+certificate by construction: S = (I_m | L)*P for a constant invertible P
+and chart polynomials L, so that the first m columns of P^-1 are a C.
+Spoiled cases have none and must take the runs: a row scaled by z_j + a
+(a != 0 keeps it a non-unit), a zero row, more rows than generators, and a
+chart with subscheme relations.  An empty row set has a certificate with
+no column: its members are the relations' span.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, event, given, settings, strategies as st
+
+from qsheaf import charts
+from qsheaf.charts import FPModule, find_certificate, ideal_block, make_chart_ring, x_ring
+from qsheaf.exactpoly import Field, TrackedBasis, rref, vec_add, vec_is_zero, vec_mul_poly, vec_sub
+
+FIELDS = (Field(0), Field(5), Field(7))
+SPOILS = ("none", "scaled", "zero-row", "extra-rows", "subscheme")
+
+
+def coefficients(field):
+    if field.char == 0:
+        return st.builds(field.of_fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    return st.builds(field.of_int, st.integers(0, field.char - 1))
+
+
+@st.composite
+def polys(draw, ring):
+    """Up to two terms, every exponent 0 or 1."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        terms[tuple(draw(st.integers(0, 1)) for _ in range(ring.nvars))] = draw(coefficients(ring.field))
+    return ring.from_terms(terms)
+
+
+def vecs(draw, ring, gens):
+    return tuple(draw(polys(ring)) for _ in range(gens))
+
+
+@st.composite
+def presentations(draw):
+    """(chart, gens, rows, relations, spoil)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    vertex = draw(st.sets(st.integers(0, n), min_size=1))
+    # half the draws are unspoiled, to exercise the certificate path
+    spoil = draw(st.one_of(st.just("none"), st.sampled_from(SPOILS)))
+    ideal = ()
+    if spoil == "subscheme":
+        xr = x_ring(field, n)
+        ideal = (xr.var(0) * xr.var(n) + xr.var(n) * xr.var(n).scale(draw(coefficients(field))),)
+    chart = make_chart_ring(field, n, vertex, ideal)
+    ring = chart.ring
+    gens = draw(st.integers(1, 3))
+    m = draw(st.integers(0, gens))
+    p = [[draw(coefficients(field)) for _ in range(gens)] for _ in range(gens)]
+    assume(len(rref(field.char, [list(r) for r in p], gens)) == gens)
+    const = [tuple(ring.constant(c) for c in row) for row in p]
+    matrix = []
+    for i in range(m):
+        row = const[i]
+        for t in range(m, gens):
+            row = vec_add(row, vec_mul_poly(const[t], draw(polys(ring))))
+        matrix.append(row)
+    if spoil == "scaled":
+        assume(m > 0)
+        i = draw(st.integers(0, m - 1))
+        z = chart.z(draw(st.sampled_from([j for j in range(n + 1) if j != chart.pivot])))
+        a = draw(coefficients(field).filter(lambda c: c != field.zero))
+        matrix[i] = vec_mul_poly(matrix[i], z + ring.constant(a))
+    if spoil == "zero-row":
+        matrix.insert(draw(st.integers(0, len(matrix))), tuple(ring.zero() for _ in range(gens)))
+    if spoil == "extra-rows":
+        while len(matrix) <= gens:
+            matrix.append(vecs(draw, ring, gens))
+    r = draw(st.integers(0, len(matrix)))
+    return chart, gens, tuple(matrix[:r]), tuple(matrix[r:]), spoil
+
+
+def _in_ring_zero(chart, row) -> bool:
+    return all(chart.nf(p).is_zero() for p in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentation=presentations(), data=st.data())
+def test_certificate_answers_match_a_direct_tracked_run(presentation, data):
+    chart, gens, rows, relations, spoil = presentation
+    ring = chart.ring
+    module = FPModule(chart, gens, relations)
+    mod = list(relations) + ideal_block(chart, gens)
+    tracked = TrackedBasis(rows, ring, gens, mod)
+    zero_run = TrackedBasis((), ring, gens, mod)
+    cert = module.certificate(rows)
+    event(spoil)
+    assert (cert is not None) == (spoil == "none")
+
+    members = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        x = tuple(ring.zero() for _ in range(gens))
+        for row in rows + relations:
+            x = vec_add(x, vec_mul_poly(row, data.draw(polys(ring))))
+        members.append(x)
+    units = [tuple(ring.one() if k == j else ring.zero() for k in range(gens)) for j in range(gens)]
+    others = [vecs(data.draw, ring, gens) for _ in range(data.draw(st.integers(0, 2)))]
+    lifter = module.lifter(rows)
+    assert isinstance(lifter, charts.CertifiedLift) == (cert is not None)
+    for x in members + units + others + [tuple(ring.zero() for _ in range(gens))]:
+        expected = tracked.lift(x)
+        assert module.in_span(rows, (x,)) == (expected is not None)
+        assert module.are_zero((x,)) == (zero_run.lift(x) is not None)
+        found = lifter.lift(x)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert len(found) == len(rows)
+            combination = tuple(ring.zero() for _ in range(gens))
+            for c, row in zip(found, rows):
+                combination = vec_add(combination, vec_mul_poly(row, c))
+            assert zero_run.lift(vec_sub(x, combination)) is not None
+            if cert is not None:  # the lift is unique in the chart ring
+                assert _in_ring_zero(chart, vec_sub(tuple(found), tuple(expected)))
+    for x in members:
+        assert module.in_span(rows, (x,))
+
+    kernel = module.row_relations(rows)
+    assert lifter.kernel() == kernel
+    if cert is None:
+        assert kernel == tracked.kernel()
+    else:
+        assert kernel == []
+        assert all(_in_ring_zero(chart, row) for row in tracked.kernel())
+
+
+def test_a_wrong_solve_is_refused(monkeypatch):
+    # the Euler row (1, z1, z2) on chart {0} of P^2 has the certificate e_0;
+    # a solve that writes 2 there instead fails the check S*C = I
+    chart = make_chart_ring(Field(0), 2, {0})
+    row = (chart.ring.one(), chart.z(1), chart.z(2))
+    cert = find_certificate(chart, (row,), 3)
+    assert cert and cert.matrix == ((1,), (0,), (0,))
+    real = charts.rref
+
+    def spoiled(char, mat, ncols):
+        pivots = real(char, mat, ncols)
+        mat[0][ncols - 1] = 2
+        return pivots
+
+    monkeypatch.setattr(charts, "rref", spoiled)
+    assert find_certificate(chart, (row,), 3) is False
+
+
+def test_a_non_member_is_refused_though_its_coefficients_exist():
+    # x*C is defined for every x; (x*C)*S = x is the membership test
+    chart = make_chart_ring(Field(0), 2, {0})
+    ring = chart.ring
+    module = FPModule(chart, 3)
+    row = (ring.one(), chart.z(1), chart.z(2))
+    x = (ring.one(), ring.zero(), ring.zero())
+    assert module.certificate((row,)) is not None
+    assert not module.in_span((row,), (x,))
+    assert module.lifter((row,)).lift(x) is None
+    assert module.lifter((row,)).lift(vec_mul_poly(row, chart.z(1))) == [chart.z(1)]
+    assert vec_is_zero(module.lifter((row,)).lift(tuple(ring.zero() for _ in range(3))))
+
+
+def test_a_lift_holds_the_row_coefficients_not_the_relation_ones():
+    # S = (row, relation) with C = [[1, 0], [0, 0], [0, 1]]: x*C holds the
+    # coefficient of the row, then that of the relation
+    chart = make_chart_ring(Field(0), 2, {0})
+    ring = chart.ring
+    zero, one = ring.zero(), ring.one()
+    row, relation = (one, chart.z(1), zero), (zero, zero, one)
+    module = FPModule(chart, 3, (relation,))
+    x = vec_add(vec_mul_poly(row, chart.z(2)), relation)
+    assert module.lifter((row,)).lift(x) == [chart.z(2)]
+    assert module.are_zero((relation,)) and not module.are_zero((row,))

@@ -14,6 +14,7 @@ from exactpoly_oracle import from_int
 from sheafrep_oracle import is_zero_module
 
 from qsheaf.charts import (
+    ChartData,
     ChartHom,
     FPModule,
     chart_hom,
@@ -67,6 +68,27 @@ def test_chart_zero_ring():
     assert c.is_zero_ring()
     c0 = make_chart_ring(Q, 1, {0}, [poly_from_str(xr, "x0*x1")])
     assert not c0.is_zero_ring()  # there the relation is z1, a point
+
+
+def test_zero_ring_test_builds_nothing_without_a_subscheme(monkeypatch):
+    # a chart of P^n without subscheme relations is a Laurent ring, never
+    # zero: is_zero_ring reads that off and writes no Laurent form back
+    calls = []
+    real = ChartData.from_laurent
+
+    def counting(self, terms):
+        calls.append(terms)
+        return real(self, terms)
+
+    monkeypatch.setattr(ChartData, "from_laurent", counting)
+    for vertex in ({0}, {0, 1}, {0, 1, 2}):
+        assert make_chart_ring(Q, 2, vertex).is_zero_ring() is False
+    assert calls == []
+    xr = x_ring(Q, 1)
+    subscheme = make_chart_ring(Q, 1, {0, 1}, [poly_from_str(xr, "x0*x1")])
+    calls.clear()
+    assert subscheme.is_zero_ring()
+    assert calls
 
 
 def test_chart_rejects_inhomogeneous():

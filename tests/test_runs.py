@@ -9,14 +9,25 @@ only mods out.
 
 S-vectors reduced: vdim-witness and lazard on the Euler quotient on P^3
 divide a pinned number of S-vectors inside their runs, since the product
-criterion skips the pairs of single-entry elements with coprime leads.
+criterion skips the pairs of single-entry elements with coprime leads and
+rows with a constant right inverse (charts.FPModule's certificate lemma)
+build no run.
+
+Certificates on Euler quotients: every chart presents the Serre cover's
+kernel by a unimodular row with a constant right inverse, so lazard builds
+no run at all and vdim-witness builds one tracked run per chart, the
+kernel-covered re-check over the identity cover (identity rows and the
+relation row are more rows than generators, so they have no certificate),
+and no untracked run.
 
 Pushes per sub-representation check: verify_subrep pushes each generator
 along each edge out of its vertex once, to lift it over the far generators.
 
 Coefficients over Q: every run a chart memo keeps (bases, tracked bases
-with their combinations and syzygy rows, relation rows) and every lift
-holds ints where the value is integral, never a Fraction of denominator 1.
+with their combinations and syzygy rows, relation rows, certificate
+matrices) and every lift, tracked or certified, holds ints where the value
+is integral, never a Fraction of denominator 1; a chart memo keeps a
+missing certificate as False, never None.
 
 Edge verdicts: a graded edge map is a diagonal of unit monomials, which
 sheafrep inverts by inspection, so check-qc and is-bundle on a graded
@@ -153,15 +164,40 @@ def _reduced_pairs(monkeypatch, command, fixture):
     return report.exit_status, count[0]
 
 
-@pytest.mark.parametrize("command,pairs", [("vdim-witness", 32), ("lazard", 0)])
+@pytest.mark.parametrize("command,pairs", [("vdim-witness", 15), ("lazard", 0)])
 def test_s_pairs_reduced_on_euler_p3(monkeypatch, command, pairs):
     # the product criterion skips every pair of single-entry elements with
     # coprime leads (ideal-block rows, unit rows) in tracked runs too, and
     # records its Koszul syzygy instead of reducing it: before, these jobs
     # reduced 233 and 164 S-vectors; vdim-witness then reduced 47, 15 of
     # them in the span runs of the identity cover, which map_is_surjective
-    # now decides by the unit-diagonal lemma
+    # now decides by the unit-diagonal lemma, and then 32, 17 of them in the
+    # kernel's runs over the relation row, which its certificate replaces;
+    # the 15 left are the kernel-covered runs, one per chart
     assert _reduced_pairs(monkeypatch, command, "euler_q_p3.txt") == (0, pairs)
+
+
+EULER_FIXTURES = ("euler_q_p2.txt", "euler_q_p3.txt")
+
+
+@pytest.mark.parametrize("fixture", EULER_FIXTURES)
+def test_lazard_on_euler_quotients_builds_no_run(monkeypatch, fixture):
+    # before the certificates, 14 and 30 tracked runs
+    report, runs = _run_keys(monkeypatch, "lazard", fixture, None)
+    assert report.exit_status == 0
+    assert runs == []
+
+
+@pytest.mark.parametrize("fixture", EULER_FIXTURES)
+def test_vdim_witness_on_euler_quotients_builds_one_tracked_run_per_chart(monkeypatch, fixture):
+    # before the certificates, 14 tracked and 8 untracked runs on P^2 and
+    # 30 and 22 on P^3; what is left is the kernel-covered check's
+    # row_relations over the identity cover, which has no certificate
+    report, runs = _run_keys(monkeypatch, "vdim-witness", fixture, None)
+    assert report.exit_status == 0
+    n = int(fixture[len("euler_q_p")])
+    assert [track for _ring, _rank, track, _gens in runs] == [True] * (2 ** (n + 1) - 1)
+    assert len({ring for ring, _rank, _track, _gens in runs}) == 2 ** (n + 1) - 1
 
 
 PUSH_JOBS = [
@@ -218,22 +254,26 @@ Q_JOBS = [
 
 @pytest.mark.parametrize("command,fixture,seed", Q_JOBS, ids=[c for c, _, _ in Q_JOBS])
 def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, command, fixture, seed):
-    stored, lifts = [], []
-    real_memo, real_lift = charts.ChartRing.memo, exactpoly.TrackedBasis.lift
+    stored, lifts, constants = [], [], []
 
     def watched_memo(self, key, build):
         found = real_memo(self, key, build)
-        stored.append(found)
+        stored.append((key[0], found))
         return found
 
-    def watched_lift(self, vec):
-        rows = real_lift(self, vec)
-        if rows is not None:
-            lifts.append(rows)
-        return rows
+    def watching(real_lift):
+        def watched_lift(self, vec):
+            rows = real_lift(self, vec)
+            if rows is not None:
+                lifts.append(rows)
+            return rows
 
+        return watched_lift
+
+    real_memo = charts.ChartRing.memo
     monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
-    monkeypatch.setattr(exactpoly.TrackedBasis, "lift", watched_lift)
+    for lifter in (exactpoly.TrackedBasis, charts.CertifiedLift):
+        monkeypatch.setattr(lifter, "lift", watching(lifter.lift))
     job = JobSpec(
         command=command,
         inputs=(str(FIXTURES / fixture),),
@@ -242,13 +282,18 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
     )
     assert run(job).exit_status == 0
     rows = list(lifts)
-    for found in stored:
-        if isinstance(found, exactpoly.TrackedBasis):
+    for kind, found in stored:
+        if kind == "certificate":
+            assert found is False or isinstance(found, charts.Certificate)
+            constants += [c for row in found.matrix for c in row] if found else []
+        elif isinstance(found, exactpoly.TrackedBasis):
             rows += found.basis + found.combos + syzygy_rows(found)
         else:
             rows += list(found)
-    coefficients = [c for row in rows for p in row for c in p.terms.values()]
+    coefficients = [c for row in rows for p in row for c in p.terms.values()] + constants
     assert stored and coefficients
+    # every chart of subscheme_p1 has subscheme relations, so no certificate
+    assert bool(constants) == (fixture != "subscheme_p1.txt")
     assert [c for c in coefficients if type(c) is Fraction and c.denominator == 1] == []
 
 

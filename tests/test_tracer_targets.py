@@ -7,7 +7,11 @@ by `check-qc`, `is-bundle` and `serre-cover` on a graded subscheme fixture,
 `check-qc` on a P^1 mutant sheafrep file, and `vdim-witness` and `lazard` on
 an Euler quotient, from an empty table of quiver skeletons and again from a
 full one, with the same span counts: what a process shares between jobs
-calls no traced name.  The perfbench self-tests check the same, but they run
+calls no traced name.  Every traced `exactpoly` name is reached by
+`vdim-witness` on an Euler quotient, whose kernel-covered check is the one
+tracked run certificates leave there, `closure` on a seed fixture, and
+`is-bundle` on a subscheme and on an Euler quotient with no constant
+relation entry.  The perfbench self-tests check the same, but they run
 the whole benchmark corpus; these guards catch a renamed, moved or no
 longer called name in a second.
 """
@@ -134,3 +138,29 @@ def test_sheaf_jobs_reach_every_traced_chart_and_sheafrep_name_cold_and_warm(tmp
     assert _unreached(("charts", "sheafrep"), cold) == set()
     assert warm.span_counts() == cold.span_counts()
     assert warm.counts == cold.counts
+
+
+def test_fixture_jobs_reach_every_traced_exactpoly_name(tmp_path):
+    # vdim-witness re-checks that the kernel is covered by a tracked
+    # row_relations run over the identity cover (module_kernel, syzygies,
+    # TrackedBasis), which no certificate replaces; closure lifts over edge
+    # matrices of twists, which have none (TrackedBasis.lift); is-bundle on
+    # a subscheme and on an Euler quotient whose relation entries are never
+    # constant decides Fitting ideals by Groebner bases
+    fixtures = ROOT / "fixtures"
+    generic = tmp_path / "euler_generic_p2.txt"
+    generic.write_text(
+        "kind graded\nfield Q\nn 2\ndegrees 0 0 0\nrelation x0 + x1 | x1 + x2 | x2 + x0\n", encoding="utf-8"
+    )
+    jobs = [
+        cli.JobSpec("vdim-witness", inputs=(str(fixtures / "euler_q_p2.txt"),), machine=True),
+        cli.JobSpec(
+            "closure",
+            inputs=(str(fixtures / "sum_o1_o1_p1.txt"),),
+            seed_file=str(fixtures / "seed_sum_o1_o1_p1.txt"),
+            machine=True,
+        ),
+        cli.JobSpec("is-bundle", inputs=(str(fixtures / "subscheme_p1.txt"),), machine=True),
+        cli.JobSpec("is-bundle", inputs=(str(generic),), machine=True),
+    ]
+    assert _unreached(("exactpoly",), _traced(jobs)) == set()
