@@ -228,13 +228,13 @@ def vdim_le_one_witness(rep: SheafRep, cover: SheafMap) -> VdimWitness:
     cover, verified exact at every vertex, with bundle certificates for the
     kernel and the middle term.
 
-    kernel(cover) reads the relations among the cover's rows by the
-    unit-diagonal lemma of sheafrep._onto_and_injective.  The kernel-covered
-    check does not: it asks row_relations for them.  Over an identity
-    cover onto a module with relations, the identity rows and the
-    relations are more rows than generators, so no certificate applies
-    (charts.FPModule), and a tracked run computes them apart from that
-    lemma; reading them by the lemma again would make the check circular."""
+    kernel(cover) reads the relations among the cover's rows off the
+    rows' certificate: over an identity cover, FPModule's unit-diagonal
+    lemma.  The kernel-covered check does not: it asks row_relations for
+    them, which takes a certificate's answer only when there are no
+    relations among the rows, so over an identity cover onto a module with
+    relations a tracked run computes them apart from that lemma; reading
+    them by the lemma again would make the check circular."""
     if cover.target is not rep:
         raise ValueError("cover does not land in the given representation")
     findings = []

@@ -26,20 +26,22 @@ which make_chart_ring builds on that data for each chart a quiver uses, and
 its runs.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
-FPModule.lifter and FPModule.row_relations) and of the certificates that
-replace them on a chart without subscheme relations (FPModule.certificate:
-a constant right inverse of the rows, or False), keyed on rank and rows,
-not on the asking object, and never mutated.  It lives as long as its
-quiver.  A tracked run also serves span requests: FPModule.lifter files
-its basis under the span key of the same generator list, unless a span
-basis is there already, so span_gb then builds nothing.  A span basis is therefore
-a Groebner basis, not always the reduced one, and is read only through
-normal forms, which any Groebner basis gives alike.
+FPModule.lifter and FPModule.row_relations) and of the constant
+certificates that replace them on a chart without subscheme relations
+(FPModule.certificate: a constant right inverse of the rows, or False),
+keyed on rank and rows, not on the asking object, and never mutated; a
+unit-diagonal certificate is read off the rows and not kept.  It lives as
+long as its quiver.  A tracked run also serves span requests:
+FPModule.lifter files its basis under the span key of the same generator
+list, unless a span basis is there already, so span_gb then builds
+nothing.  A span basis is therefore a Groebner basis, not always the
+reduced one, and is read only through normal forms, which any Groebner
+basis gives alike.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .exactpoly import (
@@ -329,12 +331,14 @@ class Certificate:
     subscheme relations: S has m rows of length g, laurent holds their
     Laurent forms, and matrix holds C, g rows of m field constants, with
     S*C = I_m.  find_certificate makes one and checks S*C = I_m term by
-    term before handing it out; FPModule's lemma says what it decides."""
+    term before handing it out; FPModule's constant lemma says what it
+    decides: kernel(), the relations among the rows, is empty."""
 
     def __init__(self, field: Field, laurent: tuple, matrix: tuple):
         self.field = field
         self.laurent = laurent
         self.matrix = matrix
+        self.square = len(laurent) == len(matrix)
         # each column of C as its nonzero entries (j, C[j][k])
         self._columns = tuple(
             tuple((j, row[k]) for j, row in enumerate(matrix) if row[k] != field.zero)
@@ -365,6 +369,9 @@ class Certificate:
         if all(self._times_s(coeffs, j) == entry for j, entry in enumerate(vec)):
             return coeffs
         return None
+
+    def kernel(self) -> list:
+        return []
 
     def is_right_inverse(self, zero: tuple) -> bool:
         """S*C = I_m as Laurent forms, zero being the exponent of 1: row i
@@ -416,12 +423,65 @@ def find_certificate(chart: ChartRing, rows: tuple, gens: int):
     return cert if cert.is_right_inverse(zero) else False
 
 
-class CertifiedLift:
-    """FPModule.lifter(rows) read off a Certificate of the rows followed by
-    the relations: lift(x) is the first len(rows) entries of x*C when
-    x = (x*C)*S and None otherwise, and kernel() is empty."""
+class UnitDiagonal:
+    """The certificate of rows with a unit diagonal, read by
+    _diagonal_terms: inverse holds the (Laurent exponent, coefficient) of
+    each entry of B.  By FPModule's unit-diagonal lemma coefficients(x) is
+    x*B for every x, and kernel() is the relations times B."""
 
-    def __init__(self, chart: ChartRing, nrows: int, cert: Certificate):
+    square = True
+
+    def __init__(self, chart: ChartRing, diagonal: tuple, relations: tuple):
+        self.chart = chart
+        self.field = chart.field
+        self.inverse = tuple((tuple(-x for x in e), self.field.inv(c)) for e, c in diagonal)
+        self.relations = relations
+
+    def coefficients(self, vec) -> list:
+        fmul = self.field.mul
+        return [
+            {tuple(map(add, e, d)): fmul(c, b) for e, c in entry.items()}
+            for entry, (d, b) in zip(vec, self.inverse)
+        ]
+
+    def kernel(self) -> list:
+        chart = self.chart
+        b = [chart.monomial_from_laurent(d).scale(c) for d, c in self.inverse]
+        return [tuple(map(mul, r, b)) for r in self.relations]
+
+
+def _diagonal_terms(chart: ChartRing, rows):
+    """(Laurent exponent, coefficient) of each diagonal entry when the
+    matrix is square, each diagonal entry one term and every other entry
+    zero; None for any other matrix."""
+    out = []
+    for j, row in enumerate(rows):
+        if len(row) != len(rows) or len(row[j].terms) != 1:
+            return None
+        if any(p.terms for k, p in enumerate(row) if k != j):
+            return None
+        ((exp, c),) = row[j].terms.items()
+        out.append((chart.laurent_of_exp(exp), c))
+    return tuple(out)
+
+
+def _has_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
+    """The diagonal read by _diagonal_terms is that of a square matrix of
+    size gens whose entries c*m are units of the chart: the Laurent
+    exponent of m is 0 outside the chart's vertex, so m^-1 is a chart
+    monomial and m*m^-1 = 1 modulo the inversions, in every quotient."""
+    if diagonal is None or len(diagonal) != gens:
+        return False
+    outside = [i for i in range(chart.n + 1) if i not in chart.vertex]
+    return not any(e[i] for e, _c in diagonal for i in outside)
+
+
+class CertifiedLift:
+    """FPModule.lifter(rows) read off a certificate of the rows: lift(x)
+    is the first len(rows) of its coefficients(x), or None; kernel() is
+    the certificate's."""
+
+    def __init__(self, chart: ChartRing, nrows: int, cert: Certificate | UnitDiagonal):
         self.chart = chart
         self.nrows = nrows
         self.cert = cert
@@ -433,7 +493,7 @@ class CertifiedLift:
         return [self.chart.from_laurent(a) for a in coeffs[: self.nrows]]
 
     def kernel(self) -> list:
-        return []
+        return self.cert.kernel()
 
 
 class FPModule:
@@ -447,27 +507,34 @@ class FPModule:
     over them.  Each is a run in the chart's memo, keyed on the generator
     count, rows and relations; the module itself caches nothing.
 
-    On a chart without subscheme relations the ring R is the Laurent ring
-    k[x_j/x_p, (x_i/x_p)^-1], where every element has one Laurent form, and
     are_zero, in_span, lifter and row_relations first ask for a
-    certificate (certificate(rows)): a constant matrix C over the field
-    with S*C = I_m, S being the m rows followed by the relations.
+    certificate of the rows (certificate(rows)), which makes no run, of
+    one of two kinds; without one each method makes its run below.
 
-    Lemma.  If S*C = I_m, then x in R^gens lies in span(S) iff
-    x = (x*C)*S, and then x*C is the only a with x = a*S; in particular
-    a*S = 0 only for a = 0.  Proof: if x = a*S, then x*C = a*S*C = a, so a
-    is determined and x = (x*C)*S; conversely x = (x*C)*S writes x over S.
-    Take x = 0 for the last claim.
+    Unit-diagonal lemma.  Let the rows A be square of size gens, each
+    diagonal entry one term c*m with m a unit (its Laurent exponent is 0
+    outside the chart's vertex) and every other entry 0, and B the
+    entrywise inverse, b_jj = c^-1*m^-1.  Then B*A = I, so every x lifts
+    as x*B and the rows are onto; and the relations among the rows are
+    the relations R times B, as c*A = d*R gives c = d*R*B and (r*B)*A = r.
+    This holds in every quotient ring, the zero ring included
+    (UnitDiagonal); graded edges, Serre covers and identity maps are so.
 
-    So x lies in the submodule the rows generate modulo the relations iff
-    x = (x*C)*S, compared as Laurent forms; the first len(rows) entries of
-    x*C lift x over the rows; and the relations among the rows are 0, as
-    (c, d)*S = 0 forces (c, d) = 0.  No run is made.  Such a C exists only
-    for m <= gens.  This is the constant-coefficient case of unimodular
-    row completion (Logar and Sturmfels, J. Algebra 145, 1992): on an
-    Euler quotient every chart presents the kernel of the Serre cover by
-    a row r = (l_0/x_p, ..., l_n/x_p) with sum c_i r_i = 1 for a constant
-    c.  Without a certificate each method makes its run below.
+    Constant lemma.  On a chart without subscheme relations, R is the
+    Laurent ring k[x_j/x_p, (x_i/x_p)^-1], where every element has one
+    Laurent form.  Let S be the m rows followed by the relations and C a
+    constant matrix with S*C = I_m (Certificate).  Then x lies in span(S)
+    iff x = (x*C)*S, and then x*C is the only a with x = a*S.  Proof: if
+    x = a*S, then x*C = a*S*C = a.  So membership is x = (x*C)*S compared
+    as Laurent forms, the first len(rows) entries of x*C lift x, and the
+    rows have no relations, (c, d)*S = 0 forcing (c, d) = 0.  Such a C
+    needs m <= gens.  This is the constant case of unimodular row
+    completion (Logar and Sturmfels, J. Algebra 145, 1992): an Euler
+    quotient presents the kernel of the Serre cover by a row
+    r = (l_0/x_p, ..., l_n/x_p) with sum c_i r_i = 1 for a constant c.
+
+    A square certificate (B, or C with m = gens, where C*S = I too) puts
+    every x in the span.
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = ()):
@@ -497,12 +564,16 @@ class FPModule:
     def _all_relations(self) -> list:
         return list(self.relations) + ideal_block(self.chart, self.gens)
 
-    def certificate(self, rows) -> Certificate | None:
-        """The Certificate of the rows (tuples) followed by the relations,
-        found once per chart for each (gens, rows), or None: at once on a
-        chart with subscheme relations or for more rows than generators."""
+    def certificate(self, rows) -> Certificate | UnitDiagonal | None:
+        """The certificate of the rows (tuples): their UnitDiagonal, else
+        the Certificate of the rows followed by the relations, found once
+        per chart for each (gens, rows), or None: at once on a chart with
+        subscheme relations or for more rows than generators."""
         if any(len(row) != self.gens for row in rows):
             raise DimensionMismatchError("row of wrong length")
+        diagonal = _diagonal_terms(self.chart, rows)
+        if _has_unit_diagonal(self.chart, diagonal, self.gens):
+            return UnitDiagonal(self.chart, diagonal, self.relations)
         matrix = rows + self.relations
         if self.chart._subscheme or len(matrix) > self.gens:
             return None
@@ -513,11 +584,13 @@ class FPModule:
 
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
-        vectors c with sum(c[i] * rows[i]) zero in the module.  The same
-        list as lifter(rows).kernel(): empty when the rows have a
-        certificate."""
+        vectors c with sum(c[i] * rows[i]) zero in the module.  Empty when
+        a certificate of the rows has an empty kernel; otherwise a tracked
+        run's list, the one a lifter's run gives, so a UnitDiagonal's
+        kernel is checked apart from its lemma."""
         rows = tuple(tuple(r) for r in rows)
-        if self.certificate(rows) is not None:
+        cert = self.certificate(rows)
+        if cert is not None and not cert.kernel():
             return []
         return list(self.chart.memo(
             ("relations", self.gens, rows, self.relations),
@@ -527,9 +600,9 @@ class FPModule:
     def lifter(self, rows):
         """Membership with a witness in the submodule generated by the rows:
         lift(x) holds one coefficient per row and expresses x over the rows
-        modulo the relations, or lift(x) is None; kernel() is
-        row_relations(rows).  With a certificate of the rows this is a
-        CertifiedLift, and no run is made.  Otherwise it is a tracked run
+        modulo the relations, or lift(x) is None; kernel() gives the
+        relations among the rows.  With a certificate of the rows this is
+        a CertifiedLift, and no run is made.  Otherwise it is a tracked run
         over the rows alone: the relations and the chart's ideal block are
         only modded out.  Its basis is a Groebner basis of span_gb(rows)'s
         span, filed as span_gb(rows) unless one is filed already, so one
@@ -558,9 +631,9 @@ class FPModule:
 
     def _all_in(self, rows, vecs) -> bool:
         """Every vector lies in the span of the rows and the relations: by
-        the certificate of the rows when there is one, else by reduction
-        over span_gb(rows), which is relation_gb() for no rows.  Neither is
-        looked up when there is no vector."""
+        the certificate of the rows, at once for a square one, else by
+        reduction over span_gb(rows), which is relation_gb() for no rows.
+        Nothing is looked up when there is no vector."""
         vecs = tuple(vecs)
         if any(len(vec) != self.gens for vec in vecs):
             raise DimensionMismatchError("element of wrong rank")
@@ -569,7 +642,9 @@ class FPModule:
         cert = self.certificate(rows)
         if cert is not None:
             to_laurent = self.chart.to_laurent
-            return all(cert.coefficients(tuple(map(to_laurent, vec))) is not None for vec in vecs)
+            return cert.square or all(
+                cert.coefficients(tuple(map(to_laurent, vec))) is not None for vec in vecs
+            )
         gb = self.span_gb(rows) if rows else self.relation_gb()
         return all(span_contains(self.chart, gb, vec) for vec in vecs)
 

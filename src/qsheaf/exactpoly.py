@@ -325,9 +325,6 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def key(self):
-        return tuple(self.sorted_terms())
-
     def __repr__(self):
         return f"Poly({poly_to_str(self)})"
 
@@ -498,9 +495,6 @@ def vec_mul_poly(a, p: Poly):
 
 def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
-
-def vec_key(a):
-    return tuple(x.key() for x in a)
 
 
 def vec_lead(a):
@@ -944,14 +938,16 @@ def syzygies(gens: Sequence, ring: PolyRing, mod: Sequence = ()) -> list:
 
 
 def _distinct_nonzero(rows) -> list:
-    """The nonzero rows, each once, in order."""
+    """The nonzero rows, each once, in order.  A row is keyed on its
+    entries' terms: the rows of one run share a ring, and their Polys are
+    new, so a Poly hash, which hashes the ring, would cost more."""
     out, seen = [], set()
     for row in rows:
         if vec_is_zero(row):
             continue
-        k = vec_key(row)
-        if k not in seen:
-            seen.add(k)
+        key = tuple(frozenset(p.terms.items()) for p in row)
+        if key not in seen:
+            seen.add(key)
             out.append(row)
     return out
 

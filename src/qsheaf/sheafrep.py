@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add as _add, mul, sub as _sub
+from operator import add as _add, sub as _sub
 from typing import Optional
 
 from .charts import (
@@ -38,6 +38,8 @@ from .charts import (
     ChartHom,
     ChartRing,
     FPModule,
+    _diagonal_terms,
+    _has_unit_diagonal,
     chart_hom,
     dehomogenized_laurent,
     is_homogeneous,
@@ -395,48 +397,15 @@ def _onto(rows, tgt: FPModule) -> bool:
 
 def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     """(onto, injective) for the matrix A = rows from src to tgt, two
-    modules over one chart.
-
-    When A is a diagonal of unit monomials, as graded inputs write every
-    edge and as the identity maps of serre_cover and lazard_approximation
-    are, its inverse B is read off the entries and A*B = 1 is checked
-    exactly.  Lemma: with I the chart relations times the free module, if
-    A*B = 1 modulo I then the map x -> xA is onto, since e_j = (e_j B) A,
-    and xA lies in R_tgt + I exactly when x lies in R_tgt*B + I (A and B
-    are diagonal, so B*A = 1 modulo I too).  So the target relations times
-    B generate the relations among the rows, which is how kernel reads
-    them, and the map is injective iff R_tgt*B lies in R_src + I: they are
-    zero in src.  Any other matrix is decided by FPModule.lifter over its
-    rows, a certificate or else one tracked run: its kernel gives the
+    modules over one chart, by FPModule.lifter over the rows, a
+    certificate (for a diagonal of unit monomials, the target relations
+    times its inverse) or else one tracked run: its kernel gives the
     relations among the rows, and the map is injective when each of them
-    is a relation of src; a run files its basis as the span basis of the
-    rows, and in_span then decides onto from it."""
-    relations = _unit_diagonal_relations(rows, tgt)
-    if relations is None:
-        injective = src.are_zero(tgt.lifter(rows).kernel())
-        return _onto(rows, tgt), injective
-    return True, src.are_zero(relations)
-
-
-def _unit_diagonal_inverse(rows, tgt: FPModule):
-    """Diagonal of B = A^-1 when _is_unit_diagonal holds for the matrix A,
-    each b_jj = c^-1 times the chart monomial of the negated exponent;
-    None for any other matrix."""
-    chart = tgt.chart
-    diagonal = _diagonal_terms(chart, rows)
-    if not _is_unit_diagonal(chart, diagonal, tgt.gens):
-        return None
-    return [chart.monomial_from_laurent([-x for x in e]).scale(chart.field.inv(c)) for e, c in diagonal]
-
-
-def _unit_diagonal_relations(rows, tgt: FPModule):
-    """The relations among the rows of A by the lemma of
-    _onto_and_injective: the target relations times B = A^-1 when A is a
-    diagonal of unit monomials; None for any other matrix."""
-    inverse = _unit_diagonal_inverse(rows, tgt)
-    if inverse is None:
-        return None
-    return [tuple(map(mul, r, inverse)) for r in tgt.relations]
+    is a relation of src.  The kernel is asked first: a run files its
+    basis as the span basis of the rows, and in_span then decides onto
+    from it."""
+    injective = src.are_zero(tgt.lifter(rows).kernel())
+    return _onto(rows, tgt), injective
 
 
 class _Terms:
@@ -474,41 +443,6 @@ def _terms_of(rep: SheafRep) -> _Terms:
     return rep.terms or _Terms(rep)
 
 
-def _diagonal_terms(chart: ChartRing, rows):
-    """(Laurent exponent, coefficient) of each diagonal entry when the
-    matrix is square, each diagonal entry one term and every other entry
-    zero; None for any other matrix."""
-    out = []
-    for j, row in enumerate(rows):
-        if len(row) != len(rows) or len(row[j].terms) != 1:
-            return None
-        if any(p.terms for k, p in enumerate(row) if k != j):
-            return None
-        ((exp, c),) = row[j].terms.items()
-        out.append((chart.laurent_of_exp(exp), c))
-    return tuple(out)
-
-
-def _has_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
-    """The diagonal read by _diagonal_terms is that of a square matrix of
-    size gens whose entries c*m are units of the chart: the Laurent
-    exponent of m is 0 at every index outside the chart's vertex, so m and
-    its inverse are chart monomials and their product is 1 modulo the
-    inversions.  That holds in every quotient of the chart ring, the zero
-    ring included, so no relation is looked at."""
-    if diagonal is None or len(diagonal) != gens:
-        return False
-    outside = [i for i in range(chart.n + 1) if i not in chart.vertex]
-    return not any(e[i] for e, _c in diagonal for i in outside)
-
-
-def _is_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
-    """_has_unit_diagonal, on a chart that is not the zero ring, where
-    nf(1) = 0.  The injectivity and edge lemmas ask for both: on a zero
-    ring chart the inverse is refused, and the tracked run decides."""
-    return _has_unit_diagonal(chart, diagonal, gens) and not chart.is_zero_ring()
-
-
 def _term_multiple(a, b, fmul, outside) -> bool:
     """a = c*m*b for rows of Laurent dicts, a nonzero, with c a nonzero
     constant and m a monomial whose exponent is 0 at every index in
@@ -533,17 +467,17 @@ def _term_multiple(a, b, fmul, outside) -> bool:
 
 
 def _edge_by_terms(terms: _Terms, e: Edge) -> bool:
-    """The edge matrix A is a diagonal of unit monomials of a far chart
-    that is not the zero ring, and the relations of the two ends
-    correspond through it as Laurent rows: every nonzero near row r has
-    r*A = c*m*f for a far row f, a nonzero constant c and a monomial m
-    that is a unit of the far chart, and every nonzero far row is such an
-    f.  The first condition is _is_unit_diagonal, which also decides the
-    matrices _unit_diagonal_inverse inverts.  The far row with r's index
-    is tried first."""
+    """The edge matrix A is a diagonal of unit monomials of the far chart,
+    and the relations of the two ends correspond through it as Laurent
+    rows: every nonzero near row r has r*A = c*m*f for a far row f, a
+    nonzero constant c and a monomial m that is a unit of the far chart,
+    and every nonzero far row is such an f.  The first condition is
+    _has_unit_diagonal, which also decides the matrices FPModule's
+    unit-diagonal lemma inverts.  The far row with r's index is tried
+    first."""
     v, w = e
     diagonal = terms.diagonal(e)
-    if not _is_unit_diagonal(terms.rep.quiver.chart(w), diagonal, terms.rep.modules[w].gens):
+    if not _has_unit_diagonal(terms.rep.quiver.chart(w), diagonal, terms.rep.modules[w].gens):
         return False
     outside = [i for i in range(terms.rep.quiver.n + 1) if i not in w]
     fmul = terms.field.mul
@@ -577,14 +511,15 @@ def _edge_verdict(rep: SheafRep, e: Edge, terms: Optional[_Terms] = None) -> Edg
 
     Lemma: when _edge_by_terms holds (A a diagonal of unit monomials with
     inverse B, the relations matched as Laurent rows), the verdict is
-    (True, True, True).  The chart ring modulo its inversions embeds in the
-    Laurent ring and the subscheme relations only add relations, so equal
-    Laurent expansions are equal in the chart ring.  Proof: r*A = c*m*f
-    lies in span(f), so the map is well defined; it is onto by the lemma
-    of _onto_and_injective; and f*B = c^-1*m^-1*r, since A*B = 1 as
-    Laurent terms, so R_far*B lies in the localized relations and the map
-    is injective.  Any other edge is decided by localize_module and
-    _onto_and_injective, which are also the oracle of the lemma."""
+    (True, True, True), on every chart, the zero ring included.  The chart
+    ring modulo its inversions embeds in the Laurent ring and the
+    subscheme relations only add relations, so equal Laurent expansions
+    are equal in the chart ring.  Proof: r*A = c*m*f lies in span(f), so
+    the map is well defined; it is onto by FPModule's unit-diagonal lemma;
+    and f*B = c^-1*m^-1*r, since A*B = 1 as Laurent terms, so R_far*B lies
+    in the localized relations and the map is injective.  Any other edge
+    is decided by localize_module and _onto_and_injective, which are also
+    the oracle of the lemma."""
     v, w = e
     rows, tgt = rep.edge_maps[e], rep.modules[w]
     if _edge_by_terms(terms or _terms_of(rep), e):
@@ -704,23 +639,14 @@ def identity_map(rep: SheafRep) -> SheafMap:
 
 
 def map_is_surjective(f: SheafMap) -> bool:
-    """Each vertex's rows span the target.  Rows that form a square
-    diagonal of unit terms c*m span it by the onto half of the lemma of
-    _onto_and_injective, e_j = (c*m)^-1 * row_j, which holds in any ring
-    (_has_unit_diagonal), so no zero-ring test and no run is made.  Any
-    other matrix is decided by in_span: a certificate of the rows, or one
-    untracked span run."""
-    for v in f.source.quiver.vertices:
-        rows, tgt = f.rows[v], f.target.modules[v]
-        if not _has_unit_diagonal(tgt.chart, _diagonal_terms(tgt.chart, rows), tgt.gens):
-            if not _onto(rows, tgt):
-                return False
-    return True
+    """Each vertex's rows span the target, as in_span decides: a
+    certificate of the rows, or one untracked span run."""
+    return all(_onto(f.rows[v], f.target.modules[v]) for v in f.source.quiver.vertices)
 
 
 def map_is_injective(f: SheafMap) -> bool:
-    """The relations among each vertex's rows, read off the rows' tracked
-    run, are relations of the source."""
+    """The relations among each vertex's rows, read off the rows' lifter,
+    are relations of the source."""
     return all(
         f.source.modules[v].are_zero(f.target.modules[v].lifter(f.rows[v]).kernel())
         for v in f.source.quiver.vertices
@@ -851,15 +777,13 @@ def kernel(f: SheafMap):
     c . f = 0 modulo target relations, pruned of redundant ones; edge maps
     are produced by lifting pushed-forward kernel generators over the kernel
     generators at the far vertex, which succeeds whenever the map
-    intertwines the edges.  Where the map is a diagonal of unit monomials,
-    the solutions are the target relations times its inverse (the lemma of
-    _onto_and_injective); any other matrix reads them off a tracked run."""
+    intertwines the edges.  The solutions are the kernel of the rows'
+    lifter: where the map is a diagonal of unit monomials, the target
+    relations times its inverse (FPModule's unit-diagonal lemma)."""
     quiver = f.source.quiver
     gens = {}
     for v in quiver.vertices:
-        found = _unit_diagonal_relations(f.rows[v], f.target.modules[v])
-        if found is None:
-            found = f.target.modules[v].row_relations(f.rows[v])
+        found = f.target.modules[v].lifter(f.rows[v]).kernel()
         gens[v] = _prune_generators(f.source.modules[v], _chart_nonzero_rows(quiver.chart(v), found))
     return _present(f.source, gens)
 

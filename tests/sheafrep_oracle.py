@@ -36,7 +36,7 @@ from itertools import combinations
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
 from qsheaf.closure import SubRep, SubRepReport, induced_rep
-from qsheaf.exactpoly import vec_is_zero, vec_key, vec_sub, vec_unit, vec_zero
+from qsheaf.exactpoly import vec_is_zero, vec_sub, vec_unit, vec_zero
 from qsheaf.sheafrep import (
     EdgeVerdict,
     GradedData,
@@ -88,15 +88,16 @@ def row_relations(module: FPModule, rows) -> list:
     rows = list(rows)
     seen_rows, syz = set(), []
     for r in lifter(module, rows).syzygy_rows:
-        if vec_key(r) not in seen_rows:
-            seen_rows.add(vec_key(r))
+        r = tuple(r)
+        if r not in seen_rows:
+            seen_rows.add(r)
             syz.append(r)
     out, seen = [], set()
     for row in syz:
         head = tuple(row[: len(rows)])
-        if vec_is_zero(head) or vec_key(head) in seen:
+        if vec_is_zero(head) or head in seen:
             continue
-        seen.add(vec_key(head))
+        seen.add(head)
         out.append(head)
     return out
 

@@ -1,11 +1,14 @@
-"""Module membership by a constant certificate against a direct tracked run.
+"""Module membership by a certificate against a direct tracked run.
 
 `charts.FPModule` decides `are_zero`, `in_span`, `lifter(rows)` (`lift` and
-`kernel`) and `row_relations` by a certificate whenever S, the rows
-followed by the relations, has a constant right inverse C (S*C = I) over
-a chart without subscheme relations, and by Groebner runs otherwise.
-Every answer here is compared with a `TrackedBasis` run made directly over
-the same rows, modding out the relations and the chart's ideal block.
+`kernel`) and `row_relations` by a certificate whenever the rows are a
+square diagonal of unit terms (their entrywise inverse B, on every chart),
+or S, the rows followed by the relations, has a constant right inverse C
+(S*C = I) over a chart without subscheme relations, and by Groebner runs
+otherwise.  Every answer here is compared with a `TrackedBasis` run made
+directly over the same rows, modding out the relations and the chart's
+ideal block; relations among the rows are compared by the span they
+generate modulo the chart's ideal, by Groebner bases made here.
 
 Presentations are drawn on charts of P^1 to P^3 over Q and F_p with a
 certificate by construction: S = (I_m | L)*P for a constant invertible P
@@ -14,6 +17,13 @@ Spoiled cases have none and must take the runs: a row scaled by z_j + a
 (a != 0 keeps it a non-unit), a zero row, more rows than generators, and a
 chart with subscheme relations.  An empty row set has a certificate with
 no column: its members are the relations' span.
+
+Unit diagonals are drawn on charts without a subscheme, with a subscheme,
+and with a monomial ideal that is the zero ring on the chart: each
+diagonal entry a nonzero constant times a monomial in the chart's unit
+variables, under random relations.  Spoiled ones are not unit diagonals,
+and take a constant certificate or the runs: an off-diagonal entry, a
+diagonal entry times a non-unit z_k, and a two-term diagonal entry.
 """
 
 from __future__ import annotations
@@ -21,17 +31,34 @@ from __future__ import annotations
 from hypothesis import assume, event, given, settings, strategies as st
 
 from qsheaf import charts
-from qsheaf.charts import FPModule, find_certificate, ideal_block, make_chart_ring, x_ring
-from qsheaf.exactpoly import Field, TrackedBasis, rref, vec_add, vec_is_zero, vec_mul_poly, vec_sub
+from qsheaf.charts import FPModule, UnitDiagonal, find_certificate, ideal_block, make_chart_ring, x_ring
+from qsheaf.exactpoly import (
+    Field,
+    TrackedBasis,
+    groebner_basis,
+    normal_form,
+    rref,
+    vec_add,
+    vec_is_zero,
+    vec_mul_poly,
+    vec_sub,
+)
 
 FIELDS = (Field(0), Field(5), Field(7))
 SPOILS = ("none", "scaled", "zero-row", "extra-rows", "subscheme")
+UNIT_SPOILS = ("none", "off-diagonal", "non-unit", "two-term")
 
 
 def coefficients(field):
     if field.char == 0:
         return st.builds(field.of_fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
     return st.builds(field.of_int, st.integers(0, field.char - 1))
+
+
+def units(field):
+    if field.char == 0:
+        return st.builds(field.of_fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2)))
+    return st.builds(field.of_int, st.integers(1, field.char - 1))
 
 
 @st.composite
@@ -87,22 +114,95 @@ def presentations(draw):
     return chart, gens, tuple(matrix[:r]), tuple(matrix[r:]), spoil
 
 
+@st.composite
+def unit_diagonals(draw):
+    """(chart, gens, rows, relations, spoil): rows c_j*m_j*e_j with m_j a
+    monomial in the chart's unit variables, spoiled or not, over a chart
+    with no subscheme, a subscheme, or the zero ring."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    vertex = draw(st.sets(st.integers(0, n), min_size=1))
+    xr = x_ring(field, n)
+    ideal = ()
+    kind = draw(st.sampled_from(("none", "subscheme", "zero-ring")))
+    if kind == "subscheme":
+        ideal = (xr.var(0) * xr.var(n) + xr.var(n) * xr.var(n).scale(draw(coefficients(field))),)
+    elif kind == "zero-ring":
+        # a product of coordinates the chart inverts is a unit there
+        gen = xr.one()
+        for i in draw(st.sets(st.sampled_from(sorted(vertex)), min_size=1)):
+            gen = gen * xr.var(i)
+        ideal = (gen,)
+    chart = make_chart_ring(field, n, vertex, ideal)
+    assert (kind == "zero-ring") <= chart.is_zero_ring()
+    event("chart: " + kind)
+    ring = chart.ring
+    gens = draw(st.integers(1, 3))
+    rows = []
+    for j in range(gens):
+        exp = [0] * ring.nvars
+        for col in chart.unit_variable_columns():
+            exp[col] = draw(st.integers(0, 2))
+        entry = ring.monomial(tuple(exp), draw(units(field)))
+        rows.append([entry if k == j else ring.zero() for k in range(gens)])
+    spoil = draw(st.one_of(st.just("none"), st.sampled_from(UNIT_SPOILS)))
+    j = draw(st.integers(0, gens - 1))
+    outside = sorted(set(range(n + 1)) - vertex)
+    if (spoil == "off-diagonal" and gens < 2) or (spoil == "non-unit" and not outside):
+        spoil = "two-term"
+    if spoil == "off-diagonal":
+        rows[j][(j + 1) % gens] = draw(polys(ring).filter(lambda p: not p.is_zero()))
+    elif spoil == "non-unit":
+        rows[j][j] = rows[j][j] * chart.z(draw(st.sampled_from(outside)))
+    elif spoil == "two-term":
+        rows[j][j] = rows[j][j] * (ring.one() + ring.var(draw(st.integers(0, ring.nvars - 1))))
+    relations = tuple(vecs(draw, ring, gens) for _ in range(draw(st.integers(0, 2))))
+    return chart, gens, tuple(map(tuple, rows)), relations, spoil
+
+
 def _in_ring_zero(chart, row) -> bool:
     return all(chart.nf(p).is_zero() for p in row)
+
+
+def _same_span(chart, a, b, rank) -> bool:
+    """a and b span the same submodule of R^rank modulo the chart's ideal,
+    decided by Groebner bases made here."""
+    block = ideal_block(chart, rank)
+    for x, y in ((a, b), (b, a)):
+        gb = groebner_basis(list(x) + block, chart.ring)
+        if not all(vec_is_zero(normal_form(vec, gb, chart.ring)) for vec in y):
+            return False
+    return True
 
 
 @settings(max_examples=60, deadline=None)
 @given(presentation=presentations(), data=st.data())
 def test_certificate_answers_match_a_direct_tracked_run(presentation, data):
     chart, gens, rows, relations, spoil = presentation
+    cert = FPModule(chart, gens, relations).certificate(rows)
+    event(spoil)
+    # an unspoiled draw may be a constant diagonal, which is a unit diagonal
+    assert (cert is not None) == (spoil == "none" or isinstance(cert, UnitDiagonal))
+    _check_against_a_tracked_run(chart, gens, rows, relations, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentation=unit_diagonals(), data=st.data())
+def test_unit_diagonal_answers_match_a_direct_tracked_run(presentation, data):
+    chart, gens, rows, relations, spoil = presentation
+    cert = FPModule(chart, gens, relations).certificate(rows)
+    event("spoil: " + spoil)
+    assert isinstance(cert, UnitDiagonal) == (spoil == "none")
+    _check_against_a_tracked_run(chart, gens, rows, relations, data)
+
+
+def _check_against_a_tracked_run(chart, gens, rows, relations, data):
     ring = chart.ring
     module = FPModule(chart, gens, relations)
     mod = list(relations) + ideal_block(chart, gens)
     tracked = TrackedBasis(rows, ring, gens, mod)
     zero_run = TrackedBasis((), ring, gens, mod)
     cert = module.certificate(rows)
-    event(spoil)
-    assert (cert is not None) == (spoil == "none")
 
     members = []
     for _ in range(data.draw(st.integers(1, 2))):
@@ -126,18 +226,19 @@ def test_certificate_answers_match_a_direct_tracked_run(presentation, data):
             for c, row in zip(found, rows):
                 combination = vec_add(combination, vec_mul_poly(row, c))
             assert zero_run.lift(vec_sub(x, combination)) is not None
-            if cert is not None:  # the lift is unique in the chart ring
+            if cert is not None and not cert.kernel():  # the lift is unique in the chart ring
                 assert _in_ring_zero(chart, vec_sub(tuple(found), tuple(expected)))
     for x in members:
         assert module.in_span(rows, (x,))
 
+    # the certificate's relations among the rows, or the run's, span what
+    # the direct run's span; row_relations keeps its run unless they are none
     kernel = module.row_relations(rows)
-    assert lifter.kernel() == kernel
-    if cert is None:
+    assert _same_span(chart, lifter.kernel(), tracked.kernel(), len(rows))
+    if cert is None or cert.kernel():
         assert kernel == tracked.kernel()
     else:
         assert kernel == []
-        assert all(_in_ring_zero(chart, row) for row in tracked.kernel())
 
 
 def test_a_wrong_solve_is_refused(monkeypatch):

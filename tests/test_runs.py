@@ -25,15 +25,16 @@ along each edge out of its vertex once, to lift it over the far generators.
 
 Coefficients over Q: every run a chart memo keeps (bases, tracked bases
 with their combinations and syzygy rows, relation rows, certificate
-matrices) and every lift, tracked or certified, holds ints where the value
-is integral, never a Fraction of denominator 1; a chart memo keeps a
-missing certificate as False, never None.
+matrices), every unit-diagonal certificate (its inverse and kernel rows)
+and every lift, tracked or certified, holds ints where the value is
+integral, never a Fraction of denominator 1; a chart memo keeps a missing
+certificate as False, never None.
 
 Edge verdicts: a graded edge map is a diagonal of unit monomials, which
-sheafrep inverts by inspection, so check-qc and is-bundle on a graded
-fixture build no ("lift", ...) run except over a chart that is the zero
-ring, where the inverse is refused; a P^1 mutant builds lift runs only for
-its bad edge.  Graded relations match along every edge as Laurent terms
+FPModule's certificate inverts by inspection in every ring, the zero ring
+included, so check-qc and is-bundle on a graded fixture build no
+("lift", ...) run; a P^1 mutant builds lift runs only for its bad edge.
+Graded relations match along every edge as Laurent terms
 and graded squares commute term by term, and a chart of P^n without a
 subscheme is a Laurent ring whose normal forms are Laurent forms, so
 check-qc, is-bundle and serre-cover on an Euler quotient build no run at
@@ -243,9 +244,9 @@ def test_verify_subrep_pushes_each_generator_once_per_edge(monkeypatch, command,
 
 
 Q_JOBS = [
-    # check-qc on an Euler quotient builds no run; on a subscheme it builds
-    # the chart relation bases
-    ("check-qc", "subscheme_p1.txt", None),
+    # check-qc builds no run on a graded fixture; is-bundle on a subscheme
+    # builds the chart relation bases
+    ("is-bundle", "subscheme_p1.txt", None),
     ("vdim-witness", "euler_q_p2.txt", None),
     ("lazard", "euler_q_p2.txt", None),
     ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
@@ -270,8 +271,16 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
 
         return watched_lift
 
-    real_memo = charts.ChartRing.memo
+    def watched_certificate(self, rows):
+        found = real_certificate(self, rows)
+        if isinstance(found, charts.UnitDiagonal):
+            constants.extend(c for _d, c in found.inverse)
+            lifts.extend(found.kernel())
+        return found
+
+    real_memo, real_certificate = charts.ChartRing.memo, charts.FPModule.certificate
     monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
+    monkeypatch.setattr(charts.FPModule, "certificate", watched_certificate)
     for lifter in (exactpoly.TrackedBasis, charts.CertifiedLift):
         monkeypatch.setattr(lifter, "lift", watching(lifter.lift))
     job = JobSpec(
@@ -292,8 +301,10 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
             rows += list(found)
     coefficients = [c for row in rows for p in row for c in p.terms.values()] + constants
     assert stored and coefficients
-    # every chart of subscheme_p1 has subscheme relations, so no certificate
-    assert bool(constants) == (fixture != "subscheme_p1.txt")
+    # every chart of subscheme_p1 has subscheme relations, so no constant
+    # certificate
+    certified = [found for kind, found in stored if kind == "certificate" and found]
+    assert bool(certified) == (fixture != "subscheme_p1.txt")
     assert [c for c in coefficients if type(c) is Fraction and c.denominator == 1] == []
 
 
@@ -324,9 +335,8 @@ def _lift_runs(monkeypatch, command, path):
 def test_graded_edges_build_no_lift_run(monkeypatch, command, fixture):
     status, built = _lift_runs(monkeypatch, command, FIXTURES / fixture)
     assert status == 0
-    # subscheme_p1 (x0*x1 = 0) is the one fixture with a zero-ring chart
-    assert [chart for chart, _rows in built if not chart.is_zero_ring()] == []
-    assert len(built) == (fixture == "subscheme_p1.txt")
+    # before, subscheme_p1 (x0*x1 = 0) built one, over its zero-ring chart
+    assert built == []
 
 
 @pytest.mark.parametrize("degrees,relations", [((0, 0), True), ((1, 0, -2), False)], ids=["euler", "sum"])

@@ -6,11 +6,13 @@ oracle Buchberger of `exactpoly_oracle`.  On generated twists, sums of
 twists and Euler-type quotients on P^1 to P^3 and on subschemes, over Q and
 F_p, with now and then one edge matrix or one vertex module spoiled, every
 edge verdict must be the same.  Graded edge maps are diagonals of unit
-monomials, which `_edge_verdict` inverts by inspection; a spoil either keeps
-that shape (a row scaled by a constant or a unit), so the fast path runs
-with an inverse other than the identity, or breaks it (a zero, two-term,
-non-unit or off-diagonal entry), and the test pins which edges take the
-fast path: never one into a chart that is the zero ring.
+monomials, which `FPModule.certificate` inverts by inspection (its
+unit-diagonal lemma); a spoil either keeps that shape (a row scaled by a
+constant or a unit), so the fast path runs with an inverse other than the
+identity, or breaks it (a zero, two-term, non-unit or off-diagonal entry),
+and the test pins which edges take the fast path: every unit diagonal, into
+a chart that is the zero ring too, where the inverse times the entry is
+still 1, which is 0 there.
 
 Two further lemmas decide graded inputs with no Groebner run.  An edge
 whose matrix A is a diagonal of unit monomials is an isomorphism when the
@@ -22,25 +24,30 @@ vertex (times a non-unit, or plus a term) keep every edge matrix a unit
 diagonal but break the match, and the edge spoils above break squares;
 every edge verdict and every square finding must still be the oracle's.
 The tests pin which edges and squares take the term path: every edge and
-square of an unspoiled graded representation, but no edge into a chart
-that is the zero ring.  The `check-qc` and `is-bundle` bodies of every
+square of an unspoiled graded representation, edges into a chart that is
+the zero ring included.  The `check-qc` and `is-bundle` bodies of every
 golden fixture are the same with both lemmas turned off.
 
-The same lemma decides `map_is_iso` and gives `kernel` its generators.  On
-the Serre covers of shipped fixtures, at every vertex, and on spoiled
-copies of one vertex's matrix, the lemma's kernel rows and the relations
-among the rows from a tracked run span the same submodule, and
-`_onto_and_injective` agrees with the tracked path and with the oracle.
-The `vdim-witness` and `lazard` bodies are the same with the lemma turned
-off.  Its onto half decides `map_is_surjective` where the rows are a square
-diagonal of unit terms, in any ring: on the Serre covers of generated
-representations, zero-ring charts included, with one vertex's matrix
-spoiled now and then (kept a unit diagonal or not), it must agree with the
-oracle's span run at every vertex.
+The unit-diagonal lemma decides `map_is_iso` and gives `kernel` its
+generators.  On the Serre covers of shipped fixtures, at every vertex
+(zero-ring charts included), and on spoiled copies of one vertex's matrix,
+the lemma's kernel rows, the relations among the rows from a tracked run
+and the oracle's span the same submodule, and `_onto_and_injective` agrees
+with the tracked path and with the oracle.  The `vdim-witness`, `lazard`
+and `serre-cover` bodies are the same with the lemma turned off in the
+certificate finder and in the edge term path.  The lemma decides
+`map_is_surjective` where the rows are a square diagonal of unit terms, in
+any ring: on the Serre covers of generated representations, zero-ring
+charts included, with one vertex's matrix spoiled now and then (kept a
+unit diagonal or not), it must agree with the oracle's span run at every
+vertex.
 
-Presentations of generator lists must present the same modules: equal relation spans at every vertex, and edge
-matrices that agree modulo the far relations, since a lift is only defined
-up to a relation among the far generators.
+Presentations of generator lists must present the same modules: equal
+relation spans at every vertex, and edge matrices that agree modulo the far
+relations, since a lift is only defined up to a relation among the far
+generators.  The relations among generator lists read off their lifter are
+the tracked run's list, and span what it spans where the list is a unit
+diagonal, whose lifter reads them off the lemma.
 
 `verify_subrep` reads closure off the presentation's lifts; the oracle keeps
 its old scan, which pushed every generator and tested span membership.  On
@@ -54,17 +61,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafrep_oracle as oracle
-from qsheaf import sheafrep
+from qsheaf import charts, sheafrep
 from qsheaf.bundles import serre_cover
-from qsheaf.charts import FPModule
+from qsheaf.charts import FPModule, UnitDiagonal
 from qsheaf.cli import JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
 from qsheaf.sheafrep import (
     SheafRep,
-    _diagonal_terms,
-    _has_unit_diagonal,
     _edge_by_terms,
     _edge_verdict,
     _square_by_terms,
@@ -72,8 +77,6 @@ from qsheaf.sheafrep import (
     _Terms,
     _onto_and_injective,
     _present,
-    _unit_diagonal_inverse,
-    _unit_diagonal_relations,
     build_proj_quiver,
     graded_sheaf,
     make_sheaf_map,
@@ -232,10 +235,10 @@ def reps(draw):
 
 def _unit_diagonal(rep, e) -> bool:
     """The edge matrix is square and diagonal, each diagonal entry one term
-    in the unit variables of a far chart that is not the zero ring."""
+    in the unit variables of the far chart."""
     rows, tgt = rep.edge_maps[e], rep.modules[e[1]]
     units = set(tgt.chart.unit_variable_columns())
-    if len(rows) != tgt.gens or tgt.chart.is_zero_ring():
+    if len(rows) != tgt.gens:
         return False
     for j, row in enumerate(rows):
         if any(not p.is_zero() for k, p in enumerate(row) if k != j) or len(row[j].terms) != 1:
@@ -244,6 +247,19 @@ def _unit_diagonal(rep, e) -> bool:
         if any(d and col not in units for col, d in enumerate(exp)):
             return False
     return True
+
+
+def _lemma(rows, tgt):
+    """The unit-diagonal certificate of the rows in tgt, or None."""
+    cert = tgt.certificate(tuple(map(tuple, rows)))
+    return cert if isinstance(cert, UnitDiagonal) else None
+
+
+def _without_the_lemma(monkeypatch):
+    """Turn the unit-diagonal lemma off in the certificate finder and in
+    the edge term path, which share its predicate."""
+    for module in (charts, sheafrep):
+        monkeypatch.setattr(module, "_has_unit_diagonal", lambda chart, diagonal, gens: False)
 
 
 def _squares(quiver):
@@ -259,14 +275,15 @@ def _squares(quiver):
 def test_edge_verdicts_match_oracle(rep):
     terms = _Terms(rep)
     for e in rep.quiver.edges:
-        inverse = _unit_diagonal_inverse(rep.edge_maps[e], rep.modules[e[1]])
+        inverse = _lemma(rep.edge_maps[e], rep.modules[e[1]])
         assert (inverse is not None) == _unit_diagonal(rep, e)
         if inverse is not None:
             # the source reads the inverse off the exponents; the products
-            # are checked here, in the chart
+            # are checked here, in the chart, where 1 may be 0
             chart = rep.modules[e[1]].chart
-            for j, (row, b) in enumerate(zip(rep.edge_maps[e], inverse)):
-                assert chart.nf(row[j] * b) == chart.ring.one()
+            one = chart.nf(chart.ring.one())
+            for j, (row, (d, c)) in enumerate(zip(rep.edge_maps[e], inverse.inverse)):
+                assert chart.nf(row[j] * chart.monomial_from_laurent(d).scale(c)) == one
         # the term path takes only matrices the lemma of
         # _onto_and_injective inverts
         assert not _edge_by_terms(terms, e) or inverse is not None
@@ -279,7 +296,7 @@ def test_edge_verdicts_match_oracle(rep):
 def test_unspoiled_graded_reps_take_the_term_path(rep):
     terms = _Terms(rep)
     for e in rep.quiver.edges:
-        assert _edge_by_terms(terms, e) == (not rep.quiver.chart(e[1]).is_zero_ring())
+        assert _edge_by_terms(terms, e)
     assert all(_square_by_terms(terms, *paths) for paths in _squares(rep.quiver))
 
 
@@ -336,7 +353,8 @@ def _pinned_cases():
         # z2, it is a monomial multiple that is no unit
         ("row-times-unit", relation_spoiled(far, None, lambda p, c: p * c.u(1)), edge, True, True),
         ("row-times-non-unit", relation_spoiled(far, None, lambda p, c: p * c.z(2)), edge, True, False),
-        ("zero-ring", graded_sheaf(p1, (1,)), (frozenset({0}), frozenset({0, 1})), False, False),
+        # the lemma holds in the zero ring too
+        ("zero-ring", graded_sheaf(p1, (1,)), (frozenset({0}), frozenset({0, 1})), True, True),
         ("non-unit", spoiled(2, 2, chart.z(2)), edge, False, False),
         ("two-term", spoiled(1, 1, chart.z(1) + three), edge, False, False),
         ("off-diagonal", spoiled(0, 2, chart.z(1)), edge, False, False),
@@ -349,7 +367,7 @@ PINNED = _pinned_cases()
 
 @pytest.mark.parametrize("name,rep,edge,fast,by_terms", PINNED, ids=[c[0] for c in PINNED])
 def test_pinned_edges_take_the_expected_path(name, rep, edge, fast, by_terms):
-    inverse = _unit_diagonal_inverse(rep.edge_maps[edge], rep.modules[edge[1]])
+    inverse = _lemma(rep.edge_maps[edge], rep.modules[edge[1]])
     assert (inverse is not None) == fast == _unit_diagonal(rep, edge)
     assert _edge_by_terms(_Terms(rep), edge) == by_terms
     verdict = _edge_verdict(rep, edge)
@@ -432,8 +450,9 @@ def _cover_cases():
         for v in cover.source.quiver.vertices:
             src, tgt = cover.source.modules[v], cover.target.modules[v]
             name = fixture[:-4] + "-" + "".join(map(str, sorted(v)))
-            # subscheme_p1 (x0*x1 = 0) has the zero ring at {0,1}
-            cases.append((name, src, cover.rows[v], tgt, not tgt.chart.is_zero_ring()))
+            # subscheme_p1 (x0*x1 = 0) has the zero ring at {0,1}, where
+            # the lemma holds too
+            cases.append((name, src, cover.rows[v], tgt, True))
     cover = serre_cover(parse_sheaf_file(str(FIXTURES / "euler_q_p2.txt")))
     v, w = frozenset({0}), frozenset({0, 1})
     chart, chart_w = cover.target.quiver.chart(v), cover.target.quiver.chart(w)
@@ -462,18 +481,22 @@ COVER_CASES = _cover_cases()
 
 @pytest.mark.parametrize("name,src,rows,tgt,fast", COVER_CASES, ids=[c[0] for c in COVER_CASES])
 def test_lemma_rows_span_the_relations_among_the_rows(name, src, rows, tgt, fast):
-    lemma, tracked = _unit_diagonal_relations(rows, tgt), tgt.row_relations(rows)
-    assert (lemma is not None) == fast
+    cert = _lemma(rows, tgt)
+    assert (cert is not None) == fast
     if fast:
+        lemma, tracked = cert.kernel(), tgt.row_relations(rows)
+        assert tgt.lifter(rows).kernel() == lemma
         free = FPModule(tgt.chart, len(rows))
-        assert free.in_span(lemma, tracked) and free.in_span(tracked, lemma)
+        for other in (tracked, oracle.row_relations(tgt, rows)):
+            assert free.in_span(lemma, other) and free.in_span(other, lemma)
 
 
 @pytest.mark.parametrize("name,src,rows,tgt,fast", COVER_CASES, ids=[c[0] for c in COVER_CASES])
 def test_onto_and_injective_match_the_tracked_path(monkeypatch, name, src, rows, tgt, fast):
     verdict = _onto_and_injective(src, rows, tgt)
     assert verdict == (oracle.onto(rows, tgt), oracle.injective(src, rows, tgt))
-    monkeypatch.setattr(sheafrep, "_unit_diagonal_inverse", lambda rows, tgt: None)
+    _without_the_lemma(monkeypatch)
+    assert _lemma(rows, tgt) is None
     assert _onto_and_injective(src, rows, tgt) == verdict
 
 
@@ -483,8 +506,7 @@ def test_bodies_are_the_same_without_the_lemma(monkeypatch, command, fixture):
     job = JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True)
     report = run(job)
     assert report.exit_status == 0
-    monkeypatch.setattr(sheafrep, "_unit_diagonal_inverse", lambda rows, tgt: None)
-    monkeypatch.setattr(sheafrep, "_has_unit_diagonal", lambda chart, diagonal, gens: False)
+    _without_the_lemma(monkeypatch)
     assert run(job).machine_text() == report.machine_text()
 
 
@@ -522,7 +544,7 @@ def test_surjectivity_matches_the_span_oracle(case):
     onto = []
     for v in f.source.quiver.vertices:
         rows, tgt = f.rows[v], f.target.modules[v]
-        fast = _has_unit_diagonal(tgt.chart, _diagonal_terms(tgt.chart, rows), tgt.gens)
+        fast = _lemma(rows, tgt) is not None
         # the identity and the KEPT spoils are diagonals of unit terms
         identity = tuple(map(tuple, sheafrep.mat_identity(tgt.chart.ring, tgt.gens)))
         assert fast == (spoil in ("none",) + KEPT or rows == identity)
@@ -551,7 +573,13 @@ def test_presentations_match_oracle(data):
         gens[v] = units + extra
     for v in rep.quiver.vertices:
         module, rows = rep.modules[v], gens[v]
-        assert module.lifter(rows).kernel() == module.row_relations(rows)
+        lifted, tracked = module.lifter(rows).kernel(), module.row_relations(rows)
+        if _lemma(rows, module) is None:
+            assert lifted == tracked
+        else:
+            # all unit vectors and no extra: the lemma reads the relations
+            free = FPModule(module.chart, len(rows))
+            assert free.in_span(lifted, tracked) and free.in_span(tracked, lifted)
     new_rep, new_incl = _present(rep, gens)
     old_rep, old_incl = oracle.present(rep, gens)
     assert new_incl.rows == old_incl.rows

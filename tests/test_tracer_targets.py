@@ -4,14 +4,15 @@ shipped Hill fixtures and one failing family with a two-vector extension
 class, and every traced `closure` name by `closure` on the
 shipped seed fixtures.  Every traced `charts` and `sheafrep` name is reached
 by `check-qc`, `is-bundle` and `serre-cover` on a graded subscheme fixture,
-`check-qc` on a P^1 mutant sheafrep file, and `vdim-witness` and `lazard` on
-an Euler quotient, from an empty table of quiver skeletons and again from a
-full one, with the same span counts: what a process shares between jobs
-calls no traced name.  Every traced `exactpoly` name is reached by
-`vdim-witness` on an Euler quotient, whose kernel-covered check is the one
-tracked run certificates leave there, `closure` on a seed fixture, and
-`is-bundle` on a subscheme and on an Euler quotient with no constant
-relation entry.  The perfbench self-tests check the same, but they run
+`check-qc` on a P^1 mutant sheafrep file and on the same mutant on a
+subscheme, and `vdim-witness` and `lazard` on an Euler quotient, from an
+empty table of quiver skeletons and again from a full one, with the same
+span counts: what a process shares between jobs calls no traced name.
+Every traced `exactpoly` name is reached by `vdim-witness` on an Euler
+quotient, whose kernel-covered check is the one tracked run certificates
+leave there, `closure` on a seed fixture, `filter-p1` on a coupled
+transition, and `is-bundle` on a subscheme and on an Euler quotient with no
+constant relation entry.  The perfbench self-tests check the same, but they run
 the whole benchmark corpus; these guards catch a renamed, moved or no
 longer called name in a second.
 """
@@ -113,15 +114,18 @@ def test_closure_reaches_every_traced_closure_name():
     assert _unreached(("closure",), _traced(jobs)) == set()
 
 
-def _p1_mutant(tmp_path) -> str:
-    """A P^1 sum of twists in sheafrep form, one edge entry times z1 + 2."""
-    quiver = sheafrep.build_proj_quiver(Field(0), 1)
+def _p1_mutant(tmp_path, subscheme=False) -> str:
+    """A P^1 sum of twists in sheafrep form, one edge entry times z1 + 2;
+    on V(x0*x1) when subscheme, where the bad edge goes by localization
+    into a chart with subscheme relations (FPModule.relation_gb)."""
+    xr = sheafrep.build_proj_quiver(Field(0), 1).xring
+    quiver = sheafrep.build_proj_quiver(Field(0), 1, (xr.var(0) * xr.var(1),) if subscheme else ())
     rep = sheafrep.graded_sheaf(quiver, (1, 0))
     edge = quiver.edges[-1]
     chart = quiver.chart(edge[1])
     rows = [list(r) for r in rep.edge_maps[edge]]
     rows[0][0] = rows[0][0] * (chart.z(1) + chart.ring.constant(2))
-    path = tmp_path / "mutant_p1.txt"
+    path = tmp_path / ("mutant_v_p1.txt" if subscheme else "mutant_p1.txt")
     path.write_text(sheafrep_text(rep.replaced_edge(edge, rows)), encoding="utf-8")
     return str(path)
 
@@ -130,7 +134,7 @@ def test_sheaf_jobs_reach_every_traced_chart_and_sheafrep_name_cold_and_warm(tmp
     graded = str(ROOT / "fixtures" / "subscheme_p1.txt")
     euler = str(ROOT / "fixtures" / "euler_q_p2.txt")
     jobs = [cli.JobSpec(c, inputs=(graded,), machine=True) for c in ("check-qc", "is-bundle", "serre-cover")]
-    jobs.append(cli.JobSpec("check-qc", inputs=(_p1_mutant(tmp_path),), machine=True))
+    jobs += [cli.JobSpec("check-qc", inputs=(_p1_mutant(tmp_path, v),), machine=True) for v in (False, True)]
     jobs += [cli.JobSpec(c, inputs=(euler,), machine=True) for c in ("vdim-witness", "lazard")]
     sheafrep._skeleton.cache_clear()
     cold = _traced(jobs)
@@ -143,10 +147,12 @@ def test_sheaf_jobs_reach_every_traced_chart_and_sheafrep_name_cold_and_warm(tmp
 def test_fixture_jobs_reach_every_traced_exactpoly_name(tmp_path):
     # vdim-witness re-checks that the kernel is covered by a tracked
     # row_relations run over the identity cover (module_kernel, syzygies,
-    # TrackedBasis), which no certificate replaces; closure lifts over edge
-    # matrices of twists, which have none (TrackedBasis.lift); is-bundle on
-    # a subscheme and on an Euler quotient whose relation entries are never
-    # constant decides Fitting ideals by Groebner bases
+    # TrackedBasis), which no certificate replaces; closure presents its
+    # generators with tracked runs, and filter-p1 on a coupled transition
+    # lifts over them (TrackedBasis.lift: edge matrices of twists are unit
+    # diagonals, which lift by a certificate); is-bundle on a subscheme and
+    # on an Euler quotient whose relation entries are never constant decides
+    # Fitting ideals by Groebner bases
     fixtures = ROOT / "fixtures"
     generic = tmp_path / "euler_generic_p2.txt"
     generic.write_text(
@@ -160,6 +166,7 @@ def test_fixture_jobs_reach_every_traced_exactpoly_name(tmp_path):
             seed_file=str(fixtures / "seed_sum_o1_o1_p1.txt"),
             machine=True,
         ),
+        cli.JobSpec("filter-p1", inputs=(str(fixtures / "trans_coupled.txt"),), machine=True),
         cli.JobSpec("is-bundle", inputs=(str(fixtures / "subscheme_p1.txt"),), machine=True),
         cli.JobSpec("is-bundle", inputs=(str(generic),), machine=True),
     ]
