@@ -7,7 +7,10 @@ u_i = (x_i/x_pivot)^(-1) for i in v minus the pivot, where pivot = min(v),
 subject to u_i*z_i - 1 and the dehomogenized subscheme ideal.  Every chart
 monomial therefore corresponds to a Laurent monomial in x_0..x_n of total
 degree zero; that correspondence drives pivot changes and denominator
-clearing elsewhere in the package.
+clearing elsewhere in the package.  ChartData.to_laurent reads a chart
+polynomial as Laurent terms and from_laurent is the one way back; a
+module's relation rows are read once and kept with the module
+(FPModule.laurent), which certificates and sheafrep's edge lemma read.
 
 Without a subscheme a chart is the Laurent ring k[x_j/x_p, (x_i/x_p)^-1],
 in which every element has one Laurent expansion.  Its normal form is
@@ -21,9 +24,10 @@ A chart's ring data (ChartData: its PolyRing, variable indexes, Laurent
 table, inversions and dehomogenized ideal) holds no run and is never
 mutated, so a process shares it between jobs: sheafrep keeps it in its
 bounded table of quiver skeletons (sheafrep.SKELETONS, 16 keys of (field,
-n, ideal), the least recently used going first).  What stays per job is the ChartRing,
-which make_chart_ring builds on that data for each chart a quiver uses, and
-its runs.
+n) without a subscheme, the least recently used going first; a quiver on
+a subscheme builds its own).  What stays per job is the ChartRing, which
+make_chart_ring builds on that data for each chart a quiver uses, and its
+runs.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
 FPModule.lifter and FPModule.row_relations) and of the constant
@@ -151,16 +155,10 @@ class ChartData:
         """Laurent expansion {degree-0 x-exponent vector: coefficient}."""
         return _collect(self.field, ((self.laurent_of_exp(e), c) for e, c in p.terms.items()))
 
-    def monomial_from_laurent(self, vec: Sequence[int]) -> Poly:
-        """Chart monomial with the given degree-0 Laurent exponent vector.
-
-        Requires vec[j] >= 0 for every j outside the chart's vertex; raises
-        ValueError when the monomial needs an inverse the chart lacks.
-        """
-        return self.ring.monomial(self._exp_of_laurent(vec))
-
     def _exp_of_laurent(self, vec: Sequence[int]) -> tuple:
-        """Exponent of the chart monomial of monomial_from_laurent."""
+        """Exponent of the chart monomial with the degree-0 Laurent exponent
+        vec; ValueError when vec[j] < 0 for a j outside the chart's vertex,
+        an inverse the chart lacks."""
         if len(vec) != self.n + 1 or sum(vec) != 0:
             raise ValueError("laurent exponent must have length n+1 and total degree 0")
         exp = [0] * self.ring.nvars
@@ -179,8 +177,10 @@ class ChartData:
 
     def from_laurent(self, terms: dict) -> Poly:
         """Chart polynomial of a Laurent expansion without zero coefficients,
-        such as _collect makes.  Distinct Laurent exponents give distinct
-        chart exponents, so the terms are written into one dict."""
+        such as _collect makes, and the one way back from Laurent terms: a
+        monomial is from_laurent({exponent: coefficient}).  Distinct Laurent
+        exponents give distinct chart exponents, so the terms are written
+        into one dict."""
         return Poly(self.ring, {self._exp_of_laurent(vec): c for vec, c in terms.items()})
 
 
@@ -384,9 +384,9 @@ class Certificate:
         )
 
 
-def find_certificate(chart: ChartRing, rows: tuple, gens: int):
-    """The Certificate of the rows S over a chart without subscheme
-    relations, or False when no constant C gives S*C = I.
+def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
+    """The Certificate of the rows S, given as Laurent forms, over a chart
+    without subscheme relations, or False when no constant C gives S*C = I.
 
     With S[i][j] = sum_e s_ije x^e, entry (i, k) of S*C is
     sum_e x^e sum_j s_ije C[j][k], and Laurent forms are unique, so
@@ -396,9 +396,8 @@ def find_certificate(chart: ChartRing, rows: tuple, gens: int):
     it: a pivot in B means no solution, and otherwise the pivot rows give
     the one whose free unknowns are 0."""
     f = chart.field
-    m = len(rows)
+    m = len(laurent)
     zero = (0,) * (chart.n + 1)
-    laurent = tuple(tuple(map(chart.to_laurent, row)) for row in rows)
     # entry (i, i) of S*C = I has constant term sum_j s_ij0 C[j][i] = 1,
     # so every row needs an entry with a constant term; and a square S*C = I
     # gives C*S = I, so C*S_e = 0 and S_e = 0 for every e != 0
@@ -446,8 +445,13 @@ class UnitDiagonal:
 
     def kernel(self) -> list:
         chart = self.chart
-        b = [chart.monomial_from_laurent(d).scale(c) for d, c in self.inverse]
+        b = [chart.from_laurent({d: c}) for d, c in self.inverse]
         return [tuple(map(mul, r, b)) for r in self.relations]
+
+
+def _laurent_rows(chart: ChartRing, rows) -> tuple:
+    """The Laurent form of every entry of rows of chart polynomials."""
+    return tuple(tuple(map(chart.to_laurent, row)) for row in rows)
 
 
 def _diagonal_terms(chart: ChartRing, rows):
@@ -501,11 +505,15 @@ class FPModule:
 
     gens counts the generators; relations is a tuple of rows of that length.
     The module is the cokernel of the relation rows, always considered
-    together with the chart ring's own defining relations.  A list of rows
-    of the same length names the submodule those rows generate; the methods
-    taking `rows` give its span, the relations among the rows, and lifts
-    over them.  Each is a run in the chart's memo, keyed on the generator
-    count, rows and relations; the module itself caches nothing.
+    together with the chart ring's own defining relations.  laurent holds
+    the Laurent forms of the relation rows, one {exponent: coefficient}
+    dict per entry: the rows the module was built from when its maker had
+    them in hand (graded_sheaf), else read off the relations by to_laurent
+    once, on first use.  A list of rows of the same length names the
+    submodule those rows generate; the methods taking `rows` give its span,
+    the relations among the rows, and lifts over them.  Each is a run in
+    the chart's memo, keyed on the generator count, rows and relations;
+    the module itself keeps only its Laurent rows.
 
     are_zero, in_span, lifter and row_relations first ask for a
     certificate of the rows (certificate(rows)), which makes no run, of
@@ -537,7 +545,7 @@ class FPModule:
     every x in the span.
     """
 
-    def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = ()):
+    def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = (), laurent=None):
         if gens < 0:
             raise ValueError("negative generator count")
         self.chart = chart
@@ -552,6 +560,13 @@ class FPModule:
                     raise RingMismatchError("relation entry from the wrong chart")
             rel.append(row)
         self.relations = tuple(rel)
+        self._laurent = laurent
+
+    @property
+    def laurent(self) -> tuple:
+        if self._laurent is None:
+            self._laurent = _laurent_rows(self.chart, self.relations)
+        return self._laurent
 
     def relation_gb(self) -> list:
         return self.span_gb(())
@@ -567,8 +582,9 @@ class FPModule:
     def certificate(self, rows) -> Certificate | UnitDiagonal | None:
         """The certificate of the rows (tuples): their UnitDiagonal, else
         the Certificate of the rows followed by the relations, found once
-        per chart for each (gens, rows), or None: at once on a chart with
-        subscheme relations or for more rows than generators."""
+        per chart for each (gens, rows) from the rows' Laurent forms and
+        laurent, or None: at once on a chart with subscheme relations or
+        for more rows than generators."""
         if any(len(row) != self.gens for row in rows):
             raise DimensionMismatchError("row of wrong length")
         diagonal = _diagonal_terms(self.chart, rows)
@@ -578,7 +594,8 @@ class FPModule:
         if self.chart._subscheme or len(matrix) > self.gens:
             return None
         found = self.chart.memo(
-            ("certificate", self.gens, matrix), lambda: find_certificate(self.chart, matrix, self.gens)
+            ("certificate", self.gens, matrix),
+            lambda: find_certificate(self.chart, _laurent_rows(self.chart, rows) + self.laurent, self.gens),
         )
         return found or None
 

@@ -152,9 +152,7 @@ def verify_witness(rep: SheafRep, witness: ClosureWitness) -> bool:
     total = tuple(chart_w.ring.zero() for _ in range(tgt.gens))
     for part in witness.parts:
         pushed = push(rep, witness.edge, part.preimage)
-        inv = chart_w.monomial_from_laurent(
-            tuple(-part.power * s for s in svec)
-        )
+        inv = chart_w.from_laurent({tuple(-part.power * s for s in svec): chart_w.field.one})
         scale = chart_w.nf(part.unit * inv)
         total = vec_add(total, vec_mul_poly(pushed, scale))
     diff = tuple(a - b for a, b in zip(witness.element, total))

@@ -28,7 +28,7 @@ non-commuting squares, mismatched stages).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -41,7 +41,6 @@ from .sheafrep import (
     ProjQuiver,
     SheafRep,
     _squares_agree,
-    _Terms,
     build_proj_quiver,
     check_graded_row,
     fmt_vertex,
@@ -327,11 +326,10 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
         rep = make_sheaf_rep(quiver, modules, edge_rows)
     except ValueError as err:
         raise ParseError(path, last, str(err), SEMANTIC)
-    terms = _Terms(rep)
-    violations = _squares_agree(rep, terms)
+    violations = _squares_agree(rep)
     if violations:
         raise ParseError(path, last, violations[0], SEMANTIC)
-    return replace(rep, terms=terms)
+    return rep
 
 
 def parse_sheaf_file(path: str) -> SheafRep:

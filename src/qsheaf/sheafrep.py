@@ -8,15 +8,21 @@ generating edge.  The representation presents a quasi-coherent sheaf exactly
 when every edge map becomes an isomorphism after extending scalars and the
 squares commute, which is decided here exactly: by comparing Laurent terms
 where the edge matrices are diagonals of monomials, as on graded inputs,
-and by Groebner spans otherwise.  Sub-representations given by
-per-vertex generator lists, and their presentations (kernels among them),
-live here as well.
+and by Groebner spans otherwise.  The terms are read once, by their
+owners: a module keeps the Laurent forms of its relation rows
+(FPModule.laurent), and a representation keeps in SheafRep.terms the
+diagonal of each edge, read by _diagonal, and its square findings.
+Sub-representations given by per-vertex generator lists, and their
+presentations (kernels among them), live here as well.
 
 Every quiver on one (field, n, ideal generators) has the same skeleton: the
 x ring, vertices, edges, each chart's ChartData, and per degree tuple the
 graded edge matrices.  A bounded process-level table (_skeleton, SKELETONS
-keys, GRADED_EDGES degree tuples per key, least recently used first out)
-keeps them, so a job on a key seen before builds none of it.  The table
+(field, n) keys, GRADED_EDGES degree tuples per key, least recently used
+first out) keeps those of P^n, so a job on a key seen before builds none of
+it.  A quiver on a subscheme builds its own skeleton and the table does not
+keep it: a subscheme's key rarely comes again (each O_V job of a corpus may
+draw new forms), and stored it would evict a key that does.  The table
 holds no run: a ProjQuiver, its ChartRings and ChartHoms, and every
 Groebner run are made per job.
 
@@ -28,7 +34,7 @@ matrix product taken left to right.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add as _add, sub as _sub
 from typing import Optional
@@ -194,20 +200,20 @@ class _Skeleton:
             ratio[min(w)] += d
             ratio[p] -= d
             ratio = tuple(ratio)
-            monomial = self.chart(w).monomial_from_laurent(ratio)
+            monomial = self.chart(w).from_laurent({ratio: self.field.one})
             found = self._ratios[key] = ((ratio, self.field.one), monomial)
         return found
 
 
 @lru_cache(maxsize=SKELETONS)
-def _skeleton(fld: Field, n: int, ideal_gens: tuple) -> _Skeleton:
-    return _Skeleton(fld, n, ideal_gens)
+def _skeleton(fld: Field, n: int) -> _Skeleton:
+    return _Skeleton(fld, n, ())
 
 
 class ProjQuiver:
     """Chart poset of P^n (or a closed subscheme): the skeleton its (field,
-    n, ideal) shares in the process, and the ChartRings and ChartHoms of
-    one job, made on first use."""
+    n) shares in the process, or on a subscheme its own, and the ChartRings
+    and ChartHoms of one job, made on first use."""
 
     def __init__(self, fld: Field, n: int, ideal_gens=()):
         if n < 1 or n > 6:
@@ -222,7 +228,7 @@ class ProjQuiver:
             if not is_homogeneous(g):
                 raise ValueError("subscheme generators must be homogeneous")
         self.ideal_gens = gens
-        self.skeleton = _skeleton(fld, n, gens)
+        self.skeleton = _Skeleton(fld, n, gens) if gens else _skeleton(fld, n)
         self.xring = self.skeleton.xring
         self.vertices = self.skeleton.vertices
         self.edges = self.skeleton.edges
@@ -257,15 +263,16 @@ class GradedData:
 
 @dataclass(frozen=True)
 class SheafRep:
-    """A representation; terms, when set, is the _Terms that reads it, made
-    by whoever built the representation with its Laurent terms in hand
-    (graded_sheaf, the sheafrep parser), and is_quasi_coherent reads it."""
+    """A representation.  terms holds what is read off it once: under each
+    edge the diagonal of its matrix as _diagonal_terms reads it, which
+    graded_sheaf seeds from the skeleton and _diagonal otherwise reads on
+    first use, and under "squares" the findings of _squares_agree."""
 
     quiver: ProjQuiver
     modules: dict
     edge_maps: dict
     graded: Optional[GradedData] = None
-    terms: Optional["_Terms"] = field(default=None, compare=False, repr=False)
+    terms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def module(self, v) -> FPModule:
         return self.modules[frozenset(v)]
@@ -275,7 +282,8 @@ class SheafRep:
 
     def replaced_edge(self, edge, rows) -> "SheafRep":
         """The representation with one edge matrix replaced; it keeps no
-        graded presentation and no terms, which describe the old matrix."""
+        graded presentation and starts empty terms, as the old ones describe
+        the old matrix."""
         key = (frozenset(edge[0]), frozenset(edge[1]))
         if key not in self.edge_maps:
             raise KeyError(fmt_edge(key))
@@ -335,16 +343,16 @@ def check_graded_row(row, degrees) -> None:
 def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     """Sheafify coker(relations) of a free graded module with the given
     generator twists: generator j of degree d_j corresponds on a chart with
-    pivot p to the section e_j / x_p^{d_j}.  The edge matrices come from the
-    quiver's skeleton; the relation rows are dehomogenized here, as Laurent
-    terms once per pivot, which every chart with that pivot shares, and
-    written as chart polynomials per chart.  The representation carries
-    both kinds of terms."""
+    pivot p to the section e_j / x_p^{d_j}.  The edge matrices and their
+    diagonals come from the quiver's skeleton; the relation rows are
+    dehomogenized here, as Laurent terms once per pivot, which every module
+    on a chart with that pivot keeps, and written as chart polynomials per
+    chart."""
     degrees = tuple(int(d) for d in degrees)
     frozen_rows = tuple(tuple(row) for row in rows)
     for row in frozen_rows:
         check_graded_row(row, degrees)
-    by_pivot, row_terms, modules = {}, {}, {}
+    by_pivot, modules = {}, {}
     for v in quiver.vertices:
         p = min(v)
         if p not in by_pivot:
@@ -352,12 +360,10 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
                 tuple(dehomogenized_laurent(quiver.field, g, p) for g in row) for row in frozen_rows
             )
         chart = quiver.chart(v)
-        row_terms[v] = by_pivot[p]
         rel = tuple(tuple(map(chart.from_laurent, row)) for row in by_pivot[p])
-        modules[v] = FPModule(chart, len(degrees), rel)
+        modules[v] = FPModule(chart, len(degrees), rel, by_pivot[p])
     maps, diagonals = quiver.skeleton.graded_edges(degrees)
-    rep = SheafRep(quiver, modules, dict(maps), GradedData(degrees, frozen_rows))
-    return replace(rep, terms=_Terms(rep, row_terms, diagonals))
+    return SheafRep(quiver, modules, dict(maps), GradedData(degrees, frozen_rows), dict(diagonals))
 
 
 def structure_sheaf(quiver: ProjQuiver) -> SheafRep:
@@ -408,39 +414,13 @@ def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
     return _onto(rows, tgt), injective
 
 
-class _Terms:
-    """Laurent terms of one representation, each read once: the relation
-    rows of every vertex module (one {exponent: coefficient} dict per
-    entry, in its own chart) and the diagonal of every edge matrix whose
-    diagonal entries are single terms and whose other entries are zero
-    ((exponent, coefficient) per entry, None for any other matrix).
-    Exponents are the degree-0 Laurent exponents in x_0..x_n that every
-    chart shares.  rows and diagonals, when given, hold such terms already
-    known, which are then not read off the polynomials.  squares keeps the
-    findings of _squares_agree once decided."""
-
-    def __init__(self, rep: SheafRep, rows=None, diagonals=None):
-        self.rep = rep
-        self.field = rep.quiver.field
-        self._rows = dict(rows or {})
-        self._diagonals = dict(diagonals or {})
-        self.squares = None
-
-    def rows(self, v: Vertex) -> tuple:
-        if v not in self._rows:
-            module = self.rep.modules[v]
-            to_laurent = module.chart.to_laurent
-            self._rows[v] = tuple(tuple(map(to_laurent, row)) for row in module.relations)
-        return self._rows[v]
-
-    def diagonal(self, e: Edge):
-        if e not in self._diagonals:
-            self._diagonals[e] = _diagonal_terms(self.rep.quiver.chart(e[1]), self.rep.edge_maps[e])
-        return self._diagonals[e]
-
-
-def _terms_of(rep: SheafRep) -> _Terms:
-    return rep.terms or _Terms(rep)
+def _diagonal(rep: SheafRep, e: Edge):
+    """The diagonal of the matrix of edge e as _diagonal_terms reads it,
+    kept in rep.terms: the one place sheafrep reads an edge's terms."""
+    terms = rep.terms
+    if e not in terms:
+        terms[e] = _diagonal_terms(rep.quiver.chart(e[1]), rep.edge_maps[e])
+    return terms[e]
 
 
 def _term_multiple(a, b, fmul, outside) -> bool:
@@ -466,24 +446,24 @@ def _term_multiple(a, b, fmul, outside) -> bool:
     return True
 
 
-def _edge_by_terms(terms: _Terms, e: Edge) -> bool:
+def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
     """The edge matrix A is a diagonal of unit monomials of the far chart,
     and the relations of the two ends correspond through it as Laurent
     rows: every nonzero near row r has r*A = c*m*f for a far row f, a
     nonzero constant c and a monomial m that is a unit of the far chart,
     and every nonzero far row is such an f.  The first condition is
     _has_unit_diagonal, which also decides the matrices FPModule's
-    unit-diagonal lemma inverts.  The far row with r's index is tried
-    first."""
+    unit-diagonal lemma inverts.  The rows are the modules' Laurent rows
+    (FPModule.laurent).  The far row with r's index is tried first."""
     v, w = e
-    diagonal = terms.diagonal(e)
-    if not _has_unit_diagonal(terms.rep.quiver.chart(w), diagonal, terms.rep.modules[w].gens):
+    diagonal = _diagonal(rep, e)
+    if not _has_unit_diagonal(rep.quiver.chart(w), diagonal, rep.modules[w].gens):
         return False
-    outside = [i for i in range(terms.rep.quiver.n + 1) if i not in w]
-    fmul = terms.field.mul
-    far = terms.rows(w)
+    outside = [i for i in range(rep.quiver.n + 1) if i not in w]
+    fmul = rep.quiver.field.mul
+    far = rep.modules[w].laurent
     images = []
-    for i, row in enumerate(terms.rows(v)):
+    for i, row in enumerate(rep.modules[v].laurent):
         image = tuple(
             {tuple(map(_add, exp, de)): fmul(c, dc) for exp, c in entry.items()}
             for entry, (de, dc) in zip(row, diagonal)
@@ -503,7 +483,7 @@ def _edge_by_terms(terms: _Terms, e: Edge) -> bool:
     )
 
 
-def _edge_verdict(rep: SheafRep, e: Edge, terms: Optional[_Terms] = None) -> EdgeVerdict:
+def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     """Base change of the near module to the far chart, compared with the
     far module through the edge matrix; it is well defined when every
     relation of the near module, sent through the matrix, is a relation of
@@ -522,29 +502,29 @@ def _edge_verdict(rep: SheafRep, e: Edge, terms: Optional[_Terms] = None) -> Edg
     the oracle of the lemma."""
     v, w = e
     rows, tgt = rep.edge_maps[e], rep.modules[w]
-    if _edge_by_terms(terms or _terms_of(rep), e):
+    if _edge_by_terms(rep, e):
         return EdgeVerdict(e, True, True, True)
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
     return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
 
 
-def _square_by_terms(terms: _Terms, left, right) -> bool:
+def _square_by_terms(rep: SheafRep, left, right) -> bool:
     """The two composites of a square, each a pair of edges, are equal as
     Laurent terms: all four edge matrices are diagonals of single terms,
     and on every diagonal entry the two paths have the same exponent sum
     and the same coefficient product."""
-    d = [terms.diagonal(e) for e in left + right]
+    d = [_diagonal(rep, e) for e in left + right]
     if None in d:
         return False
-    fmul = terms.field.mul
+    fmul = rep.quiver.field.mul
     return all(
         tuple(map(_add, e1, e2)) == tuple(map(_add, e3, e4)) and fmul(c1, c2) == fmul(c3, c4)
         for (e1, c1), (e2, c2), (e3, c3), (e4, c4) in zip(*d)
     )
 
 
-def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
+def _squares_agree(rep: SheafRep) -> tuple:
     """Composites of generating edges around each square, compared modulo
     the target relation span.
 
@@ -553,12 +533,12 @@ def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
     same Laurent exponent and coefficient are the same element of the
     chart ring (see _edge_verdict).  When the terms differ, the composites
     are pushed and compared modulo the far relations, since on a
-    subscheme chart they may still agree.  The findings are kept in terms,
-    so a representation whose terms carry them (a parsed sheafrep file) is
-    not checked again."""
-    terms = terms or _terms_of(rep)
-    if terms.squares is not None:
-        return terms.squares
+    subscheme chart they may still agree.  The findings are kept in
+    rep.terms, so a representation is checked once: a parsed sheafrep file
+    carries its parse's findings to is_quasi_coherent."""
+    found = rep.terms.get("squares")
+    if found is not None:
+        return found
     findings = []
     points = set(range(rep.quiver.n + 1))
     for v in rep.quiver.vertices:
@@ -568,7 +548,7 @@ def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
                 k, l = extra[a_i], extra[b_i]
                 w = v | {k, l}
                 paths = [((v, mid), (mid, w)) for mid in (v | {k}, v | {l})]
-                if _square_by_terms(terms, *paths):
+                if _square_by_terms(rep, *paths):
                     continue
                 left, right = (
                     [push(rep, second, r) for r in rep.edge_maps[first]] for first, second in paths
@@ -583,16 +563,15 @@ def _squares_agree(rep: SheafRep, terms: Optional[_Terms] = None) -> tuple:
                         + str(l)
                         + "}: path composites disagree"
                     )
-    terms.squares = tuple(findings)
-    return terms.squares
+    found = rep.terms["squares"] = tuple(findings)
+    return found
 
 
 def is_quasi_coherent(rep: SheafRep) -> QCReport:
     verdicts = []
     findings = []
-    terms = _terms_of(rep)
     for e in rep.quiver.edges:
-        ev = _edge_verdict(rep, e, terms)
+        ev = _edge_verdict(rep, e)
         verdicts.append(ev)
         if not ev.well_defined:
             findings.append("edge " + fmt_edge(e) + ": relations not preserved")
@@ -600,7 +579,7 @@ def is_quasi_coherent(rep: SheafRep) -> QCReport:
             findings.append("edge " + fmt_edge(e) + ": extension of scalars not surjective")
         if not ev.injective:
             findings.append("edge " + fmt_edge(e) + ": extension of scalars not injective")
-    square_findings = _squares_agree(rep, terms)
+    square_findings = _squares_agree(rep)
     findings.extend(square_findings)
     ok = all(ev.ok for ev in verdicts) and not square_findings
     return QCReport(ok, tuple(verdicts), not square_findings, tuple(findings))

@@ -33,7 +33,7 @@ def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
 def images(source, target) -> tuple:
     images = []
     for lv in source._var_laurent:
-        images.append(target.nf(target.monomial_from_laurent(lv)))
+        images.append(target.nf(target.from_laurent({lv: target.field.one})))
     return tuple(images)
 
 

@@ -245,7 +245,7 @@ def test_a_wrong_solve_is_refused(monkeypatch):
     # the Euler row (1, z1, z2) on chart {0} of P^2 has the certificate e_0;
     # a solve that writes 2 there instead fails the check S*C = I
     chart = make_chart_ring(Field(0), 2, {0})
-    row = (chart.ring.one(), chart.z(1), chart.z(2))
+    row = tuple(map(chart.to_laurent, (chart.ring.one(), chart.z(1), chart.z(2))))
     cert = find_certificate(chart, (row,), 3)
     assert cert and cert.matrix == ((1,), (0,), (0,))
     real = charts.rref

@@ -74,7 +74,6 @@ from qsheaf.sheafrep import (
     _edge_verdict,
     _square_by_terms,
     _squares_agree,
-    _Terms,
     _onto_and_injective,
     _present,
     build_proj_quiver,
@@ -273,7 +272,6 @@ def _squares(quiver):
 @settings(max_examples=60, deadline=None)
 @given(reps())
 def test_edge_verdicts_match_oracle(rep):
-    terms = _Terms(rep)
     for e in rep.quiver.edges:
         inverse = _lemma(rep.edge_maps[e], rep.modules[e[1]])
         assert (inverse is not None) == _unit_diagonal(rep, e)
@@ -283,10 +281,10 @@ def test_edge_verdicts_match_oracle(rep):
             chart = rep.modules[e[1]].chart
             one = chart.nf(chart.ring.one())
             for j, (row, (d, c)) in enumerate(zip(rep.edge_maps[e], inverse.inverse)):
-                assert chart.nf(row[j] * chart.monomial_from_laurent(d).scale(c)) == one
+                assert chart.nf(row[j] * chart.from_laurent({d: c})) == one
         # the term path takes only matrices the lemma of
         # _onto_and_injective inverts
-        assert not _edge_by_terms(terms, e) or inverse is not None
+        assert not _edge_by_terms(rep, e) or inverse is not None
         assert _edge_verdict(rep, e) == oracle.edge_verdict(rep, e)
     assert _squares_agree(rep) == oracle.squares_agree(rep)
 
@@ -294,10 +292,9 @@ def test_edge_verdicts_match_oracle(rep):
 @settings(max_examples=40, deadline=None)
 @given(graded_reps())
 def test_unspoiled_graded_reps_take_the_term_path(rep):
-    terms = _Terms(rep)
     for e in rep.quiver.edges:
-        assert _edge_by_terms(terms, e)
-    assert all(_square_by_terms(terms, *paths) for paths in _squares(rep.quiver))
+        assert _edge_by_terms(rep, e)
+    assert all(_square_by_terms(rep, *paths) for paths in _squares(rep.quiver))
 
 
 def _pinned_cases():
@@ -369,7 +366,7 @@ PINNED = _pinned_cases()
 def test_pinned_edges_take_the_expected_path(name, rep, edge, fast, by_terms):
     inverse = _lemma(rep.edge_maps[edge], rep.modules[edge[1]])
     assert (inverse is not None) == fast == _unit_diagonal(rep, edge)
-    assert _edge_by_terms(_Terms(rep), edge) == by_terms
+    assert _edge_by_terms(rep, edge) == by_terms
     verdict = _edge_verdict(rep, edge)
     assert verdict == oracle.edge_verdict(rep, edge)
     if name == "not-injective":
@@ -415,7 +412,7 @@ SQUARES = _pinned_squares()
 
 @pytest.mark.parametrize("name,rep,paths,by_terms,agrees", SQUARES, ids=[c[0] for c in SQUARES])
 def test_pinned_squares_take_the_expected_path(name, rep, paths, by_terms, agrees):
-    assert _square_by_terms(_Terms(rep), *paths) == by_terms
+    assert _square_by_terms(rep, *paths) == by_terms
     findings = _squares_agree(rep)
     assert findings == oracle.squares_agree(rep)
     assert (findings == ()) == agrees

@@ -1,19 +1,21 @@
 """The process-level table of quiver skeletons, and the Laurent terms a
 representation carries.
 
-Every ProjQuiver of one (field, n, ideal) key shares a skeleton
+Every ProjQuiver of one (field, n) key of P^n shares a skeleton
 (sheafrep._skeleton): vertices, edges, each chart's ChartData and, per
 degree tuple, the graded edge matrices with their diagonals as Laurent
 terms.  The table keeps the SKELETONS keys used last, and a skeleton the
 GRADED_EDGES degree tuples used last; an evicted entry is rebuilt equal.
-A job gets the same report from a cold table as from a warm one, and a
-mutant made from a graded sheaf leaves the shared matrices alone.
+A quiver on a subscheme builds its own skeleton, which the table does not
+keep.  A job gets the same report from a cold table as from a warm one,
+and a mutant made from a graded sheaf leaves the shared matrices alone.
 
-graded_sheaf records the diagonal terms of its edges, from the degrees, and
-the Laurent terms of its relation rows, once per pivot; both must be what
-_diagonal_terms and ChartRing.to_laurent read off the polynomials, which
-stay as the oracle.  A sheafrep file has its squares checked once: the
-parser's findings travel with the representation to is_quasi_coherent.
+graded_sheaf seeds rep.terms with the diagonals of its edges, from the
+degrees, and hands each module the Laurent rows of its relations, read once
+per pivot; both must be what _diagonal_terms and ChartRing.to_laurent read
+off the polynomials, which stay as the oracle, and neither is read again.
+A sheafrep file has its squares checked once: the parser's findings travel
+in rep.terms to is_quasi_coherent.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pathlib
 
 from hypothesis import given, settings, strategies as st
 
-from qsheaf import sheafrep
+from qsheaf import charts, sheafrep
 from qsheaf.cli import JobSpec, run
 from qsheaf.exactpoly import Field
 from qsheaf.sheaffile import parse_sheaf_file, sheafrep_text
@@ -59,14 +61,29 @@ def test_the_table_keeps_its_bound_and_an_evicted_key_rebuilds_equal_data():
     degrees = (1, 0, -2)
     first = build_proj_quiver(Field(5), 2)
     before = _snapshot(first.skeleton, degrees)
-    xr = first.xring
-    for c in range(1, SKELETONS + 1):
-        build_proj_quiver(Field(5), 2, (xr.var(0) - xr.var(1).scale(c % 5) - xr.var(2).scale(c // 5),))
+    others = [(p, n) for p in (0, 2, 3, 7, 11, 13) for n in (1, 2, 3)][:SKELETONS]
+    for p, n in others:
+        build_proj_quiver(Field(p), n)
         assert _skeleton.cache_info().currsize <= SKELETONS
+    assert _skeleton.cache_info().misses == SKELETONS + 1
     again = build_proj_quiver(Field(5), 2)
     assert again.skeleton is not first.skeleton
     assert _snapshot(again.skeleton, degrees) == before
     assert _skeleton.cache_info().currsize == SKELETONS
+
+
+def test_a_subscheme_key_is_not_stored():
+    _skeleton.cache_clear()
+    plain = build_proj_quiver(Field(5), 2)
+    xr = plain.xring
+    for c in range(1, SKELETONS + 1):
+        ideal = (xr.var(0) - xr.var(1).scale(c % 5) - xr.var(2).scale(c // 5),)
+        quiver = build_proj_quiver(Field(5), 2, ideal)
+        assert quiver.skeleton.ideal_gens == ideal
+        assert build_proj_quiver(Field(5), 2, ideal).skeleton is not quiver.skeleton
+    info = _skeleton.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert build_proj_quiver(Field(5), 2).skeleton is plain.skeleton
 
 
 def test_a_skeleton_keeps_its_bound_of_degree_tuples():
@@ -109,7 +126,7 @@ def test_a_p1_mutant_leaves_the_shared_matrices_alone(tmp_path):
     bad = [list(r) for r in rep.edge_maps[edge]]
     bad[0][0] = bad[0][0] * (chart.z(1) + chart.ring.constant(2))
     mutant = rep.replaced_edge(edge, bad)
-    assert mutant.terms is None and mutant.graded is None
+    assert mutant.terms == {} and mutant.graded is None
     assert not is_quasi_coherent(mutant).ok
     path = tmp_path / "mutant.txt"
     path.write_text(sheafrep_text(mutant), encoding="utf-8")
@@ -139,9 +156,9 @@ def test_a_sheafrep_file_has_its_squares_checked_once(monkeypatch, tmp_path):
     # P^3 has 4*3 + 6*1 = 18 squares; parse and check used to make 36
     assert len(calls) == len(set(calls)) == 18
     parsed = parse_sheaf_file(str(path))
-    assert parsed.terms is not None and parsed.terms.squares == ()
+    assert parsed.terms["squares"] == ()
     edge = parsed.quiver.edges[0]
-    assert parsed.replaced_edge(edge, parsed.edge_maps[edge]).terms is None
+    assert parsed.replaced_edge(edge, parsed.edge_maps[edge]).terms == {}
 
 
 def _homogeneous(draw, xr, degree):
@@ -180,18 +197,26 @@ def graded_inputs(draw):
     return quiver, degrees, tuple(rows)
 
 
+def _unread(chart, p):
+    raise AssertionError("a recorded Laurent row was read again")
+
+
 @settings(max_examples=40, deadline=None)
 @given(graded_inputs())
 def test_recorded_terms_are_the_terms_read_off_the_polynomials(data):
     quiver, degrees, rows = data
     rep = graded_sheaf(quiver, degrees, rows)
-    terms = rep.terms
-    # every term was recorded, so none is read off a polynomial below
-    assert set(terms._rows) == set(quiver.vertices)
-    assert set(terms._diagonals) == set(quiver.edges)
+    # every term was recorded, so none is read off a polynomial here
+    assert set(rep.terms) == set(quiver.edges)
+    real = charts.ChartData.to_laurent
+    charts.ChartData.to_laurent = _unread
+    try:
+        laurent = {v: rep.modules[v].laurent for v in quiver.vertices}
+    finally:
+        charts.ChartData.to_laurent = real
     for v in quiver.vertices:
         module = rep.modules[v]
-        assert terms.rows(v) == tuple(tuple(map(module.chart.to_laurent, row)) for row in module.relations)
+        assert laurent[v] == tuple(tuple(map(module.chart.to_laurent, row)) for row in module.relations)
     for v, w in quiver.edges:
         decoded = _diagonal_terms(quiver.chart(w), rep.edge_maps[(v, w)])
-        assert decoded is not None and terms.diagonal((v, w)) == decoded
+        assert decoded is not None and rep.terms[(v, w)] == decoded
