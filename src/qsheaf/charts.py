@@ -11,6 +11,8 @@ clearing elsewhere in the package.  ChartData.to_laurent reads a chart
 polynomial as Laurent terms and from_laurent is the one way back; a
 module's relation rows are read once and kept with the module
 (FPModule.laurent), which certificates and sheafrep's edge lemma read.
+Laurent forms are summed by _collect, which adds raw coefficients and
+settles them once (Field.settle), the one coefficient rule of exactpoly.
 
 Without a subscheme a chart is the Laurent ring k[x_j/x_p, (x_i/x_p)^-1],
 in which every element has one Laurent expansion.  Its normal form is
@@ -40,7 +42,9 @@ FPModule.lifter files its basis under the span key of the same generator
 list, unless a span basis is there already, so span_gb then builds
 nothing.  A span basis is therefore a Groebner basis, not always the
 reduced one, and is read only through normal forms, which any Groebner
-basis gives alike.
+basis gives alike.  Membership in a sub-representation (sheafrep.SubRep)
+asks the same lifter, so the lifter of a closure's final sections is in
+the memo when sheafrep._present presents them.
 """
 
 from __future__ import annotations
@@ -231,16 +235,12 @@ class ChartRing(ChartData):
 
 
 def _collect(f: Field, pairs) -> dict:
-    """{exponent: coefficient} summing the coefficients of equal exponents,
-    without zero entries."""
+    """{exponent: coefficient} summing the raw coefficients of equal
+    exponents and settling the sums once (Field.settle)."""
     out: dict = {}
     for vec, c in pairs:
-        s = f.add(out.get(vec, f.zero), c)
-        if s == f.zero:
-            out.pop(vec, None)
-        else:
-            out[vec] = s
-    return out
+        out[vec] = out.get(vec, 0) + c
+    return f.settle(out)
 
 
 def dehomogenized_laurent(f: Field, g: Poly, pivot: int) -> dict:
@@ -349,15 +349,14 @@ class Certificate:
         """vec*C for a row of Laurent forms."""
         f = self.field
         return [
-            _collect(f, ((e, f.mul(c, cjk)) for j, cjk in column for e, c in vec[j].items()))
+            _collect(f, ((e, c * cjk) for j, cjk in column for e, c in vec[j].items()))
             for column in self._columns
         ]
 
     def _times_s(self, coeffs, j: int) -> dict:
         """Entry j of coeffs*S for a row of Laurent forms coeffs."""
-        f = self.field
-        return _collect(f, (
-            (tuple(map(add, e, d)), f.mul(c, b))
+        return _collect(self.field, (
+            (tuple(map(add, e, d)), c * b)
             for a, row in zip(coeffs, self.laurent) if a and row[j]
             for e, c in a.items() for d, b in row[j].items()
         ))
@@ -602,12 +601,15 @@ class FPModule:
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
         vectors c with sum(c[i] * rows[i]) zero in the module.  Empty when
-        a certificate of the rows has an empty kernel; otherwise a tracked
-        run's list, the one a lifter's run gives, so a UnitDiagonal's
-        kernel is checked apart from its lemma."""
+        a certificate of the rows has an empty kernel, which is read off
+        its kind without building it: a constant Certificate's always is,
+        and a UnitDiagonal's, the relations times B, is when the module
+        has no relations.  Otherwise a tracked run's list, the one a
+        lifter's run gives, so a UnitDiagonal's kernel is checked apart
+        from its lemma."""
         rows = tuple(tuple(r) for r in rows)
         cert = self.certificate(rows)
-        if cert is not None and not cert.kernel():
+        if isinstance(cert, Certificate) or (cert is not None and not self.relations):
             return []
         return list(self.chart.memo(
             ("relations", self.gens, rows, self.relations),

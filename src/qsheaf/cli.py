@@ -406,11 +406,9 @@ def _random_poly(rng: random.Random, ring: PolyRing, max_terms: int, max_deg: in
         exp = [0] * ring.nvars
         for _ in range(rng.randint(0, max_deg)):
             exp[rng.randrange(ring.nvars)] += 1
-        coeff = ring.field.of_int(rng.choice((-2, -1, 1, 2, 3)))
         exp = tuple(exp)
-        terms[exp] = ring.field.add(terms.get(exp, ring.field.zero), coeff)
-    terms = {e: c for e, c in terms.items() if c != ring.field.zero}
-    return Poly(ring, terms) if terms else ring.zero()
+        terms[exp] = terms.get(exp, 0) + rng.choice((-2, -1, 1, 2, 3))
+    return Poly(ring, ring.field.settle(terms))
 
 
 def _selftest_groebner(rng: random.Random):
@@ -471,8 +469,8 @@ def _selftest_syzygies(rng: random.Random):
                 for exp, coeff in entry.terms.items():
                     key = (pos, tuple(a + b for a, b in zip(exp, m)))
                     eq_index.setdefault(key, len(eq_index))
-                    column[key] = field.add(column.get(key, field.zero), coeff)
-            columns.append(column)
+                    column[key] = column.get(key, 0) + coeff
+            columns.append(field.settle(column))
         nequations = len(eq_index)
         matrix = [[field.zero] * len(unknowns) for _ in range(nequations)]
         for j, column in enumerate(columns):

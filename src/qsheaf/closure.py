@@ -7,8 +7,10 @@ generating edges round-robin; along each edge every current generator of the
 far module is pulled back by solving a membership problem over the localized
 ring and splitting each solution coefficient into an invertible monomial
 (which stays on the localized side) and a polynomial part that descends to
-the near chart.  Stabilization is detected by span equality over a full
-cycle, after which the induced sub-representation is re-verified.
+the near chart.  The closure is stable after a cycle that adds no generator:
+every pulled-back and pushed element already lies in its span, as
+SubRep.contains decides by the ambient module's lifter.  The induced
+sub-representation is then re-verified.
 """
 
 from __future__ import annotations

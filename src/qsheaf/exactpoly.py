@@ -2,17 +2,19 @@
 
 Coefficients are either rationals or a prime field F_p with p < 2**31.  A
 rational is an int when it is integral and a fractions.Fraction with
-denominator > 1 otherwise.  Field makes only such values, and the loops
-below that work on raw coefficients (_divide, _combination, rref) turn
-an integral Fraction back into an int where one leaves them, so most
-arithmetic stays on machine ints; every true division has a Fraction
-operand, so no coefficient becomes a float.  Monomials are exponent tuples
-ordered by graded reverse lexicographic order; free-module terms are
-(position, monomial) pairs ordered position-over-term, position 0 largest.
-Module elements are tuples of Poly of a common rank.  All computations are
-deterministic for a fixed input order: pair selection, reducer selection
-and output ordering use explicit sort keys and no hashing-dependent
-iteration.
+denominator > 1 otherwise, and Field makes only such values.  One rule makes
+a sum of terms (Poly's +, - and *, _combination, terms_from_str,
+charts._collect): it adds raw values and settles the sums once by
+Field.settle, which reduces them mod p or turns an integral Fraction into
+an int, and drops the zeros; _divide and rref keep their own documented
+exits.  So most arithmetic stays on machine ints, and every true division
+has a Fraction operand, so no coefficient becomes a float.  Monomials are
+exponent tuples ordered by graded reverse lexicographic order; free-module
+terms are (position, monomial) pairs ordered position-over-term, position 0
+largest.  Module elements are tuples of Poly of a common rank.  All
+computations are deterministic for a fixed input order: pair selection,
+reducer selection and output ordering use explicit sort keys and no
+hashing-dependent iteration.
 
 Division (_divide, which reduce_vec wraps) works on one term heap: the
 vector being reduced is a dict from (position, exponent) to coefficient,
@@ -126,6 +128,16 @@ class Field:
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
+
+    def settle(self, acc: dict) -> dict:
+        """The nonzero entries of a dict of raw sums, as field values: each
+        raw value is a sum of products of field values taken with plain +,
+        - and *, so over F_p any int congruent to the coefficient and over
+        Q an int or a Fraction, an integral one included."""
+        if self.char:
+            p = self.char
+            return {k: c % p for k, c in acc.items() if c % p}
+        return {k: _q(c) for k, c in acc.items() if c}
 
     def inv(self, a):
         if self.char == 0:
@@ -242,15 +254,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.ring.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = f.add(out.get(e, f.zero), c)
-            if s == f.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.ring, out)
+            out[e] = out.get(e, 0) + c
+        return Poly(self.ring, self.ring.field.settle(out))
 
     def __neg__(self) -> "Poly":
         f = self.ring.field
@@ -258,29 +265,19 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.ring.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = f.sub(out.get(e, f.zero), c)
-            if s == f.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.ring, out)
+            out[e] = out.get(e, 0) - c
+        return Poly(self.ring, self.ring.field.settle(out))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.ring.field
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.ring, out)
+                e = tuple(map(_add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.ring, self.ring.field.settle(out))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -386,13 +383,13 @@ def terms_from_str(field: Field, names: Sequence[str], text: str) -> dict:
                 start = cur + 1
     terms: dict = {}
     for sign, chunk in chunks:
-        coeff = field.one
+        coeff = sign
         exp = [0] * len(names)
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coeff = field.mul(coeff, field.coeff_from_str(factor))
+                coeff = coeff * field.coeff_from_str(factor)
                 continue
             name, power = factor, 1
             if "^" in factor:
@@ -405,8 +402,8 @@ def terms_from_str(field: Field, names: Sequence[str], text: str) -> dict:
                 raise ValueError(f"unknown variable {name!r} in {text!r}")
             exp[names.index(name)] += power
         key = tuple(exp)
-        terms[key] = field.add(terms.get(key, field.zero), coeff if sign > 0 else field.neg(coeff))
-    return {e: c for e, c in terms.items() if c != field.zero}
+        terms[key] = terms.get(key, 0) + coeff
+    return field.settle(terms)
 
 
 def poly_from_str(ring: PolyRing, text: str) -> Poly:
@@ -647,9 +644,9 @@ def _combination(ring: PolyRing, parts) -> dict:
     """Sparse sum of combinations: parts yields (combo, terms) pairs, a combo
     being a dict from generator index to nonzero Poly and terms the
     (exponent, coefficient) pairs of the polynomial it is multiplied by.
-    Only the entries present in some combo are touched; the result is again
-    a dict from generator index to nonzero Poly."""
-    char = ring.field.char
+    Only the entries present in some combo are touched, each summed raw
+    and settled once; the result is again a dict from generator index to
+    nonzero Poly."""
     acc: dict = {}
     for combo, terms in parts:
         for idx, p in combo.items():
@@ -657,14 +654,10 @@ def _combination(ring: PolyRing, parts) -> dict:
             for me, mc in terms:
                 for e, c in p.terms.items():
                     ne = tuple(map(_add, e, me))
-                    old = out.get(ne)
-                    out[ne] = mc * c if old is None else old + mc * c
+                    out[ne] = out.get(ne, 0) + mc * c
     result = {}
     for idx, d in acc.items():
-        if char:
-            d = {e: c % char for e, c in d.items() if c % char}
-        else:
-            d = {e: _q(c) for e, c in d.items() if c}
+        d = ring.field.settle(d)
         if d:
             result[idx] = Poly(ring, d)
     return result
@@ -903,12 +896,6 @@ class TrackedBasis:
         self.ring = ring
         self.rows = list(rows)
         self.basis, self._combos, self._syzygies = _buchberger(self.rows, mod, ring, rank, True)
-
-    @property
-    def combos(self) -> list:
-        """basis[k] - sum(combos[k][i] * rows[i]) lies in span(mod), one
-        tuple per basis element."""
-        return [_dense(self.ring, c, len(self.rows)) for c in self._combos]
 
     def kernel(self) -> list:
         """Generators of the relations among the rows modulo span(mod),

@@ -13,7 +13,10 @@ owners: a module keeps the Laurent forms of its relation rows
 (FPModule.laurent), and a representation keeps in SheafRep.terms the
 diagonal of each edge, read by _diagonal, and its square findings.
 Sub-representations given by per-vertex generator lists, and their
-presentations (kernels among them), live here as well.
+presentations (kernels among them), live here as well.  A
+sub-representation decides membership by its ambient module's lifter, the
+one membership path (FPModule.lifter), so it makes no run of its own, and
+its presentation finds the final sections' lifter in the chart memo.
 
 Every quiver on one (field, n, ideal generators) has the same skeleton: the
 x ring, vertices, edges, each chart's ChartData, and per degree tuple the
@@ -51,7 +54,6 @@ from .charts import (
     is_homogeneous,
     localize_module,
     make_chart_ring,
-    span_contains,
     x_ring,
 )
 from .exactpoly import (
@@ -672,7 +674,10 @@ class SubRep:
     `seed` maps vertices to element lists of the ambient, which are added
     in vertex order.  Spans are always taken modulo the ambient relations,
     so membership means membership in the generated submodule of the
-    ambient vertex module.
+    ambient vertex module.  span(v) is the ambient module's lifter over the
+    sections at v, a certificate or else a tracked run in the chart memo,
+    and contains asks it for a lift.  So a SubRep makes no run of its own,
+    and _present finds the lifter of the final sections in the memo.
     """
 
     def __init__(self, ambient: SheafRep, seed: Optional[dict] = None):
@@ -684,13 +689,12 @@ class SubRep:
                 self.add(v, x)
 
     def span(self, v):
+        """The lifter of the sections at v over the ambient module."""
         v = frozenset(v)
-        return self.ambient.modules[v].span_gb(self.sections[v])
+        return self.ambient.modules[v].lifter(self.sections[v])
 
     def contains(self, v, vec) -> bool:
-        v = frozenset(v)
-        chart = self.ambient.quiver.chart(v)
-        return span_contains(chart, self.span(v), vec)
+        return self.span(v).lift(tuple(vec)) is not None
 
     def add(self, v, vec) -> bool:
         """Append a generator unless it is already in the span; reports
@@ -715,9 +719,11 @@ def _present(ambient: SheafRep, gens: dict):
     """Representation generated by the per-vertex element lists `gens` of
     the ambient, with its inclusion: the relations at each vertex are those
     among the generators, and each edge matrix lifts the pushed generators
-    over the far generators.  One tracked run per vertex gives both.  Every
-    edge is tried, each up to its first generator that does not lift; then
-    NotClosed names the edges that failed."""
+    over the far generators.  The lifter of each vertex's generators gives
+    both: a certificate, or one tracked run, which the chart memo already
+    holds when a SubRep has asked about those sections (induced_rep after
+    a closure).  Every edge is tried, each up to its first generator that
+    does not lift; then NotClosed names the edges that failed."""
     quiver = ambient.quiver
     lifters = {v: ambient.modules[v].lifter(gens[v]) for v in quiver.vertices}
     mods = {}

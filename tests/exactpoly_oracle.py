@@ -14,9 +14,16 @@ bases, combinations and syzygy rows for the heap-based routines.
 `is_q_coefficient` is the one representation of a rational coefficient:
 an int when integral, else a Fraction with denominator > 1, never a float.
 
-`from_int` and `syzygy_rows` read what only tests ask of the program's
-types: the constant polynomial of an integer, and the raw syzygy rows of a
-`qsheaf.exactpoly.TrackedBasis` as dense rows over its tracked rows.
+`from_int`, `syzygy_rows` and `combos` read what only tests ask of the
+program's types: the constant polynomial of an integer, and the raw syzygy
+rows and basis combinations of a `qsheaf.exactpoly.TrackedBasis` as dense
+rows over its tracked rows.
+
+`poly_add`, `poly_sub` and `poly_mul` are the per-term rule `Poly`'s
+`+`, `-` and `*` followed before `qsheaf.exactpoly.Field.settle`: `_fold`
+normalizes every term by `Field.add`, `sub` or `mul` as it is folded in,
+and pops it when it cancels.
+
 `vec_mul_term` and `_exp_sub`, a vector times a term and the quotient of
 two monomials, are what the oracle's S-vectors and reductions are built
 from; the program writes its S-vectors into the division's work dict.
@@ -30,6 +37,7 @@ from heapq import heappop, heappush
 from qsheaf.exactpoly import (
     DimensionMismatchError,
     Field,
+    Poly,
     PolyRing,
     TrackedBasis,
     _dense,
@@ -57,6 +65,43 @@ def syzygy_rows(tb: TrackedBasis) -> list:
     the rows modded out that generate all such rows, as the tracked run
     recorded them; zero rows contribute unit rows."""
     return [_dense(tb.ring, r, len(tb.rows)) for r in tb._syzygies]
+
+
+def combos(tb: TrackedBasis) -> list:
+    """basis[k] - sum(combos[k][i] * rows[i]) lies in the span of the rows
+    modded out, one dense tuple per basis element."""
+    return [_dense(tb.ring, c, len(tb.rows)) for c in tb._combos]
+
+
+def _fold(field, out: dict, pairs, op) -> dict:
+    """Fold each (exponent, coefficient) into out with the field operation
+    op, dropping an entry that cancels."""
+    for e, c in pairs:
+        s = op(out.get(e, field.zero), c)
+        if s == field.zero:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    f = a.ring.field
+    return Poly(a.ring, _fold(f, dict(a.terms), b.terms.items(), f.add))
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    f = a.ring.field
+    return Poly(a.ring, _fold(f, dict(a.terms), b.terms.items(), f.sub))
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    f = a.ring.field
+    products = (
+        (tuple(x + y for x, y in zip(e1, e2)), f.mul(c1, c2))
+        for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()
+    )
+    return Poly(a.ring, _fold(f, {}, products, f.add))
 
 
 def vec_mul_term(a, exp, coeff):

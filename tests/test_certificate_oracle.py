@@ -24,6 +24,8 @@ diagonal entry a nonzero constant times a monomial in the chart's unit
 variables, under random relations.  Spoiled ones are not unit diagonals,
 and take a constant certificate or the runs: an off-diagonal entry, a
 diagonal entry times a non-unit z_k, and a two-term diagonal entry.
+`row_relations` reads an empty kernel off the certificate's kind, without
+multiplying the kernel out.
 """
 
 from __future__ import annotations
@@ -284,3 +286,28 @@ def test_a_lift_holds_the_row_coefficients_not_the_relation_ones():
     x = vec_add(vec_mul_poly(row, chart.z(2)), relation)
     assert module.lifter((row,)).lift(x) == [chart.z(2)]
     assert module.are_zero((relation,)) and not module.are_zero((row,))
+
+
+def test_row_relations_reads_an_empty_kernel_off_the_certificate_kind(monkeypatch):
+    # identity rows over a module without relations (a unit diagonal) and
+    # the Euler row (a constant certificate) have no relations among them,
+    # and neither certificate's kernel is multiplied out to say so; over a
+    # module with relations a unit diagonal keeps the run
+    def refused(self):
+        raise AssertionError("a certificate's kernel was built")
+
+    monkeypatch.setattr(UnitDiagonal, "kernel", refused)
+    monkeypatch.setattr(charts.Certificate, "kernel", refused)
+    chart = make_chart_ring(Field(0), 2, {0})
+    ring = chart.ring
+    zero, one = ring.zero(), ring.one()
+    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    euler = ((one, chart.z(1), chart.z(2)),)
+    free = FPModule(chart, 3)
+    assert isinstance(free.certificate(identity), UnitDiagonal)
+    assert isinstance(free.certificate(euler), charts.Certificate)
+    assert free.row_relations(identity) == [] and free.row_relations(euler) == []
+    quotient = FPModule(chart, 3, euler)
+    run = TrackedBasis(identity, ring, 3, list(euler) + ideal_block(chart, 3))
+    assert isinstance(quotient.certificate(identity), UnitDiagonal)
+    assert quotient.row_relations(identity) == run.kernel() != []

@@ -23,6 +23,14 @@ and no untracked run.
 Pushes per sub-representation check: verify_subrep pushes each generator
 along each edge out of its vertex once, to lift it over the far generators.
 
+Sub-representations: SubRep.contains asks the ambient module's lifter, a
+certificate or else a tracked run in the chart memo, and builds no span run
+of its own.  So closure on sum_o1_o1_p1, whose lifters are all
+certificates, builds one tracked run (the edge check of the induced
+presentation) and no untracked run, and verify_subrep on a stabilized
+closure builds no tracked run outside that edge check: _present finds
+every lifter of the final sections in the memo, as contains built it.
+
 Coefficients over Q: every run a chart memo keeps (bases, tracked bases
 with their combinations and syzygy rows, relation rows, certificate
 matrices), every unit-diagonal certificate (its inverse and kernel rows)
@@ -49,7 +57,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from exactpoly_oracle import syzygy_rows
+from exactpoly_oracle import combos, syzygy_rows
 
 from qsheaf import bundles, charts, closure, exactpoly, sheafrep
 from qsheaf.cli import JobSpec, run
@@ -126,7 +134,7 @@ CROSS_JOBS = JOBS + [
 @pytest.mark.parametrize("command,fixture,seed", CROSS_JOBS, ids=[c + "-" + f[:-4] for c, f, _ in CROSS_JOBS])
 def test_no_untracked_run_follows_a_tracked_run_of_its_generators(monkeypatch, command, fixture, seed):
     # FPModule.lifter files its tracked basis as the span basis of the same
-    # generators, so in_span, SubRep.contains and _onto reuse it; before,
+    # generators, so in_span and _onto reuse it; before,
     # vdim-witness on euler_q_p2/p3 made 7 and 15 such untracked runs, and
     # lazard 4 and 11
     report, runs = _run_keys(monkeypatch, command, fixture, seed)
@@ -243,6 +251,48 @@ def test_verify_subrep_pushes_each_generator_once_per_edge(monkeypatch, command,
     assert all(pushes == expected for pushes, expected in done)
 
 
+def test_closure_on_sum_o1_o1_p1_builds_one_tracked_run_and_no_untracked_run(monkeypatch):
+    # before, SubRep.contains built 7 untracked span runs here
+    report, runs = _run_keys(monkeypatch, "closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt")
+    assert report.exit_status == 0
+    assert [track for _ring, _rank, track, _gens in runs] == [True]
+
+
+def test_verify_subrep_builds_no_tracked_run_that_contains_did_not(monkeypatch):
+    # O(2)+O on P^2 seeded with (2*z1 + 3, 5) at chart {0}, as the
+    # closure-lift corpus draws it: its lifters need tracked runs; before,
+    # contains built none and verify_subrep 7 besides its edge check
+    quiver = build_proj_quiver(Field(0), 2)
+    ambient = graded_sheaf(quiver, (-2, 0))
+    ring = quiver.chart({0}).ring
+    seed = {frozenset({0}): ((ring.var(0).scale(2) + ring.constant(3), ring.constant(5)),)}
+    where, built = ["closure"], []
+    real_run = exactpoly._buchberger
+
+    def counting(rows, mod, ring, rank, track):
+        if track:
+            built.append(where[-1])
+        return real_run(rows, mod, ring, rank, track)
+
+    def inside(label, real):
+        def wrapped(*args):
+            where.append(label)
+            try:
+                return real(*args)
+            finally:
+                where.pop()
+        return wrapped
+
+    monkeypatch.setattr(exactpoly, "_buchberger", counting)
+    monkeypatch.setattr(sheafrep.SubRep, "contains", inside("contains", sheafrep.SubRep.contains))
+    monkeypatch.setattr(closure, "verify_subrep", inside("verify_subrep", closure.verify_subrep))
+    monkeypatch.setattr(closure, "is_quasi_coherent", inside("qc", closure.is_quasi_coherent))
+    result = closure.qc_closure(ambient, seed)
+    assert result.stabilized and result.report.ok
+    assert "contains" in built
+    assert "verify_subrep" not in built
+
+
 Q_JOBS = [
     # check-qc builds no run on a graded fixture; is-bundle on a subscheme
     # builds the chart relation bases
@@ -296,7 +346,7 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
             assert found is False or isinstance(found, charts.Certificate)
             constants += [c for row in found.matrix for c in row] if found else []
         elif isinstance(found, exactpoly.TrackedBasis):
-            rows += found.basis + found.combos + syzygy_rows(found)
+            rows += found.basis + combos(found) + syzygy_rows(found)
         else:
             rows += list(found)
     coefficients = [c for row in rows for p in row for c in p.terms.values()] + constants
