@@ -40,6 +40,7 @@ from .sheafrep import (
     SheafMap,
     SheafRep,
     SubRep,
+    build_proj_quiver,
     cokernel,
     fmt_vertex,
     graded_sheaf,
@@ -393,7 +394,7 @@ def laurent_to_chart(chart, p: Poly) -> Poly:
 def edge_laurent(rep: SheafRep, v) -> tuple:
     """Matrix of the edge v -> {0,1} of a P^1 representation over k[s, 1/s]."""
     chart = rep.quiver.chart(V01)
-    return tuple(tuple(chart_to_laurent(chart, e) for e in row) for row in rep.edge(v, V01))
+    return tuple(tuple(chart_to_laurent(chart, e) for e in row) for row in rep.edge_maps[(v, V01)])
 
 
 # -- Laurent matrices -------------------------------------------------------
@@ -662,8 +663,6 @@ def bundle_from_transition(field: Field, t_matrix) -> SheafRep:
     """Free rank-r representation on P^1 glued by the given invertible
     Laurent matrix: the chart-{0} edge is the identity and the chart-{1}
     edge is the matrix itself."""
-    from .sheafrep import build_proj_quiver
-
     t_matrix = tuple(tuple(row) for row in t_matrix)
     r = len(t_matrix)
     if r and len(det(t_matrix).terms) != 1:

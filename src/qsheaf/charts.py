@@ -31,12 +31,13 @@ a subscheme builds its own).  What stays per job is the ChartRing, which
 make_chart_ring builds on that data for each chart a quiver uses, and its
 runs.
 
-Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb,
-FPModule.lifter and FPModule.row_relations) and of the constant
-certificates that replace them on a chart without subscheme relations
-(FPModule.certificate: a constant right inverse of the rows, or False),
-keyed on rank and rows, not on the asking object, and never mutated; a
-unit-diagonal certificate is read off the rows and not kept.  It lives as
+Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb
+and FPModule.lifter) and of the constant certificates that replace them
+on a chart without subscheme relations (FPModule.certificate: a constant
+right inverse of the rows, or None for no certificate), keyed on rank and
+rows, not on the asking object, and never mutated; a unit-diagonal
+certificate is read off the rows and not kept, and neither is the tracked
+run of FPModule.row_relations, which no later ask reads back.  It lives as
 long as its quiver.  A tracked run also serves span requests:
 FPModule.lifter files its basis under the span key of the same generator
 list, unless a span basis is there already, so span_gb then builds
@@ -385,7 +386,7 @@ class Certificate:
 
 def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
     """The Certificate of the rows S, given as Laurent forms, over a chart
-    without subscheme relations, or False when no constant C gives S*C = I.
+    without subscheme relations, or None when no constant C gives S*C = I.
 
     With S[i][j] = sum_e s_ije x^e, entry (i, k) of S*C is
     sum_e x^e sum_j s_ije C[j][k], and Laurent forms are unique, so
@@ -401,9 +402,9 @@ def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
     # so every row needs an entry with a constant term; and a square S*C = I
     # gives C*S = I, so C*S_e = 0 and S_e = 0 for every e != 0
     if any(all(zero not in entry for entry in row) for row in laurent):
-        return False
+        return None
     if m == gens and any(e != zero for row in laurent for entry in row for e in entry):
-        return False
+        return None
     mat = []
     for i, row in enumerate(laurent):
         for e in {zero}.union(*row):
@@ -413,12 +414,12 @@ def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
             )
     pivots = rref(f.char, mat, gens + m)
     if pivots and pivots[-1] >= gens:
-        return False
+        return None
     matrix = [(f.zero,) * m] * gens
     for r, j in enumerate(pivots):
         matrix[j] = tuple(mat[r][gens:])
     cert = Certificate(f, laurent, tuple(matrix))
-    return cert if cert.is_right_inverse(zero) else False
+    return cert if cert.is_right_inverse(zero) else None
 
 
 class UnitDiagonal:
@@ -510,9 +511,10 @@ class FPModule:
     them in hand (graded_sheaf), else read off the relations by to_laurent
     once, on first use.  A list of rows of the same length names the
     submodule those rows generate; the methods taking `rows` give its span,
-    the relations among the rows, and lifts over them.  Each is a run in
-    the chart's memo, keyed on the generator count, rows and relations;
-    the module itself keeps only its Laurent rows.
+    the relations among the rows, and lifts over them.  A span or a lift
+    is a run in the chart's memo, keyed on the generator count, rows and
+    relations, and the relations among the rows are made on each ask; the
+    module itself keeps only its Laurent rows.
 
     are_zero, in_span, lifter and row_relations first ask for a
     certificate of the rows (certificate(rows)), which makes no run, of
@@ -582,8 +584,9 @@ class FPModule:
         """The certificate of the rows (tuples): their UnitDiagonal, else
         the Certificate of the rows followed by the relations, found once
         per chart for each (gens, rows) from the rows' Laurent forms and
-        laurent, or None: at once on a chart with subscheme relations or
-        for more rows than generators."""
+        laurent, or None for no certificate: at once on a chart with
+        subscheme relations or for more rows than generators, else as the
+        memo keeps it."""
         if any(len(row) != self.gens for row in rows):
             raise DimensionMismatchError("row of wrong length")
         diagonal = _diagonal_terms(self.chart, rows)
@@ -592,11 +595,10 @@ class FPModule:
         matrix = rows + self.relations
         if self.chart._subscheme or len(matrix) > self.gens:
             return None
-        found = self.chart.memo(
+        return self.chart.memo(
             ("certificate", self.gens, matrix),
             lambda: find_certificate(self.chart, _laurent_rows(self.chart, rows) + self.laurent, self.gens),
         )
-        return found or None
 
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
@@ -604,17 +606,14 @@ class FPModule:
         a certificate of the rows has an empty kernel, which is read off
         its kind without building it: a constant Certificate's always is,
         and a UnitDiagonal's, the relations times B, is when the module
-        has no relations.  Otherwise a tracked run's list, the one a
-        lifter's run gives, so a UnitDiagonal's kernel is checked apart
-        from its lemma."""
+        has no relations.  Otherwise the list of a tracked run
+        (module_kernel), made on each ask and not kept in the memo, so a
+        UnitDiagonal's kernel is checked apart from its lemma."""
         rows = tuple(tuple(r) for r in rows)
         cert = self.certificate(rows)
         if isinstance(cert, Certificate) or (cert is not None and not self.relations):
             return []
-        return list(self.chart.memo(
-            ("relations", self.gens, rows, self.relations),
-            lambda: tuple(module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)),
-        ))
+        return module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)
 
     def lifter(self, rows):
         """Membership with a witness in the submodule generated by the rows:

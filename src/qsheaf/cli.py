@@ -13,7 +13,8 @@ Commands
     split-p1 FILE        splitting type of a transition matrix on the line
     filter-p1 FILE       line-bundle filtration certified step by step
     hill-verify FILE     the four lattice properties of a filtered module's
-                         submodule family
+                         submodule family (sigma, dim <= 14 for built and
+                         listed families alike; exit 2 past it)
     selftest             engine invariants: basis idempotence, syzygy
                          completeness at low degree, localization exactness,
                          format round trips, report determinism

@@ -120,9 +120,6 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.char if self.char else _q(a + b)
 
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else _q(a - b)
-
     def mul(self, a, b):
         return (a * b) % self.char if self.char else _q(a * b)
 
@@ -259,10 +256,6 @@ class Poly:
             out[e] = out.get(e, 0) + c
         return Poly(self.ring, self.ring.field.settle(out))
 
-    def __neg__(self) -> "Poly":
-        f = self.ring.field
-        return Poly(self.ring, {e: f.neg(c) for e, c in self.terms.items()})
-
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         out = dict(self.terms)
@@ -278,18 +271,6 @@ class Poly:
                 e = tuple(map(_add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.ring, self.ring.field.settle(out))
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scale(self, c) -> "Poly":
         f = self.ring.field

@@ -325,9 +325,13 @@ def _down_closure(deps, support) -> frozenset:
     return frozenset(out)
 
 
-def _closed_masks(deps) -> list:
-    """closed[mask]: the support with this bitmask holds its blocks' deps."""
-    need = [_mask(d) for d in deps]
+def _closed_masks(module: FilteredModule) -> list:
+    """closed[mask]: the support with this bitmask holds its blocks' deps.
+    This is the one enumeration of all 2^sigma supports, so it refuses a
+    module with sigma or dim above 14, built or listed family alike."""
+    if module.sigma > 14 or module.dim > 14:
+        raise ValueError("size bound exceeded: need sigma <= 14 and dim <= 14")
+    need = [_mask(d) for d in module.deps]
     return [
         all(not mask >> b & 1 or not n & ~mask for b, n in enumerate(need))
         for mask in range(1 << len(need))
@@ -356,11 +360,9 @@ def build_hill_family(module: FilteredModule) -> HillLattice:
     """Enumerate the dependency-closed supports and collect the distinct
     submodules they span; equal spaces merge, keeping the union of their
     supports (the union of closed sets is closed and spans the same)."""
-    if module.sigma > 14 or module.dim > 14:
-        raise ValueError("size bound exceeded: need sigma <= 14 and dim <= 14")
     supports = [
         [b for b in range(module.sigma) if mask >> b & 1]
-        for mask, closed in enumerate(_closed_masks(module.deps)) if closed
+        for mask, closed in enumerate(_closed_masks(module)) if closed
     ]
     return assemble_family(module, supports, union=True)
 
@@ -450,10 +452,6 @@ class ExtensionWitness:
     found_support: tuple
     added_dim: int
     bound: int
-
-    @property
-    def ok(self) -> bool:
-        return self.added_dim <= self.bound
 
 
 @dataclass(frozen=True)
@@ -569,7 +567,7 @@ def _lattice_theorem(lattice: HillLattice) -> Optional[int]:
     module = lattice.module
     p, op, stages, sigma = module.p, module.operator, module.stages, module.sigma
     d = [len(stages[b + 1]) - len(stages[b]) for b in range(sigma)]
-    closed = _closed_masks(module.deps)
+    closed = _closed_masks(module)
     masks = {_mask(m.support): m for m in lattice.members}
     if (
         any(_mask(dep) >> b for b, dep in enumerate(module.deps))

@@ -276,12 +276,6 @@ class SheafRep:
     graded: Optional[GradedData] = None
     terms: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def module(self, v) -> FPModule:
-        return self.modules[frozenset(v)]
-
-    def edge(self, v, w):
-        return self.edge_maps[(frozenset(v), frozenset(w))]
-
     def replaced_edge(self, edge, rows) -> "SheafRep":
         """The representation with one edge matrix replaced; it keeps no
         graded presentation and starts empty terms, as the old ones describe

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from exactpoly_oracle import poly_pow
+
 from qsheaf.exactpoly import DimensionMismatchError, Poly
 
 
@@ -25,7 +27,7 @@ def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
         term = target.constant(c)
         for i, ei in enumerate(e):
             if ei:
-                term = term * images[i] ** ei
+                term = term * poly_pow(images[i], ei)
         out = out + term
     return out
 

@@ -14,15 +14,19 @@ bases, combinations and syzygy rows for the heap-based routines.
 `is_q_coefficient` is the one representation of a rational coefficient:
 an int when integral, else a Fraction with denominator > 1, never a float.
 
-`from_int`, `syzygy_rows` and `combos` read what only tests ask of the
-program's types: the constant polynomial of an integer, and the raw syzygy
-rows and basis combinations of a `qsheaf.exactpoly.TrackedBasis` as dense
-rows over its tracked rows.
+`from_int`, `poly_pow`, `syzygy_rows` and `combos` read what only tests
+ask of the program's types: the constant polynomial of an integer, a
+power of a polynomial by repeated `Poly` multiplication, and the raw
+syzygy rows and basis combinations of a `qsheaf.exactpoly.TrackedBasis`
+as dense rows over its tracked rows.
+
+`field_sub` is a difference of two field values, `Field.add` of the first
+and `Field.neg` of the second; the program takes no per-value difference.
 
 `poly_add`, `poly_sub` and `poly_mul` are the per-term rule `Poly`'s
 `+`, `-` and `*` followed before `qsheaf.exactpoly.Field.settle`: `_fold`
-normalizes every term by `Field.add`, `sub` or `mul` as it is folded in,
-and pops it when it cancels.
+normalizes every term by `Field.add`, `field_sub` or `Field.mul` as it is
+folded in, and pops it when it cancels.
 
 `vec_mul_term` and `_exp_sub`, a vector times a term and the quotient of
 two monomials, are what the oracle's S-vectors and reductions are built
@@ -60,6 +64,19 @@ def from_int(ring: PolyRing, n: int):
     return ring.constant(ring.field.of_int(n))
 
 
+def poly_pow(p: Poly, n: int) -> Poly:
+    """p to the power n >= 0, by repeated Poly multiplication."""
+    out = p.ring.one()
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def field_sub(field: Field, a, b):
+    """a - b as a field value."""
+    return field.add(a, field.neg(b))
+
+
 def syzygy_rows(tb: TrackedBasis) -> list:
     """Rows r over the tracked rows with sum(r[i] * rows[i]) in the span of
     the rows modded out that generate all such rows, as the tracked run
@@ -92,7 +109,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
     f = a.ring.field
-    return Poly(a.ring, _fold(f, dict(a.terms), b.terms.items(), f.sub))
+    return Poly(a.ring, _fold(f, dict(a.terms), b.terms.items(), lambda x, y: field_sub(f, x, y)))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -308,7 +325,7 @@ def field_nullspace(field: Field, rows, ncols: int) -> list:
         for i in range(nrows):
             if i != rank and mat[i][col] != field.zero:
                 c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+                mat[i] = [field_sub(field, x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
         pivots.append(col)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):

@@ -190,7 +190,7 @@ def test_cover_of_point_ideal_data():
 def test_cover_needs_graded_presentation():
     quiver = p1()
     rep = twist(quiver, 1)
-    bare = rep.replaced_edge((V0, V01), rep.edge(V0, V01))
+    bare = rep.replaced_edge((V0, V01), rep.edge_maps[(V0, V01)])
     assert bare.graded is None
     with pytest.raises(ValueError):
         serre_cover(bare)

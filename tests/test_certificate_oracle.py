@@ -234,7 +234,7 @@ def _check_against_a_tracked_run(chart, gens, rows, relations, data):
         assert module.in_span(rows, (x,))
 
     # the certificate's relations among the rows, or the run's, span what
-    # the direct run's span; row_relations keeps its run unless they are none
+    # the direct run's span; row_relations makes that run unless they are none
     kernel = module.row_relations(rows)
     assert _same_span(chart, lifter.kernel(), tracked.kernel(), len(rows))
     if cert is None or cert.kernel():
@@ -258,7 +258,7 @@ def test_a_wrong_solve_is_refused(monkeypatch):
         return pivots
 
     monkeypatch.setattr(charts, "rref", spoiled)
-    assert find_certificate(chart, (row,), 3) is False
+    assert find_certificate(chart, (row,), 3) is None
 
 
 def test_a_non_member_is_refused_though_its_coefficients_exist():
@@ -292,7 +292,7 @@ def test_row_relations_reads_an_empty_kernel_off_the_certificate_kind(monkeypatc
     # identity rows over a module without relations (a unit diagonal) and
     # the Euler row (a constant certificate) have no relations among them,
     # and neither certificate's kernel is multiplied out to say so; over a
-    # module with relations a unit diagonal keeps the run
+    # module with relations a unit diagonal makes the run
     def refused(self):
         raise AssertionError("a certificate's kernel was built")
 

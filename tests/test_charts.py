@@ -115,7 +115,7 @@ def test_hom_preserves_laurent_expansion():
     a = make_chart_ring(Q, 2, {1})
     b = make_chart_ring(Q, 2, {0, 1, 2})
     h = chart_hom(a, b)
-    for p in [a.z(0), a.z(2), a.z(0) * a.z(2) + from_int(a.ring, 3), a.z(2) ** 2]:
+    for p in [a.z(0), a.z(2), a.z(0) * a.z(2) + from_int(a.ring, 3), a.z(2) * a.z(2)]:
         assert a.to_laurent(p) == b.to_laurent(h.apply(p))
 
 

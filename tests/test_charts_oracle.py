@@ -72,7 +72,7 @@ def test_apply_matches_the_substituting_oracle(data):
         if len(v) > 1:
             # u_i * z_i is one, but not in normal form
             i = max(v)
-            inputs.append(inputs[-1] * source.u(i) * source.z(i) + source.u(i) ** 2)
+            inputs.append(inputs[-1] * source.u(i) * source.z(i) + source.u(i) * source.u(i))
         for w in quiver.vertices:
             if v <= w:
                 hom = quiver.hom(v, w)
@@ -110,7 +110,7 @@ def test_nf_matches_the_normal_form_over_the_relation_basis(data):
         if len(v) > 1:
             # u_i * z_i is one, but not in normal form
             i = max(v)
-            inputs.append(p * chart.u(i) * chart.z(i) + chart.u(i) ** 2 * chart.z(i))
+            inputs.append(p * chart.u(i) * chart.z(i) + chart.u(i) * chart.u(i) * chart.z(i))
         basis = chart.relation_gb()
         for q in inputs:
             assert chart.nf(q) == normal_form((q,), basis, chart.ring)[0]

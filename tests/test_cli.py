@@ -6,6 +6,7 @@ stays all-green.
 """
 
 import json
+import time
 
 import pytest
 
@@ -310,13 +311,17 @@ def test_hill_verify_broken_fixture(fixture_dir):
     assert witness["operation"] in ("sum", "intersection")
 
 
-def test_hill_verify_size_bound(tmp_path):
-    # build_hill_family takes sigma <= 14 and dim <= 14; fifteen unit blocks
-    # are a usage error, named in the report
+@pytest.mark.parametrize("listed", [None, [(), (0,)]], ids=["built", "listed"])
+def test_hill_verify_size_bound(tmp_path, listed):
+    # hill-verify takes sigma <= 14 and dim <= 14; fifteen unit blocks are a
+    # usage error, named in the report, for a built family and for a listed
+    # one alike, before any of the 2^15 supports is enumerated
     units = tuple((tuple(1 if j == i else 0 for j in range(15)),) for i in range(15))
     path = tmp_path / "sigma15.txt"
-    path.write_text(filtered_text(make_filtered_module(2, 15, units)))
+    path.write_text(filtered_text(make_filtered_module(2, 15, units), listed))
+    start = time.perf_counter()
     report = run(JobSpec(command="hill-verify", inputs=(str(path),)))
+    assert time.perf_counter() - start < 1.0
     assert report.exit_status == EXIT_USAGE
     assert report.verdicts == (("error", "size bound exceeded: need sigma <= 14 and dim <= 14"),)
 

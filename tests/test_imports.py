@@ -8,8 +8,12 @@ function or class whose name starts with one underscore must be read
 somewhere in `src/`: a helper left behind by a fold fails here even when a
 test still imports it.  A public module-level function, or a public method
 of a module-level class, must be read somewhere in `src/`, `scripts/` or
-`perfbench/`: a check only tests call is not part of the program.  Standard
-library only, so it runs where no linter is installed.
+`perfbench/`: a check only tests call is not part of the program.  A
+public method that is not a property and whose name is also a data
+attribute in `src/` (a dataclass field, an `x.name = ...` store or an
+`object.__setattr__(self, "name", ...)`) is read only where the program
+calls `x.name(...)`, so reading the attribute of that name does not keep
+it.  Standard library only, so it runs where no linter is installed.
 """
 
 from __future__ import annotations
@@ -165,20 +169,61 @@ PROGRAM = (
 )
 
 
+def _decorators(node) -> set:
+    """Names of a definition's decorators, called or not, bare or dotted."""
+    out = set()
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        out.add(getattr(dec, "id", getattr(dec, "attr", None)))
+    return out
+
+
+def _data_attributes(tree: ast.AST) -> set:
+    """Names the module holds data under: dataclass fields, attribute
+    stores and object.__setattr__(obj, "name", ...) calls."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node):
+            out |= {
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "__setattr__"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            out.add(node.args[1].value)
+    return out
+
+
 def unread_public_defs(defining, reading, exempt=()) -> list:
     """Public module-level functions and public methods of module-level
     classes, defined in the files `defining`, that none of the files
     `reading` reads by name or as an attribute, except the `exempt` names
-    (`name` or `Class.method`)."""
-    used = set()
+    (`name` or `Class.method`).  A method that is not a property and
+    shares its name with a data attribute of the files `defining` counts
+    as read only where some file of `reading` calls it as `x.name(...)`."""
+    used, called = set(), set()
     for path in reading:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used |= _used_names(tree)
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        called |= {
+            n.func.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        }
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in defining}
+    data = set().union(*map(_data_attributes, trees.values()))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
-    for path in defining:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for path, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, functions):
                 defs = [(node, node.name)]
             elif isinstance(node, ast.ClassDef):
@@ -186,7 +231,9 @@ def unread_public_defs(defining, reading, exempt=()) -> list:
             else:
                 continue
             for item, qualname in defs:
-                if item.name.startswith("_") or item.name in used or qualname in exempt:
+                method = qualname != item.name and not {"property", "cached_property"} & _decorators(item)
+                read = called if method and item.name in data else used
+                if item.name.startswith("_") or item.name in read or qualname in exempt:
                     continue
                 out.append("%s:%d %s" % (path.name, item.lineno, qualname))
     return out
@@ -222,4 +269,40 @@ def test_guard_flags_a_public_check_only_tests_read(tmp_path):
     assert unread_public_defs([lib], [lib, script], ("builder_for_tests",)) == [
         "lib.py:3 check_only_tests_call",
         "lib.py:14 Table.is_empty",
+    ]
+
+
+def test_guard_sees_through_a_data_attribute_of_the_same_name(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    sub: int\n"
+        "    module: int\n"
+        "    size: int\n"
+        "class Field:\n"
+        "    def __init__(self):\n"
+        "        self.total = 0\n"
+        "        object.__setattr__(self, 'scale', 1)\n"
+        "    def sub(self, a, b):\n"
+        "        return a - b\n"
+        "    def module(self):\n"
+        "        return self\n"
+        "    def total(self):\n"
+        "        return 0\n"
+        "    def scale(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text("print(pair.sub, pair.module, field.total, field.scale(), field.size)\n")
+    # sub, module and total are read only as data attributes; scale is
+    # called, and size, a property, is read as an attribute
+    assert unread_public_defs([lib], [lib, script]) == [
+        "lib.py:11 Field.sub",
+        "lib.py:13 Field.module",
+        "lib.py:15 Field.total",
     ]

@@ -80,7 +80,7 @@ def test_poly_arithmetic_equals_the_per_term_rule(data):
     a, b = _poly(data.draw, ring), _poly(data.draw, ring)
     for got, want in ((a + b, poly_add(a, b)), (a - b, poly_sub(a, b)), (a * b, poly_mul(a, b))):
         assert _typed(got.terms) == _typed(want.terms)
-    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    assert (a - a).is_zero()
 
 
 @given(st.data())

@@ -32,11 +32,15 @@ closure builds no tracked run outside that edge check: _present finds
 every lifter of the final sections in the memo, as contains built it.
 
 Coefficients over Q: every run a chart memo keeps (bases, tracked bases
-with their combinations and syzygy rows, relation rows, certificate
-matrices), every unit-diagonal certificate (its inverse and kernel rows)
-and every lift, tracked or certified, holds ints where the value is
-integral, never a Fraction of denominator 1; a chart memo keeps a missing
-certificate as False, never None.
+with their combinations and syzygy rows, certificate matrices), every
+unit-diagonal certificate (its inverse and kernel rows) and every lift,
+tracked or certified, holds ints where the value is integral, never a
+Fraction of denominator 1; a chart memo keeps a missing certificate as
+None, the one "no certificate" value.
+
+What a memo keeps: span bases, lifters and certificates, the three kinds
+a later ask reads back; the kernel-covered re-check's relations among the
+rows (FPModule.row_relations) are made on each ask and not filed.
 
 Edge verdicts: a graded edge map is a diagonal of unit monomials, which
 FPModule's certificate inverts by inspection in every ring, the zero ring
@@ -209,6 +213,21 @@ def test_vdim_witness_on_euler_quotients_builds_one_tracked_run_per_chart(monkey
     assert len({ring for ring, _rank, _track, _gens in runs}) == 2 ** (n + 1) - 1
 
 
+@pytest.mark.parametrize("command,fixture", [("vdim-witness", "euler_q_p3.txt"), ("lazard", "euler_q_p2.txt")])
+def test_a_chart_memo_keeps_only_spans_lifts_and_certificates(monkeypatch, command, fixture):
+    kinds = set()
+    real_memo = charts.ChartRing.memo
+
+    def watched_memo(self, key, build):
+        found = real_memo(self, key, build)
+        kinds.update(k[0] for k in self._runs)
+        return found
+
+    monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
+    assert run(JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True)).exit_status == 0
+    assert kinds and kinds <= {"span", "lift", "certificate"}
+
+
 PUSH_JOBS = [
     ("closure", "sum_o1_o1_p1.txt", "seed_sum_o1_o1_p1.txt"),
     ("filter-p1", "trans_coupled.txt", None),
@@ -343,7 +362,7 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
     rows = list(lifts)
     for kind, found in stored:
         if kind == "certificate":
-            assert found is False or isinstance(found, charts.Certificate)
+            assert found is None or isinstance(found, charts.Certificate)
             constants += [c for row in found.matrix for c in row] if found else []
         elif isinstance(found, exactpoly.TrackedBasis):
             rows += found.basis + combos(found) + syzygy_rows(found)
