@@ -822,9 +822,8 @@ class GroebnerBasis(list):
     reducer index every normal form taken against it uses, built once (on
     the first normal form, or by the run that made the basis).
     groebner_basis returns the reduced one, and a TrackedBasis keeps its
-    basis as one.  The chart memo behind charts.span_gb, and PresIdeal for
-    its own ideal, keep bases and so their indexes; a kept basis is never
-    mutated."""
+    basis as one.  The chart memo behind charts.span_gb keeps bases and so
+    their indexes; a kept basis is never mutated."""
 
     def __init__(self, vecs, leads, reducers=None):
         super().__init__(vecs)
@@ -936,7 +935,8 @@ def module_kernel(map_rows: Sequence, target_relations: Sequence, ring: PolyRing
 
 
 class PresIdeal:
-    """Ideal in a PolyRing presented by a finite generator list."""
+    """Ideal in a PolyRing presented by a finite generator list; it keeps
+    no basis, as each one is asked once."""
 
     def __init__(self, ring: PolyRing, gens: Iterable[Poly]):
         self.ring = ring
@@ -944,13 +944,9 @@ class PresIdeal:
         for g in self.gens:
             if g.ring != ring:
                 raise RingMismatchError("ideal generator from the wrong ring")
-        self._gb = None
 
     def groebner(self) -> list:
-        if self._gb is None:
-            vecs = [(g,) for g in self.gens if not g.is_zero()]
-            self._gb = groebner_basis(vecs, self.ring)
-        return self._gb
+        return groebner_basis([(g,) for g in self.gens if not g.is_zero()], self.ring)
 
     def contains(self, p: Poly) -> bool:
         return vec_is_zero(normal_form((p,), self.groebner(), self.ring))

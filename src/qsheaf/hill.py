@@ -629,7 +629,9 @@ def verify_hill_properties(lattice: HillLattice) -> HillReport:
 
 
 def _verify_pairwise(lattice: HillLattice) -> HillReport:
-    """The four properties checked pair by pair: the theorem path's oracle."""
+    """The four properties checked pair by pair: the theorem path's oracle.
+    Each member is A_S for its support S, so (2) and (3) are read off the
+    member spaces A_mask of support masks (at)."""
     module = lattice.module
     p = module.p
     op = module.operator
@@ -650,7 +652,7 @@ def _verify_pairwise(lattice: HillLattice) -> HillReport:
         space it is (None when it is no member's)."""
         if mask not in at_mask:
             space = module.member_space(
-                beta for beta in range(module.sigma) if mask >> beta & 1
+                [beta for beta in range(module.sigma) if mask >> beta & 1]
             )
             at_mask[mask] = (space, spaces.get(space))
         return at_mask[mask]
@@ -709,28 +711,26 @@ def _verify_pairwise(lattice: HillLattice) -> HillReport:
         )
         block_data.append((bdim, bpart))
 
-    # (3) chains with block-matching quotients between nested members; a
-    # step depends only on the space it starts from and the block it adds.
-    # A member A with support S holds the blocks of nest(A) = {beta : A_beta
-    # in A}; S lies in nest(A), so A = A_S = A_nest(A), and one member lies
-    # in another exactly when its nest lies in the other's.
-    singles = [module.member_space((beta,)) for beta in range(module.sigma)]
+    # (3) chains with block-matching quotients between nested members, read
+    # off the member spaces as (2) is.  A member A_S holds the blocks of
+    # nest = S + {beta : dim A_{S|beta} = dim A_S}, so A_S = A_nest, and one
+    # member lies in another exactly when its nest lies in the other's.  A
+    # chain adds T - S in ascending order, stepping from A_M to A_{M|gamma}
+    # (a step keyed on (M, gamma)) and ending on A_T.
     nests = []
-    for m, nest in zip(mem, supps):
-        for beta, single in enumerate(singles):
-            if not nest >> beta & 1 and all(fp_in_span(p, m.space, v) for v in single):
+    for nest, dim in zip(supps, dims):
+        for beta in range(module.sigma):
+            if not nest >> beta & 1 and len(at(nest | 1 << beta)[0]) == dim:
                 nest |= 1 << beta
         nests.append(nest)
     chains = []
     chains_ok = True
     steps_from: dict = {}
-    for low, low_nest in zip(mem, nests):
-        for high, high_nest in zip(mem, nests):
+    for low, low_mask, low_nest in zip(mem, supps, nests):
+        for high, high_mask, high_nest in zip(mem, supps, nests):
             if low is high or low_nest & ~high_nest:
                 continue
-            sset = set(low.support)
-            tset = set(high.support)
-            if not sset <= tset:
+            if low_mask & ~high_mask:
                 # a built family lists maximal supports, so nesting implies
                 # support nesting there; a listed family may name a smaller
                 # support, and then no chain of its blocks runs between them
@@ -740,24 +740,18 @@ def _verify_pairwise(lattice: HillLattice) -> HillReport:
                 )
                 continue
             steps = []
-            cur = low.space
-            for gamma in sorted(tset - sset):
-                if (cur, gamma) not in steps_from:
-                    nxt = fp_sum(p, cur, singles[gamma])
+            mask = low_mask
+            for gamma in sorted(set(high.support) - set(low.support)):
+                if (mask, gamma) not in steps_from:
+                    cur, nxt = at(mask)[0], at(mask | 1 << gamma)[0]
                     qpart = quotient_partition(p, nxt, cur, op)
                     bdim, bpart = block_data[gamma]
-                    steps_from[cur, gamma] = (
-                        nxt, ChainStep(gamma, len(nxt) - len(cur), qpart, bdim, bpart)
+                    steps_from[mask, gamma] = ChainStep(
+                        gamma, len(nxt) - len(cur), qpart, bdim, bpart
                     )
-                cur, step = steps_from[cur, gamma]
-                steps.append(step)
+                steps.append(steps_from[mask, gamma])
+                mask |= 1 << gamma
             witness = ChainWitness(low.support, high.support, tuple(steps))
-            if cur != high.space:
-                chains_ok = False
-                findings.append(
-                    "chain from %s does not land on %s"
-                    % (low.support, high.support)
-                )
             if not witness.ok:
                 chains_ok = False
                 bad = [s.block for s in witness.steps if not s.ok]
@@ -772,7 +766,7 @@ def _verify_pairwise(lattice: HillLattice) -> HillReport:
     # target support T is the down-closure of the class's blocks and the
     # member's support S, the OR of per-block closures; S lies in T, so the
     # member lies in A_T.
-    max_block = max((len(single) for single in singles), default=0)
+    max_block = max((len(at(1 << beta)[0]) for beta in range(module.sigma)), default=0)
     reach = [_mask(_down_closure(module.deps, (beta,))) for beta in range(module.sigma)]
 
     def closure(mask) -> int:
@@ -785,12 +779,9 @@ def _verify_pairwise(lattice: HillLattice) -> HillReport:
     patterns = _BlockPatterns(module)
     classes = patterns.classes()
     class_reach = [closure(_mask(cls.blocks)) for cls in classes]
-    within: dict = {}
 
     def inside(k, tmask) -> bool:
-        if (k, tmask) not in within:
-            within[k, tmask] = all(fp_in_span(p, at(tmask)[0], v) for v in classes[k].basis)
-        return within[k, tmask]
+        return all(fp_in_span(p, at(tmask)[0], v) for v in classes[k].basis)
 
     # A_T grows with T, and every target T holds the class's own reach R,
     # so a class inside A_R is inside every target

@@ -123,8 +123,11 @@ def _parse_int(path, line, text, what):
         raise ParseError(path, line.number, "%s must be an integer, got %r" % (what, text))
 
 
-def _parse_value(path, line, placeholder, what):
-    """The integer of a one-value header line such as 'n 2'."""
+def _parse_value(path, line, placeholder, what, old):
+    """The integer of a one-value header line such as 'n 2'; old is the
+    value of an earlier line of that key, and a repeat is refused."""
+    if old is not None:
+        raise ParseError(path, line.number, "duplicate %r line" % line.tokens[0], SEMANTIC)
     if len(line.tokens) != 2:
         raise ParseError(path, line.number, "expected '%s <%s>'" % (line.tokens[0], placeholder))
     return _parse_int(path, line, line.tokens[1], what)
@@ -137,7 +140,11 @@ def _parse_entry(path, line, parse, text):
         raise ParseError(path, line.number, str(err))
 
 
-def _parse_field_line(path, line) -> Field:
+def _parse_field_line(path, line, old) -> Field:
+    """The field of a 'field' line; old is the field of an earlier one,
+    and a repeat is refused."""
+    if old is not None:
+        raise ParseError(path, line.number, "duplicate 'field' line", SEMANTIC)
     if len(line.tokens) != 2:
         raise ParseError(path, line.number, "expected 'field Q' or 'field Fp:<p>'")
     return _parse_entry(path, line, parse_field_token, line.tokens[1])
@@ -177,9 +184,9 @@ def _parse_header(path, lines, kind):
     for line in lines:
         key = line.tokens[0]
         if key == "field":
-            field = _parse_field_line(path, line)
+            field = _parse_field_line(path, line, field)
         elif key == "n":
-            n = _parse_value(path, line, "int", "ambient dimension")
+            n = _parse_value(path, line, "int", "ambient dimension", n)
         elif key == "ideal":
             ideal_texts.append((line, line.text.split(None, 1)[1] if len(line.tokens) > 1 else ""))
         else:
@@ -372,7 +379,7 @@ def parse_section_file(path: str, rep: SheafRep) -> dict:
 def parse_transition_file(path: str, default_field: Optional[Field] = None):
     """Parse an r x r Laurent matrix; returns (field, rows)."""
     kind, rest = _take_kind(path, _read_lines(path), expected=("transition",))
-    field = default_field
+    field = None
     size = None
     rows = []
     for line in rest:
@@ -380,19 +387,19 @@ def parse_transition_file(path: str, default_field: Optional[Field] = None):
         if key == "field":
             if rows:
                 raise ParseError(path, line.number, "'field' line after a trow", SEMANTIC)
-            field = _parse_field_line(path, line)
+            field = _parse_field_line(path, line, field)
         elif key == "rows":
-            size = _parse_value(path, line, "count", "row count")
+            size = _parse_value(path, line, "count", "row count", size)
         elif key == "trow":
             if field is None:
-                field = Field.rationals()
+                field = default_field or Field.rationals()
             if size is None:
                 raise ParseError(path, line.number, "trow before the 'rows' line", SEMANTIC)
             rows.append(_parse_row(path, line, 1, size, "row", partial(laurent_from_str, field)))
         else:
             raise ParseError(path, line.number, "unexpected %r in a transition file" % key)
     if field is None:
-        field = Field.rationals()
+        field = default_field or Field.rationals()
     if size is None:
         raise ParseError(path, rest[-1].number if rest else 1, "missing 'rows' line", SEMANTIC)
     if len(rows) != size:
@@ -424,10 +431,10 @@ def parse_filtered_file(path: str):
     for line in rest:
         key = line.tokens[0]
         if key == "p":
-            p = _parse_value(path, line, "prime", "characteristic")
+            p = _parse_value(path, line, "prime", "characteristic", p)
             p_line = line
         elif key == "dim":
-            dim = _parse_value(path, line, "int", "dimension")
+            dim = _parse_value(path, line, "int", "dimension", dim)
         elif key == "oprow":
             row = tuple(_parse_int(path, line, t, "operator entry") for t in line.tokens[1:])
             oprows.append((line, row))

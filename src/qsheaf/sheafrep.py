@@ -288,7 +288,7 @@ class SheafRep:
         return SheafRep(self.quiver, self.modules, new_maps, None)
 
 
-def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps, graded=None) -> SheafRep:
+def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps) -> SheafRep:
     """Assemble a representation, validating shapes and ring membership."""
     mods = {}
     for v in quiver.vertices:
@@ -314,7 +314,7 @@ def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps, graded=None) -> Sheaf
                 if p.ring is not ring:
                     raise ValueError("edge " + fmt_edge(e) + ": entry in wrong ring")
         maps[e] = rows
-    return SheafRep(quiver, mods, maps, graded)
+    return SheafRep(quiver, mods, maps, None)
 
 
 def check_graded_row(row, degrees) -> None:
@@ -397,17 +397,12 @@ def _onto(rows, tgt: FPModule) -> bool:
     return tgt.in_span(rows, (vec_unit(ring, tgt.gens, j) for j in range(tgt.gens)))
 
 
-def _onto_and_injective(src: FPModule, rows, tgt: FPModule) -> tuple:
-    """(onto, injective) for the matrix A = rows from src to tgt, two
-    modules over one chart, by FPModule.lifter over the rows, a
-    certificate (for a diagonal of unit monomials, the target relations
-    times its inverse) or else one tracked run: its kernel gives the
-    relations among the rows, and the map is injective when each of them
-    is a relation of src.  The kernel is asked first: a run files its
-    basis as the span basis of the rows, and in_span then decides onto
-    from it."""
-    injective = src.are_zero(tgt.lifter(rows).kernel())
-    return _onto(rows, tgt), injective
+def _injective(src: FPModule, rows, tgt: FPModule) -> bool:
+    """The matrix A = rows from src to tgt, two modules over one chart, is
+    injective: each relation among the rows, read off FPModule.lifter, is
+    a relation of src.  A lifter's tracked run files its basis as the span
+    basis of the rows, so _onto asked after it decides from that basis."""
+    return src.are_zero(tgt.lifter(rows).kernel())
 
 
 def _diagonal(rep: SheafRep, e: Edge):
@@ -419,27 +414,20 @@ def _diagonal(rep: SheafRep, e: Edge):
     return terms[e]
 
 
-def _term_multiple(a, b, fmul, outside) -> bool:
-    """a = c*m*b for rows of Laurent dicts, a nonzero, with c a nonzero
-    constant and m a monomial whose exponent is 0 at every index in
-    outside.  The least exponent of the first nonzero entry of a must be
-    that of b shifted by m, which fixes m and c."""
-    j = next(j for j, entry in enumerate(a) if entry)
-    if not b[j]:
-        return False
-    ea, eb = min(a[j]), min(b[j])
-    shift = tuple(map(_sub, ea, eb))
-    if any(shift[i] for i in outside):
-        return False
-    ca, cb = a[j][ea], b[j][eb]
-    for x, y in zip(a, b):
-        if len(x) != len(y):
-            return False
-        for e, c in y.items():
-            got = x.get(tuple(map(_add, e, shift)))
-            if got is None or fmul(got, cb) != fmul(ca, c):
-                return False
-    return True
+def _row_key(row, field: Field, outside) -> tuple:
+    """The canonical form of a nonzero row of Laurent dicts: the exponent at
+    the indices in outside of the least term (lexicographic min) of its
+    first nonzero entry, and the (column, exponent, coefficient) terms of
+    the row over that term.  A shift keeps the order, so rows a, b have one
+    key exactly when a = c*m*b, c a nonzero constant and m a monomial whose
+    exponent is 0 at every index in outside."""
+    lead = next(entry for entry in row if entry)
+    low = min(lead)
+    scale, mul = field.inv(lead[low]), field.mul
+    return tuple([low[i] for i in outside]), frozenset([
+        (k, tuple(map(_sub, exp, low)), mul(c, scale))
+        for k, entry in enumerate(row) for exp, c in entry.items()
+    ])
 
 
 def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
@@ -449,41 +437,32 @@ def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
     nonzero constant c and a monomial m that is a unit of the far chart,
     and every nonzero far row is such an f.  The first condition is
     _has_unit_diagonal, which also decides the matrices FPModule's
-    unit-diagonal lemma inverts.  The rows are the modules' Laurent rows
-    (FPModule.laurent).  The far row with r's index is tried first."""
+    unit-diagonal lemma inverts.  The second compares the sets of
+    _row_key keys of the images r*A and of the far rows, the modules'
+    Laurent rows (FPModule.laurent), outside being the indices not in w."""
     v, w = e
     diagonal = _diagonal(rep, e)
     if not _has_unit_diagonal(rep.quiver.chart(w), diagonal, rep.modules[w].gens):
         return False
+    fld = rep.quiver.field
     outside = [i for i in range(rep.quiver.n + 1) if i not in w]
-    fmul = rep.quiver.field.mul
-    far = rep.modules[w].laurent
-    images = []
-    for i, row in enumerate(rep.modules[v].laurent):
-        image = tuple(
-            {tuple(map(_add, exp, de)): fmul(c, dc) for exp, c in entry.items()}
+    images = (
+        tuple(
+            {tuple(map(_add, exp, de)): fld.mul(c, dc) for exp, c in entry.items()}
             for entry, (de, dc) in zip(row, diagonal)
         )
-        if any(image):
-            images.append((i, image))
-    hit = [not any(f) for f in far]
-    for i, image in images:
-        order = sorted(range(len(far)), key=lambda k: k != i)
-        k = next((k for k in order if _term_multiple(image, far[k], fmul, outside)), None)
-        if k is None:
-            return False
-        hit[k] = True
-    return all(
-        h or any(_term_multiple(image, far[k], fmul, outside) for _i, image in images)
-        for k, h in enumerate(hit)
+        for row in rep.modules[v].laurent
     )
+    return {_row_key(r, fld, outside) for r in images if any(r)} == {
+        _row_key(f, fld, outside) for f in rep.modules[w].laurent if any(f)
+    }
 
 
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     """Base change of the near module to the far chart, compared with the
     far module through the edge matrix; it is well defined when every
     relation of the near module, sent through the matrix, is a relation of
-    the far one, and onto and injective as _onto_and_injective decides.
+    the far one, and injective and onto as _injective and _onto decide.
 
     Lemma: when _edge_by_terms holds (A a diagonal of unit monomials with
     inverse B, the relations matched as Laurent rows), the verdict is
@@ -494,7 +473,7 @@ def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     the map is well defined; it is onto by FPModule's unit-diagonal lemma;
     and f*B = c^-1*m^-1*r, since A*B = 1 as Laurent terms, so R_far*B lies
     in the localized relations and the map is injective.  Any other edge
-    is decided by localize_module and _onto_and_injective, which are also
+    is decided by localize_module, _injective and _onto, which are also
     the oracle of the lemma."""
     v, w = e
     rows, tgt = rep.edge_maps[e], rep.modules[w]
@@ -502,7 +481,8 @@ def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
         return EdgeVerdict(e, True, True, True)
     loc = localize_module(rep.modules[v], rep.quiver.hom(v, w))
     well = tgt.are_zero([mat_apply(r, rows, tgt.chart.ring, tgt.gens) for r in loc.relations])
-    return EdgeVerdict(e, well, *_onto_and_injective(loc, rows, tgt))
+    injective = _injective(loc, rows, tgt)
+    return EdgeVerdict(e, well, _onto(rows, tgt), injective)
 
 
 def _square_by_terms(rep: SheafRep, left, right) -> bool:
@@ -620,19 +600,15 @@ def map_is_surjective(f: SheafMap) -> bool:
 
 
 def map_is_injective(f: SheafMap) -> bool:
-    """The relations among each vertex's rows, read off the rows' lifter,
-    are relations of the source."""
+    """Each vertex's rows are injective, as _injective decides."""
     return all(
-        f.source.modules[v].are_zero(f.target.modules[v].lifter(f.rows[v]).kernel())
+        _injective(f.source.modules[v], f.rows[v], f.target.modules[v])
         for v in f.source.quiver.vertices
     )
 
 
 def map_is_iso(f: SheafMap) -> bool:
-    return all(
-        all(_onto_and_injective(f.source.modules[v], f.rows[v], f.target.modules[v]))
-        for v in f.source.quiver.vertices
-    )
+    return map_is_injective(f) and map_is_surjective(f)
 
 
 def _chart_nonzero_rows(chart, rows):
@@ -649,16 +625,13 @@ def _chart_nonzero_rows(chart, rows):
 
 def _prune_generators(module: FPModule, rows):
     """Drop generators lying in the span of the remaining ones (modulo the
-    module relations), keeping the earliest representatives."""
+    module relations), keeping the earliest representatives, in one pass
+    from the last row back: a row found needed stays needed when an
+    earlier one goes, as the span of the others only shrinks."""
     rows = list(rows)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows) - 1, -1, -1):
-            if module.in_span(rows[:i] + rows[i + 1 :], (rows[i],)):
-                rows.pop(i)
-                changed = True
-                break
+    for i in range(len(rows) - 1, -1, -1):
+        if module.in_span(rows[:i] + rows[i + 1 :], (rows[i],)):
+            rows.pop(i)
     return tuple(rows)
 
 

@@ -21,6 +21,13 @@ Laurent terms.
 itself: it pushed every generator and tested span membership at the far
 vertex before `induced_rep` pushed and lifted them all again.
 
+`term_multiple` is the pairwise match of two Laurent relation rows that
+`_edge_by_terms` ran for every near row against the far rows, the row with
+the same index first, before the rows were compared by their `_row_key`
+canonical forms.  `prune_generators` is the pruning that restarted its scan
+from the last row after each row it dropped, before `_prune_generators`
+made one pass.
+
 `map_commutes`, `map_is_well_defined`, `is_zero_module` and `rep_is_zero`
 are checks that only tests ever called; tests use them to check maps and
 quotients built by `qsheaf.sheafrep` and `qsheaf.bundles`.  So is
@@ -32,6 +39,7 @@ from.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, sub
 
 import exactpoly_oracle as oracle
 from qsheaf.charts import FPModule, localize_module, span_contains
@@ -118,6 +126,42 @@ def injective(src: FPModule, rows, tgt: FPModule) -> bool:
     ker = row_relations(tgt, rows)
     gb = src.relation_gb()
     return all(span_contains(src.chart, gb, k) for k in ker)
+
+
+def term_multiple(a, b, fmul, outside) -> bool:
+    """a = c*m*b for rows of Laurent dicts, a nonzero, with c a nonzero
+    constant and m a monomial whose exponent is 0 at every index in
+    outside.  The least exponent of the first nonzero entry of a must be
+    that of b shifted by m, which fixes m and c."""
+    j = next(j for j, entry in enumerate(a) if entry)
+    if not b[j]:
+        return False
+    ea, eb = min(a[j]), min(b[j])
+    shift = tuple(map(sub, ea, eb))
+    if any(shift[i] for i in outside):
+        return False
+    ca, cb = a[j][ea], b[j][eb]
+    for x, y in zip(a, b):
+        if len(x) != len(y):
+            return False
+        for e, c in y.items():
+            got = x.get(tuple(map(add, e, shift)))
+            if got is None or fmul(got, cb) != fmul(ca, c):
+                return False
+    return True
+
+
+def prune_generators(module: FPModule, rows):
+    rows = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rows) - 1, -1, -1):
+            if module.in_span(rows[:i] + rows[i + 1 :], (rows[i],)):
+                rows.pop(i)
+                changed = True
+                break
+    return tuple(rows)
 
 
 def map_commutes(f: SheafMap) -> tuple:

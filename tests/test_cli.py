@@ -566,6 +566,18 @@ EXIT_TWO_TEXTS = [
         "kind graded\nfield Q\nn 1\nideal x0 + 1\ndegrees 0\n",
         "4: semantic error: subscheme generator is not homogeneous",
     ),
+    (
+        "duplicate-field",
+        "check-qc",
+        "kind graded\nfield Q\nfield Fp:5\nn 1\ndegrees 0\n",
+        "3: semantic error: duplicate 'field' line",
+    ),
+    (
+        "duplicate-n",
+        "check-qc",
+        "kind graded\nfield Q\nn 1\nn 2\ndegrees 0\n",
+        "4: semantic error: duplicate 'n' line",
+    ),
     # graded files
     ("duplicate-degrees", "check-qc", _G + "degrees 0\n", "5: semantic error: duplicate 'degrees' line"),
     (
@@ -721,6 +733,19 @@ EXIT_TWO_TEXTS = [
         "4: syntax error: unexpected 'row' in a transition file",
     ),
     ("missing-rows", "split-p1", "kind transition\nfield Q\n", "2: semantic error: missing 'rows' line"),
+    # a repeated one-value line is refused, so no value silently wins
+    (
+        "duplicate-rows",
+        "split-p1",
+        "kind transition\nfield Q\nrows 2\nrows 1\ntrow 1\n",
+        "4: semantic error: duplicate 'rows' line",
+    ),
+    (
+        "duplicate-transition-field",
+        "split-p1",
+        "kind transition\nfield Q\nfield Fp:5\nrows 1\ntrow 1\n",
+        "3: semantic error: duplicate 'field' line",
+    ),
     (
         "field-after-trow",
         "split-p1",
@@ -806,6 +831,8 @@ EXIT_TWO_TEXTS = [
     ),
     ("missing-p", "hill-verify", "kind filtered\ndim 2\n", "2: semantic error: missing 'p' line"),
     ("missing-dim", "hill-verify", "kind filtered\np 2\n", "2: semantic error: missing 'dim' line"),
+    ("duplicate-p", "hill-verify", _F + "p 3\nblock 0 1 0\n", "4: semantic error: duplicate 'p' line"),
+    ("duplicate-dim", "hill-verify", _F + "dim 3\nblock 0 1 0\n", "4: semantic error: duplicate 'dim' line"),
     (
         "operator-rows",
         "hill-verify",

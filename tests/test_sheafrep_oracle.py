@@ -28,12 +28,25 @@ square of an unspoiled graded representation, edges into a chart that is
 the zero ring included.  The `check-qc` and `is-bundle` bodies of every
 golden fixture are the same with both lemmas turned off.
 
+The term path matches relation rows by their `_row_key` canonical forms;
+the oracle keeps the pairwise match it replaced (`term_multiple`).  On
+random Laurent rows over Q, F_5 and F_7, zero entries among them, and on
+multiples c*m*a with c a constant (not only +-1) and m a unit or a
+non-unit monomial, now and then with one coefficient spoiled, two rows
+must have equal keys exactly when the oracle matches them.  A `check-qc`
+input whose relation row at one vertex is 3 times a unit monomial times
+the unspoiled one is decided by the term path, with no coordinate change
+(`ChartHom.apply`); with only one entry of that row times 3, the general
+path gives the oracle's verdicts.  `kernel` prunes its generators in one
+pass; on random generator lists with repeated and combined rows it keeps
+what the oracle's restart loop keeps.
+
 The unit-diagonal lemma decides `map_is_iso` and gives `kernel` its
 generators.  On the Serre covers of shipped fixtures, at every vertex
 (zero-ring charts included), and on spoiled copies of one vertex's matrix,
 the lemma's kernel rows, the relations among the rows from a tracked run
-and the oracle's span the same submodule, and `_onto_and_injective` agrees
-with the tracked path and with the oracle.  The `vdim-witness`, `lazard`
+and the oracle's span the same submodule, and `_onto` and `_injective`
+agree with the tracked path and with the oracle.  The `vdim-witness`, `lazard`
 and `serre-cover` bodies are the same with the lemma turned off in the
 certificate finder and in the edge term path.  The lemma decides
 `map_is_surjective` where the rows are a square diagonal of unit terms, in
@@ -64,18 +77,20 @@ import sheafrep_oracle as oracle
 from qsheaf import charts, sheafrep
 from qsheaf.bundles import serre_cover
 from qsheaf.charts import FPModule, UnitDiagonal
-from qsheaf.cli import JobSpec, run
+from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, vec_sub, vec_unit
-from qsheaf.sheaffile import parse_section_file, parse_sheaf_file
+from qsheaf.sheaffile import parse_section_file, parse_sheaf_file, sheafrep_text
 from qsheaf.sheafrep import (
     SheafRep,
     _edge_by_terms,
     _edge_verdict,
     _square_by_terms,
     _squares_agree,
-    _onto_and_injective,
+    _injective,
+    _onto,
     _present,
+    _row_key,
     build_proj_quiver,
     graded_sheaf,
     make_sheaf_map,
@@ -282,8 +297,8 @@ def test_edge_verdicts_match_oracle(rep):
             one = chart.nf(chart.ring.one())
             for j, (row, (d, c)) in enumerate(zip(rep.edge_maps[e], inverse.inverse)):
                 assert chart.nf(row[j] * chart.from_laurent({d: c})) == one
-        # the term path takes only matrices the lemma of
-        # _onto_and_injective inverts
+        # the term path takes only matrices the lemma of _injective
+        # and _onto inverts
         assert not _edge_by_terms(rep, e) or inverse is not None
         assert _edge_verdict(rep, e) == oracle.edge_verdict(rep, e)
     assert _squares_agree(rep) == oracle.squares_agree(rep)
@@ -302,7 +317,7 @@ def _pinned_cases():
     strategy draws at random, so that every run sees a non-trivial
     inverse, a fast edge that is not injective, each refusal, and unit
     diagonals whose relations do not match as Laurent terms.  fast is the
-    lemma of _onto_and_injective, by_terms the term path of _edge_verdict."""
+    lemma of _injective and _onto, by_terms the term path of _edge_verdict."""
     q = build_proj_quiver(Field(0), 2)
     xr = q.xring
     euler = graded_sheaf(q, (0, 0, 0), (tuple(xr.var(i) for i in range(3)),))
@@ -373,6 +388,159 @@ def test_pinned_edges_take_the_expected_path(name, rep, edge, fast, by_terms):
         assert verdict.surjective and not verdict.injective
     if name in ("scaled-by-constant", "relation-times-non-unit", "relation-plus-term", "row-times-non-unit"):
         assert not verdict.ok
+
+
+KEY_FIELDS = (Field(0), Field(5), Field(7))
+
+
+def _coefficient(draw, field):
+    """A nonzero field value: over Q a fraction, not only +-1."""
+    return field.of_fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+
+
+def _laurent_row(draw, field, n, width):
+    """A nonzero row of Laurent dicts, some of its entries zero."""
+    exps = st.tuples(*[st.integers(-2, 2)] * (n + 1))
+    while True:
+        row = tuple(
+            {} if draw(st.booleans()) else {
+                e: _coefficient(draw, field) for e in draw(st.lists(exps, min_size=1, max_size=3))
+            }
+            for _ in range(width)
+        )
+        if any(row):
+            return row
+
+
+@st.composite
+def row_pairs(draw):
+    """(field, outside, a, b): b is a random row, or c*m*a with m zero
+    outside (a unit of the far chart) or not, or such a multiple with one
+    coefficient spoiled."""
+    field = draw(st.sampled_from(KEY_FIELDS))
+    n = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+    outside = sorted(draw(st.sets(st.integers(0, n), max_size=n)))
+    a = _laurent_row(draw, field, n, width)
+    kind = draw(st.sampled_from(("random", "unit", "unit", "non-unit", "spoiled")))
+    if kind == "random":
+        return field, outside, a, _laurent_row(draw, field, n, width)
+    c = _coefficient(draw, field)
+    shift = [draw(st.integers(-2, 2)) for _ in range(n + 1)]
+    if kind != "non-unit":
+        for i in outside:
+            shift[i] = 0
+    b = [
+        {tuple(x + s for x, s in zip(exp, shift)): field.mul(c, coeff) for exp, coeff in entry.items()}
+        for entry in a
+    ]
+    if kind == "spoiled":
+        j = draw(st.sampled_from([j for j, entry in enumerate(b) if entry]))
+        e = draw(st.sampled_from(sorted(b[j])))
+        old = b[j][e]
+        b[j][e] = field.add(old, field.one) or field.add(old, field.of_int(2))
+    return field, outside, a, tuple(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_row_keys_match_the_pairwise_oracle(case):
+    field, outside, a, b = case
+    same = _row_key(a, field, outside) == _row_key(b, field, outside)
+    assert same == oracle.term_multiple(a, b, field.mul, outside)
+
+
+def _scaled_euler(spoiled: bool) -> SheafRep:
+    """The Euler quotient on P^2 over Q with its relation row at {0,1}
+    times 3*u1, a unit of that chart, or (spoiled) only its first entry
+    times 3."""
+    q = build_proj_quiver(Field(0), 2)
+    xr = q.xring
+    euler = graded_sheaf(q, (0, 0, 0), (tuple(xr.var(i) for i in range(3)),))
+    v = frozenset({0, 1})
+    old = euler.modules[v]
+    three = old.chart.ring.constant(Field(0).of_int(3))
+    (row,) = old.relations
+    if spoiled:
+        row = (row[0] * three,) + tuple(row[1:])
+    else:
+        row = tuple(x * three * old.chart.u(1) for x in row)
+    modules = dict(euler.modules)
+    modules[v] = FPModule(old.chart, 3, (row,))
+    return SheafRep(q, modules, euler.edge_maps, None)
+
+
+@pytest.mark.parametrize("spoiled", (False, True), ids=("scaled-row", "spoiled-entry"))
+def test_a_row_times_a_constant_takes_the_term_path(monkeypatch, tmp_path, spoiled):
+    path = tmp_path / "scaled.txt"
+    path.write_text(sheafrep_text(_scaled_euler(spoiled)))
+    rep = parse_sheaf_file(str(path))
+    touched = {e for e in rep.quiver.edges if frozenset({0, 1}) in e}
+    for e in rep.quiver.edges:
+        assert _edge_by_terms(rep, e) == (not spoiled or e not in touched)
+    applied = []
+    real_apply = charts.ChartHom.apply
+
+    def watched_apply(self, p):
+        applied.append(p)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(charts.ChartHom, "apply", watched_apply)
+    report = run(JobSpec(command="check-qc", inputs=(str(path),), machine=True))
+    if not spoiled:
+        assert report.exit_status == EXIT_OK
+        assert applied == []
+        return
+    assert report.exit_status == EXIT_CHECK_FAILED
+    assert applied
+    verdicts = sheafrep.is_quasi_coherent(rep).edges
+    assert verdicts == tuple(oracle.edge_verdict(rep, e) for e in rep.quiver.edges)
+    assert {ev.edge for ev in verdicts if not ev.ok} <= touched
+
+
+def _generator_lists(draw):
+    """(module, rows): a module on a chart of P^1 or P^2, with a relation
+    now and then, and generators some of which repeat, scale or add up
+    earlier ones."""
+    field = draw(st.sampled_from(FIELDS))
+    quiver = build_proj_quiver(field, draw(st.integers(1, 2)))
+    chart = quiver.chart(draw(st.sampled_from(quiver.vertices)))
+    ring = chart.ring
+    gens = draw(st.integers(1, 2))
+
+    def element():
+        j = draw(st.integers(0, gens - 1))
+        k = draw(st.integers(-1, ring.nvars - 1))
+        return tuple(p if k < 0 else p * ring.var(k) for p in vec_unit(ring, gens, j))
+
+    relations = (element(),) if draw(st.booleans()) else ()
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("new", "new", "repeat", "sum")))
+        if kind == "new" or not rows:
+            rows.append(element())
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(p + q for p, q in zip(x, y)))
+    return FPModule(chart, gens, relations), [r for r in rows if any(not p.is_zero() for p in r)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_pass_pruning_matches_the_restart_loop(data):
+    module, rows = _generator_lists(data.draw)
+    assert sheafrep._prune_generators(module, rows) == oracle.prune_generators(module, rows)
+
+
+def test_pruning_drops_repeated_and_multiple_rows():
+    chart = build_proj_quiver(Field(0), 1).chart(frozenset({0}))
+    module = FPModule(chart, 2)
+    e0, e1 = (vec_unit(chart.ring, 2, j) for j in range(2))
+    z = tuple(p * chart.ring.var(0) for p in e0)
+    rows = [e0, e1, z, e0]
+    assert sheafrep._prune_generators(module, rows) == oracle.prune_generators(module, rows) == (e0, e1)
 
 
 def _pinned_squares():
@@ -490,11 +658,11 @@ def test_lemma_rows_span_the_relations_among_the_rows(name, src, rows, tgt, fast
 
 @pytest.mark.parametrize("name,src,rows,tgt,fast", COVER_CASES, ids=[c[0] for c in COVER_CASES])
 def test_onto_and_injective_match_the_tracked_path(monkeypatch, name, src, rows, tgt, fast):
-    verdict = _onto_and_injective(src, rows, tgt)
+    verdict = (_onto(rows, tgt), _injective(src, rows, tgt))
     assert verdict == (oracle.onto(rows, tgt), oracle.injective(src, rows, tgt))
     _without_the_lemma(monkeypatch)
     assert _lemma(rows, tgt) is None
-    assert _onto_and_injective(src, rows, tgt) == verdict
+    assert (_onto(rows, tgt), _injective(src, rows, tgt)) == verdict
 
 
 @pytest.mark.parametrize("command", ("vdim-witness", "lazard", "serre-cover"))
