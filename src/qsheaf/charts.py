@@ -9,8 +9,10 @@ monomial therefore corresponds to a Laurent monomial in x_0..x_n of total
 degree zero; that correspondence drives pivot changes and denominator
 clearing elsewhere in the package.  ChartData.to_laurent reads a chart
 polynomial as Laurent terms and from_laurent is the one way back; a
-module's relation rows are read once and kept with the module
-(FPModule.laurent), which certificates and sheafrep's edge lemma read.
+module keeps its relation rows in both forms, each made once, on first
+read, from the one it was built from (FPModule.laurent and
+FPModule.relations): certificates and sheafrep's edge lemma read the
+Laurent rows, Groebner runs the chart polynomials.
 Laurent forms are summed by _collect, which adds raw coefficients and
 settles them once (Field.settle), the one coefficient rule of exactpoly.
 
@@ -26,8 +28,10 @@ A chart's ring data (ChartData: its PolyRing, variable indexes, Laurent
 table, inversions and dehomogenized ideal) holds no run and is never
 mutated, so a process shares it between jobs: sheafrep keeps it in its
 bounded table of quiver skeletons (sheafrep.SKELETONS, 16 keys of (field,
-n) without a subscheme, the least recently used going first; a quiver on
-a subscheme builds its own).  What stays per job is the ChartRing, which
+n) without a subscheme, the least recently used going first).  The chart
+of a subscheme is the shared chart of its (field, n) with the
+dehomogenized ideal added (ChartData.on_subscheme), as the ideal changes
+none of the rest.  What stays per job is the ChartRing, which
 make_chart_ring builds on that data for each chart a quiver uses, and its
 runs.
 
@@ -50,6 +54,7 @@ the memo when sheafrep._present presents them.
 
 from __future__ import annotations
 
+from copy import copy
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -82,20 +87,18 @@ def is_homogeneous(p: Poly) -> bool:
 class ChartData:
     """Ring data of one chart, presented with explicit inverses: its
     PolyRing, variable indexes, Laurent table, inversions and the
-    dehomogenized ideal.  It holds no run and is never mutated, so one
-    ChartData serves every ChartRing of its chart in a process."""
+    dehomogenized ideal.  ChartData(field, n, vertex) is the chart of P^n,
+    with no ideal; on_subscheme gives the chart of a subscheme, on the same
+    ring data.  It holds no run and is never mutated, so one ChartData
+    serves every ChartRing of its chart in a process."""
 
-    def __init__(self, field: Field, n: int, vertex: frozenset, ideal_gens: Sequence[Poly]):
+    def __init__(self, field: Field, n: int, vertex: frozenset):
         if not vertex or not vertex <= set(range(n + 1)):
             raise ValueError("vertex must be a nonempty subset of {0..n}")
         self.field = field
         self.n = n
         self.vertex = frozenset(vertex)
         self.pivot = min(vertex)
-        self.ideal_gens = tuple(ideal_gens)
-        for g in self.ideal_gens:
-            if not is_homogeneous(g):
-                raise ValueError(f"ideal generator not homogeneous: {poly_to_str(g)}")
         zs = [j for j in range(n + 1) if j != self.pivot]
         us = sorted(self.vertex - {self.pivot})
         self._z_index = {j: k for k, j in enumerate(zs)}
@@ -106,9 +109,9 @@ class ChartData:
         for i in us:
             inversions.append(self.u(i) * self.z(i) - self.ring.one())
         self.inversions = tuple(inversions)
-        self.jays = tuple(self.dehomogenize(g) for g in self.ideal_gens)
-        self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
-        self._subscheme = len(self.relations) > len(self.inversions)
+        self.ideal_gens = self.jays = ()
+        self.relations = self.inversions
+        self._subscheme = False
         # Laurent exponent of each ring variable, length n+1, total degree 0
         lv = []
         for j in zs:
@@ -120,6 +123,21 @@ class ChartData:
             vec[self.pivot], vec[i] = vec[self.pivot] + 1, -1
             lv.append(tuple(vec))
         self._var_laurent = tuple(lv)
+
+    def on_subscheme(self, ideal_gens: Sequence[Poly]) -> "ChartData":
+        """The data of this chart on the subscheme cut out by ideal_gens:
+        this chart's ring, indexes, inversions and Laurent table, which do
+        not depend on the ideal, and the dehomogenized ideal."""
+        gens = tuple(ideal_gens)
+        for g in gens:
+            if not is_homogeneous(g):
+                raise ValueError(f"ideal generator not homogeneous: {poly_to_str(g)}")
+        data = copy(self)
+        data.ideal_gens = gens
+        data.jays = tuple(self.dehomogenize(g) for g in gens)
+        data.relations = self.inversions + tuple(g for g in data.jays if not g.is_zero())
+        data._subscheme = len(data.relations) > len(self.inversions)
+        return data
 
     # -- variables ---------------------------------------------------------
 
@@ -258,7 +276,7 @@ def make_chart_ring(
     on data, the ChartData of that chart when the caller keeps one (a
     quiver's skeleton), else on data built here."""
     if data is None:
-        data = ChartData(field, n, frozenset(vertex), ideal_gens)
+        data = ChartData(field, n, frozenset(vertex)).on_subscheme(ideal_gens)
     return ChartRing(data)
 
 
@@ -426,15 +444,17 @@ class UnitDiagonal:
     """The certificate of rows with a unit diagonal, read by
     _diagonal_terms: inverse holds the (Laurent exponent, coefficient) of
     each entry of B.  By FPModule's unit-diagonal lemma coefficients(x) is
-    x*B for every x, and kernel() is the relations times B."""
+    x*B for every x, and kernel() is the module's relations times B; the
+    relations are read there alone, so a certificate that only lifts never
+    has them written as chart polynomials."""
 
     square = True
 
-    def __init__(self, chart: ChartRing, diagonal: tuple, relations: tuple):
-        self.chart = chart
-        self.field = chart.field
+    def __init__(self, module: "FPModule", diagonal: tuple):
+        self.chart = module.chart
+        self.field = module.chart.field
         self.inverse = tuple((tuple(-x for x in e), self.field.inv(c)) for e, c in diagonal)
-        self.relations = relations
+        self.module = module
 
     def coefficients(self, vec) -> list:
         fmul = self.field.mul
@@ -446,7 +466,7 @@ class UnitDiagonal:
     def kernel(self) -> list:
         chart = self.chart
         b = [chart.from_laurent({d: c}) for d, c in self.inverse]
-        return [tuple(map(mul, r, b)) for r in self.relations]
+        return [tuple(map(mul, r, b)) for r in self.module.relations]
 
 
 def _laurent_rows(chart: ChartRing, rows) -> tuple:
@@ -507,9 +527,12 @@ class FPModule:
     The module is the cokernel of the relation rows, always considered
     together with the chart ring's own defining relations.  laurent holds
     the Laurent forms of the relation rows, one {exponent: coefficient}
-    dict per entry: the rows the module was built from when its maker had
-    them in hand (graded_sheaf), else read off the relations by to_laurent
-    once, on first use.  A list of rows of the same length names the
+    dict per entry.  The module is built from one of the two forms and
+    makes the other on first read: a maker with the Laurent rows in hand
+    (graded_sheaf) gives those, and relations are then written by
+    from_laurent when first read; given relations are read by to_laurent.
+    Whether there are relations is asked of the form in hand
+    (_has_relations), so neither is made for it.  A list of rows of the same length names the
     submodule those rows generate; the methods taking `rows` give its span,
     the relations among the rows, and lifts over them.  A span or a lift
     is a run in the chart's memo, keyed on the generator count, rows and
@@ -547,27 +570,39 @@ class FPModule:
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = (), laurent=None):
+        """relations are rows of chart polynomials, or, when laurent is
+        given, laurent holds their Laurent forms and stands for them."""
         if gens < 0:
             raise ValueError("negative generator count")
         self.chart = chart
         self.gens = gens
-        rel = []
-        for row in relations:
-            row = tuple(row)
-            if len(row) != gens:
-                raise DimensionMismatchError("relation row of wrong length")
-            for entry in row:
-                if entry.ring != chart.ring:
-                    raise RingMismatchError("relation entry from the wrong chart")
-            rel.append(row)
-        self.relations = tuple(rel)
         self._laurent = laurent
+        if laurent is None:
+            rows = self._relations = tuple(tuple(row) for row in relations)
+            if any(entry.ring != chart.ring for row in rows for entry in row):
+                raise RingMismatchError("relation entry from the wrong chart")
+        else:
+            rows, self._relations = laurent, None
+        if any(len(row) != gens for row in rows):
+            raise DimensionMismatchError("relation row of wrong length")
+
+    @property
+    def relations(self) -> tuple:
+        if self._relations is None:
+            from_laurent = self.chart.from_laurent
+            self._relations = tuple(tuple(map(from_laurent, row)) for row in self._laurent)
+        return self._relations
 
     @property
     def laurent(self) -> tuple:
         if self._laurent is None:
-            self._laurent = _laurent_rows(self.chart, self.relations)
+            self._laurent = _laurent_rows(self.chart, self._relations)
         return self._laurent
+
+    def _has_relations(self) -> bool:
+        """relations is not empty, asked of the form the module was built
+        from, so neither form is made."""
+        return bool(self._relations if self._laurent is None else self._laurent)
 
     def relation_gb(self) -> list:
         return self.span_gb(())
@@ -591,7 +626,7 @@ class FPModule:
             raise DimensionMismatchError("row of wrong length")
         diagonal = _diagonal_terms(self.chart, rows)
         if _has_unit_diagonal(self.chart, diagonal, self.gens):
-            return UnitDiagonal(self.chart, diagonal, self.relations)
+            return UnitDiagonal(self, diagonal)
         matrix = rows + self.relations
         if self.chart._subscheme or len(matrix) > self.gens:
             return None
@@ -611,7 +646,7 @@ class FPModule:
         UnitDiagonal's kernel is checked apart from its lemma."""
         rows = tuple(tuple(r) for r in rows)
         cert = self.certificate(rows)
-        if isinstance(cert, Certificate) or (cert is not None and not self.relations):
+        if isinstance(cert, Certificate) or (cert is not None and not self._has_relations()):
             return []
         return module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)
 

@@ -11,7 +11,8 @@ where the edge matrices are diagonals of monomials, as on graded inputs,
 and by Groebner spans otherwise.  The terms are read once, by their
 owners: a module keeps the Laurent forms of its relation rows
 (FPModule.laurent), and a representation keeps in SheafRep.terms the
-diagonal of each edge, read by _diagonal, and its square findings.
+diagonal of each edge, read by _diagonal, the norms and keys of each
+vertex's rows, read by _vertex_rows, and its square findings.
 Sub-representations given by per-vertex generator lists, and their
 presentations (kernels among them), live here as well.  A
 sub-representation decides membership by its ambient module's lifter, the
@@ -19,15 +20,16 @@ one membership path (FPModule.lifter), so it makes no run of its own, and
 its presentation finds the final sections' lifter in the chart memo.
 
 Every quiver on one (field, n, ideal generators) has the same skeleton: the
-x ring, vertices, edges, each chart's ChartData, and per degree tuple the
-graded edge matrices.  A bounded process-level table (_skeleton, SKELETONS
-(field, n) keys, GRADED_EDGES degree tuples per key, least recently used
-first out) keeps those of P^n, so a job on a key seen before builds none of
-it.  A quiver on a subscheme builds its own skeleton and the table does not
-keep it: a subscheme's key rarely comes again (each O_V job of a corpus may
-draw new forms), and stored it would evict a key that does.  The table
-holds no run: a ProjQuiver, its ChartRings and ChartHoms, and every
-Groebner run are made per job.
+x ring, vertices, edges, squares, each chart's ChartData, and per degree
+tuple the graded edge matrices and the squares' verdict by terms.  A
+bounded process-level table (_skeleton, SKELETONS (field, n) keys,
+GRADED_EDGES degree tuples per key, least recently used first out) keeps
+those of P^n, so a job on a key seen before builds none of it.  A quiver on
+a subscheme has a skeleton of its own that the table does not keep
+(_SubschemeSkeleton), built on the table's skeleton of its (field, n): all
+of it but the charts' ideals is that skeleton's.  The table holds no run: a
+ProjQuiver, its ChartRings and ChartHoms, and every Groebner run are made
+per job.
 
 Matrix convention throughout: row i of a map is the image of source
 generator i, so vectors act on the left and composition is the usual
@@ -39,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from operator import add as _add, sub as _sub
 from typing import Optional
 
@@ -117,7 +120,7 @@ def push(rep, edge, x):
 
 
 # Bounds of the process-level table of quiver skeletons: it keeps the
-# skeletons of the SKELETONS (field, n, ideal) keys used last, and each of
+# skeletons of the SKELETONS (field, n) keys used last, and each of
 # them the graded edges of the GRADED_EDGES degree tuples used last.  A P^4
 # key with one degree tuple holds about 0.2 MB, about half of it the
 # ChartData of its 31 charts.
@@ -126,16 +129,17 @@ GRADED_EDGES = 8
 
 
 class _Skeleton:
-    """The part of the quiver of one (field, n, ideal generators) that every
-    job on that key shares: the x ring, vertices and edges, each chart's
-    ChartData (made on first use), and for each degree tuple the graded edge
-    matrices with their diagonals as Laurent terms (made by graded_edges).
-    None of it holds a run, and nothing in it changes once made."""
+    """The part of the quiver of one (field, n) that every job on that key
+    shares: the x ring, vertices and edges, the two paths around each
+    square, each chart's ChartData (made on first use), and for each degree
+    tuple the graded edge matrices with their diagonals as Laurent terms
+    and whether every square passes _square_by_terms on them (made by
+    graded_edges).  None of it holds a run, and nothing in it changes once
+    made."""
 
-    def __init__(self, fld: Field, n: int, ideal_gens: tuple):
+    def __init__(self, fld: Field, n: int):
         self.field = fld
         self.n = n
-        self.ideal_gens = ideal_gens
         self.xring = x_ring(fld, n)
         points = range(n + 1)
         verts = []
@@ -149,6 +153,14 @@ class _Skeleton:
             for k in sorted(set(points) - v):
                 edges.append((v, same[v | {k}]))
         self.edges = tuple(sorted(edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))))
+        # (v, k, l, the paths v -> v+k -> w and v -> v+l -> w), w = v+{k,l}
+        squares = []
+        for v in self.vertices:
+            for k, l in combinations(sorted(set(points) - v), 2):
+                w = same[v | {k, l}]
+                paths = tuple(((v, same[v | {m}]), (same[v | {m}], w)) for m in (k, l))
+                squares.append((v, k, l, paths))
+        self.squares = tuple(squares)
         self._charts = {}
         self._graded = OrderedDict()
         self._ratios = {}
@@ -156,17 +168,21 @@ class _Skeleton:
     def chart(self, v: Vertex) -> ChartData:
         data = self._charts.get(v)
         if data is None:
-            data = self._charts[v] = ChartData(self.field, self.n, v, self.ideal_gens)
+            data = self._charts[v] = ChartData(self.field, self.n, v)
         return data
 
     def graded_edges(self, degrees: tuple) -> tuple:
-        """(edge matrices, diagonals) of the graded sheaf with these
-        generator twists, each a dict by edge: generator j of degree d is
-        e_j / x_p^d on a chart with pivot p, which is (x_q / x_p)^d times
-        e_j / x_q^d across an edge from pivot p to pivot q.  A diagonal is
-        the (Laurent exponent, coefficient) of each diagonal entry, as
-        _diagonal_terms reads it off the matrix.  The matrix depends on the
-        far chart and p alone, so edges that share both share it."""
+        """(edge matrices, diagonals, squares) of the graded sheaf with
+        these generator twists, the first two dicts by edge: generator j of
+        degree d is e_j / x_p^d on a chart with pivot p, which is
+        (x_q / x_p)^d times e_j / x_q^d across an edge from pivot p to
+        pivot q.  A diagonal is the (Laurent exponent, coefficient) of each
+        diagonal entry, as _diagonal_terms reads it off the matrix.  The
+        matrix depends on the far chart and p alone, so edges that share
+        both share it.  squares says whether every square passes
+        _square_by_terms, which reads the diagonals alone: it is asked here
+        once, of a representation on this skeleton that holds nothing else,
+        and holds for every graded sheaf with these degrees."""
         found = self._graded.get(degrees)
         if found is not None:
             self._graded.move_to_end(degrees)
@@ -189,7 +205,11 @@ class _Skeleton:
                     diagonal.append(term)
                 shared[key] = (tuple(rows), tuple(diagonal))
             maps[(v, w)], diagonals[(v, w)] = shared[key]
-        found = self._graded[degrees] = (maps, diagonals)
+        # the skeleton stands in for a quiver: the term readers ask one
+        # only for its field and its charts' data
+        terms = SheafRep(self, {}, maps, None, dict(diagonals))
+        squares = all(_square_by_terms(terms, *paths) for _v, _k, _l, paths in self.squares)
+        found = self._graded[degrees] = (maps, diagonals, squares)
         return found
 
     def _ratio(self, w: Vertex, p: int, d: int) -> tuple:
@@ -207,15 +227,39 @@ class _Skeleton:
         return found
 
 
+class _SubschemeSkeleton:
+    """The skeleton of a subscheme, on the shared skeleton of its (field,
+    n): that one's x ring, vertices, edges, squares and graded edges, none
+    of which depends on the ideal, and per chart that skeleton's ChartData
+    with the dehomogenized ideal (ChartData.on_subscheme), made on first
+    use.  The table does not keep it: a subscheme's key rarely comes again
+    (each O_V job of a corpus may draw new forms), and stored it would
+    evict a key that does."""
+
+    def __init__(self, plain: _Skeleton, ideal_gens: tuple):
+        self.plain = plain
+        self.ideal_gens = ideal_gens
+        self.field, self.n, self.xring = plain.field, plain.n, plain.xring
+        self.vertices, self.edges, self.squares = plain.vertices, plain.edges, plain.squares
+        self.graded_edges = plain.graded_edges
+        self._charts = {}
+
+    def chart(self, v: Vertex) -> ChartData:
+        data = self._charts.get(v)
+        if data is None:
+            data = self._charts[v] = self.plain.chart(v).on_subscheme(self.ideal_gens)
+        return data
+
+
 @lru_cache(maxsize=SKELETONS)
 def _skeleton(fld: Field, n: int) -> _Skeleton:
-    return _Skeleton(fld, n, ())
+    return _Skeleton(fld, n)
 
 
 class ProjQuiver:
     """Chart poset of P^n (or a closed subscheme): the skeleton its (field,
-    n) shares in the process, or on a subscheme its own, and the ChartRings
-    and ChartHoms of one job, made on first use."""
+    n) shares in the process, or on a subscheme its own on that one, and
+    the ChartRings and ChartHoms of one job, made on first use."""
 
     def __init__(self, fld: Field, n: int, ideal_gens=()):
         if n < 1 or n > 6:
@@ -230,7 +274,8 @@ class ProjQuiver:
             if not is_homogeneous(g):
                 raise ValueError("subscheme generators must be homogeneous")
         self.ideal_gens = gens
-        self.skeleton = _Skeleton(fld, n, gens) if gens else _skeleton(fld, n)
+        plain = _skeleton(fld, n)
+        self.skeleton = _SubschemeSkeleton(plain, gens) if gens else plain
         self.xring = self.skeleton.xring
         self.vertices = self.skeleton.vertices
         self.edges = self.skeleton.edges
@@ -268,7 +313,10 @@ class SheafRep:
     """A representation.  terms holds what is read off it once: under each
     edge the diagonal of its matrix as _diagonal_terms reads it, which
     graded_sheaf seeds from the skeleton and _diagonal otherwise reads on
-    first use, and under "squares" the findings of _squares_agree."""
+    first use, under each vertex the norms and keys of its module's
+    Laurent rows (_vertex_rows), and under "squares" the findings of
+    _squares_agree, which graded_sheaf seeds when the skeleton's squares
+    pass by terms."""
 
     quiver: ProjQuiver
     modules: dict
@@ -339,11 +387,13 @@ def check_graded_row(row, degrees) -> None:
 def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     """Sheafify coker(relations) of a free graded module with the given
     generator twists: generator j of degree d_j corresponds on a chart with
-    pivot p to the section e_j / x_p^{d_j}.  The edge matrices and their
-    diagonals come from the quiver's skeleton; the relation rows are
-    dehomogenized here, as Laurent terms once per pivot, which every module
-    on a chart with that pivot keeps, and written as chart polynomials per
-    chart."""
+    pivot p to the section e_j / x_p^{d_j}.  The edge matrices, their
+    diagonals and whether the squares pass by terms come from the quiver's
+    skeleton, and rep.terms starts with the diagonals, and with no square
+    findings when the squares pass.  The relation rows are dehomogenized
+    here, as Laurent terms once per pivot, which every module on a chart
+    with that pivot is built from; a module writes them as chart
+    polynomials only when they are read (FPModule.relations)."""
     degrees = tuple(int(d) for d in degrees)
     frozen_rows = tuple(tuple(row) for row in rows)
     for row in frozen_rows:
@@ -355,11 +405,12 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
             by_pivot[p] = tuple(
                 tuple(dehomogenized_laurent(quiver.field, g, p) for g in row) for row in frozen_rows
             )
-        chart = quiver.chart(v)
-        rel = tuple(tuple(map(chart.from_laurent, row)) for row in by_pivot[p])
-        modules[v] = FPModule(chart, len(degrees), rel, by_pivot[p])
-    maps, diagonals = quiver.skeleton.graded_edges(degrees)
-    return SheafRep(quiver, modules, dict(maps), GradedData(degrees, frozen_rows), dict(diagonals))
+        modules[v] = FPModule(quiver.chart(v), len(degrees), laurent=by_pivot[p])
+    maps, diagonals, squares = quiver.skeleton.graded_edges(degrees)
+    terms = dict(diagonals)
+    if squares:
+        terms["squares"] = ()
+    return SheafRep(quiver, modules, dict(maps), GradedData(degrees, frozen_rows), terms)
 
 
 def structure_sheaf(quiver: ProjQuiver) -> SheafRep:
@@ -392,7 +443,13 @@ class QCReport:
 
 
 def _onto(rows, tgt: FPModule) -> bool:
-    """The matrix rows generate tgt: every unit vector lies in their span."""
+    """The matrix rows generate tgt: every unit vector lies in their span,
+    which a square certificate of the rows says at once, before any unit
+    vector is built."""
+    rows = tuple(tuple(r) for r in rows)
+    cert = tgt.certificate(rows)
+    if cert is not None and cert.square:
+        return True
     ring = tgt.chart.ring
     return tgt.in_span(rows, (vec_unit(ring, tgt.gens, j) for j in range(tgt.gens)))
 
@@ -414,20 +471,47 @@ def _diagonal(rep: SheafRep, e: Edge):
     return terms[e]
 
 
-def _row_key(row, field: Field, outside) -> tuple:
-    """The canonical form of a nonzero row of Laurent dicts: the exponent at
-    the indices in outside of the least term (lexicographic min) of its
-    first nonzero entry, and the (column, exponent, coefficient) terms of
-    the row over that term.  A shift keeps the order, so rows a, b have one
-    key exactly when a = c*m*b, c a nonzero constant and m a monomial whose
-    exponent is 0 at every index in outside."""
+def _row_norm(row, field: Field) -> tuple:
+    """The part of a nonzero row's _row_key that does not depend on the far
+    vertex: the exponent of the least term (lexicographic min) of the
+    row's first nonzero entry, and the (column, exponent, coefficient)
+    terms of the row over that term."""
     lead = next(entry for entry in row if entry)
     low = min(lead)
     scale, mul = field.inv(lead[low]), field.mul
-    return tuple([low[i] for i in outside]), frozenset([
+    return low, frozenset([
         (k, tuple(map(_sub, exp, low)), mul(c, scale))
         for k, entry in enumerate(row) for exp, c in entry.items()
     ])
+
+
+def _key(norm, outside) -> tuple:
+    """The _row_key of a row from its _row_norm."""
+    low, terms = norm
+    return tuple([low[i] for i in outside]), terms
+
+
+def _row_key(row, field: Field, outside) -> tuple:
+    """The canonical form of a nonzero row of Laurent dicts: the exponent of
+    its _row_norm term at the indices in outside, and its _row_norm terms.
+    A shift keeps the order, so rows a, b have one key exactly when
+    a = c*m*b, c a nonzero constant and m a monomial whose exponent is 0 at
+    every index in outside."""
+    return _key(_row_norm(row, field), outside)
+
+
+def _vertex_rows(rep: SheafRep, v: Vertex) -> tuple:
+    """(norms, keys) of the nonzero Laurent rows of the module at v, kept in
+    rep.terms under v: the _row_norm of each row, read once, and the set of
+    the rows' _row_key keys with outside the indices not in v, the far
+    side of every edge into v."""
+    terms = rep.terms
+    if v not in terms:
+        fld = rep.quiver.field
+        norms = tuple(_row_norm(r, fld) for r in rep.modules[v].laurent if any(r))
+        outside = [i for i in range(rep.quiver.n + 1) if i not in v]
+        terms[v] = norms, {_key(norm, outside) for norm in norms}
+    return terms[v]
 
 
 def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
@@ -439,13 +523,27 @@ def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
     _has_unit_diagonal, which also decides the matrices FPModule's
     unit-diagonal lemma inverts.  The second compares the sets of
     _row_key keys of the images r*A and of the far rows, the modules'
-    Laurent rows (FPModule.laurent), outside being the indices not in w."""
+    Laurent rows (FPModule.laurent), outside being the indices not in w;
+    each side's norms are read once per vertex (_vertex_rows).
+
+    Lemma: when every diagonal entry of A is one term c*m, the same for
+    all, with m zero outside w, the key of r*A = c*m*r is the key of r.
+    Proof: the least term of the first nonzero entry moves by m, as a
+    shift keeps the order, so the terms over it are those of r, their
+    coefficients over its coefficient are unchanged, and its exponent
+    at the indices outside w is unchanged.  So no image row is built:
+    this holds on every graded edge whose generators share a degree,
+    every Euler quotient and every one-generator module among them.  Any
+    other diagonal builds the images r*A."""
     v, w = e
     diagonal = _diagonal(rep, e)
     if not _has_unit_diagonal(rep.quiver.chart(w), diagonal, rep.modules[w].gens):
         return False
-    fld = rep.quiver.field
+    far = _vertex_rows(rep, w)[1]
     outside = [i for i in range(rep.quiver.n + 1) if i not in w]
+    if len(set(diagonal)) <= 1:
+        return {_key(norm, outside) for norm in _vertex_rows(rep, v)[0]} == far
+    fld = rep.quiver.field
     images = (
         tuple(
             {tuple(map(_add, exp, de)): fld.mul(c, dc) for exp, c in entry.items()}
@@ -453,9 +551,7 @@ def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
         )
         for row in rep.modules[v].laurent
     )
-    return {_row_key(r, fld, outside) for r in images if any(r)} == {
-        _row_key(f, fld, outside) for f in rep.modules[w].laurent if any(f)
-    }
+    return {_row_key(r, fld, outside) for r in images if any(r)} == far
 
 
 def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
@@ -516,29 +612,14 @@ def _squares_agree(rep: SheafRep) -> tuple:
     if found is not None:
         return found
     findings = []
-    points = set(range(rep.quiver.n + 1))
-    for v in rep.quiver.vertices:
-        extra = sorted(points - v)
-        for a_i in range(len(extra)):
-            for b_i in range(a_i + 1, len(extra)):
-                k, l = extra[a_i], extra[b_i]
-                w = v | {k, l}
-                paths = [((v, mid), (mid, w)) for mid in (v | {k}, v | {l})]
-                if _square_by_terms(rep, *paths):
-                    continue
-                left, right = (
-                    [push(rep, second, r) for r in rep.edge_maps[first]] for first, second in paths
-                )
-                if not rep.modules[w].are_zero(map(vec_sub, left, right)):
-                    findings.append(
-                        "square at "
-                        + fmt_vertex(v)
-                        + " adding {"
-                        + str(k)
-                        + ","
-                        + str(l)
-                        + "}: path composites disagree"
-                    )
+    for v, k, l, paths in rep.quiver.skeleton.squares:
+        if _square_by_terms(rep, *paths):
+            continue
+        left, right = ([push(rep, second, r) for r in rep.edge_maps[first]] for first, second in paths)
+        if not rep.modules[v | {k, l}].are_zero(map(vec_sub, left, right)):
+            findings.append(
+                "square at %s adding {%d,%d}: path composites disagree" % (fmt_vertex(v), k, l)
+            )
     found = rep.terms["squares"] = tuple(findings)
     return found
 

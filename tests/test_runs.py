@@ -51,6 +51,12 @@ and graded squares commute term by term, and a chart of P^n without a
 subscheme is a Laurent ring whose normal forms are Laurent forms, so
 check-qc, is-bundle and serre-cover on an Euler quotient build no run at
 all, fetch no chart relation basis and push nothing along a chart hom.
+
+Graded sheaves read once: on the Euler quotient on P^3, check-qc writes
+no relation entry as a chart polynomial and is-bundle writes them only at
+the n+1 singleton charts, where it reads the Fitting minors; each vertex's
+relation row is normed once and no image row is keyed; and a second job
+on the same degree tuple asks _square_by_terms nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from fractions import Fraction
 import pytest
 from exactpoly_oracle import combos, syzygy_rows
 
-from qsheaf import bundles, charts, closure, exactpoly, sheafrep
+from qsheaf import bundles, charts, closure, exactpoly, sheaffile, sheafrep
 from qsheaf.cli import JobSpec, run
 from qsheaf.exactpoly import Field
 from qsheaf.sheaffile import sheafrep_text
@@ -457,3 +463,87 @@ def test_euler_jobs_build_no_groebner_run(monkeypatch, command, fixture):
     assert runs == []
     assert relation_gbs == []
     assert applied == []
+
+
+def _graded_job(monkeypatch, command, fixture, watch):
+    """Report of one job on a graded fixture, with watch(rep) installed
+    once graded_sheaf has made the job's representation rep."""
+    real = sheaffile.graded_sheaf
+
+    def keeping(*args):
+        rep = real(*args)
+        watch(rep)
+        return rep
+
+    monkeypatch.setattr(sheaffile, "graded_sheaf", keeping)
+    report = run(JobSpec(command=command, inputs=(str(FIXTURES / fixture),), machine=True))
+    monkeypatch.setattr(sheaffile, "graded_sheaf", real)
+    return report
+
+
+@pytest.mark.parametrize("command,charts_written", [("check-qc", 0), ("is-bundle", 4)])
+def test_euler_p3_writes_relation_rows_only_where_they_are_read(monkeypatch, command, charts_written):
+    # graded_sheaf hands each module its Laurent rows, and a module writes
+    # them as chart polynomials on first read: check-qc matches them as
+    # Laurent terms and reads none, is-bundle reads the Fitting minors at
+    # the n+1 singleton charts; before, every chart wrote them
+    entries, written = set(), Counter()
+    real = charts.ChartData.from_laurent
+
+    def watch(rep):
+        entries.update(id(e) for m in rep.modules.values() for row in m.laurent for e in row)
+
+    def watched(self, terms):
+        if id(terms) in entries:
+            written[self.vertex] += 1
+        return real(self, terms)
+
+    monkeypatch.setattr(charts.ChartData, "from_laurent", watched)
+    assert _graded_job(monkeypatch, command, "euler_q_p3.txt", watch).exit_status == 0
+    # one relation row of 4 entries
+    assert written == {frozenset({i}): 4 for i in range(charts_written)}
+
+
+@pytest.mark.parametrize("command", ("check-qc", "is-bundle"))
+def test_euler_p3_norms_each_laurent_row_once(monkeypatch, command):
+    # the relation row is normed once at each of the 15 vertices, the far
+    # side of an edge keyed once per vertex, and every diagonal is one
+    # repeated term, so no image row is keyed; before, 2 keys per edge
+    # (56 over 28 edges)
+    normed, keyed = [], []
+    real_norm, real_key = sheafrep._row_norm, sheafrep._row_key
+
+    def counting_norm(row, field):
+        normed.append(row)
+        return real_norm(row, field)
+
+    def counting_key(row, field, outside):
+        keyed.append(row)
+        return real_key(row, field, outside)
+
+    monkeypatch.setattr(sheafrep, "_row_norm", counting_norm)
+    monkeypatch.setattr(sheafrep, "_row_key", counting_key)
+    assert _graded_job(monkeypatch, command, "euler_q_p3.txt", lambda rep: None).exit_status == 0
+    assert (len(normed), keyed) == (15, [])
+
+
+def test_a_repeated_degree_tuple_evaluates_no_square_by_terms(monkeypatch):
+    # the skeleton asks _square_by_terms of each of the 18 squares of P^3
+    # once per degree tuple, and every graded sheaf with those degrees
+    # starts with no square findings
+    calls, seeded = [], []
+    real = sheafrep._square_by_terms
+
+    def counting(rep, left, right):
+        calls.append((left, right))
+        return real(rep, left, right)
+
+    monkeypatch.setattr(sheafrep, "_square_by_terms", counting)
+    sheafrep._skeleton.cache_clear()
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        watch = lambda rep: seeded.append(rep.terms.get("squares"))  # noqa: E731
+        assert _graded_job(monkeypatch, "check-qc", "euler_q_p3.txt", watch).exit_status == 0
+        counts.append(len(calls))
+    assert counts == [18, 0] and seeded == [(), ()]

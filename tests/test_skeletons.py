@@ -14,8 +14,16 @@ graded_sheaf seeds rep.terms with the diagonals of its edges, from the
 degrees, and hands each module the Laurent rows of its relations, read once
 per pivot; both must be what _diagonal_terms and ChartRing.to_laurent read
 off the polynomials, which stay as the oracle, and neither is read again.
-A sheafrep file has its squares checked once: the parser's findings travel
-in rep.terms to is_quasi_coherent.
+A module writes those rows as chart polynomials on first read, equal to
+the rows written at once.  The skeleton asks _square_by_terms of each
+square once per degree tuple, which must be what a fresh check of the
+representation finds, and graded_sheaf starts with no square findings only
+when it passes.  A sheafrep file has its squares checked once: the
+parser's findings travel in rep.terms to is_quasi_coherent.
+
+The chart of a subscheme is the shared chart of its (field, n) with the
+dehomogenized ideal: attribute by attribute, the chart built from scratch,
+with the ideal dehomogenized by the oracle's index loop.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 import pathlib
 
 from hypothesis import given, settings, strategies as st
+
+import charts_oracle
 
 from qsheaf import charts, sheafrep
 from qsheaf.cli import JobSpec, run
@@ -100,7 +110,8 @@ def test_a_skeleton_keeps_its_bound_of_degree_tuples():
 
 def test_edges_that_share_a_far_chart_and_pivot_share_their_matrix():
     quiver = build_proj_quiver(Q, 3)
-    maps, diagonals = quiver.skeleton.graded_edges((2, -1))
+    maps, diagonals, squares = quiver.skeleton.graded_edges((2, -1))
+    assert squares
     for e in quiver.edges:
         for f in quiver.edges:
             if e[1] == f[1] and min(e[0]) == min(f[0]):
@@ -119,7 +130,7 @@ def test_a_p1_mutant_leaves_the_shared_matrices_alone(tmp_path):
     quiver = build_proj_quiver(Q, 1)
     degrees = (1, 0, -2)
     rep = graded_sheaf(quiver, degrees)
-    maps, diagonals = quiver.skeleton.graded_edges(degrees)
+    maps, diagonals, _squares = quiver.skeleton.graded_edges(degrees)
     held = {e: (maps[e], tuple(map(tuple, maps[e])), diagonals[e]) for e in quiver.edges}
     edge = quiver.edges[-1]
     chart = quiver.chart(edge[1])
@@ -206,8 +217,10 @@ def _unread(chart, p):
 def test_recorded_terms_are_the_terms_read_off_the_polynomials(data):
     quiver, degrees, rows = data
     rep = graded_sheaf(quiver, degrees, rows)
-    # every term was recorded, so none is read off a polynomial here
-    assert set(rep.terms) == set(quiver.edges)
+    # every term was recorded, so none is read off a polynomial here; the
+    # squares of a graded sheaf pass by terms, so none is left to check
+    assert set(rep.terms) == set(quiver.edges) | {"squares"}
+    assert rep.terms["squares"] == ()
     real = charts.ChartData.to_laurent
     charts.ChartData.to_laurent = _unread
     try:
@@ -220,3 +233,78 @@ def test_recorded_terms_are_the_terms_read_off_the_polynomials(data):
     for v, w in quiver.edges:
         decoded = _diagonal_terms(quiver.chart(w), rep.edge_maps[(v, w)])
         assert decoded is not None and rep.terms[(v, w)] == decoded
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_inputs())
+def test_relation_rows_made_on_read_are_the_eager_rows(data):
+    quiver, degrees, rows = data
+    rep = graded_sheaf(quiver, degrees, rows)
+    for v in quiver.vertices:
+        module = rep.modules[v]
+        chart = module.chart
+        # counted from the Laurent rows, before any is written out
+        assert module._has_relations() == bool(rows) and module._relations is None
+        eager = tuple(tuple(map(chart.from_laurent, row)) for row in module.laurent)
+        assert module.relations == eager
+        assert module.relations == tuple(tuple(chart.dehomogenize(g) for g in row) for row in rows)
+        assert module.relations is module.relations
+
+
+KEY_FIELDS = (Field(0), Field(5), Field(7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KEY_FIELDS),
+    st.integers(1, 4),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple),
+)
+def test_the_square_verdict_of_a_degree_tuple_is_a_fresh_check(field, n, degrees):
+    quiver = build_proj_quiver(field, n)
+    squares = quiver.skeleton.graded_edges(degrees)[2]
+    rep = graded_sheaf(quiver, degrees)
+    fresh = SheafRep(quiver, rep.modules, rep.edge_maps)
+    assert squares == all(
+        sheafrep._square_by_terms(fresh, *paths) for _v, _k, _l, paths in quiver.skeleton.squares
+    )
+    assert squares and rep.terms["squares"] == sheafrep._squares_agree(fresh) == ()
+
+
+def test_squares_are_seeded_only_when_the_skeleton_check_passes(monkeypatch):
+    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda rep, left, right: False)
+    _skeleton.cache_clear()
+    try:
+        quiver = build_proj_quiver(Field(7), 2)
+        assert quiver.skeleton.graded_edges((0, 1))[2] is False
+        rep = graded_sheaf(quiver, (0, 1))
+        assert "squares" not in rep.terms
+        # the general path pushes the composites, which agree
+        assert sheafrep._squares_agree(rep) == ()
+    finally:
+        # the table must not keep the verdict of the stubbed check
+        _skeleton.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_inputs())
+def test_a_subscheme_chart_is_the_plain_chart_with_its_ideal(data):
+    quiver, _degrees, _rows = data
+    field, n, ideal = quiver.field, quiver.n, quiver.ideal_gens
+    for v in quiver.vertices:
+        shared = quiver.skeleton.chart(v)
+        # from scratch: the chart of P^n, and the ideal dehomogenized by
+        # the index loop of the oracle
+        plain = charts.ChartData(field, n, v)
+        jays = tuple(charts_oracle.dehomogenize(plain, g) for g in ideal)
+        relations = plain.inversions + tuple(g for g in jays if not g.is_zero())
+        expected = (
+            plain.ring, plain.vertex, plain.pivot, ideal, plain.inversions, jays,
+            relations, plain._z_index, plain._u_index, plain._var_laurent,
+        )
+        assert _chart_data(shared) == expected
+        assert shared._subscheme == (len(relations) > len(plain.inversions))
+        built = vars(charts.make_chart_ring(field, n, v, ideal))
+        assert vars(shared) == {k: x for k, x in built.items() if k != "_runs"}
+        if ideal:
+            assert shared.ring is _skeleton(field, n).chart(v).ring
