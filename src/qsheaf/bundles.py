@@ -30,8 +30,6 @@ from .exactpoly import (
     Field,
     Poly,
     PolyRing,
-    PresIdeal,
-    ideal_contains_one,
     rref,
     terms_from_str,
 )
@@ -119,22 +117,16 @@ def is_projective_fp(module: FPModule) -> ProjectivityCertificate:
     """Fitting-ideal projectivity test on a chart with connected spectrum.
 
     Walks the Fitting chain downward from F_g (always the unit ideal) to the
-    smallest unit index r, then requires F_{r-1} = 0.  On a connected
-    spectrum a failure means the module is not projective; the test does
-    not check connectedness itself.
+    smallest unit index r, then requires F_{r-1} = 0.  The chart decides
+    whether the minors of each size generate the unit ideal
+    (ChartRing.generates_one).  On a connected spectrum a failure means the
+    module is not projective; the test does not check connectedness itself.
     """
-    chart = module.chart
     g = module.gens
     r = g
     while r > 0:
         minors = _minors(module, g - (r - 1))
-        if minors:  # a nonzero constant minor is a unit: no run
-            unit = any(d.degree() == 0 for d in minors) or ideal_contains_one(
-                PresIdeal(chart.ring, tuple(minors) + chart.relations)
-            )
-        else:  # the ideal of the chart relations alone: reuse the chart's basis
-            unit = chart.is_zero_ring()
-        if not unit:
+        if not module.chart.generates_one(minors):
             break
         r -= 1
     if r == 0:

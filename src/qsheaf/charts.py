@@ -24,16 +24,14 @@ a chart with subscheme relations reduces the Laurent form modulo
 relation_gb() (Pauer and Unterkircher, "Groebner bases for ideals in
 Laurent polynomial rings", AAECC 9, 1999, treat such rings in general).
 
-A chart's ring data (ChartData: its PolyRing, variable indexes, Laurent
-table, inversions and dehomogenized ideal) holds no run and is never
-mutated, so a process shares it between jobs: sheafrep keeps it in its
-bounded table of quiver skeletons (sheafrep.SKELETONS, 16 keys of (field,
-n) without a subscheme, the least recently used going first).  The chart
-of a subscheme is the shared chart of its (field, n) with the
-dehomogenized ideal added (ChartData.on_subscheme), as the ideal changes
-none of the rest.  What stays per job is the ChartRing, which
-make_chart_ring builds on that data for each chart a quiver uses, and its
-runs.
+A chart's ring data on P^n (ChartData: its PolyRing, variable indexes,
+Laurent table and inversions) holds no run and is never mutated, so a
+process shares it between jobs: sheafrep keeps it in its bounded table of
+quiver skeletons (sheafrep.SKELETONS, 16 keys of (field, n), the least
+recently used going first).  A subscheme's ideal changes none of it.  The
+chart of one quiver is a ChartRing, which make_chart_ring builds per job on
+that data: it adds the quiver's ideal dehomogenized on the chart, which
+joins the inversions as the chart's relations, and the memo of its runs.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb
 and FPModule.lifter) and of the constant certificates that replace them
@@ -54,7 +52,6 @@ the memo when sheafrep._present presents them.
 
 from __future__ import annotations
 
-from copy import copy
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -63,9 +60,11 @@ from .exactpoly import (
     Field,
     Poly,
     PolyRing,
+    PresIdeal,
     RingMismatchError,
     TrackedBasis,
     groebner_basis,
+    ideal_contains_one,
     module_kernel,
     normal_form,
     poly_to_str,
@@ -85,12 +84,11 @@ def is_homogeneous(p: Poly) -> bool:
 
 
 class ChartData:
-    """Ring data of one chart, presented with explicit inverses: its
-    PolyRing, variable indexes, Laurent table, inversions and the
-    dehomogenized ideal.  ChartData(field, n, vertex) is the chart of P^n,
-    with no ideal; on_subscheme gives the chart of a subscheme, on the same
-    ring data.  It holds no run and is never mutated, so one ChartData
-    serves every ChartRing of its chart in a process."""
+    """Ring data of one chart of P^n, presented with explicit inverses: its
+    PolyRing, variable indexes, Laurent table and inversions, none of which
+    depends on a subscheme.  It holds no run and is never mutated, so one
+    ChartData serves every ChartRing of its chart in a process, on P^n and
+    on each of its subschemes."""
 
     def __init__(self, field: Field, n: int, vertex: frozenset):
         if not vertex or not vertex <= set(range(n + 1)):
@@ -109,9 +107,6 @@ class ChartData:
         for i in us:
             inversions.append(self.u(i) * self.z(i) - self.ring.one())
         self.inversions = tuple(inversions)
-        self.ideal_gens = self.jays = ()
-        self.relations = self.inversions
-        self._subscheme = False
         # Laurent exponent of each ring variable, length n+1, total degree 0
         lv = []
         for j in zs:
@@ -123,21 +118,6 @@ class ChartData:
             vec[self.pivot], vec[i] = vec[self.pivot] + 1, -1
             lv.append(tuple(vec))
         self._var_laurent = tuple(lv)
-
-    def on_subscheme(self, ideal_gens: Sequence[Poly]) -> "ChartData":
-        """The data of this chart on the subscheme cut out by ideal_gens:
-        this chart's ring, indexes, inversions and Laurent table, which do
-        not depend on the ideal, and the dehomogenized ideal."""
-        gens = tuple(ideal_gens)
-        for g in gens:
-            if not is_homogeneous(g):
-                raise ValueError(f"ideal generator not homogeneous: {poly_to_str(g)}")
-        data = copy(self)
-        data.ideal_gens = gens
-        data.jays = tuple(self.dehomogenize(g) for g in gens)
-        data.relations = self.inversions + tuple(g for g in data.jays if not g.is_zero())
-        data._subscheme = len(data.relations) > len(self.inversions)
-        return data
 
     # -- variables ---------------------------------------------------------
 
@@ -208,12 +188,23 @@ class ChartData:
 
 
 class ChartRing(ChartData):
-    """Coordinate ring of one chart: the shared ChartData of its chart, taken
-    as it is, and the memo of the Groebner runs over its ring, which is the
-    chart's own.  A quiver makes one per chart and job."""
+    """Coordinate ring of one chart of one quiver: the shared ChartData of
+    its chart of P^n, taken as it is, the quiver's ideal dehomogenized on
+    that chart, and the memo of the Groebner runs over its ring.  relations
+    are the inversions and the nonzero dehomogenized generators (jays), and
+    _subscheme says whether there is any of the latter.  A quiver makes one
+    per chart and job."""
 
-    def __init__(self, data: ChartData):
+    def __init__(self, data: ChartData, ideal_gens: Sequence[Poly] = ()):
         vars(self).update(vars(data))
+        gens = tuple(ideal_gens)
+        for g in gens:
+            if not is_homogeneous(g):
+                raise ValueError(f"ideal generator not homogeneous: {poly_to_str(g)}")
+        self.ideal_gens = gens
+        self.jays = tuple(data.dehomogenize(g) for g in gens)
+        self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
+        self._subscheme = len(self.relations) > len(self.inversions)
         self._runs = {}
 
     # -- presentation ------------------------------------------------------
@@ -249,6 +240,17 @@ class ChartRing(ChartData):
         a Laurent ring, never zero, so nothing is built there."""
         return self._subscheme and self.nf(self.ring.one()).is_zero()
 
+    def generates_one(self, gens: Sequence[Poly]) -> bool:
+        """The chart polynomials gens and the relations generate the unit
+        ideal: at once when a gen is a nonzero constant, is_zero_ring() when
+        there is no gen, else by one Groebner run over gens and relations."""
+        gens = tuple(gens)
+        if any(g.degree() == 0 for g in gens):
+            return True
+        if not gens:
+            return self.is_zero_ring()
+        return ideal_contains_one(PresIdeal(self.ring, gens + self.relations))
+
     def __repr__(self):
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"
 
@@ -272,12 +274,11 @@ def dehomogenized_laurent(f: Field, g: Poly, pivot: int) -> dict:
 def make_chart_ring(
     field: Field, n: int, vertex: Iterable[int], ideal_gens: Sequence[Poly] = (), data: ChartData = None
 ) -> ChartRing:
-    """Chart ring for a vertex of the subset quiver on P^n (or a subscheme),
-    on data, the ChartData of that chart when the caller keeps one (a
-    quiver's skeleton), else on data built here."""
-    if data is None:
-        data = ChartData(field, n, frozenset(vertex)).on_subscheme(ideal_gens)
-    return ChartRing(data)
+    """Chart ring for a vertex of the subset quiver on P^n, or on the
+    subscheme cut out by ideal_gens, on data, the ChartData of that chart of
+    P^n when the caller keeps one (a quiver's skeleton), else on data built
+    here."""
+    return ChartRing(data or ChartData(field, n, frozenset(vertex)), ideal_gens)
 
 
 class ChartHom:

@@ -133,6 +133,13 @@ def _parse_value(path, line, placeholder, what, old):
     return _parse_int(path, line, line.tokens[1], what)
 
 
+def _nonnegative(path, line, value, message):
+    """value, refused on its own line with message when it is negative."""
+    if value < 0:
+        raise ParseError(path, line.number, message, SEMANTIC)
+    return value
+
+
 def _parse_entry(path, line, parse, text):
     try:
         return parse(text)
@@ -267,7 +274,8 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
             v = _parse_vertex(path, line, line.tokens[1], quiver)
             if v in gens:
                 raise ParseError(path, line.number, "vertex %s declared twice" % fmt_vertex(v), SEMANTIC)
-            gens[v] = _parse_int(path, line, line.tokens[3], "generator count")
+            count = _parse_int(path, line, line.tokens[3], "generator count")
+            gens[v] = _nonnegative(path, line, count, "negative generator count")
             rels[v] = []
             decl_lines[v] = line
         elif key == "vrel":
@@ -390,6 +398,7 @@ def parse_transition_file(path: str, default_field: Optional[Field] = None):
             field = _parse_field_line(path, line, field)
         elif key == "rows":
             size = _parse_value(path, line, "count", "row count", size)
+            _nonnegative(path, line, size, "negative row count")
         elif key == "trow":
             if field is None:
                 field = default_field or Field.rationals()
@@ -435,6 +444,7 @@ def parse_filtered_file(path: str):
             p_line = line
         elif key == "dim":
             dim = _parse_value(path, line, "int", "dimension", dim)
+            _nonnegative(path, line, dim, "negative ambient dimension")
         elif key == "oprow":
             row = tuple(_parse_int(path, line, t, "operator entry") for t in line.tokens[1:])
             oprows.append((line, row))

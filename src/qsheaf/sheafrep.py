@@ -19,15 +19,14 @@ sub-representation decides membership by its ambient module's lifter, the
 one membership path (FPModule.lifter), so it makes no run of its own, and
 its presentation finds the final sections' lifter in the chart memo.
 
-Every quiver on one (field, n, ideal generators) has the same skeleton: the
-x ring, vertices, edges, squares, each chart's ChartData, and per degree
-tuple the graded edge matrices and the squares' verdict by terms.  A
-bounded process-level table (_skeleton, SKELETONS (field, n) keys,
-GRADED_EDGES degree tuples per key, least recently used first out) keeps
-those of P^n, so a job on a key seen before builds none of it.  A quiver on
-a subscheme has a skeleton of its own that the table does not keep
-(_SubschemeSkeleton), built on the table's skeleton of its (field, n): all
-of it but the charts' ideals is that skeleton's.  The table holds no run: a
+Every quiver on one (field, n) has the same skeleton: the x ring,
+vertices, edges, squares, each chart's ChartData of P^n, and per degree
+tuple the graded edge matrices and the squares' verdict by terms.  None of
+it depends on a subscheme, so a quiver on V(J) in P^n shares the skeleton
+of P^n, and its ChartRings add the dehomogenized ideal.  A bounded
+process-level table (_skeleton, SKELETONS (field, n) keys, GRADED_EDGES
+degree tuples per key, least recently used first out) keeps the skeletons,
+so a job on a key seen before builds none of it.  The table holds no run: a
 ProjQuiver, its ChartRings and ChartHoms, and every Groebner run are made
 per job.
 
@@ -180,9 +179,8 @@ class _Skeleton:
         diagonal entry, as _diagonal_terms reads it off the matrix.  The
         matrix depends on the far chart and p alone, so edges that share
         both share it.  squares says whether every square passes
-        _square_by_terms, which reads the diagonals alone: it is asked here
-        once, of a representation on this skeleton that holds nothing else,
-        and holds for every graded sheaf with these degrees."""
+        _square_by_terms on these diagonals, which are all it reads, so it
+        holds for every graded sheaf with these degrees."""
         found = self._graded.get(degrees)
         if found is not None:
             self._graded.move_to_end(degrees)
@@ -205,10 +203,11 @@ class _Skeleton:
                     diagonal.append(term)
                 shared[key] = (tuple(rows), tuple(diagonal))
             maps[(v, w)], diagonals[(v, w)] = shared[key]
-        # the skeleton stands in for a quiver: the term readers ask one
-        # only for its field and its charts' data
-        terms = SheafRep(self, {}, maps, None, dict(diagonals))
-        squares = all(_square_by_terms(terms, *paths) for _v, _k, _l, paths in self.squares)
+        fmul = self.field.mul
+        squares = all(
+            _square_by_terms(fmul, [diagonals[e] for path in paths for e in path])
+            for _v, _k, _l, paths in self.squares
+        )
         found = self._graded[degrees] = (maps, diagonals, squares)
         return found
 
@@ -227,56 +226,31 @@ class _Skeleton:
         return found
 
 
-class _SubschemeSkeleton:
-    """The skeleton of a subscheme, on the shared skeleton of its (field,
-    n): that one's x ring, vertices, edges, squares and graded edges, none
-    of which depends on the ideal, and per chart that skeleton's ChartData
-    with the dehomogenized ideal (ChartData.on_subscheme), made on first
-    use.  The table does not keep it: a subscheme's key rarely comes again
-    (each O_V job of a corpus may draw new forms), and stored it would
-    evict a key that does."""
-
-    def __init__(self, plain: _Skeleton, ideal_gens: tuple):
-        self.plain = plain
-        self.ideal_gens = ideal_gens
-        self.field, self.n, self.xring = plain.field, plain.n, plain.xring
-        self.vertices, self.edges, self.squares = plain.vertices, plain.edges, plain.squares
-        self.graded_edges = plain.graded_edges
-        self._charts = {}
-
-    def chart(self, v: Vertex) -> ChartData:
-        data = self._charts.get(v)
-        if data is None:
-            data = self._charts[v] = self.plain.chart(v).on_subscheme(self.ideal_gens)
-        return data
-
-
 @lru_cache(maxsize=SKELETONS)
 def _skeleton(fld: Field, n: int) -> _Skeleton:
     return _Skeleton(fld, n)
 
 
 class ProjQuiver:
-    """Chart poset of P^n (or a closed subscheme): the skeleton its (field,
-    n) shares in the process, or on a subscheme its own on that one, and
-    the ChartRings and ChartHoms of one job, made on first use."""
+    """Chart poset of P^n or of a closed subscheme V(ideal_gens): the
+    skeleton its (field, n) shares in the process, and the ChartRings and
+    ChartHoms of one job, made on first use, each chart the skeleton's
+    ChartData with the quiver's ideal (make_chart_ring)."""
 
     def __init__(self, fld: Field, n: int, ideal_gens=()):
         if n < 1 or n > 6:
             raise ValueError("ambient dimension must be between 1 and 6")
         self.field = fld
         self.n = n
-        xring = x_ring(fld, n)
+        self.skeleton = _skeleton(fld, n)
+        self.xring = self.skeleton.xring
         gens = tuple(g for g in ideal_gens if not g.is_zero())
         for g in gens:
-            if g.ring != xring:
+            if g.ring != self.xring:
                 raise ValueError("subscheme generators must live in the x ring")
             if not is_homogeneous(g):
                 raise ValueError("subscheme generators must be homogeneous")
         self.ideal_gens = gens
-        plain = _skeleton(fld, n)
-        self.skeleton = _SubschemeSkeleton(plain, gens) if gens else plain
-        self.xring = self.skeleton.xring
         self.vertices = self.skeleton.vertices
         self.edges = self.skeleton.edges
         self._charts = {}
@@ -581,15 +555,15 @@ def _edge_verdict(rep: SheafRep, e: Edge) -> EdgeVerdict:
     return EdgeVerdict(e, well, _onto(rows, tgt), injective)
 
 
-def _square_by_terms(rep: SheafRep, left, right) -> bool:
-    """The two composites of a square, each a pair of edges, are equal as
-    Laurent terms: all four edge matrices are diagonals of single terms,
-    and on every diagonal entry the two paths have the same exponent sum
-    and the same coefficient product."""
-    d = [_diagonal(rep, e) for e in left + right]
+def _square_by_terms(fmul, d) -> bool:
+    """The two composites of a square are equal as Laurent terms: d holds
+    the diagonals of its four edge matrices as _diagonal_terms reads them,
+    the two edges of one path and then the two of the other; all four are
+    diagonals of single terms (none is None), and on every diagonal entry
+    the two paths have the same exponent sum and the same coefficient
+    product, fmul being the field's multiplication."""
     if None in d:
         return False
-    fmul = rep.quiver.field.mul
     return all(
         tuple(map(_add, e1, e2)) == tuple(map(_add, e3, e4)) and fmul(c1, c2) == fmul(c3, c4)
         for (e1, c1), (e2, c2), (e3, c3), (e4, c4) in zip(*d)
@@ -612,8 +586,9 @@ def _squares_agree(rep: SheafRep) -> tuple:
     if found is not None:
         return found
     findings = []
+    fmul = rep.quiver.field.mul
     for v, k, l, paths in rep.quiver.skeleton.squares:
-        if _square_by_terms(rep, *paths):
+        if _square_by_terms(fmul, [_diagonal(rep, e) for path in paths for e in path]):
             continue
         left, right = ([push(rep, second, r) for r in rep.edge_maps[first]] for first, second in paths)
         if not rep.modules[v | {k, l}].are_zero(map(vec_sub, left, right)):

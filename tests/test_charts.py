@@ -70,6 +70,22 @@ def test_chart_zero_ring():
     assert not c0.is_zero_ring()  # there the relation is z1, a point
 
 
+def test_generates_one(monkeypatch):
+    xr = x_ring(Q, 1)
+    plain = make_chart_ring(Q, 1, {0})
+    zero = make_chart_ring(Q, 1, {0, 1}, [poly_from_str(xr, "x0*x1")])
+    point = make_chart_ring(Q, 1, {0}, [poly_from_str(xr, "x0*x1")])
+    z1, one = point.z(1), point.ring.one()
+    # with no gen, the relations alone: 1 only on the zero ring
+    assert not plain.generates_one([]) and zero.generates_one([])
+    # z1 is a relation of the point, z1 + 1 a unit there, and on P^1 z1
+    # generates a proper ideal
+    assert point.generates_one([z1 + one]) and not point.generates_one([z1])
+    assert not plain.generates_one([plain.z(1)])
+    monkeypatch.setattr("qsheaf.charts.ideal_contains_one", lambda ideal: pytest.fail("a run was made"))
+    assert plain.generates_one([plain.z(1), plain.ring.constant(2)])
+
+
 def test_zero_ring_test_builds_nothing_without_a_subscheme(monkeypatch):
     # a chart of P^n without subscheme relations is a Laurent ring, never
     # zero: is_zero_ring reads that off and writes no Laurent form back

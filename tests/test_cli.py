@@ -642,6 +642,8 @@ EXIT_TWO_TEXTS = [
         _S + "vertex {0} gens x\n",
         "4: syntax error: generator count must be an integer, got 'x'",
     ),
+    # a negative count is refused on its own line, not by a later layer
+    ("gens-negative", "check-qc", _S + "vertex {0} gens -1\n", "4: semantic error: negative generator count"),
     ("vrel-syntax", "check-qc", _S + "vrel\n", "4: syntax error: expected 'vrel {v} <entries>'"),
     ("vrel-early", "check-qc", _S + "vrel {0} 1\n", "4: semantic error: vrel before 'vertex' line for {0}"),
     (
@@ -724,6 +726,7 @@ EXIT_TWO_TEXTS = [
         "kind transition\nrows x\n",
         "2: syntax error: row count must be an integer, got 'x'",
     ),
+    ("rows-negative", "split-p1", "kind transition\nrows -1\n", "2: semantic error: negative row count"),
     ("trow-early", "split-p1", "kind transition\ntrow 1\n", "2: semantic error: trow before the 'rows' line"),
     ("trow-width", "split-p1", _T + "trow 1 | 0\n", "4: semantic error: row has 2 entries, expected 1"),
     (
@@ -875,7 +878,7 @@ EXIT_TWO_TEXTS = [
         "negative-dim",
         "hill-verify",
         "kind filtered\np 2\ndim -1\n",
-        "2: semantic error: negative ambient dimension",
+        "3: semantic error: negative ambient dimension",
     ),
     (
         "operator-nilpotent",

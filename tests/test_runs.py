@@ -534,9 +534,9 @@ def test_a_repeated_degree_tuple_evaluates_no_square_by_terms(monkeypatch):
     calls, seeded = [], []
     real = sheafrep._square_by_terms
 
-    def counting(rep, left, right):
-        calls.append((left, right))
-        return real(rep, left, right)
+    def counting(fmul, d):
+        calls.append(d)
+        return real(fmul, d)
 
     monkeypatch.setattr(sheafrep, "_square_by_terms", counting)
     sheafrep._skeleton.cache_clear()

@@ -91,6 +91,7 @@ from qsheaf.exactpoly import Field, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file, sheafrep_text
 from qsheaf.sheafrep import (
     SheafRep,
+    _diagonal,
     _edge_by_terms,
     _edge_verdict,
     _square_by_terms,
@@ -292,6 +293,11 @@ def _squares(quiver):
             yield tuple(((v, mid), (mid, w)) for mid in (v | {k}, v | {l}))
 
 
+def _by_terms(rep, paths) -> bool:
+    """_square_by_terms on the diagonals of the two paths of a square."""
+    return _square_by_terms(rep.quiver.field.mul, [_diagonal(rep, e) for path in paths for e in path])
+
+
 @settings(max_examples=60, deadline=None)
 @given(reps())
 def test_edge_verdicts_match_oracle(rep):
@@ -317,7 +323,7 @@ def test_edge_verdicts_match_oracle(rep):
 def test_unspoiled_graded_reps_take_the_term_path(rep):
     for e in rep.quiver.edges:
         assert _edge_by_terms(rep, e)
-    assert all(_square_by_terms(rep, *paths) for paths in _squares(rep.quiver))
+    assert all(_by_terms(rep, paths) for paths in _squares(rep.quiver))
 
 
 def _pinned_cases():
@@ -679,7 +685,7 @@ SQUARES = _pinned_squares()
 
 @pytest.mark.parametrize("name,rep,paths,by_terms,agrees", SQUARES, ids=[c[0] for c in SQUARES])
 def test_pinned_squares_take_the_expected_path(name, rep, paths, by_terms, agrees):
-    assert _square_by_terms(rep, *paths) == by_terms
+    assert _by_terms(rep, paths) == by_terms
     findings = _squares_agree(rep)
     assert findings == oracle.squares_agree(rep)
     assert (findings == ()) == agrees
@@ -696,7 +702,7 @@ GOLDEN_QC = sorted(
 def test_golden_bodies_are_the_same_without_the_term_lemmas(monkeypatch, command, stem):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sheafrep, "_edge_by_terms", lambda terms, e: False)
-    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda terms, left, right: False)
+    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda *a: False)
     job = JobSpec(command=command, inputs=("fixtures/%s.txt" % stem,), machine=True)
     want = (ROOT / "tests" / "golden" / ("%s__%s.json" % (command, stem))).read_text(encoding="utf-8")
     # a skeleton keeps its squares' verdict by terms: start from an empty

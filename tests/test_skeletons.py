@@ -6,9 +6,10 @@ Every ProjQuiver of one (field, n) key of P^n shares a skeleton
 degree tuple, the graded edge matrices with their diagonals as Laurent
 terms.  The table keeps the SKELETONS keys used last, and a skeleton the
 GRADED_EDGES degree tuples used last; an evicted entry is rebuilt equal.
-A quiver on a subscheme builds its own skeleton, which the table does not
-keep.  A job gets the same report from a cold table as from a warm one,
-and a mutant made from a graded sheaf leaves the shared matrices alone.
+A quiver on a subscheme shares the skeleton of its (field, n) and adds no
+key to the table.  A job gets the same report from a cold table as from a
+warm one, and a mutant made from a graded sheaf leaves the shared matrices
+alone.
 
 graded_sheaf seeds rep.terms with the diagonals of its edges, from the
 degrees, and hands each module the Laurent rows of its relations, read once
@@ -23,7 +24,8 @@ parser's findings travel in rep.terms to is_quasi_coherent.
 
 The chart of a subscheme is the shared chart of its (field, n) with the
 dehomogenized ideal: attribute by attribute, the chart built from scratch,
-with the ideal dehomogenized by the oracle's index loop.
+with the ideal dehomogenized by the oracle's index loop, on the shared
+ring.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ def _chart_data(data) -> tuple:
 
 
 def _snapshot(skeleton, degrees) -> tuple:
-    """Everything a skeleton holds for these degrees, compared by value."""
-    charts = {v: _chart_data(skeleton.chart(v)) for v in skeleton.vertices}
-    return skeleton.vertices, skeleton.edges, skeleton.xring, charts, skeleton.graded_edges(degrees)
+    """Everything a skeleton holds for these degrees, compared by value,
+    each chart's data read off a ChartRing on it."""
+    data = {v: _chart_data(charts.ChartRing(skeleton.chart(v))) for v in skeleton.vertices}
+    return skeleton.vertices, skeleton.edges, skeleton.xring, data, skeleton.graded_edges(degrees)
 
 
 def test_the_table_keeps_its_bound_and_an_evicted_key_rebuilds_equal_data():
@@ -89,11 +92,11 @@ def test_a_subscheme_key_is_not_stored():
     for c in range(1, SKELETONS + 1):
         ideal = (xr.var(0) - xr.var(1).scale(c % 5) - xr.var(2).scale(c // 5),)
         quiver = build_proj_quiver(Field(5), 2, ideal)
-        assert quiver.skeleton.ideal_gens == ideal
-        assert build_proj_quiver(Field(5), 2, ideal).skeleton is not quiver.skeleton
+        assert quiver.ideal_gens == quiver.chart({0}).ideal_gens == ideal
+        assert quiver.skeleton is plain.skeleton
+        assert build_proj_quiver(Field(5), 2, ideal).skeleton is plain.skeleton
     info = _skeleton.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    assert build_proj_quiver(Field(5), 2).skeleton is plain.skeleton
 
 
 def test_a_skeleton_keeps_its_bound_of_degree_tuples():
@@ -157,9 +160,11 @@ def test_a_sheafrep_file_has_its_squares_checked_once(monkeypatch, tmp_path):
     calls = []
     real = sheafrep._square_by_terms
 
-    def counting(*args):
-        calls.append(args[1:])
-        return real(*args)
+    # a square is told by its four diagonals, which _diagonal reads once
+    # per edge of the representation
+    def counting(fmul, d):
+        calls.append(tuple(map(id, d)))
+        return real(fmul, d)
 
     monkeypatch.setattr(sheafrep, "_square_by_terms", counting)
     report = run(JobSpec("check-qc", inputs=(str(path),), machine=True))
@@ -266,13 +271,14 @@ def test_the_square_verdict_of_a_degree_tuple_is_a_fresh_check(field, n, degrees
     rep = graded_sheaf(quiver, degrees)
     fresh = SheafRep(quiver, rep.modules, rep.edge_maps)
     assert squares == all(
-        sheafrep._square_by_terms(fresh, *paths) for _v, _k, _l, paths in quiver.skeleton.squares
+        sheafrep._square_by_terms(field.mul, [sheafrep._diagonal(fresh, e) for path in paths for e in path])
+        for _v, _k, _l, paths in quiver.skeleton.squares
     )
     assert squares and rep.terms["squares"] == sheafrep._squares_agree(fresh) == ()
 
 
 def test_squares_are_seeded_only_when_the_skeleton_check_passes(monkeypatch):
-    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda rep, left, right: False)
+    monkeypatch.setattr(sheafrep, "_square_by_terms", lambda *a: False)
     _skeleton.cache_clear()
     try:
         quiver = build_proj_quiver(Field(7), 2)
@@ -292,7 +298,7 @@ def test_a_subscheme_chart_is_the_plain_chart_with_its_ideal(data):
     quiver, _degrees, _rows = data
     field, n, ideal = quiver.field, quiver.n, quiver.ideal_gens
     for v in quiver.vertices:
-        shared = quiver.skeleton.chart(v)
+        chart = quiver.chart(v)
         # from scratch: the chart of P^n, and the ideal dehomogenized by
         # the index loop of the oracle
         plain = charts.ChartData(field, n, v)
@@ -302,9 +308,10 @@ def test_a_subscheme_chart_is_the_plain_chart_with_its_ideal(data):
             plain.ring, plain.vertex, plain.pivot, ideal, plain.inversions, jays,
             relations, plain._z_index, plain._u_index, plain._var_laurent,
         )
-        assert _chart_data(shared) == expected
-        assert shared._subscheme == (len(relations) > len(plain.inversions))
+        assert _chart_data(chart) == expected
+        assert chart._subscheme == (len(relations) > len(plain.inversions))
         built = vars(charts.make_chart_ring(field, n, v, ideal))
-        assert vars(shared) == {k: x for k, x in built.items() if k != "_runs"}
-        if ideal:
-            assert shared.ring is _skeleton(field, n).chart(v).ring
+        assert {k: x for k, x in vars(chart).items() if k != "_runs"} == {
+            k: x for k, x in built.items() if k != "_runs"
+        }
+        assert chart.ring is _skeleton(field, n).chart(v).ring
