@@ -33,6 +33,16 @@ chart of one quiver is a ChartRing, which make_chart_ring builds per job on
 that data: it adds the quiver's ideal dehomogenized on the chart, which
 joins the inversions as the chart's relations, and the memo of its runs.
 
+A ChartRing also keeps two monomial tables, chart exponent to Laurent
+exponent and back, which its laurent_of_exp, to_laurent and from_laurent
+read first: a job converts the same few monomials per chart again and
+again, and each is derived once, by ChartData's table-free code, on its
+first ask.  A Poly's coefficients are settled and nonzero, so to_laurent
+re-keys its terms and sums them (_collect) only when two monomials meet on
+one Laurent exponent, as z_i*u_i and 1 do.  The tables live and die with
+the ChartRing, one job; on the shared ChartData they would make it
+mutable and grow across the jobs of a process.
+
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb
 and FPModule.lifter) and of the constant certificates that replace them
 on a chart without subscheme relations (FPModule.certificate: a constant
@@ -190,10 +200,18 @@ class ChartData:
 class ChartRing(ChartData):
     """Coordinate ring of one chart of one quiver: the shared ChartData of
     its chart of P^n, taken as it is, the quiver's ideal dehomogenized on
-    that chart, and the memo of the Groebner runs over its ring.  relations
-    are the inversions and the nonzero dehomogenized generators (jays), and
-    _subscheme says whether there is any of the latter.  A quiver makes one
-    per chart and job."""
+    that chart, the memo of the Groebner runs over its ring, and two
+    monomial tables.  relations are the inversions and the nonzero
+    dehomogenized generators (jays), and _subscheme says whether there is
+    any of the latter.  A quiver makes one per chart and job.
+
+    _laurent_exps maps a chart exponent to its Laurent exponent and
+    _chart_exps a Laurent exponent to its chart exponent.  laurent_of_exp,
+    to_laurent and from_laurent read them and fill a miss through
+    ChartData's table-free code; a Laurent exponent the chart cannot write
+    raises ValueError on every ask and is never tabled.  The tables live as
+    long as the ChartRing, one job, and sit on it rather than on the shared
+    ChartData, which then stays unmutated and grows nothing across jobs."""
 
     def __init__(self, data: ChartData, ideal_gens: Sequence[Poly] = ()):
         vars(self).update(vars(data))
@@ -206,6 +224,44 @@ class ChartRing(ChartData):
         self.relations = self.inversions + tuple(g for g in self.jays if not g.is_zero())
         self._subscheme = len(self.relations) > len(self.inversions)
         self._runs = {}
+        self._laurent_exps, self._chart_exps = {}, {}
+
+    # -- Laurent bridge, by the monomial tables ------------------------------
+
+    def laurent_of_exp(self, exp: Sequence[int]) -> tuple[int, ...]:
+        try:
+            return self._laurent_exps[exp]
+        except KeyError:
+            vec = self._laurent_exps[exp] = ChartData.laurent_of_exp(self, exp)
+            return vec
+
+    def to_laurent(self, p: Poly) -> dict:
+        """ChartData.to_laurent by re-keying the terms: a Poly's
+        coefficients are settled and nonzero already, so nothing is summed
+        unless two monomials meet on one Laurent exponent, as z_i*u_i and 1
+        do; then, and on a table miss, the terms are collected as there."""
+        table = self._laurent_exps
+        try:
+            out = {table[e]: c for e, c in p.terms.items()}
+        except KeyError:
+            return ChartData.to_laurent(self, p)
+        if len(out) < len(p.terms):
+            return ChartData.to_laurent(self, p)
+        return out
+
+    def _exp_of_laurent(self, vec: Sequence[int]) -> tuple:
+        try:
+            return self._chart_exps[vec]
+        except KeyError:
+            exp = self._chart_exps[vec] = ChartData._exp_of_laurent(self, vec)
+            return exp
+
+    def from_laurent(self, terms: dict) -> Poly:
+        table = self._chart_exps
+        try:
+            return Poly(self.ring, {table[vec]: c for vec, c in terms.items()})
+        except KeyError:
+            return ChartData.from_laurent(self, terms)
 
     # -- presentation ------------------------------------------------------
 

@@ -15,12 +15,24 @@ On every chart of P^1 to P^4 over the same fields, without a subscheme,
 with a form of degree 1 or 2 and with a product of coordinates (whose
 charts that invert every factor are the zero ring), it must equal the
 normal form modulo the chart's relation basis, which it replaced.
+
+A `ChartRing` converts through two monomial tables, one each way, filled
+on a miss by `ChartData`'s table-free code.  On random charts of P^1 to
+P^4 over Q, F_5 and F_7, its `laurent_of_exp`, `to_laurent` and
+`from_laurent` must give what `ChartData`'s give, term order included: on
+zero, on random polynomials, on non-normal inputs whose monomials meet on
+one Laurent exponent, and again on a second ask, which the tables answer
+alone.  A Laurent exponent the chart cannot write raises `ValueError` on
+every ask and leaves both tables as they were.
 """
 
+from contextlib import contextmanager, nullcontext
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import charts_oracle as oracle
-from qsheaf.charts import x_ring
+from qsheaf.charts import ChartData, ChartRing, x_ring
 from qsheaf.exactpoly import Field, normal_form
 from qsheaf.sheafrep import build_proj_quiver
 
@@ -114,3 +126,82 @@ def test_nf_matches_the_normal_form_over_the_relation_basis(data):
         basis = chart.relation_gb()
         for q in inputs:
             assert chart.nf(q) == normal_form((q,), basis, chart.ring)[0]
+
+
+ORACLE_FIELDS = (Field.rationals(), Field.prime(5), Field.prime(7))
+
+
+@contextmanager
+def _no_exponent_derived():
+    """ChartData's one-exponent conversions raise while the block runs."""
+    names = ("laurent_of_exp", "_exp_of_laurent")
+    real = {name: getattr(ChartData, name) for name in names}
+
+    def unused(*args):
+        raise AssertionError("an exponent was derived again")
+
+    for name in names:
+        setattr(ChartData, name, unused)
+    try:
+        yield
+    finally:
+        for name, method in real.items():
+            setattr(ChartData, name, method)
+
+
+def _tables(chart: ChartRing) -> tuple:
+    return dict(chart._laurent_exps), dict(chart._chart_exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_table_conversions_match_the_table_free_ones(data):
+    field = data.draw(st.sampled_from(ORACLE_FIELDS), label="field")
+    n = data.draw(st.integers(1, 4), label="n")
+    vertex = frozenset(data.draw(st.sets(st.integers(0, n), min_size=1), label="vertex"))
+    plain = ChartData(field, n, vertex)
+    chart = ChartRing(plain)
+    assert _tables(chart) == ({}, {})
+    p = data.draw(polys(chart.ring), label="p")
+    inputs = [chart.ring.zero(), chart.ring.one(), p]
+    for i in sorted(vertex - {chart.pivot}):
+        # z_i*u_i meets 1 on the zero exponent, and z_i^2*u_i meets z_i
+        inputs.append(p * chart.z(i) * chart.u(i) - p + chart.ring.one())
+        inputs.append(chart.z(i) * chart.z(i) * chart.u(i) + chart.z(i) + p)
+    for ask in range(2):
+        with _no_exponent_derived() if ask else nullcontext():
+            got = [(chart.to_laurent(q), [chart.laurent_of_exp(e) for e in q.terms]) for q in inputs]
+            back = [chart.from_laurent(terms) for terms, _exps in got]
+        for q, (terms, exps), r in zip(inputs, got, back):
+            assert list(terms.items()) == list(ChartData.to_laurent(plain, q).items())
+            assert exps == [ChartData.laurent_of_exp(plain, e) for e in q.terms]
+            assert list(r.terms.items()) == list(ChartData.from_laurent(plain, terms).terms.items())
+    # the tables are the ChartRing's own
+    assert set(vars(plain)) == set(vars(ChartData(field, n, vertex)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_exponent_the_chart_cannot_write_is_never_tabled(data):
+    field = data.draw(st.sampled_from(ORACLE_FIELDS), label="field")
+    n = data.draw(st.integers(1, 4), label="n")
+    vertex = frozenset(data.draw(st.sets(st.integers(0, n), min_size=1), label="vertex"))
+    chart = ChartRing(ChartData(field, n, vertex))
+    chart.to_laurent(data.draw(polys(chart.ring), label="p"))
+    pivot, outside = chart.pivot, sorted(set(range(n + 1)) - vertex)
+    bad = []
+    for j in outside:
+        # x_j/x_pivot inverted: the chart has no u_j
+        vec = [0] * (n + 1)
+        vec[j], vec[pivot] = -1, 1
+        bad.append(tuple(vec))
+    bad.append((1,) + (0,) * n)  # total degree 1
+    bad.append((0,) * n)  # length n
+    before = _tables(chart)
+    for vec in bad:
+        for _ask in range(2):
+            with pytest.raises(ValueError):
+                chart.from_laurent({vec: field.one})
+            with pytest.raises(ValueError):
+                chart.nf_of_laurent({vec: field.one})
+        assert _tables(chart) == before

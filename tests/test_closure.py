@@ -3,17 +3,22 @@
 Expected generator sets are frozen from hand computation: on P^1 the
 transition entries are unit monomials, so one pullback per edge recovers a
 generator of the near module, and spans stabilize within two cycles.
+
+Seeds that are not in normal form, with monomials that meet on one Laurent
+exponent, close to the same report whether a chart converts through its
+monomial tables or through ChartData's table-free code.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import replace
 
 import pytest
 from sheafrep_oracle import direct_sum
 
-from qsheaf import closure
+from qsheaf import charts, closure
 from qsheaf.cli import EXIT_INTERNAL, JobSpec, run
 from qsheaf.closure import (
     ClosureResult,
@@ -277,3 +282,29 @@ def test_induced_rep_inclusion_injective():
     ind, incl = induced_rep(res.sub)
     assert is_quasi_coherent(ind).ok
     assert map_is_injective(incl)
+
+
+@pytest.mark.parametrize(
+    "section,verdict,trace",
+    [
+        # z1*u1 - 1 is zero in the chart: nothing to close
+        ("z1*u1 - 1 | 0", "pass (cycle 1)", [[]]),
+        ("z1^2*u1 + 2*z1 | u1", "pass (cycle 2)", [[["{0,1}", 1], ["{0}", 2], ["{1}", 2]], []]),
+    ],
+    ids=["zero", "non-normal"],
+)
+def test_non_normal_seeds_close_alike_without_the_tables(monkeypatch, fixture_dir, tmp_path, section, verdict, trace):
+    seed = tmp_path / "seed.txt"
+    seed.write_text(f"kind sections\nsection {{0,1}} {section}\n")
+    job = JobSpec(
+        command="closure",
+        inputs=(str(fixture_dir / "sum_o1_o0_p1.txt"),),
+        seed_file=str(seed),
+        machine=True,
+    )
+    tabled = run(job)
+    assert tabled.exit_status == 0 and ("stabilized", verdict) in tabled.verdicts
+    assert json.loads(tabled.machine_text())["certificates"]["trace"] == trace
+    for name in ("laurent_of_exp", "to_laurent", "_exp_of_laurent", "from_laurent"):
+        monkeypatch.setattr(charts.ChartRing, name, getattr(charts.ChartData, name))
+    assert run(job).machine_text() == tabled.machine_text()

@@ -2,7 +2,7 @@
 
 A module keeps the Laurent forms of its relation rows (`FPModule.laurent`):
 `graded_sheaf` hands in the rows it dehomogenized once per pivot, and any
-other module reads its own with `ChartData.to_laurent` on first use.  A
+other module reads its own with `ChartRing.to_laurent` on first use.  A
 representation keeps the diagonal of each edge matrix in `rep.terms`, seeded
 from the skeleton by `graded_sheaf` and otherwise read by `sheafrep._diagonal`
 when `is_quasi_coherent` first asks.  On the graded inputs of
@@ -64,7 +64,7 @@ def test_kept_terms_are_the_terms_read_off_the_polynomials(data):
 
 def test_graded_check_qc_on_euler_p3_reads_no_relation_entry(monkeypatch):
     reps, seen = [], []
-    real_sheaf, real_read = sheaffile.graded_sheaf, charts.ChartData.to_laurent
+    real_sheaf, real_read = sheaffile.graded_sheaf, charts.ChartRing.to_laurent
 
     def keeping(*args, **kwargs):
         reps.append(real_sheaf(*args, **kwargs))
@@ -75,7 +75,7 @@ def test_graded_check_qc_on_euler_p3_reads_no_relation_entry(monkeypatch):
         return real_read(chart, p)
 
     monkeypatch.setattr(sheaffile, "graded_sheaf", keeping)
-    monkeypatch.setattr(charts.ChartData, "to_laurent", counting)
+    monkeypatch.setattr(charts.ChartRing, "to_laurent", counting)
     report = run(JobSpec("check-qc", inputs=(str(FIXTURES / "euler_q_p3.txt"),), machine=True))
     assert report.exit_status == 0 and len(reps) == 1
     entries = {id(p) for module in reps[0].modules.values() for row in module.relations for p in row}

@@ -57,6 +57,11 @@ no relation entry as a chart polynomial and is-bundle writes them only at
 the n+1 singleton charts, where it reads the Fitting minors; each vertex's
 relation row is normed once and no image row is keyed; and a second job
 on the same degree tuple asks _square_by_terms nothing.
+
+Monomial tables: a chart converts each exponent between its chart and
+Laurent forms once per job, through its own tables, so vdim-witness on the
+Euler quotient on P^3 derives each (chart, exponent) pair once, and a
+second job, on new charts with empty tables, derives the same pairs again.
 """
 
 from __future__ import annotations
@@ -488,7 +493,7 @@ def test_euler_p3_writes_relation_rows_only_where_they_are_read(monkeypatch, com
     # Laurent terms and reads none, is-bundle reads the Fitting minors at
     # the n+1 singleton charts; before, every chart wrote them
     entries, written = set(), Counter()
-    real = charts.ChartData.from_laurent
+    real = charts.ChartRing.from_laurent
 
     def watch(rep):
         entries.update(id(e) for m in rep.modules.values() for row in m.laurent for e in row)
@@ -498,7 +503,7 @@ def test_euler_p3_writes_relation_rows_only_where_they_are_read(monkeypatch, com
             written[self.vertex] += 1
         return real(self, terms)
 
-    monkeypatch.setattr(charts.ChartData, "from_laurent", watched)
+    monkeypatch.setattr(charts.ChartRing, "from_laurent", watched)
     assert _graded_job(monkeypatch, command, "euler_q_p3.txt", watch).exit_status == 0
     # one relation row of 4 entries
     assert written == {frozenset({i}): 4 for i in range(charts_written)}
@@ -547,3 +552,34 @@ def test_a_repeated_degree_tuple_evaluates_no_square_by_terms(monkeypatch):
         assert _graded_job(monkeypatch, "check-qc", "euler_q_p3.txt", watch).exit_status == 0
         counts.append(len(calls))
     assert counts == [18, 0] and seeded == [(), ()]
+
+
+def _derived_exponents(monkeypatch):
+    """Report of vdim-witness on the Euler quotient on P^3 and the Counter
+    of its table-free ChartData.laurent_of_exp calls by (chart, exponent)."""
+    calls = Counter()
+    real = charts.ChartData.laurent_of_exp
+
+    def counting(self, exp):
+        calls[(self, exp)] += 1
+        return real(self, exp)
+
+    monkeypatch.setattr(charts.ChartData, "laurent_of_exp", counting)
+    report = run(JobSpec(command="vdim-witness", inputs=(str(FIXTURES / "euler_q_p3.txt"),), machine=True))
+    monkeypatch.setattr(charts.ChartData, "laurent_of_exp", real)
+    return report, calls
+
+
+def test_euler_p3_vdim_witness_derives_each_laurent_exponent_once_per_chart(monkeypatch):
+    # before the tables, 840 calls per job over the same 110 pairs, up to
+    # 33 for one pair
+    first, first_calls = _derived_exponents(monkeypatch)
+    second, second_calls = _derived_exponents(monkeypatch)
+    assert first.exit_status == 0 and second.machine_text() == first.machine_text()
+    assert sum(first_calls.values()) == len(first_calls) == 110
+    # nothing is kept across jobs: the second job's charts are new, and
+    # they derive the same pairs again
+    assert {chart for chart, _exp in first_calls}.isdisjoint(chart for chart, _exp in second_calls)
+    assert Counter((c.vertex, e) for c, e in second_calls.elements()) == Counter(
+        (c.vertex, e) for c, e in first_calls.elements()
+    )

@@ -25,13 +25,15 @@ parser's findings travel in rep.terms to is_quasi_coherent.
 The chart of a subscheme is the shared chart of its (field, n) with the
 dehomogenized ideal: attribute by attribute, the chart built from scratch,
 with the ideal dehomogenized by the oracle's index loop, on the shared
-ring.
+ring, all but the run memo and the monomial tables, which fill as the
+chart is used.  A job leaves every shared ChartData as it was.
 """
 
 from __future__ import annotations
 
 import pathlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import charts_oracle
@@ -226,12 +228,12 @@ def test_recorded_terms_are_the_terms_read_off_the_polynomials(data):
     # squares of a graded sheaf pass by terms, so none is left to check
     assert set(rep.terms) == set(quiver.edges) | {"squares"}
     assert rep.terms["squares"] == ()
-    real = charts.ChartData.to_laurent
-    charts.ChartData.to_laurent = _unread
+    real = charts.ChartRing.to_laurent
+    charts.ChartRing.to_laurent = _unread
     try:
         laurent = {v: rep.modules[v].laurent for v in quiver.vertices}
     finally:
-        charts.ChartData.to_laurent = real
+        charts.ChartRing.to_laurent = real
     for v in quiver.vertices:
         module = rep.modules[v]
         assert laurent[v] == tuple(tuple(map(module.chart.to_laurent, row)) for row in module.relations)
@@ -257,6 +259,7 @@ def test_relation_rows_made_on_read_are_the_eager_rows(data):
 
 
 KEY_FIELDS = (Field(0), Field(5), Field(7))
+PER_JOB = ("_runs", "_laurent_exps", "_chart_exps")
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,7 +314,27 @@ def test_a_subscheme_chart_is_the_plain_chart_with_its_ideal(data):
         assert _chart_data(chart) == expected
         assert chart._subscheme == (len(relations) > len(plain.inversions))
         built = vars(charts.make_chart_ring(field, n, v, ideal))
-        assert {k: x for k, x in vars(chart).items() if k != "_runs"} == {
-            k: x for k, x in built.items() if k != "_runs"
+        # the memo and the monomial tables fill as the chart is used
+        for g in chart.relations + (chart.ring.one(),):
+            chart.from_laurent(chart.to_laurent(g))
+        assert chart._laurent_exps and chart._chart_exps
+        assert {k: x for k, x in vars(chart).items() if k not in PER_JOB} == {
+            k: x for k, x in built.items() if k not in PER_JOB
         }
         assert chart.ring is _skeleton(field, n).chart(v).ring
+
+
+@pytest.mark.parametrize(
+    "command,fixture,seed,n",
+    [("vdim-witness", "euler_q_p2.txt", None, 2), ("closure", "sum_o1_o0_p1.txt", "seed_sum_o1_o0_p1.txt", 1)],
+    ids=["vdim-witness", "closure"],
+)
+def test_a_job_leaves_the_shared_chart_data_as_it_was(command, fixture, seed, n):
+    # a job's ChartRings fill their memo and tables, never their ChartData
+    _skeleton.cache_clear()
+    skeleton = _skeleton(Q, n)
+    before = {v: dict(vars(skeleton.chart(v))) for v in skeleton.vertices}
+    seed_file = str(FIXTURES / seed) if seed else None
+    assert run(JobSpec(command, inputs=(str(FIXTURES / fixture),), seed_file=seed_file, machine=True)).ok
+    assert _skeleton(Q, n) is skeleton
+    assert {v: vars(skeleton.chart(v)) for v in skeleton.vertices} == before
