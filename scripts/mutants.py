@@ -47,8 +47,9 @@ MUTANTS = (
     Mutant(
         "laurent-collision-fallback-dropped",
         "src/qsheaf/charts.py",
-        "        if len(out) < len(p.terms):\n            return ChartData.to_laurent(self, p)\n        return out\n",
-        "        return out\n",
+        "        if len(out) < len(p.terms):\n            return ChartData.to_laurent(self, p)\n"
+        "        return Poly(self.xring, out)\n",
+        "        return Poly(self.xring, out)\n",
         (
             "tests/test_charts_oracle.py::test_table_conversions_match_the_table_free_ones",
             "tests/test_closure.py::test_non_normal_seeds_close_alike_without_the_tables",
@@ -100,6 +101,35 @@ MUTANTS = (
         "        if not gens:\n            return self.is_zero_ring()\n",
         "        if not gens:\n            return True\n",
         ("tests/test_charts.py::test_generates_one",),
+    ),
+    Mutant(
+        "certificate-coefficients-without-membership-check",
+        "src/qsheaf/charts.py",
+        "        if mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):\n"
+        "            return coeffs\n        return None\n",
+        "        return coeffs\n",
+        ("tests/test_certificate_oracle.py::test_a_non_member_is_refused_though_its_coefficients_exist",),
+    ),
+    Mutant(
+        "find-certificate-without-right-inverse-check",
+        "src/qsheaf/charts.py",
+        "    return cert if cert.is_right_inverse() else None\n",
+        "    return cert\n",
+        ("tests/test_certificate_oracle.py::test_a_wrong_solve_is_refused",),
+    ),
+    Mutant(
+        "unit-diagonal-exponents-not-negated",
+        "src/qsheaf/charts.py",
+        "        self.inverse = tuple((tuple(map(neg, e)), inv(c)) for e, c in diagonal)\n",
+        "        self.inverse = tuple((e, inv(c)) for e, c in diagonal)\n",
+        ("tests/test_certificate_oracle.py::test_unit_diagonal_answers_match_a_direct_tracked_run",),
+    ),
+    Mutant(
+        "mat-apply-ignores-last-row",
+        "src/qsheaf/exactpoly.py",
+        "    for coeff, row in zip(vec, rows):\n",
+        "    for coeff, row in zip(vec[:-1], rows):\n",
+        ("tests/test_one_coefficient_rule.py::test_mat_apply_equals_the_per_term_rule",),
     ),
     Mutant(
         "square-by-terms-without-coefficients",

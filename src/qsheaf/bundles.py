@@ -30,6 +30,9 @@ from .exactpoly import (
     Field,
     Poly,
     PolyRing,
+    mat_apply,
+    mat_identity,
+    mat_mul,
     rref,
     terms_from_str,
 )
@@ -50,9 +53,6 @@ from .sheafrep import (
     map_is_injective,
     map_is_iso,
     map_is_surjective,
-    mat_apply,
-    mat_identity,
-    mat_mul,
 )
 from .closure import verify_subrep
 
@@ -373,14 +373,14 @@ def laurent_from_str(field: Field, text: str) -> Poly:
 def chart_to_laurent(chart, p: Poly) -> Poly:
     """Element of a chart of P^1 as a Laurent polynomial in s = x1/x0: the
     chart monomial with Laurent exponent (-e, e) is s^e."""
-    terms = chart.to_laurent(chart.nf(p))
+    terms = chart.to_laurent(chart.nf(p)).terms
     return laurent_ring(chart.field).from_terms({(vec[1],): c for vec, c in terms.items()})
 
 
 def laurent_to_chart(chart, p: Poly) -> Poly:
     """Laurent polynomial in s as an element of a chart of P^1; raises
     ValueError when a power of s needs an inverse the chart lacks."""
-    return chart.from_laurent({(-e, e): c for (e,), c in sorted(p.terms.items())})
+    return chart.from_laurent(Poly(chart.xring, {(-e, e): c for (e,), c in sorted(p.terms.items())}))
 
 
 def edge_laurent(rep: SheafRep, v) -> tuple:

@@ -7,14 +7,23 @@ u_i = (x_i/x_pivot)^(-1) for i in v minus the pivot, where pivot = min(v),
 subject to u_i*z_i - 1 and the dehomogenized subscheme ideal.  Every chart
 monomial therefore corresponds to a Laurent monomial in x_0..x_n of total
 degree zero; that correspondence drives pivot changes and denominator
-clearing elsewhere in the package.  ChartData.to_laurent reads a chart
-polynomial as Laurent terms and from_laurent is the one way back; a
-module keeps its relation rows in both forms, each made once, on first
-read, from the one it was built from (FPModule.laurent and
-FPModule.relations): certificates and sheafrep's edge lemma read the
-Laurent rows, Groebner runs the chart polynomials.
-Laurent forms are summed by _collect, which adds raw coefficients and
-settles them once (Field.settle), the one coefficient rule of exactpoly.
+clearing elsewhere in the package.
+
+The Laurent bridge.  Every chart ring of P^n without subscheme relations
+is a subring of the degree-0 Laurent ring k[x_0^+-1..x_n^+-1]_0, and the
+Laurent form of a chart element is a Poly of the x ring of P^n (x_ring,
+one object per (field, n), shared by identity) whose exponents, of total
+degree 0, may be negative, as bundles.laurent_ring's are on P^1.  So one
+polynomial type serves both sides: Laurent forms are summed by
+PolyRing.collect and Poly arithmetic, multiplied by a term with
+Poly.mul_term and as matrices with exactpoly.mat_apply and mat_mul, each
+under exactpoly's one coefficient rule, and no Laurent form reaches
+Groebner code.  ChartData.to_laurent reads a chart polynomial as its
+Laurent form and from_laurent is the one way back; a module keeps its
+relation rows in both forms, each made once, on first read, from the one
+it was built from (FPModule.laurent and FPModule.relations): certificates
+and sheafrep's edge lemma read the Laurent rows, Groebner runs the chart
+polynomials.
 
 Without a subscheme a chart is the Laurent ring k[x_j/x_p, (x_i/x_p)^-1],
 in which every element has one Laurent expansion.  Its normal form is
@@ -38,8 +47,8 @@ exponent and back, which its laurent_of_exp, to_laurent and from_laurent
 read first: a job converts the same few monomials per chart again and
 again, and each is derived once, by ChartData's table-free code, on its
 first ask.  A Poly's coefficients are settled and nonzero, so to_laurent
-re-keys its terms and sums them (_collect) only when two monomials meet on
-one Laurent exponent, as z_i*u_i and 1 do.  The tables live and die with
+re-keys its terms and sums them (PolyRing.collect) only when two monomials
+meet on one Laurent exponent, as z_i*u_i and 1 do.  The tables live and die with
 the ChartRing, one job; on the shared ChartData they would make it
 mutable and grow across the jobs of a process.
 
@@ -62,7 +71,8 @@ the memo when sheafrep._present presents them.
 
 from __future__ import annotations
 
-from operator import add, mul
+from functools import lru_cache
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .exactpoly import (
@@ -75,6 +85,9 @@ from .exactpoly import (
     TrackedBasis,
     groebner_basis,
     ideal_contains_one,
+    mat_apply,
+    mat_identity,
+    mat_mul,
     module_kernel,
     normal_form,
     poly_to_str,
@@ -83,8 +96,17 @@ from .exactpoly import (
 )
 
 
+# Bound of the process-level tables keyed on (field, n): the x rings here
+# and the quiver skeletons of sheafrep keep the SKELETONS keys used last.
+SKELETONS = 16
+
+
+@lru_cache(maxsize=SKELETONS)
 def x_ring(field: Field, n: int) -> PolyRing:
-    """Homogeneous coordinate ring presentation: variables x0..xn."""
+    """Homogeneous coordinate ring presentation: variables x0..xn.  It is
+    also the ring of the Laurent forms of the charts of P^n, whose
+    exponents may be negative, and one object per (field, n) serves both,
+    so Laurent operands share their ring by identity."""
     return PolyRing(field, tuple(f"x{i}" for i in range(n + 1)))
 
 
@@ -113,6 +135,7 @@ class ChartData:
         self._u_index = {i: len(zs) + k for k, i in enumerate(us)}
         names = tuple(f"z{j}" for j in zs) + tuple(f"u{i}" for i in us)
         self.ring = PolyRing(field, names)
+        self.xring = x_ring(field, n)
         inversions = []
         for i in us:
             inversions.append(self.u(i) * self.z(i) - self.ring.one())
@@ -151,7 +174,7 @@ class ChartData:
     def dehomogenize(self, g: Poly) -> Poly:
         """Substitute x_pivot = 1 and x_j = z_j into a homogeneous polynomial:
         the chart polynomial of dehomogenized_laurent."""
-        return self.from_laurent(dehomogenized_laurent(self.field, g, self.pivot))
+        return self.from_laurent(dehomogenized_laurent(g, self.pivot))
 
     # -- Laurent bridge ------------------------------------------------------
 
@@ -164,9 +187,10 @@ class ChartData:
                     vec[t] += ek * lv[t]
         return tuple(vec)
 
-    def to_laurent(self, p: Poly) -> dict:
-        """Laurent expansion {degree-0 x-exponent vector: coefficient}."""
-        return _collect(self.field, ((self.laurent_of_exp(e), c) for e, c in p.terms.items()))
+    def to_laurent(self, p: Poly) -> Poly:
+        """Laurent expansion: the Poly of xring whose exponents, of total
+        degree 0, are the Laurent exponents of p's monomials."""
+        return self.xring.collect((self.laurent_of_exp(e), c) for e, c in p.terms.items())
 
     def _exp_of_laurent(self, vec: Sequence[int]) -> tuple:
         """Exponent of the chart monomial with the degree-0 Laurent exponent
@@ -188,13 +212,13 @@ class ChartData:
                 exp[self._u_index[j]] = -m
         return tuple(exp)
 
-    def from_laurent(self, terms: dict) -> Poly:
-        """Chart polynomial of a Laurent expansion without zero coefficients,
-        such as _collect makes, and the one way back from Laurent terms: a
-        monomial is from_laurent({exponent: coefficient}).  Distinct Laurent
-        exponents give distinct chart exponents, so the terms are written
-        into one dict."""
-        return Poly(self.ring, {self._exp_of_laurent(vec): c for vec, c in terms.items()})
+    def from_laurent(self, laurent: Poly) -> Poly:
+        """Chart polynomial of a Laurent expansion, a Poly of xring, and the
+        one way back from Laurent forms: a monomial is
+        from_laurent(Poly(xring, {exponent: coefficient})).  Distinct
+        Laurent exponents give distinct chart exponents, so the terms are
+        written into one dict."""
+        return Poly(self.ring, {self._exp_of_laurent(vec): c for vec, c in laurent.terms.items()})
 
 
 class ChartRing(ChartData):
@@ -235,7 +259,7 @@ class ChartRing(ChartData):
             vec = self._laurent_exps[exp] = ChartData.laurent_of_exp(self, exp)
             return vec
 
-    def to_laurent(self, p: Poly) -> dict:
+    def to_laurent(self, p: Poly) -> Poly:
         """ChartData.to_laurent by re-keying the terms: a Poly's
         coefficients are settled and nonzero already, so nothing is summed
         unless two monomials meet on one Laurent exponent, as z_i*u_i and 1
@@ -247,7 +271,7 @@ class ChartRing(ChartData):
             return ChartData.to_laurent(self, p)
         if len(out) < len(p.terms):
             return ChartData.to_laurent(self, p)
-        return out
+        return Poly(self.xring, out)
 
     def _exp_of_laurent(self, vec: Sequence[int]) -> tuple:
         try:
@@ -256,12 +280,12 @@ class ChartRing(ChartData):
             exp = self._chart_exps[vec] = ChartData._exp_of_laurent(self, vec)
             return exp
 
-    def from_laurent(self, terms: dict) -> Poly:
+    def from_laurent(self, laurent: Poly) -> Poly:
         table = self._chart_exps
         try:
-            return Poly(self.ring, {table[vec]: c for vec, c in terms.items()})
+            return Poly(self.ring, {table[vec]: c for vec, c in laurent.terms.items()})
         except KeyError:
-            return ChartData.from_laurent(self, terms)
+            return ChartData.from_laurent(self, laurent)
 
     # -- presentation ------------------------------------------------------
 
@@ -278,7 +302,7 @@ class ChartRing(ChartData):
         """Canonical representative modulo the chart relations."""
         return self.nf_of_laurent(self.to_laurent(p))
 
-    def nf_of_laurent(self, terms: dict) -> Poly:
+    def nf_of_laurent(self, laurent: Poly) -> Poly:
         """nf of the chart polynomial of a Laurent expansion: its
         from_laurent form, reduced modulo relation_gb() only when the chart
         has subscheme relations.  Without them the relations are the
@@ -286,7 +310,7 @@ class ChartRing(ChartData):
         are a Groebner basis already, and a from_laurent monomial never
         holds both z_i and u_i, so no lead divides it: the form is the
         normal form, and nothing is built."""
-        p = self.from_laurent(terms)
+        p = self.from_laurent(laurent)
         if not self._subscheme:
             return p
         return normal_form((p,), self.relation_gb(), self.ring)[0]
@@ -311,20 +335,12 @@ class ChartRing(ChartData):
         return f"ChartRing(v={''.join(str(i) for i in sorted(self.vertex))}, n={self.n})"
 
 
-def _collect(f: Field, pairs) -> dict:
-    """{exponent: coefficient} summing the raw coefficients of equal
-    exponents and settling the sums once (Field.settle)."""
-    out: dict = {}
-    for vec, c in pairs:
-        out[vec] = out.get(vec, 0) + c
-    return f.settle(out)
-
-
-def dehomogenized_laurent(f: Field, g: Poly, pivot: int) -> dict:
-    """Laurent expansion of g on every chart with this pivot: x^e of degree
-    d is the Laurent monomial of exponent e - d*e_pivot."""
+def dehomogenized_laurent(g: Poly, pivot: int) -> Poly:
+    """Laurent expansion of g on every chart with this pivot, a Poly of g's
+    x ring: x^e of degree d is the Laurent monomial of exponent
+    e - d*e_pivot."""
     p = pivot
-    return _collect(f, ((e[:p] + (e[p] - sum(e),) + e[p + 1:], c) for e, c in g.terms.items()))
+    return g.ring.collect((e[:p] + (e[p] - sum(e),) + e[p + 1:], c) for e, c in g.terms.items())
 
 
 def make_chart_ring(
@@ -404,59 +420,36 @@ def span_contains(chart: ChartRing, gb: list, vec) -> bool:
 
 class Certificate:
     """A constant right inverse C of a matrix S over a chart without
-    subscheme relations: S has m rows of length g, laurent holds their
-    Laurent forms, and matrix holds C, g rows of m field constants, with
-    S*C = I_m.  find_certificate makes one and checks S*C = I_m term by
-    term before handing it out; FPModule's constant lemma says what it
-    decides: kernel(), the relations among the rows, is empty."""
+    subscheme relations, both matrices of Laurent forms, Polys of ring (the
+    chart's xring): laurent holds S, m rows of length g, and matrix holds
+    C, g rows of m constants, with S*C = I_m.  Every product is one
+    mat_apply or mat_mul.  find_certificate makes one and checks S*C = I_m
+    (is_right_inverse) before handing it out; FPModule's constant lemma
+    says what it decides: kernel(), the relations among the rows, is
+    empty."""
 
-    def __init__(self, field: Field, laurent: tuple, matrix: tuple):
-        self.field = field
+    def __init__(self, ring: PolyRing, laurent: tuple, matrix: tuple):
+        self.ring = ring
         self.laurent = laurent
         self.matrix = matrix
         self.square = len(laurent) == len(matrix)
-        # each column of C as its nonzero entries (j, C[j][k])
-        self._columns = tuple(
-            tuple((j, row[k]) for j, row in enumerate(matrix) if row[k] != field.zero)
-            for k in range(len(laurent))
-        )
-
-    def _times_c(self, vec) -> list:
-        """vec*C for a row of Laurent forms."""
-        f = self.field
-        return [
-            _collect(f, ((e, c * cjk) for j, cjk in column for e, c in vec[j].items()))
-            for column in self._columns
-        ]
-
-    def _times_s(self, coeffs, j: int) -> dict:
-        """Entry j of coeffs*S for a row of Laurent forms coeffs."""
-        return _collect(self.field, (
-            (tuple(map(add, e, d)), c * b)
-            for a, row in zip(coeffs, self.laurent) if a and row[j]
-            for e, c in a.items() for d, b in row[j].items()
-        ))
 
     def coefficients(self, vec):
-        """vec*C when vec = (vec*C)*S, that is when vec lies in the span of
-        S, else None; vec and the result are rows of Laurent forms."""
-        coeffs = self._times_c(vec)
-        if all(self._times_s(coeffs, j) == entry for j, entry in enumerate(vec)):
+        """x*C for the row x = vec when x = (x*C)*S, that is when x lies in
+        the span of S, else None; vec and the result are rows of Laurent
+        forms."""
+        coeffs = mat_apply(vec, self.matrix, self.ring, len(self.laurent))
+        if mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):
             return coeffs
         return None
 
     def kernel(self) -> list:
         return []
 
-    def is_right_inverse(self, zero: tuple) -> bool:
-        """S*C = I_m as Laurent forms, zero being the exponent of 1: row i
-        of S*C is S[i]*C."""
-        one = {zero: self.field.one}
+    def is_right_inverse(self) -> bool:
+        """S*C = I_m as Laurent forms."""
         m = len(self.laurent)
-        return all(
-            self._times_c(row) == [one if k == i else {} for k in range(m)]
-            for i, row in enumerate(self.laurent)
-        )
+        return mat_mul(self.laurent, self.matrix, self.ring, m) == mat_identity(self.ring, m)
 
 
 def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
@@ -470,59 +463,57 @@ def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
     e = 0, one right-hand side per column k.  One rref of [A | B] decides
     it: a pivot in B means no solution, and otherwise the pivot rows give
     the one whose free unknowns are 0."""
-    f = chart.field
+    f, ring = chart.field, chart.xring
     m = len(laurent)
     zero = (0,) * (chart.n + 1)
     # entry (i, i) of S*C = I has constant term sum_j s_ij0 C[j][i] = 1,
     # so every row needs an entry with a constant term; and a square S*C = I
     # gives C*S = I, so C*S_e = 0 and S_e = 0 for every e != 0
-    if any(all(zero not in entry for entry in row) for row in laurent):
+    if any(all(zero not in entry.terms for entry in row) for row in laurent):
         return None
-    if m == gens and any(e != zero for row in laurent for entry in row for e in entry):
+    if m == gens and any(e != zero for row in laurent for entry in row for e in entry.terms):
         return None
     mat = []
     for i, row in enumerate(laurent):
-        for e in {zero}.union(*row):
+        for e in {zero}.union(*(entry.terms for entry in row)):
             mat.append(
-                [entry.get(e, f.zero) for entry in row]
+                [entry.terms.get(e, f.zero) for entry in row]
                 + [f.one if k == i and e == zero else f.zero for k in range(m)]
             )
     pivots = rref(f.char, mat, gens + m)
     if pivots and pivots[-1] >= gens:
         return None
-    matrix = [(f.zero,) * m] * gens
+    matrix = [(ring.zero(),) * m] * gens
     for r, j in enumerate(pivots):
-        matrix[j] = tuple(mat[r][gens:])
-    cert = Certificate(f, laurent, tuple(matrix))
-    return cert if cert.is_right_inverse(zero) else None
+        matrix[j] = tuple(map(ring.constant, mat[r][gens:]))
+    cert = Certificate(ring, laurent, tuple(matrix))
+    return cert if cert.is_right_inverse() else None
 
 
 class UnitDiagonal:
     """The certificate of rows with a unit diagonal, read by
     _diagonal_terms: inverse holds the (Laurent exponent, coefficient) of
-    each entry of B.  By FPModule's unit-diagonal lemma coefficients(x) is
-    x*B for every x, and kernel() is the module's relations times B; the
-    relations are read there alone, so a certificate that only lifts never
-    has them written as chart polynomials."""
+    each entry of B, its exponent the negated one of the diagonal entry.
+    By FPModule's unit-diagonal lemma coefficients(x) is x*B for every x,
+    each Laurent entry times one term (Poly.mul_term), and kernel() is the
+    module's relations times B; the relations are read there alone, so a
+    certificate that only lifts never has them written as chart
+    polynomials."""
 
     square = True
 
     def __init__(self, module: "FPModule", diagonal: tuple):
         self.chart = module.chart
-        self.field = module.chart.field
-        self.inverse = tuple((tuple(-x for x in e), self.field.inv(c)) for e, c in diagonal)
+        inv = module.chart.field.inv
+        self.inverse = tuple((tuple(map(neg, e)), inv(c)) for e, c in diagonal)
         self.module = module
 
     def coefficients(self, vec) -> list:
-        fmul = self.field.mul
-        return [
-            {tuple(map(add, e, d)): fmul(c, b) for e, c in entry.items()}
-            for entry, (d, b) in zip(vec, self.inverse)
-        ]
+        return [entry.mul_term(d, b) for entry, (d, b) in zip(vec, self.inverse)]
 
     def kernel(self) -> list:
         chart = self.chart
-        b = [chart.from_laurent({d: c}) for d, c in self.inverse]
+        b = [chart.from_laurent(Poly(chart.xring, {d: c})) for d, c in self.inverse]
         return [tuple(map(mul, r, b)) for r in self.module.relations]
 
 
@@ -583,8 +574,8 @@ class FPModule:
     gens counts the generators; relations is a tuple of rows of that length.
     The module is the cokernel of the relation rows, always considered
     together with the chart ring's own defining relations.  laurent holds
-    the Laurent forms of the relation rows, one {exponent: coefficient}
-    dict per entry.  The module is built from one of the two forms and
+    the Laurent forms of the relation rows, one Poly of the chart's xring
+    per entry.  The module is built from one of the two forms and
     makes the other on first read: a maker with the Laurent rows in hand
     (graded_sheaf) gives those, and relations are then written by
     from_laurent when first read; given relations are read by to_laurent.

@@ -402,14 +402,13 @@ def _cmd_hill_verify(job: JobSpec):
 
 
 def _random_poly(rng: random.Random, ring: PolyRing, max_terms: int, max_deg: int) -> Poly:
-    terms = {}
+    pairs = []
     for _ in range(rng.randint(1, max_terms)):
         exp = [0] * ring.nvars
         for _ in range(rng.randint(0, max_deg)):
             exp[rng.randrange(ring.nvars)] += 1
-        exp = tuple(exp)
-        terms[exp] = terms.get(exp, 0) + rng.choice((-2, -1, 1, 2, 3))
-    return Poly(ring, ring.field.settle(terms))
+        pairs.append((tuple(exp), rng.choice((-2, -1, 1, 2, 3))))
+    return ring.collect(pairs)
 
 
 def _selftest_groebner(rng: random.Random):
@@ -695,8 +694,13 @@ def main(argv=None) -> int:
     report = run(job)
     body = report.machine_text() if job.machine else report.human_text()
     if job.out:
-        with open(job.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        # a report that cannot be written is a usage error, not a failed check
+        try:
+            with open(job.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as err:
+            sys.stderr.write("qsheaf: cannot write %s: %s\n" % (job.out, err.strerror or err))
+            return EXIT_USAGE
     else:
         sys.stdout.write(body)
     return report.exit_status

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactpoly import Poly, vec_add, vec_mul_poly
+from .exactpoly import Poly, mat_apply, vec_sub
 from .sheafrep import (  # SubRep and induced_rep are re-exported
     NotClosed,
     QCReport,
@@ -111,33 +111,23 @@ def pullback_witness(rep: SheafRep, edge, element) -> ClosureWitness:
         )
     unit_cols = chart_w.unit_variable_columns()
     svec = denominator_vector(v, w, chart_v.pivot, rep.quiver.n)
+    one = chart_w.field.one
     parts = []
     for i, lifted in enumerate(coeffs):
         c = chart_w.nf(lifted)
         if c.is_zero():
             continue
-        exps = list(c.terms.keys())
         content = [0] * chart_w.ring.nvars
         for col in unit_cols:
-            content[col] = min(e[col] for e in exps)
+            content[col] = min(e[col] for e in c.terms)
         unit = chart_w.ring.monomial(tuple(content))
-        rest = chart_w.ring.from_terms(
-            {
-                tuple(ej - cj for ej, cj in zip(e, content)): coeff
-                for e, coeff in c.terms.items()
-            }
-        )
-        laurent = chart_w.to_laurent(rest)
+        laurent = chart_w.to_laurent(c.mul_term(tuple(-x for x in content), one))
         power = 0
-        for vec in laurent:
+        for vec in laurent.terms:
             for k in frozenset(w) - frozenset(v):
                 if vec[k] < 0:
                     power = max(power, -vec[k])
-        shifted = {
-            tuple(a + power * s for a, s in zip(vec, svec)): coeff
-            for vec, coeff in laurent.items()
-        }
-        descended = chart_v.from_laurent(shifted)
+        descended = chart_v.from_laurent(laurent.mul_term(tuple(power * s for s in svec), one))
         preimage = [chart_v.ring.zero()] * src.gens
         preimage[i] = descended
         parts.append(WitnessPart(i, unit, power, tuple(preimage)))
@@ -151,14 +141,13 @@ def verify_witness(rep: SheafRep, witness: ClosureWitness) -> bool:
     chart_w = rep.quiver.chart(w)
     tgt = rep.modules[w]
     svec = denominator_vector(v, w, chart_v.pivot, rep.quiver.n)
-    total = tuple(chart_w.ring.zero() for _ in range(tgt.gens))
+    scales, pushed = [], []
     for part in witness.parts:
-        pushed = push(rep, witness.edge, part.preimage)
-        inv = chart_w.from_laurent({tuple(-part.power * s for s in svec): chart_w.field.one})
-        scale = chart_w.nf(part.unit * inv)
-        total = vec_add(total, vec_mul_poly(pushed, scale))
-    diff = tuple(a - b for a, b in zip(witness.element, total))
-    return tgt.are_zero((diff,))
+        pushed.append(push(rep, witness.edge, part.preimage))
+        inv = Poly(chart_w.xring, {tuple(-part.power * s for s in svec): chart_w.field.one})
+        scales.append(chart_w.nf(part.unit * chart_w.from_laurent(inv)))
+    total = mat_apply(scales, pushed, chart_w.ring, tgt.gens)
+    return tgt.are_zero((vec_sub(witness.element, total),))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 Coefficients are either rationals or a prime field F_p with p < 2**31.  A
 rational is an int when it is integral and a fractions.Fraction with
 denominator > 1 otherwise, and Field makes only such values.  One rule makes
-a sum of terms (Poly's +, - and *, _combination, terms_from_str,
-charts._collect): it adds raw values and settles the sums once by
-Field.settle, which reduces them mod p or turns an integral Fraction into
-an int, and drops the zeros; _divide and rref keep their own documented
-exits.  So most arithmetic stays on machine ints, and every true division
+a sum of terms (Poly's +, - and *, PolyRing.collect, mat_apply,
+_combination, terms_from_str): it adds raw values and settles the sums
+once by Field.settle, which reduces them mod p or turns an integral
+Fraction into an int, and drops the zeros; _divide and rref keep their own
+documented exits.  So most arithmetic stays on machine ints, and every true division
 has a Fraction operand, so no coefficient becomes a float.  Monomials are
 exponent tuples ordered by graded reverse lexicographic order; free-module
 terms are (position, monomial) pairs ordered position-over-term, position 0
@@ -207,6 +207,15 @@ class PolyRing:
         z = self.field.zero
         return Poly(self, {e: c for e, c in terms.items() if c != z})
 
+    def collect(self, pairs) -> "Poly":
+        """The Poly of the (exponent, coefficient) pairs, summing the raw
+        coefficients of equal exponents and settling the sums once
+        (Field.settle)."""
+        out: dict = {}
+        for e, c in pairs:
+            out[e] = out.get(e, 0) + c
+        return Poly(self, self.field.settle(out))
+
 
 def grevlex_key(exp: tuple[int, ...]):
     """Sort key: larger key = larger monomial in grevlex."""
@@ -284,7 +293,7 @@ class Poly:
             return self.ring.zero()
         return Poly(
             self.ring,
-            {tuple(a + b for a, b in zip(e, exp)): f.mul(c, coeff) for e, c in self.terms.items()},
+            {tuple(map(_add, e, exp)): f.mul(c, coeff) for e, c in self.terms.items()},
         )
 
     def lead(self):
@@ -453,14 +462,8 @@ def field_nullspace(field: Field, rows, ncols: int) -> list:
 # free-module elements (vecs): tuples of Poly of a common rank
 
 
-def vec_zero(ring: PolyRing, rank: int) -> tuple[Poly, ...]:
-    return tuple(ring.zero() for _ in range(rank))
-
 def vec_unit(ring: PolyRing, rank: int, pos: int) -> tuple[Poly, ...]:
     return tuple(ring.one() if i == pos else ring.zero() for i in range(rank))
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
@@ -468,11 +471,43 @@ def vec_sub(a, b):
 def vec_scale(a, c):
     return tuple(x.scale(c) for x in a)
 
-def vec_mul_poly(a, p: Poly):
-    return tuple(x * p for x in a)
-
 def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
+
+
+def mat_apply(vec, rows, ring: PolyRing, width: int) -> tuple:
+    """The row vector vec times the matrix rows (one row per entry of vec,
+    width entries each), as width Polys of ring: every product of two
+    nonzero entries is written into one dict per output entry, which is
+    settled once, so along a diagonal matrix of size r it makes r products,
+    not r*r, and no intermediate Poly."""
+    acc = [{} for _ in range(width)]
+    for coeff, row in zip(vec, rows):
+        if not coeff.terms:
+            continue
+        left = coeff.terms.items()
+        for out, entry in zip(acc, row):
+            if entry.terms:
+                for e2, c2 in entry.terms.items():
+                    for e1, c1 in left:
+                        e = tuple(map(_add, e1, e2))
+                        out[e] = out.get(e, 0) + c1 * c2
+    field = ring.field
+    return tuple([Poly(ring, field.settle(out) if out else out) for out in acc])
+
+
+def mat_mul(a, b, ring: PolyRing, width: int) -> tuple:
+    """The matrix product a*b, row by row (mat_apply)."""
+    return tuple([mat_apply(row, b, ring, width) for row in a])
+
+
+def mat_identity(ring: PolyRing, size: int) -> tuple:
+    rows = []
+    for i in range(size):
+        row = [ring.zero()] * size
+        row[i] = ring.one()
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def vec_lead(a):

@@ -45,6 +45,7 @@ from operator import add as _add, sub as _sub
 from typing import Optional
 
 from .charts import (
+    SKELETONS,
     ChartData,
     ChartHom,
     ChartRing,
@@ -60,12 +61,13 @@ from .charts import (
 )
 from .exactpoly import (
     Field,
-    PolyRing,
+    Poly,
+    mat_apply,
+    mat_identity,
     module_kernel,  # noqa: F401  (re-exported; perfbench patches it here)
     vec_is_zero,
     vec_sub,
     vec_unit,
-    vec_zero,
 )
 
 Vertex = frozenset
@@ -84,32 +86,6 @@ def fmt_edge(e: Edge) -> str:
     return fmt_vertex(e[0]) + "->" + fmt_vertex(e[1])
 
 
-def mat_apply(vec, rows, ring: PolyRing, width: int):
-    """Left action of a row vector on a generator-image matrix, multiplying
-    only the nonzero entries: along a diagonal matrix of size r a push
-    makes r products, not r*r."""
-    out = list(vec_zero(ring, width))
-    for coeff, row in zip(vec, rows):
-        if coeff.terms:
-            for k, entry in enumerate(row):
-                if entry.terms:
-                    out[k] = out[k] + entry * coeff
-    return tuple(out)
-
-
-def mat_mul(a, b, ring: PolyRing, width: int):
-    return tuple(mat_apply(row, b, ring, width) for row in a)
-
-
-def mat_identity(ring: PolyRing, size: int):
-    rows = []
-    for i in range(size):
-        row = [ring.zero()] * size
-        row[i] = ring.one()
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def push(rep, edge, x):
     """Image of an element of the near module along a generating edge:
     base change to the far chart, then the edge matrix."""
@@ -119,11 +95,10 @@ def push(rep, edge, x):
 
 
 # Bounds of the process-level table of quiver skeletons: it keeps the
-# skeletons of the SKELETONS (field, n) keys used last, and each of
-# them the graded edges of the GRADED_EDGES degree tuples used last.  A P^4
-# key with one degree tuple holds about 0.2 MB, about half of it the
-# ChartData of its 31 charts.
-SKELETONS = 16
+# skeletons of the SKELETONS (field, n) keys used last (charts.SKELETONS,
+# which bounds the x rings too), and each of them the graded edges of the
+# GRADED_EDGES degree tuples used last.  A P^4 key with one degree tuple
+# holds about 0.2 MB, about half of it the ChartData of its 31 charts.
 GRADED_EDGES = 8
 
 
@@ -221,7 +196,7 @@ class _Skeleton:
             ratio[min(w)] += d
             ratio[p] -= d
             ratio = tuple(ratio)
-            monomial = self.chart(w).from_laurent({ratio: self.field.one})
+            monomial = self.chart(w).from_laurent(Poly(self.xring, {ratio: self.field.one}))
             found = self._ratios[key] = ((ratio, self.field.one), monomial)
         return found
 
@@ -365,7 +340,7 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
     diagonals and whether the squares pass by terms come from the quiver's
     skeleton, and rep.terms starts with the diagonals, and with no square
     findings when the squares pass.  The relation rows are dehomogenized
-    here, as Laurent terms once per pivot, which every module on a chart
+    here, as Laurent forms once per pivot, which every module on a chart
     with that pivot is built from; a module writes them as chart
     polynomials only when they are read (FPModule.relations)."""
     degrees = tuple(int(d) for d in degrees)
@@ -377,7 +352,7 @@ def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
         p = min(v)
         if p not in by_pivot:
             by_pivot[p] = tuple(
-                tuple(dehomogenized_laurent(quiver.field, g, p) for g in row) for row in frozen_rows
+                tuple(dehomogenized_laurent(g, p) for g in row) for row in frozen_rows
             )
         modules[v] = FPModule(quiver.chart(v), len(degrees), laurent=by_pivot[p])
     maps, diagonals, squares = quiver.skeleton.graded_edges(degrees)
@@ -450,12 +425,12 @@ def _row_norm(row, field: Field) -> tuple:
     vertex: the exponent of the least term (lexicographic min) of the
     row's first nonzero entry, and the (column, exponent, coefficient)
     terms of the row over that term."""
-    lead = next(entry for entry in row if entry)
+    lead = next(entry.terms for entry in row if entry)
     low = min(lead)
     scale, mul = field.inv(lead[low]), field.mul
     return low, frozenset([
         (k, tuple(map(_sub, exp, low)), mul(c, scale))
-        for k, entry in enumerate(row) for exp, c in entry.items()
+        for k, entry in enumerate(row) for exp, c in entry.terms.items()
     ])
 
 
@@ -466,7 +441,7 @@ def _key(norm, outside) -> tuple:
 
 
 def _row_key(row, field: Field, outside) -> tuple:
-    """The canonical form of a nonzero row of Laurent dicts: the exponent of
+    """The canonical form of a nonzero row of Laurent forms: the exponent of
     its _row_norm term at the indices in outside, and its _row_norm terms.
     A shift keeps the order, so rows a, b have one key exactly when
     a = c*m*b, c a nonzero constant and m a monomial whose exponent is 0 at
@@ -519,10 +494,7 @@ def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
         return {_key(norm, outside) for norm in _vertex_rows(rep, v)[0]} == far
     fld = rep.quiver.field
     images = (
-        tuple(
-            {tuple(map(_add, exp, de)): fld.mul(c, dc) for exp, c in entry.items()}
-            for entry, (de, dc) in zip(row, diagonal)
-        )
+        tuple([entry.mul_term(de, dc) for entry, (de, dc) in zip(row, diagonal)])
         for row in rep.modules[v].laurent
     )
     return {_row_key(r, fld, outside) for r in images if any(r)} == far

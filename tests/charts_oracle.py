@@ -35,7 +35,7 @@ def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
 def images(source, target) -> tuple:
     images = []
     for lv in source._var_laurent:
-        images.append(target.nf(target.from_laurent({lv: target.field.one})))
+        images.append(target.nf(target.from_laurent(Poly(target.xring, {lv: target.field.one}))))
     return tuple(images)
 
 

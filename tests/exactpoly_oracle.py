@@ -28,6 +28,10 @@ and `Field.neg` of the second; the program takes no per-value difference.
 normalizes every term by `Field.add`, `field_sub` or `Field.mul` as it is
 folded in, and pops it when it cancels.
 
+`vec_zero`, `vec_add` and `vec_mul_poly` are the zero vector, a sum of two
+vectors and a vector times a polynomial, entry by entry; the program sums
+its products with `qsheaf.exactpoly.mat_apply`.
+
 `vec_mul_term` and `_exp_sub`, a vector times a term and the quotient of
 two monomials, are what the oracle's S-vectors and reductions are built
 from; the program writes its S-vectors into the division's work dict.
@@ -48,15 +52,24 @@ from qsheaf.exactpoly import (
     _divides,
     _exp_lcm,
     term_key,
-    vec_add,
     vec_is_zero,
     vec_lead,
-    vec_mul_poly,
     vec_scale,
     vec_sub,
     vec_unit,
-    vec_zero,
 )
+
+
+def vec_zero(ring: PolyRing, rank: int) -> tuple:
+    return tuple(ring.zero() for _ in range(rank))
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_mul_poly(a, p: Poly):
+    return tuple(x * p for x in a)
 
 
 def from_int(ring: PolyRing, n: int):

@@ -42,9 +42,10 @@ from itertools import combinations
 from operator import add, sub
 
 import exactpoly_oracle as oracle
+from exactpoly_oracle import vec_zero
 from qsheaf.charts import FPModule, localize_module, span_contains
 from qsheaf.closure import SubRep, SubRepReport, induced_rep
-from qsheaf.exactpoly import vec_is_zero, vec_sub, vec_unit, vec_zero
+from qsheaf.exactpoly import mat_apply, mat_mul, vec_is_zero, vec_sub, vec_unit
 from qsheaf.sheafrep import (
     EdgeVerdict,
     GradedData,
@@ -55,8 +56,6 @@ from qsheaf.sheafrep import (
     fmt_edge,
     fmt_vertex,
     is_quasi_coherent,
-    mat_apply,
-    mat_mul,
     push,
 )
 

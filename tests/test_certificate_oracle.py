@@ -40,11 +40,10 @@ from qsheaf.exactpoly import (
     groebner_basis,
     normal_form,
     rref,
-    vec_add,
     vec_is_zero,
-    vec_mul_poly,
     vec_sub,
 )
+from exactpoly_oracle import vec_add, vec_mul_poly
 
 FIELDS = (Field(0), Field(5), Field(7))
 SPOILS = ("none", "scaled", "zero-row", "extra-rows", "subscheme")
@@ -249,7 +248,8 @@ def test_a_wrong_solve_is_refused(monkeypatch):
     chart = make_chart_ring(Field(0), 2, {0})
     row = tuple(map(chart.to_laurent, (chart.ring.one(), chart.z(1), chart.z(2))))
     cert = find_certificate(chart, (row,), 3)
-    assert cert and cert.matrix == ((1,), (0,), (0,))
+    xr = chart.xring
+    assert cert and cert.matrix == ((xr.one(),), (xr.zero(),), (xr.zero(),))
     real = charts.rref
 
     def spoiled(char, mat, ncols):

@@ -27,6 +27,7 @@ from qsheaf.charts import (
 )
 from qsheaf.exactpoly import (
     Field,
+    Poly,
     RingMismatchError,
     groebner_basis,
     module_kernel,
@@ -169,8 +170,8 @@ def test_from_laurent_requires_inverses():
     c = make_chart_ring(Q, 2, {0, 1})
     vec = (1, 0, -1)  # x0/x2 needs x2 inverted
     with pytest.raises(ValueError):
-        c.from_laurent({vec: Q.one})
-    ok = c.from_laurent({(-1, 1, 0): Q.one})
+        c.from_laurent(Poly(c.xring, {vec: Q.one}))
+    ok = c.from_laurent(Poly(c.xring, {(-1, 1, 0): Q.one}))
     assert ok == c.z(1)
 
 

@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 import charts_oracle as oracle
 from qsheaf.charts import ChartData, ChartRing, x_ring
-from qsheaf.exactpoly import Field, normal_form
+from qsheaf.exactpoly import Field, Poly, normal_form
 from qsheaf.sheafrep import build_proj_quiver
 
 FIELDS = (Field.rationals(),) + tuple(Field.prime(p) for p in (2, 3, 5, 7))
@@ -173,7 +173,7 @@ def test_table_conversions_match_the_table_free_ones(data):
             got = [(chart.to_laurent(q), [chart.laurent_of_exp(e) for e in q.terms]) for q in inputs]
             back = [chart.from_laurent(terms) for terms, _exps in got]
         for q, (terms, exps), r in zip(inputs, got, back):
-            assert list(terms.items()) == list(ChartData.to_laurent(plain, q).items())
+            assert list(terms.terms.items()) == list(ChartData.to_laurent(plain, q).terms.items())
             assert exps == [ChartData.laurent_of_exp(plain, e) for e in q.terms]
             assert list(r.terms.items()) == list(ChartData.from_laurent(plain, terms).terms.items())
     # the tables are the ChartRing's own
@@ -201,7 +201,7 @@ def test_an_exponent_the_chart_cannot_write_is_never_tabled(data):
     for vec in bad:
         for _ask in range(2):
             with pytest.raises(ValueError):
-                chart.from_laurent({vec: field.one})
+                chart.from_laurent(Poly(chart.xring, {vec: field.one}))
             with pytest.raises(ValueError):
-                chart.nf_of_laurent({vec: field.one})
+                chart.nf_of_laurent(Poly(chart.xring, {vec: field.one}))
         assert _tables(chart) == before

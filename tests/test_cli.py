@@ -972,6 +972,21 @@ def test_main_writes_out_file(fixture_dir, tmp_path, capsys):
     assert json.loads(out.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("where", ("missing-directory", "directory", "nonexistent-root"))
+def test_main_refuses_an_out_path_it_cannot_write(fixture_dir, tmp_path, capsys, where):
+    out = {
+        "missing-directory": str(tmp_path / "missing" / "report.json"),
+        "directory": str(tmp_path),
+        "nonexistent-root": "/nonexistent/x.json",
+    }[where]
+    code = main(["split-p1", fixture(fixture_dir, "trans_identity"), "--machine", "--out", out])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and out in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_prints_human_report(fixture_dir, capsys):
     code = main(["check-qc", fixture(fixture_dir, "structure_p2")])
     assert code == 0

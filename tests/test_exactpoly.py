@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from exactpoly_oracle import combos, field_sub, from_int, syzygy_rows
+from exactpoly_oracle import combos, field_sub, from_int, syzygy_rows, vec_mul_poly
 from hypothesis import given, settings, strategies as st
 
 from qsheaf.charts import ideal_block
@@ -39,7 +39,6 @@ from qsheaf.exactpoly import (
     vec_is_zero,
     vec_lead,
     vec_sub,
-    vec_mul_poly,
 )
 
 Q = Field.rationals()

@@ -35,14 +35,12 @@ from qsheaf.exactpoly import (
     normal_form,
     reduce_vec,
     term_key,
-    vec_add,
     vec_is_zero,
     vec_lead,
-    vec_mul_poly,
     vec_sub,
     vec_unit,
-    vec_zero,
 )
+from exactpoly_oracle import vec_add, vec_mul_poly, vec_zero
 
 FIELDS = (Field(0), Field(2), Field(5), Field(7))
 

@@ -6,9 +6,11 @@ field values.  On random inputs over Q (ints, Fractions, and integral
 Fractions, which no `Field` operation makes but a raw product can) and over
 F_p (a small prime and the largest one allowed), it equals the per-term
 fold of `Field.add` over the same products.  `Poly`'s `+`, `-` and `*`,
-`terms_from_str` and `charts._collect` equal the per-term rule they
-followed before, which `tests/exactpoly_oracle.py` keeps, value for value
-and type for type.
+`terms_from_str`, `PolyRing.collect` and `exactpoly.mat_apply` equal the
+per-term rule they followed before, which `tests/exactpoly_oracle.py`
+keeps, value for value and type for type; `mat_apply` is checked on
+signed exponents, as chart Laurent forms have them, with zero rows and
+entries and diagonal matrices.
 """
 
 from fractions import Fraction
@@ -16,11 +18,11 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from exactpoly_oracle import _fold, is_q_coefficient, poly_add, poly_mul, poly_sub
-from qsheaf.charts import _collect
-from qsheaf.exactpoly import Field, PolyRing, poly_to_str, terms_from_str
+from qsheaf.exactpoly import Field, PolyRing, mat_apply, poly_to_str, terms_from_str
 
 FIELDS = (Field(0), Field(2), Field(7), Field(2**31 - 1))
 KEYS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+SIGNED_KEYS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 
 def _raw(draw, field):
@@ -66,10 +68,10 @@ def test_settle_equals_the_per_term_fold(data):
         assert all(c and is_q_coefficient(c) for c in settled.values())
 
 
-def _poly(draw, ring):
+def _poly(draw, ring, keys=KEYS):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
-        terms[draw(KEYS)] = _value(draw, ring.field)
+        terms[draw(keys)] = _value(draw, ring.field)
     return ring.from_terms(terms)
 
 
@@ -86,9 +88,11 @@ def test_poly_arithmetic_equals_the_per_term_rule(data):
 @given(st.data())
 def test_collect_and_terms_from_str_equal_the_per_term_rule(data):
     field = data.draw(st.sampled_from(FIELDS))
-    pairs = [(data.draw(KEYS), _value(data.draw, field)) for _ in range(data.draw(st.integers(0, 6)))]
-    assert _typed(_collect(field, pairs)) == _typed(_fold(field, {}, pairs, field.add))
     ring = PolyRing(field, ("x", "y"))
+    pairs = [(data.draw(SIGNED_KEYS), _value(data.draw, field)) for _ in range(data.draw(st.integers(0, 6)))]
+    collected = ring.collect(pairs)
+    assert collected.ring is ring
+    assert _typed(collected.terms) == _typed(_fold(field, {}, pairs, field.add))
     polys = [_poly(data.draw, ring) for _ in range(data.draw(st.integers(1, 3)))]
     text, total = poly_to_str(polys[0]), polys[0]
     for p in polys[1:]:
@@ -96,3 +100,33 @@ def test_collect_and_terms_from_str_equal_the_per_term_rule(data):
         text += " - " + more[1:] if more.startswith("-") else " + " + more
         total = poly_add(total, p)
     assert _typed(terms_from_str(field, ring.names, text)) == _typed(total.terms)
+
+
+def _folded_product(vec, rows, ring, width):
+    """vec times the matrix rows, each entry summed by poly_add of the
+    poly_mul products, the per-term rule."""
+    out = [ring.zero()] * width
+    for coeff, row in zip(vec, rows):
+        for k, entry in enumerate(row):
+            out[k] = poly_add(out[k], poly_mul(coeff, entry))
+    return out
+
+
+@given(st.data())
+def test_mat_apply_equals_the_per_term_rule(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    ring = PolyRing(field, ("x", "y"))
+    height = data.draw(st.integers(0, 4))
+    diagonal = data.draw(st.booleans())
+    width = height if diagonal else data.draw(st.integers(0, 3))
+    rows = [
+        [ring.zero() if diagonal and k != i else _poly(data.draw, ring, SIGNED_KEYS) for k in range(width)]
+        for i in range(height)
+    ]
+    if height and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, height - 1))] = [ring.zero()] * width
+    vec = [_poly(data.draw, ring, SIGNED_KEYS) for _ in range(height)]
+    got = mat_apply(vec, rows, ring, width)
+    assert all(p.ring is ring for p in got)
+    want = _folded_product(vec, rows, ring, width)
+    assert [_typed(p.terms) for p in got] == [_typed(p.terms) for p in want]

@@ -2,10 +2,11 @@
 
 `sheafrep.SubRep` asks its ambient module's lifter (`FPModule.lifter`) for
 membership, so it names neither `span_gb` nor `span_contains`.  The sums of
-terms (`Poly`'s `+`, `-` and `*`, `exactpoly._combination` and
-`charts._collect`) add raw values and settle them once with `Field.settle`,
-so none of them calls a `Field`'s `add`, `sub` or `mul`.  This test walks the
-syntax trees of `sheafrep`, `exactpoly` and `charts` to keep it so.
+terms (`Poly`'s `+`, `-` and `*`, `PolyRing.collect`, `exactpoly.mat_apply`
+and `exactpoly._combination`) add raw values and settle them once with
+`Field.settle`, so none of them calls a `Field`'s `add`, `sub` or `mul`.
+This test walks the syntax trees of `sheafrep` and `exactpoly` to keep it
+so.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsheaf"
 SECOND_PATH = {"span_gb", "span_contains"}
 PER_TERM = {"add", "sub", "mul"}
 SUMS = {
-    "exactpoly.py": ("Poly.__add__", "Poly.__sub__", "Poly.__mul__", "_combination"),
-    "charts.py": ("_collect",),
+    "exactpoly.py": (
+        "Poly.__add__", "Poly.__sub__", "Poly.__mul__", "PolyRing.collect", "mat_apply", "_combination",
+    ),
 }
 
 

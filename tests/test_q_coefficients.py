@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from exactpoly_oracle import is_q_coefficient
+from exactpoly_oracle import is_q_coefficient, vec_add, vec_mul_poly, vec_zero
 from qsheaf.exactpoly import (
     Field,
     PolyRing,
@@ -26,10 +26,7 @@ from qsheaf.exactpoly import (
     normal_form,
     reduce_vec,
     syzygies,
-    vec_add,
     vec_is_zero,
-    vec_mul_poly,
-    vec_zero,
 )
 
 Q = Field(0)

@@ -84,10 +84,10 @@ from hypothesis import given, settings, strategies as st
 import sheafrep_oracle as oracle
 from qsheaf import charts, sheafrep
 from qsheaf.bundles import serre_cover
-from qsheaf.charts import FPModule, UnitDiagonal
+from qsheaf.charts import FPModule, UnitDiagonal, x_ring
 from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
-from qsheaf.exactpoly import Field, vec_sub, vec_unit
+from qsheaf.exactpoly import Field, Poly, vec_sub, vec_unit
 from qsheaf.sheaffile import parse_section_file, parse_sheaf_file, sheafrep_text
 from qsheaf.sheafrep import (
     SheafRep,
@@ -310,7 +310,7 @@ def test_edge_verdicts_match_oracle(rep):
             chart = rep.modules[e[1]].chart
             one = chart.nf(chart.ring.one())
             for j, (row, (d, c)) in enumerate(zip(rep.edge_maps[e], inverse.inverse)):
-                assert chart.nf(row[j] * chart.from_laurent({d: c})) == one
+                assert chart.nf(row[j] * chart.from_laurent(Poly(chart.xring, {d: c}))) == one
         # the term path takes only matrices the lemma of _injective
         # and _onto inverts
         assert not _edge_by_terms(rep, e) or inverse is not None
@@ -412,6 +412,13 @@ def _coefficient(draw, field):
     return field.of_fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
 
 
+def _as_polys(row, field):
+    """A nonzero row of Laurent dicts as the Laurent Polys _row_key reads,
+    in the x ring of the exponents' length."""
+    ring = x_ring(field, len(next(e for entry in row for e in entry)) - 1)
+    return tuple(Poly(ring, dict(entry)) for entry in row)
+
+
 def _laurent_row(draw, field, n, width):
     """A nonzero row of Laurent dicts, some of its entries zero."""
     exps = st.tuples(*[st.integers(-2, 2)] * (n + 1))
@@ -460,7 +467,7 @@ def row_pairs(draw):
 @given(row_pairs())
 def test_row_keys_match_the_pairwise_oracle(case):
     field, outside, a, b = case
-    same = _row_key(a, field, outside) == _row_key(b, field, outside)
+    same = _row_key(_as_polys(a, field), field, outside) == _row_key(_as_polys(b, field), field, outside)
     assert same == oracle.term_multiple(a, b, field.mul, outside)
 
 
@@ -497,7 +504,7 @@ def test_a_row_times_one_repeated_unit_term_keeps_its_key(case):
         {tuple(x + y for x, y in zip(e, d)): field.mul(c, dc) for e, c in entry.items()}
         for entry, (d, dc) in zip(r, diagonal)
     )
-    same = _row_key(image, field, outside) == _row_key(r, field, outside)
+    same = _row_key(_as_polys(image, field), field, outside) == _row_key(_as_polys(r, field), field, outside)
     assert same == oracle.term_multiple(image, r, field.mul, outside)
     if len(set(diagonal)) == 1 and not any(diagonal[0][0][i] for i in outside):
         assert same

@@ -96,6 +96,8 @@ def test_a_subscheme_key_is_not_stored():
         quiver = build_proj_quiver(Field(5), 2, ideal)
         assert quiver.ideal_gens == quiver.chart({0}).ideal_gens == ideal
         assert quiver.skeleton is plain.skeleton
+        # one x ring per (field, n), the ring of every chart's Laurent forms
+        assert quiver.chart({0}).xring is quiver.xring is xr
         assert build_proj_quiver(Field(5), 2, ideal).skeleton is plain.skeleton
     info = _skeleton.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
