@@ -138,6 +138,23 @@ MUTANTS = (
         "\n",
         ("tests/test_sheafrep_oracle.py::test_pinned_squares_take_the_expected_path",),
     ),
+    Mutant(
+        "term-edge-shortcut-for-every-unit-diagonal",
+        "src/qsheaf/sheafrep.py",
+        "    if len(set(diagonal)) <= 1:\n",
+        "    if True:\n",
+        (
+            "tests/test_sheafrep_oracle.py::test_only_one_repeated_unit_term_skips_the_image_rows",
+            "tests/test_sheafrep_oracle.py::test_pinned_edges_take_the_expected_path",
+        ),
+    ),
+    Mutant(
+        "lattice-theorem-without-dimension-check",
+        "src/qsheaf/hill.py",
+        "            and m.dim == sum(x for b, x in enumerate(d) if mask >> b & 1)\n",
+        "",
+        ("tests/test_hill_theorem.py::test_family_failing_h2_falls_back",),
+    ),
 )
 
 

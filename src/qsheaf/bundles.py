@@ -22,10 +22,11 @@ one variable s, whose exponents may be negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .charts import FPModule
+from .charts import SKELETONS, FPModule
 from .exactpoly import (
     Field,
     Poly,
@@ -33,6 +34,7 @@ from .exactpoly import (
     mat_apply,
     mat_identity,
     mat_mul,
+    poly_to_str,
     rref,
     terms_from_str,
 )
@@ -305,16 +307,13 @@ def lazard_approximation(rep: SheafRep, cover: SheafMap, sub: SubRep) -> LazardA
 # poly_from_str refuse negative exponents, and nothing here calls them.  No
 # Laurent polynomial reaches Groebner code.
 
-_LAURENT_RINGS: dict = {}
 
-
+@lru_cache(maxsize=SKELETONS)
 def laurent_ring(field: Field) -> PolyRing:
     """The ring of Laurent polynomials in s over the field: one PolyRing
-    object per field, so Laurent operands share their ring by identity."""
-    ring = _LAURENT_RINGS.get(field)
-    if ring is None:
-        ring = _LAURENT_RINGS[field] = PolyRing(field, ("s",))
-    return ring
+    object per field among the SKELETONS used last, so Laurent operands
+    share their ring by identity (PolyRing equality covers the rest)."""
+    return PolyRing(field, ("s",))
 
 
 class LaurentPoly:
@@ -348,21 +347,9 @@ def _only_term(p: Poly) -> tuple:
 
 
 def laurent_to_str(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for (e,), c in sorted(p.terms.items(), reverse=True):
-        cs = p.ring.field.coeff_str(c)
-        if e == 0:
-            term = cs
-        else:
-            base = "s" if e == 1 else "s^" + str(e)
-            term = base if cs == "1" else ("-" + base if cs == "-1" else cs + "*" + base)
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+    """poly_to_str's text with its spaces dropped, the form trow entries
+    are written in."""
+    return "".join(poly_to_str(p).split())
 
 
 def laurent_from_str(field: Field, text: str) -> Poly:

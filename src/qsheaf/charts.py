@@ -36,7 +36,7 @@ Laurent polynomial rings", AAECC 9, 1999, treat such rings in general).
 A chart's ring data on P^n (ChartData: its PolyRing, variable indexes,
 Laurent table and inversions) holds no run and is never mutated, so a
 process shares it between jobs: sheafrep keeps it in its bounded table of
-quiver skeletons (sheafrep.SKELETONS, 16 keys of (field, n), the least
+quiver skeletons (SKELETONS, 16 keys of (field, n), the least
 recently used going first).  A subscheme's ideal changes none of it.  The
 chart of one quiver is a ChartRing, which make_chart_ring builds per job on
 that data: it adds the quiver's ideal dehomogenized on the chart, which
@@ -96,8 +96,9 @@ from .exactpoly import (
 )
 
 
-# Bound of the process-level tables keyed on (field, n): the x rings here
-# and the quiver skeletons of sheafrep keep the SKELETONS keys used last.
+# Bound of the process-level tables keyed on input: the x rings here and the
+# quiver skeletons of sheafrep, keyed on (field, n), and the Laurent rings of
+# bundles, keyed on the field, keep the SKELETONS keys used last.
 SKELETONS = 16
 
 

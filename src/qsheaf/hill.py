@@ -240,27 +240,38 @@ class FilteredModule:
         return self._spaces[key]
 
 
+class FilteredModuleError(ValueError):
+    """A refusal of make_filtered_module; .concerns names the input it
+    concerns: "p", "dim", "operator", or the index of a block."""
+
+    def __init__(self, message: str, concerns):
+        super().__init__(message)
+        self.concerns = concerns
+
+
 def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredModule:
-    Field.prime(p)  # validates primality
+    try:
+        Field.prime(p)  # validates primality
+    except ValueError as err:
+        raise FilteredModuleError(str(err), "p") from None
     if dim < 0:
-        raise ValueError("negative ambient dimension")
+        raise FilteredModuleError("negative ambient dimension", "dim")
     blocks = tuple(tuple(fp_vec(p, v) for v in block) for block in blocks)
-    for block in blocks:
+    for beta, block in enumerate(blocks):
         if not block:
-            raise ValueError("empty generator block")
-        for v in block:
-            if len(v) != dim:
-                raise ValueError("generator of wrong length")
+            raise FilteredModuleError("empty generator block", beta)
+        if any(len(v) != dim for v in block):
+            raise FilteredModuleError("generator of wrong length", beta)
     if operator is not None:
         operator = tuple(tuple(int(e) % p for e in row) for row in operator)
         if len(operator) != dim or any(len(r) != dim for r in operator):
-            raise ValueError("operator must be a dim x dim matrix")
+            raise FilteredModuleError("operator must be a dim x dim matrix", "operator")
         # rows of the powers of the operator, dropped as they die
         power = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
         for _ in range(dim):
             power = [r for r in (fp_mat_vec(p, row, operator) for row in power) if any(r)]
         if power:
-            raise ValueError("operator is not nilpotent")
+            raise FilteredModuleError("operator is not nilpotent", "operator")
     stages = [()]
     orbits = []
     deps = []
@@ -268,7 +279,7 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
         mbeta = stages[-1]
         orows = [r for b in block for r in _orbit(p, b, operator)]
         if not orows:
-            raise ValueError("block %d adds nothing to the filtration" % beta)
+            raise FilteredModuleError("block %d adds nothing to the filtration" % beta, beta)
         gens = [g for orbit in orbits for g in orbit]
         owner = [alpha for alpha, orbit in enumerate(orbits) for _ in orbit]
         reduced = [_reduce(p, mbeta, r) for r in orows]
@@ -281,7 +292,7 @@ def make_filtered_module(p: int, dim: int, blocks, operator=None) -> FilteredMod
         deps.append(frozenset(support))
         nxt = _rref(p, gens + orows)
         if len(nxt) <= len(mbeta):
-            raise ValueError("block %d adds nothing to the filtration" % beta)
+            raise FilteredModuleError("block %d adds nothing to the filtration" % beta, beta)
         stages.append(nxt)
         orbits.append(tuple(orows))
     return FilteredModule(

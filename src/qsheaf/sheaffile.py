@@ -19,10 +19,13 @@ one of
 Matrix rows put entries between '|' separators; polynomial entries use
 the canonical textual form (x0..xn upstairs, z<j>/u<i> on charts, s for
 Laurent entries), all read by exactpoly.terms_from_str, with negative
-exponents only in Laurent entries.  Parse errors carry the offending line
-number and are either syntax errors (bad tokens) or semantic errors
-(well-formed lines that violate an invariant: wrong widths, foreign rings,
-non-commuting squares, mismatched stages).
+exponents only in Laurent entries.  Every parse error is raised by the
+line that carries it (_Line.error), and is either a syntax error (bad
+tokens) or a semantic error (well-formed lines that violate an invariant:
+wrong widths, foreign rings, non-commuting squares, mismatched stages).
+An error no one line carries, such as a missing line, is raised by the
+first or last significant line after the kind line, or by the kind line
+when there is none; only a file with no significant line reports line 1.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from .bundles import laurent_from_str, laurent_to_str
 from .charts import FPModule, is_homogeneous
 from .closure import make_section_set
 from .exactpoly import Field, poly_from_str, poly_to_str
-from .hill import FilteredModule, HillLattice, assemble_family, fp_rref, make_filtered_module
+from .hill import (
+    FilteredModule,
+    FilteredModuleError,
+    HillLattice,
+    assemble_family,
+    fp_rref,
+    make_filtered_module,
+)
 from .sheafrep import (
     ProjQuiver,
     SheafRep,
@@ -66,9 +76,14 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class _Line:
+    path: str
     number: int
     tokens: tuple
     text: str
+
+    def error(self, message: str, code: str = SYNTAX) -> ParseError:
+        """The error this line carries, for the caller to raise."""
+        return ParseError(self.path, self.number, message, code)
 
 
 def _read_lines(path: str):
@@ -79,27 +94,24 @@ def _read_lines(path: str):
         body = text.split("#", 1)[0].strip()
         if not body:
             continue
-        out.append(_Line(number, tuple(body.split()), body))
+        out.append(_Line(path, number, tuple(body.split()), body))
     return out
 
 
-def _take_kind(path, lines, expected=None):
+def _take_kind(path, lines, expected):
+    """The kind line, which must name one of the expected kinds, and the
+    lines after it."""
     if not lines:
         raise ParseError(path, 1, "empty file, expected a kind line")
     first = lines[0]
     if first.tokens[0] != "kind" or len(first.tokens) != 2:
-        raise ParseError(path, first.number, "expected 'kind <name>'")
+        raise first.error("expected 'kind <name>'")
     kind = first.tokens[1]
     if kind not in KINDS:
-        raise ParseError(path, first.number, "unknown kind %r" % kind)
-    if expected is not None and kind not in expected:
-        raise ParseError(
-            path,
-            first.number,
-            "expected a file of kind %s, got %r" % ("/".join(expected), kind),
-            SEMANTIC,
-        )
-    return kind, lines[1:]
+        raise first.error("unknown kind %r" % kind)
+    if kind not in expected:
+        raise first.error("expected a file of kind %s, got %r" % ("/".join(expected), kind), SEMANTIC)
+    return first, lines[1:]
 
 
 def parse_field_token(text: str) -> Field:
@@ -116,66 +128,64 @@ def field_token(field: Field) -> str:
     return "Q" if field.char == 0 else "Fp:%d" % field.char
 
 
-def _parse_int(path, line, text, what):
+def _parse_int(line, text, what):
     try:
         return int(text)
     except ValueError:
-        raise ParseError(path, line.number, "%s must be an integer, got %r" % (what, text))
+        raise line.error("%s must be an integer, got %r" % (what, text))
 
 
-def _parse_value(path, line, placeholder, what, old):
+def _parse_value(line, placeholder, what, old):
     """The integer of a one-value header line such as 'n 2'; old is the
     value of an earlier line of that key, and a repeat is refused."""
     if old is not None:
-        raise ParseError(path, line.number, "duplicate %r line" % line.tokens[0], SEMANTIC)
+        raise line.error("duplicate %r line" % line.tokens[0], SEMANTIC)
     if len(line.tokens) != 2:
-        raise ParseError(path, line.number, "expected '%s <%s>'" % (line.tokens[0], placeholder))
-    return _parse_int(path, line, line.tokens[1], what)
+        raise line.error("expected '%s <%s>'" % (line.tokens[0], placeholder))
+    return _parse_int(line, line.tokens[1], what)
 
 
-def _nonnegative(path, line, value, message):
+def _nonnegative(line, value, message):
     """value, refused on its own line with message when it is negative."""
     if value < 0:
-        raise ParseError(path, line.number, message, SEMANTIC)
+        raise line.error(message, SEMANTIC)
     return value
 
 
-def _parse_entry(path, line, parse, text):
+def _parse_entry(line, parse, text):
     try:
         return parse(text)
     except ValueError as err:
-        raise ParseError(path, line.number, str(err))
+        raise line.error(str(err))
 
 
-def _parse_field_line(path, line, old) -> Field:
+def _parse_field_line(line, old) -> Field:
     """The field of a 'field' line; old is the field of an earlier one,
     and a repeat is refused."""
     if old is not None:
-        raise ParseError(path, line.number, "duplicate 'field' line", SEMANTIC)
+        raise line.error("duplicate 'field' line", SEMANTIC)
     if len(line.tokens) != 2:
-        raise ParseError(path, line.number, "expected 'field Q' or 'field Fp:<p>'")
-    return _parse_entry(path, line, parse_field_token, line.tokens[1])
+        raise line.error("expected 'field Q' or 'field Fp:<p>'")
+    return _parse_entry(line, parse_field_token, line.tokens[1])
 
 
-def _parse_row(path, line, skip, width, what, parse):
+def _parse_row(line, skip, width, what, parse):
     """A matrix row line: everything after the first `skip` tokens, split
     on '|' into `width` entries, each read with `parse`."""
     rest = line.text.split(None, skip)[skip] if len(line.tokens) > skip else ""
     entries = [chunk.strip() for chunk in rest.split("|")] if rest else []
     if len(entries) != width:
-        raise ParseError(
-            path, line.number, "%s has %d entries, expected %d" % (what, len(entries), width), SEMANTIC
-        )
-    return tuple(_parse_entry(path, line, parse, e) for e in entries)
+        raise line.error("%s has %d entries, expected %d" % (what, len(entries), width), SEMANTIC)
+    return tuple(_parse_entry(line, parse, e) for e in entries)
 
 
-def _parse_vertex(path, line, token, quiver: Optional[ProjQuiver]):
+def _parse_vertex(line, token, quiver: Optional[ProjQuiver]):
     match = re.fullmatch(r"\{(\d+(,\d+)*)\}", token)
     if not match:
-        raise ParseError(path, line.number, "malformed vertex %r" % token)
+        raise line.error("malformed vertex %r" % token)
     v = frozenset(int(t) for t in match.group(1).split(","))
     if quiver is not None and v not in set(quiver.vertices):
-        raise ParseError(path, line.number, "no vertex %s in this quiver" % token, SEMANTIC)
+        raise line.error("no vertex %s in this quiver" % token, SEMANTIC)
     return v
 
 
@@ -183,34 +193,38 @@ def _parse_vertex(path, line, token, quiver: Optional[ProjQuiver]):
 # headers shared by graded and sheafrep files
 
 
-def _parse_header(path, lines, kind):
+def _parse_header(kind_line, lines):
     field = None
     n = None
+    n_line = None
     ideal_texts = []
     body = []
     for line in lines:
         key = line.tokens[0]
         if key == "field":
-            field = _parse_field_line(path, line, field)
+            field = _parse_field_line(line, field)
         elif key == "n":
-            n = _parse_value(path, line, "int", "ambient dimension", n)
+            n = _parse_value(line, "int", "ambient dimension", n)
+            n_line = line
         elif key == "ideal":
             ideal_texts.append((line, line.text.split(None, 1)[1] if len(line.tokens) > 1 else ""))
         else:
             body.append(line)
+    first = (lines or [kind_line])[0]
+    kind = kind_line.tokens[1]
     if field is None:
-        raise ParseError(path, lines[0].number if lines else 1, "missing 'field' line in %s file" % kind, SEMANTIC)
+        raise first.error("missing 'field' line in %s file" % kind, SEMANTIC)
     if n is None:
-        raise ParseError(path, lines[0].number if lines else 1, "missing 'n' line in %s file" % kind, SEMANTIC)
+        raise first.error("missing 'n' line in %s file" % kind, SEMANTIC)
     try:
         quiver = build_proj_quiver(field, n)
     except ValueError as err:
-        raise ParseError(path, lines[0].number, str(err), SEMANTIC)
+        raise n_line.error(str(err), SEMANTIC)
     gens = []
     for line, text in ideal_texts:
-        g = _parse_entry(path, line, partial(poly_from_str, quiver.xring), text)
+        g = _parse_entry(line, partial(poly_from_str, quiver.xring), text)
         if not is_homogeneous(g):
-            raise ParseError(path, line.number, "subscheme generator is not homogeneous", SEMANTIC)
+            raise line.error("subscheme generator is not homogeneous", SEMANTIC)
         gens.append(g)
     if gens:
         quiver = build_proj_quiver(field, n, tuple(gens))
@@ -221,38 +235,31 @@ def _parse_header(path, lines, kind):
 # graded files
 
 
-def _parse_graded(path, quiver, body) -> SheafRep:
+def _parse_graded(kind_line, quiver, body) -> SheafRep:
     degrees = None
-    degrees_line = None
+    degrees_line = kind_line
     rows = []
     for line in body:
         key = line.tokens[0]
         if key == "degrees":
             if degrees is not None:
-                raise ParseError(path, line.number, "duplicate 'degrees' line", SEMANTIC)
-            degrees = tuple(
-                _parse_int(path, line, t, "degree") for t in line.tokens[1:]
-            )
+                raise line.error("duplicate 'degrees' line", SEMANTIC)
+            degrees = tuple(_parse_int(line, t, "degree") for t in line.tokens[1:])
             degrees_line = line
         elif key == "relation":
             rows.append(line)
         else:
-            raise ParseError(path, line.number, "unexpected %r in a graded file" % key)
-    if degrees is None or not degrees:
-        raise ParseError(
-            path,
-            degrees_line.number if degrees_line else 1,
-            "a graded file needs a nonempty 'degrees' line",
-            SEMANTIC,
-        )
+            raise line.error("unexpected %r in a graded file" % key)
+    if not degrees:
+        raise degrees_line.error("a graded file needs a nonempty 'degrees' line", SEMANTIC)
     parse = partial(poly_from_str, quiver.xring)
     parsed_rows = []
     for line in rows:
-        row = _parse_row(path, line, 1, len(degrees), "relation row", parse)
+        row = _parse_row(line, 1, len(degrees), "relation row", parse)
         try:
             check_graded_row(row, degrees)
         except ValueError as err:
-            raise ParseError(path, line.number, str(err), SEMANTIC)
+            raise line.error(str(err), SEMANTIC)
         parsed_rows.append(row)
     return graded_sheaf(quiver, degrees, tuple(parsed_rows))
 
@@ -261,7 +268,7 @@ def _parse_graded(path, quiver, body) -> SheafRep:
 # sheafrep files
 
 
-def _parse_sheafrep(path, quiver, body) -> SheafRep:
+def _parse_sheafrep(kind_line, quiver, body) -> SheafRep:
     gens = {}
     rels = {}
     edge_rows = {}
@@ -270,69 +277,58 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
         key = line.tokens[0]
         if key == "vertex":
             if len(line.tokens) != 4 or line.tokens[2] != "gens":
-                raise ParseError(path, line.number, "expected 'vertex {v} gens <count>'")
-            v = _parse_vertex(path, line, line.tokens[1], quiver)
+                raise line.error("expected 'vertex {v} gens <count>'")
+            v = _parse_vertex(line, line.tokens[1], quiver)
             if v in gens:
-                raise ParseError(path, line.number, "vertex %s declared twice" % fmt_vertex(v), SEMANTIC)
-            count = _parse_int(path, line, line.tokens[3], "generator count")
-            gens[v] = _nonnegative(path, line, count, "negative generator count")
+                raise line.error("vertex %s declared twice" % fmt_vertex(v), SEMANTIC)
+            count = _parse_int(line, line.tokens[3], "generator count")
+            gens[v] = _nonnegative(line, count, "negative generator count")
             rels[v] = []
             decl_lines[v] = line
         elif key == "vrel":
             if len(line.tokens) < 2:
-                raise ParseError(path, line.number, "expected 'vrel {v} <entries>'")
-            v = _parse_vertex(path, line, line.tokens[1], quiver)
+                raise line.error("expected 'vrel {v} <entries>'")
+            v = _parse_vertex(line, line.tokens[1], quiver)
             if v not in gens:
-                raise ParseError(
-                    path, line.number, "vrel before 'vertex' line for %s" % fmt_vertex(v), SEMANTIC
-                )
+                raise line.error("vrel before 'vertex' line for %s" % fmt_vertex(v), SEMANTIC)
             what = "relation at %s" % fmt_vertex(v)
             parse = partial(poly_from_str, quiver.chart(v).ring)
-            rels[v].append(_parse_row(path, line, 2, gens[v], what, parse))
+            rels[v].append(_parse_row(line, 2, gens[v], what, parse))
         elif key == "edge":
             if len(line.tokens) != 3:
-                raise ParseError(path, line.number, "expected 'edge {v} {w}'")
-            v = _parse_vertex(path, line, line.tokens[1], quiver)
-            w = _parse_vertex(path, line, line.tokens[2], quiver)
+                raise line.error("expected 'edge {v} {w}'")
+            v = _parse_vertex(line, line.tokens[1], quiver)
+            w = _parse_vertex(line, line.tokens[2], quiver)
             if (v, w) not in set(quiver.edges):
-                raise ParseError(
-                    path,
-                    line.number,
-                    "%s->%s is not a generating edge" % (fmt_vertex(v), fmt_vertex(w)),
-                    SEMANTIC,
-                )
+                raise line.error("%s->%s is not a generating edge" % (fmt_vertex(v), fmt_vertex(w)), SEMANTIC)
             if (v, w) in edge_rows:
-                raise ParseError(path, line.number, "edge declared twice", SEMANTIC)
+                raise line.error("edge declared twice", SEMANTIC)
             edge_rows[(v, w)] = []
             decl_lines[(v, w)] = line
         elif key == "erow":
             if len(line.tokens) < 3:
-                raise ParseError(path, line.number, "expected 'erow {v} {w} <entries>'")
-            v = _parse_vertex(path, line, line.tokens[1], quiver)
-            w = _parse_vertex(path, line, line.tokens[2], quiver)
+                raise line.error("expected 'erow {v} {w} <entries>'")
+            v = _parse_vertex(line, line.tokens[1], quiver)
+            w = _parse_vertex(line, line.tokens[2], quiver)
             if (v, w) not in edge_rows:
-                raise ParseError(path, line.number, "erow before its 'edge' line", SEMANTIC)
+                raise line.error("erow before its 'edge' line", SEMANTIC)
             if w not in gens:
-                raise ParseError(path, line.number, "erow before 'vertex' line for the target", SEMANTIC)
+                raise line.error("erow before 'vertex' line for the target", SEMANTIC)
             parse = partial(poly_from_str, quiver.chart(w).ring)
-            edge_rows[(v, w)].append(_parse_row(path, line, 3, gens[w], "edge row", parse))
+            edge_rows[(v, w)].append(_parse_row(line, 3, gens[w], "edge row", parse))
         else:
-            raise ParseError(path, line.number, "unexpected %r in a sheafrep file" % key)
-    last = body[-1].number if body else 1
+            raise line.error("unexpected %r in a sheafrep file" % key)
+    last = (body or [kind_line])[-1]
     modules = {}
     for v in quiver.vertices:
         if v not in gens:
-            raise ParseError(path, last, "missing vertex %s" % fmt_vertex(v), SEMANTIC)
+            raise last.error("missing vertex %s" % fmt_vertex(v), SEMANTIC)
         modules[v] = FPModule(quiver.chart(v), gens[v], tuple(rels[v]))
     for e in quiver.edges:
         if e not in edge_rows:
-            raise ParseError(
-                path, last, "missing edge %s->%s" % (fmt_vertex(e[0]), fmt_vertex(e[1])), SEMANTIC
-            )
+            raise last.error("missing edge %s->%s" % (fmt_vertex(e[0]), fmt_vertex(e[1])), SEMANTIC)
         if len(edge_rows[e]) != gens[e[0]]:
-            raise ParseError(
-                path,
-                decl_lines[e].number,
+            raise decl_lines[e].error(
                 "edge %s->%s has %d rows, expected %d"
                 % (fmt_vertex(e[0]), fmt_vertex(e[1]), len(edge_rows[e]), gens[e[0]]),
                 SEMANTIC,
@@ -340,20 +336,20 @@ def _parse_sheafrep(path, quiver, body) -> SheafRep:
     try:
         rep = make_sheaf_rep(quiver, modules, edge_rows)
     except ValueError as err:
-        raise ParseError(path, last, str(err), SEMANTIC)
+        raise last.error(str(err), SEMANTIC)
     violations = _squares_agree(rep)
     if violations:
-        raise ParseError(path, last, violations[0], SEMANTIC)
+        raise last.error(violations[0], SEMANTIC)
     return rep
 
 
 def parse_sheaf_file(path: str) -> SheafRep:
     """Parse a graded or sheafrep file into a validated representation."""
-    kind, rest = _take_kind(path, _read_lines(path), expected=("graded", "sheafrep"))
-    quiver, body = _parse_header(path, rest, kind)
-    if kind == "graded":
-        return _parse_graded(path, quiver, body)
-    return _parse_sheafrep(path, quiver, body)
+    kind_line, rest = _take_kind(path, _read_lines(path), ("graded", "sheafrep"))
+    quiver, body = _parse_header(kind_line, rest)
+    if kind_line.tokens[1] == "graded":
+        return _parse_graded(kind_line, quiver, body)
+    return _parse_sheafrep(kind_line, quiver, body)
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +359,21 @@ def parse_sheaf_file(path: str) -> SheafRep:
 def parse_section_file(path: str, rep: SheafRep) -> dict:
     """Parse sections against the representation they are sections of:
     {vertex: tuple of elements}, as make_section_set returns them."""
-    kind, rest = _take_kind(path, _read_lines(path), expected=("sections",))
+    kind_line, rest = _take_kind(path, _read_lines(path), ("sections",))
     mapping = {}
     for line in rest:
         if line.tokens[0] != "section":
-            raise ParseError(path, line.number, "expected 'section {v} <entries>'")
+            raise line.error("expected 'section {v} <entries>'")
         if len(line.tokens) < 2:
-            raise ParseError(path, line.number, "section line needs a vertex")
-        v = _parse_vertex(path, line, line.tokens[1], rep.quiver)
+            raise line.error("section line needs a vertex")
+        v = _parse_vertex(line, line.tokens[1], rep.quiver)
         what = "section at %s" % fmt_vertex(v)
         parse = partial(poly_from_str, rep.quiver.chart(v).ring)
-        mapping.setdefault(v, []).append(_parse_row(path, line, 2, rep.modules[v].gens, what, parse))
+        mapping.setdefault(v, []).append(_parse_row(line, 2, rep.modules[v].gens, what, parse))
     try:
         return make_section_set(rep, mapping)
     except ValueError as err:
-        raise ParseError(path, rest[-1].number if rest else 1, str(err), SEMANTIC)
+        raise (rest or [kind_line])[-1].error(str(err), SEMANTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def parse_section_file(path: str, rep: SheafRep) -> dict:
 
 def parse_transition_file(path: str, default_field: Optional[Field] = None):
     """Parse an r x r Laurent matrix; returns (field, rows)."""
-    kind, rest = _take_kind(path, _read_lines(path), expected=("transition",))
+    kind_line, rest = _take_kind(path, _read_lines(path), ("transition",))
     field = None
     size = None
     rows = []
@@ -394,30 +390,26 @@ def parse_transition_file(path: str, default_field: Optional[Field] = None):
         key = line.tokens[0]
         if key == "field":
             if rows:
-                raise ParseError(path, line.number, "'field' line after a trow", SEMANTIC)
-            field = _parse_field_line(path, line, field)
+                raise line.error("'field' line after a trow", SEMANTIC)
+            field = _parse_field_line(line, field)
         elif key == "rows":
-            size = _parse_value(path, line, "count", "row count", size)
-            _nonnegative(path, line, size, "negative row count")
+            size = _parse_value(line, "count", "row count", size)
+            _nonnegative(line, size, "negative row count")
         elif key == "trow":
             if field is None:
                 field = default_field or Field.rationals()
             if size is None:
-                raise ParseError(path, line.number, "trow before the 'rows' line", SEMANTIC)
-            rows.append(_parse_row(path, line, 1, size, "row", partial(laurent_from_str, field)))
+                raise line.error("trow before the 'rows' line", SEMANTIC)
+            rows.append(_parse_row(line, 1, size, "row", partial(laurent_from_str, field)))
         else:
-            raise ParseError(path, line.number, "unexpected %r in a transition file" % key)
+            raise line.error("unexpected %r in a transition file" % key)
     if field is None:
         field = default_field or Field.rationals()
+    last = (rest or [kind_line])[-1]
     if size is None:
-        raise ParseError(path, rest[-1].number if rest else 1, "missing 'rows' line", SEMANTIC)
+        raise last.error("missing 'rows' line", SEMANTIC)
     if len(rows) != size:
-        raise ParseError(
-            path,
-            rest[-1].number if rest else 1,
-            "matrix has %d rows, expected %d" % (len(rows), size),
-            SEMANTIC,
-        )
+        raise last.error("matrix has %d rows, expected %d" % (len(rows), size), SEMANTIC)
     return field, tuple(rows)
 
 
@@ -428,41 +420,43 @@ def parse_transition_file(path: str, default_field: Optional[Field] = None):
 def parse_filtered_file(path: str):
     """Parse a filtered module; returns (module, family_override) where the
     override is None or a tuple of explicit member supports."""
-    kind, rest = _take_kind(path, _read_lines(path), expected=("filtered",))
+    kind_line, rest = _take_kind(path, _read_lines(path), ("filtered",))
     p = None
-    p_line = None
     dim = None
     oprows = []
     blocks = []
     stages = {}
     vectors = []  # (line, what, row) for every row checked against dim
     members = None
+    # the line each refusal of make_filtered_module concerns: the 'p' line,
+    # the first oprow and the first row of each block (dim is refused here)
+    concerns = {}
     for line in rest:
         key = line.tokens[0]
         if key == "p":
-            p = _parse_value(path, line, "prime", "characteristic", p)
-            p_line = line
+            p = _parse_value(line, "prime", "characteristic", p)
+            concerns["p"] = line
         elif key == "dim":
-            dim = _parse_value(path, line, "int", "dimension", dim)
-            _nonnegative(path, line, dim, "negative ambient dimension")
+            dim = _parse_value(line, "int", "dimension", dim)
+            _nonnegative(line, dim, "negative ambient dimension")
         elif key == "oprow":
-            row = tuple(_parse_int(path, line, t, "operator entry") for t in line.tokens[1:])
+            row = tuple(_parse_int(line, t, "operator entry") for t in line.tokens[1:])
             oprows.append((line, row))
             vectors.append((line, "operator", row))
+            concerns.setdefault("operator", line)
         elif key in ("block", "stage"):
             if len(line.tokens) < 2:
-                raise ParseError(path, line.number, "expected '%s <index> <entries>'" % key)
-            idx = _parse_int(path, line, line.tokens[1], key + " index")
-            vec = tuple(_parse_int(path, line, t, key + " entry") for t in line.tokens[2:])
+                raise line.error("expected '%s <index> <entries>'" % key)
+            idx = _parse_int(line, line.tokens[1], key + " index")
+            vec = tuple(_parse_int(line, t, key + " entry") for t in line.tokens[2:])
             vectors.append((line, key, vec))
             if key == "stage":
                 stages.setdefault(idx, (line, []))[1].append(vec)
             elif idx == len(blocks):
                 blocks.append([vec])
+                concerns[idx] = line
             elif idx < 0 or idx != len(blocks) - 1:
-                raise ParseError(
-                    path, line.number, "block indices must be contiguous from 0", SEMANTIC
-                )
+                raise line.error("block indices must be contiguous from 0", SEMANTIC)
             else:
                 blocks[idx].append(vec)
         elif key == "member":
@@ -471,41 +465,35 @@ def parse_filtered_file(path: str):
             if line.tokens[1:] == ("-",):
                 members.append((line, ()))
             else:
-                members.append(
-                    (line, tuple(_parse_int(path, line, t, "member index") for t in line.tokens[1:]))
-                )
+                members.append((line, tuple(_parse_int(line, t, "member index") for t in line.tokens[1:])))
         else:
-            raise ParseError(path, line.number, "unexpected %r in a filtered file" % key)
-    first = rest[0].number if rest else 1
+            raise line.error("unexpected %r in a filtered file" % key)
+    first = (rest or [kind_line])[0]
     if p is None:
-        raise ParseError(path, first, "missing 'p' line", SEMANTIC)
+        raise first.error("missing 'p' line", SEMANTIC)
     if dim is None:
-        raise ParseError(path, first, "missing 'dim' line", SEMANTIC)
+        raise first.error("missing 'dim' line", SEMANTIC)
     if oprows and len(oprows) != dim:
-        raise ParseError(
-            path, oprows[-1][0].number, "operator has %d rows, expected %d" % (len(oprows), dim), SEMANTIC
-        )
+        raise oprows[-1][0].error("operator has %d rows, expected %d" % (len(oprows), dim), SEMANTIC)
     for line, what, row in vectors:
         if len(row) != dim:
-            raise ParseError(path, line.number, "%s row has wrong width" % what, SEMANTIC)
+            raise line.error("%s row has wrong width" % what, SEMANTIC)
     operator = tuple(row for _, row in oprows) if oprows else None
     try:
         module = make_filtered_module(p, dim, tuple(tuple(b) for b in blocks), operator)
-    except ValueError as err:
-        raise ParseError(path, p_line.number, str(err), SEMANTIC)
+    except FilteredModuleError as err:
+        raise concerns[err.concerns].error(str(err), SEMANTIC)
     for idx, (line, rows) in sorted(stages.items()):
         if idx < 0 or idx >= len(module.stages):
-            raise ParseError(path, line.number, "no stage %d in this filtration" % idx, SEMANTIC)
+            raise line.error("no stage %d in this filtration" % idx, SEMANTIC)
         if fp_rref(p, rows) != module.stages[idx]:
-            raise ParseError(
-                path, line.number, "stage %d does not match the filtration" % idx, SEMANTIC
-            )
+            raise line.error("stage %d does not match the filtration" % idx, SEMANTIC)
     override = None
     if members is not None:
         supports = []
         for line, supp in members:
             if any(i < 0 or i >= module.sigma for i in supp):
-                raise ParseError(path, line.number, "member support out of range", SEMANTIC)
+                raise line.error("member support out of range", SEMANTIC)
             supports.append(tuple(sorted(set(supp))))
         override = tuple(supports)
     return module, override

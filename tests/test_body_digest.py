@@ -8,14 +8,19 @@ Polys; they cover every `split-p1` `left` and `right` certificate.  So are
 the `sheaf-qc` digests, taken before graded edges and squares were decided
 by comparing Laurent terms.  A
 change that alters any of those reports, or the corpus
-`perfbench/workloads.py` generates, fails here.
+`perfbench/workloads.py` generates, fails here.  So does one that alters
+what `qsheaf selftest --machine --rand-seed <seed>` prints for seeds 0, 1
+and 7, pinned by its sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import pathlib
+
+from qsheaf.cli import main
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "body_digest.py"
 
@@ -38,6 +43,13 @@ SHEAF_QC = {
     0: "d70278a3dc00f5e494aaa60b7dcbec2c2b8e6b22ede80809c4b7800da19e8200",
     1: "2bdb46b28d0ba088eaad12b0a8c54d17a417fcaaaf56d5e63474277e83cde6a1",
     2: "a7a0e615b2210e3c468a3473770727d9b411e35578610e066c31c753d125d502",
+}
+
+# seed: sha256 of the stdout of `qsheaf selftest --machine --rand-seed <seed>`
+SELFTEST = {
+    0: "ca5317fb547da1c97f5b4b758f086c16b28b3b74c08de15c8d28c6583bf53fa5",
+    1: "3ffa4648a723cea8066691e3db611aa09622baf4bcfefd9a426ff640bd9d1fff",
+    7: "ec46d0c701ea9005bde457be6db6addabe9d1ee476b08bee179fa2cfa534d06b",
 }
 
 
@@ -74,3 +86,11 @@ def test_sheaf_qc_bodies_keep_their_pinned_digests(tmp_path):
     body_digest = _load_script()
     got = {seed: body_digest.digest("sheaf-qc", seed, 2, tmp_path / str(seed)) for seed in SHEAF_QC}
     assert got == SHEAF_QC
+
+
+def test_selftest_bodies_keep_their_pinned_digests(capsys):
+    got = {}
+    for seed in SELFTEST:
+        assert main(["selftest", "--machine", "--rand-seed", str(seed)]) == 0
+        got[seed] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == SELFTEST

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from bundles_oracle import laurent_to_str as oracle_laurent_to_str
 from hypothesis import given, strategies as st
 from sheafrep_oracle import direct_sum, map_commutes, rep_is_zero
 
@@ -39,7 +40,7 @@ from qsheaf.bundles import (
     transition_matrix,
     vdim_le_one_witness,
 )
-from qsheaf.charts import FPModule, make_chart_ring, span_contains
+from qsheaf.charts import SKELETONS, FPModule, make_chart_ring, span_contains
 from qsheaf.closure import SubRep
 from qsheaf.exactpoly import Field, PolyRing, poly_from_str, poly_to_str, terms_from_str
 from qsheaf.sheafrep import (
@@ -350,6 +351,36 @@ def test_laurent_text_round_trip(p):
 @given(laurent_polys)
 def test_poly_text_keeps_negative_exponents(p):
     assert terms_from_str(Q, ("s",), poly_to_str(p)) == p.terms
+
+
+@given(data=st.data())
+def test_laurent_text_equals_the_term_loop_it_replaced(data):
+    field = data.draw(st.sampled_from((Q, Field.prime(2), Field.prime(7), Field.prime(2**31 - 1))))
+    if field.char == 0:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12).map(
+            lambda f: field.of_fraction(f.numerator, f.denominator)
+        )
+    else:
+        coeffs = st.integers(0, field.char - 1).map(field.of_int)
+    mapping = data.draw(st.dictionaries(st.integers(min_value=-6, max_value=6), coeffs, max_size=5))
+    p = laurent_ring(field).from_terms({(e,): c for e, c in mapping.items()})
+    text = laurent_to_str(p)
+    assert text == oracle_laurent_to_str(p)
+    assert laurent_from_str(field, text) == p
+
+
+def test_the_laurent_rings_keep_their_bound_and_an_evicted_ring_compares_equal():
+    laurent_ring.cache_clear()
+    f3 = Field.prime(3)
+    first = laurent_ring(f3)
+    before = LaurentPoly.monomial(f3, -1)
+    others = [Q] + [Field.prime(p) for p in (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
+    for field in others[:SKELETONS]:
+        laurent_ring(field)
+        assert laurent_ring.cache_info().currsize <= SKELETONS
+    again = laurent_ring(f3)
+    assert again is not first and again == first
+    assert before + LaurentPoly.monomial(f3, 2) == laurent_from_str(f3, "s^-1 + s^2")
 
 
 def test_poly_text_of_a_laurent_polynomial():

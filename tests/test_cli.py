@@ -546,7 +546,7 @@ EXIT_TWO_TEXTS = [
         "n-range",
         "check-qc",
         "kind graded\nfield Q\nn 7\ndegrees 0\n",
-        "2: semantic error: ambient dimension must be between 1 and 6",
+        "3: semantic error: ambient dimension must be between 1 and 6",
     ),
     (
         "missing-field",
@@ -833,6 +833,8 @@ EXIT_TWO_TEXTS = [
         "4: syntax error: unexpected 'blocks' in a filtered file",
     ),
     ("missing-p", "hill-verify", "kind filtered\ndim 2\n", "2: semantic error: missing 'p' line"),
+    # with no line after the kind line, the kind line carries the error
+    ("missing-p-after-comment", "hill-verify", "# c\nkind filtered\n", "2: semantic error: missing 'p' line"),
     ("missing-dim", "hill-verify", "kind filtered\np 2\n", "2: semantic error: missing 'dim' line"),
     ("duplicate-p", "hill-verify", _F + "p 3\nblock 0 1 0\n", "4: semantic error: duplicate 'p' line"),
     ("duplicate-dim", "hill-verify", _F + "dim 3\nblock 0 1 0\n", "4: semantic error: duplicate 'dim' line"),
@@ -884,13 +886,13 @@ EXIT_TWO_TEXTS = [
         "operator-nilpotent",
         "hill-verify",
         _F + "oprow 0 1\noprow 1 0\nblock 0 1 0\n",
-        "2: semantic error: operator is not nilpotent",
+        "4: semantic error: operator is not nilpotent",
     ),
     (
         "block-adds-nothing",
         "hill-verify",
         _F + "block 0 1 0\nblock 1 1 0\n",
-        "2: semantic error: block 1 adds nothing to the filtration",
+        "5: semantic error: block 1 adds nothing to the filtration",
     ),
     (
         "stage-index-range",
@@ -913,20 +915,41 @@ EXIT_TWO_TEXTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command,text,expected", [case[1:] for case in EXIT_TWO_TEXTS], ids=[case[0] for case in EXIT_TWO_TEXTS]
-)
-def test_exit_two_texts(fixture_dir, tmp_path, command, text, expected):
-    path = tmp_path / "in.txt"
+def _run_text(fixture_dir, path, command, text):
     path.write_text(text)
     if command == "closure":
         job = JobSpec(command=command, inputs=(fixture(fixture_dir, "structure_p1"),), seed_file=str(path))
     else:
         job = JobSpec(command=command, inputs=(str(path),))
-    report = run(job)
+    return run(job)
+
+
+@pytest.mark.parametrize(
+    "command,text,expected", [case[1:] for case in EXIT_TWO_TEXTS], ids=[case[0] for case in EXIT_TWO_TEXTS]
+)
+def test_exit_two_texts(fixture_dir, tmp_path, command, text, expected):
+    path = tmp_path / "in.txt"
+    report = _run_text(fixture_dir, path, command, text)
     code = expected.split(": ", 1)[1].split(" ", 1)[0]
     assert report.exit_status == EXIT_USAGE
     assert report.verdicts == ((code + "-error", "%s:%s" % (path, expected)),)
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [case[1:3] for case in EXIT_TWO_TEXTS if case[0] != "empty-file"],
+    ids=[case[0] for case in EXIT_TWO_TEXTS if case[0] != "empty-file"],
+)
+def test_exit_two_lines_follow_a_leading_comment(fixture_dir, tmp_path, command, text):
+    # every refusal is raised by a significant line of its file, so a
+    # comment put in front moves it down by one
+    lines = []
+    for name, body in (("plain.txt", text), ("commented.txt", "# note\n" + text)):
+        line = _run_text(fixture_dir, tmp_path / name, command, body).certificates["line"]
+        assert body.splitlines()[line - 1].split("#", 1)[0].strip()
+        lines.append(line)
+    plain, commented = lines
+    assert commented == plain + 1
 
 
 @pytest.mark.parametrize("command", ["split-p1", "filter-p1"])
