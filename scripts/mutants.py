@@ -16,8 +16,9 @@ with a fixed seed, so a verdict does not depend on the run.  Uses the
 standard library only.
 
 tests/test_mutant_registry.py keeps the registry in step with the code:
-each old text occurs exactly once in its file and each named test exists,
-so a change that moves the mutated code updates its entry too.
+each old text occurs exactly once in its file, the file compiles with the
+entry applied, and each named test exists, so a change that moves the
+mutated code updates its entry too.
 """
 
 from __future__ import annotations
@@ -105,10 +106,20 @@ MUTANTS = (
     Mutant(
         "certificate-coefficients-without-membership-check",
         "src/qsheaf/charts.py",
-        "        if mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):\n"
+        "        if self.square or mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):\n"
         "            return coeffs\n        return None\n",
         "        return coeffs\n",
         ("tests/test_certificate_oracle.py::test_a_non_member_is_refused_though_its_coefficients_exist",),
+    ),
+    Mutant(
+        "square-shortcut-for-every-certificate",
+        "src/qsheaf/charts.py",
+        "        self.square = len(laurent) == len(matrix)\n",
+        "        self.square = True\n",
+        (
+            "tests/test_certificate_oracle.py::test_a_non_member_is_refused_though_its_coefficients_exist",
+            "tests/test_certificate_oracle.py::test_certificate_answers_match_a_direct_tracked_run",
+        ),
     ),
     Mutant(
         "find-certificate-without-right-inverse-check",
@@ -118,11 +129,35 @@ MUTANTS = (
         ("tests/test_certificate_oracle.py::test_a_wrong_solve_is_refused",),
     ),
     Mutant(
+        "certificate-lifts-to-the-memoized-row-count",
+        "src/qsheaf/charts.py",
+        "        return None if found is None else found.cut(self.chart, len(rows))\n",
+        "        return None if found is None else found.cut(self.chart, found.nrows)\n",
+        ("tests/test_certificate_oracle.py::test_a_shared_solve_keeps_each_askers_row_count",),
+    ),
+    Mutant(
+        "kept-solve-bound-to-its-chart",
+        "src/qsheaf/charts.py",
+        "    cert = Certificate(ring, laurent, tuple(matrix), m)\n",
+        "    cert = Certificate(ring, laurent, tuple(matrix), m, chart)\n",
+        ("tests/test_certificate_oracle.py::test_a_kept_solve_leaves_its_chart_free_of_reference_cycles",),
+    ),
+    Mutant(
         "unit-diagonal-exponents-not-negated",
         "src/qsheaf/charts.py",
-        "        self.inverse = tuple((tuple(map(neg, e)), inv(c)) for e, c in diagonal)\n",
-        "        self.inverse = tuple((e, inv(c)) for e, c in diagonal)\n",
+        "        row[j] = Poly(xring, {tuple(map(neg, e)): inv(c)})\n",
+        "        row[j] = Poly(xring, {e: inv(c)})\n",
         ("tests/test_certificate_oracle.py::test_unit_diagonal_answers_match_a_direct_tracked_run",),
+    ),
+    Mutant(
+        "unit-diagonal-carries-no-relations",
+        "src/qsheaf/charts.py",
+        "    carried = module if module._has_relations() else None\n",
+        "    carried = None\n",
+        (
+            "tests/test_certificate_oracle.py::test_row_relations_reads_an_empty_kernel_off_the_certificate_kind",
+            "tests/test_certificate_oracle.py::test_unit_diagonal_answers_match_a_direct_tracked_run",
+        ),
     ),
     Mutant(
         "mat-apply-ignores-last-row",
@@ -185,7 +220,8 @@ def run(mutant: Mutant | None, tests: tuple, root: str) -> str:
         done = subprocess.run(
             args + list(tests), cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         )
-    # 1: a test failed; 2: collection failed on the mutated code
+    # 1: a test failed; 2: collection failed on the mutated code, which
+    # compiles (test_mutant_registry), so an import or a fixture failed
     return {0: "survived", 1: "killed", 2: "killed"}.get(done.returncode, "error")
 
 

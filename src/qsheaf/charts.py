@@ -54,11 +54,12 @@ mutable and grow across the jobs of a process.
 
 Each ChartRing keeps one memo of the Groebner runs over its ring (span_gb
 and FPModule.lifter) and of the constant certificates that replace them
-on a chart without subscheme relations (FPModule.certificate: a constant
-right inverse of the rows, or None for no certificate), keyed on rank and
-rows, not on the asking object, and never mutated; a unit-diagonal
-certificate is read off the rows and not kept, and neither is the tracked
-run of FPModule.row_relations, which no later ask reads back.  It lives as
+on a chart without subscheme relations (FPModule.certificate: the one
+certificate kind, a Laurent matrix B with S*B = I, or None), keyed on rank
+and rows, not on the asking object, and never mutated; each ask cuts a
+kept certificate to its own row count.  A unit-diagonal certificate is
+read off the rows and not kept, and neither is the tracked run of
+FPModule.row_relations, which no later ask reads back.  It lives as
 long as its quiver.  A tracked run also serves span requests:
 FPModule.lifter files its basis under the span key of the same generator
 list, unless a span basis is there already, so span_gb then builds
@@ -72,7 +73,7 @@ the memo when sheafrep._present presents them.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul, neg
+from operator import neg
 from typing import Iterable, Sequence
 
 from .exactpoly import (
@@ -420,35 +421,59 @@ def span_contains(chart: ChartRing, gb: list, vec) -> bool:
 
 
 class Certificate:
-    """A constant right inverse C of a matrix S over a chart without
-    subscheme relations, both matrices of Laurent forms, Polys of ring (the
-    chart's xring): laurent holds S, m rows of length g, and matrix holds
-    C, g rows of m constants, with S*C = I_m.  Every product is one
-    mat_apply or mat_mul.  find_certificate makes one and checks S*C = I_m
-    (is_right_inverse) before handing it out; FPModule's constant lemma
-    says what it decides: kernel(), the relations among the rows, is
-    empty."""
+    """A Laurent matrix B with S*B = I of rows S: laurent holds S, m rows
+    of length g, and matrix holds B, g rows of m entries, both Polys of
+    ring, a chart's xring; square says m = g.  FPModule's certificate lemma
+    says what it decides.  Bound to a chart, it answers as FPModule.lifter
+    for the first nrows rows of S, and carries the relations of module,
+    unless None, outside S.  The chart memo keeps a constant solve unbound,
+    since a chart there would make a reference cycle that keeps the job's
+    charts alive until the cyclic collector runs; cut binds it per ask."""
 
-    def __init__(self, ring: PolyRing, laurent: tuple, matrix: tuple):
+    def __init__(self, ring, laurent: tuple, matrix: tuple, nrows: int, chart: ChartRing = None, module=None):
         self.ring = ring
         self.laurent = laurent
         self.matrix = matrix
+        self.nrows = nrows
+        self.chart = chart
+        self.module = module
         self.square = len(laurent) == len(matrix)
 
+    def cut(self, chart: ChartRing, nrows: int) -> "Certificate":
+        """This certificate bound to chart, lifting to its first nrows
+        coefficients."""
+        return Certificate(self.ring, self.laurent, self.matrix, nrows, chart, self.module)
+
     def coefficients(self, vec):
-        """x*C for the row x = vec when x = (x*C)*S, that is when x lies in
-        the span of S, else None; vec and the result are rows of Laurent
+        """x*B for the row x = vec when x = (x*B)*S, that is when x lies in
+        the span of S, else None; a square certificate spans every x, so it
+        does not multiply back.  vec and the result are rows of Laurent
         forms."""
         coeffs = mat_apply(vec, self.matrix, self.ring, len(self.laurent))
-        if mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):
+        if self.square or mat_apply(coeffs, self.laurent, self.ring, len(vec)) == tuple(vec):
             return coeffs
         return None
 
+    def lift(self, vec):
+        """The first nrows coefficients of the chart row vec, as chart
+        polynomials, or None when vec is not in the span of S."""
+        chart = self.chart
+        coeffs = self.coefficients(tuple(map(chart.to_laurent, vec)))
+        if coeffs is None:
+            return None
+        return [chart.from_laurent(a) for a in coeffs[: self.nrows]]
+
     def kernel(self) -> list:
-        return []
+        """The relations among the rows: the carried relations times B, as
+        chart polynomials, or [] when none are carried."""
+        if self.module is None:
+            return []
+        chart = self.chart
+        b = [tuple(map(chart.from_laurent, row)) for row in self.matrix]
+        return [mat_apply(r, b, chart.ring, len(self.laurent)) for r in self.module.relations]
 
     def is_right_inverse(self) -> bool:
-        """S*C = I_m as Laurent forms."""
+        """S*B = I_m as Laurent forms."""
         m = len(self.laurent)
         return mat_mul(self.laurent, self.matrix, self.ring, m) == mat_identity(self.ring, m)
 
@@ -487,35 +512,8 @@ def find_certificate(chart: ChartRing, laurent: tuple, gens: int):
     matrix = [(ring.zero(),) * m] * gens
     for r, j in enumerate(pivots):
         matrix[j] = tuple(map(ring.constant, mat[r][gens:]))
-    cert = Certificate(ring, laurent, tuple(matrix))
+    cert = Certificate(ring, laurent, tuple(matrix), m)
     return cert if cert.is_right_inverse() else None
-
-
-class UnitDiagonal:
-    """The certificate of rows with a unit diagonal, read by
-    _diagonal_terms: inverse holds the (Laurent exponent, coefficient) of
-    each entry of B, its exponent the negated one of the diagonal entry.
-    By FPModule's unit-diagonal lemma coefficients(x) is x*B for every x,
-    each Laurent entry times one term (Poly.mul_term), and kernel() is the
-    module's relations times B; the relations are read there alone, so a
-    certificate that only lifts never has them written as chart
-    polynomials."""
-
-    square = True
-
-    def __init__(self, module: "FPModule", diagonal: tuple):
-        self.chart = module.chart
-        inv = module.chart.field.inv
-        self.inverse = tuple((tuple(map(neg, e)), inv(c)) for e, c in diagonal)
-        self.module = module
-
-    def coefficients(self, vec) -> list:
-        return [entry.mul_term(d, b) for entry, (d, b) in zip(vec, self.inverse)]
-
-    def kernel(self) -> list:
-        chart = self.chart
-        b = [chart.from_laurent(Poly(chart.xring, {d: c})) for d, c in self.inverse]
-        return [tuple(map(mul, r, b)) for r in self.module.relations]
 
 
 def _laurent_rows(chart: ChartRing, rows) -> tuple:
@@ -549,24 +547,23 @@ def _has_unit_diagonal(chart: ChartRing, diagonal, gens: int) -> bool:
     return not any(e[i] for e, _c in diagonal for i in outside)
 
 
-class CertifiedLift:
-    """FPModule.lifter(rows) read off a certificate of the rows: lift(x)
-    is the first len(rows) of its coefficients(x), or None; kernel() is
-    the certificate's."""
-
-    def __init__(self, chart: ChartRing, nrows: int, cert: Certificate | UnitDiagonal):
-        self.chart = chart
-        self.nrows = nrows
-        self.cert = cert
-
-    def lift(self, vec):
-        coeffs = self.cert.coefficients(tuple(map(self.chart.to_laurent, vec)))
-        if coeffs is None:
-            return None
-        return [self.chart.from_laurent(a) for a in coeffs[: self.nrows]]
-
-    def kernel(self) -> list:
-        return self.cert.kernel()
+def _inverse_diagonal(module: "FPModule", diagonal) -> Certificate:
+    """The certificate of rows with the unit diagonal read by
+    _diagonal_terms: S holds the rows and B the inverse terms, of negated
+    exponent and inverse coefficient, and it carries the module when the
+    module has relations."""
+    chart = module.chart
+    xring, inv, size = chart.xring, chart.field.inv, len(diagonal)
+    zero = Poly(xring, {})
+    row, s, b = [zero] * size, [None] * size, [None] * size
+    for j, (e, c) in enumerate(diagonal):
+        row[j] = Poly(xring, {e: c})
+        s[j] = tuple(row)
+        row[j] = Poly(xring, {tuple(map(neg, e)): inv(c)})
+        b[j] = tuple(row)
+        row[j] = zero
+    carried = module if module._has_relations() else None
+    return Certificate(xring, tuple(s), tuple(b), size, chart, carried)
 
 
 class FPModule:
@@ -589,33 +586,33 @@ class FPModule:
     module itself keeps only its Laurent rows.
 
     are_zero, in_span, lifter and row_relations first ask for a
-    certificate of the rows (certificate(rows)), which makes no run, of
-    one of two kinds; without one each method makes its run below.
+    certificate of the rows (certificate(rows)), which makes no run;
+    without one each method makes its run below.
 
-    Unit-diagonal lemma.  Let the rows A be square of size gens, each
-    diagonal entry one term c*m with m a unit (its Laurent exponent is 0
-    outside the chart's vertex) and every other entry 0, and B the
-    entrywise inverse, b_jj = c^-1*m^-1.  Then B*A = I, so every x lifts
-    as x*B and the rows are onto; and the relations among the rows are
-    the relations R times B, as c*A = d*R gives c = d*R*B and (r*B)*A = r.
-    This holds in every quotient ring, the zero ring included
-    (UnitDiagonal); graded edges, Serre covers and identity maps are so.
-
-    Constant lemma.  On a chart without subscheme relations, R is the
-    Laurent ring k[x_j/x_p, (x_i/x_p)^-1], where every element has one
-    Laurent form.  Let S be the m rows followed by the relations and C a
-    constant matrix with S*C = I_m (Certificate).  Then x lies in span(S)
-    iff x = (x*C)*S, and then x*C is the only a with x = a*S.  Proof: if
-    x = a*S, then x*C = a*S*C = a.  So membership is x = (x*C)*S compared
-    as Laurent forms, the first len(rows) entries of x*C lift x, and the
-    rows have no relations, (c, d)*S = 0 forcing (c, d) = 0.  Such a C
-    needs m <= gens.  This is the constant case of unimodular row
-    completion (Logar and Sturmfels, J. Algebra 145, 1992): an Euler
-    quotient presents the kernel of the Serre cover by a row
-    r = (l_0/x_p, ..., l_n/x_p) with sum c_i r_i = 1 for a constant c.
-
-    A square certificate (B, or C with m = gens, where C*S = I too) puts
-    every x in the span.
+    Certificate lemma.  Let S be m rows of length gens over the chart ring
+    and B a matrix with S*B = I_m (a Certificate).
+    (a) x lies in span(S) iff x = (x*B)*S, and then x*B is the only a with
+        x = a*S: if x = a*S, then x*B = a*S*B = a.  So S has no relations.
+    (b) If S is square, then B*S = I too, as det(S)*det(B) = 1, so every x
+        lifts, as x*B.  If S is the rows A alone and the relations R are
+        kept outside S, the relations among the rows are R times B:
+        c*A = d*R gives c = d*R*B, and (r*B)*A = r.
+    A certificate is made in one of two ways.  Unit-diagonal lemma:
+    square rows A whose diagonal entries are terms c*m with m a unit (its
+    Laurent exponent is 0 outside the chart's vertex) and whose other
+    entries are 0 have S = A and B the entrywise inverse,
+    b_jj = c^-1*m^-1: S*B = I in every quotient ring, the zero ring
+    included.  Graded edges, Serre covers and identity maps are so.
+    Constant case: on a chart without subscheme relations, the chart ring
+    is the Laurent ring k[x_j/x_p, (x_i/x_p)^-1], where every element has
+    one Laurent form, so S*B = I and x = (x*B)*S are compared as Laurent
+    forms.  There S may be the rows followed by the relations, at most
+    gens of them, and B a constant matrix (find_certificate); by (a) the
+    entries of x*B for the rows lift x, and the rows have no relations.
+    This is the constant case of unimodular row completion (Logar and
+    Sturmfels, J. Algebra 145, 1992): an Euler quotient presents the
+    kernel of the Serre cover by a row r = (l_0/x_p, ..., l_n/x_p) with
+    sum c_i r_i = 1 for a constant c.
     """
 
     def __init__(self, chart: ChartRing, gens: int, relations: Sequence[Sequence[Poly]] = (), laurent=None):
@@ -664,38 +661,39 @@ class FPModule:
     def _all_relations(self) -> list:
         return list(self.relations) + ideal_block(self.chart, self.gens)
 
-    def certificate(self, rows) -> Certificate | UnitDiagonal | None:
-        """The certificate of the rows (tuples): their UnitDiagonal, else
-        the Certificate of the rows followed by the relations, found once
-        per chart for each (gens, rows) from the rows' Laurent forms and
-        laurent, or None for no certificate: at once on a chart with
-        subscheme relations or for more rows than generators, else as the
-        memo keeps it."""
+    def certificate(self, rows) -> Certificate | None:
+        """The Certificate of the rows (tuples), or None for none: their
+        unit diagonal's (_inverse_diagonal), else the constant one of the
+        rows followed by the relations, found once per chart for each
+        (gens, rows + relations) from the rows' Laurent forms and laurent
+        and cut to len(rows) on each ask; None at once on a chart with
+        subscheme relations or for more rows than generators."""
         if any(len(row) != self.gens for row in rows):
             raise DimensionMismatchError("row of wrong length")
         diagonal = _diagonal_terms(self.chart, rows)
         if _has_unit_diagonal(self.chart, diagonal, self.gens):
-            return UnitDiagonal(self, diagonal)
+            return _inverse_diagonal(self, diagonal)
         matrix = rows + self.relations
         if self.chart._subscheme or len(matrix) > self.gens:
             return None
-        return self.chart.memo(
+        found = self.chart.memo(
             ("certificate", self.gens, matrix),
             lambda: find_certificate(self.chart, _laurent_rows(self.chart, rows) + self.laurent, self.gens),
         )
+        return None if found is None else found.cut(self.chart, len(rows))
 
     def row_relations(self, rows) -> list:
         """Generators of the relations among the rows: the coefficient
         vectors c with sum(c[i] * rows[i]) zero in the module.  Empty when
-        a certificate of the rows has an empty kernel, which is read off
-        its kind without building it: a constant Certificate's always is,
-        and a UnitDiagonal's, the relations times B, is when the module
-        has no relations.  Otherwise the list of a tracked run
+        the rows have a certificate that carries no relations, whose
+        kernel() is [] (part (b) of the certificate lemma; a constant one
+        has none by part (a)).  Otherwise the list of a tracked run
         (module_kernel), made on each ask and not kept in the memo, so a
-        UnitDiagonal's kernel is checked apart from its lemma."""
+        kernel the certificate would read off its carried relations is
+        checked apart from the lemma."""
         rows = tuple(tuple(r) for r in rows)
         cert = self.certificate(rows)
-        if isinstance(cert, Certificate) or (cert is not None and not self._has_relations()):
+        if cert is not None and cert.module is None:
             return []
         return module_kernel(rows, self._all_relations(), self.chart.ring, self.gens)
 
@@ -704,7 +702,7 @@ class FPModule:
         lift(x) holds one coefficient per row and expresses x over the rows
         modulo the relations, or lift(x) is None; kernel() gives the
         relations among the rows.  With a certificate of the rows this is
-        a CertifiedLift, and no run is made.  Otherwise it is a tracked run
+        that Certificate, and no run is made.  Otherwise it is a tracked run
         over the rows alone: the relations and the chart's ideal block are
         only modded out.  Its basis is a Groebner basis of span_gb(rows)'s
         span, filed as span_gb(rows) unless one is filed already, so one
@@ -713,7 +711,7 @@ class FPModule:
         rows = tuple(tuple(r) for r in rows)
         cert = self.certificate(rows)
         if cert is not None:
-            return CertifiedLift(self.chart, len(rows), cert)
+            return cert
         key = rows + self.relations
 
         def build():

@@ -6,6 +6,9 @@ variables, each the target chart monomial with the variable's Laurent
 exponent in normal form, and reduces the result; that was `ChartHom.apply`
 over the `images` its constructor reduced one by one, with
 `Poly.substitute`.  `dehomogenize` is `ChartRing.dehomogenize`'s index loop.
+
+`unit_diagonal` tells which way `FPModule.certificate` made a certificate,
+by its shape alone.
 """
 
 from __future__ import annotations
@@ -53,3 +56,13 @@ def dehomogenize(chart, g: Poly) -> Poly:
                 exp[chart._z_index[j]] = ej
         out = out + chart.ring.monomial(tuple(exp), c)
     return out
+
+
+def unit_diagonal(cert) -> bool:
+    """cert is a certificate made from a unit diagonal: S is the asker's
+    rows alone, square, and B is diagonal.  A constant certificate of
+    square rows alone has a constant S, which is a unit diagonal when it
+    is diagonal, and only then is its inverse B diagonal."""
+    if cert is None or not cert.square or cert.nrows != len(cert.laurent):
+        return False
+    return all(not p.terms for j, row in enumerate(cert.matrix) for k, p in enumerate(row) if k != j)

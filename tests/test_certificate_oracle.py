@@ -24,16 +24,21 @@ diagonal entry a nonzero constant times a monomial in the chart's unit
 variables, under random relations.  Spoiled ones are not unit diagonals,
 and take a constant certificate or the runs: an off-diagonal entry, a
 diagonal entry times a non-unit z_k, and a two-term diagonal entry.
-`row_relations` reads an empty kernel off the certificate's kind, without
-multiplying the kernel out.
+`row_relations` reads an empty kernel off a certificate that carries no
+relations, without multiplying the kernel out.  Askers with other rows but
+the same rows followed by relations share one constant solve, and each
+lifts to its own row count; the kept solve holds no chart.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from hypothesis import assume, event, given, settings, strategies as st
 
 from qsheaf import charts
-from qsheaf.charts import FPModule, UnitDiagonal, find_certificate, ideal_block, make_chart_ring, x_ring
+from qsheaf.charts import FPModule, find_certificate, ideal_block, make_chart_ring, x_ring
 from qsheaf.exactpoly import (
     Field,
     TrackedBasis,
@@ -43,6 +48,7 @@ from qsheaf.exactpoly import (
     vec_is_zero,
     vec_sub,
 )
+from charts_oracle import unit_diagonal
 from exactpoly_oracle import vec_add, vec_mul_poly
 
 FIELDS = (Field(0), Field(5), Field(7))
@@ -183,7 +189,7 @@ def test_certificate_answers_match_a_direct_tracked_run(presentation, data):
     cert = FPModule(chart, gens, relations).certificate(rows)
     event(spoil)
     # an unspoiled draw may be a constant diagonal, which is a unit diagonal
-    assert (cert is not None) == (spoil == "none" or isinstance(cert, UnitDiagonal))
+    assert (cert is not None) == (spoil == "none" or unit_diagonal(cert))
     _check_against_a_tracked_run(chart, gens, rows, relations, data)
 
 
@@ -193,7 +199,7 @@ def test_unit_diagonal_answers_match_a_direct_tracked_run(presentation, data):
     chart, gens, rows, relations, spoil = presentation
     cert = FPModule(chart, gens, relations).certificate(rows)
     event("spoil: " + spoil)
-    assert isinstance(cert, UnitDiagonal) == (spoil == "none")
+    assert unit_diagonal(cert) == (spoil == "none")
     _check_against_a_tracked_run(chart, gens, rows, relations, data)
 
 
@@ -214,7 +220,7 @@ def _check_against_a_tracked_run(chart, gens, rows, relations, data):
     units = [tuple(ring.one() if k == j else ring.zero() for k in range(gens)) for j in range(gens)]
     others = [vecs(data.draw, ring, gens) for _ in range(data.draw(st.integers(0, 2)))]
     lifter = module.lifter(rows)
-    assert isinstance(lifter, charts.CertifiedLift) == (cert is not None)
+    assert isinstance(lifter, charts.Certificate) == (cert is not None)
     for x in members + units + others + [tuple(ring.zero() for _ in range(gens))]:
         expected = tracked.lift(x)
         assert module.in_span(rows, (x,)) == (expected is not None)
@@ -288,6 +294,50 @@ def test_a_lift_holds_the_row_coefficients_not_the_relation_ones():
     assert module.are_zero((relation,)) and not module.are_zero((row,))
 
 
+def test_a_shared_solve_keeps_each_askers_row_count(monkeypatch):
+    # the rows (a,) over the module with relation b and the rows (a, b)
+    # over the free module have the same S = (a, b), solved once; each
+    # lift holds one coefficient per row of its asker and rebuilds x
+    solves = []
+    real = charts.find_certificate
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(charts, "find_certificate", counted)
+    chart = make_chart_ring(Field(0), 2, {0})
+    ring = chart.ring
+    zero, one = ring.zero(), ring.one()
+    a, b = (one, zero, zero), (zero, one, zero)
+    x = vec_add(vec_mul_poly(a, chart.z(1)), vec_mul_poly(b, chart.z(2) + one))
+    quotient, free = FPModule(chart, 3, (b,)), FPModule(chart, 3)
+    lifts = [(quotient, (a,), quotient.lifter((a,)).lift(x)), (free, (a, b), free.lifter((a, b)).lift(x))]
+    assert len(solves) == 1
+    assert [len(found) for _module, _rows, found in lifts] == [1, 2]
+    for module, rows, found in lifts:
+        combination = tuple(ring.zero() for _ in range(3))
+        for c, row in zip(found, rows):
+            combination = vec_add(combination, vec_mul_poly(row, c))
+        assert module.are_zero((vec_sub(x, combination),))
+
+
+def test_a_kept_solve_leaves_its_chart_free_of_reference_cycles():
+    # the chart memo keeps the constant solve without its chart, so the
+    # chart goes with its last reference and not at the next collection
+    chart = make_chart_ring(Field(0), 2, {0})
+    row = (chart.ring.one(), chart.z(1), chart.z(2))
+    module = FPModule(chart, 3)
+    assert module.lifter((row,)).lift(vec_mul_poly(row, chart.z(1))) == [chart.z(1)]
+    ref = weakref.ref(chart)
+    gc.disable()
+    try:
+        del chart, row, module
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_row_relations_reads_an_empty_kernel_off_the_certificate_kind(monkeypatch):
     # identity rows over a module without relations (a unit diagonal) and
     # the Euler row (a constant certificate) have no relations among them,
@@ -296,7 +346,6 @@ def test_row_relations_reads_an_empty_kernel_off_the_certificate_kind(monkeypatc
     def refused(self):
         raise AssertionError("a certificate's kernel was built")
 
-    monkeypatch.setattr(UnitDiagonal, "kernel", refused)
     monkeypatch.setattr(charts.Certificate, "kernel", refused)
     chart = make_chart_ring(Field(0), 2, {0})
     ring = chart.ring
@@ -304,10 +353,11 @@ def test_row_relations_reads_an_empty_kernel_off_the_certificate_kind(monkeypatc
     identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
     euler = ((one, chart.z(1), chart.z(2)),)
     free = FPModule(chart, 3)
-    assert isinstance(free.certificate(identity), UnitDiagonal)
-    assert isinstance(free.certificate(euler), charts.Certificate)
+    assert unit_diagonal(free.certificate(identity))
+    constant = free.certificate(euler)
+    assert constant is not None and not unit_diagonal(constant)
     assert free.row_relations(identity) == [] and free.row_relations(euler) == []
     quotient = FPModule(chart, 3, euler)
     run = TrackedBasis(identity, ring, 3, list(euler) + ideal_block(chart, 3))
-    assert isinstance(quotient.certificate(identity), UnitDiagonal)
+    assert unit_diagonal(quotient.certificate(identity))
     assert quotient.row_relations(identity) == run.kernel() != []

@@ -353,15 +353,15 @@ def test_memo_runs_and_lifts_keep_integral_rationals_as_ints(monkeypatch, comman
 
     def watched_certificate(self, rows):
         found = real_certificate(self, rows)
-        if isinstance(found, charts.UnitDiagonal):
-            constants.extend(c for _d, c in found.inverse)
+        if found is not None:
+            constants.extend(c for row in found.matrix for p in row for c in p.terms.values())
             lifts.extend(found.kernel())
         return found
 
     real_memo, real_certificate = charts.ChartRing.memo, charts.FPModule.certificate
     monkeypatch.setattr(charts.ChartRing, "memo", watched_memo)
     monkeypatch.setattr(charts.FPModule, "certificate", watched_certificate)
-    for lifter in (exactpoly.TrackedBasis, charts.CertifiedLift):
+    for lifter in (exactpoly.TrackedBasis, charts.Certificate):
         monkeypatch.setattr(lifter, "lift", watching(lifter.lift))
     job = JobSpec(
         command=command,

@@ -82,9 +82,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafrep_oracle as oracle
+from charts_oracle import unit_diagonal
 from qsheaf import charts, sheafrep
 from qsheaf.bundles import serre_cover
-from qsheaf.charts import FPModule, UnitDiagonal, x_ring
+from qsheaf.charts import FPModule, x_ring
 from qsheaf.cli import EXIT_CHECK_FAILED, EXIT_OK, JobSpec, run
 from qsheaf.closure import SubRep, qc_closure, verify_subrep
 from qsheaf.exactpoly import Field, Poly, vec_sub, vec_unit
@@ -273,9 +274,14 @@ def _unit_diagonal(rep, e) -> bool:
 
 
 def _lemma(rows, tgt):
-    """The unit-diagonal certificate of the rows in tgt, or None."""
-    cert = tgt.certificate(tuple(map(tuple, rows)))
-    return cert if isinstance(cert, UnitDiagonal) else None
+    """The certificate of the rows in tgt when charts reads a unit diagonal
+    off them, which is then of that shape, or None."""
+    rows, chart = tuple(map(tuple, rows)), tgt.chart
+    if not charts._has_unit_diagonal(chart, charts._diagonal_terms(chart, rows), tgt.gens):
+        return None
+    cert = tgt.certificate(rows)
+    assert unit_diagonal(cert)
+    return cert
 
 
 def _without_the_lemma(monkeypatch):
@@ -309,8 +315,8 @@ def test_edge_verdicts_match_oracle(rep):
             # are checked here, in the chart, where 1 may be 0
             chart = rep.modules[e[1]].chart
             one = chart.nf(chart.ring.one())
-            for j, (row, (d, c)) in enumerate(zip(rep.edge_maps[e], inverse.inverse)):
-                assert chart.nf(row[j] * chart.from_laurent(Poly(chart.xring, {d: c}))) == one
+            for j, (row, b) in enumerate(zip(rep.edge_maps[e], inverse.matrix)):
+                assert chart.nf(row[j] * chart.from_laurent(b[j])) == one
         # the term path takes only matrices the lemma of _injective
         # and _onto inverts
         assert not _edge_by_terms(rep, e) or inverse is not None
