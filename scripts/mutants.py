@@ -184,6 +184,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "graded-kernel-degree-without-the-row-degree",
+        "src/qsheaf/sheafrep.py",
+        "        out.append(row[j].degree() + graded.degrees[j])\n",
+        "        out.append(graded.degrees[j])\n",
+        (
+            "tests/test_graded_kernel.py::test_vdim_witness_on_euler_quotients_makes_no_present_or_push_call",
+            "tests/test_graded_kernel.py::test_misstated_relation_degrees_fail_the_intertwining_check",
+        ),
+    ),
+    Mutant(
+        "graded-kernel-without-intertwining-check",
+        "src/qsheaf/sheafrep.py",
+        "            if not _intertwines(near, far, d_src, d_ker):\n                return None\n",
+        "",
+        ("tests/test_graded_kernel.py::test_misstated_relation_degrees_fail_the_intertwining_check",),
+    ),
+    Mutant(
+        "graded-kernel-accepts-a-certificate-carrying-relations",
+        "src/qsheaf/sheafrep.py",
+        "        if cert is None or cert.module is not None:\n",
+        "        if cert is None:\n",
+        (
+            "tests/test_graded_kernel.py::test_rows_whose_certificate_carries_source_relations_take_the_generic_kernel",
+        ),
+    ),
+    Mutant(
         "lattice-theorem-without-dimension-check",
         "src/qsheaf/hill.py",
         "            and m.dim == sum(x for b, x in enumerate(d) if mask >> b & 1)\n",

@@ -223,13 +223,19 @@ def vdim_le_one_witness(rep: SheafRep, cover: SheafMap) -> VdimWitness:
     cover, verified exact at every vertex, with bundle certificates for the
     kernel and the middle term.
 
-    kernel(cover) reads the relations among the cover's rows off the
-    rows' certificate: over an identity cover, FPModule's unit-diagonal
-    lemma.  The kernel-covered check does not: it asks row_relations for
-    them, which takes a certificate's answer only when there are no
+    kernel(cover) reads a Serre cover's kernel off the graded
+    presentation (the graded-kernel lemma, sheafrep._graded_kernel): the
+    sum of twists by the relation degrees, included by the relation rows,
+    when at every vertex those rows have a certificate in the cover source
+    that carries no relations and they intertwine the edges.  Otherwise,
+    and for a cover with no graded data such as lazard's quotient, it
+    presents the relations among the cover's rows by the generic path.
+    The kernel-covered check does neither: it asks row_relations for the
+    relations, which takes a certificate's answer only when there are no
     relations among the rows, so over an identity cover onto a module with
-    relations a tracked run computes them apart from that lemma; reading
-    them by the lemma again would make the check circular."""
+    relations a tracked run computes them apart from the lemma that made
+    the kernel; reading them by a lemma again would make the check
+    circular."""
     if cover.target is not rep:
         raise ValueError("cover does not land in the given representation")
     findings = []

@@ -750,16 +750,109 @@ def induced_rep(sub: SubRep):
     return _present(sub.ambient, sub.sections)
 
 
+def _relation_degrees(graded: GradedData):
+    """The degree e_i = deg r_ij + d_j of each relation row, read at its
+    first nonzero entry (check_graded_row makes it the same across the
+    row), or None when a row is zero and has no degree, or when there is
+    no row: a sum of twists, whose kernel is zero and which the generic
+    path presents with no push and no lift."""
+    if not graded.rows:
+        return None
+    out = []
+    for row in graded.rows:
+        j = next((j for j, g in enumerate(row) if g), None)
+        if j is None:
+            return None
+        out.append(row[j].degree() + graded.degrees[j])
+    return tuple(out)
+
+
+def _intertwines(near, far, d_src, d_ker) -> bool:
+    """row * D_src == D_ker * row' as Laurent terms: each near inclusion
+    row times the source edge's diagonal is the far row of the same index
+    times that index's entry of the kernel edge's diagonal."""
+    return d_src is not None and d_ker is not None and all(
+        tuple([entry.mul_term(e, c) for entry, (e, c) in zip(r, d_src)])
+        == tuple([entry.mul_term(ek, ck) for entry in s])
+        for r, s, (ek, ck) in zip(near, far, d_ker)
+    )
+
+
+def _graded_kernel(f: SheafMap):
+    """The kernel of an identity map onto a graded sheaf, such as Serre's
+    cover, read off the target's graded presentation, or None where the
+    lemma below does not answer.  The source needs no graded data: (2)
+    reads only the diagonals of its edge matrices.
+
+    Lemma.  Let the target's relation rows r_i have degrees e_i, and let K
+    be graded_sheaf(quiver, e), the free sheaf on generators of those
+    degrees, mapped into the source by the rows r_i dehomogenized at each
+    vertex (rep.modules[v].relations).  Suppose that on charts without
+    subscheme relations (1) at every vertex the rows have a certificate in
+    the source module that carries no relations, and (2) along every edge
+    row * D_src == D_ker * row' as Laurent terms (_intertwines), D_src and
+    D_ker the diagonals of the source's and K's edge matrices.  Then this
+    is the kernel that the generic path presents, generator for generator:
+    the kernel at v is the span of the target relations modulo the source
+    ones, and by (1) the rows are independent there (part (a) of
+    FPModule's certificate lemma), so none is pruned and none has a
+    relation; the push of a near row is its Laurent form times D_src, as
+    a chart hom is the identity on Laurent forms, and by (2) and the
+    uniqueness of lifts it lifts over the far rows as the row of D_ker.
+    Why (2) holds on graded input: r_i dehomogenized at pivot p is the
+    section r_i / x_p^e_i, which is (x_q/x_p)^e_i times its form at pivot
+    q, the skeleton's graded edge for degree e_i.  (2) is still checked,
+    once per distinct (near rows, far rows, diagonals), which on a graded
+    sheaf is once per pair of pivots."""
+    source, target = f.source, f.target
+    quiver = source.quiver
+    if target.graded is None or quiver.ideal_gens:
+        return None
+    relation_degrees = _relation_degrees(target.graded)
+    if relation_degrees is None:
+        return None
+    rows, gens = {}, len(target.graded.degrees)
+    for v in quiver.vertices:
+        incl = target.modules[v].relations
+        if f.rows[v] != mat_identity(quiver.chart(v).ring, gens) or len(incl) != len(relation_degrees):
+            return None
+        cert = source.modules[v].certificate(incl)
+        if cert is None or cert.module is not None:
+            return None
+        rows[v] = incl
+    ker = graded_sheaf(quiver, relation_degrees)
+    checked = set()
+    for e in quiver.edges:
+        v, w = e
+        near, far = target.modules[v].laurent, target.modules[w].laurent
+        d_src, d_ker = _diagonal(source, e), _diagonal(ker, e)
+        key = (id(near), id(far), d_src, d_ker)
+        if key not in checked:
+            if not _intertwines(near, far, d_src, d_ker):
+                return None
+            checked.add(key)
+    return ker, SheafMap(ker, source, rows)
+
+
 def kernel(f: SheafMap):
     """Kernel representation with its inclusion into the source.
 
+    The identity onto a graded sheaf, as bundles.serre_cover builds it,
+    has its kernel read off the target's graded presentation where
+    _graded_kernel's lemma answers: the free
+    sheaf on the relation rows, with no push and no lift.  Any other map,
+    and that one where the lemma does not answer (no relation row, a zero
+    or dependent one, rows with no constant certificate, subscheme
+    charts), takes the generic path, which stays as the lemma's oracle.
     Vertexwise the kernel generators are a generating set of solutions of
     c . f = 0 modulo target relations, pruned of redundant ones; edge maps
     are produced by lifting pushed-forward kernel generators over the kernel
     generators at the far vertex, which succeeds whenever the map
     intertwines the edges.  The solutions are the kernel of the rows'
-    lifter: where the map is a diagonal of unit monomials, the target
-    relations times its inverse (FPModule's unit-diagonal lemma)."""
+    lifter, which reads them off the rows' certificate where it has one."""
+    found = _graded_kernel(f)
+    if found is not None:
+        return found
     quiver = f.source.quiver
     gens = {}
     for v in quiver.vertices:

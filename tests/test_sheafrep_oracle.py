@@ -49,8 +49,8 @@ path gives the oracle's verdicts.  `kernel` prunes its generators in one
 pass; on random generator lists with repeated and combined rows it keeps
 what the oracle's restart loop keeps.
 
-The unit-diagonal lemma decides `map_is_iso` and gives `kernel` its
-generators.  On the Serre covers of shipped fixtures, at every vertex
+The unit-diagonal lemma decides `map_is_iso` and gives `kernel`'s generic
+path its generators.  On the Serre covers of shipped fixtures, at every vertex
 (zero-ring charts included), and on spoiled copies of one vertex's matrix,
 the lemma's kernel rows, the relations among the rows from a tracked run
 and the oracle's span the same submodule, and `_onto` and `_injective`

@@ -5,9 +5,11 @@ class, and every traced `closure` name by `closure` on the
 shipped seed fixtures.  Every traced `charts` and `sheafrep` name is reached
 by `check-qc`, `is-bundle` and `serre-cover` on a graded subscheme fixture,
 `check-qc` on a P^1 mutant sheafrep file and on the same mutant on a
-subscheme, and `vdim-witness` and `lazard` on an Euler quotient, from an
-empty table of quiver skeletons and again from a full one, with the same
-span counts: what a process shares between jobs calls no traced name.
+subscheme, and `vdim-witness` and `lazard` on an Euler quotient, the
+latter also seeded with the cover's kernel, whose presentation pushes
+along chart homs, from an empty table of quiver skeletons and again from
+a full one, with the same span counts: what a process shares between
+jobs calls no traced name.
 Every traced `exactpoly` name is reached by `vdim-witness` on an Euler
 quotient, whose kernel-covered check is the one tracked run certificates
 leave there, `closure` on a seed fixture, `filter-p1` on a coupled
@@ -28,7 +30,7 @@ import pytest
 from qsheaf import cli, sheafrep
 from qsheaf.exactpoly import Field
 from qsheaf.hill import make_filtered_module
-from qsheaf.sheaffile import filtered_text, sheafrep_text
+from qsheaf.sheaffile import filtered_text, parse_sheaf_file, sections_text, sheafrep_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -130,12 +132,28 @@ def _p1_mutant(tmp_path, subscheme=False) -> str:
     return str(path)
 
 
+def _kernel_seed(tmp_path, euler: str) -> str:
+    """A section file of the Euler quotient's cover kernel: its relation
+    row on every chart, as perfbench's full lazard jobs seed it."""
+    rep = parse_sheaf_file(euler)
+    mapping = {
+        v: [tuple(rep.quiver.chart(v).dehomogenize(g) for g in rep.graded.rows[0])] for v in rep.quiver.vertices
+    }
+    path = tmp_path / "kseed_q_p2.txt"
+    path.write_text(sections_text(mapping), encoding="utf-8")
+    return str(path)
+
+
 def test_sheaf_jobs_reach_every_traced_chart_and_sheafrep_name_cold_and_warm(tmp_path):
     graded = str(ROOT / "fixtures" / "subscheme_p1.txt")
     euler = str(ROOT / "fixtures" / "euler_q_p2.txt")
     jobs = [cli.JobSpec(c, inputs=(graded,), machine=True) for c in ("check-qc", "is-bundle", "serre-cover")]
     jobs += [cli.JobSpec("check-qc", inputs=(_p1_mutant(tmp_path, v),), machine=True) for v in (False, True)]
     jobs += [cli.JobSpec(c, inputs=(euler,), machine=True) for c in ("vdim-witness", "lazard")]
+    # the Serre cover's kernel is read off the graded presentation, so no
+    # job above pushes along a chart hom; lazard seeded with that kernel
+    # presents it as a sub-representation, which does
+    jobs.append(cli.JobSpec("lazard", inputs=(euler,), seed_file=_kernel_seed(tmp_path, euler), machine=True))
     sheafrep._skeleton.cache_clear()
     cold = _traced(jobs)
     warm = _traced(jobs)
