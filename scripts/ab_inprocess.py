@@ -2,7 +2,7 @@
 """In-process A/B timing of two trees on one benchmark corpus.
 
     python3 scripts/ab_inprocess.py OLD NEW [--workload W] [--seed S] [--rounds R] [--pairs N]
-                                            [--passes P] [--out DIR]
+                                            [--out DIR]
 
 OLD and NEW are checkouts of this repository.  OLD's
 `perfbench/workloads.py` writes the corpus of workload W, seed S and R
@@ -12,7 +12,7 @@ and NEW first on odd ones.  An interpreter puts its own tree's `src` first
 on `sys.path` and checks that `qsheaf` was imported from there: a
 module that puts another tree's `src` first (as `perfbench/workloads.py`
 does for its own) would otherwise measure one tree twice.  It runs every
-job of the corpus once to warm up, then times P more passes.  Each pass
+job of the corpus once to warm up, then times `PASSES` more passes.  Each pass
 is divided by the median of perfbench's `speed.calibration_slice`, taken
 just before and just after it, to give it at the reference speed
 (`speed.CAL_REF_S` per slice), and the interpreter reports its best pass.
@@ -38,6 +38,7 @@ from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SLICES = 51  # calibration slices taken between two timed passes
+PASSES = 3  # timed passes per interpreter; one left pairs flipping by 30 % on a shared host
 
 
 def _speed():
@@ -48,8 +49,8 @@ def _speed():
     return module
 
 
-def child(tree: pathlib.Path, corpus: pathlib.Path, passes: int) -> dict:
-    """Warm up on the corpus, then time passes more passes of it, in this
+def child(tree: pathlib.Path, corpus: pathlib.Path) -> dict:
+    """Warm up on the corpus, then time `PASSES` more passes of it, in this
     interpreter, on the qsheaf of tree."""
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
@@ -70,7 +71,7 @@ def child(tree: pathlib.Path, corpus: pathlib.Path, passes: int) -> dict:
         cli.run(spec).machine_text()
     before = [speed.calibration_slice() for _ in range(SLICES)]
     timed, digests = [], set()
-    for _ in range(passes):
+    for _ in range(PASSES):
         gc.collect()
         sha = hashlib.sha256()
         start = perf_counter()
@@ -84,11 +85,11 @@ def child(tree: pathlib.Path, corpus: pathlib.Path, passes: int) -> dict:
     return {"qsheaf": qsheaf.__file__, "ref_s": min(timed), "bodies": sorted(digests)}
 
 
-def _run_side(tree: pathlib.Path, corpus: pathlib.Path, passes: int) -> dict:
+def _run_side(tree: pathlib.Path, corpus: pathlib.Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     script = str(pathlib.Path(__file__).resolve())
     done = subprocess.run(
-        [sys.executable, "-B", script, "--child", str(tree), str(corpus), str(passes)],
+        [sys.executable, "-B", script, "--child", str(tree), str(corpus)],
         env=env,
         check=True,
         stdout=subprocess.PIPE,
@@ -124,7 +125,7 @@ def compare(old: pathlib.Path, new: pathlib.Path, args) -> int:
         won = 0
         for k in range(args.pairs):
             order = ("old", "new") if k % 2 == 0 else ("new", "old")
-            got = {side: _run_side(old if side == "old" else new, corpus, args.passes) for side in order}
+            got = {side: _run_side(old if side == "old" else new, corpus) for side in order}
             for side in order:
                 times[side].append(got[side]["ref_s"])
                 bodies[side].update(got[side]["bodies"])
@@ -143,7 +144,7 @@ def compare(old: pathlib.Path, new: pathlib.Path, args) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        print(json.dumps(child(pathlib.Path(argv[1]), pathlib.Path(argv[2]), int(argv[3]))))
+        print(json.dumps(child(pathlib.Path(argv[1]), pathlib.Path(argv[2]))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=pathlib.Path)
@@ -152,11 +153,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--passes", type=int, default=3, help="timed passes per interpreter")
     parser.add_argument("--out", help="directory for the corpus (default: a temporary one)")
     args = parser.parse_args(argv)
-    if min(args.pairs, args.rounds, args.passes) < 1:
-        parser.error("--pairs, --rounds and --passes must be at least 1")
+    if min(args.pairs, args.rounds) < 1:
+        parser.error("--pairs and --rounds must be at least 1")
     return compare(args.old.resolve(), args.new.resolve(), args)
 
 

@@ -186,8 +186,8 @@ MUTANTS = (
     Mutant(
         "graded-kernel-degree-without-the-row-degree",
         "src/qsheaf/sheafrep.py",
-        "        out.append(row[j].degree() + graded.degrees[j])\n",
-        "        out.append(graded.degrees[j])\n",
+        "        here = g.degree() + d\n",
+        "        here = d\n",
         (
             "tests/test_graded_kernel.py::test_vdim_witness_on_euler_quotients_makes_no_present_or_push_call",
             "tests/test_graded_kernel.py::test_misstated_relation_degrees_fail_the_intertwining_check",

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import add as _add, sub as _sub
 from typing import Optional
 
@@ -314,10 +314,11 @@ def make_sheaf_rep(quiver: ProjQuiver, modules, edge_maps) -> SheafRep:
     return SheafRep(quiver, mods, maps, None)
 
 
-def check_graded_row(row, degrees) -> None:
-    """Raise ValueError unless the relation row has one entry per generator
-    degree, every nonzero entry is homogeneous, and deg(entry) + degree is
-    the same across the row."""
+def check_graded_row(row, degrees) -> Optional[int]:
+    """The degree of the relation row, deg(entry) + degree at any nonzero
+    entry, or None for a zero row; raise ValueError unless the row has one
+    entry per generator degree, every nonzero entry is homogeneous, and
+    deg(entry) + degree is the same across the row."""
     if len(row) != len(degrees):
         raise ValueError("relation row has %d entries, expected %d" % (len(row), len(degrees)))
     total = None
@@ -331,6 +332,7 @@ def check_graded_row(row, degrees) -> None:
             total = here
         elif total != here:
             raise ValueError("relation row is not homogeneous for the degrees")
+    return total
 
 
 def graded_sheaf(quiver: ProjQuiver, degrees, rows=()) -> SheafRep:
@@ -463,6 +465,12 @@ def _vertex_rows(rep: SheafRep, v: Vertex) -> tuple:
     return terms[v]
 
 
+def _times_diagonal(row, diagonal) -> tuple:
+    """The Laurent row times a diagonal of (exponent, coefficient) terms,
+    entry by entry."""
+    return tuple([entry.mul_term(e, c) for entry, (e, c) in zip(row, diagonal)])
+
+
 def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
     """The edge matrix A is a diagonal of unit monomials of the far chart,
     and the relations of the two ends correspond through it as Laurent
@@ -493,10 +501,7 @@ def _edge_by_terms(rep: SheafRep, e: Edge) -> bool:
     if len(set(diagonal)) <= 1:
         return {_key(norm, outside) for norm in _vertex_rows(rep, v)[0]} == far
     fld = rep.quiver.field
-    images = (
-        tuple([entry.mul_term(de, dc) for entry, (de, dc) in zip(row, diagonal)])
-        for row in rep.modules[v].laurent
-    )
+    images = (_times_diagonal(row, diagonal) for row in rep.modules[v].laurent)
     return {_row_key(r, fld, outside) for r in images if any(r)} == far
 
 
@@ -751,20 +756,12 @@ def induced_rep(sub: SubRep):
 
 
 def _relation_degrees(graded: GradedData):
-    """The degree e_i = deg r_ij + d_j of each relation row, read at its
-    first nonzero entry (check_graded_row makes it the same across the
-    row), or None when a row is zero and has no degree, or when there is
-    no row: a sum of twists, whose kernel is zero and which the generic
-    path presents with no push and no lift."""
-    if not graded.rows:
-        return None
-    out = []
-    for row in graded.rows:
-        j = next((j for j, g in enumerate(row) if g), None)
-        if j is None:
-            return None
-        out.append(row[j].degree() + graded.degrees[j])
-    return tuple(out)
+    """The degree e_i of each relation row, as check_graded_row gives it,
+    or None when a row is zero and has no degree, or when there is no row:
+    a sum of twists, whose kernel is zero and which the generic path
+    presents with no push and no lift."""
+    out = tuple(check_graded_row(row, graded.degrees) for row in graded.rows)
+    return out if out and None not in out else None
 
 
 def _intertwines(near, far, d_src, d_ker) -> bool:
@@ -772,9 +769,8 @@ def _intertwines(near, far, d_src, d_ker) -> bool:
     row times the source edge's diagonal is the far row of the same index
     times that index's entry of the kernel edge's diagonal."""
     return d_src is not None and d_ker is not None and all(
-        tuple([entry.mul_term(e, c) for entry, (e, c) in zip(r, d_src)])
-        == tuple([entry.mul_term(ek, ck) for entry in s])
-        for r, s, (ek, ck) in zip(near, far, d_ker)
+        _times_diagonal(r, d_src) == _times_diagonal(s, repeat(term))
+        for r, s, term in zip(near, far, d_ker)
     )
 
 
@@ -826,7 +822,7 @@ def _graded_kernel(f: SheafMap):
         v, w = e
         near, far = target.modules[v].laurent, target.modules[w].laurent
         d_src, d_ker = _diagonal(source, e), _diagonal(ker, e)
-        key = (id(near), id(far), d_src, d_ker)
+        key = (id(near), id(far), d_src, d_ker)  # graded_sheaf shares one row tuple per pivot
         if key not in checked:
             if not _intertwines(near, far, d_src, d_ker):
                 return None

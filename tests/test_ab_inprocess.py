@@ -20,7 +20,7 @@ SCRIPT = ROOT / "scripts" / "ab_inprocess.py"
 
 def test_one_hill_lattice_pair_of_the_tree_against_itself(tmp_path):
     args = [str(ROOT), str(ROOT), "--workload", "hill-lattice", "--seed", "0", "--rounds", "1"]
-    args += ["--pairs", "1", "--passes", "1", "--out", str(tmp_path)]
+    args += ["--pairs", "1", "--out", str(tmp_path)]
     done = subprocess.run([sys.executable, str(SCRIPT)] + args, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -40,4 +40,4 @@ def test_an_interpreter_refuses_a_tree_whose_src_it_did_not_import(monkeypatch, 
     import qsheaf  # noqa: F401  (imported already: the other tree's src is not read)
 
     with pytest.raises(AssertionError, match="not from"):
-        module.child(tmp_path / "elsewhere", tmp_path, 1)
+        module.child(tmp_path / "elsewhere", tmp_path)
